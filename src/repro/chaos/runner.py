@@ -9,8 +9,8 @@ went wrong) — never a hang, never a silent divergence.
 
 :func:`run_scenario` executes one seeded scenario end to end and
 classifies it; :func:`sweep` runs the canonical set (plus a fault-free
-baseline used for the recovery-time metric) and is what both the
-``repro chaos`` CLI and ``repro bench --chaos`` call.
+baseline used for the recovery-time metric); the ``repro chaos`` CLI
+runs one scenario at a time through :func:`run_scenario`.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ replayed by the monitor.
 The facade front door is ``RunSettings(execution="graph")`` with
 ``backend="threaded"`` (or ``"distributed"``, where workers consume
 per-rank graph slices and the monitor reports graph stalls);
-``repro bench --graph`` measures the overlap gain on an imbalanced
-synthetic-delay cluster.
+``tests/graph/test_executor.py`` asserts the overlap gain over the
+barriered runner on an imbalanced synthetic-delay chain.
 """
 
 from .executor import GraphExecutor

@@ -27,8 +27,7 @@ class StepTiming:
 
     ``seconds_per_step`` keeps the paper's best-of-repeats selection;
     ``median``/``stdev`` expose the robust statistics over the same
-    repeats, which is what `repro bench` records so benchmark
-    trajectories are comparable across noisy machines.
+    repeats, for comparisons across noisy machines.
     """
 
     seconds_per_step: float

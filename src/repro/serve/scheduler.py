@@ -329,7 +329,11 @@ class Scheduler:
                     self.pool.inbox(worker)
                     / f"{rec.seq:08d}_{rec.job_id}.json"
                 )
-                ticket.write_text(json.dumps({"job_id": rec.job_id}))
+                # The worker polls ``*.json`` and deletes what it cannot
+                # parse, so a ticket must appear under that name whole.
+                tmp = ticket.with_suffix(".tmp")
+                tmp.write_text(json.dumps({"job_id": rec.job_id}))
+                tmp.replace(ticket)
                 self._assigned[worker].add(rec.job_id)
                 self.history.append("assigned", rec)
 

@@ -13,12 +13,11 @@ __all__ = ["main"]
 
 
 def _host_metadata() -> dict:
-    """Host facts every BENCH_*.json carries (ISSUE: comparability).
+    """Host facts a recorded speed carries (``calibrate --out``).
 
-    Benchmark numbers are meaningless without knowing what produced
-    them — core count, library versions, and which kernel backends the
-    host could actually run.  ``numba`` is ``None`` when the import
-    fails; the benches then record honest numpy-only rows.
+    A nodes/s number is meaningless without knowing what produced it —
+    core count, library versions, and which kernel backends the host
+    could actually run.  ``numba`` is ``None`` when the import fails.
     """
     import platform
 
@@ -175,148 +174,9 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     return 0
 
 
-#: the §7 kernel-benchmark cases: (name, method, shape).  128x128 /
-#: 32^3 channel flow, the sizes the perf table in README.md quotes.
-_BENCH_CASES = (
-    ("fd2d", "fd", (128, 128)),
-    ("lb2d", "lb", (128, 128)),
-    ("lb3d", "lb", (32, 32, 32)),
-)
-
-
-def _thread_blocks(ndim: int) -> tuple[int, ...]:
-    """Threaded-bench block grid sized to this host's cores.
-
-    Splitting a grid across more threads than cores only buys barrier
-    overhead, so the threaded row uses at most as many blocks as cores.
-    Below two cores the grid stays whole — the threaded runner's
-    degenerate single-block path steps inline with no pool, keeping the
-    threaded row honest (>= 1.0x serial) instead of measuring pure
-    synchronization cost.
-    """
-    cpus = os.cpu_count() or 1
-    if cpus < 2:
-        return (1,) * ndim
-    per = (2, 2) if cpus >= 4 else (2, 1)
-    return (per + (1,) * ndim)[:ndim]
-
-
-def _bench_collectives(args: argparse.Namespace) -> int:
-    """Time the collective primitives and the diagnostics overhead.
-
-    Four ranks run as threads over the in-process fabric — the same
-    blocking :class:`~repro.net.collectives.Communicator` schedules a
-    distributed run executes, minus the wire.  The second half measures
-    what in-flight diagnostics at ``N = 10`` cost a threaded lattice
-    Boltzmann run per step (the ISSUE.md acceptance number).
-    """
-    import json
-    import threading
-    import time
-
-    from ..core import Decomposition, ThreadedSimulation
-    from ..fluids import FluidParams, LBMethod, channel_geometry
-    from ..harness import format_table, time_stepper
-    from ..net.collectives import Communicator
-    from ..net.local import LocalFabric
-
-    n = args.ranks
-    iters = args.steps
-    big = np.ones(65536)  # 512 KiB -> exercises the chunked array path
-
-    def timed(comms, op) -> float:
-        """Best-of-repeats seconds for one collective across ``n`` threads."""
-
-        def worker(comm):
-            for _ in range(iters):
-                op(comm)
-
-        best = float("inf")
-        for _ in range(args.repeats):
-            threads = [
-                threading.Thread(target=worker, args=(c,)) for c in comms
-            ]
-            t0 = time.perf_counter()
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            best = min(best, (time.perf_counter() - t0) / iters)
-        return best
-
-    cases = (
-        ("barrier", lambda c: c.barrier()),
-        ("allreduce_8B", lambda c: c.allreduce(1.0, "sum")),
-        ("allreduce_512KiB", lambda c: c.allreduce(big, "sum")),
-        ("allgather_64B", lambda c: c.allgather(np.full(8, float(c.rank)))),
-    )
-    results: dict[str, dict] = {
-        "host": _host_metadata(), "ranks": n, "collectives": {}
-    }
-    rows = []
-    for algorithm in ("tree", "ring"):
-        fabric = LocalFabric(n)
-        comms = [
-            Communicator(fabric.channel_set(r), r, n, algorithm=algorithm)
-            for r in range(n)
-        ]
-        warm = [threading.Thread(target=c.barrier) for c in comms]
-        for t in warm:  # warm caches and allocators
-            t.start()
-        for t in warm:
-            t.join()
-        per_alg: dict[str, float] = {}
-        for name, op in cases:
-            secs = timed(comms, op)
-            per_alg[name] = secs
-            rows.append([algorithm, name, f"{secs * 1e6:,.1f} us"])
-        results["collectives"][algorithm] = per_alg
-    print(format_table(
-        ["algorithm", "primitive", "time/op"],
-        rows, title=f"in-process collectives, {n} ranks "
-                    f"({iters} ops averaged, best of {args.repeats})",
-    ))
-
-    # diagnostics overhead: threaded LB channel flow, N = 10
-    shape, blocks, every = (64, 64), (2, 2), 10
-    solid = channel_geometry(shape)
-    params = FluidParams.lattice(2, nu=0.05, gravity=(1e-5, 0.0),
-                                 filter_eps=0.02)
-    fields = {"rho": np.full(shape, 1.0),
-              "u": np.zeros(shape), "v": np.zeros(shape)}
-    per_step = {}
-    for label, diag_every in (("base", 0), ("diag", every)):
-        decomp = Decomposition(shape, blocks, periodic=(True, False),
-                               solid=solid)
-        sim = ThreadedSimulation(LBMethod(params, 2), decomp, fields,
-                                 solid, diag_every=diag_every)
-        timing = time_stepper(sim.step, steps=max(args.steps, 2 * every),
-                              repeats=args.repeats)
-        per_step[label] = timing.seconds_per_step
-    overhead = 100.0 * (per_step["diag"] / per_step["base"] - 1.0)
-    results["diagnostics_overhead"] = {
-        "grid": list(shape), "blocks": list(blocks), "diag_every": every,
-        "base_seconds_per_step": per_step["base"],
-        "diag_seconds_per_step": per_step["diag"],
-        "overhead_percent": overhead,
-    }
-    print(f"\ndiagnostics overhead (threaded LB {shape[0]}x{shape[1]}, "
-          f"N={every}): {overhead:+.2f}% per step")
-
-    out = Path(args.out or "BENCH_collectives.json")
-    out.write_text(json.dumps(results, indent=1) + "\n")
-    print(f"results written to {out}")
-    return 0
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Print the §7 T_comp/T_comm table for a traced run."""
-    from ..trace import (
-        format_breakdown_table,
-        summarize,
-        write_chrome_trace,
-        write_trace_bench,
-    )
+    from ..trace import format_breakdown_table, summarize, write_chrome_trace
 
     where = args.run[0] if len(args.run) == 1 else args.run
     try:
@@ -329,8 +189,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if dropped:
         print(f"warning: {dropped} spans dropped (trace buffer full); "
               f"the table underestimates the traced time")
-    out = write_trace_bench(summary, args.out or "BENCH_trace.json")
-    print(f"summary written to {out}")
     if args.chrome:
         path = write_chrome_trace(where, args.chrome)
         print(f"chrome trace written to {path} "
@@ -338,208 +196,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_trace(args: argparse.Namespace) -> int:
-    """Measure what tracing costs the serial kernel loop per step.
-
-    Times the same 128x128 FD channel flow three ways: a *bare* loop
-    calling the kernels with no tracer calls at all, the instrumented
-    loop with the :data:`~repro.trace.NULL_TRACER` gate (how every
-    runtime runs by default), and with a live
-    :class:`~repro.trace.Tracer` streaming to disk.  The null-gated
-    path must stay within ``--max-overhead`` percent of bare — the
-    instrumentation is built to be left compiled in; the enabled cost
-    is reported alongside the §7 table of the traced window.
-    """
-    import json
-
-    from ..core import Decomposition, Simulation
-    from ..fluids import FDMethod, FluidParams, channel_geometry
-    from ..harness import time_stepper
-    from ..trace import (
-        Tracer,
-        format_breakdown_table,
-        summarize,
-        write_chrome_trace,
-        write_trace_bench,
-    )
-
-    shape, blocks = (128, 128), (2, 2)
-    solid = channel_geometry(shape)
-    params = FluidParams.lattice(2, nu=0.05, gravity=(1e-5, 0.0),
-                                 filter_eps=0.02)
-    fields = {"rho": np.full(shape, 1.0),
-              "u": np.zeros(shape), "v": np.zeros(shape)}
-    trace_dir = Path(args.trace_dir or "trace_bench")
-    trace_dir.mkdir(parents=True, exist_ok=True)
-
-    def build(tracer=None):
-        decomp = Decomposition(shape, blocks, periodic=(True, False),
-                               solid=solid)
-        if tracer is None:
-            return Simulation(FDMethod(params, 2), decomp, fields, solid)
-        return Simulation(FDMethod(params, 2), decomp, fields, solid,
-                          tracer=tracer)
-
-    per_step: dict[str, float] = {}
-
-    # the same cycle Simulation.step runs, minus every tracer call
-    bare = build()
-    method, subs, exchanger = bare.method, bare.subs, bare.exchanger
-
-    def bare_step(n: int = 1) -> None:
-        for _ in range(n):
-            for phase, fnames in enumerate(method.exchange_phases):
-                for sub in subs:
-                    method.compute_phase(sub, phase)
-                exchanger.exchange(fnames)
-            for sub in subs:
-                method.finalize_step(sub)
-                sub.step += 1
-
-    per_step["bare"] = time_stepper(
-        bare_step, steps=args.steps, repeats=args.repeats
-    ).seconds_per_step
-    per_step["disabled"] = time_stepper(
-        build().step, steps=args.steps, repeats=args.repeats
-    ).seconds_per_step
-    tracer = Tracer(trace_dir / "trace-0000.jsonl", rank=0)
-    per_step["enabled"] = time_stepper(
-        build(tracer).step, steps=args.steps, repeats=args.repeats
-    ).seconds_per_step
-    tracer.close()
-
-    disabled_overhead = 100.0 * (
-        per_step["disabled"] / per_step["bare"] - 1.0
-    )
-    enabled_overhead = 100.0 * (
-        per_step["enabled"] / per_step["bare"] - 1.0
-    )
-    print(f"tracing overhead (serial FD {shape[0]}x{shape[1]}, "
-          f"{args.steps}-step windows, best of {args.repeats}):")
-    print(f"  bare loop       {per_step['bare'] * 1e3:9.3f} ms/step")
-    print(f"  null-gated      {per_step['disabled'] * 1e3:9.3f} ms/step "
-          f"({disabled_overhead:+.2f}%)")
-    print(f"  tracing to disk {per_step['enabled'] * 1e3:9.3f} ms/step "
-          f"({enabled_overhead:+.2f}%)")
-
-    summary = summarize(trace_dir)
-    print(format_breakdown_table(summary))
-    chrome = write_chrome_trace(trace_dir, trace_dir / "trace.json")
-    out = write_trace_bench(
-        summary,
-        args.out or "BENCH_trace.json",
-        extra={
-            "host": _host_metadata(),
-            "grid": list(shape),
-            "blocks": list(blocks),
-            "bare_seconds_per_step": per_step["bare"],
-            "disabled_seconds_per_step": per_step["disabled"],
-            "enabled_seconds_per_step": per_step["enabled"],
-            "disabled_overhead_percent": disabled_overhead,
-            "enabled_overhead_percent": enabled_overhead,
-            "max_overhead_percent": args.max_overhead,
-            "chrome_trace": str(chrome),
-        },
-    )
-    print(f"results written to {out}; merged trace at {chrome}")
-    if disabled_overhead > args.max_overhead:
-        print(f"bench: null-gated overhead {disabled_overhead:.2f}% "
-              f"exceeds --max-overhead {args.max_overhead:.1f}%",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-def _bench_balance(args: argparse.Namespace) -> int:
-    """Measure what adaptive rebalancing buys on a cramped cluster.
-
-    A four-workstation cluster with *no* spare host — the situation
-    where the paper's migration policy cannot help — under the
-    heterogeneous stochastic user load of
-    :func:`repro.cluster.loadgen.poisson_user_traces` (three of the
-    four hosts receive recurring full-time jobs).  The simulator runs
-    the same computation with the monitor off (``none``) and with
-    ``policy="rebalance"`` — the
-    :class:`~repro.balance.RebalancePlanner` the live runtime uses —
-    and compares steps/second.  Fails unless rebalancing sustains at
-    least ``--min-speedup`` times the baseline rate.
-    """
-    import json
-
-    from ..cluster import ClusterSimulation, paper_sim_cluster
-    from ..cluster.loadgen import poisson_user_traces
-    from ..harness import format_table
-
-    side, blocks, steps, poll = 140, (4, 1), 600, 15.0
-    names = ("hp715-00", "hp715-01", "hp715-02", "hp715-03")
-    busy = poisson_user_traces(
-        ["hp715-01", "hp715-02", "hp715-03"],
-        duration=2.0e6,
-        busy_rate_per_hour=6.0,
-        mean_busy_minutes=45.0,
-        load=2.5,
-        seed=7,
-    )
-
-    results: dict[str, dict] = {
-        "host": _host_metadata(),
-        "scenario": {
-            "hosts": list(names),
-            "busy_hosts": sorted(busy),
-            "side": side,
-            "blocks": list(blocks),
-            "steps": steps,
-            "monitor_poll": poll,
-        },
-        "policies": {},
-    }
-    rows = []
-    per_policy: dict[str, float] = {}
-    for policy in ("none", "rebalance"):
-        hosts = [
-            h for h in paper_sim_cluster(dict(busy)) if h.name in names
-        ]
-        sim = ClusterSimulation("lb", 2, blocks, side, hosts=hosts)
-        kw = {} if policy == "none" else {
-            "monitor_poll": poll, "policy": policy,
-        }
-        res = sim.run(steps=steps, **kw)
-        rate = steps / res.elapsed
-        per_policy[policy] = rate
-        results["policies"][policy] = {
-            "elapsed_seconds": res.elapsed,
-            "steps_per_second": rate,
-            "efficiency": res.efficiency,
-            "rebalances": len(res.rebalances),
-        }
-        rows.append(
-            [policy, f"{res.elapsed:,.0f} s", f"{rate:.4f}",
-             f"{res.efficiency:.3f}", len(res.rebalances)]
-        )
-    speedup = per_policy["rebalance"] / per_policy["none"]
-    results["speedup"] = speedup
-    results["min_speedup"] = args.min_speedup
-
-    print(format_table(
-        ["policy", "elapsed", "steps/s", "efficiency", "rebalances"],
-        rows,
-        title=f"adaptive rebalancing, cramped 4-host cluster "
-              f"({side}x{side} LB, {steps} steps)",
-    ))
-    print(f"\nsteps/s speedup from rebalancing: {speedup:.2f}x "
-          f"(required: {args.min_speedup:.2f}x)")
-    out = Path(args.out or "BENCH_balance.json")
-    out.write_text(json.dumps(results, indent=1) + "\n")
-    print(f"results written to {out}")
-    if speedup < args.min_speedup:
-        print(f"bench: rebalance speedup {speedup:.2f}x below "
-              f"--min-speedup {args.min_speedup:.2f}x", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _chaos_rows(outcomes) -> list[list]:
-    """Result-table rows shared by ``repro chaos`` and ``bench --chaos``."""
+    """Result-table rows of ``repro chaos``."""
     rows = []
     for o in outcomes:
         rows.append([
@@ -550,176 +208,6 @@ def _chaos_rows(outcomes) -> list[list]:
             f"{o.steps_per_second:.1f}",
         ])
     return rows
-
-
-def _bench_chaos(args: argparse.Namespace) -> int:
-    """The fault-tolerance acceptance gate (``repro bench --chaos``).
-
-    Runs the canonical seeded fault scenarios through
-    :func:`repro.chaos.runner.sweep` — a fault-free baseline first,
-    then every (scenario, seed) pair — and requires each one to end in
-    a bit-for-bit match against the fault-free serial reference or a
-    clean diagnostic abort.  A hang, a silent divergence, or an
-    unclassified exception fails the gate.  ``--chaos-seeds K`` widens
-    the sweep to seeds ``0..K-1`` (the nightly CI job runs 3).
-    """
-    import json
-    import tempfile
-    from dataclasses import asdict
-
-    from ..chaos import CANONICAL, sweep
-    from ..harness import format_table
-
-    seeds = tuple(range(max(args.chaos_seeds, 1)))
-    workdir = args.chaos_dir or tempfile.mkdtemp(prefix="repro_chaos_")
-    try:
-        outcomes = sweep(
-            workdir, seeds=seeds, scenarios=CANONICAL,
-            steps=args.chaos_steps,
-        )
-    except RuntimeError as exc:
-        print(f"bench: {exc}", file=sys.stderr)
-        return 1
-
-    print(format_table(
-        ["scenario", "seed", "outcome", "restarts", "migrations",
-         "elapsed", "recovery", "steps/s"],
-        _chaos_rows(outcomes),
-        title=f"chaos sweep ({len(CANONICAL)} scenarios x "
-              f"{len(seeds)} seed(s) + fault-free baseline, "
-              f"{args.chaos_steps} steps each)",
-    ))
-    failed = [o for o in outcomes if not o.passed]
-    results = {
-        "host": _host_metadata(),
-        "steps": args.chaos_steps,
-        "scenarios": list(CANONICAL),
-        "seeds": list(seeds),
-        "baseline_seconds": outcomes[0].elapsed,
-        "runs": [asdict(o) for o in outcomes],
-        "passed": not failed,
-    }
-    out = Path(args.out or "BENCH_chaos.json")
-    out.write_text(json.dumps(results, indent=1) + "\n")
-    print(f"results written to {out}")
-    if failed:
-        names = ", ".join(f"{o.scenario}/s{o.seed}={o.outcome}"
-                          for o in failed)
-        print(f"bench: chaos gate failed: {names}", file=sys.stderr)
-        return 1
-    print(f"chaos gate passed: {len(outcomes) - 1} faulted runs "
-          f"recovered or aborted cleanly")
-    return 0
-
-
-def _bench_hybrid(args: argparse.Namespace) -> int:
-    """The hybrid-coupling acceptance gate (``repro bench --hybrid``).
-
-    Marches the §7 Poiseuille channel with the FD/LB method seam laid
-    *along* the flow — the converted ghost strip then carries the full
-    shear of the parabola, the hardest orientation for the seam
-    reconstruction — and gates on three properties of the coupled run:
-    the steady profile must match the analytic solution within the
-    single-method tolerance, total mass must hold to truncation level,
-    and the serial and threaded runtimes must agree bit for bit.
-    Records nodes/s for the hybrid run next to each pure method so the
-    throughput cost of the seam is on the record.
-    """
-    import json
-
-    import repro
-    from ..distrib import ProblemSpec
-    from ..fluids import poiseuille_profile
-    from ..harness import format_table
-
-    nx, ny = 16, args.hybrid_ny
-    nu, g = 0.1, 1e-5
-    steps = args.hybrid_steps
-    if ny % 2 or ny < 8:
-        print("bench: --hybrid-ny must be even and >= 8", file=sys.stderr)
-        return 2
-
-    def _spec(method):
-        return ProblemSpec(
-            method=method, grid_shape=(nx, ny), blocks=(1, 2),
-            periodic=(True, False),
-            params={"nu": nu, "gravity": (g, 0.0), "filter_eps": 0.0},
-            geometry={"kind": "channel"},
-        )
-
-    hybrid = _spec({
-        "default": "lb",
-        "regions": [{"box": [[0, ny // 2], [nx, ny]], "method": "fd"}],
-    })
-
-    run = repro.run(hybrid, "serial", steps=steps)
-    u = run.fields["u"][nx // 2]
-    # Bottom wall is LB (halfway bounce-back: wall at y=0 with
-    # y_j = j - 0.5); top wall is FD (no-slip at the wall node).
-    y = np.arange(ny, dtype=float) - 0.5
-    exact = poiseuille_profile(y, ny - 1.5, g, nu)
-    fl = slice(1, ny - 1)
-    profile_err = float(np.abs(u[fl] - exact[fl]).max() / exact.max())
-    mass_drift = abs(float(run.fields["rho"].sum()) - nx * ny) / (nx * ny)
-
-    srl = repro.run(hybrid, "serial", steps=50)
-    thr = repro.run(hybrid, "threaded", steps=50)
-    bitwise = all(
-        np.array_equal(srl.fields[k], thr.fields[k])
-        for k in ("rho", "u", "v")
-    )
-
-    nodes = nx * ny
-    rate_steps = min(steps, 2000)
-    rates = {"hybrid": nodes * steps / max(run.elapsed, 1e-9)}
-    for name in ("lb", "fd"):
-        r = repro.run(_spec(name), "serial", steps=rate_steps)
-        rates[name] = nodes * rate_steps / max(r.elapsed, 1e-9)
-
-    mass_ok = mass_drift < args.hybrid_mass_tol
-    profile_ok = profile_err < args.hybrid_tol
-    print(format_table(
-        ["check", "value", "bound", "ok"],
-        [
-            ["profile error", f"{profile_err:.2e}",
-             f"< {args.hybrid_tol:g}", str(profile_ok)],
-            ["mass drift", f"{mass_drift:.2e}",
-             f"< {args.hybrid_mass_tol:g}", str(mass_ok)],
-            ["serial == threaded", "bitwise" if bitwise else "DIVERGED",
-             "bitwise", str(bitwise)],
-        ],
-        title=f"hybrid lb|fd Poiseuille, {nx}x{ny}, {steps} steps "
-              f"(seam along the flow at y={ny // 2})",
-    ))
-    print(format_table(
-        ["run", "nodes/s"],
-        [[name, f"{rate:.3g}"] for name, rate in rates.items()],
-        title="serial throughput",
-    ))
-
-    passed = profile_ok and mass_ok and bitwise
-    results = {
-        "host": _host_metadata(),
-        "grid": [nx, ny],
-        "steps": steps,
-        "nu": nu,
-        "gravity": g,
-        "profile_error": profile_err,
-        "profile_tolerance": args.hybrid_tol,
-        "mass_drift": mass_drift,
-        "mass_tolerance": args.hybrid_mass_tol,
-        "serial_threaded_bitwise": bitwise,
-        "nodes_per_second": rates,
-        "passed": passed,
-    }
-    out = Path(args.out or "BENCH_hybrid.json")
-    out.write_text(json.dumps(results, indent=1) + "\n")
-    print(f"results written to {out}")
-    if not passed:
-        print("bench: hybrid gate failed", file=sys.stderr)
-        return 1
-    print("hybrid gate passed")
-    return 0
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -904,476 +392,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ))
     print(f"report written to {md}")
     return 0 if n_pass == len(points) else 1
-
-
-#: (scenario, grid) pairs ``repro bench --sweep`` marches.  The quick
-#: set is the CI gate — every sub-minute physics claim, led by the
-#: cavity Re=100 vortex-center check against Hou et al. (1995).
-_SWEEP_QUICK = (
-    ("cavity", {"Re": [100]}),
-    ("poiseuille", {"method": ["lb"]}),
-    ("conservation", {"method": ["lb", "fd"]}),
-    ("duct3d", {"method": ["fd"]}),
-    ("hybrid_channel", {}),
-    ("acoustic_wave", {"method": ["lb"]}),
-)
-_SWEEP_FULL = (
-    ("cavity", {"Re": [100, 400, 1000]}),
-    ("poiseuille", {"method": ["lb", "fd"]}),
-    ("conservation", {"method": ["lb", "fd"]}),
-    ("duct3d", {"method": ["fd", "lb"]}),
-    ("hybrid_channel", {}),
-    ("acoustic_wave", {"method": ["lb", "fd"]}),
-    ("taylor_green", {}),
-    ("flue_pipe_channel", {}),
-    ("flue_pipe", {}),
-    ("cylinder_wake", {}),
-)
-
-
-def _bench_sweep(args: argparse.Namespace) -> int:
-    """The scored-validation acceptance gate (``repro bench --sweep``).
-
-    Marches the scenario library's canonical grids through the sweep
-    driver and requires every point to pass its scenario's score —
-    the cavity Re=100 primary-vortex check against Hou et al. is the
-    headline gate.  ``--quick`` runs the sub-minute subset (the CI
-    job); the full set adds the heavy wake/jet/high-Re scenarios.
-    """
-    import json
-    import tempfile
-
-    from .. import scenarios as sc
-    from ..harness import format_table
-
-    plan = _SWEEP_QUICK if args.quick else _SWEEP_FULL
-    backend = args.backend or "threaded"
-    base = Path(args.sweep_dir or
-                tempfile.mkdtemp(prefix="repro_sweep_"))
-    rows = []
-    scenarios_out: dict = {}
-    all_passed = True
-    gate = None  # the cavity Re=100 point
-    for name, grid in plan:
-        scenario = sc.get(name)
-        points = sc.run_sweep(
-            scenario, grid, backend=backend, out_dir=base / name,
-            log=lambda msg, n=name: print(f"  [{n}] {msg}"),
-        )
-        sc.write_report(points, base / name, scenario)
-        entry = scenarios_out.setdefault(name, {
-            "version": scenario.version, "points": [],
-        })
-        for p in points:
-            entry["points"].append(p.to_dict())
-            all_passed = all_passed and p.passed
-            if name == "cavity" and p.params.get("Re") == 100:
-                gate = p
-            worst = ""
-            if p.score and p.score.get("failures"):
-                worst = p.score["failures"][0]
-            elif p.error:
-                worst = p.error
-            rows.append([
-                name,
-                ", ".join(f"{k}={v}" for k, v in p.params.items())
-                or "-",
-                "pass" if p.passed else "FAIL",
-                f"{p.elapsed:.1f} s",
-                f"{p.nodes_per_sec:.3g}" if p.nodes_per_sec else "-",
-                worst[:48],
-            ])
-    print(format_table(
-        ["scenario", "params", "score", "elapsed", "nodes/s", "failure"],
-        rows,
-        title=f"scored validation sweep "
-              f"({'quick' if args.quick else 'full'}, {backend})",
-    ))
-    results = {
-        "host": _host_metadata(),
-        "backend": backend,
-        "quick": bool(args.quick),
-        "scenarios": scenarios_out,
-        "cavity_re100_passed": bool(gate and gate.passed),
-        "passed": all_passed,
-    }
-    out = Path(args.out or "BENCH_sweep.json")
-    out.write_text(json.dumps(results, indent=1) + "\n")
-    print(f"results written to {out}")
-    if gate is None or not gate.passed:
-        print("bench: sweep gate failed: cavity Re=100 vortex center "
-              "does not match Hou et al.", file=sys.stderr)
-        return 1
-    if not all_passed:
-        bad = [r[0] + "(" + r[1] + ")" for r in rows if r[2] != "pass"]
-        print(f"bench: sweep gate failed: {', '.join(bad)}",
-              file=sys.stderr)
-        return 1
-    print(f"sweep gate passed: {len(rows)} points, all scored pass")
-    return 0
-
-
-def _bench_graph(args: argparse.Namespace) -> int:
-    """The dependency-driven overlap gate (``repro bench --graph``).
-
-    Marches one decomposed FD problem two ways on an *imbalanced*
-    synthetic workload — an alternating end-rank hotspot sleeps one
-    rank ``--graph-delay`` seconds per step (rank 0 on even steps, the
-    far-end rank on odd steps) — and compares steps/s:
-
-    * the barriered threaded runner (BSP): every step waits for the
-      hot rank, so the delay is paid in full every step;
-    * the dependency-driven graph executor: a rank steps as soon as
-      its own ghost strips are filled, and the two hotspot ranks sit
-      farther apart than a delay can propagate between sleeps, so each
-      rank only ever waits for its *own* sleeps — half the BSP bill.
-
-    Both runs must stay bit-for-bit equal to the serial reference, and
-    the graph run must clear ``--min-graph-speedup`` (the acceptance
-    criterion: >= 1.15x).  A separate traced graph run writes the
-    merged Chrome trace plus ``summary.md`` with the §7
-    T_comp/T_comm/stall table (the CI artifact).
-    """
-    import json
-    import tempfile
-    import time
-
-    from ..core import Decomposition, Simulation, ThreadedSimulation
-    from ..fluids import FDMethod, FluidParams
-    from ..graph import GraphExecutor, plan_graph
-    from ..harness import format_table
-    from ..trace import Tracer, summarize, write_chrome_trace
-
-    steps = args.graph_steps
-    repeats = max(args.repeats, 1)
-    if args.quick:
-        steps = min(steps, 12)
-        repeats = min(repeats, 2)
-    n_ranks = max(args.graph_ranks, 4)
-    delay = args.graph_delay
-    shape = (16 * n_ranks, 48)
-    blocks = (n_ranks, 1)
-    # A *chain* of subregions (axis 0 closed by solid walls, not
-    # wrapped): the two end ranks are n-1 hops apart, which is what
-    # lets the graph run overlap the delays below.
-    periodic = (False, True)
-    solid = np.zeros(shape, dtype=bool)
-    solid[0, :] = solid[-1, :] = True
-    params = FluidParams.lattice(2, nu=0.05)
-    x = np.arange(shape[0], dtype=float)[:, None] / shape[0]
-    y = np.arange(shape[1], dtype=float)[None, :] / shape[1]
-    fields = {
-        "rho": 1.0 + 1e-3 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y),
-        "u": np.zeros(shape),
-        "v": np.zeros(shape),
-    }
-
-    def decomp():
-        return Decomposition(shape, blocks, periodic=periodic,
-                             solid=solid)
-
-    # End-to-end alternating hotspot: rank 0 sleeps on even steps, the
-    # far-end rank on odd steps — one rank is slow *every* step, so the
-    # BSP barriers pay the full delay every step.  A planner delay
-    # propagates along fill->compute edges at nphases hops per step
-    # with no attenuation (the path's compute time equals the elapsed
-    # schedule time exactly), so two delays chain serially whenever the
-    # later one is reachable from the earlier: distance <= nphases x
-    # steps-between.  The chain ends are n-1 > nphases hops apart and
-    # the sleeps alternate every step, so consecutive delays are
-    # mutually unreachable and the graph run pays each rank's *own*
-    # sleeps only — half the BSP bill, and the measured gap below.
-    far = n_ranks - 1
-
-    def delay_fn(rank: int, step: int) -> float:
-        hot = 0 if step % 2 == 0 else far
-        return delay if rank == hot else 0.0
-
-    ref = Simulation(FDMethod(params, 2), decomp(), fields, solid)
-    ref.step(steps)
-    ref_fields = ref.global_state()
-
-    def _check(state) -> bool:
-        return all(
-            np.array_equal(state[k], ref_fields[k]) for k in ref_fields
-        )
-
-    t_bsp, bsp_ok = float("inf"), True
-    for _ in range(repeats):
-        sim = ThreadedSimulation(
-            FDMethod(params, 2), decomp(), fields, solid,
-            delay_fn=delay_fn,
-        )
-        t0 = time.perf_counter()
-        sim.step(steps)
-        t_bsp = min(t_bsp, time.perf_counter() - t0)
-        bsp_ok = bsp_ok and _check(sim.global_state())
-        sim.close()
-
-    t_graph, graph_ok = float("inf"), True
-    graph = None
-    for _ in range(repeats):
-        sim = Simulation(FDMethod(params, 2), decomp(), fields, solid)
-        graph = plan_graph(sim.decomp, sim.methods, steps)
-        ex = GraphExecutor(sim, graph, delay_fn=delay_fn)
-        t0 = time.perf_counter()
-        ex.run()
-        t_graph = min(t_graph, time.perf_counter() - t0)
-        graph_ok = graph_ok and _check(sim.global_state())
-
-    # a dedicated traced run for the CI artifact (tracing costs a
-    # little, so it is kept out of the timed windows)
-    trace_dir = Path(
-        args.trace_dir or tempfile.mkdtemp(prefix="repro_graph_")
-    )
-    tracer = Tracer(trace_dir / "trace-0000.jsonl", rank=0)
-    sim = Simulation(FDMethod(params, 2), decomp(), fields, solid,
-                     tracer=tracer)
-    traced = GraphExecutor(
-        sim, plan_graph(sim.decomp, sim.methods, steps),
-        delay_fn=delay_fn, tracer=tracer,
-    )
-    traced.run()
-    tracer.close()
-    write_chrome_trace(trace_dir, trace_dir / "trace.json")
-    summary = summarize(trace_dir)
-
-    speedup = t_bsp / max(t_graph, 1e-9)
-    sps = {"bsp": steps / max(t_bsp, 1e-9),
-           "graph": steps / max(t_graph, 1e-9)}
-    print(format_table(
-        ["run", "best time", "steps/s", "bitwise vs serial"],
-        [
-            ["threaded (BSP barriers)", f"{t_bsp:.3f} s",
-             f"{sps['bsp']:.1f}", str(bsp_ok)],
-            ["graph (dependency-driven)", f"{t_graph:.3f} s",
-             f"{sps['graph']:.1f}", str(graph_ok)],
-        ],
-        title=f"dependency-driven overlap, FD "
-              f"{shape[0]}x{shape[1]} / {n_ranks} ranks, {steps} steps, "
-              f"alternating {delay * 1e3:.0f} ms end-rank hotspot "
-              f"(best of {repeats})",
-    ))
-    per_step = summary.per_step()
-    print(f"  speedup: {speedup:.2f}x (gate: "
-          f">= {args.min_graph_speedup:g}x)")
-    print(f"  traced graph run: T_comp {per_step['t_comp'] * 1e3:.2f} "
-          f"ms/step, T_comm {per_step['t_comm'] * 1e3:.2f} ms/step, "
-          f"stalls {len(traced.stalls)}")
-    print(f"  trace artifact: {trace_dir / 'trace.json'}")
-
-    passed = bsp_ok and graph_ok and speedup >= args.min_graph_speedup
-    md = [
-        "# bench --graph: dependency-driven overlap",
-        "",
-        f"FD {shape[0]}x{shape[1]}, {n_ranks} ranks, {steps} steps, "
-        f"alternating {delay * 1e3:.0f} ms end-rank hotspot.",
-        "",
-        "| run | best time | steps/s |",
-        "|---|---|---|",
-        f"| threaded (BSP) | {t_bsp:.3f} s | {sps['bsp']:.1f} |",
-        f"| graph | {t_graph:.3f} s | {sps['graph']:.1f} |",
-        "",
-        f"**Speedup: {speedup:.2f}x** (gate >= "
-        f"{args.min_graph_speedup:g}x) — "
-        f"{'PASS' if passed else 'FAIL'}",
-        "",
-        "## §7 breakdown of the traced graph run",
-        "",
-        "| rank | T_comp | T_comm | T_other | utilization |",
-        "|---|---|---|---|---|",
-    ]
-    for r in summary.ranks:
-        md.append(
-            f"| {r.rank} | {r.t_comp:.3f} s | {r.t_comm:.3f} s | "
-            f"{r.t_other:.3f} s | {r.utilization:.2f} |"
-        )
-    md += [
-        "",
-        f"Graph stalls on the balanced hotspot run: "
-        f"{len(traced.stalls)} (the {delay * 1e3:.0f} ms alternating "
-        f"delay sits below the stall floor — a *sustained* slow rank, "
-        f"not jitter, is what the detector names).",
-    ]
-    (trace_dir / "summary.md").write_text("\n".join(md) + "\n")
-
-    results = {
-        "host": _host_metadata(),
-        "grid": list(shape),
-        "blocks": list(blocks),
-        "steps": steps,
-        "repeats": repeats,
-        "hot_delay_seconds": delay,
-        "seconds": {"bsp": t_bsp, "graph": t_graph},
-        "steps_per_second": sps,
-        "speedup": speedup,
-        "min_speedup": args.min_graph_speedup,
-        "bsp_bitwise": bsp_ok,
-        "graph_bitwise": graph_ok,
-        "graph_nodes": graph.counts() if graph is not None else {},
-        "critical_path_seconds": (
-            graph.critical_path() if graph is not None else 0.0
-        ),
-        "stalls": len(traced.stalls),
-        "passed": passed,
-    }
-    out = Path(args.out or "BENCH_graph.json")
-    out.write_text(json.dumps(results, indent=1) + "\n")
-    print(f"results written to {out}")
-    if not passed:
-        reasons = []
-        if not (bsp_ok and graph_ok):
-            reasons.append("bitwise parity broken")
-        if speedup < args.min_graph_speedup:
-            reasons.append(
-                f"speedup {speedup:.2f}x < {args.min_graph_speedup:g}x"
-            )
-        print(f"bench: graph gate failed: {'; '.join(reasons)}",
-              file=sys.stderr)
-        return 1
-    print("graph gate passed")
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from ..core import Decomposition, Simulation, ThreadedSimulation
-    from ..fluids import FDMethod, FluidParams, LBMethod, channel_geometry
-    from ..fluids.backends import BACKEND_NAMES, available_backends
-    from ..harness import format_table, time_stepper
-
-    if args.quick:
-        args.steps = min(args.steps, 5)
-        args.repeats = min(args.repeats, 2)
-    if args.steps < 1 or args.repeats < 1:
-        print("bench: --steps and --repeats must be >= 1", file=sys.stderr)
-        return 2
-    if args.collectives:
-        return _bench_collectives(args)
-    if args.trace:
-        return _bench_trace(args)
-    if args.balance:
-        return _bench_balance(args)
-    if args.chaos:
-        return _bench_chaos(args)
-    if args.serve:
-        return _bench_serve(args)
-    if args.hybrid:
-        return _bench_hybrid(args)
-    if args.sweep:
-        return _bench_sweep(args)
-    if args.graph:
-        return _bench_graph(args)
-
-    if args.backend:
-        if args.backend not in BACKEND_NAMES:
-            print(f"bench: unknown backend {args.backend!r}; "
-                  f"expected one of {BACKEND_NAMES}", file=sys.stderr)
-            return 2
-        if args.backend not in available_backends():
-            print(f"bench: backend {args.backend!r} is unavailable on "
-                  f"this host (numba not importable?)", file=sys.stderr)
-            return 2
-        kernel_backends = [args.backend]
-    else:
-        kernel_backends = list(available_backends())
-
-    results: dict = {
-        "host": _host_metadata(),
-        "steps": args.steps,
-        "repeats": args.repeats,
-        "cases": {},
-    }
-    rows = []
-    cases = _BENCH_CASES[:2] if args.quick else _BENCH_CASES
-    for name, method_name, shape in cases:
-        ndim = len(shape)
-        solid = channel_geometry(shape)
-        n_fluid = int(np.count_nonzero(~solid))
-        periodic = (True,) + (False,) * (ndim - 1)
-        gravity = (1e-5,) + (0.0,) * (ndim - 1)
-        params = FluidParams.lattice(
-            ndim, nu=0.05, gravity=gravity, filter_eps=0.02
-        )
-        cls = LBMethod if method_name == "lb" else FDMethod
-        fields = {"rho": np.full(shape, 1.0)}
-        for vn in ("u", "v", "w")[:ndim]:
-            fields[vn] = np.zeros(shape)
-
-        # (label, runner, blocks, kernel backend).  The threaded row
-        # exists only for numpy — numba's parallel backend already owns
-        # the cores inside one subregion, so a serial runner is its
-        # fastest configuration.
-        runs = []
-        for kb in kernel_backends:
-            if kb.startswith("numba") and ndim != 2:
-                continue  # loop kernels are 2D-only; don't bench fallback
-            suffix = "serial" if kb == "numpy" else kb
-            runs.append((f"{name}_{suffix}", Simulation, (1,) * ndim, kb))
-            if kb == "numpy":
-                runs.append((f"{name}_threaded", ThreadedSimulation,
-                             _thread_blocks(ndim), kb))
-        for label, runner, blocks, kb in runs:
-            decomp = Decomposition(
-                shape, blocks, periodic=periodic, solid=solid
-            )
-            sim = runner(
-                cls(params, ndim, backend=kb), decomp, fields, solid
-            )
-            timing = time_stepper(
-                sim.step, steps=args.steps, repeats=args.repeats
-            )
-            if runner is ThreadedSimulation:
-                sim.close()
-            speed = n_fluid / timing.median
-            results["cases"][label] = {
-                "method": method_name,
-                "shape": list(shape),
-                "blocks": list(blocks),
-                "backend": kb,
-                "runner": ("threaded" if runner is ThreadedSimulation
-                           else "serial"),
-                "fluid_nodes": n_fluid,
-                "seconds_per_step": timing.seconds_per_step,
-                "median_seconds_per_step": timing.median,
-                "stdev_seconds_per_step": timing.stdev,
-                "nodes_per_second": speed,
-            }
-            rows.append(
-                [label, "x".join(map(str, shape)),
-                 "x".join(map(str, blocks)), kb,
-                 f"{timing.median * 1e3:.3f} ms",
-                 f"{timing.stdev * 1e3:.3f}",
-                 f"{speed:,.0f}"]
-            )
-
-    # headline ratios the acceptance criteria quote
-    med = {k: v["median_seconds_per_step"]
-           for k, v in results["cases"].items()}
-    speedups = {}
-    for case, _, _ in cases:
-        base = med.get(f"{case}_serial")
-        if not base:
-            continue
-        for other in ("threaded", "numba", "numba-serial"):
-            t = med.get(f"{case}_{other}")
-            if t:
-                speedups[f"{case}_{other}_vs_serial_numpy"] = base / t
-    results["speedups"] = speedups
-
-    print(format_table(
-        ["case", "grid", "blocks", "backend", "median/step", "stdev ms",
-         "fluid nodes/s"],
-        rows, title=f"kernel speeds (§7 protocol, {args.steps}-step "
-                    f"windows, median of {args.repeats}, warmed up)",
-    ))
-    for key, val in sorted(speedups.items()):
-        print(f"  {key}: {val:.2f}x")
-    out = Path(args.out or "BENCH_kernels.json")
-    out.write_text(json.dumps(results, indent=1) + "\n")
-    print(f"results written to {out}")
-    return 0
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
@@ -1578,153 +596,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_serve(args: argparse.Namespace) -> int:
-    """The service-layer throughput gate (``repro bench --serve``).
-
-    A tenant workload of ``--serve-jobs`` distinct small problems, each
-    submitted ``1 + --serve-warm`` times, measured two ways: a plain
-    sequential ``repro.run()`` loop (what a user without the service
-    would do) and through a live gateway with its worker pool and
-    result cache.  The cache means the service computes each distinct
-    problem once and serves every repeat for free — the aggregate
-    throughput must come out at least ``--min-serve-speedup`` times the
-    sequential loop, and every warm submission must be a cache hit
-    (zero recompute).
-    """
-    import json
-    import tempfile
-    import time
-
-    from .. import run as repro_run
-    from ..distrib.orchestrator import RunSettings
-    from ..distrib.spec import ProblemSpec
-    from ..serve import Gateway, ServeClient
-
-    n_jobs = max(args.serve_jobs, 1)
-    n_warm = max(args.serve_warm, 0)
-    steps = args.serve_steps
-    side = args.serve_side
-    if args.quick:
-        # the same CI-sized promise every bench leg honours
-        n_jobs = min(n_jobs, 3)
-        n_warm = min(n_warm, 2)
-        steps = min(steps, 30)
-        side = min(side, 48)
-    specs = [
-        ProblemSpec(
-            method="lb",
-            grid_shape=(side, side),
-            blocks=(1, 1),
-            periodic=(True, False),
-            params={"nu": 0.05 + 0.002 * i, "gravity": (1e-5, 0.0),
-                    "filter_eps": 0.02},
-            geometry={"kind": "channel"},
-        )
-        for i in range(n_jobs)
-    ]
-    submissions = specs * (1 + n_warm)
-
-    # baseline: the same workload as a sequential facade loop
-    t0 = time.perf_counter()
-    for spec in submissions:
-        repro_run(spec, "serial", RunSettings(steps=steps))
-    t_seq = time.perf_counter() - t0
-
-    serve_dir = args.serve_dir or tempfile.mkdtemp(prefix="repro_serve_")
-    gw = Gateway(serve_dir, workers=args.serve_workers, poll=0.02)
-    gw.start_background()
-    try:
-        from ..serve.jobs import TERMINAL
-
-        client = ServeClient(gw.address, timeout=300.0)
-        # steady-state throughput: let the persistent pool finish its
-        # one-time interpreter warm-up (first heartbeat) before timing
-        deadline = time.perf_counter() + 60.0
-        while any(
-            gw.pool.heartbeat(i) is None
-            for i in range(gw.pool.n_workers)
-        ):
-            if time.perf_counter() > deadline:
-                raise TimeoutError("worker pool never became ready")
-            time.sleep(0.01)
-        t0 = time.perf_counter()
-        cold = [
-            client.submit(spec, settings={"steps": steps})
-            for spec in specs
-        ]
-        for rec in cold:
-            client.wait(rec["job_id"], timeout=300.0, poll=0.01)
-        warm = [
-            client.submit(spec, settings={"steps": steps})
-            for spec in specs * n_warm
-        ]
-        for rec in warm:
-            # cache hits come back from /jobs already terminal — only
-            # poll the stragglers (a miss would mean a recompute, which
-            # the warm_all_cached gate below catches)
-            if rec["state"] not in TERMINAL:
-                client.wait(rec["job_id"], timeout=300.0, poll=0.01)
-        t_serve = time.perf_counter() - t0
-        final = {r["job_id"]: client.job(r["job_id"]) for r in cold + warm}
-    finally:
-        gw.shutdown()
-
-    computed = sum(1 for rec in final.values() if not rec["cached"])
-    warm_all_cached = all(
-        final[r["job_id"]]["cached"] for r in warm
-    ) if warm else True
-    all_done = all(rec["state"] == "done" for rec in final.values())
-    speedup = t_seq / t_serve if t_serve > 0 else float("inf")
-
-    n_total = len(submissions)
-    print(f"service throughput ({n_jobs} distinct problems x "
-          f"{1 + n_warm} submissions, LB {side}x{side}, {steps} steps, "
-          f"{args.serve_workers} workers):")
-    print(f"  sequential repro.run() loop  {t_seq:8.2f} s "
-          f"({n_total / t_seq:.2f} jobs/s)")
-    print(f"  gateway (pool + cache)       {t_serve:8.2f} s "
-          f"({n_total / t_serve:.2f} jobs/s)")
-    print(f"  computed {computed}/{n_total} jobs; warm submissions "
-          f"{'all cached' if warm_all_cached else 'NOT all cached'}")
-    print(f"  aggregate throughput speedup: {speedup:.2f}x "
-          f"(required: {args.min_serve_speedup:.2f}x)")
-
-    results = {
-        "host": _host_metadata(),
-        "jobs": n_jobs,
-        "warm_repeats": n_warm,
-        "submissions": n_total,
-        "steps": steps,
-        "side": side,
-        "workers": args.serve_workers,
-        "t_sequential_seconds": t_seq,
-        "t_serve_seconds": t_serve,
-        "computed_jobs": computed,
-        "warm_all_cached": warm_all_cached,
-        "all_done": all_done,
-        "speedup": speedup,
-        "min_speedup": args.min_serve_speedup,
-    }
-    out = Path(args.out or "BENCH_serve.json")
-    out.write_text(json.dumps(results, indent=1) + "\n")
-    print(f"results written to {out}")
-    if not all_done:
-        bad = {k: v["state"] for k, v in final.items()
-               if v["state"] != "done"}
-        print(f"bench: jobs did not finish: {bad}", file=sys.stderr)
-        return 1
-    if not warm_all_cached:
-        print("bench: warm submissions recomputed — the result cache "
-              "missed identical requests", file=sys.stderr)
-        return 1
-    if speedup < args.min_serve_speedup:
-        print(f"bench: serve speedup {speedup:.2f}x below "
-              f"--min-serve-speedup {args.min_serve_speedup:.2f}x",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_figures(args: argparse.Namespace) -> int:
     import subprocess
 
@@ -1789,135 +660,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--dt", type=float, default=1.0,
                    help="steps between samples")
     p.set_defaults(func=_cmd_probe)
-
-    p = sub.add_parser("bench",
-                       help="time the fluid kernels (§7 protocol)")
-    p.add_argument("--steps", type=int, default=20,
-                   help="steps per timed window (paper: 20)")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="windows to time; the median is recorded, the "
-                        "best kept for the paper's §7 column "
-                        "(default: 3)")
-    p.add_argument("--quick", action="store_true",
-                   help="CI-sized run, honoured by every leg: kernel "
-                        "bench drops to 2D cases at <= 5 steps x 2 "
-                        "repeats; --sweep runs the sub-minute scenario "
-                        "subset; --serve shrinks the tenant workload "
-                        "(3 jobs x 2 warm repeats, 30 steps); --graph "
-                        "drops to <= 12 steps x 2 repeats")
-    p.add_argument("--backend", default=None,
-                   help="bench only this kernel backend (default: "
-                        "every backend available on this host)")
-    p.add_argument("--collectives", action="store_true",
-                   help="time the collective primitives and the "
-                        "in-flight diagnostics overhead instead")
-    p.add_argument("--trace", action="store_true",
-                   help="measure the tracing layer's per-step overhead "
-                        "instead (writes BENCH_trace.json + a merged "
-                        "Chrome trace)")
-    p.add_argument("--balance", action="store_true",
-                   help="measure adaptive rebalancing vs doing nothing "
-                        "on a cramped simulated cluster instead "
-                        "(writes BENCH_balance.json)")
-    p.add_argument("--chaos", action="store_true",
-                   help="run the seeded fault-injection acceptance gate "
-                        "instead: every scenario must recover bit-for-bit "
-                        "or abort cleanly (writes BENCH_chaos.json)")
-    p.add_argument("--chaos-seeds", type=int, default=1,
-                   help="seeds per scenario for --chaos (default: 1; "
-                        "the nightly CI sweep runs 3)")
-    p.add_argument("--chaos-steps", type=int, default=40,
-                   help="steps per chaos run (default: 40)")
-    p.add_argument("--chaos-dir", default=None,
-                   help="workdir for --chaos runs (default: a fresh "
-                        "temporary directory)")
-    p.add_argument("--hybrid", action="store_true",
-                   help="run the hybrid FD-LB coupling acceptance gate "
-                        "instead: seam Poiseuille profile accuracy, "
-                        "mass conservation, and serial==threaded "
-                        "bitwise equality (writes BENCH_hybrid.json)")
-    p.add_argument("--hybrid-steps", type=int, default=12000,
-                   help="steps of the --hybrid validation run; the "
-                        "default reaches steady state at the default "
-                        "channel width (12000)")
-    p.add_argument("--hybrid-ny", type=int, default=32,
-                   help="channel width for --hybrid; the seam defect "
-                        "shrinks as 1/ny^2 (default: 32)")
-    p.add_argument("--hybrid-tol", type=float, default=5e-3,
-                   help="fail --hybrid above this relative profile "
-                        "error — the single-method validation "
-                        "tolerance (default: 5e-3)")
-    p.add_argument("--hybrid-mass-tol", type=float, default=1e-6,
-                   help="fail --hybrid above this relative mass drift "
-                        "(default: 1e-6)")
-    p.add_argument("--sweep", action="store_true",
-                   help="run the scored scenario-validation sweep "
-                        "instead (writes BENCH_sweep.json; with "
-                        "--quick, the sub-minute CI subset; the "
-                        "cavity Re=100 Hou et al. check is the "
-                        "headline gate)")
-    p.add_argument("--sweep-dir", default=None,
-                   help="sweep working directory holding per-scenario "
-                        "manifests and reports (default: a temp dir)")
-    p.add_argument("--graph", action="store_true",
-                   help="run the dependency-driven overlap gate instead: "
-                        "the repro.graph executor vs the barriered "
-                        "threaded runner on a rotating-hotspot "
-                        "imbalanced workload, bitwise-checked against "
-                        "the serial reference (writes BENCH_graph.json "
-                        "+ a merged Chrome trace and summary.md)")
-    p.add_argument("--graph-steps", type=int, default=40,
-                   help="steps per --graph timed window (default: 40)")
-    p.add_argument("--graph-ranks", type=int, default=4,
-                   help="subregions/ranks for --graph (default: 4)")
-    p.add_argument("--graph-delay", type=float, default=0.008,
-                   help="rotating-hotspot sleep seconds per step for "
-                        "--graph (default: 0.008)")
-    p.add_argument("--min-graph-speedup", type=float, default=1.15,
-                   help="fail --graph below this steps/s ratio over "
-                        "the barriered threaded runner (default: 1.15)")
-    p.add_argument("--serve", action="store_true",
-                   help="run the service-layer throughput gate instead: "
-                        "a multi-tenant workload through a live gateway "
-                        "vs a sequential repro.run() loop (writes "
-                        "BENCH_serve.json)")
-    p.add_argument("--serve-jobs", type=int, default=6,
-                   help="distinct problems in the --serve workload "
-                        "(default: 6)")
-    p.add_argument("--serve-warm", type=int, default=7,
-                   help="repeat submissions per problem for --serve; "
-                        "every repeat must be a cache hit (default: 7)")
-    p.add_argument("--serve-workers", type=int, default=2,
-                   help="pool worker processes for --serve (default: 2)")
-    p.add_argument("--serve-steps", type=int, default=60,
-                   help="steps per --serve job (default: 60)")
-    p.add_argument("--serve-side", type=int, default=64,
-                   help="square LB grid side per --serve job "
-                        "(default: 64)")
-    p.add_argument("--serve-dir", default=None,
-                   help="serve directory for --serve (default: a fresh "
-                        "temporary directory)")
-    p.add_argument("--min-serve-speedup", type=float, default=3.0,
-                   help="fail --serve below this aggregate-throughput "
-                        "ratio vs the sequential loop (default: 3)")
-    p.add_argument("--min-speedup", type=float, default=1.2,
-                   help="fail --balance if rebalancing sustains less "
-                        "than this times the baseline steps/s "
-                        "(default: 1.2)")
-    p.add_argument("--trace-dir", default=None,
-                   help="where --trace writes its streams "
-                        "(default: trace_bench/)")
-    p.add_argument("--max-overhead", type=float, default=3.0,
-                   help="fail --trace if the enabled tracer costs more "
-                        "than this percent per step (default: 3)")
-    p.add_argument("--ranks", type=int, default=4,
-                   help="rank count for --collectives (default: 4)")
-    p.add_argument("--out", default=None,
-                   help="JSON output (default: BENCH_kernels.json, "
-                        "BENCH_collectives.json with --collectives, "
-                        "BENCH_trace.json with --trace, or "
-                        "BENCH_balance.json with --balance)")
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("calibrate",
                        help="measure per-backend kernel speeds on "
@@ -2013,8 +755,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("run", nargs="+",
                    help="run workdir, trace/ directory, or "
                         "trace-*.jsonl files")
-    p.add_argument("--out", default=None,
-                   help="summary JSON (default: BENCH_trace.json)")
     p.add_argument("--chrome", default=None,
                    help="also write the merged Chrome trace-event JSON "
                         "here (loads in Perfetto)")

@@ -23,10 +23,10 @@ The hot path is gated by :data:`NULL_TRACER`: a :class:`NullTracer`
 whose ``begin``/``end``/``count`` are constant-returning no-ops, so the
 instrumented runtimes stay allocation-free and within noise of the
 un-instrumented kernels when tracing is disabled (guarded by a
-``count_allocations`` test and the ``bench --trace`` overhead
-assertion).  Simulated runs emit spans with *simulated* clocks through
-the same :class:`Tracer`, so real and simulated traces are directly
-comparable in the same viewer and the same report.
+``count_allocations`` test; ``bench/`` reports the enabled cost as
+``trace.overhead_pct``).  Simulated runs emit spans with *simulated*
+clocks through the same :class:`Tracer`, so real and simulated traces
+are directly comparable in the same viewer and the same report.
 """
 
 from .tracer import (
@@ -44,7 +44,6 @@ from .report import (
     TraceSummary,
     format_breakdown_table,
     summarize,
-    write_trace_bench,
 )
 
 __all__ = [
@@ -63,5 +62,4 @@ __all__ = [
     "TraceSummary",
     "summarize",
     "format_breakdown_table",
-    "write_trace_bench",
 ]

@@ -10,14 +10,13 @@ utilization ``T_comp / (T_comp + T_comm + T_other)`` — eq. 8's ``f``
 measured from the inside — falls out per rank and for the whole run.
 
 ``python -m repro.tools trace <run>`` prints this table for a finished
-run and writes ``BENCH_trace.json``; the same summary is attached to
-:class:`repro.RunResult` when a facade run traces itself.
+run; the same summary is attached to :class:`repro.RunResult` when a
+facade run traces itself.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -29,7 +28,6 @@ __all__ = [
     "TraceSummary",
     "summarize",
     "format_breakdown_table",
-    "write_trace_bench",
 ]
 
 
@@ -209,25 +207,3 @@ def format_breakdown_table(summary: TraceSummary) -> str:
         title=f"per-step compute/communicate decomposition "
               f"({kind}, §7)",
     )
-
-
-def write_trace_bench(
-    summary: TraceSummary,
-    out: str | Path = "BENCH_trace.json",
-    extra: dict | None = None,
-) -> Path:
-    """Write the summary (plus optional bench numbers) as JSON."""
-    payload = {
-        "ranks": [asdict(r) for r in summary.ranks],
-        "per_step": summary.per_step(),
-        "utilization": summary.utilization,
-        "t_comp_total": summary.t_comp,
-        "t_comm_total": summary.t_comm,
-        "t_other_total": summary.t_other,
-        "simulated": summary.simulated,
-    }
-    if extra:
-        payload.update(extra)
-    out = Path(out)
-    out.write_text(json.dumps(payload, indent=1) + "\n")
-    return out

@@ -63,6 +63,72 @@ def test_graph_matches_phased_threaded():
                               graphed.fields[name]), name
 
 
+def test_graph_overlaps_alternating_hotspot():
+    """Dependency-driven execution hides an imbalance barriers cannot.
+
+    A four-rank *chain* (axis 0 closed by walls) where rank 0 sleeps on
+    even steps and the far-end rank on odd steps: one rank is slow every
+    step, so the barriered runner pays the full delay every step.  A
+    delay travels along fill->compute edges at nphases hops per step,
+    and the ends sit n-1 > nphases hops apart, so in the graph run
+    consecutive sleeps never chain — each rank waits only for its own,
+    half the BSP bill.  The sleeps dominate the 16x24 kernels, which
+    keeps the comparison independent of the host's speed.
+    """
+    import time
+
+    from repro.core import Decomposition, Simulation, ThreadedSimulation
+    from repro.fluids import FDMethod, FluidParams
+    from repro.graph import GraphExecutor, plan_graph
+
+    n_ranks, steps, delay = 4, 10, 0.02
+    shape = (16 * n_ranks, 24)
+    solid = np.zeros(shape, dtype=bool)
+    solid[0, :] = solid[-1, :] = True
+    params = FluidParams.lattice(2, nu=0.05)
+    x = np.arange(shape[0], dtype=float)[:, None] / shape[0]
+    y = np.arange(shape[1], dtype=float)[None, :] / shape[1]
+    fields = {
+        "rho": 1.0 + 1e-3 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y),
+        "u": np.zeros(shape),
+        "v": np.zeros(shape),
+    }
+
+    def build(runner=Simulation, **kw):
+        decomp = Decomposition(shape, (n_ranks, 1), periodic=(False, True),
+                               solid=solid)
+        return runner(FDMethod(params, 2), decomp, fields, solid, **kw)
+
+    def delay_fn(rank: int, step: int) -> float:
+        hot = 0 if step % 2 == 0 else n_ranks - 1
+        return delay if rank == hot else 0.0
+
+    ref = build()
+    ref.step(steps)
+    want = ref.global_state()
+
+    bsp = build(ThreadedSimulation, delay_fn=delay_fn)
+    t0 = time.perf_counter()
+    bsp.step(steps)
+    t_bsp = time.perf_counter() - t0
+    got_bsp = bsp.global_state()
+    bsp.close()
+
+    sim = build()
+    ex = GraphExecutor(sim, plan_graph(sim.decomp, sim.methods, steps),
+                       delay_fn=delay_fn)
+    t0 = time.perf_counter()
+    ex.run()
+    t_graph = time.perf_counter() - t0
+    got_graph = sim.global_state()
+
+    for name in want:
+        assert np.array_equal(got_bsp[name], want[name]), name
+        assert np.array_equal(got_graph[name], want[name]), name
+    assert t_bsp >= steps * delay  # the barriers paid every sleep
+    assert t_graph < t_bsp, (t_graph, t_bsp)
+
+
 def test_graph_checkpoints_written(tmp_path):
     """save_every produces checkpoint nodes that actually dump."""
     spec = _spec("fd", (2, 1))

@@ -66,63 +66,6 @@ class TestCluster:
         assert rc == 0
 
 
-class TestBench:
-    def test_writes_json_and_table(self, tmp_path, capsys):
-        import json
-
-        out = tmp_path / "BENCH_kernels.json"
-        rc = main(["bench", "--steps", "1", "--repeats", "1",
-                   "--out", str(out)])
-        assert rc == 0
-        text = capsys.readouterr().out
-        assert "fluid nodes/s" in text
-        data = json.loads(out.read_text())
-        assert set(data) >= {"host", "steps", "repeats", "cases",
-                             "speedups"}
-        # the numpy serial/threaded rows exist on every host; numba
-        # rows appear only where numba imports
-        assert set(data["cases"]) >= {
-            "fd2d_serial", "fd2d_threaded", "lb2d_serial",
-            "lb2d_threaded", "lb3d_serial", "lb3d_threaded",
-        }
-        for entry in data["cases"].values():
-            assert entry["nodes_per_second"] > 0
-            assert entry["seconds_per_step"] > 0
-            assert entry["median_seconds_per_step"] > 0
-            assert entry["stdev_seconds_per_step"] >= 0
-            assert entry["fluid_nodes"] > 0
-            assert entry["backend"] in ("numpy", "numba", "numba-serial")
-        host = data["host"]
-        assert host["cpu_count"] >= 1
-        assert host["numpy"] == np.__version__
-        assert "numpy" in host["backends"]
-        assert data["speedups"]["fd2d_threaded_vs_serial_numpy"] > 0
-
-    def test_quick_mode_drops_3d(self, tmp_path, capsys):
-        import json
-
-        out = tmp_path / "BENCH_kernels.json"
-        rc = main(["bench", "--quick", "--out", str(out)])
-        assert rc == 0
-        data = json.loads(out.read_text())
-        assert data["steps"] <= 5 and data["repeats"] <= 2
-        assert not any(k.startswith("lb3d") for k in data["cases"])
-
-    def test_unknown_backend_rejected(self, capsys):
-        assert main(["bench", "--backend", "cuda"]) == 2
-        assert "unknown backend" in capsys.readouterr().err
-
-    def test_explicit_backend_only(self, tmp_path, capsys):
-        import json
-
-        out = tmp_path / "BENCH_kernels.json"
-        rc = main(["bench", "--quick", "--backend", "numpy",
-                   "--out", str(out)])
-        assert rc == 0
-        data = json.loads(out.read_text())
-        assert {e["backend"] for e in data["cases"].values()} == {"numpy"}
-
-
 class TestCalibrate:
     def test_prints_table_and_writes_json(self, tmp_path, capsys):
         import json
@@ -139,33 +82,6 @@ class TestCalibrate:
         assert data["nodes_per_second"]["numpy"] > 0
         assert data["host"]["cpu_count"] >= 1
 
-    def test_collectives_mode(self, tmp_path, capsys):
-        import json
-
-        out = tmp_path / "BENCH_collectives.json"
-        rc = main(["bench", "--collectives", "--steps", "2",
-                   "--repeats", "1", "--ranks", "3", "--out", str(out)])
-        assert rc == 0
-        text = capsys.readouterr().out
-        assert "in-process collectives" in text
-        assert "diagnostics overhead" in text
-        data = json.loads(out.read_text())
-        assert data["ranks"] == 3
-        for algorithm in ("tree", "ring"):
-            timings = data["collectives"][algorithm]
-            assert set(timings) == {
-                "barrier", "allreduce_8B", "allreduce_512KiB",
-                "allgather_64B",
-            }
-            assert all(t > 0 for t in timings.values())
-        overhead = data["diagnostics_overhead"]
-        assert overhead["diag_every"] == 10
-        assert overhead["base_seconds_per_step"] > 0
-        assert overhead["diag_seconds_per_step"] > 0
-
-    def test_rejects_bad_counts(self, capsys):
-        assert main(["bench", "--steps", "0"]) == 2
-
 
 class TestParsing:
     def test_missing_command(self, capsys):
@@ -175,6 +91,12 @@ class TestParsing:
     def test_unknown_problem(self, capsys):
         with pytest.raises(SystemExit):
             main(["simulate", "tornado"])
+
+    def test_benchmark_is_not_a_command(self, capsys):
+        """Benchmarking lives in bench/ (see bench/README.md)."""
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
 
 
 class TestPostProcessing:

@@ -3,7 +3,7 @@
 Everything here is synthetic — cases are built and scored against
 hand-constructed fields, no time stepping — so the whole scenario
 contract stays inside the fast tier.  The physics of each scenario is
-exercised by the slow sweep tests and ``repro bench --sweep``.
+exercised by the slow sweep tests and ``repro sweep``.
 """
 
 import json

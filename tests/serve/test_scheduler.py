@@ -122,6 +122,45 @@ class TestCollectIsolation:
         assert b.state == "done"
 
 
+class TestTicketWrite:
+    def test_a_polling_worker_never_sees_a_partial_ticket(
+        self, tmp_path, monkeypatch
+    ):
+        """A ticket appears under its ``*.json`` name whole.
+
+        The pool worker globs ``*.json`` and unlinks what it cannot
+        parse, so a ticket visible mid-write is deleted and its job
+        stranded ``running``.  Here the worker's poll runs at the worst
+        moment: with half the ticket's bytes on disk.
+        """
+        sched, pool = _scheduler(tmp_path)
+        rec = sched.submit(_spec(), settings={"steps": 5})
+        inbox = pool.inbox(0)
+        real_write_text = Path.write_text
+
+        def write_text_with_poll(path, data, *args, **kw):
+            if path.parent != inbox:
+                return real_write_text(path, data, *args, **kw)
+            with open(path, "w") as fh:
+                fh.write(data[: len(data) // 2])
+                fh.flush()
+                for ticket in inbox.glob("*.json"):  # pool_worker.main
+                    try:
+                        json.loads(ticket.read_text())["job_id"]
+                    except (OSError, ValueError, KeyError):
+                        ticket.unlink()
+                fh.write(data[len(data) // 2:])
+            return len(data)
+
+        monkeypatch.setattr(Path, "write_text", write_text_with_poll)
+        sched.tick()
+        assert rec.state == "running"
+        assert [
+            json.loads(t.read_text())["job_id"]
+            for t in inbox.glob("*.json")
+        ] == [rec.job_id]
+
+
 class TestStaleTickets:
     def test_start_voids_tickets_of_a_previous_incarnation(
         self, tmp_path, monkeypatch

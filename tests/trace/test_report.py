@@ -11,7 +11,6 @@ from repro.trace import (
     summarize,
     trace_files,
     write_chrome_trace,
-    write_trace_bench,
 )
 
 
@@ -86,16 +85,6 @@ def test_breakdown_table_mentions_eq8(tmp_path):
     assert "f (eq. 8)" in table
     assert "simulated" in table
     assert "0.600" in table
-
-
-def test_write_trace_bench(tmp_path):
-    _rank_trace(tmp_path, 0)
-    out = write_trace_bench(summarize(tmp_path), tmp_path / "B.json",
-                            extra={"note": 1})
-    data = json.loads(out.read_text())
-    assert data["utilization"] == pytest.approx(0.6)
-    assert data["ranks"][0]["rank"] == 0
-    assert data["note"] == 1
 
 
 def test_merge_to_chrome_events(tmp_path):

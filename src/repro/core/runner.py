@@ -19,17 +19,29 @@ methods of the paper (§6) maps onto the protocol as::
 
 so FD exchanges two messages per step per neighbour and LB one, exactly
 the counts whose performance consequences §7 measures.
+
+The cycle is written out once, in :meth:`Simulation._run_member`, and
+run by a *team*: each member steps the subregions it owns.  Per step a
+member computes each phase on its subregions (a hybrid run's methods
+with fewer phases idle) and fills their ghosts on axes without
+neighbour traffic; member 0 then runs the phase's one central exchange
+between barriers, and after the last phase every member finalizes.  A
+hybrid run (:mod:`repro.fluids.coupling`) adds one seam translation
+before phase 0, also central.  :class:`Simulation` is a team of one: it
+owns every subregion, exchanges the whole axis sweep centrally and
+never touches a barrier.  :class:`~repro.core.threaded.ThreadedSimulation`
+is the same loop with one thread per subregion.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Protocol, Sequence, runtime_checkable
+from typing import Mapping, Protocol, runtime_checkable
 
 import numpy as np
 
 from ..trace import NULL_TRACER
 from .decomposition import Decomposition
-from .exchange import LocalExchanger
+from .exchange import LocalExchanger, sweep_axes
 from .subregion import SubregionState, assemble_global, make_subregions
 
 __all__ = ["ExplicitMethod", "Simulation", "common_field_names"]
@@ -71,10 +83,10 @@ class ExplicitMethod(Protocol):
 def _normalize_methods(method, decomp, converters):
     """``(methods_per_rank, single_or_None)`` from a method or sequence.
 
-    A scalar method (or a sequence repeating one instance) runs the
-    historical uniform path; a genuinely mixed sequence is a *hybrid*
-    run and must come with the seam converters that translate its
-    mixed-method edges (see :mod:`repro.fluids.coupling`).
+    A scalar method (or a sequence repeating one instance) is a uniform
+    run, exposed as ``sim.method``; a genuinely mixed sequence is a
+    *hybrid* run and must come with the seam converters that translate
+    its mixed-method edges (see :mod:`repro.fluids.coupling`).
     """
     if isinstance(method, (list, tuple)):
         methods = list(method)
@@ -202,19 +214,23 @@ class Simulation:
         self.exchanger = LocalExchanger(decomp, self.subs, self._converters)
         self._phase_fields = _phase_field_maps(self.subs, self.methods, nphases)
         # A freshly decomposed state has exact ghosts, but method-private
-        # fields were initialized per-subregion; exchange everything once
-        # so the first step starts from a consistent padded state.
-        if single is not None:
-            self.exchanger.exchange(single.field_names)
-        else:
-            self.exchanger.exchange(
-                (),
-                fields_by_rank={
-                    s.block.rank: m.field_names
-                    for s, m in zip(self.subs, self.methods)
-                },
-            )
-            self.exchanger.exchange_seam()
+        # fields were initialized per-subregion; exchange every field and
+        # translate the seams once so the first step starts from a
+        # consistent padded state.
+        self.exchanger.exchange(
+            (),
+            fields_by_rank={
+                s.block.rank: m.field_names
+                for s, m in zip(self.subs, self.methods)
+            },
+        )
+        self.exchanger.exchange_seam()
+        # the team of one: no barrier, every sweep axis exchanged centrally
+        self._barrier = None
+        self._local_axes: tuple[int, ...] = ()
+        self._central_axes = sweep_axes(
+            decomp.ndim, decomp.n_active < decomp.n_blocks
+        )
 
     @property
     def step_count(self) -> int:
@@ -222,65 +238,93 @@ class Simulation:
 
     def step(self, n: int = 1) -> None:
         """Advance every subregion ``n`` integration steps."""
-        if self.method is None:
-            self._step_hybrid(n)
-            return
-        method = self.method
-        tracer = self.tracer
-        compute_names = self._compute_names
-        exchange_names = self._exchange_names
-        for _ in range(n):
-            step_no = self.subs[0].step
-            for phase, fields in enumerate(method.exchange_phases):
-                t0 = tracer.begin()
-                for sub in self.subs:
-                    method.compute_phase(sub, phase)
-                tracer.end(compute_names[phase], t0, step=step_no)
-                t0 = tracer.begin()
-                self.exchanger.exchange(fields)
-                tracer.end(exchange_names[phase], t0, step=step_no)
-            t0 = tracer.begin()
-            for sub in self.subs:
-                method.finalize_step(sub)
-                sub.step += 1
-            tracer.end("finalize:0", t0, step=step_no)
+        self._run_member(0, n)
 
-    def _step_hybrid(self, n: int) -> None:
-        """Mixed-method cycle: seam translation, then the padded schedule.
+    def _run_member(self, member: int, n: int) -> None:
+        """The one step loop: team member ``member``'s share of ``n`` steps.
 
-        Seam ghost strips are translated once per step *before* the
-        first compute phase — both sides convert time-``t`` state (the
-        LB side needs the FD velocity before the in-place momentum
-        update overwrites it).  The phase loop runs to the longest
-        method's phase count; a method with fewer phases idles, and
-        each method exchanges only its own representation with its
-        same-method neighbours (seam edges are skipped — the converter
-        already refreshed them).
+        A member of a team of one (``_barrier is None``) owns every
+        subregion; otherwise member ``i`` owns subregion ``i``.  Seam
+        ghost strips are translated once per step *before* the first
+        compute phase — both sides convert time-``t`` state (the LB side
+        needs the FD velocity before the in-place momentum update
+        overwrites it).  The phase loop runs to the longest method's
+        phase count; a method with fewer phases idles, and each method
+        exchanges only its own representation with its same-method
+        neighbours (seam edges are skipped — the converter already
+        refreshed them).  Exchanges and seam translations copy strips
+        between subregions, so member 0 runs them alone between
+        barriers; axes without neighbour traffic are pure replication on
+        a subregion's own arrays and are filled by the owning member.
         """
-        tracer = self.tracer
-        methods = self.methods
         subs = self.subs
+        methods = self.methods
+        exchanger = self.exchanger
+        tracer = self.tracer
+        barrier = self._barrier
+        own = (
+            range(len(subs)) if barrier is None
+            else range(member, member + 1)
+        )
+        lead = member == 0
+        seam = bool(self._converters)
+        phase_fields = self._phase_fields
+        local_axes = self._local_axes
+        central_axes = self._central_axes
+        compute_names = self._compute_names
+        # non-exchanging members spend the same interval at the barrier
+        sync_names = self._exchange_names if lead else self._wait_names
+        first = subs[own[0]]
         for _ in range(n):
-            step_no = subs[0].step
-            t0 = tracer.begin()
-            self.exchanger.exchange_seam()
-            tracer.end("seam:0", t0, step=step_no)
-            for phase in range(self._nphases):
+            step_no = first.step
+            self._begin_step(member, step_no)
+            if seam:
                 t0 = tracer.begin()
-                for sub, m in zip(subs, methods):
+                if barrier is not None:
+                    barrier.wait()
+                if lead:
+                    exchanger.exchange_seam()
+                if barrier is not None:
+                    barrier.wait()
+                tracer.end("seam:0", t0, step=step_no, tid=member)
+            for phase in range(self._nphases):
+                fields = phase_fields[phase]
+                t0 = tracer.begin()
+                for i in own:
+                    sub, m = subs[i], methods[i]
                     if phase < len(m.exchange_phases):
                         m.compute_phase(sub, phase)
-                tracer.end(self._compute_names[phase], t0, step=step_no)
-                t0 = tracer.begin()
-                self.exchanger.exchange(
-                    (), fields_by_rank=self._phase_fields[phase]
-                )
-                tracer.end(self._exchange_names[phase], t0, step=step_no)
+                        if local_axes:
+                            rank = sub.block.rank
+                            exchanger.exchange_local(
+                                rank, local_axes, fields[rank]
+                            )
+                tracer.end(compute_names[phase], t0, step=step_no,
+                           tid=member)
+                if central_axes:
+                    t0 = tracer.begin()
+                    if barrier is not None:
+                        barrier.wait()
+                    if lead:
+                        exchanger.exchange(
+                            (), axes=central_axes, fields_by_rank=fields
+                        )
+                    if barrier is not None:
+                        barrier.wait()
+                    tracer.end(sync_names[phase], t0, step=step_no,
+                               tid=member)
             t0 = tracer.begin()
-            for sub, m in zip(subs, methods):
-                m.finalize_step(sub)
-                sub.step += 1
-            tracer.end("finalize:0", t0, step=step_no)
+            for i in own:
+                methods[i].finalize_step(subs[i])
+                subs[i].step += 1
+            tracer.end("finalize:0", t0, step=step_no, tid=member)
+            self._end_step(member)
+
+    def _begin_step(self, member: int, step_no: int) -> None:
+        """Hook at the top of a member's step (threaded synthetic load)."""
+
+    def _end_step(self, member: int) -> None:
+        """Hook after a member's step (threaded in-flight diagnostics)."""
 
     def global_field(self, name: str, fill: float = 0.0) -> np.ndarray:
         """Reassemble a global array from the subregion interiors."""
@@ -293,12 +337,10 @@ class Simulation:
         macroscopic ``rho, V``); method-private fields like the LB
         populations exist only on their own subregions.
         """
-        names = (
-            self.method.field_names
-            if self.method is not None
-            else common_field_names(self.methods)
-        )
-        return {name: self.global_field(name) for name in names}
+        return {
+            name: self.global_field(name)
+            for name in common_field_names(self.methods)
+        }
 
     def global_diagnostics(self, algorithm: str = "tree"):
         """Globally reduced mass / kinetic energy / max |V| right now.

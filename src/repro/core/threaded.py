@@ -1,11 +1,12 @@
 """Threaded parallel runner: real concurrency inside one process.
 
-`repro.core.Simulation` steps its subregions sequentially — correct and
-convenient, but not concurrent.  This runner gives each subregion a
-worker *thread* and synchronizes the compute/communicate cycle with
-barriers; NumPy's vectorized kernels release the GIL for their inner
-loops, and the numba kernel backend (``repro.fluids.backends``) releases
-it outright, so the threads genuinely overlap on a multi-core machine.
+:class:`ThreadedSimulation` is a :class:`~repro.core.Simulation` whose
+team (see :mod:`repro.core.runner`) has one member per subregion, each
+a worker thread running the same step loop over its own subregion.
+NumPy's vectorized kernels release the GIL for their inner loops, and
+the numba kernel backend (``repro.fluids.backends``) releases it
+outright, so the threads genuinely overlap on a multi-core machine.  A
+one-subregion run is a team of one on the calling thread.
 
 The worker threads are **persistent**: the pool is spawned lazily on the
 first multi-subregion ``step()`` and parked on a go-barrier between
@@ -16,7 +17,7 @@ manager) retires the pool; the threads are daemons, so an unclosed
 simulation never blocks interpreter exit.
 
 The exchange itself remains the single-threaded
-:class:`~repro.core.exchange.LocalExchanger` pass (run by one thread
+:class:`~repro.core.exchange.LocalExchanger` pass (run by member 0
 between barriers): exchanges copy ghost strips between subregions, and
 racing them against kernels would break the very read/write-hazard
 analysis that guarantees bitwise equality.  Axes along which *no*
@@ -28,12 +29,14 @@ resulting schedule per phase is
 
 ```
 [all threads] compute_phase(k); local ghost fills (neighbourless axes)
-barrier -> [one thread] exchange(fields_k, communicating axes) -> barrier
+barrier -> [member 0] exchange(fields_k, communicating axes) -> barrier
 ```
 
-which performs the identical arithmetic to :class:`Simulation` — the
+which performs the identical arithmetic to the serial team of one — the
 tests assert bit-for-bit equality — while computing subregions in
-parallel.
+parallel.  On top of the inherited loop this runner adds the per-rank
+synthetic load (``step_delays``/``delay_fn``) and in-flight global
+diagnostics over the in-process collectives (``diag_every``).
 """
 
 from __future__ import annotations
@@ -47,20 +50,12 @@ import numpy as np
 from ..net.collectives import Communicator
 from ..trace import NULL_TRACER
 from .decomposition import Decomposition
-from .exchange import LocalExchanger, sweep_axes
-from .runner import (
-    ExplicitMethod,
-    _bind_backend,
-    _normalize_methods,
-    _phase_field_maps,
-    common_field_names,
-)
-from .subregion import assemble_global, make_subregions
+from .runner import Simulation
 
 __all__ = ["ThreadedSimulation"]
 
 
-class ThreadedSimulation:
+class ThreadedSimulation(Simulation):
     """Step a decomposed problem with one thread per subregion.
 
     Same constructor signature and result semantics as
@@ -83,14 +78,9 @@ class ThreadedSimulation:
         step_delays=None,
         delay_fn=None,
     ) -> None:
-        methods, single = _normalize_methods(method, decomp, converters)
-        for m in dict.fromkeys(methods):
-            _bind_backend(m, backend)
-        self.methods = methods
-        self.method = single
-        self.decomp = decomp
-        self.tracer = tracer
-        self._converters = dict(converters or {})
+        super().__init__(method, decomp, global_fields, solid,
+                         tracer=tracer, backend=backend,
+                         converters=converters)
         # Synthetic-load injection (mirrors the distributed runtime's
         # step_delays knob and the graph executor's delay_fn): each
         # rank sleeps ``step_delays[rank] + delay_fn(rank, step)``
@@ -99,39 +89,13 @@ class ThreadedSimulation:
         # imbalance the dependency-driven executor is benched against.
         self._step_delays = list(step_delays or [])
         self._delay_fn = delay_fn
-        nphases = max(len(m.exchange_phases) for m in methods)
-        self._nphases = nphases
-        self._compute_names = tuple(f"compute:{i}" for i in range(nphases))
-        self._exchange_names = tuple(f"exchange:{i}" for i in range(nphases))
-        # non-exchanging threads spend the same interval at the barrier
-        self._wait_names = tuple(f"wait:{i}" for i in range(nphases))
-        self.subs = make_subregions(
-            decomp, methods[0].pad, global_fields, solid
-        )
-        if not self.subs:
-            raise ValueError("decomposition has no active subregions")
-        for sub, m in zip(self.subs, self.methods):
-            m.init_subregion(sub)
-        self.exchanger = LocalExchanger(decomp, self.subs, self._converters)
-        self._phase_fields = _phase_field_maps(self.subs, self.methods, nphases)
-        if single is not None:
-            self.exchanger.exchange(single.field_names)
-        else:
-            self.exchanger.exchange(
-                (),
-                fields_by_rank={
-                    s.block.rank: m.field_names
-                    for s, m in zip(self.subs, self.methods)
-                },
-            )
-            self.exchanger.exchange_seam()
+        self._wait_names = tuple(f"wait:{i}" for i in range(self._nphases))
         # Split the axis sweep: the leading axes along which no
         # subregion receives from a neighbour (single-block axes, or
         # axes severed by inactive blocks) are pure local replication
         # and run thread-locally; only the rest needs the serialized
         # exchange between barriers.
-        extended = decomp.n_active < decomp.n_blocks
-        sweep = sweep_axes(decomp.ndim, extended)
+        sweep = self._central_axes
         has_recv = {
             axis: any(
                 op.kind == "recv"
@@ -143,13 +107,14 @@ class ThreadedSimulation:
         n_local = 0
         while n_local < len(sweep) and not has_recv[sweep[n_local]]:
             n_local += 1
-        self._local_axes: tuple[int, ...] = sweep[:n_local]
-        self._central_axes: tuple[int, ...] = sweep[n_local:]
+        self._local_axes = sweep[:n_local]
+        self._central_axes = sweep[n_local:]
+        n = len(self.subs)
+        self._barrier = threading.Barrier(n) if n > 1 else None
         # persistent pool state (spawned lazily by the first step)
         self._pool: list[threading.Thread] = []
         self._go: threading.Barrier | None = None
         self._done: threading.Barrier | None = None
-        self._inner = threading.Barrier(len(self.subs))
         self._n_steps = 0
         self._closing = False
         self._lock = threading.Lock()
@@ -166,22 +131,18 @@ class ThreadedSimulation:
             from ..distrib.diagnostics import GlobalDiagnostics
             from ..net.local import LocalFabric
 
-            fabric = LocalFabric(len(self.subs))
+            fabric = LocalFabric(n)
             self._diags = [
                 GlobalDiagnostics(
                     Communicator(
-                        fabric.channel_set(i), i, len(self.subs),
+                        fabric.channel_set(i), i, n,
                         algorithm=diag_algorithm, tracer=tracer,
                     ),
                     every=diag_every,
                     vmax=diag_vmax,
                 )
-                for i in range(len(self.subs))
+                for i in range(n)
             ]
-
-    @property
-    def step_count(self) -> int:
-        return self.subs[0].step
 
     # ------------------------------------------------------------------
     # persistent pool
@@ -211,12 +172,12 @@ class ThreadedSimulation:
             if self._closing:
                 return
             try:
-                self._run_steps(idx, self._n_steps)
+                self._run_member(idx, self._n_steps)
             except BaseException as exc:
                 with self._lock:
                     self._errors.append(exc)
                 # wake any siblings blocked on the phase barrier
-                self._inner.abort()
+                self._barrier.abort()
             try:
                 self._done.wait()
             except threading.BrokenBarrierError:  # pragma: no cover
@@ -244,8 +205,9 @@ class ThreadedSimulation:
         self.close()
 
     # ------------------------------------------------------------------
-    def _sleep_delay(self, rank: int, step_no: int) -> None:
-        """Burn the rank's synthetic per-step delay (wall time only)."""
+    def _begin_step(self, member: int, step_no: int) -> None:
+        """Burn the member's rank's synthetic per-step delay."""
+        rank = self.subs[member].block.rank
         delay = (
             self._step_delays[rank]
             if rank < len(self._step_delays) else 0.0
@@ -255,138 +217,21 @@ class ThreadedSimulation:
         if delay > 0:
             time.sleep(delay)
 
-    def _run_steps(self, idx: int, n_steps: int) -> None:
-        if self.method is None:
-            self._run_steps_hybrid(idx, n_steps)
-            return
-        method = self.method
-        sub = self.subs[idx]
-        rank = sub.block.rank
-        tracer = self.tracer
-        compute_names = self._compute_names
-        sync_names = self._exchange_names if idx == 0 else self._wait_names
-        local_axes = self._local_axes
-        central_axes = self._central_axes
-        for _ in range(n_steps):
-            step_no = sub.step
-            self._sleep_delay(rank, step_no)
-            for phase, fields in enumerate(method.exchange_phases):
-                t0 = tracer.begin()
-                method.compute_phase(sub, phase)
-                if local_axes:
-                    # neighbourless axes: fill my own ghosts, no sync
-                    self.exchanger.exchange_local(rank, local_axes, fields)
-                tracer.end(compute_names[phase], t0, step=step_no,
-                           tid=idx)
-                if central_axes:
-                    t0 = tracer.begin()
-                    self._inner.wait()
-                    if idx == 0:
-                        # one thread runs the exchange: strips are
-                        # copies between subregions and must not race
-                        # the kernels
-                        self.exchanger.exchange(fields, axes=central_axes)
-                    self._inner.wait()
-                    tracer.end(sync_names[phase], t0, step=step_no,
-                               tid=idx)
-            t0 = tracer.begin()
-            method.finalize_step(sub)
-            tracer.end("finalize:0", t0, step=step_no, tid=idx)
-            sub.step += 1
-            if self._diags is not None:
-                # The collective itself synchronizes the threads;
-                # every thread reads only its own subregion.
-                rec = self._diags[idx].maybe_check(sub)
-                if idx == 0 and rec is not None:
-                    self.diagnostics.append(rec)
+    def _end_step(self, member: int) -> None:
+        """Sample the global diagnostics every ``diag_every`` steps.
 
-    def _run_steps_hybrid(self, idx: int, n_steps: int) -> None:
-        """Mixed-method worker loop (see ``Simulation._step_hybrid``).
-
-        The seam translation and every exchange are serialized through
-        thread 0 between barriers — converters read neighbouring
-        subregions' arrays and must not race the kernels.  Phases run
-        to the longest method's count; threads whose method has fewer
-        phases still compute nothing but meet every barrier, keeping
-        the schedule deadlock-free.
+        The collective itself synchronizes the threads; every thread
+        reads only its own subregion.
         """
-        method = self.methods[idx]
-        sub = self.subs[idx]
-        rank = sub.block.rank
-        tracer = self.tracer
-        sync_names = self._exchange_names if idx == 0 else self._wait_names
-        local_axes = self._local_axes
-        central_axes = self._central_axes
-        phases = method.exchange_phases
-        for _ in range(n_steps):
-            step_no = sub.step
-            self._sleep_delay(rank, step_no)
-            if self._converters:
-                t0 = tracer.begin()
-                self._inner.wait()
-                if idx == 0:
-                    self.exchanger.exchange_seam()
-                self._inner.wait()
-                tracer.end("seam:0", t0, step=step_no, tid=idx)
-            for phase in range(self._nphases):
-                fields = phases[phase] if phase < len(phases) else ()
-                t0 = tracer.begin()
-                if phase < len(phases):
-                    method.compute_phase(sub, phase)
-                    if local_axes and fields:
-                        self.exchanger.exchange_local(
-                            rank, local_axes, fields
-                        )
-                tracer.end(self._compute_names[phase], t0, step=step_no,
-                           tid=idx)
-                if central_axes:
-                    t0 = tracer.begin()
-                    self._inner.wait()
-                    if idx == 0:
-                        self.exchanger.exchange(
-                            (),
-                            axes=central_axes,
-                            fields_by_rank=self._phase_fields[phase],
-                        )
-                    self._inner.wait()
-                    tracer.end(sync_names[phase], t0, step=step_no,
-                               tid=idx)
-            t0 = tracer.begin()
-            method.finalize_step(sub)
-            tracer.end("finalize:0", t0, step=step_no, tid=idx)
-            sub.step += 1
-            if self._diags is not None:
-                rec = self._diags[idx].maybe_check(sub)
-                if idx == 0 and rec is not None:
-                    self.diagnostics.append(rec)
+        if self._diags is not None:
+            rec = self._diags[member].maybe_check(self.subs[member])
+            if member == 0 and rec is not None:
+                self.diagnostics.append(rec)
 
     def step(self, n: int = 1) -> None:
         """Advance every subregion ``n`` steps, concurrently."""
-        if len(self.subs) == 1:
-            # degenerate case: no point waking a pool
-            method = self.method
-            sub = self.subs[0]
-            tracer = self.tracer
-            for _ in range(n):
-                step_no = sub.step
-                self._sleep_delay(sub.block.rank, step_no)
-                for phase, fields in enumerate(method.exchange_phases):
-                    t0 = tracer.begin()
-                    method.compute_phase(sub, phase)
-                    tracer.end(self._compute_names[phase], t0,
-                               step=step_no)
-                    t0 = tracer.begin()
-                    self.exchanger.exchange(fields)
-                    tracer.end(self._exchange_names[phase], t0,
-                               step=step_no)
-                t0 = tracer.begin()
-                method.finalize_step(sub)
-                tracer.end("finalize:0", t0, step=step_no)
-                sub.step += 1
-                if self._diags is not None:
-                    rec = self._diags[0].maybe_check(sub)
-                    if rec is not None:
-                        self.diagnostics.append(rec)
+        if self._barrier is None:
+            super().step(n)
             return
         self._ensure_pool()
         assert self._go is not None and self._done is not None
@@ -398,25 +243,10 @@ class ThreadedSimulation:
             # the abort that surfaced the error broke the phase barrier;
             # heal it so the pool can serve another step() after the
             # caller handles the exception
-            self._inner.reset()
+            self._barrier.reset()
             # Prefer the root cause over the BrokenBarrierErrors that
             # the abort cascades to the other workers.
             for exc in self._errors:
                 if not isinstance(exc, threading.BrokenBarrierError):
                     raise exc
             raise self._errors[0]
-
-    # ------------------------------------------------------------------
-    def global_field(self, name: str, fill: float = 0.0) -> np.ndarray:
-        """Reassemble a global array from the subregion interiors."""
-        return assemble_global(self.decomp, self.subs, name, fill)
-
-    def global_state(self) -> dict[str, np.ndarray]:
-        """All method fields reassembled into global arrays (hybrid
-        runs reassemble the fields every method evolves)."""
-        names = (
-            self.method.field_names
-            if self.method is not None
-            else common_field_names(self.methods)
-        )
-        return {name: self.global_field(name) for name in names}

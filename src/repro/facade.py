@@ -227,35 +227,39 @@ def _run_inprocess(spec, fields, settings, workdir, threaded: bool,
         )
     diagnostics: list = []
     t0 = time.perf_counter()
-    if graph_mode:
-        executor.run()
-        diagnostics = list(executor.diagnostics)
-        if diag_log is not None:
-            for rec in diagnostics:
-                diag_log.append(rec)
-    elif not threaded and settings.diag_every > 0:
-        # sample the same global reductions a distributed run would
-        every = settings.diag_every
-        done = 0
-        while done < n_steps:
-            chunk = min(every - sim.step_count % every, n_steps - done)
-            sim.step(chunk)
-            done += chunk
-            if sim.step_count % every == 0:
-                rec = sim.global_diagnostics(settings.diag_algorithm)
-                diagnostics.append(rec)
-                if diag_log is not None:
+    # a failing run (e.g. a NaN tripping the diagnostics) must not leave
+    # the thread pool parked or the trace stream open
+    try:
+        if graph_mode:
+            executor.run()
+            diagnostics = list(executor.diagnostics)
+            if diag_log is not None:
+                for rec in diagnostics:
                     diag_log.append(rec)
-    else:
-        sim.step(n_steps)
-        diagnostics = list(getattr(sim, "diagnostics", []))
-        if diag_log is not None:
-            for rec in diagnostics:
-                diag_log.append(rec)
-    elapsed = time.perf_counter() - t0
-    if threaded and not graph_mode:
-        sim.close()
-    tracer.close()
+        elif not threaded and settings.diag_every > 0:
+            # sample the same global reductions a distributed run would
+            every = settings.diag_every
+            done = 0
+            while done < n_steps:
+                chunk = min(every - sim.step_count % every, n_steps - done)
+                sim.step(chunk)
+                done += chunk
+                if sim.step_count % every == 0:
+                    rec = sim.global_diagnostics(settings.diag_algorithm)
+                    diagnostics.append(rec)
+                    if diag_log is not None:
+                        diag_log.append(rec)
+        else:
+            sim.step(n_steps)
+            diagnostics = list(getattr(sim, "diagnostics", []))
+            if diag_log is not None:
+                for rec in diagnostics:
+                    diag_log.append(rec)
+        elapsed = time.perf_counter() - t0
+    finally:
+        if threaded and not graph_mode:
+            sim.close()
+        tracer.close()
     result = RunResult(
         backend="threaded" if threaded else "serial",
         steps=n_steps,

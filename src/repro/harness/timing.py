@@ -13,7 +13,6 @@ benchmark) and to simulated runs.
 
 from __future__ import annotations
 
-import statistics
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -25,9 +24,7 @@ __all__ = ["StepTiming", "time_stepper", "measure_node_speed"]
 class StepTiming:
     """Result of one §7-style timing measurement.
 
-    ``seconds_per_step`` keeps the paper's best-of-repeats selection;
-    ``median``/``stdev`` expose the robust statistics over the same
-    repeats, for comparisons across noisy machines.
+    ``seconds_per_step`` keeps the paper's best-of-repeats selection.
     """
 
     seconds_per_step: float
@@ -38,18 +35,6 @@ class StepTiming:
     @property
     def best(self) -> float:
         return self.seconds_per_step
-
-    @property
-    def median(self) -> float:
-        """Median seconds/step over the repeats."""
-        return statistics.median(self.all_runs)
-
-    @property
-    def stdev(self) -> float:
-        """Sample stdev of seconds/step over the repeats (0 for one)."""
-        if len(self.all_runs) < 2:
-            return 0.0
-        return statistics.stdev(self.all_runs)
 
 
 def time_stepper(

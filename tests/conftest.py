@@ -8,6 +8,11 @@ import pytest
 from repro.core import Decomposition, Simulation
 from repro.fluids import FDMethod, FluidParams, LBMethod, channel_geometry
 
+#: Id of the ``Simulation`` case of a test parametrised over runners:
+#: hidden where pytest supports it (>= 8.4), so the serial cases keep
+#: the ids they had before the runner became a parameter.
+SERIAL_ID = getattr(pytest, "HIDDEN_PARAM", "serial")
+
 
 def rest_fields(shape: tuple[int, ...], rho0: float = 1.0) -> dict:
     """Uniform fluid at rest."""

@@ -1,57 +1,38 @@
-"""The threaded in-process runner: concurrency without divergence."""
+"""The threaded in-process runner: concurrency without divergence.
+
+Bitwise parity with the serial runner across methods, dimensions and
+decompositions is a runner parameter of
+``tests/integration/test_parallel_equivalence.py``; this file covers the
+pool, the team of one and the local-axes split.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core import Decomposition, Simulation, ThreadedSimulation
-from repro.fluids import FDMethod, FluidParams, LBMethod, channel_geometry
+from repro.fluids import FluidParams, LBMethod, channel_geometry
 from tests.conftest import perturbed_fields, rest_fields
 
 
-def _pair(method_cls, shape=(32, 24), blocks=(2, 2), steps=25):
+def _stepped(steps):
+    """A 2x2 LB channel stepped ``steps`` times on the thread pool."""
+    shape = (32, 24)
     solid = channel_geometry(shape)
     params = FluidParams.lattice(
         2, nu=0.08, gravity=(1e-5, 0.0), filter_eps=0.02
     )
-    fields = perturbed_fields(shape, seed=21)
-    fields["u"][solid] = 0.0
-    fields["v"][solid] = 0.0
-    periodic = (True, False)
-    seq = Simulation(
-        method_cls(params, 2),
-        Decomposition(shape, blocks, periodic=periodic, solid=solid),
-        fields, solid,
-    )
     thr = ThreadedSimulation(
-        method_cls(params, 2),
-        Decomposition(shape, blocks, periodic=periodic, solid=solid),
-        fields, solid,
+        LBMethod(params, 2),
+        Decomposition(shape, (2, 2), periodic=(True, False), solid=solid),
+        perturbed_fields(shape, seed=21), solid,
     )
-    seq.step(steps)
     thr.step(steps)
-    return seq, thr
-
-
-@pytest.mark.parametrize("method_cls", [FDMethod, LBMethod],
-                         ids=["fd", "lb"])
-def test_threads_match_sequential_bitwise(method_cls):
-    seq, thr = _pair(method_cls)
-    for name in seq.method.field_names:
-        assert np.array_equal(
-            seq.global_field(name), thr.global_field(name)
-        ), name
-
-
-def test_many_threads(  ):
-    seq, thr = _pair(LBMethod, shape=(48, 32), blocks=(4, 2), steps=15)
-    for name in ("rho", "u", "v", "f"):
-        assert np.array_equal(
-            seq.global_field(name), thr.global_field(name)
-        ), name
+    thr.close()
+    return thr
 
 
 def test_step_counts_advance_together():
-    _, thr = _pair(LBMethod, steps=7)
+    thr = _stepped(7)
     assert thr.step_count == 7
     assert all(s.step == 7 for s in thr.subs)
 
@@ -79,6 +60,7 @@ def test_repeated_step_calls():
 
 
 def test_single_subregion_fast_path():
+    """One subregion is a team of one on the calling thread: no pool."""
     params = FluidParams.lattice(2, nu=0.08)
     fields = rest_fields((24, 16))
     thr = ThreadedSimulation(
@@ -88,6 +70,7 @@ def test_single_subregion_fast_path():
     )
     thr.step(5)
     assert thr.step_count == 5
+    assert thr._pool == []
 
 
 def test_kernel_error_propagates():
@@ -110,7 +93,7 @@ def test_kernel_error_propagates():
 
 
 def test_global_state_names():
-    _, thr = _pair(LBMethod, steps=2)
+    thr = _stepped(2)
     assert set(thr.global_state()) == {"rho", "u", "v", "f"}
 
 

@@ -41,6 +41,8 @@ def _assert_equal_runs(serial, graphed):
 def test_graph_matches_serial_bitwise(method, blocks):
     if method == "hybrid" and blocks[0] < 2:
         pytest.skip("a hybrid seam needs a block boundary to sit on")
+    """Both threaded execution modes — dependency-driven and barriered —
+    land on the serial run's fields and diagnostics."""
     spec = _spec(HYBRID if method == "hybrid" else method, blocks)
     rs = RunSettings(steps=6, diag_every=3)
     serial = repro.run(spec, "serial", rs)
@@ -48,19 +50,10 @@ def test_graph_matches_serial_bitwise(method, blocks):
         spec, "threaded", RunSettings(steps=6, diag_every=3,
                                       execution="graph"),
     )
-    assert graphed.backend == "threaded"
+    phased = repro.run(spec, "threaded", rs)
+    assert graphed.backend == phased.backend == "threaded"
     _assert_equal_runs(serial, graphed)
-
-
-def test_graph_matches_phased_threaded():
-    """Both threaded execution modes land on identical bits."""
-    spec = _spec("fd", (2, 2))
-    phased = repro.run(spec, "threaded", RunSettings(steps=5))
-    graphed = repro.run(spec, "threaded",
-                        RunSettings(steps=5, execution="graph"))
-    for name in phased.fields:
-        assert np.array_equal(phased.fields[name],
-                              graphed.fields[name]), name
+    _assert_equal_runs(serial, phased)
 
 
 def test_graph_overlaps_alternating_hotspot():

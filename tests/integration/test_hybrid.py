@@ -3,18 +3,20 @@
 The acceptance bar of the hybrid redesign: a channel split into an FD
 subregion and an LB subregion converges to the same steady Poiseuille
 profile as either method alone (within the single-method tolerance),
-conserves mass, runs bit-identically serial vs threaded, and survives a
-checkpoint/resume bit-exactly.
+conserves mass, and survives a checkpoint/resume bit-exactly on both
+in-process runners.  Serial vs threaded vs graph bitwise equality is
+``tests/graph/test_executor.py::test_graph_matches_serial_bitwise``.
 """
 
 import numpy as np
 import pytest
 
 import repro
-from repro.core import Simulation
+from repro.core import Simulation, ThreadedSimulation
 from repro.distrib import ProblemSpec
 from repro.distrib.initprog import initial_fields
 from repro.fluids import poiseuille_profile, total_mass
+from tests.conftest import SERIAL_ID
 
 
 def _spec(method, grid=(32, 24), blocks=(2, 1), nu=0.1, g=1e-5,
@@ -47,14 +49,14 @@ HYBRID_Y = {
 }
 
 
-def _build_sim(spec) -> Simulation:
-    """A serial hybrid Simulation straight from the spec."""
+def _build_sim(spec, runner=Simulation) -> Simulation:
+    """A hybrid ``runner`` (serial by default) straight from the spec."""
     from repro.fluids.coupling import build_converters
 
     decomp = spec.build_decomposition()
     methods = spec.build_methods()
     solid, _, _ = spec.build_geometry()
-    return Simulation(
+    return runner(
         list(methods),
         decomp,
         initial_fields(spec, "rest"),
@@ -64,14 +66,6 @@ def _build_sim(spec) -> Simulation:
 
 
 class TestBackendEquivalence:
-    def test_serial_matches_threaded_bitwise(self):
-        spec = _spec(HYBRID_X)
-        serial = repro.run(spec, "serial", steps=50)
-        threaded = repro.run(spec, "threaded", steps=50)
-        for name in ("rho", "u", "v"):
-            assert np.array_equal(serial.fields[name],
-                                  threaded.fields[name]), name
-
     def test_hybrid_returns_common_fields_only(self):
         """The LB populations are method-private: the reassembled
         global state is the macroscopic rho, V every method evolves."""
@@ -80,8 +74,8 @@ class TestBackendEquivalence:
         assert all(np.isfinite(a).all() for a in r.fields.values())
 
     def test_uniform_spec_unaffected_by_redesign(self):
-        """A v1 string spec runs through the same entry point with the
-        single-method fast path."""
+        """A v1 string spec runs through the same entry point and step
+        loop, and reassembles every field of its one method."""
         r = repro.run(_spec("lb"), "serial", steps=10)
         assert sorted(r.fields) == ["f", "rho", "u", "v"]
 
@@ -103,19 +97,26 @@ class TestConservation:
 
 
 class TestCheckpoint:
-    def test_save_resume_is_bit_exact(self, tmp_path):
+    @pytest.mark.parametrize("runner", [
+        pytest.param(Simulation, id=SERIAL_ID),
+        pytest.param(ThreadedSimulation, id="threaded"),
+    ])
+    def test_save_resume_is_bit_exact(self, tmp_path, runner):
         """Checkpoint mid-run, keep stepping; a fresh hybrid sim
         resumed from the dump lands on identical bits."""
         spec = _spec(HYBRID_X)
-        sim = _build_sim(spec)
+        sim = _build_sim(spec, runner)
         sim.step(20)
         sim.save(tmp_path)
         sim.step(15)
 
-        other = _build_sim(spec)
+        other = _build_sim(spec, runner)
         other.resume(tmp_path)
         assert other.step_count == 20
         other.step(15)
+        if runner is ThreadedSimulation:
+            sim.close()
+            other.close()
         for name in ("rho", "u", "v"):
             assert np.array_equal(sim.global_field(name),
                                   other.global_field(name)), name

@@ -3,13 +3,15 @@
 because computation is separated from communication by the ghost
 padding, a decomposed run must reproduce the serial program *bit for
 bit* — for both numerical methods, in 2D and 3D, with and without the
-filter, with walls, openings and inactive subregions.
+filter, with walls, openings and inactive subregions, and on both
+in-process runners: the decomposed run is stepped by ``runner``, the
+serial reference always by :class:`Simulation`.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import Decomposition, Simulation
+from repro.core import Decomposition, Simulation, ThreadedSimulation
 from repro.fluids import (
     FDMethod,
     FluidParams,
@@ -17,11 +19,18 @@ from repro.fluids import (
     channel_geometry,
     flue_pipe,
 )
-from tests.conftest import perturbed_fields, rest_fields
+from repro.fluids.backends._numba_kernels import HAVE_NUMBA
+from tests.conftest import SERIAL_ID, perturbed_fields, rest_fields
+
+by_runner = pytest.mark.parametrize("runner", [
+    pytest.param(Simulation, id=SERIAL_ID),
+    pytest.param(ThreadedSimulation, id="threaded"),
+])
 
 
 def _run(method_cls, shape, blocks, periodic, solid, fields, steps,
-         filter_eps=0.02, g=None, inlets=(), outlets=()):
+         filter_eps=0.02, g=None, inlets=(), outlets=(),
+         runner=Simulation, backend=None):
     ndim = len(shape)
     gravity = g if g is not None else (0.0,) * ndim
     params = FluidParams.lattice(
@@ -29,8 +38,10 @@ def _run(method_cls, shape, blocks, periodic, solid, fields, steps,
     )
     method = method_cls(params, ndim, inlets=inlets, outlets=outlets)
     d = Decomposition(shape, blocks, periodic=periodic, solid=solid)
-    sim = Simulation(method, d, fields, solid)
+    sim = runner(method, d, fields, solid, backend=backend)
     sim.step(steps)
+    if isinstance(sim, ThreadedSimulation):
+        sim.close()
     return sim
 
 
@@ -51,33 +62,43 @@ CASES_2D = [
 @pytest.mark.parametrize("method_cls", [FDMethod, LBMethod],
                          ids=["fd", "lb"])
 @pytest.mark.parametrize("blocks", CASES_2D)
+@pytest.mark.parametrize("runner, backend", [
+    pytest.param(Simulation, None, id=SERIAL_ID),
+    pytest.param(ThreadedSimulation, None, id="threaded"),
+    # compiled kernels release the GIL outright: the one case where the
+    # threads really race (the reference runs the same backend serially)
+    pytest.param(ThreadedSimulation, "numba", id="threaded-numba",
+                 marks=pytest.mark.skipif(not HAVE_NUMBA,
+                                          reason="needs numba")),
+])
 class TestChannel2D:
     """Periodic channel with walls, body force and filter."""
 
-    def test_bitwise(self, method_cls, blocks):
+    def test_bitwise(self, method_cls, blocks, runner, backend):
         shape = (36, 28)
         solid = channel_geometry(shape)
         fields = perturbed_fields(shape, seed=11)
         periodic = (True, False)
-        kw = dict(g=(1e-5, 0.0))
+        kw = dict(g=(1e-5, 0.0), backend=backend)
         serial = _run(method_cls, shape, (1, 1), periodic, solid, fields,
                       steps=30, **kw)
         par = _run(method_cls, shape, blocks, periodic, solid, fields,
-                   steps=30, **kw)
+                   steps=30, runner=runner, **kw)
         _assert_bitwise(serial, par, serial.method.field_names)
 
 
 @pytest.mark.parametrize("method_cls", [FDMethod, LBMethod],
                          ids=["fd", "lb"])
 @pytest.mark.parametrize("filter_eps", [0.0, 0.02], ids=["nofilt", "filt"])
-def test_fully_periodic_2d(method_cls, filter_eps):
+@by_runner
+def test_fully_periodic_2d(method_cls, filter_eps, runner):
     shape = (30, 24)
     fields = perturbed_fields(shape, seed=3)
     periodic = (True, True)
     serial = _run(method_cls, shape, (1, 1), periodic, None, fields,
                   steps=25, filter_eps=filter_eps)
     par = _run(method_cls, shape, (2, 3), periodic, None, fields,
-               steps=25, filter_eps=filter_eps)
+               steps=25, filter_eps=filter_eps, runner=runner)
     _assert_bitwise(serial, par, serial.method.field_names)
 
 
@@ -87,7 +108,8 @@ def test_fully_periodic_2d(method_cls, filter_eps):
     "blocks", [(2, 1, 1), (2, 2, 1), (2, 2, 2), (1, 1, 3)],
     ids=lambda b: "x".join(map(str, b)),
 )
-def test_duct_3d(method_cls, blocks):
+@by_runner
+def test_duct_3d(method_cls, blocks, runner):
     shape = (18, 14, 12)
     solid = channel_geometry(shape)
     fields = perturbed_fields(shape, seed=7)
@@ -96,13 +118,14 @@ def test_duct_3d(method_cls, blocks):
     serial = _run(method_cls, shape, (1, 1, 1), periodic, solid, fields,
                   steps=12, **kw)
     par = _run(method_cls, shape, blocks, periodic, solid, fields,
-               steps=12, **kw)
+               steps=12, runner=runner, **kw)
     _assert_bitwise(serial, par, serial.method.field_names)
 
 
 @pytest.mark.parametrize("method_cls", [FDMethod, LBMethod],
                          ids=["fd", "lb"])
-def test_flue_pipe_with_openings(method_cls):
+@by_runner
+def test_flue_pipe_with_openings(method_cls, runner):
     """The full problem: walls, a ramped jet inlet, a pressure outlet,
     and the filter — decomposed (3, 2) vs serial."""
     shape = (96, 64)
@@ -112,7 +135,7 @@ def test_flue_pipe_with_openings(method_cls):
     serial = _run(method_cls, shape, (1, 1), (False, False), setup.solid,
                   fields, steps=40, **kw)
     par = _run(method_cls, shape, (3, 2), (False, False), setup.solid,
-               fields, steps=40, **kw)
+               fields, steps=40, runner=runner, **kw)
     _assert_bitwise(serial, par, serial.method.field_names)
     # and the jet actually does something
     assert np.abs(serial.global_field("u")).max() > 0.01
@@ -120,7 +143,8 @@ def test_flue_pipe_with_openings(method_cls):
 
 @pytest.mark.parametrize("method_cls", [FDMethod, LBMethod],
                          ids=["fd", "lb"])
-def test_inactive_subregions_fig2(method_cls):
+@by_runner
+def test_inactive_subregions_fig2(method_cls, runner):
     """Decomposition with entirely solid (inactive) subregions still
     matches the serial run on every active node (fig. 2's layout)."""
     shape = (48, 32)
@@ -133,9 +157,8 @@ def test_inactive_subregions_fig2(method_cls):
     assert d_par.n_active == 3
     serial = _run(method_cls, shape, (1, 1), (False, False), solid, fields,
                   steps=25)
-    params = FluidParams.lattice(2, nu=0.08, filter_eps=0.02)
-    par = Simulation(method_cls(params, 2), d_par, fields, solid)
-    par.step(25)
+    par = _run(method_cls, shape, (2, 2), (False, False), solid, fields,
+               steps=25, runner=runner)
     active = np.zeros(shape, dtype=bool)
     for blk in d_par.active_blocks():
         active[blk.slices] = True
@@ -157,11 +180,13 @@ def test_inactive_subregions_fig2(method_cls):
 
 @pytest.mark.parametrize("method_cls", [FDMethod, LBMethod],
                          ids=["fd", "lb"])
-def test_decompositions_agree_with_each_other(method_cls):
+@by_runner
+def test_decompositions_agree_with_each_other(method_cls, runner):
     """Any two decompositions produce identical results — parallelism
     is invisible to the physics."""
     shape = (32, 32)
     fields = perturbed_fields(shape, seed=13)
     a = _run(method_cls, shape, (2, 2), (True, True), None, fields, 20)
-    b = _run(method_cls, shape, (4, 2), (True, True), None, fields, 20)
+    b = _run(method_cls, shape, (4, 2), (True, True), None, fields, 20,
+             runner=runner)
     _assert_bitwise(a, b, a.method.field_names)

@@ -1,6 +1,7 @@
 """The repro.run() facade: one call, four backends, one RunResult."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -69,6 +70,21 @@ def test_diagnostics_match_across_backends(tmp_path):
     for a, b in zip(serial.diagnostics, threaded.diagnostics):
         assert a.step == b.step
         assert a.total_mass == pytest.approx(b.total_mass)
+
+
+def test_failed_threaded_run_releases_its_threads():
+    """A run that raises mid-step still retires its worker pool."""
+    from repro.distrib import DiagnosticsFailure
+    from repro.distrib.initprog import initial_fields
+
+    spec = _spec()
+    fields = initial_fields(spec, None)
+    fields["rho"][5, 5] = np.nan
+    before = threading.active_count()
+    with pytest.raises(DiagnosticsFailure):
+        repro.run(spec, "threaded", RunSettings(steps=4, diag_every=1),
+                  fields=fields)
+    assert threading.active_count() == before
 
 
 def test_simulated_backend(tmp_path):

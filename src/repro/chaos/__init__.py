@@ -16,13 +16,7 @@ from .inject import (
     corrupt_dump,
 )
 from .plan import KINDS, MESSAGE_KINDS, SCENARIOS, Fault, FaultPlan
-from .runner import (
-    CANONICAL,
-    ChaosOutcome,
-    check_recovery_ledger,
-    run_scenario,
-    sweep,
-)
+from .runner import ChaosOutcome, check_recovery_ledger, run_scenario
 
 __all__ = [
     "Fault",
@@ -30,11 +24,9 @@ __all__ = [
     "KINDS",
     "MESSAGE_KINDS",
     "SCENARIOS",
-    "CANONICAL",
     "ChaosOutcome",
     "check_recovery_ledger",
     "run_scenario",
-    "sweep",
     "NULL_INJECTOR",
     "NullInjector",
     "ChannelFaultInjector",

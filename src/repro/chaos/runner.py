@@ -8,9 +8,8 @@ diagnostic abort** (a :class:`~repro.distrib.MonitorError` naming what
 went wrong) — never a hang, never a silent divergence.
 
 :func:`run_scenario` executes one seeded scenario end to end and
-classifies it; :func:`sweep` runs the canonical set (plus a fault-free
-baseline used for the recovery-time metric); the ``repro chaos`` CLI
-runs one scenario at a time through :func:`run_scenario`.
+classifies it; the ``repro chaos`` CLI runs one scenario at a time
+through it.
 """
 
 from __future__ import annotations
@@ -21,22 +20,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .plan import DUMP_KINDS, PROCESS_KINDS, SCENARIOS, FaultPlan
+from .plan import DUMP_KINDS, PROCESS_KINDS, FaultPlan
 
 __all__ = [
-    "CANONICAL",
     "ChaosOutcome",
     "chaos_settings",
     "chaos_spec",
     "check_recovery_ledger",
     "run_scenario",
     "serial_reference",
-    "sweep",
 ]
-
-#: The five scenarios the acceptance gate requires (SCENARIOS adds the
-#: orderly-reconnect and reorder extras on top for the nightly sweep).
-CANONICAL = ("kill", "stall", "loss", "corruption", "spike")
 
 #: Outcome classifications, best to worst.  ``match`` and
 #: ``clean_abort`` pass the gate; ``hang``, ``divergence`` and
@@ -56,7 +49,6 @@ class ChaosOutcome:
     elapsed: float = 0.0       # wall seconds of the faulted run
     steps: int = 0
     steps_per_second: float = 0.0
-    recovery_seconds: float = 0.0   # elapsed minus the fault-free baseline
     restarts: int = 0
     migrations: int = 0
     rebalances: int = 0
@@ -226,15 +218,13 @@ def run_scenario(
     save_every: int = 10,
     blocks: tuple[int, ...] = (2, 1),
     reference: dict[str, np.ndarray] | None = None,
-    baseline_elapsed: float = 0.0,
     plan: FaultPlan | None = None,
 ) -> ChaosOutcome:
     """Execute one seeded scenario and classify the outcome.
 
-    ``scenario="none"`` runs fault-free (the baseline the recovery-time
-    metric subtracts).  Pass ``plan`` to override the scenario's
-    generated plan with an explicit one (the ``repro chaos --plan``
-    path).
+    ``scenario="none"`` runs fault-free.  Pass ``plan`` to override
+    the scenario's generated plan with an explicit one (the
+    ``repro chaos --plan`` path).
     """
     from ..distrib import DistributedRun
 
@@ -294,7 +284,6 @@ def run_scenario(
             out.outcome = "match"
     out.elapsed = time.monotonic() - t0
     out.steps_per_second = steps / out.elapsed if out.elapsed > 0 else 0.0
-    out.recovery_seconds = max(out.elapsed - baseline_elapsed, 0.0)
     out.restarts = mon.restarts
     out.migrations = mon.migrations
     out.rebalances = mon.rebalances
@@ -308,48 +297,3 @@ def run_scenario(
             out.outcome = "ledger_gap"
             out.detail = "; ".join(gaps)
     return out
-
-
-def sweep(
-    workdir: str | Path,
-    seeds: tuple[int, ...] = (0,),
-    scenarios: tuple[str, ...] = CANONICAL,
-    steps: int = 40,
-    save_every: int = 10,
-    blocks: tuple[int, ...] = (2, 1),
-) -> list[ChaosOutcome]:
-    """Run every (scenario, seed) pair, preceded by a fault-free baseline.
-
-    The baseline run must match the serial reference bit-for-bit — if
-    it does not, the harness itself is broken and every faulted result
-    would be noise; it also anchors the recovery-time metric.
-    """
-    for name in scenarios:
-        if name not in SCENARIOS:
-            raise ValueError(
-                f"unknown scenario {name!r} (expected one of "
-                f"{sorted(SCENARIOS)})"
-            )
-    workdir = Path(workdir)
-    spec = chaos_spec(blocks)
-    reference = serial_reference(spec, steps)
-    baseline = run_scenario(
-        "none", 0, workdir / "baseline", steps=steps,
-        save_every=save_every, blocks=blocks, reference=reference,
-    )
-    if baseline.outcome != "match":
-        raise RuntimeError(
-            f"fault-free baseline did not match the serial reference "
-            f"({baseline.outcome}: {baseline.detail})"
-        )
-    outcomes = [baseline]
-    for seed in seeds:
-        for scenario in scenarios:
-            outcomes.append(run_scenario(
-                scenario, seed,
-                workdir / f"{scenario}_s{seed}",
-                steps=steps, save_every=save_every, blocks=blocks,
-                reference=reference,
-                baseline_elapsed=baseline.elapsed,
-            ))
-    return outcomes

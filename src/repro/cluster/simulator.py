@@ -256,7 +256,6 @@ class ClusterSimulation:
         network: NetworkParams = NetworkParams(),
         sync_mode: str = "bsp",
         diag_every: int = 0,
-        collective_algorithm: str = "tree",
         trace_dir=None,
         fault_plan: FaultPlan | None = None,
     ) -> None:
@@ -273,10 +272,6 @@ class ClusterSimulation:
                 raise ValueError(f"unknown method {m!r}")
         if sync_mode not in ("bsp", "loose"):
             raise ValueError(f"unknown sync_mode {sync_mode!r}")
-        if collective_algorithm not in ("tree", "ring"):
-            raise ValueError(
-                f"unknown collective algorithm {collective_algorithm!r}"
-            )
         if diag_every > 0 and sync_mode == "loose":
             raise ValueError(
                 "in-flight diagnostics are a synchronizing collective; "
@@ -437,7 +432,6 @@ class ClusterSimulation:
 
         # in-flight diagnostics collectives (charged at the BSP barrier)
         self.diag_every = int(diag_every)
-        self.collective_algorithm = collective_algorithm
         self.collective_messages = 0
         self.collective_bytes = 0
         self.collective_time = 0.0
@@ -450,9 +444,7 @@ class ClusterSimulation:
             # what GlobalDiagnostics.check performs, with the message
             # list replayed from the very schedules the live
             # Communicator executes.
-            self._diag_pattern = 2 * collective_pattern(
-                "allreduce", collective_algorithm, self.n_procs, 16
-            )
+            self._diag_pattern = 2 * collective_pattern(self.n_procs, 16)
 
     # ------------------------------------------------------------------
     # timing helpers

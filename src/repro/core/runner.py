@@ -318,13 +318,9 @@ class Simulation:
                 methods[i].finalize_step(subs[i])
                 subs[i].step += 1
             tracer.end("finalize:0", t0, step=step_no, tid=member)
-            self._end_step(member)
 
     def _begin_step(self, member: int, step_no: int) -> None:
         """Hook at the top of a member's step (threaded synthetic load)."""
-
-    def _end_step(self, member: int) -> None:
-        """Hook after a member's step (threaded in-flight diagnostics)."""
 
     def global_field(self, name: str, fill: float = 0.0) -> np.ndarray:
         """Reassemble a global array from the subregion interiors."""
@@ -342,18 +338,17 @@ class Simulation:
             for name in common_field_names(self.methods)
         }
 
-    def global_diagnostics(self, algorithm: str = "tree"):
+    def global_diagnostics(self):
         """Globally reduced mass / kinetic energy / max |V| right now.
 
-        Runs the same collective schedules as a distributed run's
-        in-flight diagnostics, interleaved co-operatively in this
-        thread over the in-process backend, so the returned
+        Folds the subregions' partials in rank order, as a distributed
+        run's allreduce does, so the returned
         :class:`~repro.distrib.diagnostics.DiagRecord` is bit-for-bit
         what the workers of an equivalent distributed run would log.
         """
         from ..distrib.diagnostics import serial_diagnostics
 
-        return serial_diagnostics(self.subs, algorithm=algorithm)
+        return serial_diagnostics(self.subs)
 
     # ------------------------------------------------------------------
     # checkpointing (the in-process face of the §4.1 dump files)

@@ -34,9 +34,10 @@ barrier -> [member 0] exchange(fields_k, communicating axes) -> barrier
 
 which performs the identical arithmetic to the serial team of one — the
 tests assert bit-for-bit equality — while computing subregions in
-parallel.  On top of the inherited loop this runner adds the per-rank
-synthetic load (``step_delays``/``delay_fn``) and in-flight global
-diagnostics over the in-process collectives (``diag_every``).
+parallel.  On top of the inherited loop this runner adds only the
+per-rank synthetic load (``step_delays``/``delay_fn``); global
+diagnostics are sampled between ``step`` calls, exactly as on the
+serial runner (:meth:`~repro.core.Simulation.global_diagnostics`).
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from typing import Mapping
 
 import numpy as np
 
-from ..net.collectives import Communicator
 from ..trace import NULL_TRACER
 from .decomposition import Decomposition
 from .runner import Simulation
@@ -69,9 +69,6 @@ class ThreadedSimulation(Simulation):
         decomp: Decomposition,
         global_fields: Mapping[str, np.ndarray],
         solid: np.ndarray | None = None,
-        diag_every: int = 0,
-        diag_algorithm: str = "tree",
-        diag_vmax: float = 0.0,
         tracer=NULL_TRACER,
         backend: str | None = None,
         converters=None,
@@ -119,30 +116,6 @@ class ThreadedSimulation(Simulation):
         self._closing = False
         self._lock = threading.Lock()
         self._errors: list[BaseException] = []
-        #: global :class:`~repro.distrib.diagnostics.DiagRecord` samples
-        #: collected every ``diag_every`` steps (empty when disabled)
-        self.diagnostics: list = []
-        self._diags = None
-        if diag_every > 0:
-            # Each thread gets a communicator over the in-process
-            # fabric — the very collectives a distributed run would use,
-            # blocking thread against thread.  ``diag_vmax = 0`` keeps
-            # the CFL sentinel off (only NaNs abort an in-process run).
-            from ..distrib.diagnostics import GlobalDiagnostics
-            from ..net.local import LocalFabric
-
-            fabric = LocalFabric(n)
-            self._diags = [
-                GlobalDiagnostics(
-                    Communicator(
-                        fabric.channel_set(i), i, n,
-                        algorithm=diag_algorithm, tracer=tracer,
-                    ),
-                    every=diag_every,
-                    vmax=diag_vmax,
-                )
-                for i in range(n)
-            ]
 
     # ------------------------------------------------------------------
     # persistent pool
@@ -216,17 +189,6 @@ class ThreadedSimulation(Simulation):
             delay += self._delay_fn(rank, step_no)
         if delay > 0:
             time.sleep(delay)
-
-    def _end_step(self, member: int) -> None:
-        """Sample the global diagnostics every ``diag_every`` steps.
-
-        The collective itself synchronizes the threads; every thread
-        reads only its own subregion.
-        """
-        if self._diags is not None:
-            rec = self._diags[member].maybe_check(self.subs[member])
-            if member == 0 and rec is not None:
-                self.diagnostics.append(rec)
 
     def step(self, n: int = 1) -> None:
         """Advance every subregion ``n`` steps, concurrently."""

@@ -31,7 +31,7 @@ from .monitor import Monitor, MonitorError
 from .orchestrator import DistributedRun, RunSettings, run_distributed
 from .spec import ProblemSpec
 from .submit import spawn_worker, submit_all
-from .sync import MessageSaveTurns, SaveTurns, SyncFiles, SyncFileWarning
+from .sync import SaveTurns, SyncFiles, SyncFileWarning
 from .worker import (
     EXIT_DIAGNOSTIC,
     EXIT_DONE,
@@ -64,7 +64,6 @@ __all__ = [
     "submit_all",
     "SyncFiles",
     "SaveTurns",
-    "MessageSaveTurns",
     "SyncFileWarning",
     "Worker",
     "WorkerConfig",

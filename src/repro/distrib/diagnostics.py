@@ -12,9 +12,10 @@ progress heartbeat, and abort with
 violation goes global — a *diagnosed* failure instead of a stall
 timeout.
 
-The same partials/fold also run under the serial and threaded runners
-through the in-process backend, so a distributed diagnostic stream can
-be validated bit-for-bit against a serial one.
+In-process runs fold the same partials in the same rank order
+(:func:`serial_diagnostics`), so a distributed diagnostic stream can be
+validated bit-for-bit against a serial one; every runtime judges a
+record by the one abort rule, :func:`check_record`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..net.collectives import Communicator, build_schedule, drive_all
+from ..net.collectives import Communicator
 from .sync import _locked_append
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "DiagnosticsFailure",
     "DiagnosticsLog",
     "GlobalDiagnostics",
+    "check_record",
     "local_partials",
     "fold_partials",
     "serial_diagnostics",
@@ -165,8 +167,7 @@ def local_partials(sub) -> np.ndarray:
 def fold_partials(parts: list[np.ndarray]) -> np.ndarray:
     """Rank-ordered serial fold of partials — the bit-for-bit reference.
 
-    Matches what the collective allreduce produces for these small
-    payloads on any transport and either algorithm.
+    Matches what the collective allreduce produces on any transport.
     """
     sums = parts[0][:2]
     maxs = parts[0][2:]
@@ -176,26 +177,14 @@ def fold_partials(parts: list[np.ndarray]) -> np.ndarray:
     return np.concatenate([sums, maxs])
 
 
-def serial_diagnostics(subs, step: int | None = None,
-                       algorithm: str = "tree") -> DiagRecord:
-    """Global diagnostics of in-process subregions (serial runners).
+def serial_diagnostics(subs, step: int | None = None) -> DiagRecord:
+    """Global diagnostics of in-process subregions.
 
-    Runs the very same allgather schedules as the distributed path,
-    interleaved co-operatively in this thread, then folds in rank
-    order — so the record is bit-for-bit what a distributed run of the
-    same decomposition reports.
+    Folds every subregion's partials in rank order — exactly what the
+    distributed allreduce computes — so the record is bit-for-bit what
+    a distributed run of the same decomposition reports.
     """
-    parts = [local_partials(s) for s in subs]
-    n = len(parts)
-    if n > 1:
-        gens = {
-            r: build_schedule("allgather", algorithm, r, n,
-                              parts[r].tobytes())
-            for r in range(n)
-        }
-        blocks = drive_all(gens)[0]
-        parts = [np.frombuffer(b, np.float64) for b in blocks]
-    folded = fold_partials(parts)
+    folded = fold_partials([local_partials(s) for s in subs])
     return DiagRecord(
         step=int(subs[0].step if step is None else step),
         total_mass=float(folded[0]),
@@ -204,6 +193,24 @@ def serial_diagnostics(subs, step: int | None = None,
         n_nonfinite=int(folded[3]),
         wall_time=time.time(),
     )
+
+
+def check_record(record: DiagRecord, vmax: float) -> None:
+    """The abort rule: raise :class:`DiagnosticsFailure` on a global NaN,
+    or on a max speed above ``vmax`` (the CFL check is off at ``vmax <= 0``).
+    """
+    if record.n_nonfinite:
+        raise DiagnosticsFailure(
+            record,
+            f"non-finite values in the global state "
+            f"(a rank reported {record.n_nonfinite} bad nodes)",
+        )
+    if vmax > 0.0 and record.max_speed > vmax:
+        raise DiagnosticsFailure(
+            record,
+            f"max |V| = {record.max_speed:.4f} exceeds the "
+            f"CFL/Mach sentinel {vmax:.4f}",
+        )
 
 
 class GlobalDiagnostics:
@@ -223,7 +230,6 @@ class GlobalDiagnostics:
         every: int,
         vmax: float = DEFAULT_VMAX,
         log: DiagnosticsLog | None = None,
-        pin_seq: bool = True,
     ) -> None:
         if every < 0:
             raise ValueError("diagnostics period must be >= 0")
@@ -231,8 +237,6 @@ class GlobalDiagnostics:
         self.every = every
         self.vmax = vmax
         self.log = log
-        self.pin_seq = pin_seq
-        self.last: DiagRecord | None = None
 
     def maybe_check(self, sub) -> DiagRecord | None:
         """Run :meth:`check` if the subregion's step is due."""
@@ -242,8 +246,7 @@ class GlobalDiagnostics:
 
     def check(self, sub) -> DiagRecord:
         """Allreduce this step's partials; abort on NaN/CFL violation."""
-        if self.pin_seq:
-            self.comm.seq = sub.step * SEQ_PER_STEP
+        self.comm.seq = sub.step * SEQ_PER_STEP
         partials = local_partials(sub)
         sums = self.comm.allreduce(partials[:2], "sum")
         maxs = self.comm.allreduce(partials[2:], "max")
@@ -255,19 +258,7 @@ class GlobalDiagnostics:
             n_nonfinite=int(maxs[1]),
             wall_time=time.time(),
         )
-        self.last = record
         if self.log is not None and self.comm.rank == 0:
             self.log.append(record)
-        if record.n_nonfinite:
-            raise DiagnosticsFailure(
-                record,
-                f"non-finite values in the global state "
-                f"(a rank reported {record.n_nonfinite} bad nodes)",
-            )
-        if self.vmax > 0.0 and record.max_speed > self.vmax:
-            raise DiagnosticsFailure(
-                record,
-                f"max |V| = {record.max_speed:.4f} exceeds the "
-                f"CFL/Mach sentinel {self.vmax:.4f}",
-            )
+        check_record(record, self.vmax)
         return record

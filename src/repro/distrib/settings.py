@@ -52,9 +52,8 @@ class WorkerKnobs:
     recv_timeout: float = 60.0
     sync_timeout: float = 60.0
     diag_every: int = 0        # global-diagnostics period (0 = off)
-    diag_vmax: float = 0.0     # max-|V| abort threshold (0 = c_s default)
-    diag_algorithm: str = "tree"   # collective algorithm: tree or ring
-    save_barrier: str = "file"     # "file" (App. B default) or "message"
+    diag_vmax: float = 0.0     # max-|V| abort threshold (0 = the c_s
+    #  default on distributed workers; no CFL check in-process)
     udp_loss: float = 0.0      # injected datagram loss rate (App. D knob)
     trace: bool = False        # stream per-rank trace-<rank>.jsonl
     #  spans/counters (repro.trace) from every runtime phase

@@ -30,7 +30,7 @@ import time
 import warnings
 from pathlib import Path
 
-__all__ = ["SyncFiles", "SaveTurns", "MessageSaveTurns", "SyncFileWarning"]
+__all__ = ["SyncFiles", "SaveTurns", "SyncFileWarning"]
 
 
 class SyncFileWarning(RuntimeWarning):
@@ -252,47 +252,3 @@ class SaveTurns:
                     continue
                 if found > step:
                     p.unlink(missing_ok=True)
-
-
-class MessageSaveTurns:
-    """Rank-ordered save turns passed as messages, not shared files.
-
-    The same §5.2 staggering as :class:`SaveTurns`, but the token
-    travels over the collective layer's point-to-point channels
-    (:meth:`~repro.net.collectives.Communicator.send_token`): rank
-    ``r`` saves after receiving the token from ``r - 1`` and then
-    forwards it to ``r + 1``.  Tokens are keyed by the checkpoint step,
-    so no counter state has to survive a migration.  Ordering no longer
-    needs a shared filesystem; the last saver still touches the
-    completion marker, which is how the monitoring program recognizes a
-    restartable checkpoint (the App. B shared-file path stays the
-    default).
-    """
-
-    def __init__(self, comm, workdir: str | Path, step: int):
-        self.comm = comm
-        self.step = step
-        self.complete_path = SaveTurns.complete_marker(workdir, step)
-
-    def wait_turn(
-        self,
-        position: int,
-        timeout: float = 120.0,  # noqa: ARG002 - the communicator's own
-        # receive timeout governs the blocking wait
-        poll: float = 0.002,  # noqa: ARG002 - interface parity; nothing
-        # to poll, the receive blocks
-        gap: float = 0.0,
-    ) -> None:
-        """Block until the token arrives from the previous rank."""
-        if position > 0:
-            self.comm.recv_token(position - 1, self.step)
-        if gap > 0:
-            time.sleep(gap)
-
-    def finish_turn(self, position: int, n_ranks: int) -> None:
-        """Forward the token; the last saver publishes the marker."""
-        if position + 1 < n_ranks:
-            self.comm.send_token(position + 1, self.step)
-        else:
-            self.complete_path.parent.mkdir(parents=True, exist_ok=True)
-            self.complete_path.touch()

@@ -56,7 +56,7 @@ from .diagnostics import (
 from .dumpfile import dump_path, load_dump, save_dump
 from .settings import WorkerKnobs
 from .spec import ProblemSpec
-from .sync import MessageSaveTurns, SaveTurns, SyncFiles
+from .sync import SaveTurns, SyncFiles
 
 __all__ = [
     "WorkerConfig",
@@ -213,23 +213,17 @@ class Worker:
             converters=self.converters,
             wire_fields=seam_wire_fields(self.method),
         )
-        if cfg.save_barrier not in ("file", "message"):
-            raise ValueError(f"unknown save barrier {cfg.save_barrier!r}")
-        self.comm: Communicator | None = None
         self.diag: GlobalDiagnostics | None = None
-        if cfg.diag_every > 0 or cfg.save_barrier == "message":
-            self.comm = Communicator(
-                self.channels,
-                self.rank,
-                self.n_ranks,
-                algorithm=cfg.diag_algorithm,
-                timeout=cfg.recv_timeout,
-                link_timeout=cfg.open_timeout,
-                tracer=self.tracer,
-            )
         if cfg.diag_every > 0:
             self.diag = GlobalDiagnostics(
-                self.comm,
+                Communicator(
+                    self.channels,
+                    self.rank,
+                    self.n_ranks,
+                    timeout=cfg.recv_timeout,
+                    link_timeout=cfg.open_timeout,
+                    tracer=self.tracer,
+                ),
                 every=cfg.diag_every,
                 vmax=cfg.diag_vmax if cfg.diag_vmax > 0.0 else DEFAULT_VMAX,
                 log=DiagnosticsLog.for_workdir(self.workdir)
@@ -448,10 +442,7 @@ class Worker:
         every = self.cfg.save_every
         if every <= 0 or self.sub.step % every or self.sub.step == 0:
             return
-        if self.cfg.save_barrier == "message" and self.n_ranks > 1:
-            turns = MessageSaveTurns(self.comm, self.workdir, self.sub.step)
-        else:
-            turns = SaveTurns(self.workdir, self.sub.step)
+        turns = SaveTurns(self.workdir, self.sub.step)
         t0 = self.tracer.begin()
         turns.wait_turn(self.rank, gap=self.cfg.save_gap)
         self.tracer.end("checkpoint:turn", t0, step=self.sub.step)

@@ -207,15 +207,12 @@ def _run_inprocess(spec, fields, settings, workdir, threaded: bool,
             step_delays=delays,
             stall_factor=settings.stall_factor,
             stall_floor=settings.stall_floor,
-            diag_algorithm=settings.diag_algorithm,
+            diag_vmax=settings.diag_vmax,
             checkpoint_dir=ckpt_dir,
         )
     elif threaded:
         sim = ThreadedSimulation(
             method, decomp, fields, solid,
-            diag_every=settings.diag_every,
-            diag_algorithm=settings.diag_algorithm,
-            diag_vmax=settings.diag_vmax,
             tracer=tracer,
             converters=converters,
             step_delays=delays,
@@ -236,8 +233,11 @@ def _run_inprocess(spec, fields, settings, workdir, threaded: bool,
             if diag_log is not None:
                 for rec in diagnostics:
                     diag_log.append(rec)
-        elif not threaded and settings.diag_every > 0:
-            # sample the same global reductions a distributed run would
+        elif settings.diag_every > 0:
+            # sample the same global reductions a distributed run would,
+            # judged by the same abort rule
+            from .distrib.diagnostics import check_record
+
             every = settings.diag_every
             done = 0
             while done < n_steps:
@@ -245,16 +245,13 @@ def _run_inprocess(spec, fields, settings, workdir, threaded: bool,
                 sim.step(chunk)
                 done += chunk
                 if sim.step_count % every == 0:
-                    rec = sim.global_diagnostics(settings.diag_algorithm)
+                    rec = sim.global_diagnostics()
                     diagnostics.append(rec)
                     if diag_log is not None:
                         diag_log.append(rec)
+                    check_record(rec, settings.diag_vmax)
         else:
             sim.step(n_steps)
-            diagnostics = list(getattr(sim, "diagnostics", []))
-            if diag_log is not None:
-                for rec in diagnostics:
-                    diag_log.append(rec)
         elapsed = time.perf_counter() - t0
     finally:
         if threaded and not graph_mode:
@@ -309,7 +306,6 @@ def _run_simulated(spec, settings, workdir) -> RunResult:
         spec.blocks,
         _uniform_side(spec),
         diag_every=settings.diag_every,
-        collective_algorithm=settings.diag_algorithm,
         trace_dir=trace_dir,
     )
     res = sim.run(steps=settings.steps)
@@ -382,8 +378,8 @@ def run(
         wait; identical submissions come back from its result cache).
     settings:
         A :class:`~repro.distrib.RunSettings`; every backend honours
-        ``steps``, ``trace``, ``diag_every`` and ``diag_algorithm``,
-        the distributed backend all of it.  ``steps=`` alone is enough
+        ``steps``, ``trace`` and ``diag_every``, the distributed
+        backend all of it.  ``steps=`` alone is enough
         when the defaults do.
     steps:
         Shorthand for ``settings=RunSettings(steps=...)``.

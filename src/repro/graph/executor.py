@@ -67,6 +67,10 @@ class GraphExecutor:
         The stall rule: a node ready for more than
         ``factor × cost + floor`` seconds without finishing is
         reported (and traced as ``graph:stall:<label>``).
+    diag_vmax:
+        The CFL threshold ``diag`` nodes hold each record to (``0``:
+        only a global NaN aborts — see
+        :func:`~repro.distrib.diagnostics.check_record`).
     checkpoint_dir:
         Where ``checkpoint`` nodes write their per-rank dumps; when
         ``None`` checkpoint nodes are no-ops (the in-process runners
@@ -84,7 +88,7 @@ class GraphExecutor:
         step_delays: Sequence[float] | None = None,
         stall_factor: float = STALL_FACTOR,
         stall_floor: float = STALL_FLOOR,
-        diag_algorithm: str = "tree",
+        diag_vmax: float = 0.0,
         checkpoint_dir=None,
     ) -> None:
         graph.validate()
@@ -93,7 +97,7 @@ class GraphExecutor:
         self.tracer = sim.tracer if tracer is None else tracer
         self.delay_fn = delay_fn
         self.step_delays = list(step_delays or [])
-        self.diag_algorithm = diag_algorithm
+        self.diag_vmax = diag_vmax
         self.checkpoint_dir = checkpoint_dir
         self.diagnostics: list = []
         self.stalls: list[StallEvent] = []
@@ -177,14 +181,13 @@ class GraphExecutor:
                        tid=self._tid[rank])
             sub.step += 1
         elif kind == "diag":
-            from ..distrib.diagnostics import serial_diagnostics
+            from ..distrib.diagnostics import check_record, serial_diagnostics
 
             t0 = tracer.begin()
-            rec = serial_diagnostics(
-                self.sim.subs, algorithm=self.diag_algorithm
-            )
+            rec = serial_diagnostics(self.sim.subs)
             tracer.end("collective:diag", t0, step=node.step)
             self.diagnostics.append(rec)
+            check_record(rec, self.diag_vmax)
         elif kind == "checkpoint":
             if self.checkpoint_dir is not None:
                 from ..distrib.dumpfile import dump_path, save_dump

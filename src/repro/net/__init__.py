@@ -2,20 +2,16 @@
 
 Length-prefixed socket frames, the shared-file port registry with flock
 (the paper's handshake), channel management with first-come-first-served
-``select`` receives, the socket-backed ghost exchanger, and the
-collective layer (barrier / broadcast / reduce / allreduce / allgather
-with tree and ring algorithms) that runs identically over TCP, UDP and
-the in-process fabric.
+``select`` receives, the socket-backed ghost exchanger, and the one
+collective — the small tree allreduce behind the in-flight diagnostics —
+that runs identically over TCP, UDP and the in-process fabric.
 """
 
 from .channels import ChannelError, ChannelSet
 from .collectives import (
     COLLECTIVE_PHASE,
-    DEFAULT_CHUNK_BYTES,
     REDUCE_OPS,
-    TOKEN_PHASE,
     Communicator,
-    build_schedule,
     collective_pattern,
     drive_all,
 )
@@ -39,12 +35,9 @@ __all__ = [
     "LocalFabric",
     "LocalChannelSet",
     "Communicator",
-    "build_schedule",
     "drive_all",
     "collective_pattern",
     "COLLECTIVE_PHASE",
-    "TOKEN_PHASE",
-    "DEFAULT_CHUNK_BYTES",
     "REDUCE_OPS",
     "PortRegistry",
     "SocketExchanger",

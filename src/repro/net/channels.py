@@ -189,10 +189,10 @@ class ChannelSet:
     def ensure_links(self, peers: Iterable[int], timeout: float = 30.0) -> None:
         """Open channels to non-neighbour peers on demand.
 
-        The collective layer talks along tree or ring edges that the
-        grid decomposition never created.  The handshake is the same as
-        :meth:`open` — the higher rank connects, the lower rank accepts
-        on its (still listening) socket — against the *current*
+        The collective allreduce talks along binomial-tree edges that
+        the grid decomposition never created.  The handshake is the
+        same as :meth:`open` — the higher rank connects, the lower rank
+        accepts on its (still listening) socket — against the *current*
         registry generation, so links re-establish lazily after a
         migration re-open.  Link sets are symmetric: both ends of an
         edge call this at the same point of the same collective

@@ -1,15 +1,17 @@
-"""Collective communication over the point-to-point machinery.
+"""The one collective: a small allreduce over the point-to-point links.
 
 The paper's processes only ever talk to their grid neighbours; any
 cluster-wide quantity (total mass, a NaN blow-up) is invisible until the
-dumps are reassembled after the run.  This module adds the primitive
-every modern distributed stack is built on: ``barrier``, ``broadcast``,
-``reduce``/``allreduce`` (sum/min/max) and ``allgather``, with both
-binomial-tree and ring algorithms.
+dumps are reassembled after the run.  The in-flight diagnostics
+(:mod:`repro.distrib.diagnostics`) need exactly one collective: an
+element-wise ``allreduce`` (sum or max) of a few float64s.
 
-Every collective is expressed exactly once, as a *schedule generator*
-yielding ``("send", peer, tag, payload)`` and ``("recv", peer, tag)``
-effects.  The same schedules are executed by three different drivers:
+It is a binomial-tree allgather — gather to rank 0, broadcast back —
+followed by a *rank-ordered* local fold, which makes the result
+bit-for-bit equal to the serial reduction and identical on every rank
+regardless of transport.  The allgather is written once, as a
+*schedule generator* yielding ``("send", peer, payload)`` and
+``("recv", peer)`` effects, and run by two drivers:
 
 * :class:`Communicator` blocks on a channel set — TCP
   (:class:`~repro.net.channels.ChannelSet`), UDP
@@ -17,25 +19,17 @@ effects.  The same schedules are executed by three different drivers:
   :class:`~repro.net.local.LocalChannelSet` — one driver per rank.
   Links to non-neighbour peers are established on demand through the
   shared-file :class:`~repro.net.portfile.PortRegistry` (the paper's
-  handshake, reused for the collective topology).
+  handshake, reused for the tree's edges).
 * :func:`drive_all` co-operatively interleaves all ranks' schedules in
-  a single thread — the backend of the serial runner's in-run
-  diagnostics.
-* :func:`collective_pattern` replays the schedules against a recording
-  driver, producing the exact ``(src, dst, nbytes)`` message list the
-  cluster simulator charges to its simulated Ethernet bus, extending
-  the paper's §6 communication accounting to collective traffic.
-
-Reductions of small payloads are an allgather followed by a
-*rank-ordered* local fold, which makes the result bit-for-bit equal to
-the serial reduction and identical on every rank regardless of
-algorithm and transport.  Payloads larger than ``chunk_bytes`` switch
-to combining algorithms (binomial-tree combine, ring
-reduce-scatter/allgather) and travel in bounded chunks.
+  a single thread; :func:`collective_pattern` records the exact
+  ``(src, dst, nbytes)`` message list with it, which the cluster
+  simulator charges to its simulated Ethernet bus, extending the
+  paper's §6 communication accounting to the diagnostics traffic.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from typing import Callable, Iterable, Mapping
 
@@ -45,11 +39,8 @@ from ..trace import NULL_TRACER
 
 __all__ = [
     "COLLECTIVE_PHASE",
-    "TOKEN_PHASE",
-    "DEFAULT_CHUNK_BYTES",
     "REDUCE_OPS",
     "Communicator",
-    "build_schedule",
     "drive_all",
     "collective_pattern",
 ]
@@ -60,20 +51,9 @@ __all__ = [
 #: receivers' out-of-order buffers.
 COLLECTIVE_PHASE = 251
 
-#: Wire ``phase`` tag of point-to-point tokens (the message-based
-#: save-turn path); keyed by integration step, so no counter state has
-#: to survive a migration.
-TOKEN_PHASE = 250
-
-#: Payload bytes above which reductions/broadcasts switch to chunked
-#: combining transfers.
-DEFAULT_CHUNK_BYTES = 1 << 18
-
-#: Reduction operators (applied element-wise, folded in rank order for
-#: small payloads).
+#: Reduction operators, applied element-wise and folded in rank order.
 REDUCE_OPS: Mapping[str, Callable] = {
     "sum": np.add,
-    "min": np.minimum,
     "max": np.maximum,
 }
 
@@ -98,192 +78,60 @@ def _unpack_blocks(data: bytes) -> list[bytes]:
 
 
 # ----------------------------------------------------------------------
-# schedule generators
+# the allgather schedule
 #
-# Effects: yield ("send", peer, tag, payload) to transmit, and
-# payload = yield ("recv", peer, tag) to receive.  ``tag`` is a small
-# integer disambiguating repeated messages between the same pair within
-# one operation (ring rounds); peers are absolute ranks.
+# Effects: yield ("send", peer, payload) to transmit, and
+# payload = yield ("recv", peer) to receive.  Within one allgather a
+# rank receives at most once from any peer (children in the gather are
+# higher ranks, the parent in the broadcast a lower one), so the peer
+# alone keys a message.
 # ----------------------------------------------------------------------
 
-def _gather_tree(rank: int, n: int, root: int, payload: bytes):
-    """Binomial-tree gather of (possibly unequal) payloads to ``root``.
+def _gather(rank: int, n: int, payload: bytes):
+    """Binomial-tree gather of (possibly unequal) payloads to rank 0.
 
-    Returns the list of payloads indexed by rank at the root, ``None``
+    Returns the list of payloads indexed by rank at rank 0, ``None``
     elsewhere.  Subtree contributions travel length-prefixed so the
     assembly is unambiguous for variable sizes.
     """
-    v = (rank - root) % n
-    blocks: dict[int, bytes] = {v: payload}
+    blocks: dict[int, bytes] = {rank: payload}
     mask = 1
     while mask < n:
-        if v & mask:
-            parent = ((v ^ mask) + root) % n
+        if rank & mask:
             data = _pack_blocks(blocks[k] for k in sorted(blocks))
-            yield ("send", parent, 0, data)
+            yield ("send", rank ^ mask, data)
             return None
-        child = v | mask
+        child = rank | mask
         if child < n:
-            size = min(mask, n - child)
-            data = yield ("recv", (child + root) % n, 0)
-            parts = _unpack_blocks(data)
-            if len(parts) != size:  # pragma: no cover - protocol guard
-                raise RuntimeError(
-                    f"gather subtree of {child} sent {len(parts)} blocks, "
-                    f"expected {size}"
-                )
+            parts = _unpack_blocks((yield ("recv", child)))
             for i, part in enumerate(parts):
                 blocks[child + i] = part
         mask <<= 1
-    return [blocks[(r - root) % n] for r in range(n)]
+    return [blocks[r] for r in range(n)]
 
 
-def _bcast_tree(rank: int, n: int, root: int, payload: bytes | None):
-    """Binomial-tree broadcast from ``root``; returns the payload."""
-    v = (rank - root) % n
-    if v:
-        low = v & -v
-        payload = yield ("recv", ((v - low) + root) % n, 0)
+def _broadcast(rank: int, n: int, payload: bytes | None):
+    """Binomial-tree broadcast from rank 0; returns the payload."""
+    if rank:
+        low = rank & -rank
+        payload = yield ("recv", rank - low)
     else:
         low = 1 << n.bit_length()
     mask = low >> 1
     while mask:
-        child = v | mask
-        if child != v and child < n:
-            yield ("send", (child + root) % n, 0, payload)
+        child = rank | mask
+        if child < n:
+            yield ("send", child, payload)
         mask >>= 1
     return payload
 
 
-def _allgather_tree(rank: int, n: int, root: int, payload: bytes):
-    """Gather to the root, then broadcast the packed result."""
-    blocks = yield from _gather_tree(rank, n, root, payload)
+def _allgather(rank: int, n: int, payload: bytes):
+    """Gather to rank 0, then broadcast the packed result."""
+    blocks = yield from _gather(rank, n, payload)
     packed = _pack_blocks(blocks) if blocks is not None else None
-    packed = yield from _bcast_tree(rank, n, root, packed)
+    packed = yield from _broadcast(rank, n, packed)
     return _unpack_blocks(packed)
-
-
-def _allgather_ring(rank: int, n: int, root: int, payload: bytes):
-    """Ring allgather: circulate every block ``n - 1`` hops."""
-    del root  # the ring has no distinguished rank
-    right = (rank + 1) % n
-    left = (rank - 1) % n
-    blocks: list[bytes | None] = [None] * n
-    blocks[rank] = payload
-    cur = payload
-    for k in range(n - 1):
-        yield ("send", right, k, cur)
-        cur = yield ("recv", left, k)
-        blocks[(rank - 1 - k) % n] = cur
-    return blocks
-
-
-def _bcast_ring(rank: int, n: int, root: int, payload: bytes | None):
-    """Chain broadcast around the ring (root -> root+1 -> ...)."""
-    v = (rank - root) % n
-    if v:
-        payload = yield ("recv", (rank - 1) % n, 0)
-    if v != n - 1:
-        yield ("send", (rank + 1) % n, 0, payload)
-    return payload
-
-
-def _reduce_tree_array(rank, n, root, arr: np.ndarray, op):
-    """Combining binomial-tree reduce of equal-shape float arrays.
-
-    Children are combined in ascending-offset order at every node; the
-    association differs from the serial fold, so results agree with it
-    only to rounding (the chunked-array tolerance).
-    """
-    v = (rank - root) % n
-    acc = arr
-    mask = 1
-    while mask < n:
-        if v & mask:
-            yield ("send", ((v ^ mask) + root) % n, 0,
-                   np.ascontiguousarray(acc).tobytes())
-            return None
-        child = v | mask
-        if child < n:
-            data = yield ("recv", (child + root) % n, 0)
-            other = np.frombuffer(data, arr.dtype).reshape(arr.shape)
-            acc = op(acc, other)
-        mask <<= 1
-    return np.asarray(acc, dtype=arr.dtype)
-
-
-def _allreduce_tree_array(rank, n, root, arr, op):
-    """Tree combine to the root, then tree broadcast of the result."""
-    acc = yield from _reduce_tree_array(rank, n, root, arr, op)
-    data = acc.tobytes() if acc is not None else None
-    data = yield from _bcast_tree(rank, n, root, data)
-    return np.frombuffer(data, arr.dtype).reshape(arr.shape)
-
-
-def _allreduce_ring_array(rank, n, root, arr: np.ndarray, op):
-    """Ring allreduce: reduce-scatter then allgather over n partitions."""
-    del root
-    flat = np.ascontiguousarray(arr).ravel()
-    bounds = np.linspace(0, flat.size, n + 1).astype(int)
-    part = lambda i: slice(bounds[i % n], bounds[i % n + 1])  # noqa: E731
-    buf = flat.copy()
-    right = (rank + 1) % n
-    left = (rank - 1) % n
-    for k in range(n - 1):
-        yield ("send", right, k, buf[part(rank - k)].tobytes())
-        data = yield ("recv", left, k)
-        sl = part(rank - 1 - k)
-        buf[sl] = op(buf[sl], np.frombuffer(data, flat.dtype))
-    for k in range(n - 1):
-        yield ("send", right, (n - 1) + k, buf[part(rank + 1 - k)].tobytes())
-        data = yield ("recv", left, (n - 1) + k)
-        buf[part(rank - k)] = np.frombuffer(data, flat.dtype)
-    return buf.reshape(arr.shape)
-
-
-_SCHEDULES = {
-    ("allgather", "tree"): _allgather_tree,
-    ("allgather", "ring"): _allgather_ring,
-    ("broadcast", "tree"): _bcast_tree,
-    ("broadcast", "ring"): _bcast_ring,
-    ("gather", "tree"): _gather_tree,
-    ("reduce_array", "tree"): _reduce_tree_array,
-    ("allreduce_array", "tree"): _allreduce_tree_array,
-    ("allreduce_array", "ring"): _allreduce_ring_array,
-}
-
-
-def build_schedule(
-    kind: str,
-    algorithm: str,
-    rank: int,
-    n: int,
-    payload,
-    root: int = 0,
-    op: Callable | None = None,
-):
-    """Build one rank's schedule generator for a collective.
-
-    ``kind`` is one of ``allgather``, ``broadcast``, ``gather``,
-    ``barrier``, ``reduce_array`` or ``allreduce_array``; ``algorithm``
-    is ``"tree"`` or ``"ring"``.  Array kinds take an ndarray payload
-    and a combining ``op``; the others take bytes.  ``barrier`` is an
-    allgather of empty payloads (every rank provably entered before any
-    rank leaves).  The ring has no gather/reduce-to-root form here —
-    small ring reductions go through allgather + local fold instead
-    (see :class:`Communicator`).
-    """
-    if kind == "barrier":
-        return _SCHEDULES[("allgather", algorithm)](rank, n, root, b"")
-    try:
-        fn = _SCHEDULES[(kind, algorithm)]
-    except KeyError:
-        raise ValueError(
-            f"no {algorithm!r} schedule for collective {kind!r}"
-        ) from None
-    if kind.endswith("_array"):
-        return fn(rank, n, root, payload, op)
-    return fn(rank, n, root, payload)
 
 
 # ----------------------------------------------------------------------
@@ -301,10 +149,9 @@ def drive_all(gens: Mapping[int, object], on_message=None) -> dict:
     traffic accounting).  Returns ``{rank: result}``.
     """
     mail: dict[int, dict] = {r: {} for r in gens}
-    waiting: dict[int, tuple] = {}
+    waiting: dict[int, int] = {}
     results: dict[int, object] = {}
     live = dict(gens)
-    started: set[int] = set()
     while live:
         progressed = False
         for rank in sorted(live):
@@ -312,32 +159,27 @@ def drive_all(gens: Mapping[int, object], on_message=None) -> dict:
             while True:
                 value = None
                 if rank in waiting:
-                    key = waiting[rank]
-                    if key not in mail[rank]:
+                    peer = waiting[rank]
+                    if peer not in mail[rank]:
                         break  # blocked: let another rank run
-                    value = mail[rank].pop(key)
+                    value = mail[rank].pop(peer)
                     del waiting[rank]
                 try:
-                    if rank in started:
-                        eff = gen.send(value)
-                    else:
-                        started.add(rank)
-                        eff = next(gen)
+                    # a fresh generator takes send(None) as next()
+                    eff = gen.send(value)
                 except StopIteration as stop:
                     results[rank] = stop.value
                     del live[rank]
                     progressed = True
                     break
                 if eff[0] == "send":
-                    _, peer, tag, data = eff
-                    mail[peer][(rank, tag)] = data
+                    _, peer, data = eff
+                    mail[peer][rank] = data
                     if on_message is not None:
                         on_message(rank, peer, len(data))
-                    progressed = True
                 else:
-                    _, peer, tag = eff
-                    waiting[rank] = (peer, tag)
-                    progressed = True
+                    waiting[rank] = eff[1]
+                progressed = True
         if not progressed:
             blocked = {r: waiting.get(r) for r in live}
             raise RuntimeError(
@@ -347,60 +189,18 @@ def drive_all(gens: Mapping[int, object], on_message=None) -> dict:
 
 
 def collective_pattern(
-    kind: str,
-    algorithm: str,
-    n_ranks: int,
-    nbytes: int,
-    root: int = 0,
-    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
+    n_ranks: int, nbytes: int
 ) -> list[tuple[int, int, int]]:
-    """Exact message list ``(src, dst, nbytes)`` of one collective.
+    """Exact message list ``(src, dst, nbytes)`` of one allreduce.
 
-    Replays the same schedule generators the live :class:`Communicator`
-    executes against a recording driver, in causal order — this is what
-    the cluster simulator charges to its simulated Ethernet bus.
-    ``reduce``/``allreduce`` of payloads up to ``chunk_bytes`` follow
-    the allgather-and-fold path; larger payloads follow the chunked
-    combining path.
+    ``nbytes`` is each rank's payload.  Replays the schedule
+    :meth:`Communicator.allreduce` executes against a recording driver,
+    in causal order — this is what the cluster simulator charges to its
+    simulated Ethernet bus.
     """
-    if n_ranks == 1:
-        return []
     msgs: list[tuple[int, int, int]] = []
-    record = lambda s, d, nb: msgs.append((s, d, nb))  # noqa: E731
-
-    def run(kind_, payloads, op=None):
-        gens = {
-            r: build_schedule(kind_, algorithm, r, n_ranks, payloads[r],
-                              root=root, op=op)
-            for r in range(n_ranks)
-        }
-        drive_all(gens, on_message=record)
-
-    if kind == "barrier":
-        run("barrier", [b""] * n_ranks)
-    elif kind == "allgather":
-        run("allgather", [b"\0" * nbytes] * n_ranks)
-    elif kind in ("broadcast", "reduce", "allreduce"):
-        n_el = max(1, nbytes // 8)
-        arr = np.zeros(n_el)
-        for lo in range(0, n_el, max(1, chunk_bytes // 8)):
-            seg = arr[lo : lo + max(1, chunk_bytes // 8)]
-            if kind == "broadcast":
-                run("broadcast", [
-                    seg.tobytes() if r == root else None
-                    for r in range(n_ranks)
-                ])
-            elif nbytes <= chunk_bytes:
-                # allgather + local fold (no further messages)
-                sched = "allgather" if (kind == "allreduce"
-                                        or algorithm == "ring") else "gather"
-                run(sched, [seg.tobytes()] * n_ranks)
-            else:
-                sched = ("allreduce_array" if kind == "allreduce"
-                         or algorithm == "ring" else "reduce_array")
-                run(sched, [seg.copy() for _ in range(n_ranks)], op=np.add)
-    else:
-        raise ValueError(f"unknown collective kind {kind!r}")
+    gens = {r: _allgather(r, n_ranks, bytes(nbytes)) for r in range(n_ranks)}
+    drive_all(gens, on_message=lambda s, d, nb: msgs.append((s, d, nb)))
     return msgs
 
 
@@ -409,14 +209,14 @@ def collective_pattern(
 # ----------------------------------------------------------------------
 
 class Communicator:
-    """Collectives for one rank over a point-to-point channel set.
+    """The allreduce for one rank over a point-to-point channel set.
 
     ``channels`` is anything with the ``send_data``/``recv_data``/
     ``has_link``/``ensure_links`` interface (TCP, UDP, or in-process).
     Every rank of the group must execute the same sequence of
-    collective operations; frames are keyed by an operation sequence
-    number carried in the wire header's ``step`` field.  Workers that
-    can migrate pin ``seq`` to a function of the integration step (see
+    allreduces; frames are keyed by an operation sequence number
+    carried in the wire header's ``step`` field.  Workers that can
+    migrate pin ``seq`` to a function of the integration step (see
     :mod:`repro.distrib.diagnostics`) so a restarted rank stays in
     lockstep with the survivors.
     """
@@ -426,37 +226,30 @@ class Communicator:
         channels,
         rank: int,
         n_ranks: int,
-        algorithm: str = "tree",
-        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
         timeout: float = 60.0,
         link_timeout: float = 30.0,
         tracer=NULL_TRACER,
     ) -> None:
-        if algorithm not in ("tree", "ring"):
-            raise ValueError(f"unknown algorithm {algorithm!r}")
         if not 0 <= rank < n_ranks:
             raise ValueError(f"rank {rank} outside group of {n_ranks}")
         self.channels = channels
         self.rank = rank
         self.n = n_ranks
-        self.algorithm = algorithm
-        self.chunk_bytes = chunk_bytes
         self.timeout = timeout
         self.link_timeout = link_timeout
-        #: span tracer; each public collective records one
-        #: ``collective:<kind>`` span per schedule driven
+        #: span tracer; each allreduce records one
+        #: ``collective:allreduce`` span
         self.tracer = tracer
         #: sequence number of the next collective operation; assignable
         #: (workers pin it to the integration step before each sync
         #: point so it survives migration).
         self.seq = 0
 
-    # -- plumbing ------------------------------------------------------
     def _ensure(self, peer: int) -> None:
         if not self.channels.has_link(peer):
             self.channels.ensure_links({peer}, timeout=self.link_timeout)
 
-    def _drive(self, gen, name: str = "collective:op"):
+    def _drive(self, gen, name: str):
         """Execute one schedule generator against the channel set."""
         seq = self.seq
         self.seq += 1
@@ -464,18 +257,16 @@ class Communicator:
         try:
             eff = next(gen)
             while True:
+                peer = eff[1]
+                self._ensure(peer)
                 if eff[0] == "send":
-                    _, peer, tag, data = eff
-                    self._ensure(peer)
                     self.channels.send_data(
-                        peer, data, step=seq, phase=COLLECTIVE_PHASE,
-                        axis=tag, side=0,
+                        peer, eff[2], step=seq, phase=COLLECTIVE_PHASE,
+                        axis=0, side=0,
                     )
                     eff = gen.send(None)
                 else:
-                    _, peer, tag = eff
-                    self._ensure(peer)
-                    key = (seq, COLLECTIVE_PHASE, tag, 0, peer)
+                    key = (seq, COLLECTIVE_PHASE, 0, 0, peer)
                     got = self.channels.recv_data(
                         {key}, timeout=self.timeout
                     )
@@ -485,171 +276,24 @@ class Communicator:
         finally:
             self.tracer.end(name, t0)
 
-    def _schedule(self, kind, payload, root=0, op=None):
-        return build_schedule(
-            kind, self.algorithm, self.rank, self.n, payload,
-            root=root, op=op,
-        )
-
-    @staticmethod
-    def _fold(parts: list[np.ndarray], op: Callable) -> np.ndarray:
-        """Rank-ordered serial fold — the bit-for-bit reference order."""
-        out = parts[0]
-        for p in parts[1:]:
-            out = op(out, p)
-        return out
-
-    def _segments(self, flat: np.ndarray):
-        step = max(1, self.chunk_bytes // flat.itemsize)
-        for lo in range(0, flat.size, step):
-            yield flat[lo : lo + step]
-
-    # -- collectives ---------------------------------------------------
-    def barrier(self) -> None:
-        """Block until every rank of the group has entered."""
-        if self.n == 1:
-            return
-        self._drive(self._schedule("barrier", b""), "barrier:all")
-
-    def broadcast(self, value=None, root: int = 0) -> np.ndarray:
-        """Distribute the root's float64 array to every rank.
-
-        Non-root ranks pass ``None`` (any value they pass is ignored)
-        and receive an array shaped like the root's.  Large arrays are
-        chunked; the shape travels ahead of the data.
-        """
-        if self.rank == root:
-            arr = np.asarray(value, dtype=np.float64)
-            header = _pack_blocks(
-                [np.asarray(arr.shape, dtype=np.int64).tobytes()]
-            )
-        else:
-            arr = None
-            header = None
-        header = self._drive(self._schedule("broadcast", header, root=root),
-                             "collective:broadcast")
-        shape = tuple(np.frombuffer(_unpack_blocks(header)[0], np.int64))
-        if arr is None:
-            arr = np.empty(shape)
-        flat = arr.ravel()
-        out = []
-        for seg in self._segments(flat):
-            data = seg.tobytes() if self.rank == root else None
-            data = self._drive(self._schedule("broadcast", data, root=root),
-                               "collective:broadcast")
-            out.append(np.frombuffer(data, np.float64))
-        if not out:
-            return np.empty(shape)
-        return np.concatenate(out).reshape(shape)
-
-    def allgather(self, value) -> list[np.ndarray]:
-        """Every rank's float64 array, as a list indexed by rank.
-
-        Contributions may differ in size; each comes back 1-D unless
-        all ranks contributed the local shape (scalars stay scalars).
-        """
-        arr = np.asarray(value, dtype=np.float64)
-        if self.n == 1:
-            return [arr.copy()]
-        blocks = self._drive(self._schedule("allgather", arr.tobytes()),
-                             "collective:allgather")
-        out = []
-        for b in blocks:
-            a = np.frombuffer(b, np.float64)
-            out.append(a.reshape(arr.shape) if a.size == arr.size else a)
-        return out
-
-    def reduce(self, value, op: str = "sum", root: int = 0):
-        """Element-wise reduction to the root; ``None`` elsewhere.
-
-        Small payloads are gathered (tree) or allgathered (ring) and
-        folded in rank order at the root — bit-for-bit the serial
-        reduction.  Large arrays use the combining algorithms.
-        """
-        ufunc = REDUCE_OPS[op]
-        arr = np.asarray(value, dtype=np.float64)
-        scalar = np.ndim(value) == 0
-        if self.n == 1:
-            out = arr.copy()
-            return float(out) if scalar else out
-        if arr.nbytes <= self.chunk_bytes:
-            if self.algorithm == "tree":
-                blocks = self._drive(
-                    self._schedule("gather", arr.tobytes(), root=root),
-                    "collective:reduce",
-                )
-            else:
-                blocks = self._drive(
-                    self._schedule("allgather", arr.tobytes()),
-                    "collective:reduce",
-                )
-                if self.rank != root:
-                    return None
-            if blocks is None:
-                return None
-            parts = [np.frombuffer(b, np.float64).reshape(arr.shape)
-                     for b in blocks]
-            out = self._fold(parts, ufunc)
-            return float(out) if scalar else out
-        pieces = []
-        for seg in self._segments(arr.ravel()):
-            kind = ("reduce_array" if self.algorithm == "tree"
-                    else "allreduce_array")
-            res = self._drive(self._schedule(kind, seg, root=root, op=ufunc),
-                              "collective:reduce")
-            if self.rank == root:
-                pieces.append(np.asarray(res).ravel())
-        if self.rank != root:
-            return None
-        return np.concatenate(pieces).reshape(arr.shape)
-
     def allreduce(self, value, op: str = "sum"):
-        """Element-wise reduction, result on every rank.
+        """Element-wise ``sum`` or ``max`` of a float64 value, on every rank.
 
-        Small payloads: allgather + rank-ordered fold — bit-for-bit the
-        serial reduction, identical on every rank under either
-        algorithm and any transport.  Large arrays: chunked combining
-        (tree combine + broadcast, or ring reduce-scatter/allgather),
-        equal across ranks but only rounding-close to the serial fold.
+        Allgather + rank-ordered fold: bit-for-bit the serial reduction,
+        identical on every rank under any transport.  Scalars come back
+        as ``float``, arrays in the contributed shape.
         """
         ufunc = REDUCE_OPS[op]
         arr = np.asarray(value, dtype=np.float64)
-        scalar = np.ndim(value) == 0
         if self.n == 1:
             out = arr.copy()
-            return float(out) if scalar else out
-        if arr.nbytes <= self.chunk_bytes:
-            blocks = self._drive(self._schedule("allgather", arr.tobytes()),
-                                 "collective:allreduce")
-            parts = [np.frombuffer(b, np.float64).reshape(arr.shape)
-                     for b in blocks]
-            out = self._fold(parts, ufunc)
-            return float(out) if scalar else out
-        pieces = [
-            np.asarray(
-                self._drive(self._schedule("allreduce_array", seg,
-                                           op=ufunc),
-                            "collective:allreduce")
-            ).ravel()
-            for seg in self._segments(arr.ravel())
-        ]
-        return np.concatenate(pieces).reshape(arr.shape)
-
-    # -- point-to-point tokens (message-based save turns) --------------
-    def send_token(self, to: int, step: int, payload: bytes = b"") -> None:
-        """Send a step-keyed token to one peer (no sequence state)."""
-        t0 = self.tracer.begin()
-        self._ensure(to)
-        self.channels.send_data(
-            to, payload, step=step, phase=TOKEN_PHASE, axis=0, side=0
-        )
-        self.tracer.end("token:send", t0, step=step)
-
-    def recv_token(self, frm: int, step: int) -> bytes:
-        """Receive the step-keyed token from one peer."""
-        t0 = self.tracer.begin()
-        self._ensure(frm)
-        key = (step, TOKEN_PHASE, 0, 0, frm)
-        out = self.channels.recv_data({key}, timeout=self.timeout)[key]
-        self.tracer.end("token:recv", t0, step=step)
-        return out
+        else:
+            blocks = self._drive(
+                _allgather(self.rank, self.n, arr.tobytes()),
+                "collective:allreduce",
+            )
+            out = functools.reduce(ufunc, (
+                np.frombuffer(b, np.float64).reshape(arr.shape)
+                for b in blocks
+            ))
+        return float(out) if arr.ndim == 0 else out

@@ -1,15 +1,14 @@
 """In-process message fabric with the channel-set interface.
 
-The serial and threaded runners have no sockets, yet the collective
-schedules (:mod:`repro.net.collectives`) want something that looks like
-a :class:`~repro.net.channels.ChannelSet`.  :class:`LocalFabric` is a
-set of per-rank mailboxes behind one lock; :class:`LocalChannelSet` is
-one rank's blocking view of it, call-compatible with the TCP and UDP
-channel sets for everything the collectives need (``send_data`` /
-``recv_data`` / ``has_link`` / ``ensure_links``).  The threaded runner
-gives each worker thread its own :class:`LocalChannelSet`; the serial
-runner bypasses blocking entirely and interleaves schedules with
-:func:`~repro.net.collectives.drive_all`.
+:class:`LocalFabric` is a set of per-rank mailboxes behind one lock;
+:class:`LocalChannelSet` is one rank's blocking view of it,
+call-compatible with the TCP and UDP channel sets (``send_data`` /
+``recv_data`` / ``has_link`` / ``ensure_links``).  Threads holding one
+view each can drive a :class:`~repro.net.transport.SocketExchanger` or
+a :class:`~repro.net.collectives.Communicator` without sockets — the
+socket-free transport of the exchange micro-benchmarks and of the
+collective's tests.  The in-process runners do not use it: they reduce
+their diagnostics by folding every subregion's partials directly.
 """
 
 from __future__ import annotations

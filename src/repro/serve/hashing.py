@@ -30,7 +30,6 @@ PHYSICAL_KNOBS = (
     "steps",
     "diag_every",
     "diag_vmax",
-    "diag_algorithm",
     "nan_step",
     "nan_rank",
     "fault_plan",
@@ -40,7 +39,7 @@ PHYSICAL_KNOBS = (
 
 #: Bump when the canonical form itself changes, so stale cache entries
 #: from an older layout can never satisfy a new request.
-_CANON_VERSION = 1
+_CANON_VERSION = 2
 
 
 def _canonical_spec(spec) -> dict:

@@ -204,7 +204,7 @@ def _chaos_rows(outcomes) -> list[list]:
             o.scenario, o.seed,
             o.outcome + ("" if o.passed else " <- FAIL"),
             o.restarts, o.migrations,
-            f"{o.elapsed:.1f} s", f"{o.recovery_seconds:.1f} s",
+            f"{o.elapsed:.1f} s",
             f"{o.steps_per_second:.1f}",
         ])
     return rows
@@ -252,7 +252,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     )
     print(format_table(
         ["scenario", "seed", "outcome", "restarts", "migrations",
-         "elapsed", "recovery", "steps/s"],
+         "elapsed", "steps/s"],
         _chaos_rows([outcome]),
         title=f"chaos run in {workdir}",
     ))

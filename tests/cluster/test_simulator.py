@@ -245,8 +245,8 @@ class TestEq12Identity:
 
 
 class TestCollectiveCosting:
-    """In-flight diagnostics charged to the simulated bus (the PR's
-    tree- vs ring-collective traffic patterns)."""
+    """In-flight diagnostics charged to the simulated bus (the tree
+    allreduce's traffic pattern)."""
 
     def _sim(self, **kw):
         return ClusterSimulation("lb", 2, (2, 2), 50,
@@ -258,14 +258,12 @@ class TestCollectiveCosting:
         assert r.collective_bytes == 0
         assert r.collective_time == 0.0
 
-    @pytest.mark.parametrize("algorithm", ["tree", "ring"])
-    def test_message_counts_match_pattern(self, algorithm):
+    def test_message_counts_match_pattern(self):
         from repro.net import collective_pattern
 
-        pattern = 2 * collective_pattern("allreduce", algorithm, 4, 16)
+        pattern = 2 * collective_pattern(4, 16)
         base = self._sim().run(steps=20)
-        r = self._sim(diag_every=5, collective_algorithm=algorithm)\
-            .run(steps=20)
+        r = self._sim(diag_every=5).run(steps=20)
         checks = 20 // 5
         assert r.collective_messages == len(pattern) * checks
         assert r.collective_bytes == \
@@ -278,16 +276,6 @@ class TestCollectiveCosting:
         assert r.collective_time > 0.0
         assert r.elapsed > base.elapsed
 
-    def test_tree_cheaper_than_ring(self):
-        """The binomial tree moves fewer frames than the ring for a
-        4-rank small-payload allreduce, so it costs less bus time."""
-        tree = self._sim(diag_every=5, collective_algorithm="tree")\
-            .run(steps=20)
-        ring = self._sim(diag_every=5, collective_algorithm="ring")\
-            .run(steps=20)
-        assert tree.collective_messages < ring.collective_messages
-        assert tree.collective_time < ring.collective_time
-
     def test_denser_checks_cost_more(self):
         sparse = self._sim(diag_every=10).run(steps=20)
         dense = self._sim(diag_every=2).run(steps=20)
@@ -297,10 +285,6 @@ class TestCollectiveCosting:
     def test_loose_sync_rejected(self):
         with pytest.raises(ValueError, match="loose"):
             self._sim(sync_mode="loose", diag_every=5)
-
-    def test_unknown_algorithm_rejected(self):
-        with pytest.raises(ValueError, match="collective algorithm"):
-            self._sim(collective_algorithm="hypercube")
 
     def test_determinism_with_diagnostics(self):
         a = self._sim(diag_every=5).run(steps=20)

@@ -122,15 +122,14 @@ class TestPartials:
         assert folded[:2].tobytes() == s.tobytes()
         assert folded[2] == 0.3
 
-    @pytest.mark.parametrize("algorithm", ["tree", "ring"])
-    def test_serial_diagnostics_decomposition_invariant(self, algorithm):
+    def test_serial_diagnostics_decomposition_invariant(self):
         """The reduced record is identical however the domain is cut."""
         sim1, _, _ = _small_sim(blocks=(1, 1))
         sim4, _, _ = _small_sim(blocks=(2, 2))
         sim1.step(4)
         sim4.step(4)
-        r1 = serial_diagnostics(sim1.subs, algorithm=algorithm)
-        r4 = serial_diagnostics(sim4.subs, algorithm=algorithm)
+        r1 = serial_diagnostics(sim1.subs)
+        r4 = serial_diagnostics(sim4.subs)
         # same fold shape: one partial vs four folded in rank order —
         # the parallel-equivalence suite guarantees the fields agree
         # bitwise; diagnostics sums may differ only by fold order, which
@@ -153,7 +152,7 @@ class TestPartials:
 # ----------------------------------------------------------------------
 # GlobalDiagnostics over the in-process backend (threads)
 # ----------------------------------------------------------------------
-def _run_diags(subs, every=1, vmax=0.0, log=None, algorithm="tree"):
+def _run_diags(subs, every=1, vmax=0.0, log=None):
     """One GlobalDiagnostics.check per sub, threaded; returns results
     (DiagRecord or the raised DiagnosticsFailure) by rank."""
     n = len(subs)
@@ -161,7 +160,7 @@ def _run_diags(subs, every=1, vmax=0.0, log=None, algorithm="tree"):
     out = [None] * n
 
     def run(r):
-        comm = Communicator(fabric.channel_set(r), r, n, algorithm=algorithm)
+        comm = Communicator(fabric.channel_set(r), r, n)
         diag = GlobalDiagnostics(comm, every=every, vmax=vmax,
                                  log=log if r == 0 else None)
         try:
@@ -240,8 +239,8 @@ class TestGlobalDiagnostics:
 
 class TestThreadedRunnerDiagnostics:
     def test_threaded_stream_matches_serial(self):
-        """ThreadedSimulation's collected records equal the serial
-        runner's global_diagnostics at the same steps, bit for bit."""
+        """ThreadedSimulation's global_diagnostics equal the serial
+        runner's at the same steps, bit for bit."""
         shape, blocks = (16, 12), (2, 2)
         rng = np.random.default_rng(9)
         params = FluidParams.lattice(2, nu=0.1, gravity=(1e-5, 0.0),
@@ -252,21 +251,19 @@ class TestThreadedRunnerDiagnostics:
             "v": np.zeros(shape),
         }
         d = Decomposition(shape, blocks, periodic=(True, False))
-        tsim = ThreadedSimulation(LBMethod(params, 2), d, fields,
-                                  diag_every=4)
         ssim = Simulation(LBMethod(params, 2),
                           Decomposition(shape, blocks,
                                         periodic=(True, False)), fields)
-        tsim.step(12)
-        refs = []
-        for _ in range(3):
-            ssim.step(4)
-            refs.append(ssim.global_diagnostics())
-        assert [r.step for r in tsim.diagnostics] == [4, 8, 12]
-        for got, ref in zip(tsim.diagnostics, refs):
-            assert got.total_mass == ref.total_mass
-            assert got.kinetic_energy == ref.kinetic_energy
-            assert got.max_speed == ref.max_speed
+        with ThreadedSimulation(LBMethod(params, 2), d, fields) as tsim:
+            for step in (4, 8, 12):
+                tsim.step(4)
+                ssim.step(4)
+                got = tsim.global_diagnostics()
+                ref = ssim.global_diagnostics()
+                assert got.step == ref.step == step
+                assert got.total_mass == ref.total_mass
+                assert got.kinetic_energy == ref.kinetic_energy
+                assert got.max_speed == ref.max_speed
 
 
 # ----------------------------------------------------------------------
@@ -281,6 +278,20 @@ def _spec(blocks=(2, 2)):
         params={"nu": 0.1, "gravity": (1e-5, 0.0), "filter_eps": 0.02},
         geometry={"kind": "channel"},
     )
+
+
+def _assert_serial_stream(spec, fields, recs, every):
+    """``recs`` are bit-for-bit the serial runner's records."""
+    solid, _, _ = spec.build_geometry()
+    d = Decomposition(spec.grid_shape, spec.blocks,
+                      periodic=spec.periodic, solid=solid)
+    sim = Simulation(spec.build_method(), d, fields, solid)
+    for rec in recs:
+        sim.step(every)
+        ref = sim.global_diagnostics()
+        assert rec.total_mass == ref.total_mass
+        assert rec.kinetic_energy == ref.kinetic_energy
+        assert rec.max_speed == ref.max_speed
 
 
 @pytest.mark.slow
@@ -298,17 +309,7 @@ class TestDistributedDiagnostics:
         log = DiagnosticsLog.for_workdir(tmp_path / "run")
         recs = log.read()
         assert [r.step for r in recs] == [10, 20]
-
-        solid, _, _ = spec.build_geometry()
-        d = Decomposition(spec.grid_shape, spec.blocks,
-                          periodic=spec.periodic, solid=solid)
-        sim = Simulation(spec.build_method(), d, fields, solid)
-        for rec in recs:
-            sim.step(10)
-            ref = sim.global_diagnostics()
-            assert rec.total_mass == ref.total_mass
-            assert rec.kinetic_energy == ref.kinetic_energy
-            assert rec.max_speed == ref.max_speed
+        _assert_serial_stream(spec, fields, recs, 10)
 
     def test_nan_aborts_diagnosed_within_2n(self, tmp_path):
         """The acceptance criterion: a NaN injected at step 12 on rank 1
@@ -339,8 +340,8 @@ class TestDistributedDiagnostics:
         assert failure["record"]["step"] <= nan_step + 2 * every
 
     def test_diagnostics_over_udp_with_loss(self, tmp_path):
-        """The diagnostic collectives survive the lossy datagram
-        transport (acks + retransmission underneath)."""
+        """The diagnostic collective survives the lossy datagram
+        transport (acks + retransmission underneath), bit for bit."""
         spec = _spec()
         fields = initial_fields(spec, "rest")
         out = run_distributed(
@@ -351,42 +352,4 @@ class TestDistributedDiagnostics:
         assert "rho" in out
         recs = DiagnosticsLog.for_workdir(tmp_path / "run").read()
         assert [r.step for r in recs] == [10, 20]
-
-    @pytest.mark.parametrize("algorithm", ["tree", "ring"])
-    def test_ring_and_tree_equal_streams(self, tmp_path, algorithm):
-        spec = _spec()
-        fields = initial_fields(spec, "rest")
-        run_distributed(
-            spec, fields, tmp_path / "run",
-            RunSettings(steps=10, diag_every=5, diag_algorithm=algorithm),
-        )
-        recs = DiagnosticsLog.for_workdir(tmp_path / "run").read()
-        assert [r.step for r in recs] == [5, 10]
-
-    def test_message_save_barrier(self, tmp_path):
-        """Checkpoint coordination by token passing instead of the
-        App. B shared files — same checkpoints, same answer."""
-        spec = _spec(blocks=(2, 1))
-        fields = initial_fields(spec, "rest")
-
-        solid, _, _ = spec.build_geometry()
-        d = Decomposition(spec.grid_shape, (1, 1),
-                          periodic=spec.periodic, solid=solid)
-        serial = Simulation(spec.build_method(), d, fields, solid)
-        serial.step(30)
-
-        out = run_distributed(
-            spec, fields, tmp_path / "run",
-            RunSettings(steps=30, save_every=10, save_barrier="message",
-                        run_timeout=240),
-        )
-        for name in serial.method.field_names:
-            assert np.array_equal(out[name],
-                                  serial.global_field(name)), name
-        dumps = sorted(p.name
-                       for p in (tmp_path / "run" / "dumps").iterdir())
-        assert "ckpt000000010_rank0000.npz" in dumps
-        assert "ckpt000000020_rank0001.npz" in dumps
-        from repro.distrib import SaveTurns
-
-        assert SaveTurns.latest_complete_step(tmp_path / "run") == 30
+        _assert_serial_stream(spec, fields, recs, 10)

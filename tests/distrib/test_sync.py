@@ -186,58 +186,3 @@ class TestMalformedRecords:
             _warnings.simplefilter("error")
             assert sf.wait_sync_step(1, timeout=1.0) == 4
 
-
-class TestMessageSaveTurns:
-    """The token-passing save barrier (satellite of the collectives PR)."""
-
-    def test_rank_ordered_saving(self, tmp_path):
-        import numpy as np  # noqa: F401
-
-        from repro.distrib import MessageSaveTurns
-        from repro.net import Communicator, LocalFabric
-
-        n = 4
-        fabric = LocalFabric(n)
-        order = []
-        lock = threading.Lock()
-        errors = []
-
-        def saver(rank):
-            comm = Communicator(fabric.channel_set(rank), rank, n)
-            turns = MessageSaveTurns(comm, tmp_path, step=20)
-            try:
-                turns.wait_turn(rank, timeout=10.0)
-                with lock:
-                    order.append(rank)
-                turns.finish_turn(rank, n)
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=saver, args=(r,))
-            for r in reversed(range(n))
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors, errors
-        assert order == list(range(n))
-        assert SaveTurns.latest_complete_step(tmp_path) == 20
-
-    def test_marker_only_after_last(self, tmp_path):
-        from repro.distrib import MessageSaveTurns
-        from repro.net import Communicator, LocalFabric
-
-        fabric = LocalFabric(2)
-        c0 = Communicator(fabric.channel_set(0), 0, 2)
-        turns0 = MessageSaveTurns(c0, tmp_path, step=7)
-        turns0.wait_turn(0)
-        turns0.finish_turn(0, 2)
-        assert SaveTurns.latest_complete_step(tmp_path) is None
-
-        c1 = Communicator(fabric.channel_set(1), 1, 2)
-        turns1 = MessageSaveTurns(c1, tmp_path, step=7)
-        turns1.wait_turn(1, timeout=5.0)
-        turns1.finish_turn(1, 2)
-        assert SaveTurns.latest_complete_step(tmp_path) == 7

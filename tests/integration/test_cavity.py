@@ -36,34 +36,41 @@ def _cavity(n=32, u_lid=0.05, nu=0.1, blocks=(2, 2)):
               "v": np.zeros(shape)}
     d = Decomposition(shape, blocks, periodic=(False, False), solid=solid)
     return ThreadedSimulation(LBMethod(params, 2, inlets=[lid]), d,
-                              fields, solid, diag_every=DIAG_EVERY)
+                              fields, solid)
 
 
 def _run_to_steady_state(sim, max_steps=6000):
-    """Step until the diagnostics stream reports KE steady state."""
+    """Step until the diagnostics stream reports KE steady state.
+
+    Returns the steady record (``None`` if the budget ran out) and the
+    whole stream, one record per ``DIAG_EVERY`` steps.
+    """
     prev_ke = None
-    while sim.step_count < max_steps:
-        sim.step(DIAG_EVERY)
-        rec = sim.diagnostics[-1]
-        if prev_ke is not None and rec.kinetic_energy > 0:
-            rel = abs(rec.kinetic_energy - prev_ke) / rec.kinetic_energy
-            if rel < KE_TOL:
-                return rec
-        prev_ke = rec.kinetic_energy
-    return None
+    stream = []
+    with sim:
+        while sim.step_count < max_steps:
+            sim.step(DIAG_EVERY)
+            rec = sim.global_diagnostics()
+            stream.append(rec)
+            if prev_ke is not None and rec.kinetic_energy > 0:
+                rel = abs(rec.kinetic_energy - prev_ke) / rec.kinetic_energy
+                if rel < KE_TOL:
+                    return rec, stream
+            prev_ke = rec.kinetic_energy
+    return None, stream
 
 
 def test_cavity_converges_early_via_diagnostics():
     n, u_lid = 32, 0.05
     sim = _cavity(n=n, u_lid=u_lid)
-    steady = _run_to_steady_state(sim, max_steps=6000)
+    steady, stream = _run_to_steady_state(sim, max_steps=6000)
 
     # the stream detected steady state well before the step budget
     assert steady is not None, "cavity never reached KE steady state"
     assert sim.step_count < 6000
     assert steady.step == sim.step_count
     # one record per DIAG_EVERY steps, none skipped
-    assert [r.step for r in sim.diagnostics] == \
+    assert [r.step for r in stream] == \
         list(range(DIAG_EVERY, sim.step_count + 1, DIAG_EVERY))
 
     # the run stayed physical throughout: finite, subsonic
@@ -89,7 +96,7 @@ def test_cavity_decomposition_invariant():
     recs = {}
     for blocks in ((1, 1), (2, 2)):
         sim = _cavity(blocks=blocks)
-        rec = _run_to_steady_state(sim)
+        rec, _ = _run_to_steady_state(sim)
         assert rec is not None
         recs[blocks] = rec
     a, b = recs[(1, 1)], recs[(2, 2)]

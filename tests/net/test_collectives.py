@@ -1,9 +1,9 @@
-"""Collectives: schedule correctness, determinism, and all three backends.
+"""The allreduce: bitwise against the serial fold on every transport.
 
-The ISSUE acceptance bar: allreduce(sum/max) across 2-8 ranks matches the
-serial reduction bit-for-bit for float64 scalars — and to <= 1e-12 for
-chunked arrays — under TCP, UDP with loss injection, and the in-process
-backend, for both the binomial-tree and ring algorithms.
+allreduce(sum/max) of float64 scalars and 2-vectors across 2-8 ranks
+matches the rank-ordered serial reduction bit-for-bit under TCP, UDP
+with loss injection, and the in-process backend; its recorded message
+pattern is the binomial tree's.
 """
 
 import functools
@@ -19,14 +19,10 @@ from repro.net import (
     LocalFabric,
     PortRegistry,
     UdpChannelSet,
-    build_schedule,
     collective_pattern,
-    drive_all,
 )
 
 UDP_LOSS = float(os.environ.get("REPRO_UDP_LOSS", "0.05"))
-
-ALGORITHMS = ("tree", "ring")
 
 
 def _serial_fold(parts, ufunc):
@@ -35,60 +31,25 @@ def _serial_fold(parts, ufunc):
 
 
 # ----------------------------------------------------------------------
-# pure schedules (no sockets, no threads): drive_all round-robin
+# the recorded pattern the cluster simulator charges
 # ----------------------------------------------------------------------
 class TestSchedules:
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
-    def test_allgather(self, algorithm, n):
-        payloads = [f"rank{r}".encode() for r in range(n)]
-        gens = {
-            r: build_schedule("allgather", algorithm, r, n, payloads[r])
-            for r in range(n)
-        }
-        results = drive_all(gens)
-        for r in range(n):
-            assert results[r] == payloads
-
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    @pytest.mark.parametrize("root", [0, 2])
-    def test_broadcast(self, algorithm, root):
-        n = 5
-        gens = {
-            r: build_schedule(
-                "broadcast", algorithm, r, n,
-                b"the word" if r == root else None, root=root,
-            )
-            for r in range(n)
-        }
-        results = drive_all(gens)
-        assert all(results[r] == b"the word" for r in range(n))
-
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_barrier_completes(self, algorithm):
-        n = 6
-        gens = {
-            r: build_schedule("barrier", algorithm, r, n, b"")
-            for r in range(n)
-        }
-        drive_all(gens)  # must not deadlock
-
     def test_pattern_counts_tree(self):
         # binomial tree: n-1 up + n-1 down for an allreduce of a small
         # payload (gather + broadcast)
-        msgs = collective_pattern("allreduce", "tree", 4, 16)
+        msgs = collective_pattern(4, 16)
         assert len(msgs) == 6
         assert all(nbytes >= 16 for _, _, nbytes in msgs)
-
-    def test_pattern_counts_ring(self):
-        # ring allgather: (n-1) rounds of n messages for the gather,
-        # then the fold is local — 12 messages at n = 4
-        msgs = collective_pattern("allreduce", "ring", 4, 16)
-        assert len(msgs) == 12
+        # gathered subtrees grow towards the root; the broadcast carries
+        # all four payloads
+        assert sorted((s, d) for s, d, _ in msgs[:3]) == \
+            [(1, 0), (2, 0), (3, 2)]
+        assert all(s < d for s, d, _ in msgs[3:])
+        assert collective_pattern(1, 16) == []
 
     def test_pattern_is_deterministic(self):
-        a = collective_pattern("allreduce", "tree", 8, 64)
-        b = collective_pattern("allreduce", "tree", 8, 64)
+        a = collective_pattern(8, 64)
+        b = collective_pattern(8, 64)
         assert a == b
 
 
@@ -115,24 +76,18 @@ def _run_ranks(n, fn):
     return results
 
 
-def _with_comms(backend, n, tmp_path, algorithm, fn, chunk_bytes=1 << 18):
+def _with_comms(backend, n, tmp_path, fn):
     """Call ``fn(comm)`` per rank over the requested transport.
 
     TCP and UDP ranks start with only their ring neighbours connected —
-    tree collectives must establish the missing links on demand through
-    the port registry.
+    the tree must establish the missing links on demand through the
+    port registry.
     """
     if backend == "local":
         fabric = LocalFabric(n)
-
-        def worker(r):
-            comm = Communicator(
-                fabric.channel_set(r), r, n,
-                algorithm=algorithm, chunk_bytes=chunk_bytes,
-            )
-            return fn(comm)
-
-        return _run_ranks(n, worker)
+        return _run_ranks(
+            n, lambda r: fn(Communicator(fabric.channel_set(r), r, n))
+        )
 
     reg = PortRegistry(tmp_path / "ports.txt")
 
@@ -147,10 +102,7 @@ def _with_comms(backend, n, tmp_path, algorithm, fn, chunk_bytes=1 << 18):
             )
         cs.open(0, timeout=15.0)
         try:
-            comm = Communicator(
-                cs, r, n, algorithm=algorithm,
-                chunk_bytes=chunk_bytes, timeout=60.0, link_timeout=15.0,
-            )
+            comm = Communicator(cs, r, n, timeout=60.0, link_timeout=15.0)
             return fn(comm)
         finally:
             if backend == "udp":
@@ -170,10 +122,15 @@ BACKEND_RANKS = [
 ]
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def _assert_bitwise(got, want):
+    """Equality of float64 bit patterns, not approximate."""
+    assert np.asarray(got, np.float64).tobytes() == \
+        np.asarray(want, np.float64).tobytes()
+
+
 @pytest.mark.parametrize("backend,n", BACKEND_RANKS)
 class TestAllreduceEverywhere:
-    def test_scalar_bitwise(self, backend, n, tmp_path, algorithm):
+    def test_scalar_bitwise(self, backend, n, tmp_path):
         """Scalar sum and max equal the serial fold bit for bit."""
         values = [np.float64((-1.0) ** r * np.pi / (r + 1)) for r in range(n)]
         want_sum = _serial_fold(values, np.add)
@@ -184,72 +141,28 @@ class TestAllreduceEverywhere:
             m = comm.allreduce(values[comm.rank], "max")
             return s, m
 
-        for s, m in _with_comms(backend, n, tmp_path, algorithm, fn):
-            # equality of float64 bit patterns, not approximate
-            assert np.float64(s).tobytes() == want_sum.tobytes()
-            assert np.float64(m).tobytes() == want_max.tobytes()
+        for s, m in _with_comms(backend, n, tmp_path, fn):
+            assert isinstance(s, float) and isinstance(m, float)
+            _assert_bitwise(s, want_sum)
+            _assert_bitwise(m, want_max)
 
-    def test_chunked_array(self, backend, n, tmp_path, algorithm):
-        """Arrays above the chunk size combine to <= 1e-12, same on all
-        ranks."""
-        size = 600  # 4800 B at chunk_bytes=1024 -> several chunks
-        rng = np.random.default_rng(42)
-        values = [rng.standard_normal(size) for _ in range(n)]
-        want = _serial_fold(values, np.add)
+    def test_vector_bitwise(self, backend, n, tmp_path):
+        """The diagnostics' payload: 2-vectors, sum then max, as
+        :class:`~repro.distrib.GlobalDiagnostics` sends them."""
+        values = [np.array([1.0 / 3.0 ** r, (-1.0) ** r * np.e / (r + 1)])
+                  for r in range(n)]
+        want_sum = _serial_fold(values, np.add)
+        want_max = _serial_fold(values, np.maximum)
 
         def fn(comm):
-            return comm.allreduce(values[comm.rank], "sum")
+            s = comm.allreduce(values[comm.rank], "sum")
+            m = comm.allreduce(values[comm.rank], "max")
+            return s, m
 
-        results = _with_comms(
-            backend, n, tmp_path, algorithm, fn, chunk_bytes=1024
-        )
-        for out in results:
-            np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
-        for out in results[1:]:
-            # whatever rounding the chunked combine produces, every rank
-            # must hold the identical bytes
-            np.testing.assert_array_equal(out, results[0])
-
-
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_mixed_primitives_tcp(tmp_path, algorithm):
-    """barrier / broadcast / allgather / reduce interleave on one set of
-    channels (sequence numbers keep the frames apart)."""
-    n = 4
-
-    def fn(comm):
-        comm.barrier()
-        arr = comm.broadcast(
-            np.arange(5.0) if comm.rank == 1 else None, root=1
-        )
-        gathered = comm.allgather(np.float64(comm.rank))
-        total = comm.reduce(np.float64(comm.rank), "sum", root=2)
-        comm.barrier()
-        return arr, gathered, total
-
-    results = _with_comms("tcp", n, tmp_path, algorithm, fn)
-    for rank, (arr, gathered, total) in enumerate(results):
-        np.testing.assert_array_equal(arr, np.arange(5.0))
-        assert [float(g) for g in gathered] == [0.0, 1.0, 2.0, 3.0]
-        if rank == 2:
-            assert float(total) == 6.0
-        else:
-            assert total is None
-
-
-def test_algorithms_agree_bitwise(tmp_path):
-    """Tree and ring allreduce produce identical bytes (both fold the
-    rank-ordered allgather for small payloads)."""
-    n = 5
-    values = [np.float64(1.0 / 3.0 ** r) for r in range(n)]
-    outs = {}
-    for algorithm in ALGORITHMS:
-        def fn(comm):
-            return comm.allreduce(values[comm.rank], "sum")
-
-        outs[algorithm] = _with_comms("local", n, tmp_path, algorithm, fn)
-    assert [np.float64(v).tobytes() for v in outs["tree"]] == \
-           [np.float64(v).tobytes() for v in outs["ring"]]
+        for s, m in _with_comms(backend, n, tmp_path, fn):
+            assert s.shape == m.shape == (2,)
+            _assert_bitwise(s, want_sum)
+            _assert_bitwise(m, want_max)
 
 
 def test_on_demand_links_really_missing(tmp_path):
@@ -265,7 +178,7 @@ def test_on_demand_links_really_missing(tmp_path):
         cs = ChannelSet(r, nbrs, reg)
         cs.open(0, timeout=15.0)
         try:
-            comm = Communicator(cs, r, n, algorithm="tree")
+            comm = Communicator(cs, r, n)
             out = comm.allreduce(np.float64(r), "sum")
             extra_links[r] = sorted(
                 p for p in range(n)
@@ -280,21 +193,3 @@ def test_on_demand_links_really_missing(tmp_path):
     # rank 0 is the tree root: it talked to 2 and 4 beyond its ring
     # neighbours 1 and 7
     assert extra_links[0] == [2, 4]
-
-
-def test_token_send_recv(tmp_path):
-    """Point-to-point tokens (the message save-barrier currency)."""
-    n = 3
-
-    def fn(comm):
-        if comm.rank == 0:
-            comm.send_token(1, step=7, payload=b"go")
-            return b""
-        got = comm.recv_token(comm.rank - 1, step=7)
-        if comm.rank < n - 1:
-            comm.send_token(comm.rank + 1, step=7, payload=got)
-        return got
-
-    results = _with_comms("local", n, tmp_path, "tree", fn)
-    assert results[1] == b"go"
-    assert results[2] == b"go"

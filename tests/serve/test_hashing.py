@@ -124,9 +124,10 @@ class TestHybridSpecs:
     }
 
     def test_v1_fingerprint_frozen(self):
-        """Golden value computed before the hybrid redesign: v1 specs
-        serialize without a spec_version key, so every cache entry and
-        job directory minted by older builds keeps resolving."""
+        """Golden value of a v1 spec: v1 specs serialize without a
+        spec_version key, so the hybrid redesign left this hash alone.
+        Re-pinned at canonical-form version 2, when ``diag_algorithm``
+        left the physical knobs."""
         as_dict = {
             "method": "lb", "grid_shape": [32, 24], "blocks": [2, 1],
             "periodic": [True, False],
@@ -134,8 +135,8 @@ class TestHybridSpecs:
             "geometry": {"kind": "channel"},
         }
         assert fingerprint(as_dict) == (
-            "2bd14480455f284330117419785f36b1"
-            "ddbc7e2fe642253969c71168f6b2c10c"
+            "72f6e31a59a681272f7f8c386105ed61"
+            "24899f0c6398560878c76b4a920a9a43"
         )
 
     def test_single_method_map_collides_with_plain_string(self):
@@ -171,12 +172,14 @@ class TestHybridSpecs:
 
 class TestRejection:
     def test_unknown_settings_knob_rejected(self):
-        with pytest.raises(ValueError, match="unknown settings knob"):
-            fingerprint(_spec(), settings={"stepz": 50})
+        # a typo, and two knobs that no longer exist
+        for knob in ("stepz", "diag_algorithm", "save_barrier"):
+            with pytest.raises(ValueError, match="unknown settings knob"):
+                fingerprint(_spec(), settings={knob: "tree"})
 
     def test_canonical_request_shape(self):
         canon = canonical_request(_spec(), settings={"steps": 7}, seed=3)
-        assert canon["version"] == 1
+        assert canon["version"] == 2
         assert canon["seed"] == 3
         assert canon["settings"]["steps"] == 7
         # the canonical form is pure JSON types (tuples flattened)

@@ -63,27 +63,41 @@ def test_traced_time_bounded_by_elapsed(tmp_path):
 
 
 def test_diagnostics_match_across_backends(tmp_path):
+    """Serial, threaded and graph runs sample bit-identical records."""
     rs = RunSettings(steps=6, diag_every=3)
-    serial = repro.run(_spec(), "serial", rs)
-    threaded = repro.run(_spec(), "threaded", rs)
-    assert len(serial.diagnostics) == len(threaded.diagnostics) == 2
-    for a, b in zip(serial.diagnostics, threaded.diagnostics):
-        assert a.step == b.step
-        assert a.total_mass == pytest.approx(b.total_mass)
+    runs = [
+        repro.run(_spec(), "serial", rs),
+        repro.run(_spec(), "threaded", rs),
+        repro.run(_spec(), "threaded",
+                  RunSettings(steps=6, diag_every=3, execution="graph")),
+    ]
+    streams = [
+        [(d.step, d.total_mass, d.kinetic_energy, d.max_speed,
+          d.n_nonfinite) for d in r.diagnostics]
+        for r in runs
+    ]
+    assert [s[0] for s in streams[0]] == [3, 6]
+    assert streams[0] == streams[1] == streams[2]
 
 
-def test_failed_threaded_run_releases_its_threads():
-    """A run that raises mid-step still retires its worker pool."""
+@pytest.mark.parametrize("runner", ["serial", "threaded", "graph"])
+def test_nan_aborts_every_inprocess_runner(runner):
+    """A global NaN raises DiagnosticsFailure at the first sample on
+    every in-process runner, and the failed run still retires its
+    worker threads."""
     from repro.distrib import DiagnosticsFailure
     from repro.distrib.initprog import initial_fields
 
     spec = _spec()
     fields = initial_fields(spec, None)
     fields["rho"][5, 5] = np.nan
+    rs = RunSettings(steps=4, diag_every=1,
+                     execution="graph" if runner == "graph" else "phased")
+    backend = "serial" if runner == "serial" else "threaded"
     before = threading.active_count()
-    with pytest.raises(DiagnosticsFailure):
-        repro.run(spec, "threaded", RunSettings(steps=4, diag_every=1),
-                  fields=fields)
+    with pytest.raises(DiagnosticsFailure, match="non-finite") as err:
+        repro.run(spec, backend, rs, fields=fields)
+    assert err.value.record.step == 1
     assert threading.active_count() == before
 
 

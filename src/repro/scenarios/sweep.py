@@ -2,8 +2,8 @@
 
 ``repro sweep --scenario cavity --grid Re=100,400,1000`` expands a
 cartesian parameter grid into scenario cases and marches each one —
-either through a live :mod:`repro.serve` gateway (submitted as one
-batch so the scheduler can pack workers; identical points come back
+either through a live :mod:`repro.serve` gateway (submitted in one
+request so every pool worker has work queued; identical points come back
 from the result cache with zero compute) or through a local backend as
 the fallback executor.  Every finished point is scored by the scenario
 and appended to a ``sweep.jsonl`` manifest, which doubles as the resume

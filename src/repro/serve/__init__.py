@@ -16,8 +16,8 @@ ROADMAP's north star asks for:
   history store every restart replays;
 * :mod:`~repro.serve.scheduler` / :mod:`~repro.serve.pool` /
   :mod:`~repro.serve.pool_worker` — the priority queue draining into a
-  persistent pool of worker processes (small jobs batched
-  many-per-worker, large jobs through the distributed path,
+  persistent pool of worker processes (one job in flight per worker,
+  sent over its socket; large jobs through the distributed path;
   retry-on-worker-death);
 * :mod:`~repro.serve.client` / :mod:`~repro.serve.top` — the blocking
   client the CLI and ``backend="service"`` use, and the live cluster

@@ -183,7 +183,7 @@ class ServeClient:
         return self._json("GET", "/cluster")
 
     def wait(
-        self, job_id: str, timeout: float = 300.0, poll: float = 0.05
+        self, job_id: str, timeout: float = 300.0, poll: float = 0.01
     ) -> dict:
         """Block until the job reaches a terminal state."""
         deadline = time.monotonic() + timeout

@@ -5,7 +5,9 @@ request parser — no framework, no new runtime deps) in front of the
 :class:`~repro.serve.scheduler.Scheduler`.  One event loop owns every
 mutation of the job table; the compute happens in the pool's worker
 *processes*, so the gateway stays responsive while hundreds of jobs
-march.
+march.  Nothing polls: the scheduler ticks when a worker's socket
+becomes readable (a ``done`` line or a death) or a handler submits or
+cancels a job.
 
 Routes (all JSON unless noted)::
 
@@ -94,8 +96,6 @@ class Gateway:
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int = 2,
-        batch_size: int = 4,
-        poll: float = 0.05,
         max_retries: int = 2,
         history_gc_bytes: int = HISTORY_GC_BYTES,
     ) -> None:
@@ -103,7 +103,6 @@ class Gateway:
         self.serve_dir.mkdir(parents=True, exist_ok=True)
         self.host = host
         self.port = port
-        self.poll = poll
         self.pool = WorkerPool(self.serve_dir, n_workers=workers)
         self.cache = ResultCache(self.serve_dir / "cache")
         self.history = JobHistory.for_dir(self.serve_dir)
@@ -120,11 +119,14 @@ class Gateway:
             log.exception("job-history compaction failed (continuing)")
         self.scheduler = Scheduler(
             self.serve_dir, self.pool, self.cache, self.history,
-            batch_size=batch_size, max_retries=max_retries,
+            max_retries=max_retries,
         )
         self._tick_errors: set[str] = set()
         self._server: asyncio.base_events.Server | None = None
         self._tick_task: asyncio.Task | None = None
+        self._wake = asyncio.Event()
+        #: worker index -> (socket, fd) the loop has a reader on
+        self._watched: dict[int, tuple] = {}
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
 
@@ -161,10 +163,15 @@ class Gateway:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        loop = asyncio.get_running_loop()
+        for _, fd in self._watched.values():
+            loop.remove_reader(fd)
+        self._watched.clear()
         self.pool.stop()
 
     async def _tick_loop(self) -> None:
         while True:
+            self._wake.clear()
             try:
                 self.scheduler.tick()
             except Exception as exc:  # noqa: BLE001 - loop must survive
@@ -175,7 +182,26 @@ class Gateway:
                 if key not in self._tick_errors:
                     self._tick_errors.add(key)
                     log.exception("scheduler tick failed (loop continues)")
-            await asyncio.sleep(self.poll)
+            self._watch_channels()
+            await self._wake.wait()
+
+    def _watch_channels(self) -> None:
+        """Keep one loop reader on each worker's current socket.
+
+        A respawn closes the old socket, but the selector keeps its
+        registration, which would capture the next socket to reuse the
+        fd number; the stale reader goes by its saved fd before the loop
+        runs again.
+        """
+        loop = asyncio.get_running_loop()
+        for index, (chan, fd) in list(self._watched.items()):
+            if self.pool.channels.get(index) is not chan:
+                loop.remove_reader(fd)
+                del self._watched[index]
+        for index, chan in self.pool.channels.items():
+            if index not in self._watched:
+                loop.add_reader(chan, self._wake.set)
+                self._watched[index] = (chan, chan.fileno())
 
     async def run_forever(self) -> None:
         """Start and serve until cancelled (the ``repro serve`` path)."""
@@ -374,6 +400,7 @@ class Gateway:
         except ValueError as exc:
             raise _HttpError(400, f"body is not JSON: {exc}") from exc
         rec = self._submit_one(req)
+        self._wake.set()
         await self._send_json(writer, 200, rec.to_dict())
 
     async def _post_batch(self, writer, body: bytes) -> None:
@@ -406,6 +433,7 @@ class Gateway:
             except (ValueError, KeyError, TypeError) as exc:
                 raise _HttpError(400, str(exc)) from exc
         records = [self._submit_one(entry) for entry in jobs]
+        self._wake.set()
         await self._send_json(
             writer, 200, {"jobs": [r.to_dict() for r in records]}
         )
@@ -422,6 +450,7 @@ class Gateway:
         rec = self._record(job_id)
         if method == "DELETE" and not sub:
             rec = self.scheduler.cancel(job_id)
+            self._wake.set()
             await self._send_json(writer, 200, rec.to_dict())
         elif method != "GET":
             raise _HttpError(405, f"{method} not allowed here")

@@ -8,14 +8,18 @@ each pool worker occupies a virtual ``pool-<i>`` host, so the existing
 host-level ops surface (`repro top`, load queries) sees service workers
 exactly as it sees distributed ranks.
 
-Liveness is the monitor's contract scaled down: :meth:`ensure_alive`
-polls exit codes, respawns the dead, and reports who died so the
-scheduler can requeue their in-flight jobs (retry-on-worker-death).
+Each worker is connected to the gateway by one ``socketpair``: job ids
+go out a line each (:meth:`WorkerPool.send`), ``done <job_id>`` lines
+come back (:meth:`WorkerPool.finished`).  Each end is held by one
+process only, so either side's death, however it happens, is EOF on
+the other: the gateway respawns the worker (:meth:`ensure_alive`), a
+worker exits.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +41,9 @@ class WorkerPool:
         self.pool_dir = self.serve_dir / "pool"
         self.hostdb = HostDB(self.serve_dir / "hosts.json")
         self.procs: dict[int, subprocess.Popen] = {}
+        #: the gateway's end of each worker's socket (non-blocking)
+        self.channels: dict[int, socket.socket] = {}
+        self._partial: dict[int, bytes] = {}
         self.deaths = 0
 
     # ------------------------------------------------------------------
@@ -46,45 +53,48 @@ class WorkerPool:
         """Register the virtual hosts and spawn every worker."""
         (self.pool_dir / "hb").mkdir(parents=True, exist_ok=True)
         (self.pool_dir / "logs").mkdir(parents=True, exist_ok=True)
-        (self.pool_dir / "stop").unlink(missing_ok=True)
-        # Tickets from a previous gateway incarnation are void: the
-        # scheduler re-tickets every job it recovers, so a stale ticket
-        # left in an inbox (graceful stop drains only the current one)
-        # would have a second worker race the recovered assignment in
-        # the same job directory.  Clear every inbox — including those
-        # beyond n_workers, from a pool that shrank — before any worker
-        # can pick one up.
-        for inbox in self.pool_dir.glob("inbox-*"):
-            for stale in inbox.glob("*.json"):
-                stale.unlink(missing_ok=True)
         self.hostdb.initialize([
             HostInfo(name=self._host_name(i), model="715/50", rank=i)
             for i in range(self.n_workers)
         ])
         for i in range(self.n_workers):
-            self.inbox(i).mkdir(parents=True, exist_ok=True)
             self.spawn(i)
 
     def spawn(self, index: int) -> subprocess.Popen:
-        """(Re)start one pool worker process."""
+        """(Re)start one pool worker process on a fresh socket."""
+        parent, child = socket.socketpair()
         log = self.pool_dir / "logs" / f"worker-{index:02d}.log"
-        with open(log, "ab") as fh:
-            proc = subprocess.Popen(
-                [
-                    sys.executable, "-m", "repro.serve.pool_worker",
-                    str(self.serve_dir), str(index),
-                ],
-                stdout=fh,
-                stderr=subprocess.STDOUT,
-                cwd=str(self.serve_dir),
-                env=_worker_env(),
-            )
+        with child, open(log, "ab") as fh:
+            try:
+                proc = subprocess.Popen(
+                    [
+                        sys.executable, "-m", "repro.serve.pool_worker",
+                        str(self.serve_dir), str(index),
+                        str(child.fileno()),
+                    ],
+                    stdout=fh,
+                    stderr=subprocess.STDOUT,
+                    cwd=str(self.serve_dir),
+                    env=_worker_env(),
+                    pass_fds=(child.fileno(),),
+                )
+            except BaseException:
+                parent.close()
+                raise
+        parent.setblocking(False)
+        old = self.channels.get(index)
+        if old is not None:
+            old.close()
+        self.channels[index] = parent
+        self._partial[index] = b""
         self.procs[index] = proc
         return proc
 
     def stop(self, timeout: float = 10.0) -> None:
-        """Ask every worker to drain out, then kill stragglers."""
-        (self.pool_dir / "stop").touch()
+        """Close every channel; a worker exits after its current job."""
+        for chan in self.channels.values():
+            chan.close()
+        self.channels.clear()
         for proc in self.procs.values():
             try:
                 proc.wait(timeout=timeout)
@@ -94,6 +104,42 @@ class WorkerPool:
         self.procs.clear()
 
     # ------------------------------------------------------------------
+    # the channel
+    # ------------------------------------------------------------------
+    def send(self, index: int, job_id: str) -> None:
+        """Hand worker ``index`` one job."""
+        try:
+            self.channels[index].sendall(f"{job_id}\n".encode())
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the worker is dead: finished() reports its EOF
+
+    def finished(self) -> list[tuple[int, str | None]]:
+        """``(index, job_id)`` per ``done`` line received since the last
+        call, ``(index, None)`` for a worker whose channel is at EOF.
+
+        Never blocks.  A worker's lines come before its EOF.
+        """
+        out: list[tuple[int, str | None]] = []
+        for index, chan in self.channels.items():
+            try:
+                data = chan.recv(4096)
+            except BlockingIOError:
+                continue
+            except ConnectionResetError:
+                data = b""
+            if not data:
+                out.append((index, None))
+                continue
+            *lines, self._partial[index] = (
+                self._partial[index] + data
+            ).split(b"\n")
+            out.extend(
+                (index, line.decode().removeprefix("done "))
+                for line in lines
+            )
+        return out
+
+    # ------------------------------------------------------------------
     # liveness
     # ------------------------------------------------------------------
     def alive(self, index: int) -> bool:
@@ -101,10 +147,10 @@ class WorkerPool:
         proc = self.procs.get(index)
         return proc is not None and proc.poll() is None
 
-    def ensure_alive(self) -> list[int]:
-        """Respawn any dead worker; returns the indices that had died."""
-        dead = [i for i in range(self.n_workers) if not self.alive(i)]
+    def ensure_alive(self, dead: list[int]) -> list[int]:
+        """Respawn the workers whose channel is at EOF; returns them."""
         for i in dead:
+            self.kill(i)  # reap it: the EOF can precede the exit
             self.deaths += 1
             self.spawn(i)
         return dead
@@ -117,14 +163,10 @@ class WorkerPool:
             proc.wait(timeout=10)
 
     # ------------------------------------------------------------------
-    # scheduler-facing file surfaces
+    # status surfaces
     # ------------------------------------------------------------------
     def _host_name(self, index: int) -> str:
         return f"pool-{index:02d}"
-
-    def inbox(self, index: int) -> Path:
-        """The ticket directory worker ``index`` drains."""
-        return self.pool_dir / f"inbox-{index:02d}"
 
     def heartbeat(self, index: int) -> dict | None:
         """Worker ``index``'s last heartbeat, or None (torn/missing)."""

@@ -1,29 +1,25 @@
 """One persistent pool worker process: ``python -m repro.serve.pool_worker``.
 
-The scheduler batches small jobs many-per-worker by dropping ticket
-files into this process' inbox directory; the worker drains them in
-filename (= queue) order, running each job through :func:`repro.run`
-inside its own long-lived interpreter — so a batch of N small 2D jobs
-pays interpreter/import startup once, and a job on the ``threaded``
-backend reuses the persistent thread pool across jobs.  Large jobs
-arrive as a batch of one and fan out through the normal distributed
-path (the worker plays the paper's designated submit workstation).
-
-Everything the worker says to the scheduler goes through the
-filesystem, mirroring the distributed runtime's control plane:
+The gateway sends job ids, one per line, over a socket whose fd number
+is the last argument; the worker runs each through :func:`repro.run`
+inside its own long-lived interpreter — so a stream of small 2D jobs
+pays interpreter/import startup once — and answers ``done <job_id>``
+once the job's commit file is written.  Large jobs fan out through the
+normal distributed path (the worker plays the paper's designated
+submit workstation).  Everything else goes through the filesystem:
 
 * ``pool/hb/pool<index>.json`` — heartbeat (state, current job, jobs
-  done), rewritten atomically so the gateway/`repro top` never read a
-  torn line;
+  done), rewritten atomically on each change of state, so its ``wall``
+  is when the state began; the first write is the warm-pool signal;
 * ``jobs/<id>/result.json`` + ``fields.npz`` — success artifacts,
-  written atomically, result last (the scheduler treats its presence as
-  the commit point);
+  written atomically, result last (the commit point);
 * ``jobs/<id>/error.json`` — a deterministic failure (no retry).
 
-A worker death (crash, chaos kill, OOM) simply stops the heartbeat and
-leaves no result; the scheduler's liveness check respawns the process
-and requeues the in-flight jobs — the same detect-and-restart contract
-the distributed monitor implements for rank processes.
+The worker exits on EOF: the gateway closed its end, or died.  A worker
+death (crash, chaos kill, OOM) leaves no result and is EOF on the
+gateway's end, which respawns the process and requeues its job — the
+detect-and-restart contract the distributed monitor implements for
+rank processes.
 """
 
 from __future__ import annotations
@@ -31,15 +27,13 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import socket
 import sys
 import time
 import traceback
 from pathlib import Path
 
 __all__ = ["main", "run_job"]
-
-#: Seconds between inbox polls when idle.
-POLL = 0.05
 
 
 def _atomic_write(path: Path, payload: dict) -> None:
@@ -56,7 +50,7 @@ def _heartbeat(path: Path, index: int, state: str, job: str | None,
         "state": state,                # idle | running | stopped
         "job": job,
         "jobs_done": jobs_done,
-        "wall": time.time(),           # wall stamp for staleness checks
+        "wall": time.time(),           # wall stamp: the state began
     })
 
 
@@ -145,40 +139,30 @@ def run_job(serve_dir: Path, job_id: str, worker_index: int) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Poll the inbox and run tickets until the stop file appears."""
+    """Run the jobs read from the channel until it reaches EOF."""
     argv = sys.argv[1:] if argv is None else argv
     serve_dir = Path(argv[0]).resolve()
     index = int(argv[1])
-    pool_dir = serve_dir / "pool"
-    inbox = pool_dir / f"inbox-{index:02d}"
-    inbox.mkdir(parents=True, exist_ok=True)
-    hb = pool_dir / "hb" / f"pool{index:04d}.json"
+    chan = socket.socket(fileno=int(argv[2]))
+    hb = serve_dir / "pool" / "hb" / f"pool{index:04d}.json"
     hb.parent.mkdir(parents=True, exist_ok=True)
-    stop = pool_dir / "stop"
     jobs_done = 0
     # Pay the heavy imports once at spawn, not inside the first job:
     # the first "idle" heartbeat below doubles as the warm-pool signal.
     import numpy  # noqa: F401
     import repro  # noqa: F401
     _heartbeat(hb, index, "idle", None, jobs_done)
-    while not stop.exists():
-        tickets = sorted(inbox.glob("*.json"))
-        if not tickets:
+    with chan, chan.makefile("rb") as lines:
+        for line in lines:
+            job_id = line.decode().strip()
+            _heartbeat(hb, index, "running", job_id, jobs_done)
+            run_job(serve_dir, job_id, index)
+            jobs_done += 1
+            try:
+                chan.sendall(f"done {job_id}\n".encode())
+            except (BrokenPipeError, ConnectionResetError):
+                break  # the gateway is gone
             _heartbeat(hb, index, "idle", None, jobs_done)
-            time.sleep(POLL)
-            continue
-        ticket = tickets[0]
-        try:
-            job_id = json.loads(ticket.read_text())["job_id"]
-        except (OSError, ValueError, KeyError):
-            # torn/cancelled ticket: the scheduler owns removal races
-            ticket.unlink(missing_ok=True)
-            continue
-        _heartbeat(hb, index, "running", job_id, jobs_done)
-        run_job(serve_dir, job_id, index)
-        jobs_done += 1
-        ticket.unlink(missing_ok=True)
-        _heartbeat(hb, index, "idle", None, jobs_done)
     _heartbeat(hb, index, "stopped", None, jobs_done)
     return 0
 

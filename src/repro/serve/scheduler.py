@@ -1,23 +1,23 @@
-"""The job scheduler: priority queue -> worker inboxes -> result cache.
+"""The job scheduler: priority queue -> pool workers -> result cache.
 
 One instance lives inside the gateway's event loop and owns the job
-table.  All of its methods run on that single thread; everything shared
-with the pool workers crosses through the filesystem (tickets in,
-``result.json``/``error.json`` out), so there is no lock to take and a
-crash on either side never leaves shared memory half-mutated.
+table.  All of its methods run on that single thread and never block:
+job ids go out over the pool's sockets, ``done`` replies come back, and
+results cross through the filesystem (``result.json``/``error.json``),
+so there is no lock to take and a crash on either side never leaves
+shared memory half-mutated.
 
 Scheduling policy:
 
 * jobs drain in ``(-priority, seq)`` order (strict priority, FIFO
   within a priority level);
-* **small** jobs — grid below ``batch_nodes`` — are batched up to
-  ``batch_size`` per worker assignment, amortizing ticket latency and
-  keeping one warm interpreter marching many 2D problems back to back;
-* **large** jobs get a worker to themselves and fan out through the
-  normal distributed path inside that worker;
-* a worker death requeues its in-flight jobs (``running -> queued``,
-  bounded by ``max_retries``) — the serve-layer mirror of the
-  monitor's checkpoint-restart contract;
+* one job in flight per worker, sent the moment the worker is free;
+* **small** jobs — grid below ``batch_nodes`` — run on the serial
+  backend in the worker's warm interpreter; **large** jobs fan out
+  through the normal distributed path inside their worker;
+* a worker death (EOF on its socket) requeues its in-flight job
+  (``running -> queued``, bounded by ``max_retries``) — the serve-layer
+  mirror of the monitor's checkpoint-restart contract;
 * the first job to finish a fingerprint fills the result cache; every
   later identical submission is answered from the cache at submit time
   with zero compute.
@@ -40,7 +40,7 @@ __all__ = ["Scheduler"]
 
 log = logging.getLogger("repro.serve")
 
-#: Grids with at most this many nodes count as "small" and are batched.
+#: Grids with at most this many nodes count as "small" and run serially.
 DEFAULT_BATCH_NODES = 96 * 96
 
 
@@ -53,7 +53,6 @@ class Scheduler:
         pool: WorkerPool,
         cache: ResultCache,
         history: JobHistory,
-        batch_size: int = 4,
         batch_nodes: int = DEFAULT_BATCH_NODES,
         max_retries: int = 2,
     ) -> None:
@@ -61,7 +60,6 @@ class Scheduler:
         self.pool = pool
         self.cache = cache
         self.history = history
-        self.batch_size = max(1, batch_size)
         self.batch_nodes = batch_nodes
         self.max_retries = max_retries
         self.jobs_dir = self.serve_dir / "jobs"
@@ -69,12 +67,8 @@ class Scheduler:
         #: job_id -> latest record (authoritative in-memory table)
         self.records: dict[str, JobRecord] = {}
         self._heap: list[tuple[int, int, str]] = []
-        self._assigned: dict[int, set[str]] = {
-            i: set() for i in range(pool.n_workers)
-        }
-        #: workers we killed ourselves to cancel a running job — their
-        #: next "death" is expected, and batch-mates keep their retries
-        self._cancel_kills: set[int] = set()
+        #: worker -> the one job in flight on it
+        self._running: dict[int, str] = {}
         self._logged: set[str] = set()
         self._seq = 0
         self.recovered = 0
@@ -200,59 +194,47 @@ class Scheduler:
         rec = self.records[job_id]
         if rec.terminal:
             return rec
-        if rec.state == "running" and rec.worker >= 0:
-            hb = self.pool.heartbeat(rec.worker)
-            self._remove_ticket(rec.worker, job_id)
-            self._assigned[rec.worker].discard(job_id)
-            if hb is not None and hb.get("job") == job_id:
-                # mid-execution: kill the process; ensure_alive respawns
-                # it and the death handler skips this (cancelled) job.
-                # Mark the kill as ours so the batch-mates it takes down
-                # are requeued without being charged a retry.
-                self._cancel_kills.add(rec.worker)
-                self.pool.kill(rec.worker)
+        if rec.state == "running":
+            # kill the process; its EOF is a death the next tick
+            # respawns, and the death handler skips this (cancelled)
+            # job, so nothing is charged a retry
+            self.pool.kill(rec.worker)
         rec.advance("cancelled")
         rec.finished = time.time()  # wall stamp
         self.history.append("cancelled", rec)
         return rec
 
     # ------------------------------------------------------------------
-    # the tick (called periodically by the gateway loop)
+    # the tick (run whenever a worker socket or a handler wakes the loop)
     # ------------------------------------------------------------------
     def tick(self) -> None:
         """One scheduling round: collect, heal, assign."""
-        self._collect_finished()
-        self._handle_deaths()
+        dead = []
+        for worker, job_id in self.pool.finished():
+            if job_id is None:
+                dead.append(worker)
+                continue
+            self._running.pop(worker, None)
+            try:
+                self._collect_one(job_id)
+            except Exception:  # noqa: BLE001 - isolate per job
+                # One bad job must not wedge collection (and with
+                # it death-handling and assignment) for the rest.
+                self._log_once(
+                    f"collect:{job_id}",
+                    f"collecting finished job {job_id} failed",
+                )
+        self._handle_deaths(self.pool.ensure_alive(dead))
         self._assign()
 
-    def _collect_finished(self) -> None:
-        for job_ids in self._assigned.values():
-            for job_id in sorted(job_ids):
-                try:
-                    self._collect_one(job_ids, job_id)
-                except Exception:  # noqa: BLE001 - isolate per job
-                    # One bad job must not wedge collection (and with
-                    # it death-handling and assignment) for the rest.
-                    self._log_once(
-                        f"collect:{job_id}",
-                        f"collecting finished job {job_id} failed",
-                    )
-
-    def _collect_one(self, job_ids: set[str], job_id: str) -> None:
+    def _collect_one(self, job_id: str) -> None:
         rec = self.records[job_id]
         if rec.terminal:
-            # cancelled under the worker's feet, or a previous tick
-            # finalized the record but died before dropping it here
-            job_ids.discard(job_id)
-            return
+            return  # cancelled under the worker's feet
         job_dir = self.jobs_dir / job_id
         result_path = job_dir / "result.json"
-        error_path = job_dir / "error.json"
         if result_path.exists():
-            try:
-                result = json.loads(result_path.read_text())
-            except ValueError:
-                return  # torn: the worker is mid-replace
+            result = json.loads(result_path.read_text())
             rec.elapsed = float(result.get("elapsed", 0.0))
             rec.advance("done")
             rec.finished = time.time()  # wall stamp
@@ -265,48 +247,37 @@ class Scheduler:
                     f"cache fill for job {job_id} failed",
                 )
             self.history.append("done", rec)
-            job_ids.discard(job_id)
-        elif error_path.exists():
-            try:
-                err = json.loads(error_path.read_text())
-            except ValueError:
-                return
+        else:
+            err = json.loads((job_dir / "error.json").read_text())
             rec.error = str(err.get("error", ""))[-2000:]
             rec.advance("failed")
             rec.finished = time.time()  # wall stamp
             self.history.append("failed", rec)
-            job_ids.discard(job_id)
 
-    def _handle_deaths(self) -> None:
-        for worker in self.pool.ensure_alive():
-            # A kill we ordered ourselves (job cancellation) is not a
-            # real worker death: the cancelled job's batch-mates are
-            # requeued without touching their retry budget.
-            cancel_kill = worker in self._cancel_kills
-            self._cancel_kills.discard(worker)
-            for job_id in sorted(self._assigned[worker]):
-                self._remove_ticket(worker, job_id)
-                rec = self.records[job_id]
-                if rec.terminal:
-                    continue
-                if cancel_kill or rec.retries < self.max_retries:
-                    if not cancel_kill:
-                        rec.retries += 1
-                    rec.worker = -1
-                    rec.advance("queued")
-                    heapq.heappush(
-                        self._heap, (-rec.priority, rec.seq, rec.job_id)
-                    )
-                    self.history.append("requeued", rec)
-                else:
-                    rec.error = (
-                        f"worker {worker} died and the job exhausted "
-                        f"{self.max_retries} retries"
-                    )
-                    rec.advance("failed")
-                    rec.finished = time.time()  # wall stamp
-                    self.history.append("failed", rec)
-            self._assigned[worker].clear()
+    def _handle_deaths(self, dead: list[int]) -> None:
+        for worker in dead:
+            job_id = self._running.pop(worker, None)
+            if job_id is None:
+                continue
+            rec = self.records[job_id]
+            if rec.terminal:
+                continue
+            if rec.retries < self.max_retries:
+                rec.retries += 1
+                rec.worker = -1
+                rec.advance("queued")
+                heapq.heappush(
+                    self._heap, (-rec.priority, rec.seq, rec.job_id)
+                )
+                self.history.append("requeued", rec)
+            else:
+                rec.error = (
+                    f"worker {worker} died and the job exhausted "
+                    f"{self.max_retries} retries"
+                )
+                rec.advance("failed")
+                rec.finished = time.time()  # wall stamp
+                self.history.append("failed", rec)
 
     def _log_once(self, key: str, msg: str) -> None:
         """Log the active exception once per distinct key, not per tick."""
@@ -316,55 +287,27 @@ class Scheduler:
 
     def _assign(self) -> None:
         for worker in range(self.pool.n_workers):
-            if self._assigned[worker] or not self.pool.alive(worker):
+            if worker in self._running or not self.pool.alive(worker):
                 continue
-            batch = self._next_batch()
-            if not batch:
+            rec = self._next_job()
+            if rec is None:
                 return
-            for rec in batch:
-                rec.worker = worker
-                rec.advance("running")
-                rec.started = time.time()  # wall stamp
-                ticket = (
-                    self.pool.inbox(worker)
-                    / f"{rec.seq:08d}_{rec.job_id}.json"
-                )
-                # The worker polls ``*.json`` and deletes what it cannot
-                # parse, so a ticket must appear under that name whole.
-                tmp = ticket.with_suffix(".tmp")
-                tmp.write_text(json.dumps({"job_id": rec.job_id}))
-                tmp.replace(ticket)
-                self._assigned[worker].add(rec.job_id)
-                self.history.append("assigned", rec)
+            rec.worker = worker
+            rec.advance("running")
+            rec.started = time.time()  # wall stamp
+            self._running[worker] = rec.job_id
+            self.pool.send(worker, rec.job_id)
+            self.history.append("assigned", rec)
 
-    def _next_batch(self) -> list[JobRecord]:
-        """Pop the next worker assignment off the priority queue.
-
-        A distributed job rides alone; serial/threaded jobs are batched
-        up to ``batch_size`` so one warm worker process marches them
-        back to back.
-        """
-        batch: list[JobRecord] = []
-        while self._heap and len(batch) < self.batch_size:
-            _, _, job_id = self._heap[0]
+    def _next_job(self) -> JobRecord | None:
+        """Pop the highest-priority queued job, if any."""
+        while self._heap:
+            _, _, job_id = heapq.heappop(self._heap)
             rec = self.records[job_id]
-            if rec.state != "queued":
-                heapq.heappop(self._heap)  # cancelled while queued
-                continue
-            if rec.backend == "distributed" and batch:
-                break
-            heapq.heappop(self._heap)
-            batch.append(rec)
-            if rec.backend == "distributed":
-                break
-        return batch
-
-    def _remove_ticket(self, worker: int, job_id: str) -> None:
-        rec = self.records[job_id]
-        ticket = (
-            self.pool.inbox(worker) / f"{rec.seq:08d}_{job_id}.json"
-        )
-        ticket.unlink(missing_ok=True)
+            if rec.state == "queued":
+                return rec
+            # else cancelled while queued
+        return None
 
     # ------------------------------------------------------------------
     # queries (gateway endpoints)

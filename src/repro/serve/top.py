@@ -16,6 +16,7 @@ _CLEAR = "\x1b[2J\x1b[H"
 
 
 def _age(now: float, wall: float | None) -> str:
+    """Time in the current state (a heartbeat marks each change)."""
     if not wall:
         return "-"
     return f"{max(now - wall, 0.0):5.1f}s"
@@ -40,7 +41,7 @@ def render(snap: dict, max_jobs: int = 12) -> str:
         ),
         "",
         f"{'WORKER':<10}{'HOST':<10}{'PID':<8}{'STATE':<9}"
-        f"{'JOB':<20}{'DONE':<6}{'HB AGE':<8}",
+        f"{'JOB':<20}{'DONE':<6}{'IN STATE':<9}",
     ]
     for w in snap.get("workers", []):
         hb = w.get("heartbeat") or {}
@@ -51,7 +52,7 @@ def render(snap: dict, max_jobs: int = 12) -> str:
             f"{(hb.get('state') if w.get('alive') else 'dead'):<9}"
             f"{str(hb.get('job') or '-'):<20}"
             f"{hb.get('jobs_done', 0):<6}"
-            f"{_age(now, hb.get('wall')):<8}"
+            f"{_age(now, hb.get('wall')):<9}"
         )
     lines.append("")
     lines.append(

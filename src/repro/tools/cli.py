@@ -452,8 +452,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from ..serve import Gateway
 
     gw = Gateway(
-        args.dir, host=args.host, port=args.port,
-        workers=args.workers, batch_size=args.batch_size,
+        args.dir, host=args.host, port=args.port, workers=args.workers,
     )
 
     async def _serve() -> None:
@@ -463,9 +462,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"gateway listening on {gw.address} "
               f"(serve dir {gw.serve_dir}, {gw.pool.n_workers} workers)")
         stop = asyncio.Event()
-        # a SIGTERM'd gateway must still drain its worker pool — without
-        # this the pool processes outlive the gateway and race the next
-        # gateway's workers for the same inboxes
+        # a SIGTERM'd gateway drains its worker pool: each worker
+        # commits its current job before it exits
         asyncio.get_running_loop().add_signal_handler(
             signal.SIGTERM, stop.set
         )
@@ -774,9 +772,6 @@ def main(argv: list[str] | None = None) -> int:
                         "bound address lands in <dir>/gateway.json)")
     p.add_argument("--workers", type=int, default=2,
                    help="pool worker processes (default: 2)")
-    p.add_argument("--batch-size", type=int, default=4,
-                   help="max small jobs assigned to one worker at once "
-                        "(default: 4)")
     p.set_defaults(func=_cmd_serve)
 
     def _client_args(p: argparse.ArgumentParser) -> None:

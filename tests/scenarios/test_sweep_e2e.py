@@ -22,8 +22,7 @@ GRID = {"method": ["lb", "fd"], "n": [16], "steps": [100]}
 def gateway(tmp_path_factory):
     from repro.serve import Gateway
 
-    gw = Gateway(tmp_path_factory.mktemp("serve"), workers=2,
-                 poll=0.02)
+    gw = Gateway(tmp_path_factory.mktemp("serve"), workers=2)
     gw.start_background()
     yield gw
     gw.shutdown()

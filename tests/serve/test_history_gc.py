@@ -117,7 +117,7 @@ class TestAdminGCRoute:
     def test_client_gc_compacts_a_live_gateway(self, tmp_path):
         from repro.serve import Gateway, ServeClient
 
-        gw = Gateway(tmp_path / "serve", workers=1, poll=0.02)
+        gw = Gateway(tmp_path / "serve", workers=1)
         _fill(gw.history, 4, events_per_job=10)
         gw.start_background()
         try:

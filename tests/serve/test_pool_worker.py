@@ -1,4 +1,4 @@
-"""The pool worker's job execution: the seed must shape the run.
+"""The pool worker: its channel loop, and the seed shaping the run.
 
 The seed participates in the cache fingerprint, so it must also
 participate in the computation — seed 0 is the canonical rest start,
@@ -7,11 +7,13 @@ the §4.1 "random" init program.
 """
 
 import json
+import socket
+import threading
 
 import numpy as np
 
 from repro.distrib import ProblemSpec
-from repro.serve.pool_worker import run_job
+from repro.serve.pool_worker import main, run_job
 
 
 def _write_job(serve_dir, job_id: str, seed: int):
@@ -51,3 +53,35 @@ class TestSeedThreading:
         second = _run(tmp_path, "j3-b", seed=7)
         for name, ref in first.items():
             assert np.array_equal(second[name], ref)
+
+
+class TestChannelLoop:
+    def test_job_ids_in_done_lines_and_commit_files_out(self, tmp_path):
+        good = _write_job(tmp_path, "j0-good", seed=0)
+        bad = tmp_path / "jobs" / "j1-bad"
+        bad.mkdir(parents=True)
+        (bad / "job.json").write_text(json.dumps({"spec": {}}))
+        gateway, worker = socket.socketpair()
+        rc: list[int] = []
+        thread = threading.Thread(target=lambda: rc.append(
+            main([str(tmp_path), "0", str(worker.detach())])
+        ))
+        thread.start()
+        try:
+            gateway.sendall(b"j0-good\nj1-bad\n")
+            with gateway.makefile("rb") as replies:
+                assert replies.readline() == b"done j0-good\n"
+                assert replies.readline() == b"done j1-bad\n"
+            # each reply comes after the job's commit file
+            assert (good / "result.json").exists()
+            assert (good / "fields.npz").exists()
+            assert "error" in json.loads((bad / "error.json").read_text())
+        finally:
+            gateway.close()  # EOF: the worker exits
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert rc == [0]
+        hb = json.loads(
+            (tmp_path / "pool" / "hb" / "pool0000.json").read_text()
+        )
+        assert hb["state"] == "stopped" and hb["jobs_done"] == 2

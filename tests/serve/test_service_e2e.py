@@ -4,11 +4,16 @@ The PR's contract, executed for real: the gateway accepts at least 8
 concurrent specs on a shared pool, every job's final fields match the
 serial backend bit-for-bit, an identical resubmission is served from
 the cache with zero recompute, the cache survives a gateway restart,
-a worker death retries the in-flight job to completion, and both the
-live NDJSON stream and the facade's ``backend="service"`` path speak
-the same protocol.
+a worker death retries the in-flight job to completion, the workers
+die with a killed gateway, and both the live NDJSON stream and the
+facade's ``backend="service"`` path speak the same protocol.
 """
 
+import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -17,6 +22,7 @@ import pytest
 
 import repro
 from repro.distrib import ProblemSpec
+from repro.distrib.submit import _worker_env
 from repro.serve import Gateway, ServeClient
 
 pytestmark = pytest.mark.slow
@@ -42,10 +48,7 @@ def _reference(spec: ProblemSpec) -> dict:
 
 @pytest.fixture(scope="module")
 def gateway(tmp_path_factory):
-    gw = Gateway(
-        tmp_path_factory.mktemp("serve"),
-        workers=2, batch_size=4, poll=0.02,
-    )
+    gw = Gateway(tmp_path_factory.mktemp("serve"), workers=2)
     gw.start_background()
     yield gw
     gw.shutdown()
@@ -178,7 +181,7 @@ class TestServiceEndToEnd:
 class TestRestartAndRetry:
     def test_cache_survives_gateway_restart(self, tmp_path):
         serve_dir = tmp_path / "serve"
-        first = Gateway(serve_dir, workers=1, poll=0.02)
+        first = Gateway(serve_dir, workers=1)
         first.start_background()
         try:
             client = ServeClient(first.address)
@@ -190,7 +193,7 @@ class TestRestartAndRetry:
         finally:
             first.shutdown()
 
-        second = Gateway(serve_dir, workers=1, poll=0.02)
+        second = Gateway(serve_dir, workers=1)
         second.start_background()
         try:
             # the replayed job table still knows the computed job
@@ -208,7 +211,7 @@ class TestRestartAndRetry:
             second.shutdown()
 
     def test_worker_death_retries_the_job(self, tmp_path):
-        gw = Gateway(tmp_path / "serve", workers=1, poll=0.02)
+        gw = Gateway(tmp_path / "serve", workers=1)
         gw.start_background()
         try:
             client = ServeClient(gw.address)
@@ -230,3 +233,51 @@ class TestRestartAndRetry:
             assert client.fields(job_id)
         finally:
             gw.shutdown()
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rpartition(")")[2].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in ("Z", "X")
+
+
+class TestGatewayCrash:
+    def test_pool_workers_exit_when_the_gateway_is_killed(self, tmp_path):
+        serve_dir = tmp_path / "serve"
+        gateway = subprocess.Popen(
+            [sys.executable, "-m", "repro.tools", "serve",
+             "--dir", str(serve_dir), "--workers", "2"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            env=_worker_env(),
+        )
+        pids: list[int] = []
+        try:
+            deadline = time.monotonic() + 60.0
+            for i in range(2):
+                hb = serve_dir / "pool" / "hb" / f"pool{i:04d}.json"
+                while True:
+                    assert time.monotonic() < deadline, "pool never ready"
+                    try:
+                        pids.append(json.loads(hb.read_text())["pid"])
+                        break
+                    except (OSError, ValueError):
+                        time.sleep(0.02)
+            gateway.kill()
+            gateway.wait(timeout=10)
+            deadline = time.monotonic() + 5.0
+            while any(_running(pid) for pid in pids) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.05)
+            survivors = [pid for pid in pids if _running(pid)]
+            assert not survivors, \
+                f"pool workers {survivors} outlived the killed gateway"
+        finally:
+            gateway.kill()
+            gateway.wait(timeout=10)
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)

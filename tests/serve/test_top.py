@@ -46,7 +46,7 @@ class TestRender:
         lines = render(SNAPSHOT).splitlines()
         busy = next(l for l in lines if "pool-00" in l)
         assert "busy" in busy and "j000008-cafecafe" in busy
-        assert "1.5s" in busy  # heartbeat age = wall - hb wall
+        assert "1.5s" in busy  # time in state = wall - hb wall
         dead = next(l for l in lines if "pool-01" in l)
         assert "dead" in dead
 

@@ -11,17 +11,17 @@ The one-call entry point is :func:`repro.run`, which marches a
 :class:`~repro.distrib.ProblemSpec` on any of the backends and
 returns a :class:`repro.RunResult`; :mod:`repro.trace` is the
 phase-level tracing layer shared by all of them,
-:mod:`repro.graph` plans each run as an explicit task DAG and drives
-it dependency-first (no step barrier), and :mod:`repro.serve` turns
-the same machinery into a multi-tenant simulation service (job queue,
-result cache, live cluster view).
+:mod:`repro.graph` plans a threaded run as an explicit task DAG and
+drives it dependency-first (no step barrier), and :mod:`repro.serve`
+puts the same machinery behind a single-host job gateway with a
+result cache (job queue, worker pool, live cluster view).
 """
 
 from . import balance, chaos, cluster, core, distrib, fluids, graph, \
     harness, net, serve, trace, viz
 from .facade import BACKENDS, RunResult, run
 
-__version__ = "1.5.0"
+__version__ = "1.0.0"
 
 __all__ = [
     "core",

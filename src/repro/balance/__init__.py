@@ -24,20 +24,12 @@ under a bumped generation) reuses the migration-epoch machinery in
 """
 
 from .estimator import LoadEstimator, calibrated_speeds
-from .methods import (
-    calibrate_methods,
-    method_node_speeds,
-    seed_method_speeds,
-)
 from .planner import BalancePolicy, RebalancePlan, RebalancePlanner
 from .recut import RecutError, check_rebalanceable, recut_problem
 
 __all__ = [
     "LoadEstimator",
     "calibrated_speeds",
-    "method_node_speeds",
-    "calibrate_methods",
-    "seed_method_speeds",
     "BalancePolicy",
     "RebalancePlan",
     "RebalancePlanner",

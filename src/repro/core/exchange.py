@@ -13,8 +13,9 @@ the paper's system does.
 Three exchange transports implement the same plan:
 
 * :class:`LocalExchanger` (here) — direct array copies between
-  subregions living in one process; used by the serial reference runner
-  and the in-process parallel runner.
+  subregions living in one process: a whole sweep per call for the
+  serial reference runner, one edge operation per call for the
+  threaded runner's task graph (:mod:`repro.graph`).
 * :class:`repro.net.transport.SocketExchanger` — real TCP/IP sockets
   between worker processes (the paper's actual mechanism).
 * the cluster simulator, which never moves bytes but charges the plan's
@@ -201,6 +202,7 @@ class LocalExchanger:
     Drives both the serial reference configuration (a 1x1 decomposition,
     where every face is a domain boundary or a periodic self-wrap) and
     in-process parallel runs used by the bitwise serial==parallel tests.
+    ``sweep`` is the per-axis exchange order (see :func:`sweep_axes`).
     """
 
     def __init__(
@@ -222,6 +224,9 @@ class LocalExchanger:
             s.block.rank: build_plan(decomp, s.block.rank, pad)
             for s in self.subs
         }
+        self.sweep = sweep_axes(
+            decomp.ndim, decomp.n_active < decomp.n_blocks
+        )
         #: per-edge seam converters keyed ``(dst_rank, src_rank)`` (see
         #: :func:`repro.fluids.coupling.build_converters`); edges listed
         #: here are *skipped* by :meth:`exchange` — their ghost strips
@@ -229,10 +234,7 @@ class LocalExchanger:
         self.converters = dict(converters or {})
 
     def exchange(
-        self,
-        field_names: Sequence[str],
-        axes: Sequence[int] | None = None,
-        fields_by_rank=None,
+        self, field_names: Sequence[str], fields_by_rank=None
     ) -> None:
         """Run one full ghost exchange of the named fields.
 
@@ -240,9 +242,7 @@ class LocalExchanger:
         copy reads interior strips (plus ghost columns refreshed by
         earlier passes), so there is no read/write hazard within an
         axis.  The extended sweep (see :func:`sweep_axes`) is used
-        whenever the decomposition has inactive blocks; ``axes``
-        overrides the sweep (in sweep order) for callers that have
-        already applied a local prefix via :meth:`exchange_local`.
+        whenever the decomposition has inactive blocks.
 
         ``fields_by_rank`` (hybrid runs) overrides ``field_names`` per
         subregion — each method exchanges its own representation with
@@ -250,11 +250,8 @@ class LocalExchanger:
         installed and are skipped here (seam strips are refreshed by
         :meth:`exchange_seam` before the step's first compute phase).
         """
-        if axes is None:
-            extended = self.decomp.n_active < self.decomp.n_blocks
-            axes = sweep_axes(self.decomp.ndim, extended)
         converters = self.converters
-        for axis in axes:
+        for axis in self.sweep:
             for sub in self.subs:
                 rank = sub.block.rank
                 fields = (
@@ -272,7 +269,7 @@ class LocalExchanger:
                         continue
                     self._apply(sub, op, fields)
 
-    def exchange_seam(self, axes: Sequence[int] | None = None) -> None:
+    def exchange_seam(self) -> None:
         """Translate every mixed-method ghost strip (once per step).
 
         Runs the same axis sweep as :meth:`exchange`; for each seam
@@ -288,10 +285,7 @@ class LocalExchanger:
         """
         if not self.converters:
             return
-        if axes is None:
-            extended = self.decomp.n_active < self.decomp.n_blocks
-            axes = sweep_axes(self.decomp.ndim, extended)
-        for axis in axes:
+        for axis in self.sweep:
             for sub in self.subs:
                 rank = sub.block.rank
                 plan = self.plans[rank]
@@ -342,28 +336,6 @@ class LocalExchanger:
             if o.side == -op.side and o.kind == "recv"
             and o.neighbor_rank == my_rank
         )
-
-    def exchange_local(
-        self, rank: int, axes: Sequence[int], field_names: Sequence[str]
-    ) -> None:
-        """Apply one subregion's ghost fills for neighbourless axes.
-
-        Only ``replicate``/``hold`` operations are legal here — they
-        read and write this subregion's own arrays exclusively, so a
-        per-subregion worker thread can run them without synchronizing
-        (the threaded runner uses this to skip the exchange barrier for
-        single-block axes).
-        """
-        sub = self._by_rank[rank]
-        plan = self.plans[rank]
-        for axis in axes:
-            for op in plan.ops_for_axis(axis):
-                if op.kind == "recv":
-                    raise ValueError(
-                        f"axis {axis} has a neighbour exchange; it cannot "
-                        "be applied thread-locally"
-                    )
-                self._apply(sub, op, field_names)
 
     def _apply(
         self, sub: SubregionState, op: EdgeOp, field_names: Sequence[str]

@@ -20,17 +20,15 @@ methods of the paper (§6) maps onto the protocol as::
 so FD exchanges two messages per step per neighbour and LB one, exactly
 the counts whose performance consequences §7 measures.
 
-The cycle is written out once, in :meth:`Simulation._run_member`, and
-run by a *team*: each member steps the subregions it owns.  Per step a
-member computes each phase on its subregions (a hybrid run's methods
-with fewer phases idle) and fills their ghosts on axes without
-neighbour traffic; member 0 then runs the phase's one central exchange
-between barriers, and after the last phase every member finalizes.  A
-hybrid run (:mod:`repro.fluids.coupling`) adds one seam translation
-before phase 0, also central.  :class:`Simulation` is a team of one: it
-owns every subregion, exchanges the whole axis sweep centrally and
-never touches a barrier.  :class:`~repro.core.threaded.ThreadedSimulation`
-is the same loop with one thread per subregion.
+The cycle is written out once for in-process runs, in
+:meth:`Simulation.step`: per step a hybrid run
+(:mod:`repro.fluids.coupling`) first translates its seams, then every
+phase computes each subregion whose method has it (a hybrid run's
+methods with fewer phases idle) and runs one ghost exchange, and
+finally every subregion finalizes.  The threaded runner
+(:class:`~repro.core.threaded.ThreadedSimulation`) does not step
+through this loop: it plans the same schedule as a task graph
+(:mod:`repro.graph`) and solves it with one thread per subregion.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ import numpy as np
 
 from ..trace import NULL_TRACER
 from .decomposition import Decomposition
-from .exchange import LocalExchanger, sweep_axes
+from .exchange import LocalExchanger
 from .subregion import SubregionState, assemble_global, make_subregions
 
 __all__ = ["ExplicitMethod", "Simulation", "common_field_names"]
@@ -225,102 +223,51 @@ class Simulation:
             },
         )
         self.exchanger.exchange_seam()
-        # the team of one: no barrier, every sweep axis exchanged centrally
-        self._barrier = None
-        self._local_axes: tuple[int, ...] = ()
-        self._central_axes = sweep_axes(
-            decomp.ndim, decomp.n_active < decomp.n_blocks
-        )
 
     @property
     def step_count(self) -> int:
         return self.subs[0].step
 
     def step(self, n: int = 1) -> None:
-        """Advance every subregion ``n`` integration steps."""
-        self._run_member(0, n)
+        """Advance every subregion ``n`` integration steps.
 
-    def _run_member(self, member: int, n: int) -> None:
-        """The one step loop: team member ``member``'s share of ``n`` steps.
-
-        A member of a team of one (``_barrier is None``) owns every
-        subregion; otherwise member ``i`` owns subregion ``i``.  Seam
-        ghost strips are translated once per step *before* the first
-        compute phase — both sides convert time-``t`` state (the LB side
-        needs the FD velocity before the in-place momentum update
-        overwrites it).  The phase loop runs to the longest method's
-        phase count; a method with fewer phases idles, and each method
-        exchanges only its own representation with its same-method
-        neighbours (seam edges are skipped — the converter already
-        refreshed them).  Exchanges and seam translations copy strips
-        between subregions, so member 0 runs them alone between
-        barriers; axes without neighbour traffic are pure replication on
-        a subregion's own arrays and are filled by the owning member.
+        Seam ghost strips are translated once per step *before* the
+        first compute phase — both sides convert time-``t`` state (the
+        LB side needs the FD velocity before the in-place momentum
+        update overwrites it).  The phase loop runs to the longest
+        method's phase count; a method with fewer phases idles, and
+        each method exchanges only its own representation with its
+        same-method neighbours (seam edges are skipped — the converter
+        already refreshed them).
         """
         subs = self.subs
-        methods = self.methods
+        pairs = tuple(zip(subs, self.methods))
         exchanger = self.exchanger
         tracer = self.tracer
-        barrier = self._barrier
-        own = (
-            range(len(subs)) if barrier is None
-            else range(member, member + 1)
-        )
-        lead = member == 0
         seam = bool(self._converters)
         phase_fields = self._phase_fields
-        local_axes = self._local_axes
-        central_axes = self._central_axes
         compute_names = self._compute_names
-        # non-exchanging members spend the same interval at the barrier
-        sync_names = self._exchange_names if lead else self._wait_names
-        first = subs[own[0]]
+        exchange_names = self._exchange_names
         for _ in range(n):
-            step_no = first.step
-            self._begin_step(member, step_no)
+            step_no = subs[0].step
             if seam:
                 t0 = tracer.begin()
-                if barrier is not None:
-                    barrier.wait()
-                if lead:
-                    exchanger.exchange_seam()
-                if barrier is not None:
-                    barrier.wait()
-                tracer.end("seam:0", t0, step=step_no, tid=member)
+                exchanger.exchange_seam()
+                tracer.end("seam:0", t0, step=step_no)
             for phase in range(self._nphases):
-                fields = phase_fields[phase]
                 t0 = tracer.begin()
-                for i in own:
-                    sub, m = subs[i], methods[i]
+                for sub, m in pairs:
                     if phase < len(m.exchange_phases):
                         m.compute_phase(sub, phase)
-                        if local_axes:
-                            rank = sub.block.rank
-                            exchanger.exchange_local(
-                                rank, local_axes, fields[rank]
-                            )
-                tracer.end(compute_names[phase], t0, step=step_no,
-                           tid=member)
-                if central_axes:
-                    t0 = tracer.begin()
-                    if barrier is not None:
-                        barrier.wait()
-                    if lead:
-                        exchanger.exchange(
-                            (), axes=central_axes, fields_by_rank=fields
-                        )
-                    if barrier is not None:
-                        barrier.wait()
-                    tracer.end(sync_names[phase], t0, step=step_no,
-                               tid=member)
+                tracer.end(compute_names[phase], t0, step=step_no)
+                t0 = tracer.begin()
+                exchanger.exchange((), fields_by_rank=phase_fields[phase])
+                tracer.end(exchange_names[phase], t0, step=step_no)
             t0 = tracer.begin()
-            for i in own:
-                methods[i].finalize_step(subs[i])
-                subs[i].step += 1
-            tracer.end("finalize:0", t0, step=step_no, tid=member)
-
-    def _begin_step(self, member: int, step_no: int) -> None:
-        """Hook at the top of a member's step (threaded synthetic load)."""
+            for sub, m in pairs:
+                m.finalize_step(sub)
+                sub.step += 1
+            tracer.end("finalize:0", t0, step=step_no)
 
     def global_field(self, name: str, fill: float = 0.0) -> np.ndarray:
         """Reassemble a global array from the subregion interiors."""

@@ -28,7 +28,7 @@ from .hostdb import (
 )
 from .initprog import initial_fields
 from .monitor import Monitor, MonitorError
-from .orchestrator import DistributedRun, RunSettings, run_distributed
+from .orchestrator import DistributedRun, RunSettings
 from .spec import ProblemSpec
 from .submit import spawn_worker, submit_all
 from .sync import SaveTurns, SyncFiles, SyncFileWarning
@@ -59,7 +59,6 @@ __all__ = [
     "MonitorError",
     "DistributedRun",
     "RunSettings",
-    "run_distributed",
     "spawn_worker",
     "submit_all",
     "SyncFiles",

@@ -177,22 +177,6 @@ class Monitor:
                 self.workdir / "trace" / "trace-mon.jsonl",
                 rank=len(self.procs),
             )
-        # Dependency-driven runs: replay heartbeats against the planned
-        # task graph (staged by the orchestrator) so a slow rank is
-        # reported *by name* with its cost estimate, not just as the
-        # anonymous no-progress timeout below.
-        self.graph_stalls: list = []
-        self._graph_detector = None
-        if base_cfg.get("execution") == "graph":
-            from ..graph import HeartbeatStallDetector, TaskGraph
-
-            gpath = self.workdir / "graph" / "graph.json"
-            if gpath.exists():
-                self._graph_detector = HeartbeatStallDetector(
-                    TaskGraph.load(gpath),
-                    factor=float(base_cfg.get("stall_factor", 8.0)),
-                    floor=float(base_cfg.get("stall_floor", 0.05)),
-                )
 
     def _ledger(self, name: str) -> None:
         """One recovery-ledger span (``chaos:``/``recover:`` prefix)."""
@@ -308,17 +292,6 @@ class Monitor:
             #    a second progress pulse (a run whose heartbeat files
             #    are on a wedged filesystem still advances it).
             steps = self._read_heartbeats()
-            if self._graph_detector is not None:
-                fresh = self._graph_detector.observe(
-                    steps, time.monotonic()
-                )
-                for event in fresh:
-                    self.graph_stalls.append(event)
-                    self.log(
-                        f"graph stall: {event.label} waited "
-                        f"{event.waited:.3f}s "
-                        f"(est {event.cost:.4f}s/step)"
-                    )
             diag_step = self._diag_log.last_step()
             if diag_step is not None:
                 steps[-1] = diag_step

@@ -27,7 +27,7 @@ from .settings import WorkerKnobs, worker_knob_names
 from .spec import ProblemSpec
 from .submit import submit_all
 
-__all__ = ["RunSettings", "DistributedRun", "run_distributed"]
+__all__ = ["RunSettings", "DistributedRun"]
 
 
 @dataclass
@@ -96,62 +96,9 @@ class DistributedRun:
         self.workdir.mkdir(parents=True, exist_ok=True)
         self.decomp = spec.build_decomposition()
         decompose_problem(spec, global_fields, self.workdir)
-        if settings.execution == "graph":
-            self._write_graph(spec)
         self.hostdb = HostDB(self.workdir / "hosts.json")
         self.hostdb.initialize(settings.hosts)
         self.monitor: Monitor | None = None
-
-    def _write_graph(self, spec: ProblemSpec) -> None:
-        """Plan the run's task DAG and stage it in the workdir.
-
-        ``graph/graph.json`` is the full plan (the monitor replays
-        heartbeats against it to name stalled ranks); each
-        ``graph/rank%04d.json`` is one rank's slice — the nodes it owns
-        plus its estimated per-step cost, enough for the worker to
-        flag its own overruns without parsing the whole graph.
-        """
-        from ..fluids.coupling import build_converters
-        from ..graph import plan_graph
-
-        methods = spec.build_methods()
-        converter_edges = ()
-        if spec.is_hybrid:
-            converter_edges = tuple(
-                sorted(build_converters(self.decomp, methods))
-            )
-        graph = plan_graph(
-            self.decomp,
-            methods,
-            self.settings.steps,
-            converter_edges=converter_edges,
-            diag_every=self.settings.diag_every,
-            save_every=self.settings.save_every,
-        )
-        gdir = self.workdir / "graph"
-        gdir.mkdir(parents=True, exist_ok=True)
-        graph.save(gdir / "graph.json")
-        import json
-
-        for rank in (b.rank for b in self.decomp.active_blocks()):
-            owned = [n for n in graph.rank_slice(rank) if n.rank == rank]
-            slice_payload = {
-                "rank": rank,
-                "steps": self.settings.steps,
-                "step_cost": graph.step_cost(rank),
-                "counts": {},
-                "nodes": [
-                    [n.kind, n.step, n.phase, n.axis, n.side,
-                     round(n.cost, 12)]
-                    for n in owned
-                ],
-            }
-            for n in owned:
-                counts = slice_payload["counts"]
-                counts[n.kind] = counts.get(n.kind, 0) + 1
-            (gdir / f"rank{rank:04d}.json").write_text(
-                json.dumps(slice_payload, sort_keys=True) + "\n"
-            )
 
     def start(self) -> Monitor:
         """Submit the workers and return the live monitor."""
@@ -214,20 +161,3 @@ class DistributedRun:
         """Delete the working directory."""
         shutil.rmtree(self.workdir, ignore_errors=True)
 
-
-def run_distributed(
-    spec: ProblemSpec,
-    global_fields: Mapping[str, np.ndarray],
-    workdir: str | Path,
-    settings: RunSettings,
-) -> dict[str, np.ndarray]:
-    """Run to completion and return the reassembled global state.
-
-    Thin historical wrapper; prefer ``repro.run(spec,
-    backend="distributed", settings=...)``, which also returns the
-    diagnostics records and the merged trace.
-    """
-    run = DistributedRun(spec, global_fields, workdir, settings)
-    run.start()
-    run.wait()
-    return run.collect()

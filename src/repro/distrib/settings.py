@@ -80,15 +80,6 @@ class WorkerKnobs:
     #  heterogeneous workstations (§7).  Each rank indexes this list
     #  with its own rank, so monitor-driven restarts rebuild identical
     #  per-rank kernels.
-    execution: str = "phased"  # "phased" (the BSP compute/communicate
-    #  cycle) or "graph" (repro.graph: plan the task DAG, execute it
-    #  dependency-driven — no step barrier in-process; distributed runs
-    #  plan per-rank slices and the monitor reports named graph stalls).
-    #  Results are bit-for-bit identical either way.
-    stall_factor: float = 8.0  # graph-stall rule: a node (or a rank's
-    stall_floor: float = 0.05  # step) whose dependencies have been
-    #  ready for > factor x its estimated cost + floor seconds without
-    #  finishing is reported as a named `graph:` stall.
 
 
 def worker_knob_names() -> tuple[str, ...]:

@@ -240,18 +240,6 @@ class Worker:
         #: monitor's load estimator can see per-rank speed even though
         #: the BSP lockstep equalizes every rank's step counter.
         self._comp_ema: float | None = None
-        # Dependency-driven runs: the orchestrator stages this rank's
-        # slice of the planned task graph; its estimated per-step cost
-        # lets the worker flag its *own* overruns as named graph:stall
-        # spans (the monitor's heartbeat replay covers silent ranks).
-        self._graph_step_cost: float | None = None
-        if cfg.execution == "graph":
-            slice_path = (
-                self.workdir / "graph" / f"rank{self.rank:04d}.json"
-            )
-            if slice_path.exists():
-                payload = json.loads(slice_path.read_text())
-                self._graph_step_cost = float(payload["step_cost"])
         self._log_path = self.workdir / "logs" / f"rank{self.rank:04d}.log"
         self._log_path.parent.mkdir(parents=True, exist_ok=True)
         # Deterministic fault injection (repro.chaos): process/dump
@@ -368,7 +356,6 @@ class Worker:
         tracer = self.tracer
         step_no = sub.step
         comp = 0.0
-        wall0 = time.perf_counter()
         if self.converters:
             # Mixed-method edges translate once per step before the
             # first compute phase (both sides convert time-t state);
@@ -398,19 +385,6 @@ class Worker:
             self._comp_ema = comp
         else:
             self._comp_ema += _COMP_ALPHA * (comp - self._comp_ema)
-        if self._graph_step_cost is not None:
-            wall = time.perf_counter() - wall0
-            cost = self._graph_step_cost
-            if wall > self.cfg.stall_factor * cost + self.cfg.stall_floor:
-                self.log(
-                    f"graph stall: step:r{self.rank}:t{step_no} took "
-                    f"{wall:.3f}s (est {cost:.4f}s)"
-                )
-                if tracer.enabled:
-                    tracer.add_span(
-                        f"graph:stall:step:r{self.rank}:t{step_no}",
-                        tracer.clock(), 0.0, step=step_no,
-                    )
         sub.step += 1
         if (
             self.cfg.nan_step > 0

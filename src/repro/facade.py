@@ -174,43 +174,12 @@ def _run_inprocess(spec, fields, settings, workdir, threaded: bool,
         from .distrib.diagnostics import DiagnosticsLog
 
         diag_log = DiagnosticsLog.for_workdir(workdir)
-    # settings.step_delays (or the scalar step_delay) is the same
-    # synthetic-load knob the distributed workers honour.
-    delays = list(settings.step_delays)
-    if not delays and settings.step_delay > 0:
-        delays = [settings.step_delay] * len(decomp.active_blocks())
-    # Dependency-driven execution (repro.graph): plan the task DAG and
-    # solve it on a *serial* Simulation with the graph executor's
-    # thread pool — same concurrency as the threaded runner, no step
-    # barrier, bit-for-bit the same result.
-    graph_mode = threaded and settings.execution == "graph"
-    executor = None
-    if graph_mode:
-        from .graph import GraphExecutor, plan_graph
-
-        sim = Simulation(
-            method, decomp, fields, solid, tracer=tracer,
-            converters=converters,
-        )
-        graph = plan_graph(
-            decomp, sim.methods, n_steps,
-            converter_edges=tuple(sorted(converters))
-            if converters else (),
-            diag_every=settings.diag_every,
-            save_every=settings.save_every,
-        )
-        ckpt_dir = (
-            Path(workdir) / "dumps" if settings.save_every > 0 else None
-        )
-        executor = GraphExecutor(
-            sim, graph,
-            step_delays=delays,
-            stall_factor=settings.stall_factor,
-            stall_floor=settings.stall_floor,
-            diag_vmax=settings.diag_vmax,
-            checkpoint_dir=ckpt_dir,
-        )
-    elif threaded:
+    if threaded:
+        # settings.step_delays (or the scalar step_delay) is the same
+        # synthetic-load knob the distributed workers honour.
+        delays = list(settings.step_delays)
+        if not delays and settings.step_delay > 0:
+            delays = [settings.step_delay] * len(decomp.active_blocks())
         sim = ThreadedSimulation(
             method, decomp, fields, solid,
             tracer=tracer,
@@ -225,15 +194,9 @@ def _run_inprocess(spec, fields, settings, workdir, threaded: bool,
     diagnostics: list = []
     t0 = time.perf_counter()
     # a failing run (e.g. a NaN tripping the diagnostics) must not leave
-    # the thread pool parked or the trace stream open
+    # the trace stream open
     try:
-        if graph_mode:
-            executor.run()
-            diagnostics = list(executor.diagnostics)
-            if diag_log is not None:
-                for rec in diagnostics:
-                    diag_log.append(rec)
-        elif settings.diag_every > 0:
+        if settings.diag_every > 0:
             # sample the same global reductions a distributed run would,
             # judged by the same abort rule
             from .distrib.diagnostics import check_record
@@ -254,8 +217,6 @@ def _run_inprocess(spec, fields, settings, workdir, threaded: bool,
             sim.step(n_steps)
         elapsed = time.perf_counter() - t0
     finally:
-        if threaded and not graph_mode:
-            sim.close()
         tracer.close()
     result = RunResult(
         backend="threaded" if threaded else "serial",
@@ -270,7 +231,7 @@ def _run_inprocess(spec, fields, settings, workdir, threaded: bool,
     return result
 
 
-def _run_distributed(spec, fields, settings, workdir) -> RunResult:
+def _run_on_workers(spec, fields, settings, workdir) -> RunResult:
     from .distrib.diagnostics import DiagnosticsLog
     from .distrib.orchestrator import DistributedRun
 
@@ -429,7 +390,7 @@ def run(
         return _run_simulated(spec, settings, workdir or ".")
     init = _initial_fields(spec, fields)
     if backend == "distributed":
-        return _run_distributed(spec, init, settings, workdir)
+        return _run_on_workers(spec, init, settings, workdir)
     return _run_inprocess(
         spec, init, settings, workdir or ".",
         threaded=(backend == "threaded"), n_steps=settings.steps,

@@ -1,27 +1,27 @@
 """Dependency-driven execution of a planned :class:`TaskGraph`.
 
-The BSP runners advance every subregion in lockstep: compute, barrier,
-exchange, barrier — so one slow rank stalls the whole step.  This
-executor instead walks the planned DAG with a pool of worker threads
-and a ready heap: a node runs the moment its dependencies are done, so
-a subregion steps as soon as *its own* ghost strips for step ``t`` are
-filled (the paper's first-come-first-served ``select`` loop, taken to
-its limit), and fast ranks run ahead of slow ones by however much the
-neighbour-only dependency structure allows (one phase of lag per hop).
+A barriered runner advances every subregion in lockstep: compute,
+barrier, exchange, barrier — so one slow rank stalls the whole step.
+This executor instead walks the planned DAG with a pool of worker
+threads and a ready heap: a node runs the moment its dependencies are
+done, so a subregion steps as soon as *its own* ghost strips for step
+``t`` are filled (the paper's first-come-first-served ``select`` loop,
+taken to its limit), and fast ranks run ahead of slow ones by however
+much the neighbour-only dependency structure allows (one phase of lag
+per hop).  It is how :class:`~repro.core.ThreadedSimulation` steps.
 
 Because the planner's dependency edges encode the complete read/write
 hazard analysis of the axis-sweep exchange, *any* execution order the
 heap produces performs the identical floating-point operations on the
 identical data — runs are bit-for-bit equal to the serial
 :class:`~repro.core.Simulation`, which the test suite asserts for FD,
-LB and hybrid seam problems at 1–4 ranks.
+LB and hybrid seam problems in 2D and 3D.
 
-The executor doubles as the in-process half of the stall story: a
-watchdog thread applies the :class:`~repro.graph.stalls.StallDetector`
+A watchdog thread applies the :class:`~repro.graph.stalls.StallDetector`
 rule (ready for > N× estimated cost and unfinished) and emits one
 ``graph:stall:<label>`` trace span per event, so a deliberately slowed
 rank shows up by name in the Chrome trace instead of as anonymous
-barrier waits.
+waits.
 """
 
 from __future__ import annotations
@@ -40,41 +40,33 @@ _WATCHDOG_POLL = 0.01
 
 
 class GraphExecutor:
-    """Run a planned graph on a serial :class:`~repro.core.Simulation`.
+    """Run a planned graph on a :class:`~repro.core.Simulation`'s state.
 
     Parameters
     ----------
     sim:
-        A freshly built (or checkpoint-resumed) serial
-        :class:`~repro.core.Simulation`; the executor mutates its
-        subregions in place and leaves it in exactly the state the
-        same number of ``sim.step()`` calls would have produced.
+        A built (or checkpoint-resumed) :class:`~repro.core.Simulation`;
+        the executor mutates its subregions in place and leaves it in
+        exactly the state the same number of serial ``sim.step()``
+        calls would have produced.
     graph:
         The plan for this decomposition/method set, from
         :func:`repro.graph.plan_graph`.
     n_workers:
-        Worker threads; defaults to one per subregion (like the
-        threaded runner — NumPy kernels release the GIL, so threads
-        genuinely overlap).
+        Worker threads; defaults to one per subregion (NumPy kernels
+        release the GIL, so threads genuinely overlap).
     delay_fn, step_delays:
         Synthetic-load injection, applied at each rank's first compute
         phase of each step: ``step_delays[rank]`` seconds every step
         (the distributed runtime's imbalance knob) plus
-        ``delay_fn(rank, step)`` seconds (the overlap bench's jitter
-        schedule).  Delays burn wall time only — results are
-        unaffected.
+        ``delay_fn(rank, step)`` seconds (a jitter schedule).  ``step``
+        is the subregion's absolute step number, as in trace spans, so
+        a run split over several graphs sees one continuous count.
+        Delays burn wall time only — results are unaffected.
     stall_factor, stall_floor:
         The stall rule: a node ready for more than
         ``factor × cost + floor`` seconds without finishing is
         reported (and traced as ``graph:stall:<label>``).
-    diag_vmax:
-        The CFL threshold ``diag`` nodes hold each record to (``0``:
-        only a global NaN aborts — see
-        :func:`~repro.distrib.diagnostics.check_record`).
-    checkpoint_dir:
-        Where ``checkpoint`` nodes write their per-rank dumps; when
-        ``None`` checkpoint nodes are no-ops (the in-process runners
-        never checkpoint mid-run either).
     """
 
     def __init__(
@@ -88,8 +80,6 @@ class GraphExecutor:
         step_delays: Sequence[float] | None = None,
         stall_factor: float = STALL_FACTOR,
         stall_floor: float = STALL_FLOOR,
-        diag_vmax: float = 0.0,
-        checkpoint_dir=None,
     ) -> None:
         graph.validate()
         self.sim = sim
@@ -97,9 +87,6 @@ class GraphExecutor:
         self.tracer = sim.tracer if tracer is None else tracer
         self.delay_fn = delay_fn
         self.step_delays = list(step_delays or [])
-        self.diag_vmax = diag_vmax
-        self.checkpoint_dir = checkpoint_dir
-        self.diagnostics: list = []
         self.stalls: list[StallEvent] = []
         self._detector = StallDetector(factor=stall_factor,
                                        floor=stall_floor)
@@ -141,64 +128,45 @@ class GraphExecutor:
     def _execute(self, node) -> None:
         kind = node.kind
         tracer = self.tracer
+        rank = node.rank
+        sub = self._sub[rank]
+        # A node runs between its rank's previous finalize and its own,
+        # so the subregion's counter is the node's absolute step (the
+        # plan numbers steps from 0 in every graph).
+        step_no = sub.step
         if kind == "compute":
-            rank = node.rank
             if node.phase == 0:
                 delay = (
                     self.step_delays[rank]
                     if rank < len(self.step_delays) else 0.0
                 )
                 if self.delay_fn is not None:
-                    delay += self.delay_fn(rank, node.step)
+                    delay += self.delay_fn(rank, step_no)
                 if delay > 0:
                     time.sleep(delay)
             t0 = tracer.begin()
-            self._method[rank].compute_phase(self._sub[rank], node.phase)
+            self._method[rank].compute_phase(sub, node.phase)
             tracer.end(self._span["compute"][node.phase], t0,
-                       step=node.step, tid=self._tid[rank])
+                       step=step_no, tid=self._tid[rank])
         elif kind in ("exchange", "replicate"):
-            rank = node.rank
             op = self._ops[(rank, node.axis, node.side)]
             t0 = tracer.begin()
             self.sim.exchanger.apply_op(
                 rank, op, self._fields[node.phase][rank]
             )
             tracer.end(self._span["exchange"][node.phase], t0,
-                       step=node.step, tid=self._tid[rank])
+                       step=step_no, tid=self._tid[rank])
         elif kind == "seam":
-            rank = node.rank
             op = self._ops[(rank, node.axis, node.side)]
             t0 = tracer.begin()
             self.sim.exchanger.apply_seam(rank, op)
-            tracer.end("seam:0", t0, step=node.step,
-                       tid=self._tid[rank])
+            tracer.end("seam:0", t0, step=step_no, tid=self._tid[rank])
         elif kind == "finalize":
-            rank = node.rank
-            sub = self._sub[rank]
             t0 = tracer.begin()
             self._method[rank].finalize_step(sub)
-            tracer.end("finalize:0", t0, step=node.step,
+            tracer.end("finalize:0", t0, step=step_no,
                        tid=self._tid[rank])
             sub.step += 1
-        elif kind == "diag":
-            from ..distrib.diagnostics import check_record, serial_diagnostics
-
-            t0 = tracer.begin()
-            rec = serial_diagnostics(self.sim.subs)
-            tracer.end("collective:diag", t0, step=node.step)
-            self.diagnostics.append(rec)
-            check_record(rec, self.diag_vmax)
-        elif kind == "checkpoint":
-            if self.checkpoint_dir is not None:
-                from ..distrib.dumpfile import dump_path, save_dump
-
-                t0 = tracer.begin()
-                save_dump(
-                    self._sub[node.rank],
-                    dump_path(self.checkpoint_dir, node.rank),
-                )
-                tracer.end("checkpoint:0", t0, step=node.step,
-                           tid=self._tid[node.rank])
         else:  # pragma: no cover - planner and executor share NODE_KINDS
             raise ValueError(f"unknown node kind {kind!r}")
 
@@ -208,12 +176,14 @@ class GraphExecutor:
     def run(self) -> None:
         """Execute every node; returns when the graph is drained.
 
-        Raises the first node error (remaining work is abandoned, like
-        the threaded runner's error path).
+        Raises the first node error; the remaining work is abandoned
+        and every thread has exited by the time it propagates.
         """
         nodes = self.graph.nodes
         if not nodes:
             return
+        # each rank's step at plan step 0, for the stall spans
+        base = {rank: sub.step for rank, sub in self._sub.items()}
         indeg = [len(n.deps) for n in nodes]
         dependents: list[list[int]] = [[] for _ in nodes]
         for n in nodes:
@@ -230,8 +200,26 @@ class GraphExecutor:
         state = {"left": len(nodes), "error": None}
 
         def worker() -> None:
+            nid = None
             while True:
                 with cond:
+                    if nid is not None:
+                        # retire the node just run and release its
+                        # dependents; this thread takes the next one, so
+                        # only the extra ready nodes need a sleeper woken
+                        self._detector.node_done(nid)
+                        state["left"] -= 1
+                        t_now = time.monotonic()
+                        woken = 0
+                        for dep_id in dependents[nid]:
+                            indeg[dep_id] -= 1
+                            if indeg[dep_id] == 0:
+                                heapq.heappush(ready, dep_id)
+                                self._detector.node_ready(nodes[dep_id],
+                                                          t_now)
+                                woken += 1
+                        if woken > 1:
+                            cond.notify(woken - 1)
                     while not ready and state["left"] > 0 \
                             and state["error"] is None:
                         cond.wait()
@@ -247,33 +235,22 @@ class GraphExecutor:
                             state["error"] = exc
                         cond.notify_all()
                     return
-                with cond:
-                    self._detector.node_done(nid)
-                    state["left"] -= 1
-                    t_now = time.monotonic()
-                    for dep_id in dependents[nid]:
-                        indeg[dep_id] -= 1
-                        if indeg[dep_id] == 0:
-                            heapq.heappush(ready, dep_id)
-                            self._detector.node_ready(nodes[dep_id], t_now)
-                    cond.notify_all()
+
+        finished = threading.Event()
 
         def watchdog() -> None:
-            while True:
-                with cond:
-                    if state["left"] <= 0 or state["error"] is not None:
-                        return
+            while not finished.wait(_WATCHDOG_POLL):
+                with lock:
                     fresh = self._detector.check(time.monotonic())
-                    for event in fresh:
-                        self.stalls.append(event)
-                        if self.tracer.enabled:
-                            self.tracer.add_span(
-                                f"graph:stall:{event.label}",
-                                self.tracer.begin(), 0.0,
-                                step=event.step,
-                                tid=self._tid.get(event.rank, 0),
-                            )
-                    cond.wait(timeout=_WATCHDOG_POLL)
+                for event in fresh:
+                    self.stalls.append(event)
+                    if self.tracer.enabled:
+                        self.tracer.add_span(
+                            f"graph:stall:{event.label}",
+                            self.tracer.begin(), 0.0,
+                            step=base[event.rank] + event.step,
+                            tid=self._tid[event.rank],
+                        )
 
         threads = [
             threading.Thread(target=worker, name=f"repro-graph{i}",
@@ -287,6 +264,7 @@ class GraphExecutor:
         dog.start()
         for t in threads:
             t.join()
+        finished.set()
         dog.join()
         if state["error"] is not None:
             raise state["error"]

@@ -5,10 +5,10 @@ exchanges interleaved by a runner — but everything the runner will do is
 known the moment the decomposition and the per-rank methods are fixed.
 This module walks a :class:`~repro.core.decomposition.Decomposition`
 plus its methods and emits that schedule as data: a
-:class:`TaskGraph` of per-subregion compute/finalize nodes, per-edge
-ghost-fill (and seam-conversion) nodes, and periodic collective /
-checkpoint nodes, each carrying the dependency edges that make any
-topological execution order produce *bit-for-bit* the serial result.
+:class:`TaskGraph` of per-subregion compute/finalize nodes and per-edge
+ghost-fill (and seam-conversion) nodes, each carrying the dependency
+edges that make any topological execution order produce *bit-for-bit*
+the serial result.
 
 The dependency rules encode the read/write-hazard analysis of
 :class:`~repro.core.exchange.LocalExchanger` at per-edge granularity:
@@ -26,49 +26,38 @@ The dependency rules encode the read/write-hazard analysis of
   neighbours read — and ``compute(t+1, 0)`` waits for ``finalize(t)``;
 * seam conversions (hybrid runs) run before the step's first compute
   phase in the same axis-sweep order as
-  :meth:`~repro.core.exchange.LocalExchanger.exchange_seam`;
-* a diagnostics collective is a true barrier (it reduces over every
-  subregion), and a checkpoint must complete before the next step's
-  ghost writes land in the dump's padded arrays.
+  :meth:`~repro.core.exchange.LocalExchanger.exchange_seam`.
 
 Nodes that only touch *different* subregions are left unordered: that
-is the compute/communicate overlap a dependency-driven executor
+is the compute/communicate overlap the dependency-driven executor
 (:mod:`repro.graph.executor`) harvests, while costs estimated from the
-:mod:`repro.cluster.calibration` constants (or live
-:class:`~repro.balance.LoadEstimator` speeds) give the stall detector
-its per-node expectations.
+:mod:`repro.cluster.calibration` constants give the stall detector its
+per-node expectations.  Global diagnostics and checkpoints are not
+nodes: the threaded runner takes them between ``step`` calls, as the
+serial one does.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ..core.decomposition import Decomposition
 from ..core.exchange import build_plan, sweep_axes
 
-__all__ = ["TaskNode", "TaskGraph", "plan_graph", "GRAPH_SCHEMA_VERSION"]
-
-GRAPH_SCHEMA_VERSION = 1
+__all__ = ["TaskNode", "TaskGraph", "plan_graph"]
 
 #: Node kinds, in the order they appear within one step.
-NODE_KINDS = (
-    "seam", "compute", "exchange", "replicate", "finalize", "diag",
-    "checkpoint",
-)
-
-#: Estimated checkpoint write rate (bytes/s) for costing dump nodes.
-_CHECKPOINT_BYTES_PER_S = 50e6
+NODE_KINDS = ("seam", "compute", "exchange", "replicate", "finalize")
 
 
 @dataclass(frozen=True)
 class TaskNode:
     """One unit of work in a planned run.
 
-    ``rank`` is the owning subregion (the written one for ghost fills;
-    ``-1`` for the global diagnostics collective), ``src`` the rank a
-    fill or seam conversion reads from (``-1`` when not applicable).
+    ``rank`` is the owning subregion (the written one for ghost fills),
+    ``src`` the rank a fill or seam conversion reads from (``-1`` when
+    not applicable).  ``step`` counts from 0 within the plan.
     ``pos`` is the position in the per-phase axis sweep — two fills at
     the same position commute, fills at different positions touching a
     common rank do not.  ``cost`` is the planner's estimated seconds,
@@ -103,11 +92,11 @@ class TaskNode:
 
 @dataclass
 class TaskGraph:
-    """A serializable, validated task DAG for one run.
+    """A validated task DAG for ``steps`` steps of one run.
 
     ``meta`` records what was planned (steps, ranks, sweep, method
-    names, periodic node cadences) so an executor — or a worker handed
-    only its slice — can check it is marching the same problem.
+    names, seam edges) so an executor can check it is marching the same
+    problem.
     """
 
     nodes: list[TaskNode]
@@ -139,92 +128,9 @@ class TaskGraph:
             out[node.kind] = out.get(node.kind, 0) + 1
         return out
 
-    def rank_slice(self, rank: int) -> list[TaskNode]:
-        """The nodes a rank owns or feeds (its worker-visible slice)."""
-        return [
-            n for n in self.nodes if n.rank == rank or n.src == rank
-        ]
-
-    def step_cost(self, rank: int) -> float:
-        """Estimated seconds per step of the nodes ``rank`` owns."""
-        steps = max(1, int(self.meta.get("steps", 1)))
-        total = sum(n.cost for n in self.nodes if n.rank == rank)
-        return total / steps
-
-    def critical_path(self) -> float:
-        """Estimated seconds along the longest dependency chain —
-        the dependency-driven lower bound the overlap bench compares
-        against ``steps × max(per-rank step cost)`` (the BSP bound)."""
-        finish = [0.0] * len(self.nodes)
-        for node in self.nodes:
-            start = max((finish[d] for d in node.deps), default=0.0)
-            finish[node.id] = start + node.cost
-        return max(finish, default=0.0)
-
-    # ------------------------------------------------------------------
-    # serialization (canonical: equal plans produce equal text)
-    # ------------------------------------------------------------------
-    def to_json(self) -> str:
-        """Canonical compact JSON: equal plans produce equal text."""
-        payload = {
-            "version": GRAPH_SCHEMA_VERSION,
-            "meta": self.meta,
-            "nodes": [
-                [
-                    n.id, n.kind, n.rank, n.step, n.phase, n.axis,
-                    n.side, n.pos, n.src, round(n.cost, 12),
-                    list(n.deps),
-                ]
-                for n in self.nodes
-            ],
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "TaskGraph":
-        payload = json.loads(text)
-        version = payload.get("version")
-        if version != GRAPH_SCHEMA_VERSION:
-            raise ValueError(
-                f"task graph schema {version!r}, expected "
-                f"{GRAPH_SCHEMA_VERSION}"
-            )
-        nodes = [
-            TaskNode(
-                id=row[0], kind=row[1], rank=row[2], step=row[3],
-                phase=row[4], axis=row[5], side=row[6], pos=row[7],
-                src=row[8], cost=row[9], deps=tuple(row[10]),
-            )
-            for row in payload["nodes"]
-        ]
-        graph = cls(nodes=nodes, meta=payload.get("meta", {}))
-        graph.validate()
-        return graph
-
-    def save(self, path) -> None:
-        """Write the canonical JSON form to ``path``."""
-        from pathlib import Path
-
-        Path(path).write_text(self.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path) -> "TaskGraph":
-        from pathlib import Path
-
-        return cls.from_json(Path(path).read_text())
-
 
 def _method_name(method) -> str:
     return getattr(method, "method_name", "fd")
-
-
-def _default_rates(ranks, methods, ndim) -> dict[int, float]:
-    from ..cluster.calibration import node_speed
-
-    return {
-        r: node_speed(_method_name(m), ndim)
-        for r, m in zip(ranks, methods)
-    }
 
 
 def plan_graph(
@@ -233,11 +139,6 @@ def plan_graph(
     steps: int,
     *,
     converter_edges: Sequence[tuple[int, int]] = (),
-    diag_every: int = 0,
-    save_every: int = 0,
-    rates: Mapping[int, float] | Sequence[float] | None = None,
-    bandwidth: float | None = None,
-    overhead: float | None = None,
 ) -> TaskGraph:
     """Plan the task DAG of ``steps`` steps of one decomposed run.
 
@@ -251,23 +152,17 @@ def plan_graph(
         The ``(dst_rank, src_rank)`` seam edges of a hybrid run (the
         keys of :func:`repro.fluids.coupling.build_converters`); these
         edges get per-step seam-conversion nodes and are skipped by the
-        per-phase exchange, mirroring the runners.
-    diag_every, save_every:
-        Cadence of the global diagnostics collective and of per-rank
-        checkpoint nodes (0 disables, matching
-        :class:`~repro.distrib.RunSettings`).
-    rates:
-        Per-rank speeds in fluid nodes/second for cost estimation —
-        pass ``LoadEstimator.speeds()`` when live heartbeat data
-        exists; defaults to the §7 calibration table.
-    bandwidth, overhead:
-        Exchange cost model (bytes/s, seconds/message); defaults to
-        the calibrated shared-Ethernet constants.
+        per-phase exchange, mirroring the serial runner.
+
+    Node costs come from the §7 calibration table (per-method node
+    speeds) and the shared-Ethernet constants — the 1994 cluster's
+    figures, so stall budgets are generous on any modern host.
     """
     from ..cluster.calibration import (
-        ETHERNET_BANDWIDTH,
-        MESSAGE_OVERHEAD,
+        ETHERNET_BANDWIDTH as bw,
+        MESSAGE_OVERHEAD as ovh,
         bytes_per_boundary_node,
+        node_speed,
     )
     from ..cluster.simulator import phase_fractions
 
@@ -287,15 +182,7 @@ def plan_graph(
     sweep = sweep_axes(ndim, extended)
     nphases = max(len(m.exchange_phases) for m in methods)
     conv = frozenset((int(a), int(b)) for a, b in converter_edges)
-    bw = ETHERNET_BANDWIDTH if bandwidth is None else bandwidth
-    ovh = MESSAGE_OVERHEAD if overhead is None else overhead
-
-    if rates is None:
-        speed = _default_rates(ranks, methods, ndim)
-    elif isinstance(rates, Mapping):
-        speed = {r: float(rates[r]) for r in ranks}
-    else:
-        speed = {r: float(v) for r, v in zip(ranks, rates)}
+    speed = {r: node_speed(_method_name(m), ndim) for r, m in meth.items()}
     n_nodes = {r: b.n_nodes for r, b in zip(ranks, blocks)}
     padded = {
         r: tuple(s + 2 * pad for s in b.shape)
@@ -304,7 +191,6 @@ def plan_graph(
     fractions = {r: phase_fractions(_method_name(m)) for r, m in meth.items()}
     wire = {r: bytes_per_boundary_node(_method_name(m), ndim)
             for r, m in meth.items()}
-    n_fields = {r: len(m.field_names) for r, m in meth.items()}
 
     def compute_cost(r: int, p: int) -> float:
         return fractions[r][p] * n_nodes[r] / speed[r]
@@ -332,8 +218,6 @@ def plan_graph(
         return nid
 
     prev_finalize: dict[int, int] = {}
-    prev_diag: int | None = None
-    prev_ckpt: dict[int, int] = {}
 
     for t in range(steps):
         # --- seam conversions (hybrid): before the first compute phase,
@@ -352,10 +236,6 @@ def plan_graph(
                         deps = []
                         if t > 0:
                             deps += [prev_finalize[r], prev_finalize[nb]]
-                        if prev_diag is not None:
-                            deps.append(prev_diag)
-                        if r in prev_ckpt:
-                            deps.append(prev_ckpt[r])
                         for k in range(pos):
                             deps += touch[r][k] + touch[nb][k]
                         cost = (
@@ -385,10 +265,6 @@ def plan_graph(
                 if p == 0:
                     if t > 0:
                         deps.append(prev_finalize[r])
-                    if prev_diag is not None:
-                        deps.append(prev_diag)
-                    if r in prev_ckpt:
-                        deps.append(prev_ckpt[r])
                     deps += seam_all[r]
                 else:
                     if (r, p - 1) in compute_id:
@@ -463,29 +339,6 @@ def plan_graph(
             )
         prev_finalize = finalize_id
 
-        # --- periodic global collective: a true barrier
-        prev_diag = None
-        if diag_every > 0 and (t + 1) % diag_every == 0:
-            prev_diag = add(
-                "diag", -1, t,
-                cost=2 * ovh * max(1, len(ranks) - 1),
-                deps=list(finalize_id.values()),
-            )
-
-        # --- periodic checkpoints: dumps include ghosts, so the next
-        #     step's ghost writes (seam / compute→fills) wait on them.
-        prev_ckpt = {}
-        if save_every > 0 and (t + 1) % save_every == 0:
-            for r in ranks:
-                size = n_nodes[r] * n_fields[r] * 8
-                prev_ckpt[r] = add(
-                    "checkpoint", r, t,
-                    cost=size / _CHECKPOINT_BYTES_PER_S,
-                    deps=[finalize_id[r]] + (
-                        [prev_diag] if prev_diag is not None else []
-                    ),
-                )
-
     graph = TaskGraph(
         nodes=nodes,
         meta={
@@ -499,8 +352,6 @@ def plan_graph(
             "sweep": list(sweep),
             "methods": {str(r): _method_name(m) for r, m in meth.items()},
             "converter_edges": sorted(list(e) for e in conv),
-            "diag_every": int(diag_every),
-            "save_every": int(save_every),
         },
     )
     graph.validate()

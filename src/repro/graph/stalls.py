@@ -6,23 +6,16 @@ loss or a wedged process.  A planned :class:`~repro.graph.TaskGraph`
 changes that: every node carries the planner's cost estimate, so "this
 node's dependencies have been satisfied for more than N× its estimated
 cost and it has not finished" is a *named*, attributable event — a
-**graph stall** — rather than a silent barrier wait.
-
-Two consumers share the rule:
-
-* the in-process :class:`~repro.graph.GraphExecutor` feeds ready/done
-  timestamps per node and emits a ``graph:stall`` trace span per event;
-* the distributed monitor replays worker heartbeats against per-rank
-  graph slices (:class:`HeartbeatStallDetector`): once every dependency
-  rank has reached step *t*, a rank still on *t* after N× its estimated
-  per-step cost is reported by name.
+**graph stall** — rather than a silent barrier wait.  The
+:class:`~repro.graph.GraphExecutor` feeds ready/done timestamps per
+node and emits a ``graph:stall`` trace span per event.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["StallEvent", "StallDetector", "HeartbeatStallDetector"]
+__all__ = ["StallEvent", "StallDetector"]
 
 #: Default multiple of the estimated cost before a node counts as
 #: stalled, and the floor (seconds) that keeps sub-millisecond nodes
@@ -89,60 +82,3 @@ class StallDetector:
                 fresh.append(event)
         return fresh
 
-
-class HeartbeatStallDetector:
-    """The monitor-side stall rule over per-rank heartbeat steps.
-
-    A worker consuming its slice of the graph cannot publish per-node
-    timestamps cheaply, but its heartbeat step *is* the frontier of its
-    slice.  Rank ``r`` is stalled at step ``t`` when every rank feeding
-    ``r``'s step-``t`` nodes has reached ``t`` (``r``'s dependencies
-    are ready) yet ``r`` has sat on ``t`` for more than ``factor``
-    times its estimated per-step cost.
-    """
-
-    def __init__(self, graph, factor: float = STALL_FACTOR,
-                 floor: float = STALL_FLOOR) -> None:
-        self.graph = graph
-        self.factor = factor
-        self.floor = floor
-        self.events: list[StallEvent] = []
-        ranks = [int(r) for r in graph.meta.get("ranks", [])]
-        self._step_cost = {r: graph.step_cost(r) for r in ranks}
-        # ranks feeding each rank's nodes (its dependency neighbours)
-        feeds: dict[int, set[int]] = {r: set() for r in ranks}
-        for node in graph.nodes:
-            if node.rank >= 0 and node.src >= 0 and node.src != node.rank:
-                feeds[node.rank].add(node.src)
-        self._feeds = feeds
-        self._since: dict[int, tuple[int, float]] = {}
-        self._flagged: set[tuple[int, int]] = set()
-
-    def observe(self, steps: dict[int, int], now: float) -> list[StallEvent]:
-        """Feed the latest heartbeat steps; return *new* stalls."""
-        fresh: list[StallEvent] = []
-        for rank, step in steps.items():
-            if rank not in self._step_cost:
-                continue
-            seen = self._since.get(rank)
-            if seen is None or seen[0] != step:
-                self._since[rank] = (step, now)
-                continue
-            if (rank, step) in self._flagged:
-                continue
-            deps_ready = all(
-                steps.get(nb, -1) >= step for nb in self._feeds[rank]
-            )
-            if not deps_ready:
-                continue
-            waited = now - seen[1]
-            cost = self._step_cost[rank]
-            if waited > self.factor * cost + self.floor:
-                self._flagged.add((rank, step))
-                event = StallEvent(
-                    label=f"step:r{rank}:t{step}", rank=rank,
-                    step=step, waited=waited, cost=cost,
-                )
-                self.events.append(event)
-                fresh.append(event)
-        return fresh

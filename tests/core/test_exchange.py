@@ -250,44 +250,3 @@ class TestPlanProperties:
                 )
                 assert recv_shape == send_shape
 
-
-class TestAxisSubsets:
-    """exchange(axes=) and the thread-local replicate/hold path."""
-
-    def test_exchange_axes_subset_only_touches_those_axes(self):
-        shape = (16, 12)
-        d = Decomposition(shape, (2, 2))
-        a = _field(shape)
-        subs = make_subregions(d, 2, {"a": a})
-        for sub in subs:
-            mask = np.ones(sub.padded_shape, dtype=bool)
-            mask[sub.interior] = False
-            sub.fields["a"][mask] = -999.0
-        LocalExchanger(d, subs).exchange(["a"], axes=(0,))
-        for sub in subs:
-            # axis-0 ghosts filled, axis-1 ghosts still scrambled
-            assert not (sub.fields["a"][:2, 2:-2] == -999.0).any()
-            assert (sub.fields["a"][2:-2, :2] == -999.0).all()
-
-    def test_exchange_local_fills_replicate_ghosts(self):
-        shape = (16, 12)
-        d = Decomposition(shape, (1, 2), periodic=(False, False))
-        a = _field(shape)
-        subs = make_subregions(d, 2, {"a": a})
-        ex = LocalExchanger(d, subs)
-        for rank, sub in enumerate(subs):
-            mask = np.ones(sub.padded_shape, dtype=bool)
-            mask[sub.interior] = False
-            sub.fields["a"][mask] = -999.0
-            ex.exchange_local(rank, (0,), ["a"])
-            # axis 0 is single-block non-periodic: pure edge replication
-            assert not (sub.fields["a"][:2, 2:-2] == -999.0).any()
-            assert not (sub.fields["a"][-2:, 2:-2] == -999.0).any()
-
-    def test_exchange_local_refuses_recv_axes(self):
-        shape = (16, 12)
-        d = Decomposition(shape, (2, 1), periodic=(False, False))
-        subs = make_subregions(d, 2, {"a": _field(shape)})
-        ex = LocalExchanger(d, subs)
-        with pytest.raises(ValueError):
-            ex.exchange_local(0, (0,), ["a"])  # axis 0 has neighbours

@@ -2,20 +2,24 @@
 
 Bitwise parity with the serial runner across methods, dimensions and
 decompositions is a runner parameter of
-``tests/integration/test_parallel_equivalence.py``; this file covers the
-pool, the team of one and the local-axes split.
+``tests/integration/test_parallel_equivalence.py``; this file covers
+repeated ``step`` calls, absolute step numbering, error propagation and
+one-block axes.
 """
+
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core import Decomposition, Simulation, ThreadedSimulation
 from repro.fluids import FluidParams, LBMethod, channel_geometry
+from repro.trace import Tracer, load_trace
 from tests.conftest import perturbed_fields, rest_fields
 
 
 def _stepped(steps):
-    """A 2x2 LB channel stepped ``steps`` times on the thread pool."""
+    """A 2x2 LB channel stepped ``steps`` times on worker threads."""
     shape = (32, 24)
     solid = channel_geometry(shape)
     params = FluidParams.lattice(
@@ -27,7 +31,6 @@ def _stepped(steps):
         perturbed_fields(shape, seed=21), solid,
     )
     thr.step(steps)
-    thr.close()
     return thr
 
 
@@ -60,7 +63,7 @@ def test_repeated_step_calls():
 
 
 def test_single_subregion_fast_path():
-    """One subregion is a team of one on the calling thread: no pool."""
+    """One subregion steps like the serial runner, on one worker."""
     params = FluidParams.lattice(2, nu=0.08)
     fields = rest_fields((24, 16))
     thr = ThreadedSimulation(
@@ -70,11 +73,11 @@ def test_single_subregion_fast_path():
     )
     thr.step(5)
     assert thr.step_count == 5
-    assert thr._pool == []
 
 
 def test_kernel_error_propagates():
-    """A worker-thread exception surfaces in step(), not a deadlock."""
+    """A worker-thread exception surfaces in step(), not a deadlock,
+    and every worker thread has exited by then."""
 
     class ExplodingMethod(LBMethod):
         def finalize_step(self, sub):
@@ -88,8 +91,10 @@ def test_kernel_error_propagates():
         Decomposition((24, 16), (2, 1), periodic=(True, True)),
         rest_fields((24, 16)),
     )
+    before = threading.active_count()
     with pytest.raises(RuntimeError, match="boom"):
         thr.step(10)
+    assert threading.active_count() == before
 
 
 def test_global_state_names():
@@ -97,75 +102,45 @@ def test_global_state_names():
     assert set(thr.global_state()) == {"rho", "u", "v", "f"}
 
 
-class TestPersistentPool:
-    """The pool survives across step() calls instead of respawning."""
+def test_delays_and_spans_see_absolute_steps(tmp_path):
+    """Two ``step(n)`` calls continue one step count: ``delay_fn`` and
+    every traced span see 0..4, not a plan-relative 0..2 then 0..1."""
+    seen = []
+    lock = threading.Lock()
 
-    def _sim(self, blocks=(2, 1), shape=(24, 16), periodic=(True, True)):
-        params = FluidParams.lattice(2, nu=0.08, gravity=(1e-5, 0.0))
-        return ThreadedSimulation(
-            LBMethod(params, 2),
-            Decomposition(shape, blocks, periodic=periodic),
-            rest_fields(shape),
-        )
+    def delay_fn(rank, step):
+        with lock:
+            seen.append((rank, step))
+        return 0.0
 
-    def test_threads_are_reused_across_calls(self):
-        thr = self._sim()
-        thr.step(2)
-        first = [t.ident for t in thr._pool]
-        thr.step(2)
-        assert [t.ident for t in thr._pool] == first
-        thr.close()
+    params = FluidParams.lattice(2, nu=0.08)
+    tracer = Tracer(tmp_path / "trace.jsonl", rank=0)
+    thr = ThreadedSimulation(
+        LBMethod(params, 2),
+        Decomposition((24, 16), (2, 1), periodic=(True, True)),
+        rest_fields((24, 16)),
+        tracer=tracer, delay_fn=delay_fn,
+    )
+    thr.step(3)
+    thr.step(2)
+    tracer.close()
+    assert sorted(seen) == [(r, t) for r in (0, 1) for t in range(5)]
+    spans = load_trace(tmp_path / "trace.jsonl")["spans"]
+    for name in ("compute:0", "exchange:0", "finalize:0"):
+        for tid in (0, 1):
+            steps = sorted(s["step"] for s in spans
+                           if s["name"] == name and s["tid"] == tid)
+            assert set(steps) == set(range(5)), (name, tid, steps)
 
-    def test_close_is_idempotent_and_respawns(self):
-        thr = self._sim()
-        thr.step(2)
-        thr.close()
-        thr.close()
-        assert thr._pool == []
-        thr.step(3)  # a fresh pool spawns on demand
-        assert thr.step_count == 5
-        thr.close()
 
-    def test_context_manager_closes(self):
-        with self._sim() as thr:
-            thr.step(2)
-            assert thr._pool
-        assert thr._pool == []
-
-    def test_pool_recovers_after_worker_error(self):
-        """One exploding step must not poison the pool for the next."""
-
-        class Exploding(LBMethod):
-            def finalize_step(self, sub):
-                if sub.step == 1 and getattr(self, "armed", False):
-                    raise RuntimeError("kaboom")
-                super().finalize_step(sub)
-
-        params = FluidParams.lattice(2, nu=0.08)
-        method = Exploding(params, 2)
-        method.armed = True
-        thr = ThreadedSimulation(
-            method,
-            Decomposition((24, 16), (2, 1), periodic=(True, True)),
-            rest_fields((24, 16)),
-        )
-        with pytest.raises(RuntimeError, match="kaboom"):
-            thr.step(5)
-        method.armed = False
-        thr.step(3)  # the healed pool keeps working
-        assert all(np.isfinite(thr.global_field("rho")).all()
-                   for _ in [0])
-        thr.close()
-
-    def test_closed_threads_are_daemons(self):
-        thr = self._sim()
-        thr.step(1)
-        assert all(t.daemon for t in thr._pool)
-        thr.close()
+def test_has_no_close():
+    """No pool outlives a step call, so there is nothing to close."""
+    assert not hasattr(ThreadedSimulation, "close")
+    assert not hasattr(ThreadedSimulation, "__enter__")
 
 
 class TestLocalAxes:
-    """Axes without cross-block traffic skip the central exchange."""
+    """Axes without cross-block traffic: replicate/hold fills only."""
 
     def _pair(self, blocks, periodic, steps=12):
         shape = (24, 20)
@@ -185,23 +160,20 @@ class TestLocalAxes:
         )
         seq.step(steps)
         thr.step(steps)
-        thr.close()
         return seq, thr
 
     def test_single_block_leading_axis_is_local(self):
         """blocks (1, 2), walls on axis 0: its edge ops are pure
-        replicate/hold, so the sweep prefix runs thread-locally."""
+        replicate/hold, ordered only against the rank's own nodes."""
         seq, thr = self._pair((1, 2), (False, False))
-        assert 0 in thr._local_axes
         for name in seq.method.field_names:
             assert np.array_equal(
                 seq.global_field(name), thr.global_field(name)
             ), name
 
     def test_periodic_single_block_axis_stays_central(self):
-        """A periodic wrap is a recv (self-roll) — never local."""
+        """A periodic wrap is a recv (self-roll) from the rank itself."""
         seq, thr = self._pair((1, 2), (True, False))
-        assert 0 not in thr._local_axes
         for name in seq.method.field_names:
             assert np.array_equal(
                 seq.global_field(name), thr.global_field(name)
@@ -209,7 +181,6 @@ class TestLocalAxes:
 
     def test_all_axes_central_when_fully_split(self):
         seq, thr = self._pair((2, 2), (True, False))
-        assert thr._local_axes == ()
         for name in seq.method.field_names:
             assert np.array_equal(
                 seq.global_field(name), thr.global_field(name)

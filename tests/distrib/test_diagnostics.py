@@ -13,6 +13,7 @@ import threading
 import numpy as np
 import pytest
 
+import repro
 from repro.core import Decomposition, Simulation, ThreadedSimulation
 from repro.distrib import (
     DEFAULT_VMAX,
@@ -28,7 +29,6 @@ from repro.distrib import (
     fold_partials,
     initial_fields,
     local_partials,
-    run_distributed,
     serial_diagnostics,
 )
 from repro.fluids import FluidParams, LBMethod
@@ -254,16 +254,16 @@ class TestThreadedRunnerDiagnostics:
         ssim = Simulation(LBMethod(params, 2),
                           Decomposition(shape, blocks,
                                         periodic=(True, False)), fields)
-        with ThreadedSimulation(LBMethod(params, 2), d, fields) as tsim:
-            for step in (4, 8, 12):
-                tsim.step(4)
-                ssim.step(4)
-                got = tsim.global_diagnostics()
-                ref = ssim.global_diagnostics()
-                assert got.step == ref.step == step
-                assert got.total_mass == ref.total_mass
-                assert got.kinetic_energy == ref.kinetic_energy
-                assert got.max_speed == ref.max_speed
+        tsim = ThreadedSimulation(LBMethod(params, 2), d, fields)
+        for step in (4, 8, 12):
+            tsim.step(4)
+            ssim.step(4)
+            got = tsim.global_diagnostics()
+            ref = ssim.global_diagnostics()
+            assert got.step == ref.step == step
+            assert got.total_mass == ref.total_mass
+            assert got.kinetic_energy == ref.kinetic_energy
+            assert got.max_speed == ref.max_speed
 
 
 # ----------------------------------------------------------------------
@@ -301,10 +301,10 @@ class TestDistributedDiagnostics:
         bit-for-bit the serial runner's."""
         spec = _spec()
         fields = initial_fields(spec, "rest")
-        out = run_distributed(
-            spec, fields, tmp_path / "run",
-            RunSettings(steps=20, diag_every=10),
-        )
+        out = repro.run(
+            spec, "distributed", RunSettings(steps=20, diag_every=10),
+            fields=fields, workdir=tmp_path / "run",
+        ).fields
         assert "rho" in out
         log = DiagnosticsLog.for_workdir(tmp_path / "run")
         recs = log.read()
@@ -344,11 +344,12 @@ class TestDistributedDiagnostics:
         transport (acks + retransmission underneath), bit for bit."""
         spec = _spec()
         fields = initial_fields(spec, "rest")
-        out = run_distributed(
-            spec, fields, tmp_path / "run",
+        out = repro.run(
+            spec, "distributed",
             RunSettings(steps=20, diag_every=10, transport="udp",
                         udp_loss=0.05, run_timeout=240),
-        )
+            fields=fields, workdir=tmp_path / "run",
+        ).fields
         assert "rho" in out
         recs = DiagnosticsLog.for_workdir(tmp_path / "run").read()
         assert [r.step for r in recs] == [10, 20]

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import repro
 from repro.core import Decomposition, Simulation
 from repro.distrib import (
     DistributedRun,
@@ -18,7 +19,6 @@ from repro.distrib import (
     ProblemSpec,
     RunSettings,
     initial_fields,
-    run_distributed,
 )
 
 pytestmark = pytest.mark.slow
@@ -51,9 +51,10 @@ def test_distributed_matches_serial(tmp_path, method):
     spec = _spec(method)
     fields = initial_fields(spec, "rest")
     serial = _serial(spec, fields, steps=25)
-    out = run_distributed(
-        spec, fields, tmp_path / "run", RunSettings(steps=25)
-    )
+    out = repro.run(
+        spec, "distributed", RunSettings(steps=25),
+        fields=fields, workdir=tmp_path / "run",
+    ).fields
     for name in serial.method.field_names:
         assert np.array_equal(out[name], serial.global_field(name)), name
 
@@ -158,10 +159,10 @@ def test_udp_transport_matches_serial(tmp_path):
     spec = _spec(blocks=(2, 2))
     fields = initial_fields(spec, "rest")
     serial = _serial(spec, fields, steps=20)
-    out = run_distributed(
-        spec, fields, tmp_path / "run",
-        RunSettings(steps=20, transport="udp"),
-    )
+    out = repro.run(
+        spec, "distributed", RunSettings(steps=20, transport="udp"),
+        fields=fields, workdir=tmp_path / "run",
+    ).fields
     for name in serial.method.field_names:
         assert np.array_equal(out[name], serial.global_field(name)), name
 
@@ -172,10 +173,10 @@ def test_strict_order_communication_still_correct(tmp_path):
     spec = _spec(blocks=(3, 1))
     fields = initial_fields(spec, "rest")
     serial = _serial(spec, fields, steps=20)
-    out = run_distributed(
-        spec, fields, tmp_path / "run",
-        RunSettings(steps=20, strict_order=True),
-    )
+    out = repro.run(
+        spec, "distributed", RunSettings(steps=20, strict_order=True),
+        fields=fields, workdir=tmp_path / "run",
+    ).fields
     for name in serial.method.field_names:
         assert np.array_equal(out[name], serial.global_field(name)), name
 

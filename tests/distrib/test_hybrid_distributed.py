@@ -14,13 +14,13 @@ import time
 import numpy as np
 import pytest
 
+import repro
 from repro.chaos.runner import serial_reference
 from repro.distrib import (
     DistributedRun,
     ProblemSpec,
     RunSettings,
     initial_fields,
-    run_distributed,
 )
 
 pytestmark = pytest.mark.slow
@@ -46,9 +46,10 @@ def test_two_rank_hybrid_matches_serial(tmp_path):
     spec = _spec(blocks=(2, 1))
     fields = initial_fields(spec, "rest")
     ref = serial_reference(spec, steps=25)
-    out = run_distributed(
-        spec, fields, tmp_path / "run", RunSettings(steps=25)
-    )
+    out = repro.run(
+        spec, "distributed", RunSettings(steps=25),
+        fields=fields, workdir=tmp_path / "run",
+    ).fields
     for name in ("rho", "u", "v"):
         assert np.array_equal(out[name], ref[name]), name
 
@@ -60,9 +61,10 @@ def test_four_rank_hybrid_seam_inside_each_half(tmp_path):
     assert spec.methods_by_rank() == ("lb", "lb", "fd", "fd")
     fields = initial_fields(spec, "rest")
     ref = serial_reference(spec, steps=20)
-    out = run_distributed(
-        spec, fields, tmp_path / "run", RunSettings(steps=20)
-    )
+    out = repro.run(
+        spec, "distributed", RunSettings(steps=20),
+        fields=fields, workdir=tmp_path / "run",
+    ).fields
     for name in ("rho", "u", "v"):
         assert np.array_equal(out[name], ref[name]), name
 

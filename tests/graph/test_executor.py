@@ -1,4 +1,5 @@
-"""Graph execution is bit-for-bit the serial run, through the facade."""
+"""Graph execution — how threaded runs step — is bit-for-bit the serial
+run, through the facade and through the raw executor."""
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ def _spec(method, blocks):
 
 
 def _assert_equal_runs(serial, graphed):
+    assert graphed.backend == "threaded"
     for name in serial.fields:
         assert np.array_equal(serial.fields[name],
                               graphed.fields[name]), name
@@ -41,19 +43,12 @@ def _assert_equal_runs(serial, graphed):
 def test_graph_matches_serial_bitwise(method, blocks):
     if method == "hybrid" and blocks[0] < 2:
         pytest.skip("a hybrid seam needs a block boundary to sit on")
-    """Both threaded execution modes — dependency-driven and barriered —
-    land on the serial run's fields and diagnostics."""
+    """The threaded backend lands on the serial run's fields and
+    diagnostics, its graph planned in ``diag_every`` chunks."""
     spec = _spec(HYBRID if method == "hybrid" else method, blocks)
     rs = RunSettings(steps=6, diag_every=3)
-    serial = repro.run(spec, "serial", rs)
-    graphed = repro.run(
-        spec, "threaded", RunSettings(steps=6, diag_every=3,
-                                      execution="graph"),
-    )
-    phased = repro.run(spec, "threaded", rs)
-    assert graphed.backend == phased.backend == "threaded"
-    _assert_equal_runs(serial, graphed)
-    _assert_equal_runs(serial, phased)
+    _assert_equal_runs(repro.run(spec, "serial", rs),
+                       repro.run(spec, "threaded", rs))
 
 
 def test_graph_overlaps_alternating_hotspot():
@@ -61,18 +56,18 @@ def test_graph_overlaps_alternating_hotspot():
 
     A four-rank *chain* (axis 0 closed by walls) where rank 0 sleeps on
     even steps and the far-end rank on odd steps: one rank is slow every
-    step, so the barriered runner pays the full delay every step.  A
-    delay travels along fill->compute edges at nphases hops per step,
-    and the ends sit n-1 > nphases hops apart, so in the graph run
-    consecutive sleeps never chain — each rank waits only for its own,
-    half the BSP bill.  The sleeps dominate the 16x24 kernels, which
-    keeps the comparison independent of the host's speed.
+    step, so any schedule with a per-step barrier pays the full delay
+    every step — ``steps × delay`` at least.  A delay travels along
+    fill->compute edges at nphases hops per step, and the ends sit
+    n-1 > nphases hops apart, so in the graph run consecutive sleeps
+    never chain — each rank waits only for its own, half that bill.
+    The sleeps dominate the 16x24 kernels, which keeps the comparison
+    independent of the host's speed.
     """
     import time
 
     from repro.core import Decomposition, Simulation, ThreadedSimulation
     from repro.fluids import FDMethod, FluidParams
-    from repro.graph import GraphExecutor, plan_graph
 
     n_ranks, steps, delay = 4, 10, 0.02
     shape = (16 * n_ranks, 24)
@@ -100,37 +95,15 @@ def test_graph_overlaps_alternating_hotspot():
     ref.step(steps)
     want = ref.global_state()
 
-    bsp = build(ThreadedSimulation, delay_fn=delay_fn)
+    thr = build(ThreadedSimulation, delay_fn=delay_fn)
     t0 = time.perf_counter()
-    bsp.step(steps)
-    t_bsp = time.perf_counter() - t0
-    got_bsp = bsp.global_state()
-    bsp.close()
-
-    sim = build()
-    ex = GraphExecutor(sim, plan_graph(sim.decomp, sim.methods, steps),
-                       delay_fn=delay_fn)
-    t0 = time.perf_counter()
-    ex.run()
+    thr.step(steps)
     t_graph = time.perf_counter() - t0
-    got_graph = sim.global_state()
+    got = thr.global_state()
 
     for name in want:
-        assert np.array_equal(got_bsp[name], want[name]), name
-        assert np.array_equal(got_graph[name], want[name]), name
-    assert t_bsp >= steps * delay  # the barriers paid every sleep
-    assert t_graph < t_bsp, (t_graph, t_bsp)
-
-
-def test_graph_checkpoints_written(tmp_path):
-    """save_every produces checkpoint nodes that actually dump."""
-    spec = _spec("fd", (2, 1))
-    r = repro.run(spec, "threaded",
-                  RunSettings(steps=4, save_every=2, execution="graph"),
-                  workdir=tmp_path)
-    dumps = list((tmp_path / "dumps").rglob("*"))
-    assert any(p.is_file() for p in dumps), "no checkpoint files written"
-    assert r.steps == 4
+        assert np.array_equal(got[name], want[name]), name
+    assert t_graph < steps * delay, (t_graph, steps * delay)
 
 
 def test_executor_direct_api():

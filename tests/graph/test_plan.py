@@ -1,58 +1,23 @@
-"""The planner: deterministic, serializable, structurally correct DAGs."""
+"""The planner: structurally correct DAGs."""
 
-import numpy as np
 import pytest
 
 from repro.core import Decomposition
 from repro.fluids import FDMethod, FluidParams, LBMethod
-from repro.graph import (
-    GRAPH_SCHEMA_VERSION,
-    TaskGraph,
-    plan_graph,
-)
+from repro.graph import plan_graph
 
 PARAMS = FluidParams.lattice(2, nu=0.05)
 
 
-def _fd_plan(blocks=(2, 1), steps=3, **kw):
+def _fd_plan(blocks=(2, 1), steps=3):
     decomp = Decomposition((32, 24), blocks, periodic=(True, True))
     methods = [FDMethod(PARAMS, 2) for _ in decomp.active_blocks()]
-    return plan_graph(decomp, methods, steps, **kw)
-
-
-def test_deterministic_serialization():
-    """Same spec, same text — twice, from scratch."""
-    a = _fd_plan(steps=4, diag_every=2, save_every=4)
-    b = _fd_plan(steps=4, diag_every=2, save_every=4)
-    assert a.to_json() == b.to_json()
-
-
-def test_round_trip():
-    graph = _fd_plan(steps=3, diag_every=3)
-    back = TaskGraph.from_json(graph.to_json())
-    assert len(back) == len(graph)
-    assert back.meta == graph.meta
-    for x, y in zip(back.nodes, graph.nodes):
-        # costs are canonicalized to 12 decimals in the JSON form
-        assert x.cost == pytest.approx(y.cost, abs=1e-12)
-        assert (x.id, x.kind, x.rank, x.step, x.phase, x.axis, x.side,
-                x.pos, x.src, x.deps) == (
-            y.id, y.kind, y.rank, y.step, y.phase, y.axis, y.side,
-            y.pos, y.src, y.deps)
-
-
-def test_schema_version_rejected():
-    graph = _fd_plan(steps=1)
-    text = graph.to_json().replace(
-        f'"version":{GRAPH_SCHEMA_VERSION}', '"version":99'
-    )
-    with pytest.raises(ValueError, match="schema"):
-        TaskGraph.from_json(text)
+    return plan_graph(decomp, methods, steps)
 
 
 def test_validate_is_topological():
     """Ids are dense, every dependency points backwards."""
-    graph = _fd_plan(steps=3, diag_every=1, save_every=2)
+    graph = _fd_plan(steps=3)
     graph.validate()
     for node in graph.nodes:
         assert all(d < node.id for d in node.deps), node.label
@@ -66,26 +31,7 @@ def test_node_counts_fd():
     assert counts["compute"] == steps * n_ranks * nphases
     assert counts["finalize"] == steps * n_ranks
     assert counts.get("exchange", 0) > 0
-    assert "diag" not in counts and "checkpoint" not in counts
-
-
-def test_periodic_node_cadence():
-    graph = _fd_plan(steps=6, diag_every=2, save_every=3)
-    diag_steps = sorted(n.step for n in graph.nodes if n.kind == "diag")
-    assert diag_steps == [1, 3, 5]
-    ckpt_steps = sorted({n.step for n in graph.nodes
-                         if n.kind == "checkpoint"})
-    assert ckpt_steps == [2, 5]
-
-
-def test_rank_slice_and_step_cost():
-    graph = _fd_plan(blocks=(2, 1), steps=4)
-    for rank in (0, 1):
-        for node in graph.rank_slice(rank):
-            assert node.rank == rank or node.src == rank
-        assert graph.step_cost(rank) > 0.0
-    # the critical path can never exceed the serial sum of all costs
-    assert graph.critical_path() <= sum(n.cost for n in graph.nodes) + 1e-12
+    assert set(counts) <= {"compute", "exchange", "replicate", "finalize"}
 
 
 def test_lb_plan_single_phase():
@@ -114,19 +60,6 @@ def test_hybrid_seam_edges():
     assert graph.meta["converter_edges"] == sorted(list(e) for e in edges)
 
 
-def test_rates_shift_costs():
-    """Faster ranks get cheaper compute nodes; the exchange cost model
-    reacts to bandwidth."""
-    slow = _fd_plan(steps=1, rates={0: 1e5, 1: 1e5})
-    fast = _fd_plan(steps=1, rates={0: 1e6, 1: 1e6})
-    cost = lambda g: sum(n.cost for n in g.nodes if n.kind == "compute")
-    assert cost(fast) < cost(slow)
-    thin = _fd_plan(steps=1, bandwidth=1e5)
-    wide = _fd_plan(steps=1, bandwidth=1e9)
-    comm = lambda g: sum(n.cost for n in g.nodes if n.kind == "exchange")
-    assert comm(wide) < comm(thin)
-
-
 def test_mismatched_methods_rejected():
     decomp = Decomposition((32, 24), (2, 1), periodic=(True, True))
     with pytest.raises(ValueError, match="methods"):
@@ -134,13 +67,3 @@ def test_mismatched_methods_rejected():
     with pytest.raises(ValueError, match="steps"):
         plan_graph(decomp, [FDMethod(PARAMS, 2)] * 2, -1)
 
-
-def test_checkpoint_blocks_next_step():
-    """The next step's first compute on a rank waits on that rank's
-    checkpoint (dumps include ghosts the next fills overwrite)."""
-    graph = _fd_plan(steps=2, save_every=1)
-    ckpt = {n.rank: n.id for n in graph.nodes
-            if n.kind == "checkpoint" and n.step == 0}
-    for n in graph.nodes:
-        if n.kind == "compute" and n.step == 1 and n.phase == 0:
-            assert ckpt[n.rank] in n.deps, n.label

@@ -5,12 +5,7 @@ import numpy as np
 
 from repro.core import Decomposition, Simulation
 from repro.fluids import FDMethod, FluidParams
-from repro.graph import (
-    GraphExecutor,
-    HeartbeatStallDetector,
-    StallDetector,
-    plan_graph,
-)
+from repro.graph import GraphExecutor, StallDetector, plan_graph
 
 PARAMS = FluidParams.lattice(2, nu=0.05)
 
@@ -66,39 +61,3 @@ def test_stall_detector_unit():
     assert det.check(now=10.0) == []
     det.node_done(node.id)
 
-
-def test_heartbeat_detector_fires_when_feeders_ahead():
-    sim = _sim()
-    graph = plan_graph(sim.decomp, sim.methods, 6)
-    det = HeartbeatStallDetector(graph, factor=2.0, floor=0.01)
-    cost = graph.step_cost(0)
-    # first sight of (rank, step) arms the timer
-    assert det.observe({0: 3, 1: 5}, now=0.0) == []
-    # rank 0 still on 3 with its feeder past it, far beyond the budget
-    events = det.observe({0: 3, 1: 5}, now=2.0 * cost + 0.02)
-    assert [e.rank for e in events] == [0]
-    assert events[0].label == "step:r0:t3"
-    # one report per (rank, step)
-    assert det.observe({0: 3, 1: 5}, now=99.0) == []
-
-
-def test_heartbeat_detector_silent_when_feeder_behind():
-    """A rank waiting on a *behind* neighbour is not stalled — the
-    neighbour is the problem, not this rank."""
-    sim = _sim()
-    graph = plan_graph(sim.decomp, sim.methods, 6)
-    det = HeartbeatStallDetector(graph, factor=2.0, floor=0.01)
-    det.observe({0: 3, 1: 2}, now=0.0)
-    events = det.observe({0: 3, 1: 2}, now=50.0)
-    assert all(e.rank != 0 for e in events), \
-        "stall blamed on a rank whose dependencies were not ready"
-    # the *behind* rank with its feeder ahead is the real stall
-    assert [e.rank for e in events] == [1]
-
-
-def test_heartbeat_detector_silent_on_progress():
-    sim = _sim()
-    graph = plan_graph(sim.decomp, sim.methods, 6)
-    det = HeartbeatStallDetector(graph, factor=2.0, floor=0.01)
-    for t in range(5):
-        assert det.observe({0: t, 1: t}, now=0.1 * t) == []

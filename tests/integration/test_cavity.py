@@ -47,16 +47,15 @@ def _run_to_steady_state(sim, max_steps=6000):
     """
     prev_ke = None
     stream = []
-    with sim:
-        while sim.step_count < max_steps:
-            sim.step(DIAG_EVERY)
-            rec = sim.global_diagnostics()
-            stream.append(rec)
-            if prev_ke is not None and rec.kinetic_energy > 0:
-                rel = abs(rec.kinetic_energy - prev_ke) / rec.kinetic_energy
-                if rel < KE_TOL:
-                    return rec, stream
-            prev_ke = rec.kinetic_energy
+    while sim.step_count < max_steps:
+        sim.step(DIAG_EVERY)
+        rec = sim.global_diagnostics()
+        stream.append(rec)
+        if prev_ke is not None and rec.kinetic_energy > 0:
+            rel = abs(rec.kinetic_energy - prev_ke) / rec.kinetic_energy
+            if rel < KE_TOL:
+                return rec, stream
+        prev_ke = rec.kinetic_energy
     return None, stream
 
 

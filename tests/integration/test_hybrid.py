@@ -114,9 +114,6 @@ class TestCheckpoint:
         other.resume(tmp_path)
         assert other.step_count == 20
         other.step(15)
-        if runner is ThreadedSimulation:
-            sim.close()
-            other.close()
         for name in ("rho", "u", "v"):
             assert np.array_equal(sim.global_field(name),
                                   other.global_field(name)), name

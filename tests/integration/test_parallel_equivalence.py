@@ -4,7 +4,8 @@ because computation is separated from communication by the ghost
 padding, a decomposed run must reproduce the serial program *bit for
 bit* — for both numerical methods, in 2D and 3D, with and without the
 filter, with walls, openings and inactive subregions, and on both
-in-process runners: the decomposed run is stepped by ``runner``, the
+in-process runners: the decomposed run is stepped by ``runner`` (the
+threaded one solves the planned task graph, :mod:`repro.graph`), the
 serial reference always by :class:`Simulation`.
 """
 
@@ -40,8 +41,6 @@ def _run(method_cls, shape, blocks, periodic, solid, fields, steps,
     d = Decomposition(shape, blocks, periodic=periodic, solid=solid)
     sim = runner(method, d, fields, solid, backend=backend)
     sim.step(steps)
-    if isinstance(sim, ThreadedSimulation):
-        sim.close()
     return sim
 
 

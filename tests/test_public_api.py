@@ -7,8 +7,12 @@ library's documentation contract is testable.
 
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import pytest
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 PACKAGES = [
     "repro",
@@ -66,9 +70,14 @@ def test_public_callables_documented(modname):
 
 
 def test_version():
+    """``repro.__version__`` is the version ``pyproject.toml`` ships
+    (read with a regex: Python 3.10 has no ``tomllib``)."""
     import repro
 
-    assert repro.__version__
+    match = re.search(r'^version = "([^"]+)"', PYPROJECT.read_text(),
+                      re.MULTILINE)
+    assert match, "no version line in pyproject.toml"
+    assert repro.__version__ == match.group(1)
 
 
 def test_facade_exports():

@@ -63,13 +63,11 @@ def test_traced_time_bounded_by_elapsed(tmp_path):
 
 
 def test_diagnostics_match_across_backends(tmp_path):
-    """Serial, threaded and graph runs sample bit-identical records."""
+    """Serial and threaded runs sample bit-identical records."""
     rs = RunSettings(steps=6, diag_every=3)
     runs = [
         repro.run(_spec(), "serial", rs),
         repro.run(_spec(), "threaded", rs),
-        repro.run(_spec(), "threaded",
-                  RunSettings(steps=6, diag_every=3, execution="graph")),
     ]
     streams = [
         [(d.step, d.total_mass, d.kinetic_energy, d.max_speed,
@@ -77,10 +75,10 @@ def test_diagnostics_match_across_backends(tmp_path):
         for r in runs
     ]
     assert [s[0] for s in streams[0]] == [3, 6]
-    assert streams[0] == streams[1] == streams[2]
+    assert streams[0] == streams[1]
 
 
-@pytest.mark.parametrize("runner", ["serial", "threaded", "graph"])
+@pytest.mark.parametrize("runner", ["serial", "threaded"])
 def test_nan_aborts_every_inprocess_runner(runner):
     """A global NaN raises DiagnosticsFailure at the first sample on
     every in-process runner, and the failed run still retires its
@@ -91,12 +89,10 @@ def test_nan_aborts_every_inprocess_runner(runner):
     spec = _spec()
     fields = initial_fields(spec, None)
     fields["rho"][5, 5] = np.nan
-    rs = RunSettings(steps=4, diag_every=1,
-                     execution="graph" if runner == "graph" else "phased")
-    backend = "serial" if runner == "serial" else "threaded"
+    rs = RunSettings(steps=4, diag_every=1)
     before = threading.active_count()
     with pytest.raises(DiagnosticsFailure, match="non-finite") as err:
-        repro.run(spec, backend, rs, fields=fields)
+        repro.run(spec, runner, rs, fields=fields)
     assert err.value.record.step == 1
     assert threading.active_count() == before
 

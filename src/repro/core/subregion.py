@@ -30,11 +30,13 @@ class SubregionState:
     block:
         The :class:`~repro.core.decomposition.Block` this state covers.
     pad:
-        Ghost-layer width.  The methods in :mod:`repro.fluids` need
-        ``pad = 3``: updates read distance-1 neighbours, the fourth-order
-        filter reads distance-2 neighbours, and ghost-ring-1 values are
-        re-filtered locally so that each exchange phase maps onto exactly
-        the messages the paper counts (2/step for FD, 1/step for LB).
+        Ghost-layer width, set by the method: ``pad = 4`` for finite
+        differences (updates read distance 1, the wall-density rule one
+        more, the fourth-order filter two more) and ``pad = 3`` for
+        lattice Boltzmann (streaming 1, the filter 2).  Ghost-ring-1
+        values are re-filtered locally so that each exchange phase maps
+        onto exactly the messages the paper counts (2/step for FD,
+        1/step for LB); see ``docs/NUMERICS.md``.
     fields:
         Name -> padded ``float64`` array whose *last* ``ndim`` axes have
         shape ``block.shape + 2*pad``.  Leading axes are allowed for

@@ -5,8 +5,12 @@ LBMethod` / :class:`~repro.fluids.fd.FDMethod`, moved verbatim behind
 the :class:`~repro.fluids.backends.KernelBackend` interface — same
 operations in the same order on the same scratch buffers (the
 ``lb_*``/``fd_*``/``filter_*`` names), so a run through this backend is
-bit-identical to the pre-backend code and stays allocation-free after
-the first step.
+bit-identical to the pre-backend code.  The kernels allocate nothing
+after the first step; what a warmed lattice Boltzmann step still
+allocates is outside them, in the ghost fill of ``f``: edge replication
+(``core.exchange._replicate_edge``) reads an edge plane that overlaps
+its ghost strip in memory, so NumPy copies it through a temporary the
+size of the strip (1.76 MB for a 64^3 D3Q15 block).
 """
 
 from __future__ import annotations
@@ -17,6 +21,13 @@ from .._kernels import Region, central_diff, laplacian, region_shape, shift_regi
 from . import KernelBackend, register_backend
 
 __all__ = ["NumpyBackend"]
+
+
+#: Bytes of one ``(Q, ...)`` collision scratch buffer: ``lb_relax``
+#: sweeps the interior in slabs of axis-0 planes sized to this, so its
+#: temporaries stay in L2 instead of streaming through memory once per
+#: polynomial term.
+LB_SLAB_BYTES = 1 << 20
 
 
 def lb_relax(method, sub) -> None:
@@ -34,19 +45,37 @@ def lb_relax(method, sub) -> None:
     ``A1_i = 3 w + 9 pref (e_i . g)`` and ``A0_i = w + 3 pref (e_i . g)``.
     Expanding recovers the textbook ``w (f_eq_i - f_i) + S_i`` with the
     Guo source ``S_i = pref w_i [3 (e_i - u) + 9 eu e_i] . (rho g)``.
-    All work lands in per-subregion scratch (allocation-free after step
-    one).
+
+    The interior is swept in slabs of axis-0 planes, each ``(Q, ...)``
+    scratch buffer at most :data:`LB_SLAB_BYTES` (at least one plane).
+    Every operation is node-wise, so the slab size changes no bit of
+    the result.  All work lands in per-subregion scratch sized to one
+    slab (allocation-free after step one); the last, partial slab uses
+    views of it.
     """
     region = sub.interior
+    ishape = region_shape(region)
+    q = method.lattice.q
+    plane = ishape[1:]
+    per_plane = q * 8 * int(np.prod(plane))
+    depth = max(1, min(ishape[0], LB_SLAB_BYTES // per_plane))
+    eu = sub.scratch("lb_eu", (q, depth) + plane)
+    delta = sub.scratch("lb_delta", (q, depth) + plane)
+    s = sub.scratch("lb_usq", (depth,) + plane)
+    tmp = sub.scratch("lb_tmp", (depth,) + plane)
+    lo = region[0].start
+    for start in range(0, ishape[0], depth):
+        n = min(depth, ishape[0] - start)
+        slab = (slice(lo + start, lo + start + n),) + region[1:]
+        _relax_slab(method, sub, slab,
+                    eu[:, :n], delta[:, :n], s[:n], tmp[:n])
+
+
+def _relax_slab(method, sub, region, eu, delta, s, tmp) -> None:
+    """:func:`lb_relax` on one slab, into slab-shaped buffers."""
     f = sub.fields["f"]
     rho = sub.fields["rho"][region]
     vels = [sub.fields[n][region] for n in method.vel_names]
-    ishape = rho.shape
-    qshape = (method.lattice.q,) + ishape
-    eu = sub.scratch("lb_eu", qshape)
-    delta = sub.scratch("lb_delta", qshape)
-    s = sub.scratch("lb_usq", ishape)
-    tmp = sub.scratch("lb_tmp", ishape)
     g = method.params.gravity
     omega = method._omega
     # eu <- e_i . u (delta doubles as the per-axis scratch)

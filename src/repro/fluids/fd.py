@@ -127,7 +127,9 @@ class FDMethod:
             )
         if sub.pad != self.pad:
             raise ValueError(f"subregion pad {sub.pad} != method pad {self.pad}")
-        build_wall_aux(sub)
+        # No-slip runs on the interior, ring 1 and ring 3; the density
+        # rule on ring 3 (see finalize_step and the two updates).
+        build_wall_aux(sub, solid_rings=(0, 1, 3), density_rings=(3,))
         self.filter.build_mask(sub)
         for i, inlet in enumerate(self.inlets):
             sub.aux[f"inlet{i}"] = inlet.box.local_mask(sub)
@@ -161,8 +163,8 @@ class FDMethod:
     # kernels — hot paths delegate to the pluggable backend (see
     # repro.fluids.backends; the numpy implementation in
     # backends/numpy_backend.py is the historical fused kernel, moved
-    # verbatim).  No-slip enforcement stays here: boundary rules are
-    # cheap and backend-independent.
+    # verbatim).  No-slip enforcement stays here, on the wall-node sets
+    # of repro.fluids.boundary, so every backend sees the same walls.
     # ------------------------------------------------------------------
     def _update_velocity(self, sub: SubregionState) -> None:
         """Forward-Euler momentum update (eqs. 2-3) on the interior."""

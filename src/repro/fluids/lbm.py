@@ -41,7 +41,13 @@ import numpy as np
 from ..core.subregion import SubregionState
 from ._kernels import Region
 from .backends import KernelBackend, resolve_backend
-from .boundary import PressureOutlet, VelocityInlet, build_wall_aux
+from .boundary import (
+    PressureOutlet,
+    VelocityInlet,
+    build_wall_aux,
+    flat_nodes,
+    wall_key,
+)
 from .filters import FourthOrderFilter
 from .lattices import Lattice, lattice_for
 from .params import FluidParams
@@ -130,6 +136,12 @@ class LBMethod:
                 tuple(int(i) for i in np.flatnonzero(lat.e[:, d] < 0)),
             )
             for d in range(ndim)
+        )
+        # Opposite-direction pairs swapped by bounce-back (the rest
+        # population is its own opposite).
+        opp = lat.opposite
+        self._pairs = tuple(
+            (i, int(opp[i])) for i in range(lat.q) if i < opp[i]
         )
         self.backend: KernelBackend = None  # type: ignore[assignment]
         self.set_backend(backend)
@@ -222,7 +234,8 @@ class LBMethod:
             )
         if sub.pad != self.pad:
             raise ValueError(f"subregion pad {sub.pad} != method pad {self.pad}")
-        build_wall_aux(sub)
+        # Bounce-back runs on the solid nodes of ring 2 (finalize_step).
+        build_wall_aux(sub, solid_rings=(2,))
         self.filter.build_mask(sub)
         for i, inlet in enumerate(self.inlets):
             sub.aux[f"inlet{i}"] = inlet.box.local_mask(sub)
@@ -258,8 +271,8 @@ class LBMethod:
     # kernels — hot paths delegate to the pluggable backend (see
     # repro.fluids.backends; the numpy implementation in
     # backends/numpy_backend.py is the historical fused kernel, moved
-    # verbatim).  Bounce-back and openings stay here: boundary rules are
-    # cheap and backend-independent.
+    # verbatim).  Bounce-back and openings stay here, so every backend
+    # sees the same walls.
     # ------------------------------------------------------------------
     def _relax(self, sub: SubregionState) -> None:
         """BGK collision + Guo forcing; solid nodes do not collide."""
@@ -270,14 +283,24 @@ class LBMethod:
         self.backend.lb_stream(sub, region)
 
     def _bounce_back(self, sub: SubregionState, region: Region) -> None:
-        """Reflect all populations at solid nodes (full bounce-back)."""
-        f = sub.fields["f"]
-        solid = sub.solid[region]
-        if not solid.any():
+        """Reflect all populations at solid nodes (full bounce-back).
+
+        Swaps each opposite pair ``(i, opp(i))`` in place on the
+        precomputed solid-node set: two node-sized buffers instead of a
+        ``(Q, n_solid)`` gather and its permuted copy.
+        """
+        key = wall_key(sub, "solid", region)
+        idx = sub.aux[key]
+        if not idx.size:
             return
-        view = f[(slice(None),) + region]
-        arrived = view[:, solid]
-        view[:, solid] = arrived[self.lattice.opposite]
+        pops = flat_nodes(sub.fields["f"], self.ndim)
+        a = sub.scratch(key + "_buf", idx.shape)
+        b = sub.scratch(key + "_swap", idx.shape)
+        for i, j in self._pairs:
+            np.take(pops[i], idx, out=a, mode="clip")
+            np.take(pops[j], idx, out=b, mode="clip")
+            pops[i][idx] = b
+            pops[j][idx] = a
 
     def _macro(self, sub: SubregionState, region: Region) -> None:
         """Fluid variables from populations (plus Guo half-force shift)."""

@@ -77,7 +77,7 @@ class TestWallRules:
         d = Decomposition(field.shape, (1, 1))
         sub = make_subregions(d, 3, {"rho": field, "u": field.copy(),
                                      "v": field.copy()}, solid)[0]
-        build_wall_aux(sub)
+        build_wall_aux(sub, solid_rings=(0,), density_rings=(0,))
         return sub
 
     def test_noslip_zeroes_solid_only(self):

@@ -7,22 +7,39 @@ per-direction loops — but they must stay within round-off of them.
 The classes below re-implement the original allocating loops verbatim;
 a Poiseuille channel run must agree to <= 1e-12 relative tolerance.
 
+The wall rules on precomputed wall-node index sets and the slabbed LB
+collision do *not* reorder any node's arithmetic, so they must be
+bitwise identical to the dense full-region rules (kept below as
+references) and to a one-slab collision — signed zeros included.
+
 The fused kernels also must not allocate: after warm-up fills the
 per-subregion scratch pool, a collision + moments pass reuses it
-entirely, which `harness.count_allocations` verifies via tracemalloc.
+entirely, and a whole walled step stays below one field, which
+`harness.count_allocations` verifies via tracemalloc.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import Decomposition, Simulation
-from repro.fluids import FDMethod, LBMethod, FluidParams
+from repro.core import Decomposition, Simulation, ThreadedSimulation
+from repro.fluids import (
+    FDMethod,
+    FluidParams,
+    GlobalBox,
+    LBMethod,
+    PressureOutlet,
+    VelocityInlet,
+    channel_geometry,
+    flue_pipe,
+)
+from repro.fluids import fd as fd_module
 from repro.fluids._kernels import central_diff, laplacian, shift_region
-from repro.fluids.boundary import enforce_noslip
+from repro.fluids.backends import numpy_backend
+from repro.fluids.backends._numba_kernels import HAVE_NUMBA
 from repro.fluids.filters import FourthOrderFilter
 from repro.harness import count_allocations
 
-from ..conftest import channel_sim, perturbed_fields, rest_fields
+from ..conftest import SERIAL_ID, channel_sim, perturbed_fields, rest_fields
 
 
 # ----------------------------------------------------------------------
@@ -39,6 +56,43 @@ def _ref_fourth_diff_sum(a, region):
             + a[shift_region(region, axis, +2)]
         )
     return out
+
+
+def _ref_enforce_noslip(sub, names, region):
+    """The dense no-slip rule: every node of the region times fluid_f."""
+    fluid = sub.aux["fluid_f"][region]
+    for name in names:
+        sub.fields[name][region] *= fluid
+
+
+def _ref_enforce_wall_density(sub, region, rho_name="rho"):
+    """The dense wall-density rule, masked over the whole region."""
+    rho = sub.fields[rho_name]
+    fluid = sub.aux["fluid_f"]
+    num = np.zeros_like(rho[region])
+    den = np.zeros_like(rho[region])
+    for axis in range(sub.ndim):
+        for by in (-1, +1):
+            shifted = shift_region(region, axis, by)
+            num += rho[shifted] * fluid[shifted]
+            den += fluid[shifted]
+    solid = sub.solid[region]
+    sel = solid & (den > 0.0)
+    target = rho[region]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        repl = num / den
+    target[sel] = repl[sel]
+
+
+def _ref_bounce_back(self, sub, region):
+    """Boolean-mask bounce-back through a permuted (Q, n_solid) copy."""
+    f = sub.fields["f"]
+    solid = sub.solid[region]
+    if not solid.any():
+        return
+    view = f[(slice(None),) + region]
+    arrived = view[:, solid]
+    view[:, solid] = arrived[self.lattice.opposite]
 
 
 class ReferenceFilter(FourthOrderFilter):
@@ -154,12 +208,12 @@ class ReferenceFDMethod(FDMethod):
             )
         for name in self.vel_names:
             sub.fields[name][region] = sub.aux["new_" + name][region]
-        enforce_noslip(sub, self.vel_names, region)
+        _ref_enforce_noslip(sub, self.vel_names, region)
 
     def _update_density(self, sub):
         p = self.params
         region = sub.interior
-        enforce_noslip(sub, self.vel_names, sub.grown_interior(1))
+        _ref_enforce_noslip(sub, self.vel_names, sub.grown_interior(1))
         rho = sub.fields["rho"]
         div = None
         for d, name in enumerate(self.vel_names):
@@ -211,6 +265,171 @@ def test_fused_matches_reference_3d():
 
 
 # ----------------------------------------------------------------------
+# wall rules on index sets and the slabbed collision: bitwise
+# ----------------------------------------------------------------------
+by_runner = pytest.mark.parametrize("runner", [
+    pytest.param(Simulation, id=SERIAL_ID),
+    pytest.param(ThreadedSimulation, id="threaded"),
+])
+# The compiled 2D kernels read fluid_f / filter_keep and share the wall
+# rules, so the 2D cases run on them too where numba is installed.
+by_backend_2d = pytest.mark.parametrize("backend", [
+    pytest.param(None, id="numpy"),
+    pytest.param("numba", id="numba", marks=pytest.mark.skipif(
+        not HAVE_NUMBA, reason="needs numba")),
+])
+
+
+def _build(method_cls, shape, blocks, periodic, solid, fields, runner,
+           inlets=(), outlets=(), backend=None):
+    ndim = len(shape)
+    params = FluidParams.lattice(ndim, nu=0.08, gravity=(0.0,) * ndim,
+                                 filter_eps=0.02)
+    method = method_cls(params, ndim, inlets=inlets, outlets=outlets)
+    decomp = Decomposition(shape, blocks, periodic=periodic, solid=solid)
+    return runner(method, decomp, fields, solid, backend=backend)
+
+
+def _assert_same_bytes(sim_a, sim_b):
+    """Every padded array of every subregion, ghosts and signs included."""
+    assert len(sim_a.subs) == len(sim_b.subs)
+    for sa, sb in zip(sim_a.subs, sim_b.subs):
+        for name, arr in sa.fields.items():
+            assert arr.tobytes() == sb.fields[name].tobytes(), (
+                f"field {name!r} of block {sa.block.index} differs"
+            )
+
+
+def _against_dense_walls(monkeypatch, steps, **kw):
+    """Run with the index-set wall rules, then with the dense ones."""
+    fast = _build(**kw)
+    fast.step(steps)
+    with monkeypatch.context() as m:
+        m.setattr(fd_module, "enforce_noslip", _ref_enforce_noslip)
+        m.setattr(fd_module, "enforce_wall_density",
+                  _ref_enforce_wall_density)
+        m.setattr(LBMethod, "_bounce_back", _ref_bounce_back)
+        dense = _build(**kw)
+        dense.step(steps)
+    _assert_same_bytes(fast, dense)
+    return fast
+
+
+def _duct_openings(shape):
+    """Inlet on the x = 0 face, outlet on the far one, inside the walls."""
+    lo_in = (0,) + (1,) * (len(shape) - 1)
+    hi_in = (1,) + tuple(n - 1 for n in shape[1:])
+    lo_out = (shape[0] - 1,) + lo_in[1:]
+    hi_out = (shape[0],) + hi_in[1:]
+    inlet = VelocityInlet(GlobalBox(lo_in, hi_in),
+                          (0.02,) + (0.0,) * (len(shape) - 1))
+    outlet = PressureOutlet(GlobalBox(lo_out, hi_out), rho=1.0)
+    return [inlet], [outlet]
+
+
+@pytest.mark.parametrize("method_cls", [FDMethod, LBMethod],
+                         ids=["fd", "lb"])
+@pytest.mark.parametrize("blocks", [(1, 1), (3, 2)],
+                         ids=lambda b: "x".join(map(str, b)))
+@by_runner
+@by_backend_2d
+def test_wall_sets_match_dense_flue_pipe(monkeypatch, method_cls, blocks,
+                                         runner, backend):
+    """2D walls, a ramped jet inlet and a pressure outlet."""
+    shape = (96, 64)
+    setup = flue_pipe(shape, jet_speed=0.08, ramp_steps=10)
+    sim = _against_dense_walls(
+        monkeypatch, 20, method_cls=method_cls, shape=shape, blocks=blocks,
+        periodic=(False, False), solid=setup.solid,
+        fields=rest_fields(shape), runner=runner,
+        inlets=[setup.inlet], outlets=[setup.outlet], backend=backend,
+    )
+    assert np.abs(sim.global_field("u")).max() > 0.0
+
+
+@pytest.mark.parametrize("method_cls", [FDMethod, LBMethod],
+                         ids=["fd", "lb"])
+@pytest.mark.parametrize("blocks", [(1, 1, 1), (2, 1, 2)],
+                         ids=lambda b: "x".join(map(str, b)))
+@by_runner
+def test_wall_sets_match_dense_duct_3d(monkeypatch, method_cls, blocks,
+                                       runner):
+    """3D duct walls with an inlet and an outlet on the open faces."""
+    shape = (16, 12, 10)
+    inlets, outlets = _duct_openings(shape)
+    _against_dense_walls(
+        monkeypatch, 10, method_cls=method_cls, shape=shape, blocks=blocks,
+        periodic=(False, False, False), solid=channel_geometry(shape),
+        fields=perturbed_fields(shape, seed=5), runner=runner,
+        inlets=inlets, outlets=outlets,
+    )
+
+
+@pytest.mark.parametrize("method_cls", [FDMethod, LBMethod],
+                         ids=["fd", "lb"])
+@by_runner
+@by_backend_2d
+def test_wall_sets_match_dense_inactive_block(monkeypatch, method_cls,
+                                              runner, backend):
+    """Fig. 2's layout: one all-solid block is never exchanged with.
+
+    Plus a lone solid node and a two-node sliver, whose wall densities
+    average four and three fluid neighbours: only there does the
+    accumulation order show in the bits.
+    """
+    shape = (48, 32)
+    solid = np.zeros(shape, dtype=bool)
+    solid[:24, :16] = True
+    solid[:, 0] = solid[:, -1] = True
+    solid[0, :] = solid[-1, :] = True
+    solid[30, 20] = True
+    solid[36:38, 24] = True
+    sim = _against_dense_walls(
+        monkeypatch, 20, method_cls=method_cls, shape=shape, blocks=(2, 2),
+        periodic=(False, False), solid=solid,
+        fields=perturbed_fields(shape, seed=9), runner=runner,
+        backend=backend,
+    )
+    assert sim.decomp.n_active == 3
+
+
+def test_wall_rules_keep_signed_zeros():
+    """No-slip multiplies by 0.0: -x at a wall node becomes -0.0, as the
+    dense rule leaves it, and a NaN stays NaN."""
+    sims = []
+    for noslip in (fd_module.enforce_noslip, _ref_enforce_noslip):
+        sim = channel_sim(FDMethod, shape=(16, 12), filter_eps=0.02)
+        sub = sim.subs[0]
+        u = sub.fields["u"]
+        u[...] = -1e-3
+        u[sub.pad + 2, sub.pad] = np.nan
+        noslip(sub, ("u", "v"), sub.grown_interior(3))
+        sims.append(sim)
+    a, b = (s.subs[0].fields["u"] for s in sims)
+    assert np.signbit(a[sims[0].subs[0].solid]).any()
+    assert a.tobytes() == b.tobytes()
+
+
+def test_lb_relax_slabs_match_one_slab(monkeypatch):
+    """A 3D duct swept in >= 3 slabs, the last one partial, is bitwise
+    the one-slab run."""
+    shape = (10, 8, 8)
+    kw = dict(shape=shape, nu=0.05, g=1e-5, filter_eps=0.02,
+              fields=perturbed_fields(shape, seed=4))
+    whole = channel_sim(LBMethod, **kw)
+    whole.step(6)
+    sub = whole.subs[0]
+    assert sub.aux["lb_eu"].shape[1] == shape[0]      # one slab
+    per_plane = 15 * 8 * int(np.prod(sub.block.shape[1:]))
+    monkeypatch.setattr(numpy_backend, "LB_SLAB_BYTES", 3 * per_plane + 7)
+    slabbed = channel_sim(LBMethod, **kw)
+    slabbed.step(6)
+    depth = slabbed.subs[0].aux["lb_eu"].shape[1]
+    assert depth == 3 and shape[0] % depth != 0       # 3, 3, 3, 1
+    _assert_same_bytes(whole, slabbed)
+
+
+# ----------------------------------------------------------------------
 # allocation-freedom of the fused hot path
 # ----------------------------------------------------------------------
 def _periodic_lb_sim(shape=(64, 64)):
@@ -247,6 +466,34 @@ def test_lb_relax_macro_allocation_free():
 def test_lb_full_step_allocates_less_than_one_field():
     """A whole warmed-up step stays far below one temporary grid array."""
     sim = _periodic_lb_sim()
+    sim.step(3)
+    report = count_allocations(lambda: sim.step(1), warmup=2, repeat=3)
+    field_bytes = 64 * 64 * 8
+    assert report.peak_bytes < field_bytes, (
+        f"step transiently allocated {report.peak_bytes} bytes "
+        f"(one field is {field_bytes})"
+    )
+
+
+def test_fd_walled_step_allocates_less_than_one_field():
+    """A warmed FD channel step, wall rules included, stays below one
+    temporary grid array."""
+    sim = channel_sim(FDMethod, shape=(64, 64), filter_eps=0.02,
+                      fields=perturbed_fields((64, 64), seed=2))
+    sim.step(3)
+    report = count_allocations(lambda: sim.step(1), warmup=2, repeat=3)
+    field_bytes = 64 * 64 * 8
+    assert report.peak_bytes < field_bytes, (
+        f"step transiently allocated {report.peak_bytes} bytes "
+        f"(one field is {field_bytes})"
+    )
+
+
+def test_lb_walled_step_allocates_less_than_one_field():
+    """A warmed LB channel step, bounce-back included, stays below one
+    temporary grid array."""
+    sim = channel_sim(LBMethod, shape=(64, 64), filter_eps=0.02,
+                      fields=perturbed_fields((64, 64), seed=2))
     sim.step(3)
     report = count_allocations(lambda: sim.step(1), warmup=2, repeat=3)
     field_bytes = 64 * 64 * 8

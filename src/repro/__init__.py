@@ -15,11 +15,33 @@ phase-level tracing layer shared by all of them,
 drives it dependency-first (no step barrier), and :mod:`repro.serve`
 puts the same machinery behind a single-host job gateway with a
 result cache (job queue, worker pool, live cluster view).
+
+Every export here and in the subpackages is lazy (:mod:`repro._lazy`):
+``import repro`` loads no subpackage, and ``repro.run`` or
+``repro.serve.Gateway`` imports its module on first use.  Rank
+workers, pool workers and the CLI are fresh interpreters, so each one
+pays only for the subsystems it actually runs.
 """
 
-from . import balance, chaos, cluster, core, distrib, fluids, graph, \
-    harness, net, serve, trace, viz
-from .facade import BACKENDS, RunResult, run
+from ._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "balance": "balance",
+    "chaos": "chaos",
+    "cluster": "cluster",
+    "core": "core",
+    "distrib": "distrib",
+    "fluids": "fluids",
+    "graph": "graph",
+    "harness": "harness",
+    "net": "net",
+    "serve": "serve",
+    "trace": "trace",
+    "viz": "viz",
+    "BACKENDS": "facade",
+    "RunResult": "facade",
+    "run": "facade",
+})
 
 __version__ = "1.0.0"
 

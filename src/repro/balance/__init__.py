@@ -23,9 +23,18 @@ under a bumped generation) reuses the migration-epoch machinery in
 :mod:`repro.distrib.worker` / :mod:`repro.distrib.monitor`.
 """
 
-from .estimator import LoadEstimator, calibrated_speeds
-from .planner import BalancePolicy, RebalancePlan, RebalancePlanner
-from .recut import RecutError, check_rebalanceable, recut_problem
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "LoadEstimator": "estimator",
+    "calibrated_speeds": "estimator",
+    "BalancePolicy": "planner",
+    "RebalancePlan": "planner",
+    "RebalancePlanner": "planner",
+    "RecutError": "recut",
+    "check_rebalanceable": "recut",
+    "recut_problem": "recut",
+})
 
 __all__ = [
     "LoadEstimator",

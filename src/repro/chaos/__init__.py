@@ -7,16 +7,24 @@ simulator, so every failure mode the paper's monitor must survive
 (§4.1, §5) can be reproduced bit-for-bit from a seed.
 """
 
-from .inject import (
-    NULL_INJECTOR,
-    ChannelFaultInjector,
-    FiredMarkers,
-    NullInjector,
-    WorkerFaults,
-    corrupt_dump,
-)
-from .plan import KINDS, MESSAGE_KINDS, SCENARIOS, Fault, FaultPlan
-from .runner import ChaosOutcome, check_recovery_ledger, run_scenario
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "NULL_INJECTOR": "inject",
+    "ChannelFaultInjector": "inject",
+    "FiredMarkers": "inject",
+    "NullInjector": "inject",
+    "WorkerFaults": "inject",
+    "corrupt_dump": "inject",
+    "KINDS": "plan",
+    "MESSAGE_KINDS": "plan",
+    "SCENARIOS": "plan",
+    "Fault": "plan",
+    "FaultPlan": "plan",
+    "ChaosOutcome": "runner",
+    "check_recovery_ledger": "runner",
+    "run_scenario": "runner",
+})
 
 __all__ = [
     "Fault",

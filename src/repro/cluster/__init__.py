@@ -6,32 +6,40 @@ the paper's own measured constants, used to regenerate the parallel
 efficiency and speedup figures (5-11).
 """
 
-from .calibration import (
-    COLLISION_FACTOR,
-    ETHERNET_BANDWIDTH,
-    MESSAGE_OVERHEAD,
-    MESSAGES_PER_STEP,
-    RELATIVE_SPEED,
-    U_REF_NODES_PER_S,
-    VALUES_PER_NODE,
-    bytes_per_boundary_node,
-    node_speed,
-    paper_ucalc_vcom_ratio,
-)
-from .ethernet import BusStats, SharedBus
-from .events import EventQueue
-from .loadgen import expected_busy_events, poisson_user_traces
-from .machines import LoadTrace, SimHost, paper_sim_cluster
-from .networks import NETWORK_PRESETS, SwitchedNetwork, make_network
-from .saving import SavePlan, simultaneous_save, staggered_save
-from .simulator import (
-    ClusterSimulation,
-    MigrationEvent,
-    NetworkParams,
-    SimFaultEvent,
-    SimResult,
-    phase_fractions,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "COLLISION_FACTOR": "calibration",
+    "ETHERNET_BANDWIDTH": "calibration",
+    "MESSAGE_OVERHEAD": "calibration",
+    "MESSAGES_PER_STEP": "calibration",
+    "RELATIVE_SPEED": "calibration",
+    "U_REF_NODES_PER_S": "calibration",
+    "VALUES_PER_NODE": "calibration",
+    "bytes_per_boundary_node": "calibration",
+    "node_speed": "calibration",
+    "paper_ucalc_vcom_ratio": "calibration",
+    "BusStats": "ethernet",
+    "SharedBus": "ethernet",
+    "EventQueue": "events",
+    "expected_busy_events": "loadgen",
+    "poisson_user_traces": "loadgen",
+    "LoadTrace": "machines",
+    "SimHost": "machines",
+    "paper_sim_cluster": "machines",
+    "NETWORK_PRESETS": "networks",
+    "SwitchedNetwork": "networks",
+    "make_network": "networks",
+    "SavePlan": "saving",
+    "simultaneous_save": "saving",
+    "staggered_save": "saving",
+    "ClusterSimulation": "simulator",
+    "MigrationEvent": "simulator",
+    "NetworkParams": "simulator",
+    "SimFaultEvent": "simulator",
+    "SimResult": "simulator",
+    "phase_fractions": "simulator",
+})
 
 __all__ = [
     "ClusterSimulation",

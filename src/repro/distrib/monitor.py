@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+import select
 import signal
 import subprocess
 import time
@@ -236,11 +237,13 @@ class Monitor:
 
             # 1. exit-code bookkeeping
             crashed = []
+            running = []
             for rank, proc in self.procs.items():
                 if rank in self._done:
                     continue
                 code = proc.poll()
                 if code is None:
+                    running.append(proc.pid)
                     continue
                 if code == EXIT_DONE:
                     self._done.add(rank)
@@ -262,6 +265,8 @@ class Monitor:
                 self._restart_from_checkpoint(crashed)
                 last_progress = time.monotonic()
                 continue
+            if len(self._done) == len(self.procs):
+                break
 
             # 2. migration triggers: forced requests, user wish files,
             #    overloaded hosts (five-minute load > 1.5, §5.1).  Under
@@ -304,7 +309,22 @@ class Monitor:
                 last_progress = time.monotonic()
                 continue
 
+            self._wait_for_exit(running)
+
+    def _wait_for_exit(self, pids: list[int]) -> None:
+        """Sleep one poll period, or less: a worker's pidfd turns
+        readable when it exits, which wakes the loop at once.  Where
+        ``os.pidfd_open`` is missing (non-Linux hosts), just sleep."""
+        fds: list[int] = []
+        try:
+            for pid in pids:
+                fds.append(os.pidfd_open(pid))
+            select.select(fds, [], [], self.poll)
+        except (AttributeError, OSError):
             time.sleep(self.poll)
+        finally:
+            for fd in fds:
+                os.close(fd)
 
     def _apply_host_faults(self, elapsed: float) -> None:
         """Fire any due load-spike faults from the run's chaos plan."""

@@ -13,19 +13,20 @@ from __future__ import annotations
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from ..balance.planner import BalancePolicy
 from ..core.subregion import assemble_global
 from .decompose import decompose_problem
 from .dumpfile import dump_path, load_dump
 from .hostdb import HostDB, HostInfo, paper_cluster
-from .monitor import Monitor
 from .settings import WorkerKnobs, worker_knob_names
 from .spec import ProblemSpec
-from .submit import submit_all
+
+if TYPE_CHECKING:
+    from ..balance.planner import BalancePolicy
+    from .monitor import Monitor
 
 __all__ = ["RunSettings", "DistributedRun"]
 
@@ -57,6 +58,8 @@ class RunSettings(WorkerKnobs):
 
     def balance_policy(self) -> BalancePolicy:
         """The :class:`~repro.balance.BalancePolicy` these knobs select."""
+        from ..balance.planner import BalancePolicy
+
         return BalancePolicy(
             threshold=self.balance_threshold,
             cooldown=self.balance_cooldown,
@@ -102,6 +105,9 @@ class DistributedRun:
 
     def start(self) -> Monitor:
         """Submit the workers and return the live monitor."""
+        from .monitor import Monitor
+        from .submit import submit_all
+
         procs = submit_all(
             self.workdir,
             self.hostdb,

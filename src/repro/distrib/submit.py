@@ -18,9 +18,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .hostdb import HostDB
-from .worker import WorkerConfig
+
+if TYPE_CHECKING:
+    from .worker import WorkerConfig
 
 __all__ = ["spawn_worker", "submit_all"]
 
@@ -50,7 +53,7 @@ def _worker_env() -> dict[str, str]:
 
 def spawn_worker(cfg: WorkerConfig) -> subprocess.Popen:
     """Start one parallel subprocess from its config file."""
-    cfg_path = WorkerConfig.path(cfg.workdir, cfg.rank)
+    cfg_path = cfg.path(cfg.workdir, cfg.rank)
     cfg_path.write_text(cfg.to_json())
     log_dir = Path(cfg.workdir) / "logs"
     log_dir.mkdir(parents=True, exist_ok=True)
@@ -84,6 +87,8 @@ def submit_all(
     here is rolled back before the error propagates, so the host
     database never records ranks of a run that does not exist.
     """
+    from .worker import WorkerConfig
+
     workdir = Path(workdir)
     (workdir / "logs").mkdir(parents=True, exist_ok=True)
     hosts = hostdb.select_free(n_ranks)

@@ -17,9 +17,16 @@ watchdog.
 barriered schedule on an imbalanced synthetic-delay chain.
 """
 
-from .executor import GraphExecutor
-from .plan import TaskGraph, TaskNode, plan_graph
-from .stalls import StallDetector, StallEvent
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "GraphExecutor": "executor",
+    "TaskGraph": "plan",
+    "TaskNode": "plan",
+    "plan_graph": "plan",
+    "StallDetector": "stalls",
+    "StallEvent": "stalls",
+})
 
 __all__ = [
     "plan_graph",

@@ -1,27 +1,29 @@
 """Measurement utilities: §7 timing protocol, eq. 5 metrics, and the
 per-figure parameter sweeps used by the benchmark harness."""
 
-from .metrics import (
-    AllocationReport,
-    count_allocations,
-    efficiency,
-    format_series,
-    format_table,
-    speedup,
-)
-from .sweeps import (
-    DEFAULT_2D_DECOMPS,
-    DEFAULT_2D_SIDES,
-    DEFAULT_3D_DECOMPS,
-    DEFAULT_3D_SIDES,
-    SweepPoint,
-    model_fig12,
-    model_fig13,
-    sweep_2d_grain,
-    sweep_3d_grain,
-    sweep_processors,
-)
-from .timing import StepTiming, measure_node_speed, time_stepper
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "AllocationReport": "metrics",
+    "count_allocations": "metrics",
+    "efficiency": "metrics",
+    "format_series": "metrics",
+    "format_table": "metrics",
+    "speedup": "metrics",
+    "DEFAULT_2D_DECOMPS": "sweeps",
+    "DEFAULT_2D_SIDES": "sweeps",
+    "DEFAULT_3D_DECOMPS": "sweeps",
+    "DEFAULT_3D_SIDES": "sweeps",
+    "SweepPoint": "sweeps",
+    "model_fig12": "sweeps",
+    "model_fig13": "sweeps",
+    "sweep_2d_grain": "sweeps",
+    "sweep_3d_grain": "sweeps",
+    "sweep_processors": "sweeps",
+    "StepTiming": "timing",
+    "measure_node_speed": "timing",
+    "time_stepper": "timing",
+})
 
 __all__ = [
     "speedup",

@@ -7,26 +7,28 @@ collective — the small tree allreduce behind the in-flight diagnostics —
 that runs identically over TCP, UDP and the in-process fabric.
 """
 
-from .channels import ChannelError, ChannelSet
-from .collectives import (
-    COLLECTIVE_PHASE,
-    REDUCE_OPS,
-    Communicator,
-    collective_pattern,
-    drive_all,
-)
-from .local import LocalChannelSet, LocalFabric
-from .portfile import PortRegistry
-from .protocol import (
-    MSG_DATA,
-    MSG_HELLO,
-    Header,
-    ProtocolError,
-    pack_frame,
-    recv_frame,
-)
-from .transport import SocketExchanger
-from .udp import UdpChannelSet
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "ChannelError": "channels",
+    "ChannelSet": "channels",
+    "COLLECTIVE_PHASE": "collectives",
+    "REDUCE_OPS": "collectives",
+    "Communicator": "collectives",
+    "collective_pattern": "collectives",
+    "drive_all": "collectives",
+    "LocalChannelSet": "local",
+    "LocalFabric": "local",
+    "PortRegistry": "portfile",
+    "MSG_DATA": "protocol",
+    "MSG_HELLO": "protocol",
+    "Header": "protocol",
+    "ProtocolError": "protocol",
+    "pack_frame": "protocol",
+    "recv_frame": "protocol",
+    "SocketExchanger": "transport",
+    "UdpChannelSet": "udp",
+})
 
 __all__ = [
     "ChannelSet",

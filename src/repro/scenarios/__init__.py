@@ -10,27 +10,27 @@ fans them through the :mod:`repro.serve` layer (where identical points
 hit the result cache) or a local executor.
 """
 
-from .base import (
-    Case,
-    Param,
-    Scenario,
-    Score,
-    all_scenarios,
-    diag_series,
-    get,
-    names,
-    register,
-)
-from . import library  # noqa: F401  (imports register the library)
-from .library import HOU_CAVITY_CENTERS
-from .sweep import (
-    SweepPoint,
-    expand_grid,
-    parse_grid,
-    run_case,
-    run_sweep,
-    write_report,
-)
+from .._lazy import lazy_exports
+from . import library  # noqa: F401  (importing it registers the library)
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "Case": "base",
+    "Param": "base",
+    "Scenario": "base",
+    "Score": "base",
+    "all_scenarios": "base",
+    "diag_series": "base",
+    "get": "base",
+    "names": "base",
+    "register": "base",
+    "HOU_CAVITY_CENTERS": "library",
+    "SweepPoint": "sweep",
+    "expand_grid": "sweep",
+    "parse_grid": "sweep",
+    "run_case": "sweep",
+    "run_sweep": "sweep",
+    "write_report": "sweep",
+})
 
 __all__ = [
     "Case",

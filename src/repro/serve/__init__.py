@@ -24,14 +24,25 @@ ROADMAP's north star asks for:
   view.
 """
 
-from .cache import ResultCache
-from .client import ServeClient, discover
-from .gateway import Gateway
-from .hashing import canonical_request, fingerprint
-from .jobs import STATES, TERMINAL, TRANSITIONS, JobHistory, JobRecord
-from .pool import WorkerPool
-from .scheduler import Scheduler
-from .top import render, watch
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "ResultCache": "cache",
+    "ServeClient": "client",
+    "discover": "client",
+    "Gateway": "gateway",
+    "canonical_request": "hashing",
+    "fingerprint": "hashing",
+    "STATES": "jobs",
+    "TERMINAL": "jobs",
+    "TRANSITIONS": "jobs",
+    "JobHistory": "jobs",
+    "JobRecord": "jobs",
+    "WorkerPool": "pool",
+    "Scheduler": "scheduler",
+    "render": "top",
+    "watch": "top",
+})
 
 __all__ = [
     "Gateway",

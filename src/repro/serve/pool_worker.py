@@ -24,6 +24,7 @@ rank processes.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import shutil
@@ -33,7 +34,21 @@ import time
 import traceback
 from pathlib import Path
 
-__all__ = ["main", "run_job"]
+__all__ = ["main", "run_job", "WARM_MODULES"]
+
+#: Every module :func:`run_job` executes for a local (serial or
+#: threaded) job, imported before the first heartbeat.
+WARM_MODULES = (
+    "numpy",
+    "repro.facade",
+    "repro.core.runner",
+    "repro.core.threaded",
+    "repro.distrib.spec",
+    "repro.distrib.orchestrator",
+    "repro.distrib.initprog",
+    "repro.fluids.backends.numpy_backend",
+    "repro.fluids.backends.numba_backend",
+)
 
 
 def _atomic_write(path: Path, payload: dict) -> None:
@@ -147,10 +162,11 @@ def main(argv: list[str] | None = None) -> int:
     hb = serve_dir / "pool" / "hb" / f"pool{index:04d}.json"
     hb.parent.mkdir(parents=True, exist_ok=True)
     jobs_done = 0
-    # Pay the heavy imports once at spawn, not inside the first job:
-    # the first "idle" heartbeat below doubles as the warm-pool signal.
-    import numpy  # noqa: F401
-    import repro  # noqa: F401
+    # The first "idle" heartbeat below is the warm-pool signal, so
+    # the imports a job runs are paid here, at spawn, not by the
+    # first job (``import repro`` alone loads nothing: it is lazy).
+    for name in WARM_MODULES:
+        importlib.import_module(name)
     _heartbeat(hb, index, "idle", None, jobs_done)
     with chan, chan.makefile("rb") as lines:
         for line in lines:

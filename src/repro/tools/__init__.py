@@ -7,6 +7,10 @@
 * ``figures`` — regenerate every figure's data table outside pytest.
 """
 
-from .cli import main
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "main": "cli",
+})
 
 __all__ = ["main"]

@@ -29,22 +29,25 @@ clocks through the same :class:`Tracer`, so real and simulated traces
 are directly comparable in the same viewer and the same report.
 """
 
-from .tracer import (
-    CAT_COMM,
-    CAT_COMPUTE,
-    CAT_OTHER,
-    NULL_TRACER,
-    NullTracer,
-    Tracer,
-    span_category,
-)
-from .merge import load_trace, merge_traces, trace_files, write_chrome_trace
-from .report import (
-    RankBreakdown,
-    TraceSummary,
-    format_breakdown_table,
-    summarize,
-)
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "CAT_COMM": "tracer",
+    "CAT_COMPUTE": "tracer",
+    "CAT_OTHER": "tracer",
+    "NULL_TRACER": "tracer",
+    "NullTracer": "tracer",
+    "Tracer": "tracer",
+    "span_category": "tracer",
+    "load_trace": "merge",
+    "merge_traces": "merge",
+    "trace_files": "merge",
+    "write_chrome_trace": "merge",
+    "RankBreakdown": "report",
+    "TraceSummary": "report",
+    "format_breakdown_table": "report",
+    "summarize": "report",
+})
 
 __all__ = [
     "NullTracer",

@@ -57,6 +57,12 @@ def test_distributed_matches_serial(tmp_path, method):
     ).fields
     for name in serial.method.field_names:
         assert np.array_equal(out[name], serial.global_field(name)), name
+    # `python -m repro.distrib.worker` must not find the worker module
+    # already imported by its package (runpy's RuntimeWarning)
+    logs = sorted((tmp_path / "run" / "logs").glob("rank*.stdout"))
+    assert len(logs) == spec.build_decomposition().n_active
+    for log in logs:
+        assert "RuntimeWarning" not in log.read_text(), log.name
 
 
 def test_migration_preserves_bitwise_equality(tmp_path):
@@ -65,9 +71,11 @@ def test_migration_preserves_bitwise_equality(tmp_path):
     spec = _spec()
     fields = initial_fields(spec, "rest")
     serial = _serial(spec, fields, steps=50)
+    # step_delays keep the ranks stepping for >= 1 s, so the request at
+    # 0.5 s lands mid-run however quickly the workers start
     run = DistributedRun(
-        spec, fields, tmp_path / "run", RunSettings(steps=50,
-                                                    run_timeout=240),
+        spec, fields, tmp_path / "run",
+        RunSettings(steps=50, run_timeout=240, step_delays=[0.02] * 4),
     )
     mon = run.start()
     threading.Timer(0.5, lambda: mon.request_migration(1)).start()
@@ -84,9 +92,11 @@ def test_load_triggered_migration(tmp_path):
     spec = _spec()
     fields = initial_fields(spec, "rest")
     serial = _serial(spec, fields, steps=50)
+    # step_delays keep the ranks stepping for >= 1 s, so the load at
+    # 0.5 s lands mid-run however quickly the workers start
     run = DistributedRun(
-        spec, fields, tmp_path / "run", RunSettings(steps=50,
-                                                    run_timeout=240),
+        spec, fields, tmp_path / "run",
+        RunSettings(steps=50, run_timeout=240, step_delays=[0.02] * 4),
     )
     mon = run.start()
 

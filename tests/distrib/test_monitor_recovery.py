@@ -4,8 +4,14 @@ Unit-level coverage of :meth:`Monitor._restart_from_checkpoint` and the
 machinery around it — the paths a live chaos run only exercises by
 luck: a corrupt *newest* checkpoint, a checkpoint missing one rank's
 dump, an exhausted restart budget, and a migration epoch that breaks
-mid-sequence.  Worker processes are faked; nothing is spawned.
+mid-sequence.  Worker processes are faked; only the wake-on-exit
+check spawns a real (short-lived) child.
 """
+
+import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -187,3 +193,20 @@ class TestMigrationEpochFailure:
             lambda crashed=None: pytest.fail("restart on healthy epoch"),
         )
         mon._migrate([0])
+
+
+@pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="needs pidfd")
+def test_wait_wakes_when_a_worker_exits(tmp_path):
+    """Between polls the monitor waits on the workers' pidfds, so a
+    worker's exit ends the wait long before the poll period."""
+    mon = _monitor(tmp_path, poll=30.0)
+    child = subprocess.Popen(
+        [sys.executable, "-c", "import time; time.sleep(0.2)"])
+    try:
+        t0 = time.monotonic()
+        mon._wait_for_exit([child.pid])
+        assert time.monotonic() - t0 < 10.0
+        assert child.wait(timeout=10) == 0
+    finally:
+        child.kill()
+        child.wait(timeout=10)

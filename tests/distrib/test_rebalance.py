@@ -58,12 +58,12 @@ def test_rebalance_epoch_preserves_bitwise_equality(tmp_path):
         ),
     )
     mon = run.start()
-
-    def make_busy():
-        host = run.hostdb.host_of_rank(0)
-        run.hostdb.set_load(host.name, load5=2.5)
-
-    threading.Timer(0.7, make_busy).start()
+    # Load rank 0's host before run.wait() starts the monitor loop, so
+    # the load is in the estimator at the planner's first decision: an
+    # epoch cut from step-time jitter alone (min_gain=0) cannot come
+    # first and use up the cooldown, however early the workers start.
+    host = run.hostdb.host_of_rank(0)
+    run.hostdb.set_load(host.name, load5=2.5)
     run.wait()
     out = run.collect()
 
@@ -99,8 +99,12 @@ def test_forced_rebalance_skips_gates_and_preserves_equality(tmp_path):
             run_timeout=240,
             policy="rebalance",
             balance_cooldown=60.0,
-            # rank 2 computes 4x slower; min_gain=1.0 (default) keeps
-            # the planner from acting on its own over 40 steps
+            # rank 2 computes 4x slower; an infinite threshold keeps
+            # the planner from ever acting on its own, so the forced
+            # request is the only epoch however early the workers
+            # start (the default gates approve one when they see the
+            # imbalance before the request lands)
+            balance_threshold=float("inf"),
             step_delays=[0.01, 0.01, 0.04, 0.01],
         ),
     )

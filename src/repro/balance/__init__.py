@@ -27,7 +27,6 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "LoadEstimator": "estimator",
-    "calibrated_speeds": "estimator",
     "BalancePolicy": "planner",
     "RebalancePlan": "planner",
     "RebalancePlanner": "planner",
@@ -38,7 +37,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
 
 __all__ = [
     "LoadEstimator",
-    "calibrated_speeds",
     "BalancePolicy",
     "RebalancePlan",
     "RebalancePlanner",

@@ -23,7 +23,7 @@ Two signals compose multiplicatively, mirroring the §5 machine model
 
 from __future__ import annotations
 
-__all__ = ["LoadEstimator", "calibrated_speeds"]
+__all__ = ["LoadEstimator"]
 
 #: per-node compute seconds assumed before any measurement arrives
 _NOMINAL_NODE_SECONDS = 1e-5
@@ -90,20 +90,6 @@ class LoadEstimator:
         """Feed a host load average for the rank currently on it."""
         self._load[rank] = max(float(load), 0.0)
 
-    def seed_speeds(self, speeds: list[float]) -> None:
-        """Seed per-rank speeds (nodes/s) measured offline.
-
-        :func:`repro.cluster.calibration.calibrate_backends` measures
-        what each kernel backend achieves on a host; seeding those rates
-        here (see :func:`calibrated_speeds`) lets the first rebalance
-        decision start from calibrated ratios instead of the uniform
-        prior.  The seeds enter the same per-node EMA that heartbeat
-        measurements refine, so live observations take over smoothly.
-        """
-        for rank, speed in enumerate(speeds[: self.n_ranks]):
-            if speed and speed > 0.0:
-                self._node_seconds[rank] = 1.0 / float(speed)
-
     def set_nodes(self, nodes: list[int]) -> None:
         """Adopt the node counts of a freshly re-cut decomposition.
 
@@ -159,27 +145,3 @@ class LoadEstimator:
             return None
         return min(s for s, _ in self._last_hb.values())
 
-
-def calibrated_speeds(
-    per_rank_backends: list[str],
-    calibration: dict[str, float],
-) -> list[float]:
-    """Per-rank nodes/s from backend names + a calibration table.
-
-    ``calibration`` is the output of
-    :func:`repro.cluster.calibration.calibrate_backends`; ranks whose
-    backend has no calibration entry (e.g. ``numba`` on a host without
-    numba, where the resolver will run numpy anyway) borrow the
-    ``numpy`` rate, or the mean of the measured rates as a last resort.
-    The result feeds :meth:`LoadEstimator.seed_speeds` or, normalized,
-    ``Decomposition(weights=...)``.
-    """
-    if not calibration:
-        raise ValueError("empty calibration table")
-    fallback = calibration.get(
-        "numpy", sum(calibration.values()) / len(calibration)
-    )
-    return [
-        calibration.get(name or "numpy", fallback)
-        for name in per_rank_backends
-    ]

@@ -30,7 +30,7 @@ __all__ = [
     "node_speed",
     "bytes_per_boundary_node",
     "paper_ucalc_vcom_ratio",
-    "calibrate_backends",
+    "host_node_speed",
 ]
 
 #: §7: "The relative speed of 1.0 corresponds to 39132 fluid nodes
@@ -85,32 +85,23 @@ def bytes_per_boundary_node(method: str, ndim: int) -> int:
     return VALUES_PER_NODE[(method, ndim)] * BYTES_PER_VALUE
 
 
-def calibrate_backends(
+def host_node_speed(
     method: str = "lb",
     ndim: int = 2,
     side: int = 48,
     steps: int = 5,
     repeats: int = 2,
-    backends=None,
-) -> dict[str, float]:
-    """Measured nodes/s per kernel backend on *this* host.
+) -> float:
+    """Measured fluid nodes/s of ``(method, ndim)`` on *this* host.
 
     The paper calibrates its model with measured per-workstation speeds
     (§7's relative-speed table); this is the same measurement for the
-    kernel *backends* of :mod:`repro.fluids.backends` — a periodic,
-    solid-free ``side**ndim`` problem is integrated per the §7 timing
-    protocol and the unpadded nodes/s recorded per backend.  Feed the
-    result into :meth:`repro.balance.LoadEstimator.seed_speeds` (via
-    :func:`repro.balance.calibrated_speeds`) or into
-    ``Decomposition(weights=...)`` so mixed numpy/numba ranks start
-    from measured ratios instead of the uniform prior.
-
-    ``backends`` defaults to every backend available on this host
-    (missing numba simply yields no ``numba`` entry, never an error).
+    machine running it: a periodic, solid-free ``side**ndim`` problem is
+    integrated per the §7 timing protocol and the unpadded nodes/s
+    returned — the host's counterpart of :func:`node_speed`.
     """
     from ..core.decomposition import Decomposition
     from ..core.runner import Simulation
-    from ..fluids.backends import available_backends
     from ..fluids.fd import FDMethod
     from ..fluids.lbm import LBMethod
     from ..fluids.params import FluidParams
@@ -120,25 +111,19 @@ def calibrate_backends(
 
     if method not in ("fd", "lb"):
         raise ValueError(f"unknown method {method!r}")
-    if backends is None:
-        backends = available_backends(ndim)
     shape = (side,) * ndim
     fields = {"rho": np.ones(shape)}
     for name in ("u", "v", "w")[:ndim]:
         fields[name] = np.zeros(shape)
     cls = LBMethod if method == "lb" else FDMethod
-    out: dict[str, float] = {}
-    for backend in backends:
-        params = FluidParams.lattice(
-            ndim, nu=0.05, gravity=(1e-5,) + (0.0,) * (ndim - 1)
-        )
-        m = cls(params, ndim, backend=backend)
-        decomp = Decomposition(shape, (1,) * ndim, periodic=(True,) * ndim)
-        sim = Simulation(m, decomp, dict(fields))
-        out[backend] = measure_node_speed(
-            sim, n_nodes=side**ndim, steps=steps, repeats=repeats
-        )
-    return out
+    params = FluidParams.lattice(
+        ndim, nu=0.05, gravity=(1e-5,) + (0.0,) * (ndim - 1)
+    )
+    decomp = Decomposition(shape, (1,) * ndim, periodic=(True,) * ndim)
+    sim = Simulation(cls(params, ndim), decomp, fields)
+    return measure_node_speed(
+        sim, n_nodes=side**ndim, steps=steps, repeats=repeats
+    )
 
 
 def paper_ucalc_vcom_ratio() -> float:

@@ -130,25 +130,6 @@ def common_field_names(methods) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _bind_backend(method, backend: str | None) -> None:
-    """Bind a kernel backend onto a method that supports one.
-
-    Runners accept a ``backend`` name so the selection threads from
-    settings/CLI down to the kernels; methods without pluggable kernels
-    (the protocol does not require them) reject a non-default request
-    instead of silently ignoring it.
-    """
-    if not backend:
-        return
-    set_backend = getattr(method, "set_backend", None)
-    if set_backend is None:
-        raise ValueError(
-            f"method {type(method).__name__} does not support kernel "
-            f"backends (requested {backend!r})"
-        )
-    set_backend(backend)
-
-
 class Simulation:
     """Decompose a global initial state and march it in time.
 
@@ -176,9 +157,6 @@ class Simulation:
         phase, ghost exchange and finalize; defaults to the no-op
         :data:`~repro.trace.NULL_TRACER` (span names are precomputed so
         the disabled path stays allocation-free).
-    backend:
-        Optional kernel-backend name bound onto the method via
-        ``method.set_backend`` (see :mod:`repro.fluids.backends`).
     """
 
     def __init__(
@@ -188,12 +166,9 @@ class Simulation:
         global_fields: Mapping[str, np.ndarray],
         solid: np.ndarray | None = None,
         tracer=NULL_TRACER,
-        backend: str | None = None,
         converters=None,
     ) -> None:
         methods, single = _normalize_methods(method, decomp, converters)
-        for m in dict.fromkeys(methods):
-            _bind_backend(m, backend)
         self.methods = methods
         self.method = single
         self.decomp = decomp

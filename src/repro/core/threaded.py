@@ -5,9 +5,7 @@
 (:func:`repro.graph.plan_graph`) and solves it on a
 :class:`~repro.graph.GraphExecutor` with one worker thread per
 subregion.  NumPy's vectorized kernels release the GIL for their inner
-loops, and the numba kernel backend (``repro.fluids.backends``)
-releases it outright, so the threads genuinely overlap on a multi-core
-machine.
+loops, so the threads genuinely overlap on a multi-core machine.
 
 There is no step barrier: a node runs as soon as its dependencies are
 done, so a subregion steps the moment its own ghost strips are filled —
@@ -54,14 +52,12 @@ class ThreadedSimulation(Simulation):
         global_fields: Mapping[str, np.ndarray],
         solid: np.ndarray | None = None,
         tracer=NULL_TRACER,
-        backend: str | None = None,
         converters=None,
         step_delays=None,
         delay_fn=None,
     ) -> None:
         super().__init__(method, decomp, global_fields, solid,
-                         tracer=tracer, backend=backend,
-                         converters=converters)
+                         tracer=tracer, converters=converters)
         self._step_delays = list(step_delays or [])
         self._delay_fn = delay_fn
 

@@ -67,19 +67,9 @@ class WorkerKnobs:
     reconnect_base: float = 0.05  # exponential backoff (base*2^k seconds)
     hangup_grace: float = 2.0  # receiver-side wait for a hung-up peer
     #  that still owes data to re-connect before ChannelError
-    backend: str = ""          # kernel backend for every rank ("" = the
-    #  numpy default; see repro.fluids.backends); unavailable backends
-    #  degrade to numpy with a one-time warning, never an error
     job_id: str = ""           # repro.serve job this run belongs to;
     #  tags every rank's trace stream (meta line "job" field) so merged
     #  traces from a shared worker pool stay attributable per job
-    backends: list[str] = field(default_factory=list)
-    #  per-rank kernel backends (indexed by rank, overrides `backend`):
-    #  heterogeneous hosts run heterogeneous kernels, and the calibrated
-    #  speed ratios feed the load balancer exactly like the paper's
-    #  heterogeneous workstations (§7).  Each rank indexes this list
-    #  with its own rank, so monitor-driven restarts rebuild identical
-    #  per-rank kernels.
 
 
 def worker_knob_names() -> tuple[str, ...]:

@@ -316,7 +316,7 @@ class ProblemSpec:
             return solid, [], []
         raise ValueError(f"unknown geometry kind {kind!r}")
 
-    def build_methods(self, backend: str | None = None) -> tuple:
+    def build_methods(self) -> tuple:
         """One method instance per dense active rank.
 
         The single construction path for every runtime (facade, serial
@@ -324,9 +324,7 @@ class ProblemSpec:
         (methods keep no per-subregion state — it lives on the
         subregions), shared across the ranks running it, built with the
         run-wide ghost width :attr:`pad` so mixed-pad methods share one
-        exchange plan.  ``backend`` optionally names a kernel backend
-        (see :mod:`repro.fluids.backends`); the backend is per-process
-        runtime state, not part of the spec.
+        exchange plan.
         """
         params = self.build_params()
         _, inlets, outlets = self.build_geometry()
@@ -334,14 +332,13 @@ class ProblemSpec:
         built = {
             name: METHOD_CLASSES[name](
                 params, self.ndim, inlets=inlets, outlets=outlets,
-                backend=backend or None,
                 pad=None if METHOD_CLASSES[name].pad == pad else pad,
             )
             for name in self.method_names
         }
         return tuple(built[name] for name in self.methods_by_rank())
 
-    def build_method(self, backend: str | None = None):
+    def build_method(self):
         """Reconstruct the single method of a v1 (non-hybrid) spec.
 
         Kept for single-method callers; hybrid specs have no single
@@ -355,7 +352,6 @@ class ProblemSpec:
         _, inlets, outlets = self.build_geometry()
         return METHOD_CLASSES[self.method](
             params, self.ndim, inlets=inlets, outlets=outlets,
-            backend=backend or None,
         )
 
     def build_decomposition(self) -> Decomposition:

@@ -125,18 +125,7 @@ class Worker:
         self.workdir = Path(cfg.workdir)
         self.rank = cfg.rank
         self.spec = ProblemSpec.load(self.workdir / "spec.json")
-        # Per-rank kernel backend: the per-rank list wins over the
-        # global knob; both live in the shared base cfg, so a monitor
-        # restart rebuilds the identical kernel for this rank.
-        backend = cfg.backend
-        if cfg.backends:
-            if len(cfg.backends) <= self.rank:
-                raise ValueError(
-                    f"backends list has {len(cfg.backends)} entries but "
-                    f"this is rank {self.rank}"
-                )
-            backend = cfg.backends[self.rank]
-        methods = self.spec.build_methods(backend=backend)
+        methods = self.spec.build_methods()
         self.method = methods[self.rank]
         self.decomp = self.spec.build_decomposition()
         self.n_ranks = self.decomp.n_active

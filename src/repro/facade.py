@@ -147,18 +147,15 @@ def _run_inprocess(spec, fields, settings, workdir, threaded: bool,
 
     solid, _, _ = spec.build_geometry()
     decomp = spec.build_decomposition()
-    # settings.backend names the kernel backend (repro.fluids.backends);
-    # the distributed runtime routes the same knob (or the per-rank
-    # settings.backends list) to each worker via the shared base cfg.
     converters = None
     if spec.is_hybrid:
         from .fluids.coupling import build_converters
 
-        methods = spec.build_methods(backend=settings.backend or None)
+        methods = spec.build_methods()
         converters = build_converters(decomp, methods)
         method = list(methods)
     else:
-        method = spec.build_method(backend=settings.backend or None)
+        method = spec.build_method()
     tracer = NULL_TRACER
     trace_dir = None
     if settings.trace:

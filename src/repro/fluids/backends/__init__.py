@@ -1,215 +1,8 @@
-"""Pluggable per-subregion kernel backends.
+"""The fused NumPy kernels of the numerical methods.
 
-The numerical methods of :mod:`repro.fluids` express their hot kernels
-(LB collision/streaming/moments, the FD velocity/density updates, the
-fourth-order filter) against a narrow :class:`KernelBackend` interface,
-so one subregion can integrate with fused NumPy array kernels while its
-neighbour runs GIL-free compiled loops — the patch-based heterogeneity
-of Feichtinger et al., applied to *backends* instead of hosts.  The
-paper's load-balancing machinery treats a fast backend exactly like a
-fast host: :func:`repro.cluster.calibration.calibrate_backends`
-measures each backend's nodes/s and feeds the speeds into
-:class:`~repro.balance.LoadEstimator` / ``Decomposition(weights=)``.
-
-Three registered implementations:
-
-``numpy``
-    The fused allocation-free NumPy kernels (the default; bit-identical
-    to the historical in-method kernels, which moved verbatim into
-    :mod:`.numpy_backend`).
-``numba``
-    ``@njit(parallel=True, fastmath=True, cache=True)`` loop kernels
-    that release the GIL and spread rows over cores with ``prange``.
-``numba-serial``
-    The same compiled kernels with ``parallel=False`` — deterministic
-    single-thread execution (no thread-count dependence at all), for
-    reproducibility-sensitive runs on numba hosts.
-
-**Resolver contract**: :func:`resolve_backend` never raises on a
-missing optional dependency.  Asking for ``numba`` on a host without
-numba (or for a method shape the numba kernels do not cover) degrades
-to the ``numpy`` backend with a one-time :class:`BackendFallbackWarning`
-— ``pip install`` without numba must import, run and pass tests.
-
-**Scratch ownership**: every backend allocates its work buffers through
-:meth:`repro.core.subregion.SubregionState.scratch` under names
-prefixed with the backend's own namespace (``lb_*``/``fd_*``/
-``filter_*`` for numpy — the historical names, so the allocation-
-freedom tests keep holding — and ``nb_*`` for the numba kernels).
-Scratch lives in ``sub.aux``: never exchanged, never dumped, rebuilt on
-first use after a restore, so switching a subregion's backend across a
-checkpoint restart is safe.
+:class:`~repro.fluids.lbm.LBMethod` and :class:`~repro.fluids.fd.FDMethod`
+each build one :class:`~.numpy_backend.NumpyBackend` at construction and
+run their hot kernels (LB collision/streaming/moments, the FD
+velocity/density updates, the fourth-order filter) through it; wall
+rules and openings stay in the methods.
 """
-
-from __future__ import annotations
-
-import warnings
-from typing import TYPE_CHECKING, Callable, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ...core.subregion import SubregionState
-
-__all__ = [
-    "KernelBackend",
-    "BackendUnavailable",
-    "BackendFallbackWarning",
-    "BACKEND_NAMES",
-    "DEFAULT_BACKEND",
-    "available_backends",
-    "resolve_backend",
-    "register_backend",
-]
-
-DEFAULT_BACKEND = "numpy"
-
-
-class BackendUnavailable(RuntimeError):
-    """A backend cannot serve this host or method (missing optional
-    dependency, unsupported dimensionality, ...).  Raised by backend
-    factories; :func:`resolve_backend` converts it into a one-time
-    warning plus the ``numpy`` fallback."""
-
-
-class BackendFallbackWarning(UserWarning):
-    """Emitted once per (backend, reason) when the resolver degrades a
-    requested backend to ``numpy``."""
-
-
-class KernelBackend:
-    """The per-subregion kernel interface a numerical method drives.
-
-    One instance is bound to one method instance (it may precompute
-    flattened constants from the method's parameters); the method calls
-    the kernels below from its ``compute_phase``/``finalize_step``.
-    Boundary-condition enforcement (bounce-back, wall rules, openings)
-    stays in the methods — it is cheap, rarely hot, and keeping it
-    shared guarantees every backend sees identical boundary data.
-
-    Regions are tuples of explicit slices into the padded arrays (see
-    :mod:`repro.fluids._kernels`); kernels must write only inside their
-    region and may read up to the method's stencil reach outside it.
-    """
-
-    #: registry name of this backend
-    name: str = "abstract"
-    #: True when the kernels run multi-threaded / release the GIL
-    parallel: bool = False
-
-    def __init__(self, method) -> None:
-        self.method = method
-
-    # -- lattice Boltzmann --------------------------------------------
-    def lb_relax(self, sub: "SubregionState") -> None:
-        """BGK collision + Guo forcing on the interior, in place."""
-        raise NotImplementedError
-
-    def lb_stream(self, sub: "SubregionState", region) -> None:
-        """Pull-form streaming ``F_i(x) <- F_i(x - e_i)`` on ``region``."""
-        raise NotImplementedError
-
-    def lb_moments(self, sub: "SubregionState", region) -> None:
-        """Fluid variables from populations (plus Guo half-force)."""
-        raise NotImplementedError
-
-    # -- finite differences -------------------------------------------
-    def fd_velocity(self, sub: "SubregionState") -> None:
-        """Forward-Euler momentum update (eqs. 2-3) on the interior."""
-        raise NotImplementedError
-
-    def fd_density(self, sub: "SubregionState") -> None:
-        """Continuity update (eq. 1) with time-(t+dt) velocities."""
-        raise NotImplementedError
-
-    # -- shared filter ------------------------------------------------
-    def filter_fields(
-        self, flt, sub: "SubregionState", names: Sequence[str], region
-    ) -> None:
-        """Apply the fourth-order filter ``flt`` to the named fields."""
-        raise NotImplementedError
-
-
-_REGISTRY: dict[str, Callable[[object], KernelBackend]] = {}
-_WARNED: set[tuple[str, str]] = set()
-
-
-def register_backend(
-    name: str, factory: Callable[[object], KernelBackend]
-) -> None:
-    """Register a backend factory (``factory(method) -> KernelBackend``).
-
-    The factory may raise :class:`BackendUnavailable` when the backend
-    cannot serve the given method on this host.
-    """
-    _REGISTRY[name] = factory
-
-
-def _builtin_factories() -> None:
-    from . import numpy_backend  # noqa: F401  (registers itself)
-    from . import numba_backend  # noqa: F401  (registers itself)
-
-
-def backend_names() -> tuple[str, ...]:
-    """All registered backend names (available on this host or not)."""
-    _builtin_factories()
-    return tuple(sorted(_REGISTRY))
-
-
-#: public alias kept stable for docs/CLI choices
-BACKEND_NAMES = ("numpy", "numba", "numba-serial")
-
-
-def available_backends(ndim: int = 2) -> tuple[str, ...]:
-    """Backend names that actually construct on this host.
-
-    Probes each registered factory against a tiny throwaway method of
-    the given dimensionality; backends that raise
-    :class:`BackendUnavailable` (missing numba, unsupported shape) are
-    left out — this is what the calibration micro-bench iterates.
-    """
-    _builtin_factories()
-    from ..params import FluidParams
-    from ..lbm import LBMethod
-
-    probe = LBMethod(
-        FluidParams.lattice(ndim, nu=0.05, gravity=(0.0,) * ndim), ndim
-    )
-    out = []
-    for name in sorted(_REGISTRY):
-        try:
-            _REGISTRY[name](probe)
-        except BackendUnavailable:
-            continue
-        out.append(name)
-    return tuple(out)
-
-
-def resolve_backend(name: str | None, method) -> KernelBackend:
-    """Build the named backend for ``method``, degrading gracefully.
-
-    ``None`` or ``""`` selects the default (``numpy``).  An unknown
-    name raises :class:`ValueError` (a typo should not silently slow a
-    run down); a *known but unavailable* backend falls back to
-    ``numpy`` with a one-time :class:`BackendFallbackWarning` — never
-    an import error.
-    """
-    _builtin_factories()
-    if not name:
-        name = DEFAULT_BACKEND
-    if name not in _REGISTRY:
-        raise ValueError(
-            f"unknown kernel backend {name!r} "
-            f"(registered: {', '.join(sorted(_REGISTRY))})"
-        )
-    try:
-        return _REGISTRY[name](method)
-    except BackendUnavailable as why:
-        key = (name, str(why))
-        if key not in _WARNED:
-            _WARNED.add(key)
-            warnings.warn(
-                f"kernel backend {name!r} unavailable ({why}); "
-                f"falling back to {DEFAULT_BACKEND!r}",
-                BackendFallbackWarning,
-                stacklevel=2,
-            )
-        return _REGISTRY[DEFAULT_BACKEND](method)

@@ -1,13 +1,11 @@
-"""The fused NumPy kernel backend (the default).
+"""The fused NumPy kernels of :class:`~repro.fluids.lbm.LBMethod` and
+:class:`~repro.fluids.fd.FDMethod`.
 
-These are the historical in-method kernels of :class:`~repro.fluids.lbm.
-LBMethod` / :class:`~repro.fluids.fd.FDMethod`, moved verbatim behind
-the :class:`~repro.fluids.backends.KernelBackend` interface — same
-operations in the same order on the same scratch buffers (the
-``lb_*``/``fd_*``/``filter_*`` names), so a run through this backend is
-bit-identical to the pre-backend code.  The kernels allocate nothing
-after the first step; what a warmed lattice Boltzmann step still
-allocates is outside them, in the ghost fill of ``f``: edge replication
+Each kernel works on the per-subregion scratch buffers of
+:meth:`repro.core.subregion.SubregionState.scratch` (the ``lb_*``/
+``fd_*``/``filter_*`` names) and allocates nothing after the first
+step.  What a warmed lattice Boltzmann step still allocates is outside
+them, in the ghost fill of ``f``: edge replication
 (``core.exchange._replicate_edge``) reads an edge plane that overlaps
 its ghost strip in memory, so NumPy copies it through a temporary the
 size of the strip (1.76 MB for a 64^3 D3Q15 block).
@@ -18,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from .._kernels import Region, central_diff, laplacian, region_shape, shift_region
-from . import KernelBackend, register_backend
 
 __all__ = ["NumpyBackend"]
 
@@ -227,11 +224,18 @@ def fd_density(method, sub) -> None:
     rho[region] -= div
 
 
-class NumpyBackend(KernelBackend):
-    """Fused, allocation-free NumPy array kernels (the default)."""
+class NumpyBackend:
+    """The kernels one method instance runs.
+
+    Regions are tuples of explicit slices into the padded arrays (see
+    :mod:`repro.fluids._kernels`); a kernel writes only inside its
+    region and may read up to the method's stencil reach outside it.
+    """
 
     name = "numpy"
-    parallel = False
+
+    def __init__(self, method) -> None:
+        self.method = method
 
     def lb_relax(self, sub) -> None:
         lb_relax(self.method, sub)
@@ -251,5 +255,3 @@ class NumpyBackend(KernelBackend):
     def filter_fields(self, flt, sub, names, region) -> None:
         flt.apply(sub, names, region)
 
-
-register_backend("numpy", NumpyBackend)

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.subregion import SubregionState
-from .backends import KernelBackend, resolve_backend
+from .backends.numpy_backend import NumpyBackend
 from .boundary import (
     PressureOutlet,
     VelocityInlet,
@@ -72,7 +72,6 @@ class FDMethod:
         ndim: int = 2,
         inlets: Sequence[VelocityInlet] = (),
         outlets: Sequence[PressureOutlet] = (),
-        backend: str | KernelBackend | None = None,
         pad: int | None = None,
     ) -> None:
         if ndim not in (2, 3):
@@ -99,22 +98,7 @@ class FDMethod:
         self.inlets = tuple(inlets)
         self.outlets = tuple(outlets)
         self.filter = FourthOrderFilter(params.filter_eps)
-        self.backend: KernelBackend = None  # type: ignore[assignment]
-        self.set_backend(backend)
-
-    def set_backend(
-        self, backend: str | KernelBackend | None = None
-    ) -> KernelBackend:
-        """Bind a kernel backend (name, instance, or None for default).
-
-        Unavailable backends degrade to ``numpy`` with a one-time
-        warning — see :func:`repro.fluids.backends.resolve_backend`.
-        """
-        if isinstance(backend, KernelBackend):
-            self.backend = backend
-        else:
-            self.backend = resolve_backend(backend, self)
-        return self.backend
+        self.backend = NumpyBackend(self)
 
     # ------------------------------------------------------------------
     # ExplicitMethod protocol
@@ -160,11 +144,9 @@ class FDMethod:
         self.backend.filter_fields(self.filter, sub, self.field_names, g1)
 
     # ------------------------------------------------------------------
-    # kernels — hot paths delegate to the pluggable backend (see
-    # repro.fluids.backends; the numpy implementation in
-    # backends/numpy_backend.py is the historical fused kernel, moved
-    # verbatim).  No-slip enforcement stays here, on the wall-node sets
-    # of repro.fluids.boundary, so every backend sees the same walls.
+    # kernels — hot paths run the fused NumPy kernels of
+    # repro.fluids.backends.numpy_backend.  No-slip enforcement stays
+    # here, on the wall-node sets of repro.fluids.boundary.
     # ------------------------------------------------------------------
     def _update_velocity(self, sub: SubregionState) -> None:
         """Forward-Euler momentum update (eqs. 2-3) on the interior."""

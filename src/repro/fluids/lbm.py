@@ -40,7 +40,7 @@ import numpy as np
 
 from ..core.subregion import SubregionState
 from ._kernels import Region
-from .backends import KernelBackend, resolve_backend
+from .backends.numpy_backend import NumpyBackend
 from .boundary import (
     PressureOutlet,
     VelocityInlet,
@@ -75,7 +75,6 @@ class LBMethod:
         ndim: int = 2,
         inlets: Sequence[VelocityInlet] = (),
         outlets: Sequence[PressureOutlet] = (),
-        backend: str | KernelBackend | None = None,
         pad: int | None = None,
     ) -> None:
         if ndim not in (2, 3):
@@ -143,22 +142,7 @@ class LBMethod:
         self._pairs = tuple(
             (i, int(opp[i])) for i in range(lat.q) if i < opp[i]
         )
-        self.backend: KernelBackend = None  # type: ignore[assignment]
-        self.set_backend(backend)
-
-    def set_backend(
-        self, backend: str | KernelBackend | None = None
-    ) -> KernelBackend:
-        """Bind a kernel backend (name, instance, or None for default).
-
-        Unavailable backends degrade to ``numpy`` with a one-time
-        warning — see :func:`repro.fluids.backends.resolve_backend`.
-        """
-        if isinstance(backend, KernelBackend):
-            self.backend = backend
-        else:
-            self.backend = resolve_backend(backend, self)
-        return self.backend
+        self.backend = NumpyBackend(self)
 
     # ------------------------------------------------------------------
     # equilibrium and forcing
@@ -268,11 +252,9 @@ class LBMethod:
         )
 
     # ------------------------------------------------------------------
-    # kernels — hot paths delegate to the pluggable backend (see
-    # repro.fluids.backends; the numpy implementation in
-    # backends/numpy_backend.py is the historical fused kernel, moved
-    # verbatim).  Bounce-back and openings stay here, so every backend
-    # sees the same walls.
+    # kernels — hot paths run the fused NumPy kernels of
+    # repro.fluids.backends.numpy_backend.  Bounce-back and openings
+    # stay here, on the wall-node sets of repro.fluids.boundary.
     # ------------------------------------------------------------------
     def _relax(self, sub: SubregionState) -> None:
         """BGK collision + Guo forcing; solid nodes do not collide."""

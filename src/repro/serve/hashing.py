@@ -5,15 +5,14 @@ whose ``(spec, settings, seed)`` describe the same computation must map
 to the same fingerprint no matter how they were spelled — field order
 in a JSON body, tuples vs lists, defaults left implicit vs written out.
 Conversely any knob that can change the produced fields (grid, physical
-parameters, step count, diagnostic abort thresholds, kernel backend)
-must change the fingerprint.
+parameters, step count, diagnostic abort thresholds) must change the
+fingerprint.
 
 Operational knobs deliberately do **not** participate: transport,
 timeouts, checkpoint cadence, heartbeat period, tracing, synthetic step
 delays and host lists change *how* a run executes, not *what* it
 computes — the repo's integration tests hold the runtimes bit-for-bit
-equal across all of them.  The kernel backend knobs stay in the key
-because backend parity is only guaranteed to ~1e-10, not bit-for-bit.
+equal across all of them.
 """
 
 from __future__ import annotations
@@ -33,13 +32,11 @@ PHYSICAL_KNOBS = (
     "nan_step",
     "nan_rank",
     "fault_plan",
-    "backend",
-    "backends",
 )
 
 #: Bump when the canonical form itself changes, so stale cache entries
 #: from an older layout can never satisfy a new request.
-_CANON_VERSION = 2
+_CANON_VERSION = 3
 
 
 def _canonical_spec(spec) -> dict:

@@ -47,7 +47,6 @@ WARM_MODULES = (
     "repro.distrib.orchestrator",
     "repro.distrib.initprog",
     "repro.fluids.backends.numpy_backend",
-    "repro.fluids.backends.numba_backend",
 )
 
 

@@ -16,28 +16,16 @@ def _host_metadata() -> dict:
     """Host facts a recorded speed carries (``calibrate --out``).
 
     A nodes/s number is meaningless without knowing what produced it —
-    core count, library versions, and which kernel backends the host
-    could actually run.  ``numba`` is ``None`` when the import fails.
+    core count and library versions.
     """
     import platform
 
-    meta = {
+    return {
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "numba": None,
     }
-    try:
-        import numba
-
-        meta["numba"] = numba.__version__
-    except ImportError:
-        pass
-    from ..fluids.backends import available_backends
-
-    meta["backends"] = list(available_backends())
-    return meta
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -73,8 +61,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         ndim, nu=args.nu, gravity=gravity, filter_eps=args.filter_eps
     )
     cls = LBMethod if args.method == "lb" else FDMethod
-    method = cls(params, ndim, inlets=inlets, outlets=outlets,
-                 backend=args.backend or None)
+    method = cls(params, ndim, inlets=inlets, outlets=outlets)
     decomp = Decomposition(
         shape, tuple(args.blocks), periodic=periodic, solid=solid
     )
@@ -395,43 +382,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    """Measure per-backend nodes/s on this host (feeds load balancing)."""
+    """Measure this host's kernel speed in fluid nodes/s (§7)."""
     import json
 
-    from ..balance import calibrated_speeds
-    from ..cluster.calibration import calibrate_backends
-    from ..harness import format_table
+    from ..cluster.calibration import host_node_speed
 
-    table = calibrate_backends(
+    speed = host_node_speed(
         method=args.method, ndim=args.ndim, side=args.side,
         steps=args.steps, repeats=args.repeats,
     )
-    ref = table.get("numpy") or max(table.values())
-    rows = [
-        [name, f"{speed:,.0f}", f"{speed / ref:.2f}"]
-        for name, speed in sorted(
-            table.items(), key=lambda kv: kv[1], reverse=True
-        )
-    ]
-    print(format_table(
-        ["backend", "fluid nodes/s", "vs numpy"],
-        rows, title=f"backend calibration ({args.method.upper()} "
-                    f"{args.ndim}D, {args.side}^{args.ndim}, "
-                    f"{args.steps}-step windows, best of {args.repeats})",
-    ))
-    if args.backends:
-        weights = calibrated_speeds(args.backends, table)
-        total = sum(weights)
-        print("per-rank weights for --backends "
-              + ",".join(args.backends) + ":")
-        for rank, w in enumerate(weights):
-            print(f"  rank {rank}: {w:,.0f} nodes/s "
-                  f"(share {w / total:.3f})")
+    print(f"{args.method.upper()} {args.ndim}D, {args.side}^{args.ndim}, "
+          f"{args.steps}-step windows, best of {args.repeats}: "
+          f"{speed:,.0f} fluid nodes/s")
     if args.out:
         Path(args.out).write_text(json.dumps(
             {"host": _host_metadata(), "method": args.method,
              "ndim": args.ndim, "side": args.side,
-             "nodes_per_second": table}, indent=1) + "\n")
+             "nodes_per_second": speed}, indent=1) + "\n")
         print(f"calibration written to {args.out}")
     return 0
 
@@ -624,10 +591,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--force", type=float, default=1e-5)
     p.add_argument("--jet", type=float, default=0.08)
     p.add_argument("--filter-eps", type=float, default=0.02)
-    p.add_argument("--backend", default=None,
-                   help="kernel backend (numpy, numba, numba-serial); "
-                        "default: numpy.  numba falls back to numpy "
-                        "with a warning when not importable")
     p.add_argument("--out", default="simulation.npz")
     p.set_defaults(func=_cmd_simulate)
 
@@ -660,19 +623,16 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=_cmd_probe)
 
     p = sub.add_parser("calibrate",
-                       help="measure per-backend kernel speeds on "
-                            "this host (feeds load balancing)")
+                       help="measure this host's kernel speed "
+                            "(fluid nodes/s)")
     p.add_argument("--method", choices=("lb", "fd"), default="lb")
     p.add_argument("--ndim", type=int, default=2, choices=(2, 3))
     p.add_argument("--side", type=int, default=48,
                    help="periodic problem side (default: 48)")
     p.add_argument("--steps", type=int, default=5)
     p.add_argument("--repeats", type=int, default=2)
-    p.add_argument("--backends", nargs="+", default=None,
-                   help="also print per-rank weights for this "
-                        "per-rank backend assignment")
     p.add_argument("--out", default=None,
-                   help="write the calibration table as JSON here")
+                   help="write the measured speed as JSON here")
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("chaos",

@@ -94,72 +94,3 @@ class TestPaceAndProgress:
         est.observe_heartbeat(1, 1, 0.0, comp_seconds=0.01)
         assert est.measured()
 
-
-class TestCalibratedSeeds:
-    """Offline backend calibration feeding the estimator's priors."""
-
-    def test_seed_speeds_sets_rates(self):
-        est = LoadEstimator([100, 100])
-        est.seed_speeds([50_000.0, 200_000.0])
-        s = est.speeds()
-        assert s[0] == pytest.approx(50_000.0)
-        assert s[1] == pytest.approx(200_000.0)
-        assert est.measured()
-
-    def test_seed_speeds_ignores_bad_entries(self):
-        est = LoadEstimator([100, 100])
-        est.seed_speeds([0.0, 100_000.0])
-        assert not est.measured()  # rank 0 left unseeded
-        assert est.speeds()[1] == pytest.approx(100_000.0)
-
-    def test_live_heartbeats_refine_seeds(self):
-        est = LoadEstimator([100], alpha=1.0)
-        est.seed_speeds([10_000.0])
-        # measured: 100 nodes in 0.001 s -> 100_000 nodes/s, alpha=1
-        est.observe_heartbeat(0, step=1, wall=0.0, comp_seconds=0.001)
-        assert est.speeds()[0] == pytest.approx(100_000.0)
-
-    def test_calibrated_speeds_maps_backends(self):
-        from repro.balance import calibrated_speeds
-
-        table = {"numpy": 1e6, "numba": 8e6}
-        speeds = calibrated_speeds(
-            ["numba", "numpy", "", "numba"], table
-        )
-        assert speeds == [8e6, 1e6, 1e6, 8e6]
-
-    def test_unknown_backend_borrows_numpy(self):
-        from repro.balance import calibrated_speeds
-
-        # numba missing from the table (host without numba): the rank
-        # will run numpy via the fallback resolver, so weight it so
-        speeds = calibrated_speeds(["numba"], {"numpy": 1e6})
-        assert speeds == [1e6]
-
-    def test_empty_table_rejected(self):
-        from repro.balance import calibrated_speeds
-
-        with pytest.raises(ValueError, match="empty calibration"):
-            calibrated_speeds(["numpy"], {})
-
-    def test_calibrate_backends_measures_this_host(self):
-        from repro.cluster.calibration import calibrate_backends
-
-        table = calibrate_backends(side=16, steps=2, repeats=1)
-        assert table["numpy"] > 0
-        for name in table:
-            assert name in ("numpy", "numba", "numba-serial")
-
-    def test_calibration_weights_decomposition(self):
-        """The measured ratios drive a weighted re-cut end to end."""
-        from repro.balance import calibrated_speeds
-        from repro.core import Decomposition
-
-        table = {"numpy": 1e6, "numba": 3e6}
-        weights = calibrated_speeds(["numpy", "numba"], table)
-        d = Decomposition(
-            (40, 8), (2, 1), periodic=(True, False),
-            weights=(tuple(weights), None),
-        )
-        sizes = [blk.shape[0] for blk in d.active_blocks()]
-        assert sizes[1] > sizes[0]  # the 3x backend owns the bigger cut

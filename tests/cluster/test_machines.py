@@ -31,6 +31,14 @@ class TestCalibrationTable:
         assert RELATIVE_SPEED[("fd", 2)]["715/50"] == 1.24
         assert RELATIVE_SPEED[("fd", 3)]["720"] == 0.94
 
+    def test_host_node_speed_measures_this_host(self):
+        """The same nodes/s measurement, taken on the running host."""
+        from repro.cluster.calibration import host_node_speed
+
+        assert host_node_speed("lb", 2, side=16, steps=2, repeats=1) > 0
+        with pytest.raises(ValueError, match="unknown method"):
+            host_node_speed("spectral", 2)
+
     def test_fd_faster_than_lb_per_step(self):
         """§7: FD computes about twice as fast as LB per step in 3D,
         which *hurts* its efficiency (T_com/T_calc grows)."""

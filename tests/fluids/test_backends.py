@@ -1,227 +1,28 @@
-"""The kernel-backend layer: registry, resolver fallback, and parity.
+"""Every method a spec builds runs the NumPy kernels.
 
-The parity tests are the acceptance contract of the backend interface:
-the loop kernels (numba source, executed compiled where numba imports
-and interpreted where it does not) must agree with the fused numpy
-kernels to 1e-10 per field after 50 steps of a forced channel flow,
-boundaries included — on *both* methods.
+``bench/run.py`` records ``m.backend.name`` for every method of a
+workload's spec in its manifest (``kernel_backend``); this pins that
+contract on the one construction path every runtime uses.
 """
 
-import warnings
-
-import numpy as np
 import pytest
 
-import repro.fluids.backends as backends_mod
-from repro.core import Decomposition, Simulation
-from repro.fluids import (
-    BackendFallbackWarning,
-    FDMethod,
-    FluidParams,
-    KernelBackend,
-    LBMethod,
-    available_backends,
-    channel_geometry,
-    resolve_backend,
-)
-from repro.fluids.backends import (
-    BACKEND_NAMES,
-    DEFAULT_BACKEND,
-    BackendUnavailable,
-    register_backend,
-)
-from repro.fluids.backends._numba_kernels import HAVE_NUMBA
-from repro.fluids.backends.numba_backend import NumbaBackend
-from repro.fluids.backends.numpy_backend import NumpyBackend
-from tests.conftest import perturbed_fields
-
-PARITY_TOL = 1e-10
+from repro.distrib import ProblemSpec
 
 
-def _channel_sim(method_cls, backend=None, shape=(24, 16), blocks=(2, 1)):
-    """Forced channel flow with walls — boundaries + forcing active."""
-    solid = channel_geometry(shape)
-    params = FluidParams.lattice(
-        2, nu=0.08, gravity=(1e-5, 0.0), filter_eps=0.02
+@pytest.mark.parametrize("method", [
+    "fd",
+    "lb",
+    {"default": "lb", "regions": [{"box": [[16, 0], [32, 24]],
+                                   "method": "fd"}]},
+], ids=["fd", "lb", "hybrid"])
+def test_every_built_method_runs_numpy_kernels(method):
+    spec = ProblemSpec(
+        method=method, grid_shape=(32, 24), blocks=(2, 1),
+        periodic=(True, False),
+        params={"nu": 0.1, "gravity": (1e-5, 0.0)},
+        geometry={"kind": "channel"},
     )
-    fields = perturbed_fields(shape, seed=11)
-    fields["u"][solid] = 0.0
-    fields["v"][solid] = 0.0
-    method = method_cls(params, 2)
-    if backend is not None:
-        method.set_backend(
-            backend(method) if callable(backend) else backend
-        )
-    decomp = Decomposition(
-        shape, blocks, periodic=(True, False), solid=solid
-    )
-    return Simulation(method, decomp, fields, solid)
-
-
-def _loop_backend(method):
-    """The numba-source kernels, compiled when numba imports, pure
-    interpreted loops otherwise (slow, hence the small parity grids)."""
-    if HAVE_NUMBA:
-        return NumbaBackend(method, parallel=False)
-    return NumbaBackend(method, parallel=False, mode="python")
-
-
-class TestRegistry:
-    def test_default_backend_is_numpy(self):
-        params = FluidParams.lattice(2, nu=0.1)
-        m = LBMethod(params, 2)
-        assert m.backend.name == "numpy"
-        assert isinstance(m.backend, NumpyBackend)
-
-    def test_available_always_includes_numpy(self):
-        avail = available_backends()
-        assert "numpy" in avail
-        if HAVE_NUMBA:
-            assert "numba" in avail and "numba-serial" in avail
-        else:
-            assert "numba" not in avail
-
-    def test_backend_names_constant(self):
-        assert set(BACKEND_NAMES) == {"numpy", "numba", "numba-serial"}
-        assert DEFAULT_BACKEND == "numpy"
-
-    def test_unknown_name_raises(self):
-        m = LBMethod(FluidParams.lattice(2, nu=0.1), 2)
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            resolve_backend("cuda", m)
-
-    def test_register_custom_backend(self):
-        class Custom(NumpyBackend):
-            name = "custom-test"
-
-        register_backend("custom-test", Custom)
-        try:
-            m = LBMethod(
-                FluidParams.lattice(2, nu=0.1), 2, backend="custom-test"
-            )
-            assert m.backend.name == "custom-test"
-        finally:
-            backends_mod._REGISTRY.pop("custom-test", None)
-
-    def test_method_ctor_accepts_instance(self):
-        params = FluidParams.lattice(2, nu=0.1)
-        m = FDMethod(params, 2)
-        inst = NumpyBackend(m)
-        m.set_backend(inst)
-        assert m.backend is inst
-
-
-class TestResolverFallback:
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba importable here")
-    def test_missing_numba_degrades_with_one_warning(self):
-        backends_mod._WARNED.clear()
-        m = LBMethod(FluidParams.lattice(2, nu=0.1), 2)
-        with pytest.warns(BackendFallbackWarning, match="falling back"):
-            b = resolve_backend("numba", m)
-        assert b.name == "numpy"
-        # second request for the same unavailable backend: silent
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_backend("numba", m).name == "numpy"
-
-    def test_unsupported_ndim_degrades(self):
-        """The loop kernels are 2D-only; 3D must fall back, not crash."""
-        backends_mod._WARNED.clear()
-        m = LBMethod(FluidParams.lattice(3, nu=0.1), 3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BackendFallbackWarning)
-            assert resolve_backend("numba", m).name == "numpy"
-
-    def test_factory_raises_backend_unavailable_directly(self):
-        m = LBMethod(FluidParams.lattice(3, nu=0.1), 3)
-        with pytest.raises(BackendUnavailable):
-            NumbaBackend(m)
-
-    def test_simulation_runs_with_fallback(self):
-        """A run requesting numba completes on any host."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BackendFallbackWarning)
-            sim = _channel_sim(LBMethod, backend=None)
-            sim.method.set_backend("numba")
-        sim.step(3)
-        assert np.isfinite(sim.global_field("rho")).all()
-
-
-class TestParity:
-    """numpy vs the loop kernels: <= 1e-10 per field after 50 steps."""
-
-    @pytest.mark.parametrize("method_cls", [LBMethod, FDMethod],
-                             ids=["lb2d", "fd2d"])
-    def test_loop_kernels_match_numpy(self, method_cls):
-        ref = _channel_sim(method_cls)
-        alt = _channel_sim(method_cls, backend=_loop_backend)
-        ref.step(50)
-        alt.step(50)
-        for name in ref.method.field_names:
-            a, b = ref.global_field(name), alt.global_field(name)
-            err = float(np.abs(a - b).max())
-            assert err <= PARITY_TOL, f"{name}: max|diff| = {err:.3e}"
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="needs numba")
-    @pytest.mark.parametrize("method_cls", [LBMethod, FDMethod],
-                             ids=["lb2d", "fd2d"])
-    def test_parallel_matches_serial_numba(self, method_cls):
-        """prange must not change results (no cross-row reductions)."""
-        ser = _channel_sim(
-            method_cls, backend=lambda m: NumbaBackend(m, parallel=False)
-        )
-        par = _channel_sim(
-            method_cls, backend=lambda m: NumbaBackend(m, parallel=True)
-        )
-        ser.step(50)
-        par.step(50)
-        for name in ser.method.field_names:
-            assert np.array_equal(
-                ser.global_field(name), par.global_field(name)
-            ), name
-
-    def test_interpreted_loops_exactly_match_numpy_one_step(self):
-        """One step interpreted is cheap enough to hold everywhere —
-        guards the numba *source* even on hosts that never compile it."""
-        ref = _channel_sim(LBMethod, shape=(16, 12), blocks=(1, 1))
-        alt = _channel_sim(
-            LBMethod,
-            backend=lambda m: NumbaBackend(
-                m, parallel=False, mode="python"
-            ),
-            shape=(16, 12), blocks=(1, 1),
-        )
-        ref.step(1)
-        alt.step(1)
-        for name in ref.method.field_names:
-            err = np.abs(
-                ref.global_field(name) - alt.global_field(name)
-            ).max()
-            assert err <= 1e-14, f"{name}: {err:.3e}"
-
-
-class TestBackendInterface:
-    def test_abstract_backend_raises(self):
-        m = LBMethod(FluidParams.lattice(2, nu=0.1), 2)
-        b = KernelBackend(m)
-        with pytest.raises(NotImplementedError):
-            b.lb_relax(None)
-        with pytest.raises(NotImplementedError):
-            b.fd_velocity(None)
-
-    def test_backend_flows_through_facade_settings(self):
-        import repro
-        from repro.distrib import ProblemSpec, RunSettings
-
-        spec = ProblemSpec(
-            method="lb", grid_shape=(24, 16), blocks=(2, 1),
-            periodic=(True, False),
-            params={"nu": 0.1, "gravity": (1e-5, 0.0)},
-            geometry={"kind": "channel"},
-        )
-        base = repro.run(spec, steps=5)
-        named = repro.run(
-            spec, settings=RunSettings(steps=5, backend="numpy")
-        )
-        for name in base.fields:
-            assert np.array_equal(base.fields[name], named.fields[name])
+    methods = spec.build_methods()
+    assert len(methods) == 2
+    assert {m.backend.name for m in methods} == {"numpy"}

@@ -35,7 +35,6 @@ from repro.fluids import (
 from repro.fluids import fd as fd_module
 from repro.fluids._kernels import central_diff, laplacian, shift_region
 from repro.fluids.backends import numpy_backend
-from repro.fluids.backends._numba_kernels import HAVE_NUMBA
 from repro.fluids.filters import FourthOrderFilter
 from repro.harness import count_allocations
 
@@ -271,23 +270,21 @@ by_runner = pytest.mark.parametrize("runner", [
     pytest.param(Simulation, id=SERIAL_ID),
     pytest.param(ThreadedSimulation, id="threaded"),
 ])
-# The compiled 2D kernels read fluid_f / filter_keep and share the wall
-# rules, so the 2D cases run on them too where numba is installed.
+# The 2D cases name the kernels they run: every method's are NumPy's.
 by_backend_2d = pytest.mark.parametrize("backend", [
-    pytest.param(None, id="numpy"),
-    pytest.param("numba", id="numba", marks=pytest.mark.skipif(
-        not HAVE_NUMBA, reason="needs numba")),
+    pytest.param("numpy", id="numpy"),
 ])
 
 
 def _build(method_cls, shape, blocks, periodic, solid, fields, runner,
-           inlets=(), outlets=(), backend=None):
+           inlets=(), outlets=(), backend="numpy"):
     ndim = len(shape)
     params = FluidParams.lattice(ndim, nu=0.08, gravity=(0.0,) * ndim,
                                  filter_eps=0.02)
     method = method_cls(params, ndim, inlets=inlets, outlets=outlets)
+    assert method.backend.name == backend
     decomp = Decomposition(shape, blocks, periodic=periodic, solid=solid)
-    return runner(method, decomp, fields, solid, backend=backend)
+    return runner(method, decomp, fields, solid)
 
 
 def _assert_same_bytes(sim_a, sim_b):

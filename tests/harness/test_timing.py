@@ -36,7 +36,7 @@ class TestTimeStepper:
 
     def test_measures_real_time(self):
         sim = FakeSim(cost=2e-3)
-        t = time_stepper(sim.step, steps=5, repeats=1, warmup=0)
+        t = time_stepper(sim.step, steps=5, repeats=3, warmup=0)
         assert t.seconds_per_step == pytest.approx(2e-3, rel=0.5)
 
     def test_no_warmup(self):

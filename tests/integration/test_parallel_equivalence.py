@@ -20,7 +20,6 @@ from repro.fluids import (
     channel_geometry,
     flue_pipe,
 )
-from repro.fluids.backends._numba_kernels import HAVE_NUMBA
 from tests.conftest import SERIAL_ID, perturbed_fields, rest_fields
 
 by_runner = pytest.mark.parametrize("runner", [
@@ -31,7 +30,7 @@ by_runner = pytest.mark.parametrize("runner", [
 
 def _run(method_cls, shape, blocks, periodic, solid, fields, steps,
          filter_eps=0.02, g=None, inlets=(), outlets=(),
-         runner=Simulation, backend=None):
+         runner=Simulation):
     ndim = len(shape)
     gravity = g if g is not None else (0.0,) * ndim
     params = FluidParams.lattice(
@@ -39,7 +38,7 @@ def _run(method_cls, shape, blocks, periodic, solid, fields, steps,
     )
     method = method_cls(params, ndim, inlets=inlets, outlets=outlets)
     d = Decomposition(shape, blocks, periodic=periodic, solid=solid)
-    sim = runner(method, d, fields, solid, backend=backend)
+    sim = runner(method, d, fields, solid)
     sim.step(steps)
     return sim
 
@@ -61,24 +60,16 @@ CASES_2D = [
 @pytest.mark.parametrize("method_cls", [FDMethod, LBMethod],
                          ids=["fd", "lb"])
 @pytest.mark.parametrize("blocks", CASES_2D)
-@pytest.mark.parametrize("runner, backend", [
-    pytest.param(Simulation, None, id=SERIAL_ID),
-    pytest.param(ThreadedSimulation, None, id="threaded"),
-    # compiled kernels release the GIL outright: the one case where the
-    # threads really race (the reference runs the same backend serially)
-    pytest.param(ThreadedSimulation, "numba", id="threaded-numba",
-                 marks=pytest.mark.skipif(not HAVE_NUMBA,
-                                          reason="needs numba")),
-])
+@by_runner
 class TestChannel2D:
     """Periodic channel with walls, body force and filter."""
 
-    def test_bitwise(self, method_cls, blocks, runner, backend):
+    def test_bitwise(self, method_cls, blocks, runner):
         shape = (36, 28)
         solid = channel_geometry(shape)
         fields = perturbed_fields(shape, seed=11)
         periodic = (True, False)
-        kw = dict(g=(1e-5, 0.0), backend=backend)
+        kw = dict(g=(1e-5, 0.0))
         serial = _run(method_cls, shape, (1, 1), periodic, solid, fields,
                       steps=30, **kw)
         par = _run(method_cls, shape, blocks, periodic, solid, fields,

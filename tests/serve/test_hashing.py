@@ -106,14 +106,6 @@ class TestPhysicalSensitivity:
         spec = _spec()
         assert fingerprint(spec, seed=0) != fingerprint(spec, seed=1)
 
-    def test_kernel_backend_separates(self):
-        """Backend parity is ~1e-10, not bit-for-bit, so the kernel
-        backend stays inside the key."""
-        spec = _spec()
-        assert fingerprint(spec, settings={"steps": 10}) != fingerprint(
-            spec, settings={"steps": 10, "backend": "numpy"}
-        )
-
 
 class TestHybridSpecs:
     """v2 method maps in the cache key — and v1 keys frozen in place."""
@@ -127,7 +119,8 @@ class TestHybridSpecs:
         """Golden value of a v1 spec: v1 specs serialize without a
         spec_version key, so the hybrid redesign left this hash alone.
         Re-pinned at canonical-form version 2, when ``diag_algorithm``
-        left the physical knobs."""
+        left the physical knobs, and at version 3, when the kernel
+        ``backend``/``backends`` knobs were deleted."""
         as_dict = {
             "method": "lb", "grid_shape": [32, 24], "blocks": [2, 1],
             "periodic": [True, False],
@@ -135,8 +128,8 @@ class TestHybridSpecs:
             "geometry": {"kind": "channel"},
         }
         assert fingerprint(as_dict) == (
-            "72f6e31a59a681272f7f8c386105ed61"
-            "24899f0c6398560878c76b4a920a9a43"
+            "c923e553d78ff0ec4bf26aea8eec720f"
+            "77c2207c8984acb399244d7451d7ee2b"
         )
 
     def test_single_method_map_collides_with_plain_string(self):
@@ -177,9 +170,16 @@ class TestRejection:
             with pytest.raises(ValueError, match="unknown settings knob"):
                 fingerprint(_spec(), settings={knob: "tree"})
 
+    def test_kernel_backend_knob_rejected(self):
+        """The kernel backend knobs are gone: a request still naming
+        one fails loudly instead of hashing as if it were absent."""
+        for settings in ({"backend": "numpy"}, {"backends": ["numpy"]}):
+            with pytest.raises(ValueError, match="unknown settings knob"):
+                fingerprint(_spec(), settings={"steps": 10, **settings})
+
     def test_canonical_request_shape(self):
         canon = canonical_request(_spec(), settings={"steps": 7}, seed=3)
-        assert canon["version"] == 2
+        assert canon["version"] == 3
         assert canon["seed"] == 3
         assert canon["settings"]["steps"] == 7
         # the canonical form is pure JSON types (tuples flattened)

@@ -32,6 +32,8 @@ enforcement of the numerical methods.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -42,6 +44,7 @@ from .subregion import SubregionState
 
 __all__ = [
     "EdgeOp",
+    "EdgeStage",
     "ExchangePlan",
     "build_plan",
     "sweep_axes",
@@ -181,19 +184,49 @@ def build_plan(
     return ExchangePlan(rank=rank, ops=tuple(ops))
 
 
+class EdgeStage(threading.local):
+    """A reusable staging buffer, one per thread, for self-filled strips.
+
+    A ghost strip filled from its own array — the edge plane of a
+    domain-boundary face, or the far send strip of a periodic axis that
+    one block spans — overlaps its source in memory, so assigning one to
+    the other directly makes NumPy copy the source through a fresh
+    temporary the size of the strip.  Staging the source through this
+    buffer instead allocates nothing once it has grown to the largest
+    strip; per thread, because the task graph may fill two faces of one
+    subregion at once.
+    """
+
+    buf = np.empty(0)
+
+    def copy(self, dst: np.ndarray, src: np.ndarray) -> None:
+        """``dst[...] = src`` (``src`` broadcasts), through the buffer
+        whenever NumPy would otherwise copy through a temporary."""
+        if np.may_share_memory(dst, src):
+            n = math.prod(src.shape)
+            if self.buf.size < n or self.buf.dtype != src.dtype:
+                self.buf = np.empty(n, dtype=src.dtype)
+            staged = self.buf[:n].reshape(src.shape)
+            np.copyto(staged, src)
+            src = staged
+        dst[...] = src
+
+
 def _replicate_edge(
-    arr: np.ndarray, op: EdgeOp, pad: int, interior_extent: int
+    arr: np.ndarray, op: EdgeOp, pad: int, interior_extent: int,
+    stage: EdgeStage,
 ) -> None:
     """Fill a domain-boundary ghost strip by edge replication.
 
     Matches ``np.pad(..., mode='edge')`` applied axis by axis in
     ascending-axis order (the convention of
-    :func:`repro.core.subregion.make_subregions`).
+    :func:`repro.core.subregion.make_subregions`).  The edge plane goes
+    through ``stage`` (a copy, so the result is bitwise the same).
     """
     edge = list(op.recv_slices)
     idx = pad if op.side == -1 else pad + interior_extent - 1
     edge[op.axis] = slice(idx, idx + 1)
-    arr[(...,) + op.recv_slices] = arr[(...,) + tuple(edge)]
+    stage.copy(arr[(...,) + op.recv_slices], arr[(...,) + tuple(edge)])
 
 
 class LocalExchanger:
@@ -232,6 +265,7 @@ class LocalExchanger:
         #: here are *skipped* by :meth:`exchange` — their ghost strips
         #: are translated once per step by :meth:`exchange_seam` instead.
         self.converters = dict(converters or {})
+        self.stage = EdgeStage()
 
     def exchange(
         self, field_names: Sequence[str], fields_by_rank=None
@@ -345,16 +379,20 @@ class LocalExchanger:
         if op.kind == "replicate":
             extent = sub.block.shape[op.axis]
             for name in field_names:
-                _replicate_edge(sub.fields[name], op, self.pad, extent)
+                _replicate_edge(
+                    sub.fields[name], op, self.pad, extent, self.stage
+                )
             return
         src = self._by_rank[op.neighbor_rank]
         # The strip I receive is the neighbour's matching send strip.
         src_op = self._matching_send(op, sub.block.rank)
         assert src_op.send_slices is not None
+        recv = (...,) + op.recv_slices
+        send = (...,) + src_op.send_slices
         for name in field_names:
-            sub.fields[name][(...,) + op.recv_slices] = src.fields[name][
-                (...,) + src_op.send_slices
-            ]
+            # staged when a periodic axis this one block spans wraps
+            # onto itself
+            self.stage.copy(sub.fields[name][recv], src.fields[name][send])
 
     def message_bytes(
         self, rank: int, values_per_node: int, itemsize: int = 8

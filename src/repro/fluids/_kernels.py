@@ -1,27 +1,36 @@
-"""Shared array kernels: shifted-slice stencil algebra on padded arrays.
+"""Shared array kernels: stencils and plane-slab sweeps on padded arrays.
 
-All numerical kernels in :mod:`repro.fluids` are expressed as vectorized
-NumPy operations over *regions* (tuples of slices) of padded arrays.
-A centered difference at region ``R`` reads the regions shifted by one
-node either way; because every field carries ``pad`` ghost layers, the
-shifted reads never leave the array, and the very same kernel code runs
-in the serial program and in every parallel transport (the separation of
-computation from communication the paper builds on, §4.2).
+Every field carries ``pad`` ghost layers, so a centered difference at a
+node reads neighbours that never leave the array, and the very same
+kernel code runs in the serial program and in every parallel transport
+(the separation of computation from communication the paper builds on,
+§4.2).
 
-Every derivative kernel takes optional ``out=`` (and, where an
-intermediate is unavoidable, ``scratch=``) buffers of the region's
-shape.  There is a single implementation path: when the buffers are
-omitted they are allocated on the spot, so the allocating and the
-buffered forms produce bitwise-identical results.  The hot paths in
-:mod:`repro.fluids.fd` and :mod:`repro.fluids.filters` pass per-subregion
-scratch registered in ``sub.aux`` (see
-:meth:`repro.core.subregion.SubregionState.scratch`), which makes a
+A strided region view costs NumPy one short inner loop per region row,
+so the hot kernels sweep the *flat, contiguous* span of whole padded
+axis-0 planes (rows in 2D) that a region occupies instead, in L2-sized
+slabs (:func:`slab_depth`, :func:`plane_slabs`): a neighbour along axis
+``d`` is the flat offset ``±stride[d]``, a node-wise kernel is one long
+inner loop per operation, and values computed at ghost positions
+between the region's rows are never committed — each kernel writes
+back only ``field[region]`` from its slab buffer (:meth:`Slab.of`).
+
+The stencils (:func:`central_diff`, :func:`second_diff`,
+:func:`laplacian`, :func:`fourth_diff_sum`) run on either form: a region
+of an N-d array with unit shifts, or a one-slice span of a flat array
+with ``step``/``steps`` set to the axis strides.  Each takes optional
+``out=`` (and, where an intermediate is unavoidable, ``scratch=``)
+buffers; when omitted they are allocated on the spot by the same
+implementation, so buffered and allocating calls are bitwise identical.
+The hot paths pass per-subregion scratch registered in ``sub.aux`` (see
+:meth:`repro.core.subregion.SubregionState.scratch`), which keeps a
 warmed-up integration step allocation-free.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import math
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,6 +38,13 @@ Region = tuple[slice, ...]
 
 __all__ = [
     "Region",
+    "SLAB_BYTES",
+    "Slab",
+    "flat_nodes",
+    "held_back",
+    "node_strides",
+    "plane_slabs",
+    "slab_depth",
     "shift_region",
     "region_shape",
     "central_diff",
@@ -63,19 +79,30 @@ def region_shape(region: Region) -> tuple[int, ...]:
     return tuple(shape)
 
 
+def _axis_steps(region: Region, steps: Sequence[int] | None):
+    """``(axis, step)`` per stencil axis: unit shifts along each axis of
+    an N-d region, or the given strides along the one axis of a span."""
+    if steps is None:
+        return [(axis, 1) for axis in range(len(region))]
+    return [(0, step) for step in steps]
+
+
 def central_diff(
     a: np.ndarray,
     region: Region,
     axis: int,
     dx: float,
     out: np.ndarray | None = None,
+    step: int = 1,
 ) -> np.ndarray:
     """Second-order centered first derivative on ``region``.
 
-    Writes into ``out`` (allocated when omitted) and returns it.
+    ``step`` is the index distance of one node along ``axis`` (the axis
+    stride on a flat span).  Writes into ``out`` (allocated when
+    omitted) and returns it.
     """
-    plus = a[shift_region(region, axis, +1)]
-    minus = a[shift_region(region, axis, -1)]
+    plus = a[shift_region(region, axis, +step)]
+    minus = a[shift_region(region, axis, -step)]
     if out is None:
         out = np.empty(region_shape(region), dtype=a.dtype)
     np.subtract(plus, minus, out=out)
@@ -89,10 +116,11 @@ def second_diff(
     axis: int,
     dx: float,
     out: np.ndarray | None = None,
+    step: int = 1,
 ) -> np.ndarray:
     """Second-order centered second derivative on ``region``."""
-    plus = a[shift_region(region, axis, +1)]
-    minus = a[shift_region(region, axis, -1)]
+    plus = a[shift_region(region, axis, +step)]
+    minus = a[shift_region(region, axis, -step)]
     mid = a[region]
     if out is None:
         out = np.empty(region_shape(region), dtype=a.dtype)
@@ -109,17 +137,20 @@ def laplacian(
     dx: float,
     out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
+    steps: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Centered Laplacian (sum of per-axis second differences).
 
     ``scratch`` holds one per-axis second difference while it is added
     to the accumulating ``out``; both are allocated when omitted.
+    ``steps`` (the axis strides) selects the flat-span form.
     """
-    out = second_diff(a, region, 0, dx, out=out)
-    if len(region) > 1 and scratch is None:
+    (axis, step), *rest = _axis_steps(region, steps)
+    out = second_diff(a, region, axis, dx, out=out, step=step)
+    if rest and scratch is None:
         scratch = np.empty_like(out)
-    for axis in range(1, len(region)):
-        out += second_diff(a, region, axis, dx, out=scratch)
+    for axis, step in rest:
+        out += second_diff(a, region, axis, dx, out=scratch, step=step)
     return out
 
 
@@ -128,6 +159,7 @@ def fourth_diff_sum(
     region: Region,
     out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
+    steps: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Sum over axes of the undivided fourth difference.
 
@@ -139,24 +171,139 @@ def fourth_diff_sum(
     The center coefficient is hoisted out of the axis loop
     (``6 * ndim * a``), so the whole stencil costs one fused pass per
     shifted read plus a single ``scratch`` buffer for the odd neighbours.
+    ``steps`` (the axis strides) selects the flat-span form.
     """
-    ndim = len(region)
+    axes = _axis_steps(region, steps)
     if out is None:
         out = np.empty(region_shape(region), dtype=a.dtype)
     if scratch is None:
         scratch = np.empty_like(out)
-    np.multiply(a[region], 6.0 * ndim, out=out)
-    for axis in range(ndim):
-        out += a[shift_region(region, axis, -2)]
-        out += a[shift_region(region, axis, +2)]
+    np.multiply(a[region], 6.0 * len(axes), out=out)
+    for axis, step in axes:
+        out += a[shift_region(region, axis, -2 * step)]
+        out += a[shift_region(region, axis, +2 * step)]
         np.add(
-            a[shift_region(region, axis, -1)],
-            a[shift_region(region, axis, +1)],
+            a[shift_region(region, axis, -step)],
+            a[shift_region(region, axis, +step)],
             out=scratch,
         )
         scratch *= 4.0
         out -= scratch
     return out
+
+
+# ----------------------------------------------------------------------
+# plane-slab sweeps
+# ----------------------------------------------------------------------
+#: Bytes of one slab buffer (``(Q, ...)`` or single-valued): the swept
+#: kernels cut a region's axis-0 planes into slabs sized to it, so a
+#: slab's three to five buffers stay in L2 across the kernel's passes
+#: (256 KiB measured best for the filter and the FD updates with 2 MiB
+#: of L2 per core; a 64^3 D3Q15 buffer exceeds it and holds one plane).
+#: Every swept operation is node-wise, or reads neighbours that are
+#: committed only after it has read them, so the slab size changes no
+#: bit.
+SLAB_BYTES = 1 << 18
+
+
+def flat_nodes(arr: np.ndarray, ndim: int) -> np.ndarray:
+    """View of a padded field with its ``ndim`` node axes flattened.
+
+    Leading (per-node vector) axes are kept.  Never a copy: writes
+    through the view must land in the field.
+    """
+    if not arr.flags.c_contiguous:
+        raise ValueError("flat kernels need C-contiguous fields")
+    return arr.reshape(arr.shape[: arr.ndim - ndim] + (-1,))
+
+
+def node_strides(shape: Sequence[int]) -> tuple[int, ...]:
+    """Flat index distance of one node along each axis of ``shape``."""
+    out = [1] * len(shape)
+    for d in range(len(shape) - 2, -1, -1):
+        out[d] = out[d + 1] * shape[d + 1]
+    return tuple(out)
+
+
+class Slab(NamedTuple):
+    """A run of whole padded axis-0 planes of a region.
+
+    ``span`` is the contiguous run of flat node indices a kernel
+    computes, from the slab's first region node to its last; ``local``
+    is the same run in a slab buffer whose index 0 is the first node of
+    the slab's first plane.  ``target`` is the slab's share of the
+    region in the padded array, the only nodes a kernel commits.
+    """
+
+    target: Region
+    span: slice
+    local: slice
+    planes: tuple[int, ...]
+
+    def of(self, buf: np.ndarray) -> np.ndarray:
+        """The view of a slab buffer (last axis flat) at ``target``."""
+        n = math.prod(self.planes)
+        lead = buf.shape[:-1]
+        whole = buf[..., :n].reshape(lead + self.planes)
+        return whole[(Ellipsis, slice(None)) + self.target[1:]]
+
+
+def slab_depth(
+    shape: Sequence[int], region: Region, width: int = 1, reach: int = 0
+) -> int:
+    """Planes per slab when sweeping ``region`` of a ``shape`` array.
+
+    As many whole padded planes as fit a ``width``-valued buffer in
+    :data:`SLAB_BYTES`, at most the region's plane count and at least
+    ``max(1, reach)``: a kernel that commits into the field it reads
+    holds each slab back until the next one is computed, which is safe
+    once a slab spans the stencil's reach.
+    """
+    plane = 8 * width * math.prod(shape[1:])
+    planes = region[0].stop - region[0].start
+    return max(1, reach, min(planes, SLAB_BYTES // plane))
+
+
+def plane_slabs(
+    shape: Sequence[int], region: Region, depth: int
+) -> Iterator[Slab]:
+    """The slabs of ``depth`` planes (the last may be partial) that
+    cover ``region``, in ascending plane order."""
+    strides = node_strides(shape)
+    inner_lo = sum(sl.start * s for sl, s in zip(region[1:], strides[1:]))
+    inner_hi = 1 + sum(
+        (sl.stop - 1) * s for sl, s in zip(region[1:], strides[1:])
+    )
+    lo, hi = region[0].start, region[0].stop
+    for z0 in range(lo, hi, depth):
+        z1 = min(z0 + depth, hi)
+        end = (z1 - z0 - 1) * strides[0] + inner_hi
+        base = z0 * strides[0]
+        yield Slab(
+            target=(slice(z0, z1),) + tuple(region[1:]),
+            span=slice(base + inner_lo, base + end),
+            local=slice(inner_lo, end),
+            planes=(z1 - z0,) + tuple(shape[1:]),
+        )
+
+
+def held_back(
+    slabs: Iterator[Slab],
+) -> Iterator[tuple[int, Slab | None, Slab | None]]:
+    """``(k, slab, done)``: each slab with the one before it, then a
+    last ``(k, None, last)``.
+
+    A kernel that rewrites a field its stencil reads computes ``slab``
+    into buffer ``k % 2`` and only then commits ``done`` from buffer
+    ``(k - 1) % 2``: no slab left to compute reads ``done``'s planes
+    once slabs span the stencil reach.
+    """
+    done = None
+    k = 0
+    for k, slab in enumerate(slabs):
+        yield k, slab, done
+        done = slab
+    yield k + 1, None, done
 
 
 def dilate_star(mask: np.ndarray, reach: int) -> np.ndarray:

@@ -1,30 +1,63 @@
 """The fused NumPy kernels of :class:`~repro.fluids.lbm.LBMethod` and
 :class:`~repro.fluids.fd.FDMethod`.
 
-Each kernel works on the per-subregion scratch buffers of
-:meth:`repro.core.subregion.SubregionState.scratch` (the ``lb_*``/
-``fd_*``/``filter_*`` names) and allocates nothing after the first
-step.  What a warmed lattice Boltzmann step still allocates is outside
-them, in the ghost fill of ``f``: edge replication
-(``core.exchange._replicate_edge``) reads an edge plane that overlaps
-its ghost strip in memory, so NumPy copies it through a temporary the
-size of the strip (1.76 MB for a 64^3 D3Q15 block).
+Every kernel sweeps the flat, contiguous span of the whole padded
+axis-0 planes (rows in 2D) its region occupies, in L2-sized slabs
+(:func:`repro.fluids._kernels.plane_slabs`): node-wise work runs as one
+long inner loop per operation instead of one short loop per region row,
+and stencil neighbours are flat offsets (``±stride[axis]``).  Results
+land in slab-sized per-subregion scratch (the ``lb_*``/``fd_*``/
+``filter_*`` names of :meth:`repro.core.subregion.SubregionState.scratch`)
+and only the region's nodes are committed, so values computed at ghost
+positions are thrown away and no field byte outside the region
+changes.  A kernel that rewrites a field its stencil reads (the pull
+stream, the density update, the filter) commits each slab only after
+the next one has been computed.  Nothing here allocates after the
+first step.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .._kernels import Region, central_diff, laplacian, region_shape, shift_region
+from .._kernels import (
+    Region,
+    central_diff,
+    flat_nodes,
+    held_back,
+    laplacian,
+    node_strides,
+    plane_slabs,
+    slab_depth,
+)
 
 __all__ = ["NumpyBackend"]
 
 
-#: Bytes of one ``(Q, ...)`` collision scratch buffer: ``lb_relax``
-#: sweeps the interior in slabs of axis-0 planes sized to this, so its
-#: temporaries stay in L2 instead of streaming through memory once per
-#: polynomial term.
-LB_SLAB_BYTES = 1 << 20
+def lb_init(method, sub) -> None:
+    """Equilibrium populations over the whole padded array, written
+    slab by slab straight into a fresh ``f``."""
+    shape = sub.padded_shape
+    q = method.lattice.q
+    everything = tuple(slice(0, n) for n in shape)
+    depth = slab_depth(shape, everything, q)
+    n = depth * math.prod(shape[1:])
+    eu = np.empty((q, n))
+    usq = np.empty(n)
+    tmp = np.empty(n)
+    f = np.empty((q,) + shape)
+    sub.fields["f"] = f
+    f = flat_nodes(f, method.ndim)
+    rho = flat_nodes(sub.fields["rho"], method.ndim)
+    vels = [flat_nodes(sub.fields[v], method.ndim) for v in method.vel_names]
+    for slab in plane_slabs(shape, everything, depth):
+        span, loc = slab.span, slab.local
+        method.equilibrium(
+            rho[span], [v[span] for v in vels], out=f[:, span],
+            eu=eu[:, loc], usq=usq[loc], tmp=tmp[loc],
+        )
 
 
 def lb_relax(method, sub) -> None:
@@ -42,157 +75,174 @@ def lb_relax(method, sub) -> None:
     ``A1_i = 3 w + 9 pref (e_i . g)`` and ``A0_i = w + 3 pref (e_i . g)``.
     Expanding recovers the textbook ``w (f_eq_i - f_i) + S_i`` with the
     Guo source ``S_i = pref w_i [3 (e_i - u) + 9 eu e_i] . (rho g)``.
-
-    The interior is swept in slabs of axis-0 planes, each ``(Q, ...)``
-    scratch buffer at most :data:`LB_SLAB_BYTES` (at least one plane).
-    Every operation is node-wise, so the slab size changes no bit of
-    the result.  All work lands in per-subregion scratch sized to one
-    slab (allocation-free after step one); the last, partial slab uses
-    views of it.
     """
     region = sub.interior
-    ishape = region_shape(region)
+    shape = sub.padded_shape
     q = method.lattice.q
-    plane = ishape[1:]
-    per_plane = q * 8 * int(np.prod(plane))
-    depth = max(1, min(ishape[0], LB_SLAB_BYTES // per_plane))
-    eu = sub.scratch("lb_eu", (q, depth) + plane)
-    delta = sub.scratch("lb_delta", (q, depth) + plane)
-    s = sub.scratch("lb_usq", (depth,) + plane)
-    tmp = sub.scratch("lb_tmp", (depth,) + plane)
-    lo = region[0].start
-    for start in range(0, ishape[0], depth):
-        n = min(depth, ishape[0] - start)
-        slab = (slice(lo + start, lo + start + n),) + region[1:]
-        _relax_slab(method, sub, slab,
-                    eu[:, :n], delta[:, :n], s[:n], tmp[:n])
-
-
-def _relax_slab(method, sub, region, eu, delta, s, tmp) -> None:
-    """:func:`lb_relax` on one slab, into slab-shaped buffers."""
-    f = sub.fields["f"]
-    rho = sub.fields["rho"][region]
-    vels = [sub.fields[n][region] for n in method.vel_names]
+    depth = slab_depth(shape, region, q)
+    n = depth * math.prod(shape[1:])
+    eu = sub.scratch("lb_eu", (q, n))
+    delta = sub.scratch("lb_delta", (q, n))
+    s = sub.scratch("lb_usq", (n,))
+    tmp = sub.scratch("lb_tmp", (n,))
+    ndim = method.ndim
+    field = sub.fields["f"]
+    f = flat_nodes(field, ndim)
+    rho = flat_nodes(sub.fields["rho"], ndim)
+    vels = [flat_nodes(sub.fields[v], ndim) for v in method.vel_names]
+    fluid = flat_nodes(sub.aux["fluid_f"], ndim)
     g = method.params.gravity
     omega = method._omega
-    # eu <- e_i . u (delta doubles as the per-axis scratch)
-    np.multiply(method._e_b[0], vels[0], out=eu)
-    for d in range(1, method.ndim):
-        np.multiply(method._e_b[d], vels[d], out=delta)
-        eu += delta
-    # s <- 1.5 w |u|^2 + 3 pref (g . u)
-    np.multiply(vels[0], vels[0], out=s)
-    for d in range(1, method.ndim):
-        np.multiply(vels[d], vels[d], out=tmp)
-        s += tmp
-    s *= 1.5 * omega
-    for d in range(method.ndim):
-        if g[d] != 0.0:
-            np.multiply(vels[d], 3.0 * method._pref * g[d], out=tmp)
-            s += tmp
-    # delta <- w_i rho ((4.5 w eu + A1) eu + A0 - s)   (Horner form)
-    np.multiply(eu, 4.5 * omega, out=delta)
-    delta += method._a1_b
-    delta *= eu
-    delta += method._a0_b
-    delta -= s
-    delta *= method._w_b
-    delta *= rho
-    # delta -= w f  (eu is dead past the polynomial; reuse it)
-    fview = f[(slice(None),) + region]
-    np.multiply(fview, omega, out=eu)
-    delta -= eu
-    # Solid nodes keep their populations (no collision).
-    delta *= sub.aux["fluid_f"][region]
-    fview += delta
+    for slab in plane_slabs(shape, region, depth):
+        span, loc = slab.span, slab.local
+        e, dl, ss, t = eu[:, loc], delta[:, loc], s[loc], tmp[loc]
+        u = [v[span] for v in vels]
+        # eu <- e_i . u (delta doubles as the per-axis scratch)
+        np.multiply(method._e_b[0], u[0], out=e)
+        for d in range(1, ndim):
+            np.multiply(method._e_b[d], u[d], out=dl)
+            e += dl
+        # s <- 1.5 w |u|^2 + 3 pref (g . u)
+        np.multiply(u[0], u[0], out=ss)
+        for d in range(1, ndim):
+            np.multiply(u[d], u[d], out=t)
+            ss += t
+        ss *= 1.5 * omega
+        for d in range(ndim):
+            if g[d] != 0.0:
+                np.multiply(u[d], 3.0 * method._pref * g[d], out=t)
+                ss += t
+        # delta <- w_i rho ((4.5 w eu + A1) eu + A0 - s)   (Horner form)
+        np.multiply(e, 4.5 * omega, out=dl)
+        dl += method._a1_b
+        dl *= e
+        dl += method._a0_b
+        dl -= ss
+        dl *= method._w_b
+        dl *= rho[span]
+        # delta -= w f  (eu is dead past the polynomial; reuse it)
+        np.multiply(f[:, span], omega, out=e)
+        dl -= e
+        # Solid nodes keep their populations (no collision).
+        dl *= fluid[span]
+        field[(slice(None),) + slab.target] += slab.of(delta)
 
 
 def lb_stream(method, sub, region: Region) -> None:
-    """Streaming in pull form: ``F_i(x) <- F_i(x - e_i)``."""
-    f = sub.fields["f"]
-    scratch = sub.aux["f_scratch"]
-    for i in range(method.lattice.q):
-        src = region
-        for d in range(method.ndim):
-            e = int(method.lattice.e[i, d])
-            if e:
-                src = shift_region(src, d, -e)
-        scratch[(i,) + region] = f[(i,) + src]
-    f[(slice(None),) + region] = scratch[(slice(None),) + region]
+    """Streaming in pull form: ``F_i(x) <- F_i(x - e_i)``.
+
+    Each population's shift is one flat offset, so a slab's pull is one
+    contiguous copy per population into slab scratch.  A pull reads one
+    plane beyond its slab either way, so each slab is committed only
+    after the next one has been pulled.
+    """
+    field = sub.fields["f"]
+    shape = sub.padded_shape
+    strides = node_strides(shape)
+    q = method.lattice.q
+    f = flat_nodes(field, method.ndim)
+    offsets = (method.lattice.e @ strides).tolist()
+    depth = slab_depth(shape, region, q, reach=1)
+    n = depth * strides[0]
+    pulled = (sub.scratch("lb_pull", (q, n)),
+              sub.scratch("lb_pull_next", (q, n)))
+    for k, slab, done in held_back(plane_slabs(shape, region, depth)):
+        if slab is not None:
+            span, out = slab.span, pulled[k % 2]
+            for i, off in enumerate(offsets):
+                out[i, slab.local] = f[i, span.start - off:span.stop - off]
+        if done is not None:
+            field[(slice(None),) + done.target] = done.of(pulled[(k - 1) % 2])
 
 
 def lb_moments(method, sub, region: Region) -> None:
     """Fluid variables from populations (plus Guo half-force shift).
 
-    Density is summed directly into the field view; each momentum is a
-    signed sum of population planes written straight into the velocity
-    field view (``e`` components are -1/0/+1).
+    Density is one sum over the population spans; each momentum is a
+    signed sum of population spans (``e`` components are -1/0/+1).
     """
-    f = sub.fields["f"]
-    view = f[(slice(None),) + region]
-    rho = sub.fields["rho"][region]
-    np.sum(view, axis=0, out=rho)
+    shape = sub.padded_shape
+    depth = slab_depth(shape, region)
+    n = depth * math.prod(shape[1:])
+    rho_buf = sub.scratch("lb_rho", (n,))
+    vel_buf = sub.scratch("lb_vel", (n,))
+    ndim = method.ndim
+    f = flat_nodes(sub.fields["f"], ndim)
+    fluid = flat_nodes(sub.aux["fluid_f"], ndim)
     g = method.params.gravity
-    fluid = sub.aux["fluid_f"][region]
-    for d, name in enumerate(method.vel_names):
-        vel = sub.fields[name][region]
-        plus, minus = method._mom_idx[d]
-        np.subtract(view[plus[0]], view[minus[0]], out=vel)
-        for i in plus[1:]:
-            vel += view[i]
-        for i in minus[1:]:
-            vel -= view[i]
-        vel /= rho
-        if g[d] != 0.0:
-            vel += 0.5 * g[d]
-        # Walls are no-slip: solid nodes report zero velocity.
-        vel *= fluid
+    for slab in plane_slabs(shape, region, depth):
+        span, loc = slab.span, slab.local
+        pops = f[:, span]
+        r, vel = rho_buf[loc], vel_buf[loc]
+        np.sum(pops, axis=0, out=r)
+        sub.fields["rho"][slab.target] = slab.of(rho_buf)
+        for d, name in enumerate(method.vel_names):
+            plus, minus = method._mom_idx[d]
+            np.subtract(pops[plus[0]], pops[minus[0]], out=vel)
+            for i in plus[1:]:
+                vel += pops[i]
+            for i in minus[1:]:
+                vel -= pops[i]
+            vel /= r
+            if g[d] != 0.0:
+                vel += 0.5 * g[d]
+            # Walls are no-slip: solid nodes report zero velocity.
+            vel *= fluid[span]
+            sub.fields[name][slab.target] = slab.of(vel_buf)
 
 
 def fd_velocity(method, sub) -> None:
     """Forward-Euler momentum update (eqs. 2-3) on the interior.
 
-    All derivative kernels write into per-subregion scratch
+    All derivative kernels write into per-subregion slab scratch
     (allocation-free after the first step); the accumulation order
-    matches the classic form ``c + dt (-adv - press + visc + g)``.
-    The caller (:meth:`FDMethod.compute_phase`) re-enforces no-slip
-    afterwards — boundary rules stay backend-independent.
+    matches the classic form ``c + dt (-adv - press + visc + g)``.  The
+    new velocities go to the ``new_*`` arrays over each slab's span and
+    are committed to the fields, region only, once every slab has read
+    the old ones.  The caller (:meth:`FDMethod.compute_phase`)
+    re-enforces no-slip afterwards.
     """
     p = method.params
     region = sub.interior
-    rho = sub.fields["rho"]
-    vels = [sub.fields[n] for n in method.vel_names]
-    vel_mid = [c[region] for c in vels]
+    shape = sub.padded_shape
+    ndim = method.ndim
+    steps = node_strides(shape)
+    depth = slab_depth(shape, region)
+    n = depth * steps[0]
+    acc, t1, t2 = (sub.scratch(name, (n,))
+                   for name in ("fd_acc", "fd_t1", "fd_t2"))
+    rho = flat_nodes(sub.fields["rho"], ndim)
+    vels = [flat_nodes(sub.fields[v], ndim) for v in method.vel_names]
+    news = [flat_nodes(sub.aux["new_" + v], ndim) for v in method.vel_names]
     cs2 = p.cs * p.cs
-    ishape = vel_mid[0].shape
-    acc = sub.scratch("fd_acc", ishape)    # adv + press
-    t1 = sub.scratch("fd_t1", ishape)
-    t2 = sub.scratch("fd_t2", ishape)
-
-    for d, name in enumerate(method.vel_names):
-        c = vels[d]
-        # advection: (V . grad) V_d
-        central_diff(c, region, 0, p.dx, out=acc)
-        acc *= vel_mid[0]
-        for ax in range(1, method.ndim):
-            central_diff(c, region, ax, p.dx, out=t1)
-            t1 *= vel_mid[ax]
-            acc += t1
-        # pressure: (cs^2 / rho) d rho / d x_d
-        central_diff(rho, region, d, p.dx, out=t1)
-        np.divide(cs2, rho[region], out=t2)
-        t1 *= t2
-        acc += t1
-        # viscosity: nu * laplacian(V_d)
-        laplacian(c, region, p.dx, out=t1, scratch=t2)
-        t1 *= p.nu
-        # new = c + dt * (visc - (adv + press) + g)
-        t1 -= acc
-        if p.gravity[d] != 0.0:
-            t1 += p.gravity[d]
-        t1 *= p.dt
-        new = sub.aux["new_" + name][region]
-        np.add(c[region], t1, out=new)
+    for slab in plane_slabs(shape, region, depth):
+        span, loc = slab.span, slab.local
+        at = (span,)
+        a, b, c2 = acc[loc], t1[loc], t2[loc]
+        mids = [v[span] for v in vels]
+        for d in range(ndim):
+            c = vels[d]
+            # advection: (V . grad) V_d
+            central_diff(c, at, 0, p.dx, out=a, step=steps[0])
+            a *= mids[0]
+            for ax in range(1, ndim):
+                central_diff(c, at, 0, p.dx, out=b, step=steps[ax])
+                b *= mids[ax]
+                a += b
+            # pressure: (cs^2 / rho) d rho / d x_d
+            central_diff(rho, at, 0, p.dx, out=b, step=steps[d])
+            np.divide(cs2, rho[span], out=c2)
+            b *= c2
+            a += b
+            # viscosity: nu * laplacian(V_d)
+            laplacian(c, at, p.dx, out=b, scratch=c2, steps=steps)
+            b *= p.nu
+            # new = c + dt * (visc - (adv + press) + g)
+            b -= a
+            if p.gravity[d] != 0.0:
+                b += p.gravity[d]
+            b *= p.dt
+            np.add(mids[d], b, out=news[d][span])
     for name in method.vel_names:
         sub.fields[name][region] = sub.aux["new_" + name][region]
 
@@ -201,41 +251,61 @@ def fd_density(method, sub) -> None:
     """Continuity update (eq. 1) with time-(t+dt) velocities.
 
     The caller has already no-slip-enforced one ghost ring, so the mass
-    fluxes below read clean wall velocities.
+    fluxes below read clean wall velocities.  Each slab forms the flux
+    ``rho(t) V_d(t+dt)`` one plane beyond its span either way (all its
+    centered-difference reads); because the flux reads ``rho``, a
+    slab's update is committed only after the next slab's flux is
+    formed.
     """
     p = method.params
     region = sub.interior
-    g1 = sub.grown_interior(1)
-    rho = sub.fields["rho"]
-    # Mass flux rho(t) * V(t+dt), formed over one ring beyond the
-    # interior (all its centered difference reads) instead of the
-    # whole padded array, into reusable scratch.
-    flux = sub.scratch("fd_flux", region_shape(g1))
-    inner = tuple(slice(1, 1 + n) for n in sub.block.shape)
-    div = sub.scratch("fd_div", region_shape(region))
-    term = sub.scratch("fd_term", region_shape(region))
-    for d, name in enumerate(method.vel_names):
-        np.multiply(rho[g1], sub.fields[name][g1], out=flux)
-        target = div if d == 0 else term
-        central_diff(flux, inner, d, p.dx, out=target)
-        if d > 0:
-            div += term
-    div *= p.dt
-    rho[region] -= div
+    shape = sub.padded_shape
+    ndim = method.ndim
+    steps = node_strides(shape)
+    depth = slab_depth(shape, region, reach=1)
+    plane = steps[0]
+    term = sub.scratch("fd_term", (depth * plane,))
+    div = (sub.scratch("fd_div", (depth * plane,)),
+           sub.scratch("fd_div_next", (depth * plane,)))
+    # flux index 0 is the node one plane before the slab's first plane
+    flux = sub.scratch("fd_flux", ((depth + 2) * plane,))
+    field = sub.fields["rho"]
+    rho = flat_nodes(field, ndim)
+    vels = [flat_nodes(sub.fields[v], ndim) for v in method.vel_names]
+    for k, slab, done in held_back(plane_slabs(shape, region, depth)):
+        if slab is not None:
+            span, loc = slab.span, slab.local
+            wide = slice(span.start - plane, span.stop + plane)
+            at = (slice(loc.start + plane, loc.stop + plane),)
+            out = div[k % 2][loc]
+            for d in range(ndim):
+                np.multiply(rho[wide], vels[d][wide],
+                            out=flux[loc.start:loc.stop + 2 * plane])
+                target = out if d == 0 else term[loc]
+                central_diff(flux, at, 0, p.dx, out=target, step=steps[d])
+                if d > 0:
+                    out += target
+            out *= p.dt
+        if done is not None:
+            field[done.target] -= done.of(div[(k - 1) % 2])
 
 
 class NumpyBackend:
     """The kernels one method instance runs.
 
     Regions are tuples of explicit slices into the padded arrays (see
-    :mod:`repro.fluids._kernels`); a kernel writes only inside its
-    region and may read up to the method's stencil reach outside it.
+    :mod:`repro.fluids._kernels`); a kernel computes on the whole padded
+    planes of its region's plane range and writes only inside the
+    region.
     """
 
     name = "numpy"
 
     def __init__(self, method) -> None:
         self.method = method
+
+    def lb_init(self, sub) -> None:
+        lb_init(self.method, sub)
 
     def lb_relax(self, sub) -> None:
         lb_relax(self.method, sub)
@@ -254,4 +324,3 @@ class NumpyBackend:
 
     def filter_fields(self, flt, sub, names, region) -> None:
         flt.apply(sub, names, region)
-

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..core.subregion import SubregionState
-from ._kernels import Region, region_shape, shift_region
+from ._kernels import Region, flat_nodes, region_shape, shift_region
 
 __all__ = [
     "GlobalBox",
@@ -30,7 +30,6 @@ __all__ = [
     "build_wall_aux",
     "enforce_noslip",
     "enforce_wall_density",
-    "flat_nodes",
     "wall_key",
 ]
 
@@ -160,17 +159,6 @@ def build_wall_aux(
         sub.aux[f"wall_rho{by}_nbr"] = nbr
         sub.aux[f"wall_rho{by}_nf"] = fluid.reshape(-1)[nbr]
         sub.aux[f"wall_rho{by}_den"] = den[sel]
-
-
-def flat_nodes(arr: np.ndarray, ndim: int) -> np.ndarray:
-    """View of a padded field with its ``ndim`` node axes flattened.
-
-    The wall sets hold flat node indices into this view; leading
-    (per-node vector) axes are kept.  Never a copy: writes must land.
-    """
-    if not arr.flags.c_contiguous:
-        raise ValueError("wall rules need C-contiguous fields")
-    return arr.reshape(arr.shape[: arr.ndim - ndim] + (-1,))
 
 
 def wall_key(sub: SubregionState, kind: str, region: Region) -> str:

@@ -116,13 +116,7 @@ def populations_from_macro(
     """
     f = lb.equilibrium(rho, list(vels))
     ndim = lb.ndim
-    w_b = lb._w_b if rho.ndim == ndim else lb.lattice.w.reshape(
-        (lb.lattice.q,) + (1,) * rho.ndim
-    )
-    e_b = lb._e_b if rho.ndim == ndim else tuple(
-        lb._e_f[:, d].reshape((lb.lattice.q,) + (1,) * rho.ndim)
-        for d in range(ndim)
-    )
+    e_b, w_b = lb.broadcast_columns(rho.ndim)
     # Half-force shift: zeroth moment 0, first moment -+ rho g / 2
     # (docstring above — the sign tracks the epoch).
     g = lb.params.gravity

@@ -22,7 +22,16 @@ from typing import Sequence
 import numpy as np
 
 from ..core.subregion import SubregionState
-from ._kernels import Region, dilate_star, fourth_diff_sum, region_shape
+from ._kernels import (
+    Region,
+    dilate_star,
+    flat_nodes,
+    fourth_diff_sum,
+    held_back,
+    node_strides,
+    plane_slabs,
+    slab_depth,
+)
 
 __all__ = ["FourthOrderFilter"]
 
@@ -63,20 +72,34 @@ class FourthOrderFilter:
     ) -> None:
         """Filter the named fields over ``region`` (out-of-place reads).
 
-        The full correction array is evaluated before any write, so a
-        node never reads an already-filtered neighbour — this is what
+        A node never reads an already-filtered neighbour — this is what
         makes locally re-filtering ghost ring 1 reproduce the
-        neighbouring subregion's interior filtering bit for bit.
+        neighbouring subregion's interior filtering bit for bit.  The
+        correction is swept over the region's padded planes in slabs
+        (:func:`~repro.fluids._kernels.plane_slabs`) of at least the
+        stencil reach, and each slab is subtracted only after the next
+        slab's correction has read the planes it rewrites
+        (:func:`~repro.fluids._kernels.held_back`).
         """
         if not self.enabled:
             return
-        keep = sub.aux["filter_keep"][region]
-        shape = region_shape(region)
-        corr = sub.scratch("filter_corr", shape)
-        tmp = sub.scratch("filter_tmp", shape)
+        shape = sub.padded_shape
+        steps = node_strides(shape)
+        depth = slab_depth(shape, region, reach=self.reach)
+        n = depth * steps[0]
+        corr = (sub.scratch("filter_corr", (n,)),
+                sub.scratch("filter_corr_next", (n,)))
+        tmp = sub.scratch("filter_tmp", (n,))
+        keep = flat_nodes(sub.aux["filter_keep"], sub.ndim)
         for name in names:
-            a = sub.fields[name]
-            fourth_diff_sum(a, region, out=corr, scratch=tmp)
-            corr *= keep
-            corr *= self.eps
-            a[region] -= corr
+            field = sub.fields[name]
+            a = flat_nodes(field, sub.ndim)
+            for k, slab, done in held_back(plane_slabs(shape, region, depth)):
+                if slab is not None:
+                    out = corr[k % 2][slab.local]
+                    fourth_diff_sum(a, (slab.span,), out=out,
+                                    scratch=tmp[slab.local], steps=steps)
+                    out *= keep[slab.span]
+                    out *= self.eps
+                if done is not None:
+                    field[done.target] -= done.of(corr[(k - 1) % 2])

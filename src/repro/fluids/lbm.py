@@ -39,13 +39,12 @@ from typing import Sequence
 import numpy as np
 
 from ..core.subregion import SubregionState
-from ._kernels import Region
+from ._kernels import Region, flat_nodes
 from .backends.numpy_backend import NumpyBackend
 from .boundary import (
     PressureOutlet,
     VelocityInlet,
     build_wall_aux,
-    flat_nodes,
     wall_key,
 )
 from .filters import FourthOrderFilter
@@ -102,19 +101,16 @@ class LBMethod:
         self.inlets = tuple(inlets)
         self.outlets = tuple(outlets)
         self.filter = FourthOrderFilter(params.filter_eps)
-        # Precomputed broadcast views of the velocity set, shaped
-        # (Q, 1, ..., 1) so they multiply straight into (Q, ...) arrays:
-        # the fused kernels below are whole-lattice expressions instead
-        # of per-direction Python loops.
+        # The velocity set and the collision coefficients as (Q, 1)
+        # columns: they broadcast straight against the (Q, n) flat
+        # population spans the kernels sweep, so each fused kernel is a
+        # whole-lattice expression instead of a per-direction loop.
         lat = self.lattice
-        ones = (1,) * ndim
         self._e_f = lat.e.astype(np.float64)
-        self._e_b = tuple(
-            self._e_f[:, d].reshape((lat.q,) + ones) for d in range(ndim)
-        )
-        self._w_b = lat.w.reshape((lat.q,) + ones)
+        self._e_b = tuple(self._e_f[:, d, None] for d in range(ndim))
+        self._w_b = lat.w[:, None]
         # Collision + Guo forcing collapse into one polynomial per
-        # population (see _relax):
+        # population (see numpy_backend.lb_relax):
         #   delta_i = w_i rho [4.5 w eu^2 + A1_i eu + A0_i - s] - w f_i
         # with w = 1/tau, pref = 1 - 1/(2 tau), G_i = e_i . g:
         omega = 1.0 / self.tau
@@ -122,10 +118,8 @@ class LBMethod:
         g_i = self._e_f @ np.asarray(params.gravity, dtype=np.float64)
         self._omega = omega
         self._pref = pref
-        self._a1_b = (3.0 * omega + 9.0 * pref * g_i).reshape(
-            (lat.q,) + ones
-        )
-        self._a0_b = (omega + 3.0 * pref * g_i).reshape((lat.q,) + ones)
+        self._a1_b = (3.0 * omega + 9.0 * pref * g_i)[:, None]
+        self._a0_b = (omega + 3.0 * pref * g_i)[:, None]
         # Momentum accumulation index lists: every e component is -1/0/+1,
         # so the d-momentum is a signed sum of population planes — no
         # multiplies, no intermediate (Q, ...) products.
@@ -147,6 +141,18 @@ class LBMethod:
     # ------------------------------------------------------------------
     # equilibrium and forcing
     # ------------------------------------------------------------------
+    def broadcast_columns(self, nodes: int):
+        """``(e_b, w_b)``: the velocity components and the weights shaped
+        ``(Q, 1, ..., 1)`` to broadcast against ``(Q,)`` + ``nodes``-axis
+        population arrays."""
+        if nodes == 1:
+            return self._e_b, self._w_b
+        ones = (self.lattice.q,) + (1,) * nodes
+        return (
+            tuple(c.reshape(ones) for c in self._e_b),
+            self._w_b.reshape(ones),
+        )
+
     def equilibrium(
         self,
         rho: np.ndarray,
@@ -175,16 +181,7 @@ class LBMethod:
             usq = np.empty(rho.shape, dtype=np.float64)
         if tmp is None:
             tmp = np.empty(rho.shape, dtype=np.float64)
-        # The hot path passes ndim-dimensional views, but openings pass
-        # flat masked selections: shape the broadcast constants to match.
-        if rho.ndim == self.ndim:
-            e_b, w_b = self._e_b, self._w_b
-        else:
-            ones = (q,) + (1,) * rho.ndim
-            e_b = tuple(
-                self._e_f[:, d].reshape(ones) for d in range(self.ndim)
-            )
-            w_b = self.lattice.w.reshape(ones)
+        e_b, w_b = self.broadcast_columns(rho.ndim)
         # usq <- 1.5 |u|^2
         np.multiply(vels[0], vels[0], out=usq)
         for d in range(1, self.ndim):
@@ -229,10 +226,7 @@ class LBMethod:
             # Populations start at equilibrium with the decomposed
             # macroscopic state, evaluated over the whole padded array so
             # ghosts are exact from step zero.
-            rho = sub.fields["rho"]
-            vels = [sub.fields[n] for n in self.vel_names]
-            sub.fields["f"] = self.equilibrium(rho, vels)
-        sub.aux["f_scratch"] = np.empty_like(sub.fields["f"])
+            self.backend.lb_init(sub)
 
     def compute_phase(self, sub: SubregionState, phase: int) -> None:
         """BGK collision on the interior (the single compute phase)."""

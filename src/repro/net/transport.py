@@ -18,7 +18,13 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.exchange import EdgeOp, ExchangePlan, _replicate_edge, sweep_axes
+from ..core.exchange import (
+    EdgeOp,
+    EdgeStage,
+    ExchangePlan,
+    _replicate_edge,
+    sweep_axes,
+)
 from ..core.subregion import SubregionState
 from .channels import ChannelSet
 
@@ -66,6 +72,7 @@ class SocketExchanger:
         self.wire_fields = tuple(wire_fields)
         self.bytes_sent = 0
         self.messages_sent = 0
+        self.stage = EdgeStage()
 
     def exchange(self, field_names: Sequence[str], phase: int) -> None:
         """One ghost exchange of the named fields at the given phase."""
@@ -114,7 +121,8 @@ class SocketExchanger:
                     extent = sub.block.shape[op.axis]
                     for name in field_names:
                         _replicate_edge(
-                            sub.fields[name], op, sub.pad, extent
+                            sub.fields[name], op, sub.pad, extent,
+                            self.stage,
                         )
                 # "hold" faces (inactive solid blocks) need nothing.
 

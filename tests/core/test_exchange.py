@@ -165,6 +165,25 @@ class TestLocalExchanger:
             )
             np.testing.assert_array_equal(sub.fields["a"], ref[sl])
 
+    @pytest.mark.parametrize("periodic", [(True, False, False),
+                                          (False, True, True)])
+    def test_staged_fills_keep_every_bit(self, periodic):
+        """Self-wrapping periodic strips and replicated edges go through
+        the exchanger's plane buffer: a ``(Q, ...)`` field with signed
+        zeros and NaNs lands bit for bit on the padded reference."""
+        shape = (7, 6, 5)
+        a = _field((4,) + shape, seed=4) - 0.5
+        a[a > 0.3] = -0.0
+        a[0, 1, 2, 3] = np.nan
+        d = Decomposition(shape, (1, 1, 1), periodic=periodic)
+        subs = make_subregions(d, 3, {"a": a})
+        mask = np.ones(subs[0].padded_shape, dtype=bool)
+        mask[subs[0].interior] = False
+        subs[0].fields["a"][:, mask] = 7.0
+        LocalExchanger(d, subs).exchange(["a"])
+        ref = np.stack([_reference_ghosts(c, 3, periodic) for c in a])
+        assert subs[0].fields["a"].tobytes() == ref.tobytes()
+
 
 class TestPlanProperties:
     """Structural invariants of exchange plans over random decompositions."""

@@ -7,10 +7,11 @@ per-direction loops — but they must stay within round-off of them.
 The classes below re-implement the original allocating loops verbatim;
 a Poiseuille channel run must agree to <= 1e-12 relative tolerance.
 
-The wall rules on precomputed wall-node index sets and the slabbed LB
-collision do *not* reorder any node's arithmetic, so they must be
-bitwise identical to the dense full-region rules (kept below as
-references) and to a one-slab collision — signed zeros included.
+The wall rules on precomputed wall-node index sets and the plane-slab
+sweeps do *not* reorder any node's arithmetic, so they must be bitwise
+identical to the dense full-region rules and to the region-form
+kernels (both kept below as references), and a sweep in many slabs to
+one in a single slab — signed zeros and ghost bytes included.
 
 The fused kernels also must not allocate: after warm-up fills the
 per-subregion scratch pool, a collision + moments pass reuses it
@@ -22,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.core import Decomposition, Simulation, ThreadedSimulation
+from repro.distrib import ProblemSpec
 from repro.fluids import (
     FDMethod,
     FluidParams,
@@ -32,9 +34,19 @@ from repro.fluids import (
     channel_geometry,
     flue_pipe,
 )
+from repro.fluids import _kernels
 from repro.fluids import fd as fd_module
-from repro.fluids._kernels import central_diff, laplacian, shift_region
-from repro.fluids.backends import numpy_backend
+from repro.fluids._kernels import (
+    central_diff,
+    fourth_diff_sum,
+    laplacian,
+    plane_slabs,
+    region_shape,
+    shift_region,
+    slab_depth,
+)
+from repro.fluids.backends.numpy_backend import NumpyBackend
+from repro.fluids.coupling import build_converters
 from repro.fluids.filters import FourthOrderFilter
 from repro.harness import count_allocations
 
@@ -114,10 +126,11 @@ class ReferenceLBMethod(LBMethod):
         super().__init__(*args, **kwargs)
         self.filter = ReferenceFilter(self.params.filter_eps)
 
-    def equilibrium(self, rho, vels, **_ignored):
+    def equilibrium(self, rho, vels, out=None, **_ignored):
         lat = self.lattice
         usq = sum(c * c for c in vels)
-        out = np.empty((lat.q,) + rho.shape, dtype=np.float64)
+        if out is None:
+            out = np.empty((lat.q,) + rho.shape, dtype=np.float64)
         for i in range(lat.q):
             eu = sum(
                 float(lat.e[i, d]) * vels[d] for d in range(self.ndim)
@@ -220,6 +233,177 @@ class ReferenceFDMethod(FDMethod):
             term = central_diff(flux, region, d, p.dx)
             div = term if div is None else div + term
         rho[region] = rho[region] - p.dt * div
+
+
+# ----------------------------------------------------------------------
+# region-form kernels: the fused kernels as they ran on strided region
+# views before the plane-slab sweeps (bitwise references)
+# ----------------------------------------------------------------------
+def _region_lb_init(method, sub):
+    rho = sub.fields["rho"]
+    vels = [sub.fields[n] for n in method.vel_names]
+    sub.fields["f"] = method.equilibrium(rho, vels)
+
+
+def _region_lb_relax(method, sub):
+    region = sub.interior
+    f = sub.fields["f"]
+    rho = sub.fields["rho"][region]
+    vels = [sub.fields[n][region] for n in method.vel_names]
+    ndim = method.ndim
+    e_b, w_b = method.broadcast_columns(ndim)
+    a1, a0 = (c.reshape(w_b.shape) for c in (method._a1_b, method._a0_b))
+    g = method.params.gravity
+    omega = method._omega
+    qshape = (method.lattice.q,) + region_shape(region)
+    eu, delta = np.empty(qshape), np.empty(qshape)
+    s, tmp = np.empty(qshape[1:]), np.empty(qshape[1:])
+    np.multiply(e_b[0], vels[0], out=eu)
+    for d in range(1, ndim):
+        np.multiply(e_b[d], vels[d], out=delta)
+        eu += delta
+    np.multiply(vels[0], vels[0], out=s)
+    for d in range(1, ndim):
+        np.multiply(vels[d], vels[d], out=tmp)
+        s += tmp
+    s *= 1.5 * omega
+    for d in range(ndim):
+        if g[d] != 0.0:
+            np.multiply(vels[d], 3.0 * method._pref * g[d], out=tmp)
+            s += tmp
+    np.multiply(eu, 4.5 * omega, out=delta)
+    delta += a1
+    delta *= eu
+    delta += a0
+    delta -= s
+    delta *= w_b
+    delta *= rho
+    fview = f[(slice(None),) + region]
+    np.multiply(fview, omega, out=eu)
+    delta -= eu
+    delta *= sub.aux["fluid_f"][region]
+    fview += delta
+
+
+def _region_lb_stream(method, sub, region):
+    f = sub.fields["f"]
+    scratch = np.empty_like(f)
+    for i in range(method.lattice.q):
+        src = region
+        for d in range(method.ndim):
+            e = int(method.lattice.e[i, d])
+            if e:
+                src = shift_region(src, d, -e)
+        scratch[(i,) + region] = f[(i,) + src]
+    f[(slice(None),) + region] = scratch[(slice(None),) + region]
+
+
+def _region_lb_moments(method, sub, region):
+    view = sub.fields["f"][(slice(None),) + region]
+    rho = sub.fields["rho"][region]
+    np.sum(view, axis=0, out=rho)
+    g = method.params.gravity
+    fluid = sub.aux["fluid_f"][region]
+    for d, name in enumerate(method.vel_names):
+        vel = sub.fields[name][region]
+        plus, minus = method._mom_idx[d]
+        np.subtract(view[plus[0]], view[minus[0]], out=vel)
+        for i in plus[1:]:
+            vel += view[i]
+        for i in minus[1:]:
+            vel -= view[i]
+        vel /= rho
+        if g[d] != 0.0:
+            vel += 0.5 * g[d]
+        vel *= fluid
+
+
+def _region_fd_velocity(method, sub):
+    p = method.params
+    region = sub.interior
+    rho = sub.fields["rho"]
+    vels = [sub.fields[n] for n in method.vel_names]
+    vel_mid = [c[region] for c in vels]
+    cs2 = p.cs * p.cs
+    ishape = vel_mid[0].shape
+    acc, t1, t2 = np.empty(ishape), np.empty(ishape), np.empty(ishape)
+    for d, name in enumerate(method.vel_names):
+        c = vels[d]
+        central_diff(c, region, 0, p.dx, out=acc)
+        acc *= vel_mid[0]
+        for ax in range(1, method.ndim):
+            central_diff(c, region, ax, p.dx, out=t1)
+            t1 *= vel_mid[ax]
+            acc += t1
+        central_diff(rho, region, d, p.dx, out=t1)
+        np.divide(cs2, rho[region], out=t2)
+        t1 *= t2
+        acc += t1
+        laplacian(c, region, p.dx, out=t1, scratch=t2)
+        t1 *= p.nu
+        t1 -= acc
+        if p.gravity[d] != 0.0:
+            t1 += p.gravity[d]
+        t1 *= p.dt
+        np.add(c[region], t1, out=sub.aux["new_" + name][region])
+    for name in method.vel_names:
+        sub.fields[name][region] = sub.aux["new_" + name][region]
+
+
+def _region_fd_density(method, sub):
+    p = method.params
+    region = sub.interior
+    g1 = sub.grown_interior(1)
+    rho = sub.fields["rho"]
+    inner = tuple(slice(1, 1 + n) for n in sub.block.shape)
+    flux = np.empty(region_shape(g1))
+    div, term = np.empty(region_shape(region)), np.empty(region_shape(region))
+    for d, name in enumerate(method.vel_names):
+        np.multiply(rho[g1], sub.fields[name][g1], out=flux)
+        target = div if d == 0 else term
+        central_diff(flux, inner, d, p.dx, out=target)
+        if d > 0:
+            div += term
+    div *= p.dt
+    rho[region] -= div
+
+
+def _region_filter(flt, sub, names, region):
+    if not flt.enabled:
+        return
+    keep = sub.aux["filter_keep"][region]
+    corr, tmp = np.empty(region_shape(region)), np.empty(region_shape(region))
+    for name in names:
+        a = sub.fields[name]
+        fourth_diff_sum(a, region, out=corr, scratch=tmp)
+        corr *= keep
+        corr *= flt.eps
+        a[region] -= corr
+
+
+class RegionBackend(NumpyBackend):
+    """The kernels on strided region views, one region at a time."""
+
+    def lb_init(self, sub):
+        _region_lb_init(self.method, sub)
+
+    def lb_relax(self, sub):
+        _region_lb_relax(self.method, sub)
+
+    def lb_stream(self, sub, region):
+        _region_lb_stream(self.method, sub, region)
+
+    def lb_moments(self, sub, region):
+        _region_lb_moments(self.method, sub, region)
+
+    def fd_velocity(self, sub):
+        _region_fd_velocity(self.method, sub)
+
+    def fd_density(self, sub):
+        _region_fd_density(self.method, sub)
+
+    def filter_fields(self, flt, sub, names, region):
+        _region_filter(flt, sub, names, region)
 
 
 # ----------------------------------------------------------------------
@@ -407,23 +591,169 @@ def test_wall_rules_keep_signed_zeros():
     assert a.tobytes() == b.tobytes()
 
 
-def test_lb_relax_slabs_match_one_slab(monkeypatch):
-    """A 3D duct swept in >= 3 slabs, the last one partial, is bitwise
-    the one-slab run."""
-    shape = (10, 8, 8)
+# ----------------------------------------------------------------------
+# plane-slab sweeps: slab size and region form change no bit
+# ----------------------------------------------------------------------
+#: kernel -> (method class, Q-wide slab buffers, how to run it, its region)
+SWEPT = {
+    "relax": (LBMethod, True, lambda m, sub: m._relax(sub),
+              lambda sub: sub.interior),
+    "stream": (LBMethod, True, lambda m, sub: m._shift(
+        sub, sub.grown_interior(2)), lambda sub: sub.grown_interior(2)),
+    "moments": (LBMethod, False, lambda m, sub: m._macro(
+        sub, sub.grown_interior(2)), lambda sub: sub.grown_interior(2)),
+    "equilibrium": (LBMethod, True, lambda m, sub: m.backend.lb_init(sub),
+                    lambda sub: tuple(slice(0, n)
+                                      for n in sub.padded_shape)),
+    "filter": (FDMethod, False, lambda m, sub: m.backend.filter_fields(
+        m.filter, sub, m.field_names, sub.grown_interior(1)),
+        lambda sub: sub.grown_interior(1)),
+    "fd_velocity": (FDMethod, False, lambda m, sub: m.backend.fd_velocity(sub),
+                    lambda sub: sub.interior),
+    "fd_density": (FDMethod, False, lambda m, sub: m.backend.fd_density(sub),
+                   lambda sub: sub.interior),
+}
+
+
+@pytest.mark.parametrize("ndim", [2, 3])
+@pytest.mark.parametrize("kernel", sorted(SWEPT))
+def test_slabs_match_one_slab(monkeypatch, kernel, ndim):
+    """Each swept kernel run in slabs of 4 planes (the last one
+    partial) writes exactly the bytes of a one-slab sweep."""
+    method_cls, wide, run, region_of = SWEPT[kernel]
+    shape = (11, 10, 9)[:ndim]
     kw = dict(shape=shape, nu=0.05, g=1e-5, filter_eps=0.02,
               fields=perturbed_fields(shape, seed=4))
-    whole = channel_sim(LBMethod, **kw)
-    whole.step(6)
-    sub = whole.subs[0]
-    assert sub.aux["lb_eu"].shape[1] == shape[0]      # one slab
-    per_plane = 15 * 8 * int(np.prod(sub.block.shape[1:]))
-    monkeypatch.setattr(numpy_backend, "LB_SLAB_BYTES", 3 * per_plane + 7)
-    slabbed = channel_sim(LBMethod, **kw)
-    slabbed.step(6)
-    depth = slabbed.subs[0].aux["lb_eu"].shape[1]
-    assert depth == 3 and shape[0] % depth != 0       # 3, 3, 3, 1
-    _assert_same_bytes(whole, slabbed)
+    sims = []
+    for depth in (4, None):
+        sim = channel_sim(method_cls, **kw)
+        sim.step(2)
+        sub = sim.subs[0]
+        region = region_of(sub)
+        planes = region[0].stop - region[0].start
+        width = sim.method.lattice.q if wide else 1
+        plane = 8 * width * int(np.prod(sub.padded_shape[1:]))
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "SLAB_BYTES", (depth or planes) * plane)
+            got = slab_depth(sub.padded_shape, region, width)
+            n_slabs = len(list(plane_slabs(sub.padded_shape, region, got)))
+            if depth:
+                assert got == depth and planes % depth != 0
+                assert n_slabs >= 3
+            else:
+                assert n_slabs == 1
+            before = {k: a.copy() for k, a in sub.fields.items()}
+            run(sim.method, sub)
+        assert any(a.tobytes() != before[k].tobytes()
+                   for k, a in sub.fields.items())
+        sims.append(sim)
+    _assert_same_bytes(*sims)
+
+
+def _with_region_kernels(build):
+    """``build()`` run with every method on the region-form kernels."""
+    real = NumpyBackend.__init__
+
+    def install(self, method):
+        real(self, method)
+        self.__class__ = RegionBackend
+
+    NumpyBackend.__init__ = install
+    try:
+        return build()
+    finally:
+        NumpyBackend.__init__ = real
+
+
+def _against_region_kernels(build, steps):
+    """Every padded array after ``steps`` equals the region-form run."""
+    swept = build()
+    ref = _with_region_kernels(build)
+    assert all(type(m.backend) is RegionBackend for m in ref.methods)
+    assert all(type(m.backend) is NumpyBackend for m in swept.methods)
+    swept.step(steps)
+    ref.step(steps)
+    _assert_same_bytes(swept, ref)
+    return swept
+
+
+@pytest.mark.parametrize("method_cls", [FDMethod, LBMethod],
+                         ids=["fd", "lb"])
+@pytest.mark.parametrize("blocks", [(1, 1, 1), (2, 1, 2)],
+                         ids=lambda b: "x".join(map(str, b)))
+@by_runner
+def test_sweeps_match_region_kernels_duct_3d(method_cls, blocks, runner):
+    """3D duct walls with an inlet and an outlet on the open faces."""
+    shape = (16, 12, 10)
+    inlets, outlets = _duct_openings(shape)
+    _against_region_kernels(lambda: _build(
+        method_cls=method_cls, shape=shape, blocks=blocks,
+        periodic=(False, False, False), solid=channel_geometry(shape),
+        fields=perturbed_fields(shape, seed=5), runner=runner,
+        inlets=inlets, outlets=outlets,
+    ), 8)
+
+
+@pytest.mark.parametrize("method_cls", [FDMethod, LBMethod],
+                         ids=["fd", "lb"])
+@by_runner
+def test_sweeps_match_region_kernels_inactive_block(method_cls, runner):
+    """Fig. 2's layout: ghosts facing the all-solid block are held."""
+    shape = (48, 32)
+    solid = np.zeros(shape, dtype=bool)
+    solid[:24, :16] = True
+    solid[:, 0] = solid[:, -1] = True
+    solid[0, :] = solid[-1, :] = True
+    sim = _against_region_kernels(lambda: _build(
+        method_cls=method_cls, shape=shape, blocks=(2, 2),
+        periodic=(False, False), solid=solid,
+        fields=perturbed_fields(shape, seed=9), runner=runner,
+    ), 12)
+    assert sim.decomp.n_active == 3
+
+
+#: LB below, FD above: the seam runs along axis 0, so the LB block's
+#: seam ghost strip lies inside the plane span its kernels sweep.
+HYBRID = ProblemSpec(
+    method={"default": "fd",
+            "regions": [{"box": [[0, 0], [32, 12]], "method": "lb"}]},
+    grid_shape=(32, 24), blocks=(1, 2), periodic=(True, False),
+    params={"nu": 0.1, "gravity": (1e-5, 0.0), "filter_eps": 0.02},
+    geometry={"kind": "channel"},
+)
+
+
+def _hybrid(runner):
+    solid, _, _ = HYBRID.build_geometry()
+    decomp = HYBRID.build_decomposition()
+    methods = HYBRID.build_methods()
+    return runner(list(methods), decomp,
+                  perturbed_fields(HYBRID.grid_shape, seed=3), solid,
+                  converters=build_converters(decomp, methods))
+
+
+@by_runner
+def test_sweeps_match_region_kernels_hybrid(runner):
+    """An LB/FD seam: converter-written ghost strips meet the sweeps."""
+    _against_region_kernels(lambda: _hybrid(runner), 10)
+
+
+def test_relax_keeps_seam_ghosts():
+    """The LB collision sweeps whole padded planes but leaves every byte
+    outside the interior — the fluid seam strip the converter just
+    wrote, inside the swept span, included — as it was."""
+    sim = _hybrid(Simulation)
+    sim.step(3)
+    sim.exchanger.exchange_seam()
+    lb = next(i for i, m in enumerate(sim.methods) if m.method_name == "lb")
+    sub, method = sim.subs[lb], sim.methods[lb]
+    before = sub.fields["f"].copy()
+    method._relax(sub)
+    after = sub.fields["f"]
+    inside = np.zeros(sub.padded_shape, dtype=bool)
+    inside[sub.interior] = True
+    assert after[:, ~inside].tobytes() == before[:, ~inside].tobytes()
+    assert after[:, inside].tobytes() != before[:, inside].tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -494,6 +824,24 @@ def test_lb_walled_step_allocates_less_than_one_field():
     sim.step(3)
     report = count_allocations(lambda: sim.step(1), warmup=2, repeat=3)
     field_bytes = 64 * 64 * 8
+    assert report.peak_bytes < field_bytes, (
+        f"step transiently allocated {report.peak_bytes} bytes "
+        f"(one field is {field_bytes})"
+    )
+
+
+def test_lb_walled_3d_step_allocates_less_than_one_field():
+    """A warmed 3D LB duct step — bounce-back on every wall, the edge
+    replication of ``f`` on the four walled faces and its periodic
+    wrap along the duct — stays below one temporary grid array (a
+    ghost strip of ``f`` is several)."""
+    shape = (24, 20, 16)
+    sim = _build(LBMethod, shape, (1, 1, 1), (True, False, False),
+                 channel_geometry(shape), perturbed_fields(shape, seed=2),
+                 Simulation)
+    sim.step(3)
+    report = count_allocations(lambda: sim.step(1), warmup=2, repeat=3)
+    field_bytes = int(np.prod(shape)) * 8
     assert report.peak_bytes < field_bytes, (
         f"step transiently allocated {report.peak_bytes} bytes "
         f"(one field is {field_bytes})"

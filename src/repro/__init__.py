@@ -10,11 +10,12 @@ measurements, and the theoretical efficiency model.
 The one-call entry point is :func:`repro.run`, which marches a
 :class:`~repro.distrib.ProblemSpec` on any of the backends and
 returns a :class:`repro.RunResult`; :mod:`repro.trace` is the
-phase-level tracing layer shared by all of them,
-:mod:`repro.graph` plans a threaded run as an explicit task DAG and
-drives it dependency-first (no step barrier), and :mod:`repro.serve`
-puts the same machinery behind a single-host job gateway with a
-result cache (job queue, worker pool, live cluster view).
+phase-level tracing layer shared by all of them, the threaded backend
+(:class:`~repro.core.ThreadedSimulation`) plans its steps as an
+explicit task DAG and runs it dependency-first (no step barrier), and
+:mod:`repro.serve` puts the same machinery behind a single-host job
+gateway with a result cache (job queue, worker pool, live cluster
+view).
 
 Every export here and in the subpackages is lazy (:mod:`repro._lazy`):
 ``import repro`` loads no subpackage, and ``repro.run`` or
@@ -32,7 +33,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "core": "core",
     "distrib": "distrib",
     "fluids": "fluids",
-    "graph": "graph",
     "harness": "harness",
     "net": "net",
     "serve": "serve",
@@ -53,7 +53,6 @@ __all__ = [
     "cluster",
     "balance",
     "chaos",
-    "graph",
     "harness",
     "serve",
     "trace",

@@ -78,13 +78,15 @@ def chaos_spec(blocks: tuple[int, ...] = (2, 1)):
     )
 
 
-def chaos_settings(steps: int, save_every: int, plan: FaultPlan | None):
+def chaos_settings(steps: int, save_every: int, plan: FaultPlan | None,
+                   n_ranks: int):
     """Run settings tuned for fast fault turnaround.
 
     Short receive/stall timeouts so a lost strip or a stopped worker is
     *detected* in seconds rather than the production minute; a small
-    per-step delay so wall-anchored faults (load spikes at ~0.5 s) land
-    while the run is still in flight.
+    per-step delay on each of the ``n_ranks`` ranks so wall-anchored
+    faults (load spikes at ~0.5 s) land while the run is still in
+    flight.
     """
     from ..distrib import RunSettings
 
@@ -92,7 +94,7 @@ def chaos_settings(steps: int, save_every: int, plan: FaultPlan | None):
         steps=steps,
         save_every=save_every,
         save_gap=0.0,
-        step_delay=0.015,
+        step_delays=[0.015] * n_ranks,
         recv_timeout=3.0,
         sync_timeout=20.0,
         stall_timeout=6.0,
@@ -245,7 +247,7 @@ def run_scenario(
         steps=steps,
         faults=[asdict(f) for f in plan.faults] if plan else [],
     )
-    settings = chaos_settings(steps, save_every, plan)
+    settings = chaos_settings(steps, save_every, plan, n_ranks)
     if scenario == "rebalance_kill":
         # The kill must race a *live* rebalance: a skewed synthetic
         # load manufactures a real imbalance and aggressive planner

@@ -38,7 +38,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "NetworkParams": "simulator",
     "SimFaultEvent": "simulator",
     "SimResult": "simulator",
-    "phase_fractions": "simulator",
 })
 
 __all__ = [
@@ -71,5 +70,4 @@ __all__ = [
     "node_speed",
     "bytes_per_boundary_node",
     "paper_ucalc_vcom_ratio",
-    "phase_fractions",
 ]

@@ -49,7 +49,6 @@ __all__ = [
     "MigrationEvent",
     "SimFaultEvent",
     "ClusterSimulation",
-    "phase_fractions",
 ]
 
 #: Fractions of the per-step compute done before each exchange (the rest
@@ -59,17 +58,6 @@ _PHASE_FRACTIONS = {
     "fd": (0.55, 0.25),
     "lb": (0.45,),
 }
-
-
-def phase_fractions(method_name: str) -> tuple[float, ...]:
-    """Per-phase shares of one step's compute time for a method.
-
-    ``phase_fractions(m)[p]`` is the fraction done before exchange
-    ``p``; the remainder (``1 - sum``) is the post-exchange finalize
-    (filtering etc.).  This is the cost split both the discrete-event
-    simulator and the :mod:`repro.graph` planner charge per node.
-    """
-    return _PHASE_FRACTIONS[method_name]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ Three exchange transports implement the same plan:
 * :class:`LocalExchanger` (here) — direct array copies between
   subregions living in one process: a whole sweep per call for the
   serial reference runner, one edge operation per call for the
-  threaded runner's task graph (:mod:`repro.graph`).
+  threaded runner's task graph (:mod:`repro.core.taskgraph`).
 * :class:`repro.net.transport.SocketExchanger` — real TCP/IP sockets
   between worker processes (the paper's actual mechanism).
 * the cluster simulator, which never moves bytes but charges the plan's
@@ -331,7 +331,7 @@ class LocalExchanger:
                     self.apply_seam(rank, op)
 
     def apply_seam(self, rank: int, op: EdgeOp) -> None:
-        """Translate one seam edge's ghost strip (graph executor entry).
+        """Translate one seam edge's ghost strip (threaded runner entry).
 
         ``op`` must be a ``recv`` operation of ``rank`` whose edge has
         a converter installed; the neighbour's send strip of *its*
@@ -354,8 +354,9 @@ class LocalExchanger:
     ) -> None:
         """Apply one edge operation of one subregion's plan.
 
-        The per-node entry point of the dependency-driven executor
-        (:mod:`repro.graph.executor`): the planner's dependency edges
+        The per-node entry point of the threaded runner
+        (:class:`~repro.core.threaded.ThreadedSimulation`): the
+        planner's dependency edges
         guarantee the same read/write ordering the full axis sweep of
         :meth:`exchange` enforces with its loop structure.
         """

@@ -28,7 +28,8 @@ methods with fewer phases idle) and runs one ghost exchange, and
 finally every subregion finalizes.  The threaded runner
 (:class:`~repro.core.threaded.ThreadedSimulation`) does not step
 through this loop: it plans the same schedule as a task graph
-(:mod:`repro.graph`) and solves it with one thread per subregion.
+(:mod:`repro.core.taskgraph`) and runs it with one thread per
+subregion.
 """
 
 from __future__ import annotations
@@ -215,6 +216,8 @@ class Simulation:
         same-method neighbours (seam edges are skipped — the converter
         already refreshed them).
         """
+        if n < 0:
+            raise ValueError(f"steps must be >= 0, got {n}")
         subs = self.subs
         pairs = tuple(zip(subs, self.methods))
         exchanger = self.exchanger

@@ -29,39 +29,35 @@ The dependency rules encode the read/write-hazard analysis of
   :meth:`~repro.core.exchange.LocalExchanger.exchange_seam`.
 
 Nodes that only touch *different* subregions are left unordered: that
-is the compute/communicate overlap the dependency-driven executor
-(:mod:`repro.graph.executor`) harvests, while costs estimated from the
-:mod:`repro.cluster.calibration` constants give the stall detector its
-per-node expectations.  Global diagnostics and checkpoints are not
-nodes: the threaded runner takes them between ``step`` calls, as the
-serial one does.
+is the compute/communicate overlap
+:class:`~repro.core.threaded.ThreadedSimulation` harvests.  Global
+diagnostics and checkpoints are not nodes: the threaded runner takes
+them between ``step`` calls, as the serial one does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
-from ..core.decomposition import Decomposition
-from ..core.exchange import build_plan, sweep_axes
+from .decomposition import Decomposition
+from .exchange import build_plan, sweep_axes
 
 __all__ = ["TaskNode", "TaskGraph", "plan_graph"]
-
-#: Node kinds, in the order they appear within one step.
-NODE_KINDS = ("seam", "compute", "exchange", "replicate", "finalize")
 
 
 @dataclass(frozen=True)
 class TaskNode:
     """One unit of work in a planned run.
 
-    ``rank`` is the owning subregion (the written one for ghost fills),
-    ``src`` the rank a fill or seam conversion reads from (``-1`` when
-    not applicable).  ``step`` counts from 0 within the plan.
+    ``kind`` is ``seam``, ``compute``, ``exchange``, ``replicate`` or
+    ``finalize``, the order they appear in within one step.  ``rank``
+    is the owning subregion (the written one for ghost fills), ``src``
+    the rank a fill or seam conversion reads from (``-1`` when not
+    applicable).  ``step`` counts from 0 within the plan.
     ``pos`` is the position in the per-phase axis sweep — two fills at
     the same position commute, fills at different positions touching a
-    common rank do not.  ``cost`` is the planner's estimated seconds,
-    the denominator of the stall detector's "N× estimate" rule.
+    common rank do not.
     """
 
     id: int
@@ -73,7 +69,6 @@ class TaskNode:
     side: int = 0
     pos: int = -1
     src: int = -1
-    cost: float = 0.0
     deps: tuple[int, ...] = ()
 
     @property
@@ -92,18 +87,9 @@ class TaskNode:
 
 @dataclass
 class TaskGraph:
-    """A validated task DAG for ``steps`` steps of one run.
-
-    ``meta`` records what was planned (steps, ranks, sweep, method
-    names, seam edges) so an executor can check it is marching the same
-    problem.
-    """
+    """A validated task DAG for ``steps`` steps of one run."""
 
     nodes: list[TaskNode]
-    meta: dict = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
     def validate(self) -> None:
         """Check ids are dense and every dependency points backwards.
@@ -120,17 +106,6 @@ class TaskGraph:
                     raise ValueError(
                         f"node {node.label} depends on {dep} (id {node.id})"
                     )
-
-    def counts(self) -> dict[str, int]:
-        """Node count per kind (reporting / sanity checks)."""
-        out: dict[str, int] = {}
-        for node in self.nodes:
-            out[node.kind] = out.get(node.kind, 0) + 1
-        return out
-
-
-def _method_name(method) -> str:
-    return getattr(method, "method_name", "fd")
 
 
 def plan_graph(
@@ -153,66 +128,28 @@ def plan_graph(
         keys of :func:`repro.fluids.coupling.build_converters`); these
         edges get per-step seam-conversion nodes and are skipped by the
         per-phase exchange, mirroring the serial runner.
-
-    Node costs come from the §7 calibration table (per-method node
-    speeds) and the shared-Ethernet constants — the 1994 cluster's
-    figures, so stall budgets are generous on any modern host.
     """
-    from ..cluster.calibration import (
-        ETHERNET_BANDWIDTH as bw,
-        MESSAGE_OVERHEAD as ovh,
-        bytes_per_boundary_node,
-        node_speed,
-    )
-    from ..cluster.simulator import phase_fractions
-
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    blocks = sorted(decomp.active_blocks(), key=lambda b: b.rank)
-    ranks = [b.rank for b in blocks]
+    ranks = sorted(b.rank for b in decomp.active_blocks())
     if len(methods) != len(ranks):
         raise ValueError(
             f"{len(methods)} methods for {len(ranks)} active ranks"
         )
     meth = dict(zip(ranks, methods))
-    pad = methods[0].pad
-    ndim = decomp.ndim
-    plans = {r: build_plan(decomp, r, pad) for r in ranks}
+    plans = {r: build_plan(decomp, r, methods[0].pad) for r in ranks}
     extended = decomp.n_active < decomp.n_blocks
-    sweep = sweep_axes(ndim, extended)
+    sweep = sweep_axes(decomp.ndim, extended)
     nphases = max(len(m.exchange_phases) for m in methods)
     conv = frozenset((int(a), int(b)) for a, b in converter_edges)
-    speed = {r: node_speed(_method_name(m), ndim) for r, m in meth.items()}
-    n_nodes = {r: b.n_nodes for r, b in zip(ranks, blocks)}
-    padded = {
-        r: tuple(s + 2 * pad for s in b.shape)
-        for r, b in zip(ranks, blocks)
-    }
-    fractions = {r: phase_fractions(_method_name(m)) for r, m in meth.items()}
-    wire = {r: bytes_per_boundary_node(_method_name(m), ndim)
-            for r, m in meth.items()}
-
-    def compute_cost(r: int, p: int) -> float:
-        return fractions[r][p] * n_nodes[r] / speed[r]
-
-    def finalize_cost(r: int) -> float:
-        rest = max(0.0, 1.0 - sum(fractions[r]))
-        return rest * n_nodes[r] / speed[r]
-
-    def fill_cost(r: int, op, n_vals: int) -> float:
-        strip = op.strip_nodes(padded[r])
-        if op.kind == "recv":
-            return ovh + strip * n_vals * 8 / bw
-        return strip * n_vals / speed[r]  # local edge replication
-
     nodes: list[TaskNode] = []
 
     def add(kind, rank, step, *, phase=-1, axis=-1, side=0, pos=-1,
-            src=-1, cost=0.0, deps=()) -> int:
+            src=-1, deps=()) -> int:
         nid = len(nodes)
         nodes.append(TaskNode(
             id=nid, kind=kind, rank=rank, step=step, phase=phase,
-            axis=axis, side=side, pos=pos, src=src, cost=float(cost),
+            axis=axis, side=side, pos=pos, src=src,
             deps=tuple(sorted(set(int(d) for d in deps))),
         ))
         return nid
@@ -238,14 +175,9 @@ def plan_graph(
                             deps += [prev_finalize[r], prev_finalize[nb]]
                         for k in range(pos):
                             deps += touch[r][k] + touch[nb][k]
-                        cost = (
-                            ovh
-                            + op.strip_nodes(padded[r]) * wire[nb] / bw
-                            + op.strip_nodes(padded[r]) / speed[r]
-                        )
                         nid = add(
                             "seam", r, t, axis=axis, side=op.side,
-                            pos=pos, src=nb, cost=cost, deps=deps,
+                            pos=pos, src=nb, deps=deps,
                         )
                         touch[r][pos].append(nid)
                         touch[nb][pos].append(nid)
@@ -271,8 +203,7 @@ def plan_graph(
                         deps.append(compute_id[(r, p - 1)])
                     deps += prev_stage_all.get(r, [])
                 compute_id[(r, p)] = add(
-                    "compute", r, t, phase=p,
-                    cost=compute_cost(r, p), deps=deps,
+                    "compute", r, t, phase=p, deps=deps,
                 )
 
             # --- ghost fills of phase p, axis by axis
@@ -307,7 +238,6 @@ def plan_graph(
                             nid = add(
                                 "exchange", r, t, phase=p, axis=axis,
                                 side=op.side, pos=pos, src=nb,
-                                cost=fill_cost(r, op, len(fields)),
                                 deps=deps,
                             )
                             if nb != r:
@@ -317,7 +247,6 @@ def plan_graph(
                             nid = add(
                                 "replicate", r, t, phase=p, axis=axis,
                                 side=op.side, pos=pos,
-                                cost=fill_cost(r, op, len(fields)),
                                 deps=deps,
                             )
                         touch[r][pos].append(nid)
@@ -334,25 +263,10 @@ def plan_graph(
             lastp = len(meth[r].exchange_phases) - 1
             finalize_id[r] = add(
                 "finalize", r, t,
-                cost=finalize_cost(r),
                 deps=[compute_id[(r, lastp)]] + fin_deps[r],
             )
         prev_finalize = finalize_id
 
-    graph = TaskGraph(
-        nodes=nodes,
-        meta={
-            "steps": int(steps),
-            "ranks": ranks,
-            "ndim": ndim,
-            "blocks": list(decomp.blocks),
-            "grid": list(decomp.grid_shape),
-            "pad": pad,
-            "nphases": nphases,
-            "sweep": list(sweep),
-            "methods": {str(r): _method_name(m) for r, m in meth.items()},
-            "converter_edges": sorted(list(e) for e in conv),
-        },
-    )
+    graph = TaskGraph(nodes)
     graph.validate()
     return graph

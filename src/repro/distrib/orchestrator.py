@@ -52,20 +52,22 @@ class RunSettings(WorkerKnobs):
     balance_threshold: float = 0.05
     balance_cooldown: float = 5.0
     balance_min_gain: float = 1.0
-    balance_state_bytes: float = 72.0
-    balance_bandwidth: float = 12.5e6   # local disks + loopback move
-    #  dump state far faster than the paper's Ethernet model
 
     def balance_policy(self) -> BalancePolicy:
-        """The :class:`~repro.balance.BalancePolicy` these knobs select."""
+        """The :class:`~repro.balance.BalancePolicy` these knobs select.
+
+        The repartition cost charges 72 bytes of dumped state per node
+        at 12.5 MB/s: local disks and loopback move dump state far
+        faster than the paper's Ethernet model.
+        """
         from ..balance.planner import BalancePolicy
 
         return BalancePolicy(
             threshold=self.balance_threshold,
             cooldown=self.balance_cooldown,
             min_gain=self.balance_min_gain,
-            state_bytes_per_node=self.balance_state_bytes,
-            bandwidth=self.balance_bandwidth,
+            state_bytes_per_node=72.0,
+            bandwidth=12.5e6,
         )
 
     def worker_base_cfg(self) -> dict:

@@ -41,12 +41,11 @@ class WorkerKnobs:
     niceness: int = 10         # §5.1: low runtime priority (UNIX "nice")
     #  so the regular user's interactive tasks "receive the full
     #  attention of the processor immediately"
-    step_delay: float = 0.0    # test/emulation knob: extra seconds per
-    #  step, emulating a busy or slow host so App. A un-synchronization
-    #  and first-come-first-served buffering can be exercised for real
     step_delays: list[float] = field(default_factory=list)
-    #  per-rank variant of step_delay (indexed by rank, overrides it):
-    #  a *skewed* synthetic load, slowing some ranks so the load
+    #  test/emulation knob: extra seconds per step for each rank
+    #  (indexed by rank, missing ranks 0), emulating busy or slow hosts
+    #  so App. A un-synchronization and first-come-first-served
+    #  buffering can be exercised for real, and — skewed — so the load
     #  estimator and rebalance planner see a real imbalance
     open_timeout: float = 30.0
     recv_timeout: float = 60.0

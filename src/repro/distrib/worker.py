@@ -220,10 +220,11 @@ class Worker:
             )
         self.generation = cfg.generation
         self._sync_epoch: int | None = None
-        # Per-rank synthetic-load override of the shared step_delay knob.
-        self._step_delay = cfg.step_delay
-        if self.rank < len(cfg.step_delays):
-            self._step_delay = float(cfg.step_delays[self.rank])
+        # This rank's share of the per-rank synthetic-load knob.
+        self._step_delay = (
+            float(cfg.step_delays[self.rank])
+            if self.rank < len(cfg.step_delays) else 0.0
+        )
         #: EMA of per-step compute seconds (delay + compute + finalize,
         #: excluding exchanges), published in the heartbeat so the
         #: monitor's load estimator can see per-rank speed even though

@@ -172,16 +172,16 @@ def _run_inprocess(spec, fields, settings, workdir, threaded: bool,
 
         diag_log = DiagnosticsLog.for_workdir(workdir)
     if threaded:
-        # settings.step_delays (or the scalar step_delay) is the same
-        # synthetic-load knob the distributed workers honour.
+        # settings.step_delays is the same per-rank synthetic-load knob
+        # the distributed workers honour.
         delays = list(settings.step_delays)
-        if not delays and settings.step_delay > 0:
-            delays = [settings.step_delay] * len(decomp.active_blocks())
         sim = ThreadedSimulation(
             method, decomp, fields, solid,
             tracer=tracer,
             converters=converters,
-            step_delays=delays,
+            delay_fn=lambda rank, step: (
+                delays[rank] if rank < len(delays) else 0.0
+            ),
         )
     else:
         sim = Simulation(

@@ -81,9 +81,6 @@ _PREFIX_CATEGORY = {
     # seam conversions translate boundary data between methods — the
     # hybrid run's communication
     "seam": CAT_COMM,
-    # dependency-driven runs (repro.graph): stall markers for nodes
-    # ready far beyond their estimated cost
-    "graph": CAT_OTHER,
     # the per-rank recovery ledger: injected faults and the recoveries
     # they triggered (repro.chaos)
     "chaos": CAT_OTHER,

@@ -1,10 +1,12 @@
 """The planner: structurally correct DAGs."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core import Decomposition
+from repro.core.taskgraph import plan_graph
 from repro.fluids import FDMethod, FluidParams, LBMethod
-from repro.graph import plan_graph
 
 PARAMS = FluidParams.lattice(2, nu=0.05)
 
@@ -26,7 +28,7 @@ def test_validate_is_topological():
 def test_node_counts_fd():
     steps, n_ranks = 3, 2
     graph = _fd_plan(blocks=(n_ranks, 1), steps=steps)
-    counts = graph.counts()
+    counts = Counter(n.kind for n in graph.nodes)
     nphases = len(FDMethod(PARAMS, 2).exchange_phases)
     assert counts["compute"] == steps * n_ranks * nphases
     assert counts["finalize"] == steps * n_ranks
@@ -39,8 +41,7 @@ def test_lb_plan_single_phase():
     methods = [LBMethod(PARAMS, 2) for _ in decomp.active_blocks()]
     graph = plan_graph(decomp, methods, 2)
     nphases = len(LBMethod(PARAMS, 2).exchange_phases)
-    assert graph.counts()["compute"] == 2 * 2 * nphases
-    assert graph.meta["nphases"] == nphases
+    assert Counter(n.kind for n in graph.nodes)["compute"] == 2 * 2 * nphases
 
 
 def test_hybrid_seam_edges():
@@ -57,7 +58,6 @@ def test_hybrid_seam_edges():
     for n in graph.nodes:
         if n.kind == "exchange":
             assert (n.rank, n.src) not in set(edges), n.label
-    assert graph.meta["converter_edges"] == sorted(list(e) for e in edges)
 
 
 def test_mismatched_methods_rejected():

@@ -66,8 +66,8 @@ def test_slow_worker_lets_neighbors_run_ahead(tmp_path):
     steps = 60
     serial.step(steps)
 
-    # slow-worker run: spawn the workers directly so rank 0 gets the
-    # step_delay knob (DistributedRun's submit gives uniform configs)
+    # slow-worker run: spawn the workers directly, rank 0 slowed by the
+    # per-rank step_delays knob (ranks past the list's end get none)
     workdir = tmp_path / "run2"
     run2 = DistributedRun(
         spec, fields, workdir, RunSettings(steps=steps, run_timeout=240),
@@ -81,7 +81,7 @@ def test_slow_worker_lets_neighbors_run_ahead(tmp_path):
             generation=0,
             steps_total=steps,
             hb_every=1,
-            step_delay=0.03 if rank == 0 else 0.0,
+            step_delays=[0.03],
         )
         procs[rank] = spawn_worker(cfg)
 

@@ -4,8 +4,8 @@ The acceptance bar of the hybrid redesign: a channel split into an FD
 subregion and an LB subregion converges to the same steady Poiseuille
 profile as either method alone (within the single-method tolerance),
 conserves mass, and survives a checkpoint/resume bit-exactly on both
-in-process runners.  Serial vs threaded vs graph bitwise equality is
-``tests/graph/test_executor.py::test_graph_matches_serial_bitwise``.
+in-process runners.  Serial vs threaded bitwise equality is
+``tests/core/test_threaded.py::test_graph_matches_serial_bitwise``.
 """
 
 import numpy as np

@@ -5,7 +5,7 @@ padding, a decomposed run must reproduce the serial program *bit for
 bit* — for both numerical methods, in 2D and 3D, with and without the
 filter, with walls, openings and inactive subregions, and on both
 in-process runners: the decomposed run is stepped by ``runner`` (the
-threaded one solves the planned task graph, :mod:`repro.graph`), the
+threaded one runs the planned task graph, :mod:`repro.core.taskgraph`), the
 serial reference always by :class:`Simulation`.
 """
 

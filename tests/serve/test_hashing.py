@@ -78,7 +78,7 @@ class TestSpellingInvariance:
             {"transport": "udp"},
             {"trace": True},
             {"save_every": 5},
-            {"step_delay": 0.01},
+            {"step_delays": [0.01, 0.01]},
             {"hb_every": 0.5},
             {"job_id": "j000001-deadbeef"},
         ):

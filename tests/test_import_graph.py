@@ -17,8 +17,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: subsystems a rank worker never runs
 NOT_IN_WORKER = (
-    "repro.balance", "repro.cluster", "repro.serve", "repro.graph",
-    "repro.harness", "repro.scenarios", "repro.viz", "repro.tools",
+    "repro.balance", "repro.cluster", "repro.serve", "repro.harness",
+    "repro.scenarios", "repro.viz", "repro.tools",
 )
 
 
@@ -63,6 +63,27 @@ def test_spec_and_settings_skip_monitor_and_planner():
     loaded = _new_modules("from repro.distrib import ProblemSpec, RunSettings")
     assert {"repro.distrib.spec", "repro.distrib.orchestrator"} <= loaded
     assert not _under(loaded, ("repro.distrib.monitor", "repro.balance"))
+
+
+def test_threaded_step_loads_no_model_or_fault_code():
+    """The threaded runner plans and runs its task graph from core
+    alone: neither the cluster model nor the fault injector loads."""
+    code = "\n".join([
+        "import numpy as np",
+        "from repro.core import Decomposition, ThreadedSimulation",
+        "from repro.fluids import FDMethod, FluidParams",
+        "shape = (16, 12)",
+        "fields = {'rho': np.ones(shape), 'u': np.zeros(shape),",
+        "          'v': np.zeros(shape)}",
+        "sim = ThreadedSimulation(",
+        "    FDMethod(FluidParams.lattice(2, nu=0.05), 2),",
+        "    Decomposition(shape, (2, 1), periodic=(True, True)), fields)",
+        "sim.step(1)",
+        "assert sim.step_count == 1",
+    ])
+    loaded = _new_modules(code)
+    assert "repro.core.threaded" in loaded
+    assert not _under(loaded, ("repro.cluster", "repro.chaos", "repro.graph"))
 
 
 def test_pool_worker_warm_set_covers_a_serial_job(tmp_path):

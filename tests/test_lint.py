@@ -14,7 +14,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: packages whose hot paths and protocols must stay monotonic
-MONOTONIC_PACKAGES = ("core", "net", "distrib", "serve", "graph")
+MONOTONIC_PACKAGES = ("core", "net", "distrib", "serve")
 
 
 def _py_files():
@@ -23,8 +23,8 @@ def _py_files():
 
 
 def test_no_bare_wall_clock_in_runtimes():
-    """Every ``time.time()`` in core/net/distrib/serve/graph carries a
-    wall marker."""
+    """Every ``time.time()`` in core/net/distrib/serve carries a wall
+    marker."""
     offenders = []
     for path in _py_files():
         for lineno, line in enumerate(path.read_text().splitlines(), 1):

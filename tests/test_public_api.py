@@ -22,7 +22,6 @@ PACKAGES = [
     "repro.distrib",
     "repro.cluster",
     "repro.balance",
-    "repro.graph",
     "repro.harness",
     "repro.serve",
     "repro.trace",

@@ -94,6 +94,10 @@ class EdgeOp:
     send_slices:
         Slices of *my* padded arrays covering the interior strip that the
         neighbour on this face needs from me (only for ``kind="recv"``).
+    src_slices:
+        Slices of the *neighbour's* padded arrays covering the strip it
+        sends across its opposite face — what fills my ghost strip
+        (only for ``kind="recv"``).
     neighbor_rank:
         Dense rank of the active neighbour (only for ``kind="recv"``).
     """
@@ -103,6 +107,7 @@ class EdgeOp:
     kind: FillKind
     recv_slices: tuple[slice, ...]
     send_slices: tuple[slice, ...] | None = None
+    src_slices: tuple[slice, ...] | None = None
     neighbor_rank: int = -1
 
     def strip_nodes(self, padded_shape: Sequence[int]) -> int:
@@ -116,14 +121,17 @@ class EdgeOp:
 
 @dataclass(frozen=True)
 class ExchangePlan:
-    """All edge operations for one subregion, in execution order."""
+    """All edge operations for one subregion.
+
+    ``ops`` holds each face's operation once, axis by axis; ``passes``
+    is the exchange itself: the operations of each axis pass, in the
+    order of :func:`sweep_axes` (an axis the extended sweep repeats
+    appears once per pass).  Every transport walks ``passes``.
+    """
 
     rank: int
     ops: tuple[EdgeOp, ...]
-
-    def ops_for_axis(self, axis: int) -> list[EdgeOp]:
-        """Edge operations of one axis, in plan order."""
-        return [op for op in self.ops if op.axis == axis]
+    passes: tuple[tuple[EdgeOp, ...], ...]
 
     def recv_ops(self) -> list[EdgeOp]:
         """Only the operations that exchange with a neighbour."""
@@ -166,22 +174,24 @@ def build_plan(
                 continue
             # Interior strip the neighbour needs from me lives on the
             # same face: my low-face neighbour receives my first `pad`
-            # interior rows, my high-face neighbour my last `pad`.
-            send = list(full)
-            send[axis] = (
-                slice(pad, 2 * pad) if side == -1 else slice(n, pad + n)
-            )
-            ops.append(
-                EdgeOp(
-                    axis,
-                    side,
-                    "recv",
-                    tuple(recv),
-                    tuple(send),
-                    nb.rank,
-                )
-            )
-    return ExchangePlan(rank=rank, ops=tuple(ops))
+            # interior rows, my high-face neighbour my last `pad`.  My
+            # ghost strip is filled by the neighbour's send strip on
+            # its opposite face.
+            send, src = list(full), list(full)
+            m = nb.shape[axis]
+            if side == -1:
+                send[axis], src[axis] = slice(pad, 2 * pad), slice(m, pad + m)
+            else:
+                send[axis], src[axis] = slice(n, pad + n), slice(pad, 2 * pad)
+            ops.append(EdgeOp(
+                axis, side, "recv", tuple(recv), tuple(send), tuple(src),
+                nb.rank,
+            ))
+    sweep = sweep_axes(ndim, decomp.n_active < decomp.n_blocks)
+    passes = tuple(
+        tuple(op for op in ops if op.axis == axis) for axis in sweep
+    )
+    return ExchangePlan(rank=rank, ops=tuple(ops), passes=passes)
 
 
 class EdgeStage(threading.local):
@@ -235,7 +245,6 @@ class LocalExchanger:
     Drives both the serial reference configuration (a 1x1 decomposition,
     where every face is a domain boundary or a periodic self-wrap) and
     in-process parallel runs used by the bitwise serial==parallel tests.
-    ``sweep`` is the per-axis exchange order (see :func:`sweep_axes`).
     """
 
     def __init__(
@@ -257,8 +266,16 @@ class LocalExchanger:
             s.block.rank: build_plan(decomp, s.block.rank, pad)
             for s in self.subs
         }
-        self.sweep = sweep_axes(
-            decomp.ndim, decomp.n_active < decomp.n_blocks
+        # Every (subregion, edge op) in exchange order: all subregions
+        # advance together, pass by pass (every plan of one
+        # decomposition has the same passes).
+        self._walk = tuple(
+            (sub, op)
+            for pass_ops in zip(
+                *(self.plans[s.block.rank].passes for s in self.subs)
+            )
+            for sub, ops in zip(self.subs, pass_ops)
+            for op in ops
         )
         #: per-edge seam converters keyed ``(dst_rank, src_rank)`` (see
         #: :func:`repro.fluids.coupling.build_converters`); edges listed
@@ -272,11 +289,10 @@ class LocalExchanger:
     ) -> None:
         """Run one full ghost exchange of the named fields.
 
-        All subregions advance together, axis by axis: every axis-``d``
-        copy reads interior strips (plus ghost columns refreshed by
-        earlier passes), so there is no read/write hazard within an
-        axis.  The extended sweep (see :func:`sweep_axes`) is used
-        whenever the decomposition has inactive blocks.
+        All subregions advance together, pass by pass
+        (:attr:`ExchangePlan.passes`): every axis-``d`` copy reads
+        interior strips (plus ghost columns refreshed by earlier
+        passes), so there is no read/write hazard within a pass.
 
         ``fields_by_rank`` (hybrid runs) overrides ``field_names`` per
         subregion — each method exchanges its own representation with
@@ -285,50 +301,34 @@ class LocalExchanger:
         :meth:`exchange_seam` before the step's first compute phase).
         """
         converters = self.converters
-        for axis in self.sweep:
-            for sub in self.subs:
-                rank = sub.block.rank
-                fields = (
-                    field_names if fields_by_rank is None
-                    else fields_by_rank[rank]
-                )
-                if not fields:
-                    continue
-                plan = self.plans[rank]
-                for op in plan.ops_for_axis(axis):
-                    if (
-                        op.kind == "recv"
-                        and (rank, op.neighbor_rank) in converters
-                    ):
-                        continue
-                    self._apply(sub, op, fields)
+        for sub, op in self._walk:
+            rank = sub.block.rank
+            fields = (
+                field_names if fields_by_rank is None
+                else fields_by_rank[rank]
+            )
+            if fields and (rank, op.neighbor_rank) not in converters:
+                self._apply(sub, op, fields)
 
     def exchange_seam(self) -> None:
         """Translate every mixed-method ghost strip (once per step).
 
-        Runs the same axis sweep as :meth:`exchange`; for each seam
+        Walks the same passes as :meth:`exchange`; for each seam
         edge the neighbour's send strip of *its* representation (the
         converter's ``wire_fields``) is handed to the converter, which
         writes this subregion's ghost strip — populations rebuilt from
         ``rho, V`` on an LB side, moments taken on an FD side.  Writes
         touch only ghost strips while reads come from interior send
         strips (plus this subregion's own strip for the gradient
-        stencils), so within an axis there is no read/write hazard, and
-        later axes see earlier axes' translated corners exactly like
-        the regular sweep.
+        stencils), so within a pass there is no read/write hazard, and
+        later passes see earlier passes' translated corners exactly
+        like the regular sweep.
         """
         if not self.converters:
             return
-        for axis in self.sweep:
-            for sub in self.subs:
-                rank = sub.block.rank
-                plan = self.plans[rank]
-                for op in plan.ops_for_axis(axis):
-                    if op.kind != "recv":
-                        continue
-                    if (rank, op.neighbor_rank) not in self.converters:
-                        continue
-                    self.apply_seam(rank, op)
+        for sub, op in self._walk:
+            if (sub.block.rank, op.neighbor_rank) in self.converters:
+                self.apply_seam(sub.block.rank, op)
 
     def apply_seam(self, rank: int, op: EdgeOp) -> None:
         """Translate one seam edge's ghost strip (threaded runner entry).
@@ -341,10 +341,8 @@ class LocalExchanger:
         sub = self._by_rank[rank]
         conv = self.converters[(rank, op.neighbor_rank)]
         src = self._by_rank[op.neighbor_rank]
-        src_op = self._matching_send(op, rank)
-        assert src_op.send_slices is not None
         payload = {
-            name: src.fields[name][(...,) + src_op.send_slices]
+            name: src.fields[name][(...,) + op.src_slices]
             for name in conv.wire_fields
         }
         conv.convert(sub, op.recv_slices, payload)
@@ -362,16 +360,6 @@ class LocalExchanger:
         """
         self._apply(self._by_rank[rank], op, field_names)
 
-    def _matching_send(self, op: EdgeOp, my_rank: int) -> EdgeOp:
-        """The neighbour's send op that feeds my recv op."""
-        src_plan = self.plans[op.neighbor_rank]
-        return next(
-            o
-            for o in src_plan.ops_for_axis(op.axis)
-            if o.side == -op.side and o.kind == "recv"
-            and o.neighbor_rank == my_rank
-        )
-
     def _apply(
         self, sub: SubregionState, op: EdgeOp, field_names: Sequence[str]
     ) -> None:
@@ -385,11 +373,8 @@ class LocalExchanger:
                 )
             return
         src = self._by_rank[op.neighbor_rank]
-        # The strip I receive is the neighbour's matching send strip.
-        src_op = self._matching_send(op, sub.block.rank)
-        assert src_op.send_slices is not None
         recv = (...,) + op.recv_slices
-        send = (...,) + src_op.send_slices
+        send = (...,) + op.src_slices
         for name in field_names:
             # staged when a periodic axis this one block spans wraps
             # onto itself

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .decomposition import Decomposition
-from .exchange import build_plan, sweep_axes
+from .exchange import build_plan
 
 __all__ = ["TaskNode", "TaskGraph", "plan_graph"]
 
@@ -137,9 +137,11 @@ def plan_graph(
             f"{len(methods)} methods for {len(ranks)} active ranks"
         )
     meth = dict(zip(ranks, methods))
-    plans = {r: build_plan(decomp, r, methods[0].pad) for r in ranks}
-    extended = decomp.n_active < decomp.n_blocks
-    sweep = sweep_axes(decomp.ndim, extended)
+    # Per exchange pass, every rank's edge ops (all plans of one
+    # decomposition share the same passes).
+    sweep = list(zip(*(
+        build_plan(decomp, r, methods[0].pad).passes for r in ranks
+    )))
     nphases = max(len(m.exchange_phases) for m in methods)
     conv = frozenset((int(a), int(b)) for a, b in converter_edges)
     nodes: list[TaskNode] = []
@@ -162,11 +164,9 @@ def plan_graph(
         seam_all: dict[int, list[int]] = {r: [] for r in ranks}
         if conv:
             touch = {r: [[] for _ in sweep] for r in ranks}
-            for pos, axis in enumerate(sweep):
-                for r in ranks:
-                    for op in plans[r].ops_for_axis(axis):
-                        if op.kind != "recv":
-                            continue
+            for pos, pass_ops in enumerate(sweep):
+                for r, ops in zip(ranks, pass_ops):
+                    for op in ops:
                         nb = op.neighbor_rank
                         if (r, nb) not in conv:
                             continue
@@ -176,7 +176,7 @@ def plan_graph(
                         for k in range(pos):
                             deps += touch[r][k] + touch[nb][k]
                         nid = add(
-                            "seam", r, t, axis=axis, side=op.side,
+                            "seam", r, t, axis=op.axis, side=op.side,
                             pos=pos, src=nb, deps=deps,
                         )
                         touch[r][pos].append(nid)
@@ -209,8 +209,8 @@ def plan_graph(
             # --- ghost fills of phase p, axis by axis
             touch = {r: [[] for _ in sweep] for r in ranks}
             stage_all: dict[int, list[int]] = {r: [] for r in ranks}
-            for pos, axis in enumerate(sweep):
-                for r in ranks:
+            for pos, pass_ops in enumerate(sweep):
+                for r, ops in zip(ranks, pass_ops):
                     m = meth[r]
                     fields = (
                         m.exchange_phases[p]
@@ -218,7 +218,7 @@ def plan_graph(
                     )
                     if not fields:
                         continue
-                    for op in plans[r].ops_for_axis(axis):
+                    for op in ops:
                         if op.kind == "hold":
                             continue
                         if (
@@ -236,7 +236,7 @@ def plan_graph(
                             for k in range(pos):
                                 deps += touch[nb][k]
                             nid = add(
-                                "exchange", r, t, phase=p, axis=axis,
+                                "exchange", r, t, phase=p, axis=op.axis,
                                 side=op.side, pos=pos, src=nb,
                                 deps=deps,
                             )
@@ -245,7 +245,7 @@ def plan_graph(
                                 stage_all[nb].append(nid)
                         else:
                             nid = add(
-                                "replicate", r, t, phase=p, axis=axis,
+                                "replicate", r, t, phase=p, axis=op.axis,
                                 side=op.side, pos=pos,
                                 deps=deps,
                             )

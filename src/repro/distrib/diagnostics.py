@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .._jsonl import locked_append
 from ..net.collectives import Communicator
-from .sync import _locked_append
 
 __all__ = [
     "DEFAULT_VMAX",
@@ -112,7 +112,7 @@ class DiagnosticsLog:
 
     def append(self, record: DiagRecord) -> None:
         """Append one record (locked, fsync'd)."""
-        _locked_append(self.path, record.to_line())
+        locked_append(self.path, record.to_line())
 
     def read(self) -> list[DiagRecord]:
         """All complete records, oldest first."""

@@ -22,8 +22,9 @@ server).  The manifest therefore records a CRC32 per stored array, and
 :func:`load_dump` refuses a dump whose bytes no longer match with a
 :class:`DumpCorruption` — which is what lets the monitoring program
 fall back to the *previous* complete checkpoint instead of restarting
-into garbage (§4.1).  Dumps written before checksums existed load
-unverified (the manifest has no ``crc32`` entry to check against).
+into garbage (§4.1).  An array without a checksum is refused the same
+way: a manifest edited to drop its ``crc32`` entries cannot smuggle
+unverified state past the check.
 """
 
 from __future__ import annotations
@@ -116,8 +117,8 @@ def load_dump(path: str | Path) -> SubregionState:
     restore, exactly like a freshly decomposed subregion.
 
     Raises :class:`DumpCorruption` when the file is structurally
-    damaged (truncated archive, unreadable member) or an array fails
-    its manifest CRC32.
+    damaged (truncated archive, unreadable member) or an array lacks or
+    fails its manifest CRC32.
     """
     path = Path(path)
     try:
@@ -135,10 +136,14 @@ def load_dump(path: str | Path) -> SubregionState:
     checksums = manifest.get("crc32", {})
     arrays = {_FIELD_PREFIX + k: v for k, v in fields.items()}
     arrays["solid"] = solid
-    for name, want in checksums.items():
-        if name not in arrays:
-            raise DumpCorruption(path, f"checksummed array {name!r} missing")
-        got = zlib.crc32(arrays[name].tobytes())
+    missing = sorted(checksums.keys() - arrays.keys())
+    if missing:
+        raise DumpCorruption(path, f"checksummed array {missing[0]!r} missing")
+    for name, arr in arrays.items():
+        want = checksums.get(name)
+        if want is None:
+            raise DumpCorruption(path, f"array {name!r} has no CRC32")
+        got = zlib.crc32(arr.tobytes())
         if got != want:
             raise DumpCorruption(
                 path,

@@ -364,32 +364,48 @@ class Monitor:
         self.log(f"merged trace written to {out}")
 
     # ------------------------------------------------------------------
-    # migration sequence (§5.1)
+    # epochs: migration (§5.1) and rebalance share the App. B sequence
     # ------------------------------------------------------------------
-    def _migrate(self, ranks: list[int]) -> None:
-        """One migration epoch; a broken epoch degrades to a restart.
-
-        The happy path is the §5.1 sequence.  When the epoch itself
-        fails — a migrating rank dies instead of dumping, a waiter never
-        pauses, the registry times out — the run is *not* lost: the
-        epoch is abandoned and the whole group restarts from the last
-        verified checkpoint (bounded by ``max_restarts``), exactly as a
-        crash would be handled.
-        """
-        epoch = self.generation
-        self.log(f"migration epoch {epoch}: ranks {ranks}")
-        try:
-            self._migrate_epoch(epoch, ranks)
-        except _EpochBroken as exc:
-            self.log(f"migration epoch {epoch} broken: {exc}")
-            self._ledger("recover:migration_failed")
-            self._restart_from_checkpoint()
-
-    def _migrate_epoch(self, epoch: int, ranks: list[int]) -> None:
-        running = {
+    def _running(self) -> dict[int, subprocess.Popen]:
+        return {
             r: p for r, p in self.procs.items()
             if r not in self._done and p.poll() is None
         }
+
+    def _run_epoch(self, kind: str, body, arg) -> None:
+        """Run one epoch; a broken epoch degrades to a restart.
+
+        When the epoch itself fails — a leaving rank dies instead of
+        dumping, a waiter never pauses, the registry times out, the
+        re-cut fails on a missing dump — the run is *not* lost: the
+        epoch is abandoned and the whole group restarts from the last
+        verified checkpoint (bounded by ``max_restarts``; the restart
+        kills the group first), exactly as a crash would be handled.
+        """
+        epoch = self.generation
+        try:
+            body(epoch, arg)
+        except _EpochBroken as exc:
+            self.log(f"{kind} epoch {epoch} broken: {exc}")
+            self._ledger(f"recover:{kind}_failed")
+            self._restart_from_checkpoint()
+
+    def _signal_epoch(
+        self, epoch: int, request: dict, exit_code: int
+    ) -> dict[int, subprocess.Popen]:
+        """Publish ``request`` and run the App. B sync to its end.
+
+        SIGUSR2 every running worker; they synchronize to a common
+        step, the ranks the request names dump and exit ``exit_code``,
+        and everyone else pauses itself.  Returns the workers that were
+        signalled; raises :class:`_EpochBroken` when a named rank is not
+        running or any worker does not play its part in time.
+        """
+        running = self._running()
+        leaving = request["ranks"]
+        missing = [rank for rank in leaving if rank not in running]
+        if missing:
+            raise _EpochBroken(f"ranks {missing} are not running")
         # A SIGUSR2 that lands while a worker is still importing Python
         # modules would kill it (no handler yet).  Port registration
         # happens strictly after the handler is installed, so wait until
@@ -403,15 +419,15 @@ class Monitor:
         except TimeoutError as exc:
             raise _EpochBroken(f"port registry: {exc}") from exc
 
-        request = self.workdir / "sync" / f"epoch{epoch:04d}_request.json"
-        request.parent.mkdir(parents=True, exist_ok=True)
-        request.write_text(json.dumps({"ranks": ranks}))
+        path = self.workdir / "sync" / f"epoch{epoch:04d}_request.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(request))
         for proc in running.values():
             proc.send_signal(signal.SIGUSR2)
 
-        # Wait for the migrating processes to dump and exit ...
+        # Wait for the leaving processes to dump and exit ...
         sync_deadline = time.monotonic() + self.stall_timeout
-        for rank in ranks:
+        for rank in leaving:
             proc = running[rank]
             while proc.poll() is None:
                 if time.monotonic() > sync_deadline:
@@ -419,14 +435,13 @@ class Monitor:
                         f"rank {rank} never left during epoch {epoch}"
                     )
                 time.sleep(self.poll)
-            if proc.returncode != EXIT_MIGRATED:
+            if proc.returncode != exit_code:
                 raise _EpochBroken(
                     f"rank {rank} exited {proc.returncode} instead of "
-                    f"migrating"
+                    f"{exit_code}"
                 )
         # ... and for everyone else to pause (marker + actually stopped).
-        waiters = [r for r in running if r not in ranks]
-        for rank in waiters:
+        for rank in [r for r in running if r not in leaving]:
             marker = (
                 self.workdir / f"paused_rank{rank:04d}_epoch{epoch:04d}"
             )
@@ -437,7 +452,19 @@ class Monitor:
                         f"rank {rank} never paused during epoch {epoch}"
                     )
                 time.sleep(self.poll)
+        return running
 
+    def _migrate(self, ranks: list[int]) -> None:
+        """One migration epoch (§5.1): the ``ranks`` dump and leave,
+        the others pause, the leavers restart from their dumps on
+        freshly selected hosts, then everyone continues."""
+        self.log(f"migration epoch {self.generation}: ranks {ranks}")
+        self._run_epoch("migration", self._migrate_epoch, ranks)
+
+    def _migrate_epoch(self, epoch: int, ranks: list[int]) -> None:
+        running = self._signal_epoch(
+            epoch, {"action": "migrate", "ranks": ranks}, EXIT_MIGRATED
+        )
         # Select free hosts and restart the migrated processes there.
         old_hosts = {}
         for rank in ranks:
@@ -448,28 +475,14 @@ class Monitor:
         new_hosts = self.hostdb.select_free(
             len(ranks), exclude=set(old_hosts.values())
         )
+        self.generation = epoch + 1
         for rank, host in zip(ranks, new_hosts):
             self.hostdb.assign(host.name, rank)
-            cfg = WorkerConfig(
-                workdir=str(self.workdir),
-                rank=rank,
-                host=host.name,
-                generation=epoch + 1,
-                dump_in=str(
-                    dump_path(
-                        self.workdir / "dumps",
-                        rank,
-                        tag=f"migrate{epoch:04d}",
-                    )
-                ),
-                **self.base_cfg,
-            )
-            self.procs[rank] = spawn_worker(cfg)
+            self._spawn(rank, f"migrate{epoch:04d}", host.name)
             self.log(f"rank {rank} restarted on {host.name}")
 
-        for rank in waiters:
+        for rank in [r for r in running if r not in ranks]:
             self.procs[rank].send_signal(signal.SIGCONT)
-        self.generation = epoch + 1
         self.migrations += 1
         self._ledger("recover:migrate")
 
@@ -517,79 +530,29 @@ class Monitor:
         return True
 
     def _rebalance(self, plan) -> None:
-        """Execute one rebalance epoch (modeled on the migration epoch).
-
-        Publish the request, SIGUSR2 every worker; they synchronize to
-        a common step, dump (tag ``balance<epoch>``) and exit
-        :data:`EXIT_REBALANCED`.  Re-cut the assembled state into the
-        plan's weighted slabs (``recut<epoch>`` dumps + rewritten
-        spec.json), then restart the whole group under the bumped
-        generation — the same channel-reopen path a migration uses.
-
-        Like a migration epoch, a *broken* epoch — a rank dies instead
-        of dumping, the sync times out, the re-cut fails on a missing
-        dump — does not lose the run: the epoch is abandoned and the
-        whole group restarts from the last verified checkpoint.
-        """
-        epoch = self.generation
+        """One rebalance epoch: every rank dumps (tag ``balance<epoch>``)
+        and exits :data:`EXIT_REBALANCED`; the assembled state is re-cut
+        into the plan's weighted slabs (``recut<epoch>`` dumps +
+        rewritten spec.json) and the whole group restarts under the
+        bumped generation — the same channel-reopen path a migration
+        uses."""
         self.log(
-            f"rebalance epoch {epoch}: rows {list(plan.current)} -> "
+            f"rebalance epoch {self.generation}: rows "
+            f"{list(plan.current)} -> "
             f"{list(plan.shares)} (imbalance {plan.imbalance:.3f}, "
             f"cost {plan.cost:.2f}s, "
             f"saving {plan.projected_saving:.2f}s)"
         )
-        try:
-            self._rebalance_epoch(epoch, plan)
-        except _EpochBroken as exc:
-            self.log(f"rebalance epoch {epoch} broken: {exc}")
-            self._ledger("recover:rebalance_failed")
-            self._restart_from_checkpoint()
+        self._run_epoch("rebalance", self._rebalance_epoch, plan)
 
     def _rebalance_epoch(self, epoch: int, plan) -> None:
         shares = list(plan.shares)
-        running = {
-            r: p for r, p in self.procs.items()
-            if r not in self._done and p.poll() is None
-        }
-        if len(running) != len(self.procs):  # pragma: no cover - raced
-            self.log("rebalance abandoned: not every rank is running")
-            return
-        transport = self.base_cfg.get("transport", "tcp")
-        registry = PortRegistry(self.workdir / f"ports_{transport}.txt")
-        try:
-            registry.wait_for(
-                epoch, set(running), timeout=self.stall_timeout
-            )
-        except TimeoutError as exc:
-            self._kill_all()
-            raise _EpochBroken(f"port registry: {exc}") from exc
-
-        request = self.workdir / "sync" / f"epoch{epoch:04d}_request.json"
-        request.parent.mkdir(parents=True, exist_ok=True)
-        request.write_text(json.dumps({
-            "action": "rebalance",
-            "ranks": sorted(running),
-            "shares": shares,
-        }))
-        for proc in running.values():
-            proc.send_signal(signal.SIGUSR2)
-
-        sync_deadline = time.monotonic() + self.stall_timeout
-        for rank, proc in running.items():
-            while proc.poll() is None:
-                if time.monotonic() > sync_deadline:
-                    self._kill_all()
-                    raise _EpochBroken(
-                        f"rank {rank} never left during rebalance "
-                        f"epoch {epoch}"
-                    )
-                time.sleep(self.poll)
-            if proc.returncode != EXIT_REBALANCED:
-                self._kill_all()
-                raise _EpochBroken(
-                    f"rank {rank} exited {proc.returncode} instead of "
-                    f"rebalancing"
-                )
+        ranks = sorted(self.procs)
+        self._signal_epoch(
+            epoch,
+            {"action": "rebalance", "ranks": ranks, "shares": shares},
+            EXIT_REBALANCED,
+        )
 
         from ..balance.recut import recut_problem  # lazy: import cycle
 
@@ -601,26 +564,10 @@ class Monitor:
                 out_tag=f"recut{epoch:04d}",
             )
         except (DumpCorruption, OSError, ValueError) as exc:
-            self._kill_all()
             raise _EpochBroken(f"re-cut failed: {exc}") from exc
-        for rank in sorted(running):
-            host = self.hostdb.host_of_rank(rank)
-            cfg = WorkerConfig(
-                workdir=str(self.workdir),
-                rank=rank,
-                host=host.name if host else f"host{rank}",
-                generation=epoch + 1,
-                dump_in=str(
-                    dump_path(
-                        self.workdir / "dumps",
-                        rank,
-                        tag=f"recut{epoch:04d}",
-                    )
-                ),
-                **self.base_cfg,
-            )
-            self.procs[rank] = spawn_worker(cfg)
         self.generation = epoch + 1
+        for rank in ranks:
+            self._spawn(rank, f"recut{epoch:04d}")
         self._rows = [
             b.hi[0] - b.lo[0]
             for b in sorted(new.active_blocks(), key=lambda b: b.rank)
@@ -798,18 +745,22 @@ class Monitor:
         # Fresh generation: every process re-registers its ports.
         self.generation += 1
         for rank in list(self.procs):
-            host = self.hostdb.host_of_rank(rank)
-            cfg = WorkerConfig(
-                workdir=str(self.workdir),
-                rank=rank,
-                host=host.name if host else f"host{rank}",
-                generation=self.generation,
-                dump_in=str(
-                    dump_path(self.workdir / "dumps", rank, tag=tag)
-                ),
-                **self.base_cfg,
-            )
-            self.procs[rank] = spawn_worker(cfg)
+            self._spawn(rank, tag)
+
+    def _spawn(self, rank: int, tag: str, host: str | None = None) -> None:
+        """Start ``rank`` under the current generation from its ``tag``
+        dump, on ``host`` (default: the host it is registered on)."""
+        if host is None:
+            owner = self.hostdb.host_of_rank(rank)
+            host = owner.name if owner else f"host{rank}"
+        self.procs[rank] = spawn_worker(WorkerConfig(
+            workdir=str(self.workdir),
+            rank=rank,
+            host=host,
+            generation=self.generation,
+            dump_in=str(dump_path(self.workdir / "dumps", rank, tag=tag)),
+            **self.base_cfg,
+        ))
 
     def _kill_all(self) -> None:
         for rank, proc in self.procs.items():

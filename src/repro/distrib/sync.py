@@ -30,6 +30,8 @@ import time
 import warnings
 from pathlib import Path
 
+from .._jsonl import locked_append
+
 __all__ = ["SyncFiles", "SaveTurns", "SyncFileWarning"]
 
 
@@ -40,18 +42,6 @@ class SyncFileWarning(RuntimeWarning):
     torn or garbled line is a real fault (filesystem, foreign writer,
     manual edit) worth surfacing — not something to skip silently.
     """
-
-
-def _locked_append(path: Path, line: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a") as fh:
-        fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-        try:
-            fh.write(line)
-            fh.flush()
-            os.fsync(fh.fileno())
-        finally:
-            fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
 
 
 def _read_pairs(path: Path) -> dict[int, int]:
@@ -97,7 +87,7 @@ class SyncFiles:
     # -- phase 1: everyone reports its current step -------------------
     def write_step(self, rank: int, step: int) -> None:
         """Append ``rank step`` (called from the SIGUSR2 handler)."""
-        _locked_append(self.steps_path, f"{rank} {step}\n")
+        locked_append(self.steps_path, f"{rank} {step}\n")
 
     def has_written(self, rank: int) -> bool:
         """Whether ``rank`` already reported its step this epoch."""
@@ -122,7 +112,7 @@ class SyncFiles:
     # -- phase 2: everyone confirms having completed T_sync -----------
     def mark_reached(self, rank: int, step: int) -> None:
         """Record that ``rank`` completed the synchronization step."""
-        _locked_append(self.reached_path, f"{rank} {step}\n")
+        locked_append(self.reached_path, f"{rank} {step}\n")
 
     def wait_all_reached(
         self, n_ranks: int, timeout: float = 60.0, poll: float = 0.005

@@ -198,7 +198,6 @@ class Worker:
             self.channels,
             strict_order=cfg.strict_order,
             timeout=cfg.recv_timeout,
-            extended_sweep=self.decomp.n_active < self.decomp.n_blocks,
             converters=self.converters,
             wire_fields=seam_wire_fields(self.method),
         )

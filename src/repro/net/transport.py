@@ -23,7 +23,6 @@ from ..core.exchange import (
     EdgeStage,
     ExchangePlan,
     _replicate_edge,
-    sweep_axes,
 )
 from ..core.subregion import SubregionState
 from .channels import ChannelSet
@@ -39,11 +38,9 @@ SEAM_PHASE = 15
 class SocketExchanger:
     """Exchange ghost strips of one subregion over TCP.
 
-    ``extended_sweep`` selects the longer axis order of
-    :func:`repro.core.exchange.sweep_axes`, required when the
-    decomposition has inactive blocks (corner data must route around
-    them); the wire frames of the extra passes are disambiguated by
-    folding the pass index into the frame's axis tag.
+    Walks the plan's axis passes (:attr:`ExchangePlan.passes`); the wire
+    frames of a pass carry ``pass * 4 + axis`` as their axis tag, so an
+    axis the extended sweep repeats cannot collide with itself.
     """
 
     def __init__(
@@ -53,7 +50,6 @@ class SocketExchanger:
         channels: ChannelSet,
         strict_order: bool = False,
         timeout: float = 60.0,
-        extended_sweep: bool = False,
         converters=None,
         wire_fields: Sequence[str] = (),
     ) -> None:
@@ -62,7 +58,6 @@ class SocketExchanger:
         self.channels = channels
         self.strict_order = strict_order
         self.timeout = timeout
-        self.extended_sweep = extended_sweep
         #: seam converters keyed by neighbour rank (this worker is the
         #: destination); those edges are skipped by :meth:`exchange` and
         #: translated by :meth:`exchange_seam` instead
@@ -76,55 +71,7 @@ class SocketExchanger:
 
     def exchange(self, field_names: Sequence[str], phase: int) -> None:
         """One ghost exchange of the named fields at the given phase."""
-        sub = self.sub
-        step = sub.step
-        converters = self.converters
-        axes = sweep_axes(sub.ndim, self.extended_sweep)
-        for pass_idx, axis in enumerate(axes):
-            ops = self.plan.ops_for_axis(axis)
-            # Distinct wire tag per pass so repeated axes cannot collide
-            # in the receiver's out-of-order buffer.
-            tag = pass_idx * 4 + axis
-            # Send all strips of this axis first, then collect the
-            # expected receives from whichever neighbour is ready.
-            for op in ops:
-                if op.kind != "recv" or op.neighbor_rank in converters:
-                    continue
-                assert op.send_slices is not None
-                payload = self._pack(field_names, op.send_slices)
-                self.channels.send_data(
-                    op.neighbor_rank,
-                    payload,
-                    step=step,
-                    phase=phase,
-                    axis=tag,
-                    side=op.side,
-                )
-                self.bytes_sent += len(payload)
-                self.messages_sent += 1
-            keys = {}
-            for op in ops:
-                if op.kind == "recv" and op.neighbor_rank not in converters:
-                    # The frame filling my side-s ghost was sent across
-                    # the neighbour's opposite face, so it carries -s.
-                    keys[(step, phase, tag, -op.side, op.neighbor_rank)] = op
-            if keys:
-                payloads = self.channels.recv_data(
-                    set(keys),
-                    timeout=self.timeout,
-                    strict_order=self.strict_order,
-                )
-                for key, op in keys.items():
-                    self._unpack(field_names, op, payloads[key])
-            for op in ops:
-                if op.kind == "replicate":
-                    extent = sub.block.shape[op.axis]
-                    for name in field_names:
-                        _replicate_edge(
-                            sub.fields[name], op, sub.pad, extent,
-                            self.stage,
-                        )
-                # "hold" faces (inactive solid blocks) need nothing.
+        self._sweep(field_names, phase, seam=False)
 
     def exchange_seam(self) -> None:
         """Translate mixed-method ghost strips (once per step, pre-phase).
@@ -138,47 +85,68 @@ class SocketExchanger:
         propagation (and therefore bit-identical results) as the
         in-process runners.
         """
-        if not self.converters:
-            return
+        if self.converters:
+            self._sweep(self.wire_fields, SEAM_PHASE, seam=True)
+
+    def _sweep(
+        self, field_names: Sequence[str], phase: int, seam: bool
+    ) -> None:
+        """Per pass: send every strip, receive from whichever neighbour
+        is ready, then fill the domain-boundary faces (regular exchange
+        only).  ``seam`` selects the converter edges instead of the
+        same-method ones."""
         sub = self.sub
         step = sub.step
-        axes = sweep_axes(sub.ndim, self.extended_sweep)
-        for pass_idx, axis in enumerate(axes):
-            ops = self.plan.ops_for_axis(axis)
-            tag = pass_idx * 4 + axis
-            seam_ops = [
-                op
-                for op in ops
-                if op.kind == "recv" and op.neighbor_rank in self.converters
+        converters = self.converters
+        for pass_idx, ops in enumerate(self.plan.passes):
+            # Distinct wire tag per pass so repeated axes cannot collide
+            # in the receiver's out-of-order buffer.
+            tag = pass_idx * 4 + ops[0].axis
+            edges = [
+                op for op in ops
+                if op.kind == "recv"
+                and (op.neighbor_rank in converters) == seam
             ]
-            for op in seam_ops:
-                assert op.send_slices is not None
-                payload = self._pack(self.wire_fields, op.send_slices)
+            for op in edges:
+                payload = self._pack(field_names, op.send_slices)
                 self.channels.send_data(
                     op.neighbor_rank,
                     payload,
                     step=step,
-                    phase=SEAM_PHASE,
+                    phase=phase,
                     axis=tag,
                     side=op.side,
                 )
                 self.bytes_sent += len(payload)
                 self.messages_sent += 1
+            # The frame filling my side-s ghost was sent across the
+            # neighbour's opposite face, so it carries -s.
             keys = {
-                (step, SEAM_PHASE, tag, -op.side, op.neighbor_rank): op
-                for op in seam_ops
+                (step, phase, tag, -op.side, op.neighbor_rank): op
+                for op in edges
             }
-            if not keys:
-                continue
-            payloads = self.channels.recv_data(
-                set(keys),
-                timeout=self.timeout,
-                strict_order=self.strict_order,
-            )
-            for key, op in keys.items():
-                conv = self.converters[op.neighbor_rank]
-                arrays = self._unpack_seam(conv, op, payloads[key])
-                conv.convert(sub, op.recv_slices, arrays)
+            if keys:
+                payloads = self.channels.recv_data(
+                    set(keys),
+                    timeout=self.timeout,
+                    strict_order=self.strict_order,
+                )
+                for key, op in keys.items():
+                    if seam:
+                        conv = converters[op.neighbor_rank]
+                        arrays = self._unpack_seam(conv, op, payloads[key])
+                        conv.convert(sub, op.recv_slices, arrays)
+                    else:
+                        self._unpack(field_names, op, payloads[key])
+            # "hold" faces (inactive solid blocks) need nothing.
+            for op in ops:
+                if op.kind == "replicate" and not seam:
+                    extent = sub.block.shape[op.axis]
+                    for name in field_names:
+                        _replicate_edge(
+                            sub.fields[name], op, sub.pad, extent,
+                            self.stage,
+                        )
 
     # ------------------------------------------------------------------
     # (de)serialization

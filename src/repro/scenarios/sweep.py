@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
+from .._jsonl import LogDamaged, locked_append, read_jsonl
 from .base import Case, Scenario, Score
 
 __all__ = [
@@ -191,18 +192,17 @@ def run_sweep(
         out_dir.mkdir(parents=True, exist_ok=True)
         manifest = out_dir / "sweep.jsonl"
         if resume and manifest.exists():
-            for line in manifest.read_text().splitlines():
+            for lineno, _, rec in read_jsonl(manifest, manifest.read_text()):
                 try:
-                    prev = SweepPoint(**json.loads(line))
-                except (ValueError, TypeError):
-                    continue  # torn or incompatible line
+                    prev = SweepPoint(**rec)
+                except TypeError as exc:
+                    raise LogDamaged(manifest, lineno, str(exc)) from None
                 if prev.state == "done":
                     settled[prev.key] = prev
 
     def record(point: SweepPoint) -> None:
         if manifest is not None:
-            with open(manifest, "a") as fh:
-                fh.write(json.dumps(point.to_dict()) + "\n")
+            locked_append(manifest, json.dumps(point.to_dict()) + "\n")
 
     pending: list[SweepPoint] = []
     for point in points:

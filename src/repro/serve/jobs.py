@@ -11,8 +11,9 @@ machine::
 
 Every transition is appended as one event line to ``jobs.jsonl`` (the
 history store) — the file is never rewritten, so a crashed gateway
-loses at most a torn final line, and :meth:`JobHistory.replay` rebuilds
-the full job table (last event wins) on restart.  The same file is what
+loses at most a torn final line (which the next append cuts off), and
+:meth:`JobHistory.replay` rebuilds the full job table (last event wins)
+on restart.  The same file is what
 ``repro top`` and the ``/cluster`` endpoint read their per-job
 timelines from.
 """
@@ -26,7 +27,7 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from ..distrib.sync import _locked_append
+from .._jsonl import locked_append, read_jsonl
 
 __all__ = [
     "STATES",
@@ -106,7 +107,8 @@ class JobHistory:
 
     One line per event: ``{"event": E, "wall": W, "job": {...record}}``.
     Appends are flock'd like every other shared file of a run; the
-    reader tolerates a torn final line.
+    readers tolerate a torn final line and raise
+    :class:`~repro._jsonl.LogDamaged` on any other unparsable one.
     """
 
     FILENAME = "jobs.jsonl"
@@ -126,19 +128,16 @@ class JobHistory:
             "wall": time.time(),  # wall stamp of the event
             "job": record.to_dict(),
         }) + "\n"
-        _locked_append(self.path, line)
+        locked_append(self.path, line)
 
     def read(self) -> list[dict]:
         """Every complete event line, oldest first."""
         if not self.path.exists():
             return []
-        out = []
-        for line in self.path.read_text().splitlines():
-            try:
-                out.append(json.loads(line))
-            except ValueError:
-                continue  # torn final line from a crashed gateway
-        return out
+        return [
+            event
+            for _, _, event in read_jsonl(self.path, self.path.read_text())
+        ]
 
     def replay(self) -> dict[str, JobRecord]:
         """Rebuild the job table: job_id -> latest record state."""
@@ -189,11 +188,7 @@ class JobHistory:
                 text = fh.read()
                 events_before = 0
                 last: dict[str, str] = {}
-                for line in text.splitlines():
-                    try:
-                        event = json.loads(line)
-                    except ValueError:
-                        continue  # torn final line: dropped
+                for _, line, event in read_jsonl(self.path, text):
                     events_before += 1
                     job = event.get("job")
                     if not isinstance(job, dict) or "job_id" not in job:

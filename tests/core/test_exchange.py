@@ -211,14 +211,13 @@ class TestPlanProperties:
         }
         for rank, plan in plans.items():
             for op in plan.recv_ops():
-                partner = plans[op.neighbor_rank]
-                matches = [
-                    o for o in partner.ops_for_axis(op.axis)
-                    if o.kind == "recv"
-                    and o.side == -op.side
-                    and o.neighbor_rank == rank
-                ]
-                assert len(matches) == 1
+                partner = {
+                    (o.axis, o.side): o
+                    for o in plans[op.neighbor_rank].ops
+                }
+                match = partner[(op.axis, -op.side)]
+                assert match.kind == "recv"
+                assert match.neighbor_rank == rank
 
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3))
     @settings(max_examples=30, deadline=None)
@@ -252,12 +251,11 @@ class TestPlanProperties:
                 partner_padded = tuple(
                     n + 2 * pad for n in partner_blk.shape
                 )
-                partner_plan = plans[op.neighbor_rank]
-                src_op = next(
-                    o for o in partner_plan.ops_for_axis(op.axis)
-                    if o.side == -op.side and o.kind == "recv"
-                    and o.neighbor_rank == rank
-                )
+                partner = {
+                    (o.axis, o.side): o
+                    for o in plans[op.neighbor_rank].ops
+                }[(op.axis, -op.side)]
+                assert op.src_slices == partner.send_slices
                 recv_shape = tuple(
                     sl.indices(padded[i])[1] - sl.indices(padded[i])[0]
                     for i, sl in enumerate(op.recv_slices)
@@ -265,7 +263,78 @@ class TestPlanProperties:
                 send_shape = tuple(
                     sl.indices(partner_padded[i])[1]
                     - sl.indices(partner_padded[i])[0]
-                    for i, sl in enumerate(src_op.send_slices)
+                    for i, sl in enumerate(partner.send_slices)
                 )
                 assert recv_shape == send_shape
 
+
+def _fig2_solid(shape):
+    """One all-solid corner block (paper fig. 2)."""
+    solid = np.zeros(shape, dtype=bool)
+    solid[tuple(slice(0, n // 2) for n in shape)] = True
+    return solid
+
+
+#: name -> (grid shape, blocks, periodic, solid); uneven extents, so a
+#: neighbour's send strip is not my own send strip shifted
+GEOMETRIES = {
+    "2d": ((25, 19), (3, 2), (False, False), None),
+    "3d": ((13, 10, 9), (2, 1, 2), (False, False, False), None),
+    "periodic_split": ((25, 19), (2, 3), (True, False), None),
+    "periodic_spanned": ((25, 19), (1, 2), (True, True), None),
+    "inactive_2d": ((24, 24), (2, 2), (False, True), _fig2_solid((24, 24))),
+    "inactive_3d": ((12, 12, 12), (2, 2, 2), (False,) * 3,
+                    _fig2_solid((12, 12, 12))),
+}
+
+#: the axis order of the passes: ascending, or the shortest
+#: supersequence of every axis permutation when a block is inactive
+SWEEPS = {
+    (2, False): (0, 1),
+    (2, True): (0, 1, 0),
+    (3, False): (0, 1, 2),
+    (3, True): (0, 1, 2, 0, 1, 2, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GEOMETRIES))
+class TestPlanGeometry:
+    """The plan fixes every strip and the pass order the transports
+    walk; checked against the neighbours' own plans."""
+
+    def _plans(self, name, pad=2):
+        shape, blocks, periodic, solid = GEOMETRIES[name]
+        d = Decomposition(shape, blocks, periodic=periodic, solid=solid)
+        return d, {
+            blk.rank: build_plan(d, blk.rank, pad)
+            for blk in d.active_blocks()
+        }
+
+    def test_src_slices_are_the_neighbours_send_strip(self, name):
+        _, plans = self._plans(name)
+        n_recv = 0
+        for rank, plan in plans.items():
+            for op in plan.recv_ops():
+                partner = {
+                    (o.axis, o.side): o
+                    for o in plans[op.neighbor_rank].ops
+                }[(op.axis, -op.side)]
+                assert partner.kind == "recv"
+                assert partner.neighbor_rank == rank
+                assert op.src_slices == partner.send_slices
+                n_recv += 1
+        assert n_recv > 0
+
+    def test_passes_walk_each_op_once_in_sweep_order(self, name):
+        d, plans = self._plans(name)
+        extended = d.n_active < d.n_blocks
+        assert extended == (GEOMETRIES[name][3] is not None)
+        sweep = SWEEPS[(d.ndim, extended)]
+        for plan in plans.values():
+            assert len(plan.passes) == len(sweep)
+            for axis, ops in zip(sweep, plan.passes):
+                assert ops == tuple(o for o in plan.ops if o.axis == axis)
+                assert [o.side for o in ops] == [-1, 1]
+            walked = [op for ops in plan.passes for op in ops]
+            assert {id(op) for op in walked} == {id(op) for op in plan.ops}
+            assert len(walked) == 2 * len(sweep)

@@ -1,11 +1,14 @@
 """Dump files: the save/restore unit of distribution and migration."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Decomposition, make_subregions
 from repro.distrib import dump_path, load_dump, save_dump
+from repro.distrib.dumpfile import DumpCorruption
 
 
 def _make_sub(seed=0, shape=(20, 16), blocks=(2, 2)):
@@ -20,6 +23,32 @@ def _make_sub(seed=0, shape=(20, 16), blocks=(2, 2)):
     sub.step = 17
     sub.extra["jet_phase"] = 0.25
     return sub
+
+
+def drop_checksums(path, names=None):
+    """Rewrite a dump with the ``names`` CRC32 entries removed from its
+    manifest, or the whole ``crc32`` key when ``names`` is None."""
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {name: data[name] for name in data.files}
+    manifest = json.loads(str(arrays.pop("manifest")))
+    if names is None:
+        del manifest["crc32"]
+    else:
+        for name in names:
+            del manifest["crc32"][name]
+    with open(path, "wb") as fh:
+        np.savez(fh, manifest=json.dumps(manifest), **arrays)
+
+
+class TestChecksumsRequired:
+    @pytest.mark.parametrize("names", [None, ["solid"], ["field__rho"]],
+                             ids=["no_key", "solid", "field"])
+    def test_unchecksummed_array_refused(self, tmp_path, names):
+        path = tmp_path / "d.npz"
+        save_dump(_make_sub(), path)
+        drop_checksums(path, names)
+        with pytest.raises(DumpCorruption, match="has no CRC32"):
+            load_dump(path)
 
 
 class TestRoundTrip:

@@ -3,15 +3,18 @@
 Unit-level coverage of :meth:`Monitor._restart_from_checkpoint` and the
 machinery around it — the paths a live chaos run only exercises by
 luck: a corrupt *newest* checkpoint, a checkpoint missing one rank's
-dump, an exhausted restart budget, and a migration epoch that breaks
-mid-sequence.  Worker processes are faked; only the wake-on-exit
-check spawns a real (short-lived) child.
+dump, an exhausted restart budget, and a migration or rebalance epoch
+that breaks mid-sequence.  Worker processes are faked; only the
+wake-on-exit check spawns a real (short-lived) child.
 """
 
+import json
 import os
+import signal
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +26,9 @@ from repro.distrib import MonitorError, dump_path, save_dump
 from repro.distrib.hostdb import HostDB
 from repro.distrib.monitor import Monitor, _EpochBroken
 from repro.distrib.sync import SaveTurns
+from repro.distrib.worker import EXIT_MIGRATED, EXIT_REBALANCED
+from repro.net import PortRegistry
+from tests.distrib.test_dumpfile import drop_checksums
 
 RANKS = (0, 1)
 
@@ -43,6 +49,38 @@ class _DeadProc:
 
     def kill(self):  # pragma: no cover - dead already
         pass
+
+
+class _LeavingProc:
+    """A running worker that exits with ``code`` once SIGUSR2 lands."""
+
+    pid = 99998
+
+    def __init__(self, code):
+        self.code = code
+        self.returncode = None
+
+    def poll(self):
+        return self.returncode
+
+    def send_signal(self, sig):
+        if sig == signal.SIGUSR2:
+            self.returncode = self.code
+
+    def wait(self, timeout=None):
+        return self.returncode
+
+    def kill(self):  # pragma: no cover - exits on the signal
+        self.returncode = -9
+
+
+def _leaving_group(mon, tmp_path, code):
+    """Replace ``mon``'s workers with running ones that leave with
+    ``code`` when signalled, each registered for generation 0."""
+    mon.procs = {rank: _LeavingProc(code) for rank in RANKS}
+    registry = PortRegistry(tmp_path / "ports_tcp.txt")
+    for rank in RANKS:
+        registry.register(0, rank, "localhost", 50000 + rank)
 
 
 def _write_checkpoint(workdir, step, ranks=RANKS):
@@ -90,6 +128,16 @@ class TestSelectCheckpoint:
         bad = _write_checkpoint(tmp_path, 20)
         dump_path(tmp_path / "dumps", 0, tag=bad).unlink()
         assert _monitor(tmp_path)._select_checkpoint() == old
+
+    def test_unchecksummed_dump_falls_back_one(self, tmp_path):
+        old = _write_checkpoint(tmp_path, 10)
+        bad = _write_checkpoint(tmp_path, 20)
+        drop_checksums(dump_path(tmp_path / "dumps", 1, tag=bad))
+        mon = _monitor(tmp_path)
+        assert mon._select_checkpoint() == old
+        log = (tmp_path / "logs" / "monitor.log").read_text()
+        assert f"checkpoint {bad} rejected" in log
+        assert "has no CRC32" in log
 
     def test_every_checkpoint_bad_means_initial_state(self, tmp_path):
         bad = _write_checkpoint(tmp_path, 10)
@@ -193,6 +241,78 @@ class TestMigrationEpochFailure:
             lambda crashed=None: pytest.fail("restart on healthy epoch"),
         )
         mon._migrate([0])
+
+
+class TestRebalanceEpochFailure:
+    PLAN = SimpleNamespace(current=(10, 10), shares=(12, 8),
+                           imbalance=0.2, cost=1.0, projected_saving=2.0)
+
+    def test_broken_epoch_degrades_to_checkpoint_restart(self, tmp_path,
+                                                         monkeypatch):
+        """A rebalance whose ranks leave with the wrong code is broken
+        like a migration: the monitor falls back to a full checkpoint
+        restart and commits no rebalance."""
+        mon = _monitor(tmp_path, stall_timeout=5.0)
+        _leaving_group(mon, tmp_path, EXIT_MIGRATED)
+        ledger, restarted = [], []
+        monkeypatch.setattr(mon, "_ledger", ledger.append)
+        monkeypatch.setattr(
+            mon, "_restart_from_checkpoint",
+            lambda crashed=None: restarted.append(True),
+        )
+        mon._rebalance(self.PLAN)
+        assert restarted == [True]
+        assert ledger == ["recover:rebalance_failed"]
+        assert mon.rebalances == 0
+        assert mon.generation == 0
+        log = (tmp_path / "logs" / "monitor.log").read_text()
+        assert (f"rebalance epoch 0 broken: rank 0 exited {EXIT_MIGRATED} "
+                f"instead of {EXIT_REBALANCED}") in log
+        request = json.loads(
+            (tmp_path / "sync" / "epoch0000_request.json").read_text())
+        assert request == {"action": "rebalance", "ranks": [0, 1],
+                           "shares": [12, 8]}
+
+
+class TestSignalEpoch:
+    def test_wrong_exit_code_breaks_the_epoch(self, tmp_path):
+        mon = _monitor(tmp_path, stall_timeout=5.0)
+        _leaving_group(mon, tmp_path, EXIT_REBALANCED)
+        with pytest.raises(_EpochBroken, match=(
+                f"rank 1 exited {EXIT_REBALANCED} instead of "
+                f"{EXIT_MIGRATED}")):
+            mon._signal_epoch(0, {"action": "migrate", "ranks": [1]},
+                              EXIT_MIGRATED)
+
+    def test_leavers_exit_with_their_code(self, tmp_path):
+        mon = _monitor(tmp_path, stall_timeout=5.0)
+        _leaving_group(mon, tmp_path, EXIT_REBALANCED)
+        running = mon._signal_epoch(
+            0, {"action": "rebalance", "ranks": [0, 1], "shares": [9, 11]},
+            EXIT_REBALANCED,
+        )
+        assert sorted(running) == [0, 1]
+
+    def test_unregistered_worker_breaks_the_epoch(self, tmp_path):
+        mon = _monitor(tmp_path, stall_timeout=0.2)
+        mon.procs = {rank: _LeavingProc(EXIT_MIGRATED) for rank in RANKS}
+        with pytest.raises(_EpochBroken, match="port registry"):
+            mon._signal_epoch(0, {"action": "migrate", "ranks": [0]},
+                              EXIT_MIGRATED)
+        assert not (tmp_path / "sync").exists()
+
+    def test_exited_leaver_breaks_the_epoch(self, tmp_path):
+        """A rank that exits between the epoch decision and the signal
+        breaks the epoch instead of crashing the monitor."""
+        mon = _monitor(tmp_path, stall_timeout=5.0)
+        _leaving_group(mon, tmp_path, EXIT_REBALANCED)
+        mon.procs[1].returncode = 1
+        with pytest.raises(_EpochBroken, match=r"ranks \[1\] are not running"):
+            mon._signal_epoch(
+                0, {"action": "rebalance", "ranks": [0, 1], "shares": [9, 11]},
+                EXIT_REBALANCED,
+            )
+        assert not (tmp_path / "sync").exists()
 
 
 @pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="needs pidfd")

@@ -9,8 +9,7 @@ from repro.core import Decomposition, LocalExchanger, build_plan, make_subregion
 from repro.net import ChannelSet, PortRegistry, SocketExchanger
 
 
-def _socket_exchange(tmp_path, decomp, subs, field_names, pad,
-                     extended=False):
+def _socket_exchange(tmp_path, decomp, subs, field_names, pad):
     """Run one socket exchange across threads (one per subregion)."""
     reg = PortRegistry(tmp_path / "ports.txt")
     plans = {s.block.rank: build_plan(decomp, s.block.rank, pad)
@@ -27,8 +26,7 @@ def _socket_exchange(tmp_path, decomp, subs, field_names, pad,
         cs = sets[rank]
         try:
             cs.open(0, timeout=10.0)
-            ex = SocketExchanger(sub, plans[rank], cs,
-                                 extended_sweep=extended)
+            ex = SocketExchanger(sub, plans[rank], cs)
             ex.exchange(field_names, phase=0)
         except Exception as exc:  # pragma: no cover
             errors.append(exc)
@@ -100,7 +98,7 @@ def test_socket_extended_sweep_with_inactive_block(tmp_path):
             sub.fields["a"][mask] = -3.0
 
     LocalExchanger(d, subs_local).exchange(["a"])
-    _socket_exchange(tmp_path, d, subs_sock, ["a"], pad, extended=True)
+    _socket_exchange(tmp_path, d, subs_sock, ["a"], pad)
     for s_sock, s_loc in zip(subs_sock, subs_local):
         np.testing.assert_array_equal(s_sock.fields["a"], s_loc.fields["a"])
 

@@ -20,6 +20,7 @@ from repro.scenarios import (
     run_sweep,
     write_report,
 )
+from repro._jsonl import LogDamaged
 from repro.scenarios import sweep as sweep_mod
 from repro.distrib import ProblemSpec
 
@@ -131,6 +132,42 @@ class TestRunSweep:
         run_sweep(bumped, {"nu": [0.1]}, out_dir=tmp_path)
         assert len(stub_runs) == 2, \
             "a version bump must invalidate manifest entries"
+
+    def test_resume_drops_a_torn_last_line(self, stub_runs, tmp_path):
+        scenario = FakeScenario()
+        run_sweep(scenario, {"nu": [0.1]}, out_dir=tmp_path)
+        with open(tmp_path / "sweep.jsonl", "a") as fh:
+            fh.write('{"scenario": "fake", "vers')  # torn
+        run_sweep(scenario, {"nu": [0.1]}, out_dir=tmp_path)
+        assert len(stub_runs) == 1
+
+    def test_resume_appends_after_a_torn_line(self, stub_runs, tmp_path):
+        """Points settled after a torn write land on fresh lines, so a
+        second resume neither raises nor reruns them."""
+        scenario = FakeScenario()
+        run_sweep(scenario, {"nu": [0.1]}, out_dir=tmp_path)
+        manifest = tmp_path / "sweep.jsonl"
+        with open(manifest, "a") as fh:
+            fh.write('{"scenario": "fake", "vers')  # torn
+        run_sweep(scenario, {"nu": [0.1, 0.2, 0.3]}, out_dir=tmp_path)
+        assert len(stub_runs) == 3
+        lines = manifest.read_text().splitlines()
+        assert [json.loads(l)["params"]["nu"] for l in lines] == [
+            0.1, 0.2, 0.3]
+        run_sweep(scenario, {"nu": [0.1, 0.2, 0.3]}, out_dir=tmp_path)
+        assert len(stub_runs) == 3
+
+    @pytest.mark.parametrize("damage", ["{not json", '{"bogus": 1}'])
+    def test_resume_refuses_a_damaged_middle_line(self, stub_runs,
+                                                  tmp_path, damage):
+        scenario = FakeScenario()
+        run_sweep(scenario, {"nu": [0.1, 0.2]}, out_dir=tmp_path)
+        manifest = tmp_path / "sweep.jsonl"
+        first, second = manifest.read_text().splitlines()
+        manifest.write_text(f"{first}\n{damage}\n{second}\n")
+        with pytest.raises(LogDamaged, match="sweep.jsonl, line 2"):
+            run_sweep(scenario, {"nu": [0.1, 0.2]}, out_dir=tmp_path)
+        assert len(stub_runs) == 2
 
     def test_no_resume_recomputes(self, stub_runs, tmp_path):
         scenario = FakeScenario()

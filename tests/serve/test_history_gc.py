@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro._jsonl import LogDamaged
 from repro.serve.jobs import JobHistory, JobRecord
 
 
@@ -59,6 +60,17 @@ class TestCompact:
         assert len(history.replay()) == 2
         for line in history.path.read_text().splitlines():
             json.loads(line)
+
+    def test_damaged_middle_line_is_loud_and_kept(self, tmp_path):
+        history = JobHistory(tmp_path / "jobs.jsonl")
+        _fill(history, 1)
+        with open(history.path, "a") as fh:
+            fh.write("not json\n")
+        _fill(history, 1)
+        text = history.path.read_text()
+        with pytest.raises(LogDamaged, match="line 5"):
+            history.compact()
+        assert history.path.read_text() == text
 
     def test_missing_file_is_a_noop(self, tmp_path):
         history = JobHistory(tmp_path / "jobs.jsonl")

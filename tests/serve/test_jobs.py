@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro._jsonl import LogDamaged
 from repro.serve import (
     STATES,
     TERMINAL,
@@ -88,6 +89,33 @@ class TestHistory:
             fh.write('{"event": "assigned", "job": {"job_id"')  # torn
         table = hist.replay()
         assert table["j000000-aaaaaaaa"].state == "queued"
+
+    def test_appends_after_a_torn_line_start_fresh(self, tmp_path):
+        """A gateway restarted after a torn write appends its recovery
+        events on fresh lines: nothing is lost and the next boot's
+        replay does not see a damaged middle line."""
+        hist = JobHistory.for_dir(tmp_path)
+        hist.append("submitted", _rec())
+        with open(hist.path, "a") as fh:
+            fh.write('{"event": "assigned", "job": {"job_id"')  # torn
+        hist.append("submitted", _rec("j000001-bbbbbbbb", seq=1))
+        hist.append("submitted", _rec("j000002-cccccccc", seq=2))
+        assert [e["job"]["job_id"] for e in hist.read()] == [
+            "j000000-aaaaaaaa", "j000001-bbbbbbbb", "j000002-cccccccc",
+        ]
+        assert hist.compact()["events_after"] == 3
+
+    def test_damaged_middle_line_is_loud(self, tmp_path):
+        hist = JobHistory.for_dir(tmp_path)
+        hist.append("submitted", _rec())
+        with open(hist.path, "a") as fh:
+            fh.write('{"event": "assi\x00gned"\n')  # damaged, not last
+        hist.append("submitted", _rec("j000001-bbbbbbbb"))
+        with pytest.raises(LogDamaged, match="jobs.jsonl, line 2") as err:
+            hist.read()
+        assert err.value.path == hist.path and err.value.lineno == 2
+        with pytest.raises(LogDamaged):
+            hist.replay()
 
     def test_replay_skips_incompatible_events(self, tmp_path):
         hist = JobHistory.for_dir(tmp_path)

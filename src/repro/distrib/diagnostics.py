@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .._jsonl import locked_append
+from .._jsonl import LogDamaged, locked_append, read_jsonl
 from ..net.collectives import Communicator
 
 __all__ = [
@@ -82,7 +82,11 @@ class DiagRecord:
     @classmethod
     def from_line(cls, line: str) -> "DiagRecord":
         """Parse one JSON line back into a record."""
-        d = json.loads(line)
+        return cls.from_dict(json.loads(line))
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "DiagRecord":
+        """Build a record from one parsed JSON line."""
         return cls(
             step=int(d["step"]),
             total_mass=float(d["total_mass"]),
@@ -97,7 +101,8 @@ class DiagnosticsLog:
     """Reader/writer of a run's ``diagnostics.jsonl``.
 
     Appends are flock'd and fsync'd like every other shared file of the
-    run; the reader tolerates a torn final line (a crash mid-append).
+    run; the reader drops a torn final line (a crash mid-append) and
+    raises :class:`~repro._jsonl.LogDamaged` on any other damaged line.
     """
 
     FILENAME = "diagnostics.jsonl"
@@ -119,13 +124,11 @@ class DiagnosticsLog:
         if not self.path.exists():
             return []
         out = []
-        for line in self.path.read_text().splitlines():
-            if not line.strip():
-                continue
+        for lineno, _, rec in read_jsonl(self.path, self.path.read_text()):
             try:
-                out.append(DiagRecord.from_line(line))
-            except (ValueError, KeyError):  # torn tail line
-                continue
+                out.append(DiagRecord.from_dict(rec))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise LogDamaged(self.path, lineno, str(exc)) from None
         return out
 
     def last(self) -> DiagRecord | None:

@@ -46,6 +46,7 @@ from ..net.portfile import PortRegistry
 from ..trace import NULL_TRACER, Tracer
 from .diagnostics import DiagnosticsLog
 from .dumpfile import DumpCorruption, dump_path, load_dump
+from .heartbeat import read_heartbeats
 from .hostdb import MIGRATE_LOAD_LIMIT, HostDB
 from .spec import ProblemSpec
 from .submit import spawn_worker
@@ -499,9 +500,7 @@ class Monitor:
         """
         assert self.planner is not None and self.estimator is not None
         est = self.estimator
-        for rank, (step, wall, comp) in (
-            self._read_heartbeat_records().items()
-        ):
+        for rank, (step, wall, comp) in read_heartbeats(self.workdir).items():
             est.observe_heartbeat(rank, step, wall, comp)
         for host in self.hostdb.hosts():
             if host.rank is not None:
@@ -784,29 +783,5 @@ class Monitor:
     def _read_heartbeats(self) -> dict[int, int]:
         return {
             rank: step
-            for rank, (step, _, _) in self._read_heartbeat_records().items()
+            for rank, (step, _, _) in read_heartbeats(self.workdir).items()
         }
-
-    def _read_heartbeat_records(
-        self,
-    ) -> dict[int, tuple[int, float, float | None]]:
-        """Per-rank ``(step, wall stamp, compute s/step)`` heartbeats.
-
-        The third field is absent in heartbeats written before the
-        first completed step (and in pre-existing files), hence
-        optional.
-        """
-        out: dict[int, tuple[int, float, float | None]] = {}
-        hb_dir = self.workdir / "hb"
-        if not hb_dir.exists():
-            return out
-        for path in hb_dir.glob("rank*.txt"):
-            try:
-                parts = path.read_text().split()
-                step = int(parts[0])
-                wall = float(parts[1])
-                comp = float(parts[2]) if len(parts) > 2 else None
-            except (ValueError, IndexError, OSError):
-                continue
-            out[int(path.stem[len("rank"):])] = (step, wall, comp)
-        return out

@@ -35,7 +35,6 @@ class WorkerKnobs:
 
     save_every: int = 0        # checkpoint period in steps (0 = never)
     save_gap: float = 0.0      # §5.2 free time slot between savers
-    hb_every: int = 1          # heartbeat period in steps
     strict_order: bool = False  # App. C ablation
     transport: str = "tcp"     # "tcp" (paper's choice) or "udp" (App. D)
     niceness: int = 10         # §5.1: low runtime priority (UNIX "nice")

@@ -18,8 +18,9 @@ users:
   workers save their state one after the other in rank order, the last
   one publishing the completion marker the monitor restarts from.
 * **Heartbeats**: the monitoring program checks every few minutes
-  whether the parallel processes are progressing correctly; workers
-  report their step so a stall is observable.
+  whether the parallel processes are progressing correctly; after each
+  step a worker rewrites one checksummed record in its heartbeat file
+  (:mod:`repro.distrib.heartbeat`) so a stall is observable.
 
 Run as ``python -m repro.distrib.worker <config.json>``.
 """
@@ -54,6 +55,7 @@ from .diagnostics import (
     GlobalDiagnostics,
 )
 from .dumpfile import dump_path, load_dump, save_dump
+from .heartbeat import encode_heartbeat, open_heartbeat
 from .settings import WorkerKnobs
 from .spec import ProblemSpec
 from .sync import SaveTurns, SyncFiles
@@ -301,6 +303,7 @@ class Worker:
     def run(self) -> int:
         """Open channels and run the compute/communicate loop to completion."""
         self.install_signals()
+        self._hb = open_heartbeat(self.workdir, self.rank)
         self.channels.open(self.generation, timeout=self.cfg.open_timeout)
         self.log(f"channels open, generation {self.generation}")
         if self.cfg.dump_in:
@@ -337,6 +340,7 @@ class Worker:
             return EXIT_DONE
         finally:
             self.channels.close()
+            self._hb.close()
             self.tracer.close()
 
     def _step_once(self) -> None:
@@ -390,15 +394,10 @@ class Worker:
             self.diag.maybe_check(sub)
 
     def _heartbeat(self) -> None:
-        if self.sub.step % max(self.cfg.hb_every, 1):
-            return
         t0 = self.tracer.begin()
-        hb = self.workdir / "hb" / f"rank{self.rank:04d}.txt"
-        hb.parent.mkdir(parents=True, exist_ok=True)
         comp = self._comp_ema if self._comp_ema is not None else 0.0
-        hb.write_text(
-            f"{self.sub.step} {time.time():.3f} {comp:.6e}\n"  # wall stamp
-        )
+        wall = time.time()  # wall stamp
+        self._hb[:] = encode_heartbeat(self.sub.step, wall, comp)
         self.tracer.end("heartbeat:0", t0, step=self.sub.step)
 
     def _maybe_checkpoint(self) -> None:

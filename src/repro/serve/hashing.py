@@ -9,8 +9,8 @@ parameters, step count, diagnostic abort thresholds) must change the
 fingerprint.
 
 Operational knobs deliberately do **not** participate: transport,
-timeouts, checkpoint cadence, heartbeat period, tracing, synthetic step
-delays and host lists change *how* a run executes, not *what* it
+timeouts, checkpoint cadence, tracing, synthetic step delays and host
+lists change *how* a run executes, not *what* it
 computes — the repo's integration tests hold the runtimes bit-for-bit
 equal across all of them.
 """

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro._jsonl import LogDamaged
 from repro.core import Decomposition, Simulation, ThreadedSimulation
 from repro.distrib import (
     DEFAULT_VMAX,
@@ -83,6 +84,19 @@ class TestRecordAndLog:
             f.write('{"step": 20, "total_ma')  # crash mid-append
         assert [r.step for r in log.read()] == [10]
         assert log.last_step() == 10
+
+    @pytest.mark.parametrize("damage", ["{not json", '{"step": 20}'])
+    def test_log_refuses_a_damaged_middle_line(self, tmp_path, damage):
+        log = DiagnosticsLog.for_workdir(tmp_path)
+        for s in (10, 30):
+            log.append(DiagRecord(step=s, total_mass=1.0, kinetic_energy=0.0,
+                                  max_speed=0.0, n_nonfinite=0))
+        first, last = log.path.read_text().splitlines()
+        log.path.write_text(f"{first}\n{damage}\n{last}\n")
+        with pytest.raises(LogDamaged, match="diagnostics.jsonl, line 2"):
+            log.read()
+        with pytest.raises(LogDamaged):
+            log.last_step()
 
     def test_empty_log(self, tmp_path):
         log = DiagnosticsLog.for_workdir(tmp_path)

@@ -26,6 +26,7 @@ from repro.distrib import (
     RunSettings,
     initial_fields,
 )
+from repro.distrib.heartbeat import read_heartbeats
 from repro.distrib.submit import spawn_worker
 from repro.distrib.worker import WorkerConfig
 
@@ -33,16 +34,11 @@ pytestmark = pytest.mark.slow
 
 
 def _read_hb(workdir: Path) -> dict[int, int]:
-    out = {}
-    hb = workdir / "hb"
-    if not hb.exists():
-        return out
-    for p in hb.glob("rank*.txt"):
-        try:
-            out[int(p.stem[4:])] = int(p.read_text().split()[0])
-        except (ValueError, IndexError, OSError):
-            continue
-    return out
+    # Through the checksummed codec: a torn read of a record being
+    # rewritten must not fake a run-ahead spread.
+    return {
+        rank: step for rank, (step, _, _) in read_heartbeats(workdir).items()
+    }
 
 
 def test_slow_worker_lets_neighbors_run_ahead(tmp_path):
@@ -80,7 +76,6 @@ def test_slow_worker_lets_neighbors_run_ahead(tmp_path):
             host=f"host{rank}",
             generation=0,
             steps_total=steps,
-            hb_every=1,
             step_delays=[0.03],
         )
         procs[rank] = spawn_worker(cfg)

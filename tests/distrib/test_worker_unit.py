@@ -13,15 +13,22 @@ from repro.distrib import (
     decompose_problem,
     initial_fields,
 )
+from repro.distrib.heartbeat import (
+    RECORD_SIZE,
+    decode_heartbeat,
+    encode_heartbeat,
+    open_heartbeat,
+    read_heartbeats,
+)
 from repro.distrib.monitor import _proc_state
 
 
-def _prepare(tmp_path, blocks=(2, 1), **cfg_kw):
+def _prepare(tmp_path, blocks=(2, 1), periodic=(True, False), **cfg_kw):
     spec = ProblemSpec(
         method="lb",
         grid_shape=(24, 16),
         blocks=blocks,
-        periodic=(True, False),
+        periodic=periodic,
         params={"nu": 0.1},
         geometry={"kind": "channel"},
     )
@@ -193,8 +200,8 @@ class TestMonitorHeartbeats:
         mon = self._monitor(tmp_path)
         hb = tmp_path / "hb"
         hb.mkdir()
-        (hb / "rank0000.txt").write_text("42 123.0\n")
-        (hb / "rank0003.txt").write_text("40 124.0\n")
+        (hb / "rank0000.txt").write_bytes(encode_heartbeat(42, 123.0, 0.0))
+        (hb / "rank0003.txt").write_bytes(encode_heartbeat(40, 124.0, 0.0))
         assert mon._read_heartbeats() == {0: 42, 3: 40}
 
     def test_missing_dir(self, tmp_path):
@@ -207,5 +214,65 @@ class TestMonitorHeartbeats:
         hb.mkdir()
         (hb / "rank0001.txt").write_text("not a step\n")
         (hb / "rank0002.txt").write_text("")
-        (hb / "rank0004.txt").write_text("7 1.0\n")
+        (hb / "rank0003.txt").write_text("7 1.0\n")  # no checksum
+        (hb / "rank0004.txt").write_bytes(encode_heartbeat(7, 1.0, 0.0))
+        (hb / "rank0005.txt").write_bytes(encode_heartbeat(8, 1.0, 0.0)[:-1])
         assert mon._read_heartbeats() == {4: 7}
+
+
+class TestHeartbeatRecord:
+    def test_round_trip(self):
+        record = encode_heartbeat(42, 1792345678.125, 1.5e-3)
+        assert len(record) == RECORD_SIZE
+        assert decode_heartbeat(record) == (42, 1792345678.125, 1.5e-3)
+
+    def test_overflow_refused(self):
+        with pytest.raises(ValueError, match="overflows"):
+            encode_heartbeat(10**12, 0.0, 0.0)
+
+    def test_worker_rewrites_one_record(self, tmp_path):
+        """1,000 steps of a real worker leave one record, the last."""
+        import signal
+
+        _prepare(tmp_path, blocks=(1, 1), periodic=(False, False))
+        worker = Worker(WorkerConfig(
+            workdir=str(tmp_path), rank=0, host="h", steps_total=1000,
+        ))
+        handler = signal.getsignal(signal.SIGUSR2)
+        try:
+            assert worker.run() == EXIT_DONE
+        finally:
+            signal.signal(signal.SIGUSR2, handler)
+        data = (tmp_path / "hb" / "rank0000.txt").read_bytes()
+        assert len(data) == RECORD_SIZE
+        step, _, comp = decode_heartbeat(data)
+        assert step == 1000
+        assert comp == pytest.approx(worker._comp_ema, abs=1e-9)
+
+    def test_reopen_keeps_the_last_record(self, tmp_path):
+        """A restarted rank's map leaves its previous incarnation's
+        record readable; a foreign file is resized to one record and
+        still skipped."""
+        hb = open_heartbeat(tmp_path, 0)
+        hb[:] = encode_heartbeat(7, 1.0, 0.0)
+        hb.close()
+        (tmp_path / "hb" / "rank0001.txt").write_text("7 1.0\n")
+        for rank in (0, 1):
+            open_heartbeat(tmp_path, rank).close()
+        assert read_heartbeats(tmp_path) == {0: (7, 1.0, 0.0)}
+        assert (tmp_path / "hb" / "rank0001.txt").stat().st_size \
+            == RECORD_SIZE
+
+    def test_every_torn_read_rejected(self):
+        """A reader racing a rewrite sees the first ``k`` bytes of
+        record n+1 followed by the rest of record n."""
+        records = [
+            encode_heartbeat(step, 1792345678.0 + 0.004 * step,
+                             1.0e-3 + 1.0e-6 * step)
+            for step in (8, 9, 10, 99, 100, 999, 1000)
+        ]
+        for old, new in zip(records, records[1:]):
+            valid = {old: decode_heartbeat(old), new: decode_heartbeat(new)}
+            for k in range(1, RECORD_SIZE):
+                torn = new[:k] + old[k:]
+                assert decode_heartbeat(torn) == valid.get(torn), (old, k)

@@ -79,7 +79,6 @@ class TestSpellingInvariance:
             {"trace": True},
             {"save_every": 5},
             {"step_delays": [0.01, 0.01]},
-            {"hb_every": 0.5},
             {"job_id": "j000001-deadbeef"},
         ):
             assert fingerprint(spec, settings={"steps": 50, **knob}) \

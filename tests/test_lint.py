@@ -6,8 +6,12 @@ and span durations.  ``time.time()`` is allowed only to *record* wall
 time (log stamps, diagnostics records, the tracer's alignment origin),
 and every such line must say so with a ``wall`` marker so this lint can
 tell intent from accident.
+
+A rank's per-step functions do no file-system work: every open, create
+or re-read there costs a syscall round trip on each step.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -48,4 +52,50 @@ def test_no_datetime_now_in_runtimes():
                 offenders.append(f"{path.relative_to(SRC)}:{lineno}")
     assert not offenders, (
         "datetime.now() in a runtime package:\n" + "\n".join(offenders)
+    )
+
+
+#: the per-step functions of a rank, as ``(module, class, method)``
+STEP_PATH = (
+    ("distrib/worker.py", "Worker", "_step_once"),
+    ("distrib/worker.py", "Worker", "_heartbeat"),
+    ("net/transport.py", "SocketExchanger", "_sweep"),
+)
+#: calls that create, open or re-read files
+FILE_CALLS = {"open", "os.open", "write_text", "read_text", "mkdir"}
+
+
+def _call_name(node: ast.Call) -> str:
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        if isinstance(func.value, ast.Name) and func.value.id == "os":
+            return f"os.{func.attr}"
+        return func.attr
+    return ""
+
+
+def _method(path: Path, cls: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse(path.read_text())
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == name:
+                    return item
+    raise AssertionError(f"{path.relative_to(SRC)}: no {cls}.{name}")
+
+
+def test_no_file_system_work_on_the_step_path():
+    """A rank's step opens and creates no file: the heartbeat is a
+    store into a record mapped once, never an open/create per step."""
+    offenders = []
+    for rel, cls, name in STEP_PATH:
+        path = SRC / rel
+        for node in ast.walk(_method(path, cls, name)):
+            if isinstance(node, ast.Call) and _call_name(node) in FILE_CALLS:
+                offenders.append(f"{rel}:{node.lineno}: {cls}.{name} calls "
+                                 f"{_call_name(node)}()")
+    assert not offenders, (
+        "file-system call on the per-step path:\n" + "\n".join(offenders)
     )

@@ -9,8 +9,9 @@ Three injection points mirror the three layers a real cluster fails at:
   App. C/D.
 * :class:`WorkerFaults` fires at step boundaries inside the worker
   (SIGKILL = a crashed workstation, SIGSTOP = an owner reclaiming the
-  machine, §5.1) and corrupts checkpoint dumps right after they are
-  written (a failing disk or NFS server, §4.1).
+  machine, §5.1; a NaN = a blown-up kernel) and corrupts checkpoint
+  dumps right after they are written (a failing disk or NFS server,
+  §4.1).
 * Host-load spikes are applied by the monitor (live) or the simulator
   (modeled) — see :meth:`FaultPlan.host_faults`.
 
@@ -33,7 +34,13 @@ import signal
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .plan import DUMP_KINDS, MESSAGE_KINDS, PROCESS_KINDS, Fault
+from .plan import (
+    DUMP_KINDS,
+    MESSAGE_KINDS,
+    PROCESS_KINDS,
+    STATE_KINDS,
+    Fault,
+)
 
 __all__ = [
     "NULL_INJECTOR",
@@ -161,7 +168,7 @@ class ChannelFaultInjector:
 
 
 class WorkerFaults:
-    """Process- and dump-level faults fired by the worker itself."""
+    """Process-, state- and dump-level faults fired by the worker itself."""
 
     def __init__(
         self,
@@ -171,7 +178,9 @@ class WorkerFaults:
         tracer=None,
     ):
         faults = list(faults)
-        self._step_faults = [f for f in faults if f.kind in PROCESS_KINDS]
+        self._step_faults = [
+            f for f in faults if f.kind in PROCESS_KINDS | STATE_KINDS
+        ]
         self._dump_faults = [f for f in faults if f.kind in DUMP_KINDS]
         self._markers = markers
         self._log = log or (lambda msg: None)
@@ -186,14 +195,22 @@ class WorkerFaults:
             # The process is about to die or freeze — persist the span.
             self._tracer.flush()
 
-    def at_step(self, step: int) -> None:
-        """Fire any process fault scheduled for this step (never returns
-        normally when one fires: the process is killed or stopped)."""
+    def at_step(self, sub) -> None:
+        """Fire any fault scheduled for the subregion's current step.
+
+        A process fault never returns: the process is killed or
+        stopped.  A ``nan`` fault poisons one interior ``rho`` value
+        and returns, leaving the diagnostics to find it.
+        """
+        step = sub.step
         for fault in self._step_faults:
             if fault.step != step or not self._markers.claim(fault):
                 continue
             self._record(fault, step)
-            if fault.kind == "kill":
+            if fault.kind == "nan":
+                view = sub.interior_view("rho")
+                view.flat[view.size // 2] = float("nan")
+            elif fault.kind == "kill":
                 os.kill(os.getpid(), signal.SIGKILL)
             else:  # "stop" — an owner reclaimed the workstation (§5.1);
                 # nothing resumes us until the monitor's restart SIGCONTs

@@ -6,11 +6,12 @@ reorders packets, and crashes are recovered from staggered checkpoints
 (§4.1, §5, App. B).  A :class:`FaultPlan` makes that hostility
 *reproducible*: a seeded RNG schedules a set of :class:`Fault` events —
 kill or SIGSTOP a worker at step N, drop/delay/duplicate/truncate
-messages at the transport layer, corrupt a checkpoint dump, spike a
-host's load — and the same JSON-serialized plan drives both the live
-distributed runtime (via ``WorkerKnobs.fault_plan``) and the cluster
-simulator (via ``ClusterSimulation(fault_plan=...)``), so a failure
-seen once can be replayed exactly.
+messages at the transport layer, corrupt a checkpoint dump, poison a
+rank's state with a NaN, spike a host's load — and the same
+JSON-serialized plan drives both the live distributed runtime (via
+``WorkerKnobs.fault_plan``) and the cluster simulator (via
+``ClusterSimulation(fault_plan=...)``), so a failure seen once can be
+replayed exactly.
 
 Every fault is identified by a stable ``fault_id`` so the injector can
 mark it *fired* on disk: a kill fault keyed only by step would re-fire
@@ -32,12 +33,16 @@ PROCESS_KINDS = frozenset({"kill", "stop"})
 MESSAGE_KINDS = frozenset(
     {"msg_drop", "msg_dup", "msg_delay", "msg_truncate", "conn_break"}
 )
+#: Faults applied by the worker to its own field state at a step
+#: boundary: ``nan`` poisons one interior ``rho`` value, as a blown-up
+#: kernel would, to exercise the diagnosed-abort path.
+STATE_KINDS = frozenset({"nan"})
 #: Faults applied to a checkpoint dump right after it is written.
 DUMP_KINDS = frozenset({"dump_corrupt", "dump_truncate"})
 #: Faults applied by the monitor (live) or the simulator (modeled).
 HOST_KINDS = frozenset({"load_spike"})
 
-KINDS = PROCESS_KINDS | MESSAGE_KINDS | DUMP_KINDS | HOST_KINDS
+KINDS = PROCESS_KINDS | MESSAGE_KINDS | STATE_KINDS | DUMP_KINDS | HOST_KINDS
 
 
 @dataclass(frozen=True)
@@ -108,9 +113,6 @@ class FaultPlan:
     def host_faults(self) -> tuple[Fault, ...]:
         """The plan's host-level faults (applied by monitor/simulator)."""
         return tuple(f for f in self.faults if f.kind in HOST_KINDS)
-
-    def process_faults(self) -> tuple[Fault, ...]:
-        return tuple(f for f in self.faults if f.kind in PROCESS_KINDS)
 
     # ------------------------------------------------------------------
     # construction

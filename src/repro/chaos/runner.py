@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..trace.merge import load_trace
 from .plan import DUMP_KINDS, PROCESS_KINDS, FaultPlan
 
 __all__ = [
@@ -93,7 +94,6 @@ def chaos_settings(steps: int, save_every: int, plan: FaultPlan | None,
     return RunSettings(
         steps=steps,
         save_every=save_every,
-        save_gap=0.0,
         step_delays=[0.015] * n_ranks,
         recv_timeout=3.0,
         sync_timeout=20.0,
@@ -111,18 +111,10 @@ def _ledger_spans(workdir: str | Path) -> list[tuple[str, str]]:
     """All ``chaos:``/``recover:`` spans of a traced run, as
     ``(prefix, kind)`` pairs, in file order across every rank stream
     (workers, restarted incarnations, and the monitor's own lane)."""
-    import json
-
     out: list[tuple[str, str]] = []
     for path in sorted(Path(workdir).glob("trace/trace-*.jsonl")):
-        for line in path.read_text().splitlines():
-            try:
-                rec = json.loads(line)
-            except ValueError:
-                continue  # a crashed rank may leave a torn final line
-            if rec.get("type") != "span":
-                continue
-            name = rec.get("name", "")
+        for span in load_trace(path)["spans"]:
+            name = span.get("name", "")
             if name.startswith(("chaos:", "recover:")):
                 prefix, _, kind = name.partition(":")
                 out.append((prefix, kind))

@@ -400,8 +400,9 @@ class ClusterSimulation:
                     ).append(f)
                 elif f.kind in HOST_KINDS:
                     self._host_faults.append(f)
-                # dump faults have no simulated analogue (there are no
-                # dump files); the live runtime owns that failure mode
+                # dump and nan faults have no simulated analogue (there
+                # are no dump files and no fields); the live runtime
+                # owns those failure modes
 
         # migration machinery
         self.migrations: list[MigrationEvent] = []

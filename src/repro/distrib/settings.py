@@ -31,40 +31,31 @@ class WorkerKnobs:
     :class:`~repro.distrib.orchestrator.RunSettings` into each rank's
     :class:`~repro.distrib.worker.WorkerConfig` (see
     :meth:`~repro.distrib.orchestrator.RunSettings.worker_base_cfg`).
+    Behaviours the paper fixes as policy are constants of the modules
+    that implement them, not knobs: ranks run niced (§5.1,
+    :data:`~repro.distrib.worker.NICENESS`), receives are
+    first-come-first-served (App. C) and link recovery backs off on a
+    fixed schedule (:mod:`repro.net.channels`).
     """
 
     save_every: int = 0        # checkpoint period in steps (0 = never)
-    save_gap: float = 0.0      # §5.2 free time slot between savers
-    strict_order: bool = False  # App. C ablation
     transport: str = "tcp"     # "tcp" (paper's choice) or "udp" (App. D)
-    niceness: int = 10         # §5.1: low runtime priority (UNIX "nice")
-    #  so the regular user's interactive tasks "receive the full
-    #  attention of the processor immediately"
     step_delays: list[float] = field(default_factory=list)
     #  test/emulation knob: extra seconds per step for each rank
     #  (indexed by rank, missing ranks 0), emulating busy or slow hosts
     #  so App. A un-synchronization and first-come-first-served
     #  buffering can be exercised for real, and — skewed — so the load
     #  estimator and rebalance planner see a real imbalance
-    open_timeout: float = 30.0
     recv_timeout: float = 60.0
     sync_timeout: float = 60.0
     diag_every: int = 0        # global-diagnostics period (0 = off)
-    diag_vmax: float = 0.0     # max-|V| abort threshold (0 = the c_s
-    #  default on distributed workers; no CFL check in-process)
     udp_loss: float = 0.0      # injected datagram loss rate (App. D knob)
     trace: bool = False        # stream per-rank trace-<rank>.jsonl
     #  spans/counters (repro.trace) from every runtime phase
-    nan_step: int = 0          # test/emulation knob: poison one value at
-    nan_rank: int = 0          # this step on this rank, as a blown-up
-    #  kernel would, to exercise the diagnosed-abort path
     fault_plan: str = ""       # JSON repro.chaos.FaultPlan: deterministic
     #  seeded fault injection (worker kills/stalls, frame drops/dups/
-    #  truncations, checkpoint corruption, host-load spikes)
-    reconnect_attempts: int = 5   # TCP link recovery: bounded
-    reconnect_base: float = 0.05  # exponential backoff (base*2^k seconds)
-    hangup_grace: float = 2.0  # receiver-side wait for a hung-up peer
-    #  that still owes data to re-connect before ChannelError
+    #  truncations, checkpoint corruption, injected NaNs, host-load
+    #  spikes)
     job_id: str = ""           # repro.serve job this run belongs to;
     #  tags every rank's trace stream (meta line "job" field) so merged
     #  traces from a shared worker pool stay attributable per job

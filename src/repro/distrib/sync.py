@@ -151,14 +151,8 @@ class SaveTurns:
         position: int,
         timeout: float = 120.0,
         poll: float = 0.002,
-        gap: float = 0.0,
     ) -> None:
-        """Block until it is this rank's turn to save.
-
-        ``gap`` inserts the free time slot (§5.2) between consecutive
-        savers so "other programs can use the network and the file
-        system at the same time".
-        """
+        """Block until it is this rank's turn to save."""
         deadline = time.monotonic() + timeout
         while self._read_counter() < position:
             if time.monotonic() > deadline:
@@ -166,8 +160,6 @@ class SaveTurns:
                     f"save turn {position} never came at step {self.step}"
                 )
             time.sleep(poll)
-        if gap > 0:
-            time.sleep(gap)
 
     def finish_turn(self, position: int, n_ranks: int) -> None:
         """Pass the token; the last saver publishes the completion marker."""

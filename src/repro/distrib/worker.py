@@ -36,10 +36,8 @@ import traceback
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from ..chaos.inject import ChannelFaultInjector, FiredMarkers, WorkerFaults
-from ..chaos.plan import DUMP_KINDS, MESSAGE_KINDS, PROCESS_KINDS, FaultPlan
+from ..chaos.plan import KINDS, MESSAGE_KINDS, FaultPlan
 from ..core.exchange import build_plan
 from ..fluids.coupling import build_converters, seam_wire_fields
 from ..net.channels import ChannelSet
@@ -49,7 +47,6 @@ from ..net.transport import SocketExchanger
 from ..net.udp import UdpChannelSet
 from ..trace import NULL_TRACER, Tracer
 from .diagnostics import (
-    DEFAULT_VMAX,
     DiagnosticsFailure,
     DiagnosticsLog,
     GlobalDiagnostics,
@@ -67,6 +64,7 @@ __all__ = [
     "EXIT_MIGRATED",
     "EXIT_DIAGNOSTIC",
     "EXIT_REBALANCED",
+    "NICENESS",
     "main",
 ]
 
@@ -81,6 +79,13 @@ EXIT_DIAGNOSTIC = 76
 #: the monitor reassembles the dumps into new weighted blocks and
 #: restarts everyone under the next generation (rebalance epoch).
 EXIT_REBALANCED = 77
+
+#: §5.1: every rank runs at this UNIX nice level, so the regular user's
+#: interactive tasks "receive the full attention of the processor
+#: immediately"
+NICENESS = 10
+#: seconds to wait for neighbours (and collective peers) to connect
+OPEN_TIMEOUT = 30.0
 
 #: worker-side smoothing of the per-step compute seconds published in
 #: the heartbeat (the monitor's load estimator smooths again)
@@ -164,10 +169,7 @@ class Worker:
         )
         if cfg.transport == "tcp":
             self.channels = ChannelSet(
-                self.rank, neighbor_ranks, self.registry,
-                reconnect_attempts=cfg.reconnect_attempts,
-                reconnect_base=cfg.reconnect_base,
-                hangup_grace=cfg.hangup_grace,
+                self.rank, neighbor_ranks, self.registry
             )
         else:
             self.channels = UdpChannelSet(
@@ -198,7 +200,6 @@ class Worker:
             self.sub,
             self.plan,
             self.channels,
-            strict_order=cfg.strict_order,
             timeout=cfg.recv_timeout,
             converters=self.converters,
             wire_fields=seam_wire_fields(self.method),
@@ -211,11 +212,10 @@ class Worker:
                     self.rank,
                     self.n_ranks,
                     timeout=cfg.recv_timeout,
-                    link_timeout=cfg.open_timeout,
+                    link_timeout=OPEN_TIMEOUT,
                     tracer=self.tracer,
                 ),
                 every=cfg.diag_every,
-                vmax=cfg.diag_vmax if cfg.diag_vmax > 0.0 else DEFAULT_VMAX,
                 log=DiagnosticsLog.for_workdir(self.workdir)
                 if self.rank == 0 else None,
             )
@@ -233,16 +233,17 @@ class Worker:
         self._comp_ema: float | None = None
         self._log_path = self.workdir / "logs" / f"rank{self.rank:04d}.log"
         self._log_path.parent.mkdir(parents=True, exist_ok=True)
-        # Deterministic fault injection (repro.chaos): process/dump
-        # faults fire from the step loop, message faults hook the
+        # Deterministic fault injection (repro.chaos): process, nan and
+        # dump faults fire from the step loop, message faults hook the
         # channel send path.  Fired-once markers live in the workdir so
         # a fault never re-fires after the checkpoint restart it caused.
         self.faults: WorkerFaults | None = None
         if cfg.fault_plan:
             plan = FaultPlan.from_json(cfg.fault_plan)
             markers = FiredMarkers(self.workdir / "chaos")
+            # WorkerFaults keeps the step-boundary and dump kinds
             self.faults = WorkerFaults(
-                plan.for_rank(self.rank, PROCESS_KINDS | DUMP_KINDS),
+                plan.for_rank(self.rank, KINDS),
                 markers,
                 log=self.log,
                 tracer=self.tracer if cfg.trace else None,
@@ -304,7 +305,7 @@ class Worker:
         """Open channels and run the compute/communicate loop to completion."""
         self.install_signals()
         self._hb = open_heartbeat(self.workdir, self.rank)
-        self.channels.open(self.generation, timeout=self.cfg.open_timeout)
+        self.channels.open(self.generation, timeout=OPEN_TIMEOUT)
         self.log(f"channels open, generation {self.generation}")
         if self.cfg.dump_in:
             # This incarnation was restored from a dump (checkpoint
@@ -325,7 +326,7 @@ class Worker:
                     if self.sub.step >= self.cfg.steps_total:
                         break
                     if self.faults is not None:
-                        self.faults.at_step(self.sub.step)
+                        self.faults.at_step(self.sub)
                     self._step_once()
                     self._heartbeat()
                     self._maybe_checkpoint()
@@ -379,14 +380,6 @@ class Worker:
         else:
             self._comp_ema += _COMP_ALPHA * (comp - self._comp_ema)
         sub.step += 1
-        if (
-            self.cfg.nan_step > 0
-            and sub.step == self.cfg.nan_step
-            and self.rank == self.cfg.nan_rank
-        ):
-            view = sub.interior_view("rho")
-            view.flat[view.size // 2] = np.nan
-            self.log("injected NaN (test knob)")
         # The diagnostics collective runs here, not in the outer loop,
         # so catch-up stepping inside the migration sync protocol keeps
         # every rank's collective sequence aligned.
@@ -406,7 +399,7 @@ class Worker:
             return
         turns = SaveTurns(self.workdir, self.sub.step)
         t0 = self.tracer.begin()
-        turns.wait_turn(self.rank, gap=self.cfg.save_gap)
+        turns.wait_turn(self.rank)
         self.tracer.end("checkpoint:turn", t0, step=self.sub.step)
         t0 = self.tracer.begin()
         out = dump_path(
@@ -513,7 +506,7 @@ class Worker:
         self.tracer.end("migration:pause", t0, step=self.sub.step)
         self.generation = epoch + 1
         self._sync_epoch = None
-        self.channels.open(self.generation, timeout=self.cfg.open_timeout)
+        self.channels.open(self.generation, timeout=OPEN_TIMEOUT)
         self.log(f"resumed, generation {self.generation}")
         return None
 
@@ -529,13 +522,12 @@ def main(argv: list[str] | None = None) -> int:
     pending: list[int] = []
     signal.signal(signal.SIGUSR2, lambda s, f: pending.append(s))
     cfg = WorkerConfig.from_json(Path(argv[0]).read_text())
-    if cfg.niceness > 0:
-        # §5.1: run at low priority so the computation is transparent
-        # to the workstation's regular user.
-        try:
-            os.nice(cfg.niceness)
-        except OSError:  # pragma: no cover - permission-restricted env
-            pass
+    # §5.1: run at low priority so the computation is transparent to
+    # the workstation's regular user.
+    try:
+        os.nice(NICENESS)
+    except OSError:  # pragma: no cover - permission-restricted env
+        pass
     try:
         worker = Worker(cfg)
     except Exception:

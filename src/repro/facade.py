@@ -196,7 +196,7 @@ def _run_inprocess(spec, fields, settings, workdir, threaded: bool,
         if settings.diag_every > 0:
             # sample the same global reductions a distributed run would,
             # judged by the same abort rule
-            from .distrib.diagnostics import check_record
+            from .distrib.diagnostics import DEFAULT_VMAX, check_record
 
             every = settings.diag_every
             done = 0
@@ -209,7 +209,7 @@ def _run_inprocess(spec, fields, settings, workdir, threaded: bool,
                     diagnostics.append(rec)
                     if diag_log is not None:
                         diag_log.append(rec)
-                    check_record(rec, settings.diag_vmax)
+                    check_record(rec, DEFAULT_VMAX)
         else:
             sim.step(n_steps)
         elapsed = time.perf_counter() - t0

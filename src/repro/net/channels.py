@@ -13,9 +13,7 @@ Receiving is **first-come-first-served** using ``select`` exactly as
 App. C recommends: frames are consumed from whichever neighbour has data
 ready and buffered by ``(step, phase, axis, side, sender)`` until the
 caller needs them — this is what lets computation proceed in processes
-that are not delayed.  A ``strict_order`` mode implements the
-alternative the appendix analyses (drain neighbours in a fixed order)
-so its inferior behaviour can be demonstrated.
+that are not delayed.
 
 **Fault hardening.**  Connection-level failures surface as a typed
 :class:`ChannelError` carrying rank, peer and generation — never a raw
@@ -53,6 +51,15 @@ __all__ = ["ChannelSet", "ChannelError"]
 
 _SNDBUF = 1 << 20  # generous kernel buffers keep small-strip sends non-blocking
 
+#: Link recovery uses bounded exponential backoff: attempt ``k`` waits
+#: ``RECONNECT_BASE * 2**k`` seconds, ``RECONNECT_ATTEMPTS`` attempts
+#: in all before a :class:`ChannelError` is raised.
+RECONNECT_ATTEMPTS = 5
+RECONNECT_BASE = 0.05
+#: Seconds a receiver waits for a hung-up higher-ranked peer that still
+#: owes data to re-connect before giving up with a ChannelError.
+HANGUP_GRACE = 2.0
+
 
 class ChannelError(ConnectionError):
     """A channel to a peer failed beyond recovery.
@@ -82,9 +89,6 @@ class ChannelSet:
         neighbor_ranks: Iterable[int],
         registry: PortRegistry,
         host: str = "127.0.0.1",
-        reconnect_attempts: int = 5,
-        reconnect_base: float = 0.05,
-        hangup_grace: float = 2.0,
     ) -> None:
         self.rank = rank
         self.neighbors = sorted(set(neighbor_ranks))
@@ -93,14 +97,6 @@ class ChannelSet:
         self.registry = registry
         self.host = host
         self.generation = -1
-        #: bounded exponential backoff for link recovery: attempt ``k``
-        #: waits ``reconnect_base * 2**k`` seconds, ``reconnect_attempts``
-        #: attempts total before a :class:`ChannelError` is raised.
-        self.reconnect_attempts = reconnect_attempts
-        self.reconnect_base = reconnect_base
-        #: how long a receiver waits for a hung-up peer that still owes
-        #: data to re-connect before giving up with a ChannelError.
-        self.hangup_grace = hangup_grace
         #: successful link recoveries (visible in worker logs/benches)
         self.reconnects = 0
         #: optional :class:`repro.chaos.ChannelFaultInjector` hook
@@ -367,8 +363,8 @@ class ChannelSet:
             except OSError as exc:
                 last = exc
                 self.break_link(to, drain=False)
-        delay = self.reconnect_base
-        for _ in range(self.reconnect_attempts):
+        delay = RECONNECT_BASE
+        for _ in range(RECONNECT_ATTEMPTS):
             try:
                 if to < self.rank:
                     self._connect_to(to, timeout=delay)
@@ -383,7 +379,7 @@ class ChannelSet:
                 delay *= 2
         raise ChannelError(
             self.rank, to, self.generation,
-            f"send failed after {self.reconnect_attempts} reconnect "
+            f"send failed after {RECONNECT_ATTEMPTS} reconnect "
             f"attempts: {last!r}",
         ) from last
 
@@ -419,21 +415,19 @@ class ChannelSet:
         self,
         keys: set[tuple[int, int, int, int, int]],
         timeout: float = 60.0,
-        strict_order: bool = False,
     ) -> dict[tuple, bytes]:
         """Collect the payloads for every requested key.
 
-        ``keys`` are ``(step, phase, axis, side, sender)`` tuples.  In the
-        default first-come-first-served mode, ``select`` picks whichever
-        neighbour has data; in ``strict_order`` mode neighbours are
-        drained in ascending rank order (the App. C ablation).
+        ``keys`` are ``(step, phase, axis, side, sender)`` tuples.
+        Receiving is first-come-first-served: ``select`` picks whichever
+        neighbour has data (App. C).
 
         A peer that hangs up while still owing data is given a chance to
         re-establish the link (it may have broken the connection on
         purpose — see :meth:`break_link` — or be re-connecting after a
         transient error): lower-ranked peers are re-dialled with backoff,
         higher-ranked peers are awaited on the listener, bounded by
-        ``hangup_grace``; then a :class:`ChannelError` names the peer.
+        :data:`HANGUP_GRACE`; then a :class:`ChannelError` names the peer.
         """
         out: dict[tuple, bytes] = {}
         for key in list(keys):
@@ -446,16 +440,9 @@ class ChannelSet:
             # only an error if we still expect data from it (all frames
             # sent before the close are delivered first by TCP).
             self._recover_hung_up({k[4] for k in missing})
-            if strict_order:
-                want = sorted(k[4] for k in missing)[0]
-                socks = (
-                    [self._socks[want]] if want in self._socks else []
-                )
-            else:
-                socks = [
-                    s for r, s in self._socks.items()
-                    if r not in self._hung_up
-                ]
+            socks = [
+                s for r, s in self._socks.items() if r not in self._hung_up
+            ]
             # The listener stays in the select set so a peer
             # re-connecting after a link break is accepted mid-receive.
             if self._listener is not None:
@@ -506,7 +493,7 @@ class ChannelSet:
                 if now < self._next_try.get(peer, 0.0):
                     continue
                 tries = self._attempts.get(peer, 0)
-                if tries >= self.reconnect_attempts:
+                if tries >= RECONNECT_ATTEMPTS:
                     raise ChannelError(
                         self.rank, peer, self.generation,
                         f"peer hung up and {tries} reconnect attempts "
@@ -514,18 +501,18 @@ class ChannelSet:
                     )
                 self._attempts[peer] = tries + 1
                 self._next_try[peer] = (
-                    now + self.reconnect_base * (2 ** tries)
+                    now + RECONNECT_BASE * (2 ** tries)
                 )
                 try:
                     self._connect_to(peer, timeout=0.5)
                 except (OSError, TimeoutError):
                     continue
-            elif now - since > self.hangup_grace:
+            elif now - since > HANGUP_GRACE:
                 # Acceptor role: the listener sits in the select set;
                 # all we can do is bound the wait.
                 raise ChannelError(
                     self.rank, peer, self.generation,
                     f"peer hung up and never reconnected within "
-                    f"{self.hangup_grace:.1f}s while data is still "
+                    f"{HANGUP_GRACE:.1f}s while data is still "
                     f"outstanding",
                 )

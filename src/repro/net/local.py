@@ -96,7 +96,7 @@ class LocalChannelSet:
         self.fabric.put(to, (step, phase, axis, side, self.rank),
                         bytes(payload))
 
-    def recv_data(self, keys, timeout: float = 30.0, **_ignored) -> dict:
+    def recv_data(self, keys, timeout: float = 30.0) -> dict:
         """Block until all ``(step, phase, axis, side, sender)`` keys arrive."""
         out = self.fabric.take(self.rank, set(keys), timeout)
         tracer = self.tracer

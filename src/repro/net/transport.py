@@ -48,7 +48,6 @@ class SocketExchanger:
         sub: SubregionState,
         plan: ExchangePlan,
         channels: ChannelSet,
-        strict_order: bool = False,
         timeout: float = 60.0,
         converters=None,
         wire_fields: Sequence[str] = (),
@@ -56,7 +55,6 @@ class SocketExchanger:
         self.sub = sub
         self.plan = plan
         self.channels = channels
-        self.strict_order = strict_order
         self.timeout = timeout
         #: seam converters keyed by neighbour rank (this worker is the
         #: destination); those edges are skipped by :meth:`exchange` and
@@ -127,9 +125,7 @@ class SocketExchanger:
             }
             if keys:
                 payloads = self.channels.recv_data(
-                    set(keys),
-                    timeout=self.timeout,
-                    strict_order=self.strict_order,
+                    set(keys), timeout=self.timeout
                 )
                 for key, op in keys.items():
                     if seam:

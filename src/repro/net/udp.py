@@ -310,9 +310,6 @@ class UdpChannelSet:
         self,
         keys: set[tuple[int, int, int, int, int]],
         timeout: float = 60.0,
-        strict_order: bool = False,  # noqa: ARG002 - datagrams have no
-        # per-channel order to be strict about; accepted for interface
-        # compatibility with the TCP ChannelSet
     ) -> dict[tuple, bytes]:
         """Collect the payloads for every requested key."""
         out: dict[tuple, bytes] = {}

@@ -5,7 +5,7 @@ whose ``(spec, settings, seed)`` describe the same computation must map
 to the same fingerprint no matter how they were spelled — field order
 in a JSON body, tuples vs lists, defaults left implicit vs written out.
 Conversely any knob that can change the produced fields (grid, physical
-parameters, step count, diagnostic abort thresholds) must change the
+parameters, step count, diagnostics period, fault plan) must change the
 fingerprint.
 
 Operational knobs deliberately do **not** participate: transport,
@@ -25,18 +25,11 @@ __all__ = ["PHYSICAL_KNOBS", "canonical_request", "fingerprint"]
 #: The settings knobs that can change the produced fields.  Everything
 #: else in :class:`~repro.distrib.RunSettings` is operational and is
 #: excluded from the cache key (see module docstring).
-PHYSICAL_KNOBS = (
-    "steps",
-    "diag_every",
-    "diag_vmax",
-    "nan_step",
-    "nan_rank",
-    "fault_plan",
-)
+PHYSICAL_KNOBS = ("steps", "diag_every", "fault_plan")
 
 #: Bump when the canonical form itself changes, so stale cache entries
 #: from an older layout can never satisfy a new request.
-_CANON_VERSION = 3
+_CANON_VERSION = 4
 
 
 def _canonical_spec(spec) -> dict:

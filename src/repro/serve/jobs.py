@@ -27,7 +27,7 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .._jsonl import locked_append, read_jsonl
+from .._jsonl import LogDamaged, locked_append, read_jsonl
 
 __all__ = [
     "STATES",
@@ -140,16 +140,22 @@ class JobHistory:
         ]
 
     def replay(self) -> dict[str, JobRecord]:
-        """Rebuild the job table: job_id -> latest record state."""
+        """Rebuild the job table: job_id -> latest record state.
+
+        An event whose ``job`` is not a record this version can rebuild
+        raises :class:`~repro._jsonl.LogDamaged` naming the file and
+        line: skipping it would make that job vanish without a word.
+        """
         table: dict[str, JobRecord] = {}
-        for event in self.read():
-            job = event.get("job")
-            if not isinstance(job, dict) or "job_id" not in job:
-                continue
+        # read() drops only a torn *last* line, so position is line number
+        for lineno, event in enumerate(self.read(), 1):
             try:
-                table[job["job_id"]] = JobRecord.from_dict(job)
-            except TypeError:
-                continue  # event written by an incompatible version
+                rec = JobRecord.from_dict(event["job"])
+            except (KeyError, TypeError) as exc:
+                raise LogDamaged(
+                    self.path, lineno, f"not a job event: {exc!r}"
+                ) from None
+            table[rec.job_id] = rec
         return table
 
     def next_seq(self) -> int:

@@ -24,6 +24,8 @@ import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .._jsonl import read_jsonl
+
 __all__ = ["trace_files", "load_trace", "merge_traces",
            "write_chrome_trace"]
 
@@ -48,30 +50,24 @@ def load_trace(path: str | Path) -> dict:
     """Parse one rank's JSONL trace into ``{meta, spans, counters, end}``.
 
     Tolerates a torn final line (a rank killed mid-append) and a
-    missing footer; a missing meta line yields zero origins.
+    missing footer; a missing meta line yields zero origins.  Any other
+    unparsable line raises :class:`~repro._jsonl.LogDamaged` naming the
+    file and line.
     """
     meta = {"rank": 0, "wall_t0": 0.0, "clock_t0": 0.0, "sim": False}
     spans: list[dict] = []
     counters: list[dict] = []
     end: dict | None = None
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError:  # torn tail line
-                continue
-            kind = rec.get("type")
-            if kind == "span":
-                spans.append(rec)
-            elif kind == "counter":
-                counters.append(rec)
-            elif kind == "meta":
-                meta.update(rec)
-            elif kind == "end":
-                end = rec
+    for _, _, rec in read_jsonl(path, Path(path).read_text()):
+        kind = rec.get("type")
+        if kind == "span":
+            spans.append(rec)
+        elif kind == "counter":
+            counters.append(rec)
+        elif kind == "meta":
+            meta.update(rec)
+        elif kind == "end":
+            end = rec
     return {"meta": meta, "spans": spans, "counters": counters,
             "end": end}
 

@@ -8,6 +8,7 @@ from repro.chaos import (
     ChannelFaultInjector,
     Fault,
     FiredMarkers,
+    WorkerFaults,
     corrupt_dump,
 )
 from repro.core import Decomposition, make_subregions
@@ -114,6 +115,31 @@ def _dump(tmp_path, seed=0):
     path = dump_path(tmp_path, 0, tag="ckpt000000010")
     save_dump(sub, path)
     return path
+
+
+class TestWorkerFaults:
+    def test_nan_poisons_one_interior_rho_value_once(self, tmp_path):
+        rng = np.random.default_rng(0)
+        shape = (20, 16)
+        fields = {"rho": rng.random(shape), "f": rng.random((9,) + shape)}
+        d = Decomposition(shape, (1, 1), solid=None)
+        sub = make_subregions(d, 3, fields, None)[0]
+        faults = WorkerFaults(
+            (Fault("nan", rank=0, step=4),), FiredMarkers(tmp_path)
+        )
+        sub.step = 3
+        faults.at_step(sub)
+        assert np.isfinite(sub.fields["rho"]).all()
+        sub.step = 4
+        faults.at_step(sub)
+        assert np.isnan(sub.interior_view("rho")).sum() == 1
+        assert np.isfinite(sub.fields["f"]).all()
+        # a restarted incarnation replaying step 4 does not fire again
+        sub.interior_view("rho")[...] = 1.0
+        WorkerFaults(
+            (Fault("nan", rank=0, step=4),), FiredMarkers(tmp_path)
+        ).at_step(sub)
+        assert np.isfinite(sub.fields["rho"]).all()
 
 
 class TestDumpCorruption:

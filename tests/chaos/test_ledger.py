@@ -11,6 +11,9 @@ path is covered by ``repro chaos`` runs in test_runner_e2e.
 import json
 from pathlib import Path
 
+import pytest
+
+from repro._jsonl import LogDamaged
 from repro.chaos import check_recovery_ledger
 from repro.chaos.runner import _ledger_spans
 
@@ -87,6 +90,25 @@ def test_torn_final_line_is_tolerated(tmp_path):
     spans = _ledger_spans(tmp_path)
     assert ("chaos", "kill") in spans
     assert check_recovery_ledger(tmp_path, restarts=1) == []
+
+
+def test_damaged_middle_line_is_loud(tmp_path):
+    """Only the last line can be torn by a crash; damage anywhere else
+    is refused with the file and line, not skipped."""
+    trace = tmp_path / "trace"
+    _write_stream(trace, "0000", ["chaos:kill", "recover:restart"])
+    path = trace / "trace-0000.jsonl"
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1][:20]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LogDamaged, match="trace-0000.jsonl, line 2"):
+        _ledger_spans(tmp_path)
+
+
+def test_nan_fault_owes_no_recovery(tmp_path):
+    """An injected NaN ends in a diagnosed abort, not a restart."""
+    _write_stream(tmp_path / "trace", "0001", ["chaos:nan"])
+    assert check_recovery_ledger(tmp_path, restarts=0) == []
 
 
 def test_non_ledger_spans_are_ignored(tmp_path):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.chaos import KINDS, MESSAGE_KINDS, SCENARIOS, Fault, FaultPlan
-from repro.chaos.plan import DUMP_KINDS, HOST_KINDS, PROCESS_KINDS
+from repro.chaos.plan import DUMP_KINDS, HOST_KINDS, PROCESS_KINDS, STATE_KINDS
 
 
 class TestFault:
@@ -12,7 +12,8 @@ class TestFault:
             Fault("meteor_strike")
 
     def test_kind_sets_partition_the_universe(self):
-        groups = (PROCESS_KINDS, MESSAGE_KINDS, DUMP_KINDS, HOST_KINDS)
+        groups = (PROCESS_KINDS, MESSAGE_KINDS, STATE_KINDS, DUMP_KINDS,
+                  HOST_KINDS)
         assert frozenset().union(*groups) == KINDS
         for i, a in enumerate(groups):
             for b in groups[i + 1:]:
@@ -35,6 +36,10 @@ class TestSerialization:
             Fault("msg_truncate", rank=0, step=3, count=2, arg=16),
             Fault("load_spike", rank=1, at=0.5, load=2.5, seconds=30.0),
         ))
+        assert FaultPlan.from_json(plan.to_json()) == plan
+
+    def test_nan_round_trip(self):
+        plan = FaultPlan(seed=1, faults=(Fault("nan", rank=1, step=12),))
         assert FaultPlan.from_json(plan.to_json()) == plan
 
     def test_json_is_stable(self):
@@ -106,6 +111,15 @@ class TestGenerate:
         plan = FaultPlan.generate(2, 4, 50, n_faults=6,
                                   kinds=("msg_drop", "msg_dup"))
         assert {f.kind for f in plan.faults} <= {"msg_drop", "msg_dup"}
+
+    def test_default_menu_never_draws_nan(self):
+        """``nan`` aborts the run by design: random sweeps leave it out
+        unless a menu names it."""
+        for seed in range(20):
+            plan = FaultPlan.generate(seed, 4, 50, n_faults=8)
+            assert all(f.kind not in STATE_KINDS for f in plan.faults)
+        named = FaultPlan.generate(0, 2, 50, n_faults=2, kinds=("nan",))
+        assert {f.kind for f in named.faults} == {"nan"}
 
     def test_unknown_kind_in_menu(self):
         with pytest.raises(ValueError, match="unknown fault kind"):

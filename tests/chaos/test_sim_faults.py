@@ -31,6 +31,12 @@ class TestValidation:
     def test_no_plan_is_fine(self):
         assert _sim().run(steps=5).faults == []
 
+    def test_nan_fault_is_ignored(self):
+        """The simulator models time, not fields: a ``nan`` fault, like
+        a dump fault, has nothing to act on."""
+        plan = _plan(Fault("nan", rank=1, step=5))
+        assert _sim(plan).run(steps=20) == _sim().run(steps=20)
+
 
 class TestChargedCosts:
     def test_kill_charges_restart_cost(self):

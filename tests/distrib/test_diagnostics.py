@@ -15,6 +15,7 @@ import pytest
 
 import repro
 from repro._jsonl import LogDamaged
+from repro.chaos import Fault, FaultPlan
 from repro.core import Decomposition, Simulation, ThreadedSimulation
 from repro.distrib import (
     DEFAULT_VMAX,
@@ -332,10 +333,12 @@ class TestDistributedDiagnostics:
         every, nan_step = 5, 12
         spec = _spec()
         fields = initial_fields(spec, "rest")
+        plan = FaultPlan(faults=(Fault("nan", rank=1, step=nan_step),))
         run = DistributedRun(
             spec, fields, tmp_path / "run",
-            RunSettings(steps=60, diag_every=every, nan_step=nan_step,
-                        nan_rank=1, stall_timeout=120, run_timeout=240),
+            RunSettings(steps=60, diag_every=every,
+                        fault_plan=plan.to_json(),
+                        stall_timeout=120, run_timeout=240),
         )
         mon = run.start()
         with pytest.raises(MonitorError) as err:

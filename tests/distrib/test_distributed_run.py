@@ -177,20 +177,6 @@ def test_udp_transport_matches_serial(tmp_path):
         assert np.array_equal(out[name], serial.global_field(name)), name
 
 
-def test_strict_order_communication_still_correct(tmp_path):
-    """App. C: strict-order draining performs worse but must compute
-    the same answer."""
-    spec = _spec(blocks=(3, 1))
-    fields = initial_fields(spec, "rest")
-    serial = _serial(spec, fields, steps=20)
-    out = repro.run(
-        spec, "distributed", RunSettings(steps=20, strict_order=True),
-        fields=fields, workdir=tmp_path / "run",
-    ).fields
-    for name in serial.method.field_names:
-        assert np.array_equal(out[name], serial.global_field(name)), name
-
-
 def test_inactive_blocks_use_fewer_workers(tmp_path):
     """Fig. 2: all-solid subregions get no worker process."""
     spec = ProblemSpec(

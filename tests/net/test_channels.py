@@ -108,18 +108,6 @@ class TestReceiveSemantics:
         for cs in sets.values():
             cs.close()
 
-    def test_strict_order_mode(self, tmp_path):
-        """App. C's fixed-order draining still delivers everything."""
-        sets = _open_mesh(tmp_path, {0: [1, 2], 1: [0], 2: [0]})
-        sets[2].send_data(0, b"late-rank-first", step=0, phase=0, axis=0,
-                          side=1)
-        sets[1].send_data(0, b"low-rank", step=0, phase=0, axis=0, side=-1)
-        keys = {(0, 0, 0, -1, 1), (0, 0, 0, 1, 2)}
-        got = sets[0].recv_data(keys, timeout=5.0, strict_order=True)
-        assert len(got) == 2
-        for cs in sets.values():
-            cs.close()
-
     def test_recv_timeout(self, tmp_path):
         sets = _open_mesh(tmp_path, {0: [1], 1: [0]})
         with pytest.raises(TimeoutError):

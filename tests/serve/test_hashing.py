@@ -7,10 +7,13 @@ false collision serves the wrong physics, a false separation recomputes
 forever.
 """
 
+from dataclasses import fields
+
 import pytest
 
 from repro.distrib import ProblemSpec, RunSettings
 from repro.serve import canonical_request, fingerprint
+from repro.serve.hashing import PHYSICAL_KNOBS
 
 SPEC_FIELDS = {
     "method": "lb",
@@ -118,8 +121,9 @@ class TestHybridSpecs:
         """Golden value of a v1 spec: v1 specs serialize without a
         spec_version key, so the hybrid redesign left this hash alone.
         Re-pinned at canonical-form version 2, when ``diag_algorithm``
-        left the physical knobs, and at version 3, when the kernel
-        ``backend``/``backends`` knobs were deleted."""
+        left the physical knobs, at version 3, when the kernel
+        ``backend``/``backends`` knobs were deleted, and at version 4,
+        when ``diag_vmax``/``nan_step``/``nan_rank`` left them."""
         as_dict = {
             "method": "lb", "grid_shape": [32, 24], "blocks": [2, 1],
             "periodic": [True, False],
@@ -127,8 +131,8 @@ class TestHybridSpecs:
             "geometry": {"kind": "channel"},
         }
         assert fingerprint(as_dict) == (
-            "c923e553d78ff0ec4bf26aea8eec720f"
-            "77c2207c8984acb399244d7451d7ee2b"
+            "4315f01d89bb6749e109451a93013fca"
+            "75bbb1be24dc532c49974fa78b6e01ba"
         )
 
     def test_single_method_map_collides_with_plain_string(self):
@@ -164,10 +168,19 @@ class TestHybridSpecs:
 
 class TestRejection:
     def test_unknown_settings_knob_rejected(self):
-        # a typo, and two knobs that no longer exist
-        for knob in ("stepz", "diag_algorithm", "save_barrier"):
+        # a typo, and knobs that no longer exist
+        for knob in (
+            "stepz", "diag_algorithm", "save_barrier",
+            "niceness", "save_gap", "open_timeout", "reconnect_attempts",
+            "reconnect_base", "hangup_grace", "strict_order",
+            "nan_step", "nan_rank", "diag_vmax",
+        ):
             with pytest.raises(ValueError, match="unknown settings knob"):
                 fingerprint(_spec(), settings={knob: "tree"})
+
+    def test_physical_knobs_are_settings(self):
+        """Every hashed knob is a live RunSettings field."""
+        assert set(PHYSICAL_KNOBS) <= {f.name for f in fields(RunSettings)}
 
     def test_kernel_backend_knob_rejected(self):
         """The kernel backend knobs are gone: a request still naming
@@ -178,7 +191,7 @@ class TestRejection:
 
     def test_canonical_request_shape(self):
         canon = canonical_request(_spec(), settings={"steps": 7}, seed=3)
-        assert canon["version"] == 3
+        assert canon["version"] == 4
         assert canon["seed"] == 3
         assert canon["settings"]["steps"] == 7
         # the canonical form is pure JSON types (tuples flattened)

@@ -117,7 +117,9 @@ class TestHistory:
         with pytest.raises(LogDamaged):
             hist.replay()
 
-    def test_replay_skips_incompatible_events(self, tmp_path):
+    def test_replay_refuses_incompatible_events(self, tmp_path):
+        """A parseable event that is not a job record this version can
+        rebuild is damage: replay names it instead of dropping the job."""
         hist = JobHistory.for_dir(tmp_path)
         hist.append("submitted", _rec())
         with open(hist.path, "a") as fh:
@@ -125,7 +127,14 @@ class TestHistory:
                 "event": "future",
                 "job": {"job_id": "jX", "no_such_field": 1},
             }) + "\n")
-        assert set(hist.replay()) == {"j000000-aaaaaaaa"}
+        hist.append("submitted", _rec("j000001-bbbbbbbb", seq=1))
+        with pytest.raises(LogDamaged, match="jobs.jsonl, line 2") as err:
+            hist.replay()
+        assert err.value.lineno == 2
+        # an event without a job record at all is refused the same way
+        hist.path.write_text(json.dumps({"event": "submitted"}) + "\n")
+        with pytest.raises(LogDamaged, match="line 1"):
+            hist.replay()
 
     def test_next_seq(self, tmp_path):
         hist = JobHistory.for_dir(tmp_path)

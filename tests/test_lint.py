@@ -99,3 +99,36 @@ def test_no_file_system_work_on_the_step_path():
     assert not offenders, (
         "file-system call on the per-step path:\n" + "\n".join(offenders)
     )
+
+
+#: the channel sets a rank's exchanger and collectives drive
+CHANNEL_SETS = (
+    ("net/channels.py", "ChannelSet"),
+    ("net/udp.py", "UdpChannelSet"),
+    ("net/local.py", "LocalChannelSet"),
+)
+
+
+def _param_names(fn: ast.FunctionDef) -> tuple[str, ...]:
+    args = fn.args
+    names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    if args.vararg is not None:
+        names.append("*" + args.vararg.arg)
+    if args.kwarg is not None:
+        names.append("**" + args.kwarg.arg)
+    return tuple(names)
+
+
+def test_channel_sets_share_one_data_plane_signature():
+    """The channel sets are interchangeable under the exchangers and the
+    collectives: ``send_data``/``recv_data`` take the same parameter
+    names everywhere, so no transport-only knob can hide behind a
+    parameter the others lack or a ``**kwargs`` that swallows it."""
+    for name in ("send_data", "recv_data"):
+        sigs = {
+            cls: _param_names(_method(SRC / rel, cls, name))
+            for rel, cls in CHANNEL_SETS
+        }
+        assert len(set(sigs.values())) == 1, (
+            f"channel sets disagree on {name} parameters: {sigs}"
+        )

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro._jsonl import LogDamaged
 from repro.trace import (
     CAT_COMM,
     CAT_COMPUTE,
@@ -196,6 +197,20 @@ def test_simulated_stream_has_zero_origins(tmp_path):
     assert t["meta"]["sim"] is True
     assert t["meta"]["wall_t0"] == 0.0
     assert t["meta"]["clock_t0"] == 0.0
+
+
+def test_damaged_middle_line_is_loud(tmp_path):
+    path = tmp_path / "t.jsonl"
+    tr = Tracer(path)
+    tr.add_span("compute:0", 0.0, 1.0)
+    tr.add_span("exchange:0", 1.0, 1.0)
+    tr.close()
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1][:25]  # a span line cut short mid-file
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LogDamaged, match="t.jsonl, line 2") as err:
+        load_trace(path)
+    assert err.value.lineno == 2
 
 
 def test_torn_tail_line_tolerated(tmp_path):

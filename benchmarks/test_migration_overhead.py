@@ -27,8 +27,7 @@ def _run(monitor_poll, steps=2500):
     sim = ClusterSimulation(
         "lb", 2, BLOCKS, SIDE, hosts=paper_sim_cluster(traces)
     )
-    return sim.run(steps=steps, monitor_poll=monitor_poll,
-                   migration_cost=30.0)
+    return sim.run(steps=steps, monitor_poll=monitor_poll)
 
 
 def test_migration_overhead(benchmark, record_figure):

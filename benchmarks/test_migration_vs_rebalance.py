@@ -27,7 +27,7 @@ def _run(policy, hosts, steps=800, poll=30.0):
     kw = {} if policy == "none" else {
         "monitor_poll": poll, "policy": policy,
     }
-    res = sim.run(steps=steps, migration_cost=30.0, **kw)
+    res = sim.run(steps=steps, **kw)
     return sim, res
 
 

@@ -40,7 +40,7 @@ def _soak(seed):
     sim = ClusterSimulation("lb", 2, (5, 4), 150, hosts=hosts)
     # ~0.64 s/step at 150^2: 3 simulated hours ~ 17k steps
     steps = int(HOURS * 3600.0 / 0.65)
-    res = sim.run(steps=steps, monitor_poll=60.0, migration_cost=30.0)
+    res = sim.run(steps=steps, monitor_poll=60.0)
     initial_hosts = names[:20]
     return res, expected_busy_events(traces, initial_hosts)
 

@@ -1,10 +1,10 @@
 """Deterministic fault injection for the distributed runtime.
 
-One seeded, JSON-serializable :class:`FaultPlan` drives faults in both
-the live runtime (worker kills/stalls, dropped or truncated frames,
-corrupted checkpoint dumps, injected NaNs, host-load spikes) and the
-cluster simulator, so every failure mode the paper's monitor must
-survive (§4.1, §5) can be reproduced bit-for-bit from a seed.
+One seeded, JSON-serializable :class:`FaultPlan` drives faults in the
+live runtime (worker kills/stalls, dropped or truncated frames,
+corrupted checkpoint dumps, injected NaNs, host-load spikes), so every
+failure mode the paper's monitor must survive (§4.1, §5) can be
+reproduced bit-for-bit from a seed.
 """
 
 from .._lazy import lazy_exports

@@ -7,11 +7,10 @@ reorders packets, and crashes are recovered from staggered checkpoints
 *reproducible*: a seeded RNG schedules a set of :class:`Fault` events —
 kill or SIGSTOP a worker at step N, drop/delay/duplicate/truncate
 messages at the transport layer, corrupt a checkpoint dump, poison a
-rank's state with a NaN, spike a host's load — and the same
-JSON-serialized plan drives both the live distributed runtime (via
-``WorkerKnobs.fault_plan``) and the cluster simulator (via
-``ClusterSimulation(fault_plan=...)``), so a failure seen once can be
-replayed exactly.
+rank's state with a NaN, spike a host's load — and the JSON-serialized
+plan drives the live distributed runtime (via
+``WorkerKnobs.fault_plan``), so a failure seen once can be replayed
+exactly.
 
 Every fault is identified by a stable ``fault_id`` so the injector can
 mark it *fired* on disk: a kill fault keyed only by step would re-fire
@@ -39,7 +38,7 @@ MESSAGE_KINDS = frozenset(
 STATE_KINDS = frozenset({"nan"})
 #: Faults applied to a checkpoint dump right after it is written.
 DUMP_KINDS = frozenset({"dump_corrupt", "dump_truncate"})
-#: Faults applied by the monitor (live) or the simulator (modeled).
+#: Faults applied by the monitor to the virtual host registry.
 HOST_KINDS = frozenset({"load_spike"})
 
 KINDS = PROCESS_KINDS | MESSAGE_KINDS | STATE_KINDS | DUMP_KINDS | HOST_KINDS
@@ -111,7 +110,7 @@ class FaultPlan:
         )
 
     def host_faults(self) -> tuple[Fault, ...]:
-        """The plan's host-level faults (applied by monitor/simulator)."""
+        """The plan's host-level faults (applied by the monitor)."""
         return tuple(f for f in self.faults if f.kind in HOST_KINDS)
 
     # ------------------------------------------------------------------

@@ -36,7 +36,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "ClusterSimulation": "simulator",
     "MigrationEvent": "simulator",
     "NetworkParams": "simulator",
-    "SimFaultEvent": "simulator",
     "SimResult": "simulator",
 })
 
@@ -45,7 +44,6 @@ __all__ = [
     "NetworkParams",
     "SimResult",
     "MigrationEvent",
-    "SimFaultEvent",
     "SharedBus",
     "BusStats",
     "SwitchedNetwork",

@@ -30,8 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..chaos.plan import HOST_KINDS, MESSAGE_KINDS, PROCESS_KINDS, FaultPlan
 from ..core.decomposition import Decomposition
+from ..distrib.hostdb import MIGRATE_LOAD_LIMIT, SUBMIT_LOAD_LIMIT
 from ..core.stencil import star_stencil
 from ..trace import NULL_TRACER, Tracer
 from .calibration import (
@@ -41,15 +41,22 @@ from .calibration import (
 )
 from .ethernet import BusStats, SharedBus
 from .events import EventQueue
-from .machines import LoadTrace, SimHost, paper_sim_cluster
+from .machines import SimHost, paper_sim_cluster
 
 __all__ = [
     "NetworkParams",
     "SimResult",
     "MigrationEvent",
-    "SimFaultEvent",
     "ClusterSimulation",
+    "MEASURE_LAST",
+    "MIGRATION_COST",
 ]
+
+#: §7: the reported time per step averages the last 20 integration
+#: steps (the earlier steps serve as warm-up).
+MEASURE_LAST = 20
+#: §5.1: one migration pauses the synchronized group for about 30 s.
+MIGRATION_COST = 30.0
 
 #: Fractions of the per-step compute done before each exchange (the rest
 #: after the last exchange: filtering etc.).  FD: velocity update,
@@ -92,21 +99,6 @@ class MigrationEvent:
 
 
 @dataclass
-class SimFaultEvent:
-    """Record of one injected fault in a simulated run.
-
-    ``cost`` is the modeled group pause the fault charged at the BSP
-    barrier (zero for load spikes, whose cost manifests through the
-    slowed host and any migration it triggers).
-    """
-
-    time: float
-    kind: str
-    rank: int
-    cost: float
-
-
-@dataclass
 class SimResult:
     """Outcome of one simulated distributed run."""
 
@@ -120,10 +112,6 @@ class SimResult:
     compute_time_total: float
     migrations: list[MigrationEvent] = field(default_factory=list)
     rebalances: list[tuple[float, list[int]]] = field(default_factory=list)
-    faults: list[SimFaultEvent] = field(default_factory=list)
-    collective_messages: int = 0   # diagnostics-collective frames
-    collective_bytes: int = 0      # ... and their payload bytes
-    collective_time: float = 0.0   # bus time the collectives occupied
 
     @property
     def speedup(self) -> float:
@@ -217,21 +205,9 @@ class ClusterSimulation:
     trace_dir:
         When set, every simulated rank streams its spans (on the
         *simulated* clock) to ``trace-<rank>.jsonl`` under this
-        directory and :meth:`run` merges them into ``trace.json`` —
-        the same format the live runtimes produce, so simulated and
-        measured timelines compare in the same viewer.
-    fault_plan:
-        A :class:`repro.chaos.FaultPlan` — the *same* JSON-serializable
-        plan format the live runtime injects — modeled on simulated
-        time under the **charged-cost convention**: step counters are
-        never rewound (the window math of :meth:`run` indexes
-        ``step_done_times`` positionally), so a worker kill charges the
-        group a restart pause at the BSP barrier, a stall charges the
-        detection timeout on top, a message fault charges the
-        retransmission to the bus, and a load spike rewrites the
-        victim host's load trace (its cost manifests through the
-        slowed host and any §5.1 migration it triggers).  Process and
-        message faults require ``sync_mode="bsp"``.
+        directory — the same stream format the live runtimes produce,
+        so :func:`repro.trace.write_chrome_trace` merges a simulated
+        and a measured timeline into the same viewer.
     """
 
     def __init__(
@@ -243,9 +219,7 @@ class ClusterSimulation:
         hosts: list[SimHost] | None = None,
         network: NetworkParams = NetworkParams(),
         sync_mode: str = "bsp",
-        diag_every: int = 0,
         trace_dir=None,
-        fault_plan: FaultPlan | None = None,
     ) -> None:
         if isinstance(method, str):
             per_rank = None
@@ -260,11 +234,6 @@ class ClusterSimulation:
                 raise ValueError(f"unknown method {m!r}")
         if sync_mode not in ("bsp", "loose"):
             raise ValueError(f"unknown sync_mode {sync_mode!r}")
-        if diag_every > 0 and sync_mode == "loose":
-            raise ValueError(
-                "in-flight diagnostics are a synchronizing collective; "
-                "they cannot be charged under sync_mode='loose'"
-            )
         self.sync_mode = sync_mode
         self.method = method
         self.ndim = ndim
@@ -375,65 +344,17 @@ class ClusterSimulation:
         else:
             self.tracers = [NULL_TRACER] * self.n_procs
 
-        # fault injection (repro.chaos, charged-cost model)
-        self.fault_plan = fault_plan
-        self.fault_events: list[SimFaultEvent] = []
-        self._fault_at_step: dict[int, list] = {}
-        self._host_faults: list = []
-        if fault_plan is not None:
-            barrier_kinds = PROCESS_KINDS | MESSAGE_KINDS
-            for f in fault_plan.faults:
-                if f.kind in barrier_kinds:
-                    if sync_mode != "bsp":
-                        raise ValueError(
-                            "process/message faults are charged at the "
-                            "BSP barrier; they cannot be modeled under "
-                            "sync_mode='loose'"
-                        )
-                    if not 0 <= f.rank < self.n_procs:
-                        raise ValueError(
-                            f"fault {f.fault_id} targets rank {f.rank} "
-                            f"of a {self.n_procs}-process run"
-                        )
-                    self._fault_at_step.setdefault(
-                        max(f.step, 1), []
-                    ).append(f)
-                elif f.kind in HOST_KINDS:
-                    self._host_faults.append(f)
-                # dump and nan faults have no simulated analogue (there
-                # are no dump files and no fields); the live runtime
-                # owns those failure modes
-
         # migration machinery
         self.migrations: list[MigrationEvent] = []
         self._steps_target = 0
         self._sync: dict | None = None
         self._monitor_poll = 0.0
-        self._migration_cost = 30.0
-        self._load_limit = 1.5
         self._policy = "migrate"
-        self._state_bytes_per_node = 72.0
         self.planner = None   # RebalancePlanner under policy="rebalance"
         self.rebalances: list[tuple[float, list[int]]] = []
         # BSP barrier bookkeeping
         self._barrier_step = 0
         self._barrier_count = 0
-
-        # in-flight diagnostics collectives (charged at the BSP barrier)
-        self.diag_every = int(diag_every)
-        self.collective_messages = 0
-        self.collective_bytes = 0
-        self.collective_time = 0.0
-        self._diag_pattern: list[tuple[int, int, int]] = []
-        if self.diag_every > 0:
-            from ..net.collectives import collective_pattern
-
-            # Two small allreduces per check — sum over [mass, KE] and
-            # max over [max|V|, n_nonfinite], 2 float64 each — exactly
-            # what GlobalDiagnostics.check performs, with the message
-            # list replayed from the very schedules the live
-            # Communicator executes.
-            self._diag_pattern = 2 * collective_pattern(self.n_procs, 16)
 
     # ------------------------------------------------------------------
     # timing helpers
@@ -460,51 +381,36 @@ class ClusterSimulation:
     def run(
         self,
         steps: int,
-        measure_last: int = 20,
         monitor_poll: float = 0.0,
-        migration_cost: float = 30.0,
-        load_limit: float = 1.5,
         policy: str = "migrate",
-        rebalance_threshold: float = 0.05,
-        state_bytes_per_node: float = 72.0,
         planner=None,
-        restart_cost: float = 45.0,
-        stall_detect: float = 60.0,
     ) -> SimResult:
         """Simulate ``steps`` integration steps and measure performance.
 
-        ``measure_last`` is the §7 protocol: the reported time per step
-        averages the last that many steps (the earlier steps serve as
-        warm-up).  ``monitor_poll > 0`` activates the monitoring program:
-        every ``monitor_poll`` simulated seconds it inspects host loads
-        and applies the chosen ``policy``:
+        The reported time per step is the §7 protocol: the average over
+        the last :data:`MEASURE_LAST` steps.  ``monitor_poll > 0``
+        activates the monitoring program: every ``monitor_poll``
+        simulated seconds it inspects host loads and applies the chosen
+        ``policy``:
 
         * ``"migrate"`` (the paper's §5.1): move ranks off hosts whose
-          load exceeds ``load_limit`` to free hosts, each migration
-          pausing the synchronized computation for ``migration_cost``
-          seconds;
+          load exceeds :data:`~repro.distrib.hostdb.MIGRATE_LOAD_LIMIT`
+          to free hosts, each migration pausing the synchronized
+          computation for :data:`MIGRATION_COST` seconds;
         * ``"rebalance"`` (the §1.1 dynamic-allocation baseline):
           re-divide the nodes of the chain decomposition in proportion
-          to current host speeds whenever shares shift by more than
-          ``rebalance_threshold``, charging the network for the moved
-          node state (``state_bytes_per_node`` bytes each).
+          to current host speeds, charging the network for the moved
+          node state.
 
         The rebalance decision is delegated to a
         :class:`~repro.balance.RebalancePlanner` — the exact class the
         live :class:`~repro.distrib.Monitor` runs, so a policy tuned in
         simulation is the policy the runtime executes.  Pass
         ``planner`` to supply a configured one (cooldown, amortization
-        gate, ...); by default one is built from
-        ``rebalance_threshold`` / ``state_bytes_per_node`` with no
-        cooldown and a saving-must-be-nonnegative gate, matching the
-        historical simulator behaviour.  The planner used is exposed as
-        ``self.planner``.
-
-        With a ``fault_plan``, ``restart_cost`` is the modeled group
-        pause of one checkpoint restart (kill the group, respawn,
-        replay to the checkpointed step — §4.1's "started from the last
-        state"), and ``stall_detect`` is the monitoring program's
-        stall-detection latency charged on top for a SIGSTOP fault.
+        gate, ...); by default one is built from the
+        :class:`~repro.balance.BalancePolicy` defaults with no cooldown
+        and a saving-must-be-nonnegative gate.  The planner used is
+        exposed as ``self.planner``.
         """
         if steps <= 0:
             raise ValueError("steps must be positive")
@@ -517,13 +423,10 @@ class ClusterSimulation:
                 "rebalancing resizes slabs of a chain decomposition; "
                 f"use blocks=(P, 1[, 1]), got {self.blocks}"
             )
-        measure_last = min(measure_last, steps)
+        window = min(MEASURE_LAST, steps)
         self._steps_target = steps
         self._monitor_poll = monitor_poll
-        self._migration_cost = migration_cost
-        self._load_limit = load_limit
         self._policy = policy
-        self._state_bytes_per_node = state_bytes_per_node
         self.planner = None
         if policy == "rebalance":
             # Imported lazily: repro.balance imports this package at
@@ -531,49 +434,26 @@ class ClusterSimulation:
             from ..balance.planner import BalancePolicy, RebalancePlanner
 
             self.planner = planner or RebalancePlanner(BalancePolicy(
-                threshold=rebalance_threshold,
-                cooldown=0.0,
-                min_gain=0.0,
-                state_bytes_per_node=state_bytes_per_node,
-                bandwidth=self.bus.bandwidth,
+                cooldown=0.0, min_gain=0.0, bandwidth=self.bus.bandwidth,
             ))
         self.rebalances: list[tuple[float, list[int]]] = []
-
-        self._restart_cost = restart_cost
-        self._stall_detect = stall_detect
-        self.fault_events = []
-        self._pending_faults = {
-            step: list(faults)
-            for step, faults in self._fault_at_step.items()
-        }
-        for fault in self._host_faults:
-            self.queue.schedule(
-                max(fault.at, 0.0),
-                lambda now, f=fault: self._apply_load_spike(f, now),
-            )
 
         for proc in self.procs:
             self._start_step(proc, 0.0)
         if monitor_poll > 0:
             self.queue.schedule(monitor_poll, self._monitor_tick)
         self.queue.run()
-
-        if self.trace_dir is not None:
-            for tr in self.tracers:
-                tr.close()
-            from ..trace import write_chrome_trace
-
-            write_chrome_trace(self.trace_dir,
-                               self.trace_dir / "trace.json")
+        for tr in self.tracers:
+            tr.close()
 
         done = [p.step_done_times[-1] for p in self.procs]
         elapsed = max(done)
-        start_idx = steps - measure_last
+        start_idx = steps - window
         window_start = max(
             p.step_done_times[start_idx - 1] if start_idx > 0 else 0.0
             for p in self.procs
         )
-        time_per_step = (elapsed - window_start) / measure_last
+        time_per_step = (elapsed - window_start) / window
         return SimResult(
             processors=self.n_procs,
             nodes_per_proc=self.side**self.ndim,
@@ -585,10 +465,6 @@ class ClusterSimulation:
             compute_time_total=sum(p.compute_time for p in self.procs),
             migrations=list(self.migrations),
             rebalances=list(self.rebalances),
-            faults=list(self.fault_events),
-            collective_messages=self.collective_messages,
-            collective_bytes=self.collective_bytes,
-            collective_time=self.collective_time,
         )
 
     # ------------------------------------------------------------------
@@ -695,7 +571,7 @@ class ClusterSimulation:
             if self._barrier_count < self.n_procs:
                 return
             # Everyone finished step `_barrier_step + 1`; open the next
-            # cycle together (or service a pending migration).
+            # cycle together (or close a pending epoch).
             self._barrier_count = 0
             self._barrier_step += 1
             if self.trace_dir is not None:
@@ -706,135 +582,26 @@ class ClusterSimulation:
                         self.tracers[p.rank].add_span(
                             "barrier:step", t0, t - t0, step=p.step - 1
                         )
-            resume = t
-            if self.diag_every > 0 and \
-                    self._barrier_step % self.diag_every == 0:
-                # The workers allreduce their diagnostics partials at
-                # this step boundary; the next cycle opens only once
-                # the collective has cleared the bus.
-                resume = self._charge_collectives(t)
-            due = self._pending_faults.pop(self._barrier_step, None)
-            if due:
-                resume = self._charge_faults(due, resume)
             sync = self._sync
             if sync is not None and self._barrier_step >= sync["step"]:
                 for p in self.procs:
-                    p.paused_at = resume
+                    p.paused_at = t
                 sync["paused"] = self.n_procs
-                self._complete_migration(resume)
+                self._close_epoch(t)
                 return
             if self._barrier_step < self._steps_target:
                 for p in self.procs:
-                    self._start_step(p, resume)
+                    self._start_step(p, t)
             return
         sync = self._sync
         if sync is not None and proc.step >= sync["step"]:
             proc.paused_at = t
             sync["paused"] += 1
             if sync["paused"] == self.n_procs:
-                self._complete_migration(t)
+                self._close_epoch(t)
             return
         if proc.step < self._steps_target:
             self._start_step(proc, t)
-
-    def _charge_collectives(self, t: float) -> float:
-        """Charge one diagnostics allreduce pair to the bus at time ``t``.
-
-        The recorded message list is replayed in causal order; on the
-        paper's shared Ethernet each frame serializes on the medium, so
-        the finish time of the last frame is when the collective clears
-        and the next compute cycle may open.
-        """
-        finish = t
-        for src, dst, nbytes in self._diag_pattern:
-            f = self.bus.send(
-                nbytes,
-                lambda now: None,
-                src=self.procs[src].host.name,
-                dst=self.procs[dst].host.name,
-            )
-            finish = max(finish, f)
-            self.collective_messages += 1
-            self.collective_bytes += nbytes
-        self.collective_time += finish - t
-        if finish > t and self.trace_dir is not None:
-            # the next cycle opens only once the collective clears: the
-            # whole group is occupied for its duration
-            for p in self.procs:
-                self.tracers[p.rank].add_span(
-                    "collective:diag", t, finish - t,
-                    step=self._barrier_step,
-                )
-        return finish
-
-    # ------------------------------------------------------------------
-    # fault injection (repro.chaos, charged-cost model)
-    # ------------------------------------------------------------------
-    def _charge_faults(self, due: list, t: float) -> float:
-        """Charge the group pause of the faults firing at this barrier.
-
-        Step counters are never rewound (the measurement window indexes
-        ``step_done_times`` positionally), so the lost recomputation is
-        *charged as time* instead: a kill pauses the whole group for
-        ``restart_cost`` (kill, respawn, replay to the checkpoint), a
-        stall adds the monitor's ``stall_detect`` latency on top, and a
-        message fault puts the retransmitted strip back on the bus —
-        exactly the recovery the live runtime performs, priced on the
-        simulated clock.
-        """
-        resume = t
-        for fault in due:
-            if fault.kind in PROCESS_KINDS:
-                cost = self._restart_cost
-                if fault.kind == "stop":
-                    cost += self._stall_detect
-                resume += cost
-            else:  # message fault: the strip crosses the wire again
-                proc = self.procs[fault.rank]
-                cost = 0.0
-                if proc.neighbors:
-                    nb = proc.neighbors[0]
-                    finish = self.bus.send(
-                        proc.msg_bytes[nb],
-                        lambda now: None,
-                        src=proc.host.name,
-                        dst=self.procs[nb].host.name,
-                    )
-                    cost = max(finish - t, 0.0)
-                    resume = max(resume, finish)
-            self.fault_events.append(
-                SimFaultEvent(time=t, kind=fault.kind,
-                              rank=fault.rank, cost=cost)
-            )
-            self.tracers[fault.rank].add_span(
-                f"chaos:{fault.kind}", t, cost, step=self._barrier_step
-            )
-        if resume > t and self.trace_dir is not None:
-            for p in self.procs:
-                self.tracers[p.rank].add_span(
-                    "recover:pause", t, resume - t, step=self._barrier_step
-                )
-        return resume
-
-    def _apply_load_spike(self, fault, t: float) -> None:
-        """Rewrite the victim host's load trace with the spike."""
-        proc = self.procs[fault.rank]
-        old = proc.host.trace
-        points = [p for p in old.points if p[0] < t]
-        points.append((t, fault.load))
-        if fault.seconds > 0:
-            end = t + fault.seconds
-            points.append((end, old.load_at(end)))
-            points.extend(p for p in old.points if p[0] > end)
-        proc.host.trace = LoadTrace(points=tuple(points))
-        self.fault_events.append(
-            SimFaultEvent(time=t, kind=fault.kind, rank=fault.rank,
-                          cost=0.0)
-        )
-        self.tracers[fault.rank].add_span(
-            "chaos:load_spike", t, max(fault.seconds, 0.0),
-            step=self.procs[fault.rank].step,
-        )
 
     # ------------------------------------------------------------------
     # monitoring program (§5.1)
@@ -844,30 +611,12 @@ class ClusterSimulation:
             self._consider_rebalance(t)
         elif self._sync is None:
             overloaded = [
-                p for p in self.procs
+                p.rank for p in self.procs
                 if p.step < self._steps_target
-                and p.host.load_at(t) > self._load_limit
+                and p.host.load_at(t) > MIGRATE_LOAD_LIMIT
             ]
             if overloaded:
-                # App. B: synchronize at (max current step) + 1.
-                sync_step = max(p.step for p in self.procs) + 1
-                sync_step = min(sync_step, self._steps_target)
-                self._sync = {
-                    "step": sync_step,
-                    "action": "migrate",
-                    "ranks": [p.rank for p in overloaded],
-                    "paused": 0,
-                    "requested_at": t,
-                }
-                if self.sync_mode == "loose":
-                    # Processes already at/past the sync step pause now;
-                    # under BSP the barrier path handles this.
-                    for proc in self.procs:
-                        if proc.phase == -1 and proc.step >= sync_step:
-                            proc.paused_at = t
-                            self._sync["paused"] += 1
-                    if self._sync["paused"] == self.n_procs:
-                        self._complete_migration(t)
+                self._open_epoch(t, action="migrate", ranks=overloaded)
         if not self.queue.empty or self._sync is not None:
             self.queue.schedule(t + self._monitor_poll, self._monitor_tick)
 
@@ -892,58 +641,43 @@ class ClusterSimulation:
             steps_remaining=steps_remaining,
             now=t,
         )
-        if plan is None:
-            return
-        sync_step = max(p.step for p in self.procs) + 1
-        sync_step = min(sync_step, self._steps_target)
-        self._sync = {
-            "step": sync_step,
-            "action": "rebalance",
-            "plan": plan,
-            "shares": list(plan.shares),
-            "paused": 0,
-            "requested_at": t,
-        }
+        if plan is not None:
+            self._open_epoch(t, action="rebalance", plan=plan)
+
+    def _open_epoch(self, t: float, **epoch) -> None:
+        """App. B: synchronize the group at (max current step) + 1."""
+        sync_step = min(
+            max(p.step for p in self.procs) + 1, self._steps_target
+        )
+        self._sync = {"step": sync_step, "paused": 0, **epoch}
         if self.sync_mode == "loose":
+            # Processes already at/past the sync step pause now; under
+            # BSP the barrier path handles this.
             for proc in self.procs:
                 if proc.phase == -1 and proc.step >= sync_step:
                     proc.paused_at = t
                     self._sync["paused"] += 1
             if self._sync["paused"] == self.n_procs:
-                self._complete_migration(t)
+                self._close_epoch(t)
 
     def _free_hosts(self, t: float) -> list[SimHost]:
         return [
             h
             for h in self.hosts
-            if h.rank is None and h.load_at(t) < 0.6
+            if h.rank is None and h.load_at(t) < SUBMIT_LOAD_LIMIT
         ]
 
-    def _complete_migration(self, t: float) -> None:
-        sync = self._sync
-        assert sync is not None
-        if sync.get("action") == "rebalance":
+    def _close_epoch(self, t: float) -> None:
+        """Every process is paused at the sync step: act, then resume."""
+        sync, self._sync = self._sync, None
+        if sync["action"] == "rebalance":
             plan = sync["plan"]
-            shares = sync["shares"]
-            for proc, n in zip(self.procs, shares):
+            for proc, n in zip(self.procs, plan.shares):
                 proc.n_nodes = n
-            self.rebalances.append((t, list(shares)))
+            self.rebalances.append((t, list(plan.shares)))
             self.planner.commit(t, plan)
-            self._sync = None
-            resume = t + plan.cost
-            for proc in self.procs:
-                if proc.paused_at is not None:
-                    self.tracers[proc.rank].add_span(
-                        "balance:pause", proc.paused_at,
-                        resume - proc.paused_at, step=proc.step,
-                    )
-                proc.paused_at = None
-                if proc.step < self._steps_target:
-                    self.queue.schedule(
-                        resume, lambda now, p=proc: self._start_step(p, now)
-                    )
+            self._resume_all(t + plan.cost, "balance:pause")
             return
-        resume = t + self._migration_cost
         free = self._free_hosts(t)
         for rank in sync["ranks"]:
             proc = self.procs[rank]
@@ -961,14 +695,16 @@ class ClusterSimulation:
                     from_host=old.name,
                     to_host=new_host.name,
                     sync_step=sync["step"],
-                    pause_duration=self._migration_cost,
+                    pause_duration=MIGRATION_COST,
                 )
             )
-        self._sync = None
+        self._resume_all(t + MIGRATION_COST, "migration:pause")
+
+    def _resume_all(self, resume: float, span: str) -> None:
         for proc in self.procs:
             if proc.paused_at is not None:
                 self.tracers[proc.rank].add_span(
-                    "migration:pause", proc.paused_at,
+                    span, proc.paused_at,
                     resume - proc.paused_at, step=proc.step,
                 )
             proc.paused_at = None

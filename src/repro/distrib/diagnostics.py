@@ -198,9 +198,9 @@ def serial_diagnostics(subs, step: int | None = None) -> DiagRecord:
     )
 
 
-def check_record(record: DiagRecord, vmax: float) -> None:
+def check_record(record: DiagRecord) -> None:
     """The abort rule: raise :class:`DiagnosticsFailure` on a global NaN,
-    or on a max speed above ``vmax`` (the CFL check is off at ``vmax <= 0``).
+    or on a max speed above :data:`DEFAULT_VMAX`.
     """
     if record.n_nonfinite:
         raise DiagnosticsFailure(
@@ -208,11 +208,11 @@ def check_record(record: DiagRecord, vmax: float) -> None:
             f"non-finite values in the global state "
             f"(a rank reported {record.n_nonfinite} bad nodes)",
         )
-    if vmax > 0.0 and record.max_speed > vmax:
+    if record.max_speed > DEFAULT_VMAX:
         raise DiagnosticsFailure(
             record,
             f"max |V| = {record.max_speed:.4f} exceeds the "
-            f"CFL/Mach sentinel {vmax:.4f}",
+            f"CFL/Mach sentinel {DEFAULT_VMAX:.4f}",
         )
 
 
@@ -222,23 +222,21 @@ class GlobalDiagnostics:
     One instance per rank; ``check`` must be reached by every rank of
     the communicator's group at the same integration step.  Rank 0
     appends each record to ``log``.  A global NaN (or a max speed above
-    ``vmax``) raises :class:`DiagnosticsFailure` on *every* rank — they
-    all computed the same reduced record — so the whole run aborts in
-    one step, diagnosed.
+    :data:`DEFAULT_VMAX`) raises :class:`DiagnosticsFailure` on *every*
+    rank — they all computed the same reduced record — so the whole run
+    aborts in one step, diagnosed.
     """
 
     def __init__(
         self,
         comm: Communicator,
         every: int,
-        vmax: float = DEFAULT_VMAX,
         log: DiagnosticsLog | None = None,
     ) -> None:
         if every < 0:
             raise ValueError("diagnostics period must be >= 0")
         self.comm = comm
         self.every = every
-        self.vmax = vmax
         self.log = log
 
     def maybe_check(self, sub) -> DiagRecord | None:
@@ -263,5 +261,5 @@ class GlobalDiagnostics:
         )
         if self.log is not None and self.comm.rank == 0:
             self.log.append(record)
-        check_record(record, self.vmax)
+        check_record(record)
         return record

@@ -196,7 +196,7 @@ def _run_inprocess(spec, fields, settings, workdir, threaded: bool,
         if settings.diag_every > 0:
             # sample the same global reductions a distributed run would,
             # judged by the same abort rule
-            from .distrib.diagnostics import DEFAULT_VMAX, check_record
+            from .distrib.diagnostics import check_record
 
             every = settings.diag_every
             done = 0
@@ -209,7 +209,7 @@ def _run_inprocess(spec, fields, settings, workdir, threaded: bool,
                     diagnostics.append(rec)
                     if diag_log is not None:
                         diag_log.append(rec)
-                    check_record(rec, DEFAULT_VMAX)
+                    check_record(rec)
         else:
             sim.step(n_steps)
         elapsed = time.perf_counter() - t0
@@ -263,7 +263,6 @@ def _run_simulated(spec, settings, workdir) -> RunResult:
         spec.ndim,
         spec.blocks,
         _uniform_side(spec),
-        diag_every=settings.diag_every,
         trace_dir=trace_dir,
     )
     res = sim.run(steps=settings.steps)
@@ -336,9 +335,10 @@ def run(
         wait; identical submissions come back from its result cache).
     settings:
         A :class:`~repro.distrib.RunSettings`; every backend honours
-        ``steps``, ``trace`` and ``diag_every``, the distributed
-        backend all of it.  ``steps=`` alone is enough
-        when the defaults do.
+        ``steps`` and ``trace``, every backend but ``"simulated"``
+        (which has no fields to sample and refuses it) ``diag_every``,
+        and the distributed backend all of it.  ``steps=`` alone is
+        enough when the defaults do.
     steps:
         Shorthand for ``settings=RunSettings(steps=...)``.
     fields:
@@ -380,9 +380,10 @@ def run(
             # DistributedRun insists on an empty directory
             workdir = Path(workdir) / "run"
     if backend == "simulated":
-        if fields is not None:
+        if fields is not None or settings.diag_every > 0:
             raise ValueError(
-                "the simulated backend models time, not field data"
+                "the simulated backend models time, not field data: "
+                "it takes no fields= and samples no diagnostics"
             )
         return _run_simulated(spec, settings, workdir or ".")
     init = _initial_fields(spec, fields)

@@ -15,8 +15,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "COLLECTIVE_PHASE": "collectives",
     "REDUCE_OPS": "collectives",
     "Communicator": "collectives",
-    "collective_pattern": "collectives",
-    "drive_all": "collectives",
     "LocalChannelSet": "local",
     "LocalFabric": "local",
     "PortRegistry": "portfile",
@@ -37,8 +35,6 @@ __all__ = [
     "LocalFabric",
     "LocalChannelSet",
     "Communicator",
-    "drive_all",
-    "collective_pattern",
     "COLLECTIVE_PHASE",
     "REDUCE_OPS",
     "PortRegistry",

@@ -11,20 +11,14 @@ followed by a *rank-ordered* local fold, which makes the result
 bit-for-bit equal to the serial reduction and identical on every rank
 regardless of transport.  The allgather is written once, as a
 *schedule generator* yielding ``("send", peer, payload)`` and
-``("recv", peer)`` effects, and run by two drivers:
-
-* :class:`Communicator` blocks on a channel set — TCP
-  (:class:`~repro.net.channels.ChannelSet`), UDP
-  (:class:`~repro.net.udp.UdpChannelSet`) or the in-process
-  :class:`~repro.net.local.LocalChannelSet` — one driver per rank.
-  Links to non-neighbour peers are established on demand through the
-  shared-file :class:`~repro.net.portfile.PortRegistry` (the paper's
-  handshake, reused for the tree's edges).
-* :func:`drive_all` co-operatively interleaves all ranks' schedules in
-  a single thread; :func:`collective_pattern` records the exact
-  ``(src, dst, nbytes)`` message list with it, which the cluster
-  simulator charges to its simulated Ethernet bus, extending the
-  paper's §6 communication accounting to the diagnostics traffic.
+``("recv", peer)`` effects, and run by one driver:
+:class:`Communicator` blocks on a channel set — TCP
+(:class:`~repro.net.channels.ChannelSet`), UDP
+(:class:`~repro.net.udp.UdpChannelSet`) or the in-process
+:class:`~repro.net.local.LocalChannelSet` — one driver per rank.
+Links to non-neighbour peers are established on demand through the
+shared-file :class:`~repro.net.portfile.PortRegistry` (the paper's
+handshake, reused for the tree's edges).
 """
 
 from __future__ import annotations
@@ -41,8 +35,6 @@ __all__ = [
     "COLLECTIVE_PHASE",
     "REDUCE_OPS",
     "Communicator",
-    "drive_all",
-    "collective_pattern",
 ]
 
 #: Wire ``phase`` tag of collective frames — far outside the exchange
@@ -132,76 +124,6 @@ def _allgather(rank: int, n: int, payload: bytes):
     packed = _pack_blocks(blocks) if blocks is not None else None
     packed = yield from _broadcast(rank, n, packed)
     return _unpack_blocks(packed)
-
-
-# ----------------------------------------------------------------------
-# drivers
-# ----------------------------------------------------------------------
-
-def drive_all(gens: Mapping[int, object], on_message=None) -> dict:
-    """Run the per-rank schedules of one collective in a single thread.
-
-    Co-operative round-robin: each rank's generator advances until it
-    blocks on a receive whose message has not been sent yet, at which
-    point the next rank runs.  Messages move through in-memory
-    mailboxes; ``on_message(src, dst, nbytes)`` observes each send in
-    causal order (the hook behind the cluster simulator's collective
-    traffic accounting).  Returns ``{rank: result}``.
-    """
-    mail: dict[int, dict] = {r: {} for r in gens}
-    waiting: dict[int, int] = {}
-    results: dict[int, object] = {}
-    live = dict(gens)
-    while live:
-        progressed = False
-        for rank in sorted(live):
-            gen = live[rank]
-            while True:
-                value = None
-                if rank in waiting:
-                    peer = waiting[rank]
-                    if peer not in mail[rank]:
-                        break  # blocked: let another rank run
-                    value = mail[rank].pop(peer)
-                    del waiting[rank]
-                try:
-                    # a fresh generator takes send(None) as next()
-                    eff = gen.send(value)
-                except StopIteration as stop:
-                    results[rank] = stop.value
-                    del live[rank]
-                    progressed = True
-                    break
-                if eff[0] == "send":
-                    _, peer, data = eff
-                    mail[peer][rank] = data
-                    if on_message is not None:
-                        on_message(rank, peer, len(data))
-                else:
-                    waiting[rank] = eff[1]
-                progressed = True
-        if not progressed:
-            blocked = {r: waiting.get(r) for r in live}
-            raise RuntimeError(
-                f"collective schedule deadlocked; blocked on {blocked}"
-            )
-    return results
-
-
-def collective_pattern(
-    n_ranks: int, nbytes: int
-) -> list[tuple[int, int, int]]:
-    """Exact message list ``(src, dst, nbytes)`` of one allreduce.
-
-    ``nbytes`` is each rank's payload.  Replays the schedule
-    :meth:`Communicator.allreduce` executes against a recording driver,
-    in causal order — this is what the cluster simulator charges to its
-    simulated Ethernet bus.
-    """
-    msgs: list[tuple[int, int, int]] = []
-    gens = {r: _allgather(r, n_ranks, bytes(nbytes)) for r in range(n_ranks)}
-    drive_all(gens, on_message=lambda s, d, nb: msgs.append((s, d, nb)))
-    return msgs
 
 
 # ----------------------------------------------------------------------

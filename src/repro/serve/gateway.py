@@ -429,6 +429,7 @@ class Gateway:
                     entry["spec"],
                     settings=entry.get("settings"),
                     seed=int(entry.get("seed", 0)),
+                    backend=entry.get("backend"),
                 )
             except (ValueError, KeyError, TypeError) as exc:
                 raise _HttpError(400, str(exc)) from exc

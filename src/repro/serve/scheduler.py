@@ -43,6 +43,19 @@ log = logging.getLogger("repro.serve")
 #: Grids with at most this many nodes count as "small" and run serially.
 DEFAULT_BATCH_NODES = 96 * 96
 
+#: The backends a pool worker can run a job on.  ``"simulated"`` has no
+#: fields to return (or cache), and ``"service"`` would submit back to a
+#: gateway.
+SERVED_BACKENDS = ("serial", "threaded", "distributed")
+
+
+def _check_backend(backend: str | None) -> None:
+    if backend is not None and backend not in SERVED_BACKENDS:
+        raise ValueError(
+            f"backend {backend!r} cannot be served; "
+            f"expected one of {SERVED_BACKENDS}"
+        )
+
 
 class Scheduler:
     """Single-threaded job scheduler over a :class:`WorkerPool`."""
@@ -105,13 +118,17 @@ class Scheduler:
     # ------------------------------------------------------------------
     # intake
     # ------------------------------------------------------------------
-    def validate(self, spec, settings=None, seed: int = 0) -> str:
+    def validate(
+        self, spec, settings=None, seed: int = 0,
+        backend: str | None = None,
+    ) -> str:
         """Check one request without enqueuing anything.
 
-        Runs exactly the canonicalization :meth:`submit` would, so a
-        batch can be vetted all-or-nothing before its first job is
-        accepted.  Returns the request fingerprint.
+        Runs exactly the checks and canonicalization :meth:`submit`
+        would, so a batch can be vetted all-or-nothing before its first
+        job is accepted.  Returns the request fingerprint.
         """
+        _check_backend(backend)
         canon = canonical_request(spec, settings, seed)
         if int(canon["settings"]["steps"]) <= 0:
             raise ValueError("settings.steps must be a positive integer")
@@ -126,6 +143,9 @@ class Scheduler:
         backend: str | None = None,
     ) -> JobRecord:
         """Accept one request; answer from cache or enqueue a job."""
+        # before the cache lookup: the fingerprint omits the backend, so
+        # an unservable one must not be answered from (or fill) the cache
+        _check_backend(backend)
         canon = canonical_request(spec, settings, seed)
         fp = fingerprint(spec, settings, seed)
         steps = int(canon["settings"]["steps"])

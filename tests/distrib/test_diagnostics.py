@@ -18,7 +18,6 @@ from repro._jsonl import LogDamaged
 from repro.chaos import Fault, FaultPlan
 from repro.core import Decomposition, Simulation, ThreadedSimulation
 from repro.distrib import (
-    DEFAULT_VMAX,
     DiagnosticsFailure,
     DiagnosticsLog,
     DiagRecord,
@@ -167,7 +166,7 @@ class TestPartials:
 # ----------------------------------------------------------------------
 # GlobalDiagnostics over the in-process backend (threads)
 # ----------------------------------------------------------------------
-def _run_diags(subs, every=1, vmax=0.0, log=None):
+def _run_diags(subs, every=1, log=None):
     """One GlobalDiagnostics.check per sub, threaded; returns results
     (DiagRecord or the raised DiagnosticsFailure) by rank."""
     n = len(subs)
@@ -176,7 +175,7 @@ def _run_diags(subs, every=1, vmax=0.0, log=None):
 
     def run(r):
         comm = Communicator(fabric.channel_set(r), r, n)
-        diag = GlobalDiagnostics(comm, every=every, vmax=vmax,
+        diag = GlobalDiagnostics(comm, every=every,
                                  log=log if r == 0 else None)
         try:
             out[r] = diag.check(subs[r])
@@ -219,7 +218,7 @@ class TestGlobalDiagnostics:
     def test_cfl_sentinel(self):
         sim, _, _ = _small_sim(blocks=(2, 2))
         sim.subs[1].interior_view("u")[0, 0] = 0.9  # > c_s
-        results = _run_diags(sim.subs, vmax=DEFAULT_VMAX)
+        results = _run_diags(sim.subs)
         assert all(isinstance(r, DiagnosticsFailure) for r in results)
         assert all("CFL" in r.reason for r in results)
 

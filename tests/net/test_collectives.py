@@ -2,8 +2,7 @@
 
 allreduce(sum/max) of float64 scalars and 2-vectors across 2-8 ranks
 matches the rank-ordered serial reduction bit-for-bit under TCP, UDP
-with loss injection, and the in-process backend; its recorded message
-pattern is the binomial tree's.
+with loss injection, and the in-process backend.
 """
 
 import functools
@@ -19,7 +18,6 @@ from repro.net import (
     LocalFabric,
     PortRegistry,
     UdpChannelSet,
-    collective_pattern,
 )
 
 UDP_LOSS = float(os.environ.get("REPRO_UDP_LOSS", "0.05"))
@@ -28,29 +26,6 @@ UDP_LOSS = float(os.environ.get("REPRO_UDP_LOSS", "0.05"))
 def _serial_fold(parts, ufunc):
     """Rank-ordered fold — the bitwise reference for every reduction."""
     return functools.reduce(ufunc, parts)
-
-
-# ----------------------------------------------------------------------
-# the recorded pattern the cluster simulator charges
-# ----------------------------------------------------------------------
-class TestSchedules:
-    def test_pattern_counts_tree(self):
-        # binomial tree: n-1 up + n-1 down for an allreduce of a small
-        # payload (gather + broadcast)
-        msgs = collective_pattern(4, 16)
-        assert len(msgs) == 6
-        assert all(nbytes >= 16 for _, _, nbytes in msgs)
-        # gathered subtrees grow towards the root; the broadcast carries
-        # all four payloads
-        assert sorted((s, d) for s, d, _ in msgs[:3]) == \
-            [(1, 0), (2, 0), (3, 2)]
-        assert all(s < d for s, d, _ in msgs[3:])
-        assert collective_pattern(1, 16) == []
-
-    def test_pattern_is_deterministic(self):
-        a = collective_pattern(8, 64)
-        b = collective_pattern(8, 64)
-        assert a == b
 
 
 # ----------------------------------------------------------------------

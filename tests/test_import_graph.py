@@ -86,6 +86,14 @@ def test_threaded_step_loads_no_model_or_fault_code():
     assert not _under(loaded, ("repro.cluster", "repro.chaos", "repro.graph"))
 
 
+def test_simulator_loads_no_fault_or_network_code():
+    """The cluster simulator prices messages on its own modeled bus:
+    neither the fault injector nor the socket layer loads with it."""
+    loaded = _new_modules("import repro.cluster.simulator")
+    assert "repro.cluster.simulator" in loaded
+    assert not _under(loaded, ("repro.chaos", "repro.net"))
+
+
 def test_pool_worker_warm_set_covers_a_serial_job(tmp_path):
     """The first "idle" heartbeat means warm: after the warm-up imports,
     a small serial job imports nothing more of the package."""

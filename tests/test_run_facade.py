@@ -125,6 +125,12 @@ def test_simulated_backend_rejects_fields():
                   fields={"rho": np.ones((64, 64))})
 
 
+def test_simulated_backend_rejects_diagnostics():
+    spec = _spec(grid=(64, 64))
+    with pytest.raises(ValueError, match="diagnostics"):
+        repro.run(spec, "simulated", RunSettings(steps=3, diag_every=1))
+
+
 def test_bad_backend_rejected():
     with pytest.raises(ValueError, match="unknown backend"):
         repro.run(_spec(), "mpi", steps=1)

@@ -7,36 +7,33 @@ are the numbers a user sizing a run on today's hardware needs, in the
 same units the paper reports (nodes/s, padded areas excluded).
 """
 
-import numpy as np
 import pytest
 
-from repro.core import Decomposition, LocalExchanger, Simulation
-from repro.fluids import FDMethod, FluidParams, LBMethod
+from repro.distrib import ProblemSpec
 
 
-def _sim(method_cls, ndim, side, blocks=None):
-    shape = (side,) * ndim
-    blocks = blocks or (1,) * ndim
-    params = FluidParams.lattice(ndim, nu=0.05)
-    fields = {"rho": np.ones(shape)}
-    for n in ("u", "v", "w")[:ndim]:
-        fields[n] = np.zeros(shape)
-    d = Decomposition(shape, blocks, periodic=(True,) * ndim)
-    return Simulation(method_cls(params, ndim), d, fields)
+def _sim(method, ndim, side, blocks=None):
+    return ProblemSpec(
+        method=method,
+        grid_shape=(side,) * ndim,
+        blocks=blocks or (1,) * ndim,
+        periodic=(True,) * ndim,
+        params={"nu": 0.05},
+    ).build_simulation()
 
 
 @pytest.mark.parametrize(
-    "method_cls,ndim,side",
+    "method,ndim,side",
     [
-        (LBMethod, 2, 128),
-        (FDMethod, 2, 128),
-        (LBMethod, 3, 24),
-        (FDMethod, 3, 24),
+        ("lb", 2, 128),
+        ("fd", 2, 128),
+        ("lb", 3, 24),
+        ("fd", 3, 24),
     ],
     ids=["lb2d", "fd2d", "lb3d", "fd3d"],
 )
-def test_step_throughput(benchmark, method_cls, ndim, side):
-    sim = _sim(method_cls, ndim, side)
+def test_step_throughput(benchmark, method, ndim, side):
+    sim = _sim(method, ndim, side)
     sim.step(2)  # warm caches and lazy allocations
     benchmark(sim.step, 1)
     nodes = side**ndim
@@ -49,7 +46,7 @@ def test_step_throughput(benchmark, method_cls, ndim, side):
 
 def test_exchange_overhead_2d(benchmark):
     """Cost of one full ghost exchange relative to a compute step."""
-    sim = _sim(LBMethod, 2, 128, blocks=(2, 2))
+    sim = _sim("lb", 2, 128, blocks=(2, 2))
     sim.step(2)
     ex = sim.exchanger
     benchmark(ex.exchange, ("f",))
@@ -60,7 +57,7 @@ def test_exchange_overhead_2d(benchmark):
 
 def test_filter_cost_share(benchmark):
     """The fourth-order filter is a bounded fraction of an FD step."""
-    sim = _sim(FDMethod, 2, 128)
+    sim = _sim("fd", 2, 128)
     sim.step(2)
     sub = sim.subs[0]
     method = sim.method

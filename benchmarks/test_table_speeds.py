@@ -21,22 +21,10 @@ import numpy as np
 import pytest
 
 from repro.cluster import RELATIVE_SPEED, U_REF_NODES_PER_S, node_speed
-from repro.fluids import FDMethod, FluidParams, LBMethod
-from repro.core import Decomposition, Simulation
-from repro.harness import format_table, measure_node_speed
+from repro.cluster.calibration import host_node_speed
+from repro.harness import format_table
 
 from conftest import run_once
-
-
-def _kernel_speed(method_cls, ndim, side):
-    shape = (side,) * ndim
-    params = FluidParams.lattice(ndim, nu=0.05)
-    fields = {"rho": np.ones(shape)}
-    for n in ("u", "v", "w")[:ndim]:
-        fields[n] = np.zeros(shape)
-    d = Decomposition(shape, (1,) * ndim, periodic=(True,) * ndim)
-    sim = Simulation(method_cls(params, ndim), d, fields)
-    return measure_node_speed(sim, n_nodes=side**ndim, steps=10, repeats=2)
 
 
 def test_paper_speed_table(benchmark, record_figure):
@@ -72,10 +60,11 @@ def test_measured_speed_table(benchmark, record_figure):
 
     def measure():
         out = {}
-        for method_cls, name in ((LBMethod, "lb"), (FDMethod, "fd")):
+        for name in ("lb", "fd"):
             for ndim, sides in ((2, (64, 128)), (3, (16, 24))):
                 speeds = [
-                    _kernel_speed(method_cls, ndim, s) for s in sides
+                    host_node_speed(name, ndim, s, steps=10, repeats=2)
+                    for s in sides
                 ]
                 out[(name, ndim)] = float(np.mean(speeds))
         return out

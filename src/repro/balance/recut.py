@@ -37,14 +37,24 @@ class RecutError(RuntimeError):
     """The dumped state could not be re-cut into the requested blocks."""
 
 
-def check_rebalanceable(decomp: Decomposition) -> None:
-    """Raise :class:`RecutError` unless ``decomp`` supports re-cutting.
+def check_rebalanceable(spec: ProblemSpec) -> Decomposition:
+    """Raise :class:`RecutError` unless ``spec`` supports re-cutting.
 
     Rebalancing resizes the slabs of a chain decomposition (blocks
-    ``(P, 1[, 1])``) in which every block is active; re-cutting around
-    inactive (all-solid) blocks would need the unsaved solid-region
-    state to rebuild their neighbours' ghosts.
+    ``(P, 1[, 1])``) in which every block is active and every block runs
+    one method: re-cutting around inactive (all-solid) blocks would
+    need the unsaved solid-region state to rebuild their neighbours'
+    ghosts, and resizing the slabs of a hybrid (mixed-method) run would
+    move its method seams off their region boundaries.  Returns the
+    spec's decomposition.
     """
+    if spec.is_hybrid:
+        raise RecutError(
+            "policy='rebalance' cannot re-cut a hybrid (mixed-method) "
+            "run: resizing slabs would move the method seams off their "
+            "region boundaries; use policy='migrate'"
+        )
+    decomp = spec.build_decomposition()
     if any(b != 1 for b in decomp.blocks[1:]):
         raise RecutError(
             "rebalancing resizes slabs of a chain decomposition; "
@@ -55,6 +65,7 @@ def check_rebalanceable(decomp: Decomposition) -> None:
             "rebalancing needs every block active; "
             f"{decomp.n_blocks - decomp.n_active} block(s) are solid"
         )
+    return decomp
 
 
 def recut_problem(
@@ -75,14 +86,7 @@ def recut_problem(
     """
     workdir = Path(workdir)
     spec = ProblemSpec.load(workdir / "spec.json")
-    if spec.is_hybrid:
-        raise RecutError(
-            "re-cutting a hybrid (mixed-method) run is not supported: "
-            "resizing slabs would move the method seams off their "
-            "region boundaries"
-        )
-    old = spec.build_decomposition()
-    check_rebalanceable(old)
+    old = check_rebalanceable(spec)
     if len(shares) != old.n_active:
         raise RecutError(
             f"{len(shares)} shares for {old.n_active} ranks"

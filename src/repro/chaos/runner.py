@@ -15,7 +15,7 @@ through it.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -161,34 +161,17 @@ def check_recovery_ledger(
 
 
 def serial_reference(spec, steps: int) -> dict[str, np.ndarray]:
-    """The fault-free serial run every chaos outcome is compared to."""
-    from ..core import Decomposition, Simulation
-    from ..distrib import initial_fields
+    """The fault-free serial run every chaos outcome is compared to.
 
-    solid, _, _ = spec.build_geometry()
-    if spec.is_hybrid:
-        # A hybrid problem has no single-block equivalent — the seams
-        # live on the spec's own block faces, so the reference runs the
-        # spec's decomposition in-process (bit-identical to the
-        # distributed run by construction).
-        from ..fluids.coupling import build_converters
+    A uniform problem runs as one block.  A hybrid problem has no
+    single-block equivalent (its seams live on the spec's own block
+    faces), so it keeps its decomposition.
+    """
+    from ..facade import run
 
-        decomp = spec.build_decomposition()
-        methods = spec.build_methods()
-        sim = Simulation(
-            list(methods), decomp, initial_fields(spec, "rest"), solid,
-            converters=build_converters(decomp, methods),
-        )
-    else:
-        decomp = Decomposition(
-            spec.grid_shape, (1,) * spec.ndim, periodic=spec.periodic,
-            solid=solid,
-        )
-        sim = Simulation(
-            spec.build_method(), decomp, initial_fields(spec, "rest"), solid
-        )
-    sim.step(steps)
-    return sim.global_state()
+    if not spec.is_hybrid:
+        spec = replace(spec, blocks=(1,) * spec.ndim, weights=None)
+    return run(spec, "serial", steps=steps).fields
 
 
 def _classify_error(exc: Exception) -> tuple[str, str]:

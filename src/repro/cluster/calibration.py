@@ -100,29 +100,19 @@ def host_node_speed(
     integrated per the §7 timing protocol and the unpadded nodes/s
     returned — the host's counterpart of :func:`node_speed`.
     """
-    from ..core.decomposition import Decomposition
-    from ..core.runner import Simulation
-    from ..fluids.fd import FDMethod
-    from ..fluids.lbm import LBMethod
-    from ..fluids.params import FluidParams
+    from ..distrib.spec import ProblemSpec
     from ..harness.timing import measure_node_speed
 
-    import numpy as np
-
-    if method not in ("fd", "lb"):
-        raise ValueError(f"unknown method {method!r}")
-    shape = (side,) * ndim
-    fields = {"rho": np.ones(shape)}
-    for name in ("u", "v", "w")[:ndim]:
-        fields[name] = np.zeros(shape)
-    cls = LBMethod if method == "lb" else FDMethod
-    params = FluidParams.lattice(
-        ndim, nu=0.05, gravity=(1e-5,) + (0.0,) * (ndim - 1)
+    spec = ProblemSpec(
+        method=method,
+        grid_shape=(side,) * ndim,
+        blocks=(1,) * ndim,
+        periodic=(True,) * ndim,
+        params={"nu": 0.05, "gravity": (1e-5,) + (0.0,) * (ndim - 1)},
     )
-    decomp = Decomposition(shape, (1,) * ndim, periodic=(True,) * ndim)
-    sim = Simulation(cls(params, ndim), decomp, fields)
     return measure_node_speed(
-        sim, n_nodes=side**ndim, steps=steps, repeats=repeats
+        spec.build_simulation(), n_nodes=side**ndim, steps=steps,
+        repeats=repeats,
     )
 
 

@@ -34,14 +34,6 @@ class EventQueue:
         heapq.heappush(self._heap, (time, self._seq, callback))
         self._seq += 1
 
-    def schedule_after(
-        self, delay: float, callback: Callable[[float], None]
-    ) -> None:
-        """Run ``callback`` after ``delay`` seconds of simulated time."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        self.schedule(self.now + delay, callback)
-
     def run(
         self,
         until: float = float("inf"),

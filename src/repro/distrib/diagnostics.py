@@ -80,11 +80,6 @@ class DiagRecord:
         return json.dumps(asdict(self)) + "\n"
 
     @classmethod
-    def from_line(cls, line: str) -> "DiagRecord":
-        """Parse one JSON line back into a record."""
-        return cls.from_dict(json.loads(line))
-
-    @classmethod
     def from_dict(cls, d: dict) -> "DiagRecord":
         """Build a record from one parsed JSON line."""
         return cls(

@@ -48,6 +48,7 @@ from .diagnostics import DiagnosticsLog
 from .dumpfile import DumpCorruption, dump_path, load_dump
 from .heartbeat import read_heartbeats
 from .hostdb import MIGRATE_LOAD_LIMIT, HostDB
+from .settings import POLICIES
 from .spec import ProblemSpec
 from .submit import spawn_worker
 from .sync import SaveTurns
@@ -98,7 +99,7 @@ class Monitor:
         policy: str = "migrate",
         balance: BalancePolicy | None = None,
     ) -> None:
-        if policy not in ("migrate", "rebalance"):
+        if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}")
         self.workdir = Path(workdir)
         self.hostdb = hostdb
@@ -126,16 +127,10 @@ class Monitor:
         if policy == "rebalance":
             # Imported lazily: repro.balance.recut imports this package
             # at module load, so a top-level import would be circular.
-            from ..balance.recut import RecutError, check_rebalanceable
+            from ..balance.recut import check_rebalanceable
 
             spec = ProblemSpec.load(self.workdir / "spec.json")
-            if spec.is_hybrid:
-                raise RecutError(
-                    "policy='rebalance' cannot re-cut a hybrid "
-                    "(mixed-method) run; use policy='migrate'"
-                )
-            decomp = spec.build_decomposition()
-            check_rebalanceable(decomp)
+            decomp = check_rebalanceable(spec)
             pol = balance or BalancePolicy()
             pad = spec.pad
             # The live planner works in axis-0 *rows* (slab thickness):

@@ -21,7 +21,7 @@ from ..core.subregion import assemble_global
 from .decompose import decompose_problem
 from .dumpfile import dump_path, load_dump
 from .hostdb import HostDB, HostInfo, paper_cluster
-from .settings import WorkerKnobs, worker_knob_names
+from .settings import POLICIES, TRANSPORTS, WorkerKnobs, worker_knob_names
 from .spec import ProblemSpec
 
 if TYPE_CHECKING:
@@ -70,6 +70,28 @@ class RunSettings(WorkerKnobs):
             bandwidth=12.5e6,
         )
 
+    def check_runnable(self, spec: ProblemSpec) -> None:
+        """Refuse a run of ``spec`` these settings cannot drive.
+
+        Raises :class:`ValueError` for an unknown transport or policy
+        and :class:`~repro.balance.RecutError` for a rebalance the spec
+        cannot re-cut.  :meth:`DistributedRun.start` calls it before any
+        worker is configured or spawned.
+        """
+        if self.transport not in TRANSPORTS:
+            raise ValueError(
+                f"unknown transport {self.transport!r}; "
+                f"expected one of {TRANSPORTS}"
+            )
+        if self.policy not in POLICIES:
+            raise ValueError(
+                f"unknown policy {self.policy!r}; expected one of {POLICIES}"
+            )
+        if self.policy == "rebalance":
+            from ..balance.recut import check_rebalanceable
+
+            check_rebalanceable(spec)
+
     def worker_base_cfg(self) -> dict:
         """The WorkerConfig fields shared by every rank.
 
@@ -106,10 +128,15 @@ class DistributedRun:
         self.monitor: Monitor | None = None
 
     def start(self) -> Monitor:
-        """Submit the workers and return the live monitor."""
+        """Submit the workers and return the live monitor.
+
+        Settings the run cannot honour raise here, before anything is
+        spawned (:meth:`RunSettings.check_runnable`).
+        """
         from .monitor import Monitor
         from .submit import submit_all
 
+        self.settings.check_runnable(self.spec)
         procs = submit_all(
             self.workdir,
             self.hostdb,

@@ -20,7 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-__all__ = ["WorkerKnobs", "worker_knob_names"]
+__all__ = ["POLICIES", "TRANSPORTS", "WorkerKnobs", "worker_knob_names"]
+
+#: the wire protocols a rank can exchange ghosts over
+TRANSPORTS = ("tcp", "udp")
+#: how the monitor answers an overloaded host: move the rank (§5.1)
+#: or resize every rank's slab
+POLICIES = ("migrate", "rebalance")
 
 
 @dataclass(kw_only=True)

@@ -222,10 +222,6 @@ class ProblemSpec:
         return isinstance(self.method, dict)
 
     @property
-    def default_method(self) -> str:
-        return self.method["default"] if self.is_hybrid else self.method
-
-    @property
     def method_names(self) -> tuple[str, ...]:
         """Sorted distinct methods this problem runs."""
         if not self.is_hybrid:
@@ -319,12 +315,12 @@ class ProblemSpec:
     def build_methods(self) -> tuple:
         """One method instance per dense active rank.
 
-        The single construction path for every runtime (facade, serial
-        reference, workers, decomposer): one instance per *method kind*
-        (methods keep no per-subregion state — it lives on the
-        subregions), shared across the ranks running it, built with the
-        run-wide ghost width :attr:`pad` so mixed-pad methods share one
-        exchange plan.
+        The single construction path for every runtime
+        (:meth:`build_simulation`, workers, decomposer): one instance
+        per *method kind* (methods keep no per-subregion state — it
+        lives on the subregions), shared across the ranks running it,
+        built with the run-wide ghost width :attr:`pad` so mixed-pad
+        methods share one exchange plan.
         """
         params = self.build_params()
         _, inlets, outlets = self.build_geometry()
@@ -363,6 +359,55 @@ class ProblemSpec:
             periodic=self.periodic,
             solid=solid,
             weights=self.weights,
+        )
+
+    def build_simulation(
+        self,
+        fields: dict[str, np.ndarray] | None = None,
+        *,
+        threaded: bool = False,
+        tracer=None,
+        delay_fn=None,
+    ):
+        """The in-process runner of this problem.
+
+        The one path from a spec to a :class:`~repro.core.Simulation`
+        (or, with ``threaded=True``, a
+        :class:`~repro.core.ThreadedSimulation` whose ``delay_fn`` adds
+        per-rank synthetic load): geometry, decomposition, per-rank
+        methods and, on a hybrid spec, the seam converters.  ``fields``
+        defaults to the spec's own initial condition; ``tracer`` to no
+        tracing.  The runner modules are imported here, not at module
+        load, so a rank worker reading its spec never loads them.
+        """
+        if fields is None:
+            from .initprog import initial_fields
+
+            fields = initial_fields(self, None)
+        if tracer is None:
+            from ..trace import NULL_TRACER
+
+            tracer = NULL_TRACER
+        solid, _, _ = self.build_geometry()
+        decomp = self.build_decomposition()
+        methods = list(self.build_methods())
+        converters = None
+        if self.is_hybrid:
+            from ..fluids.coupling import build_converters
+
+            converters = build_converters(decomp, methods)
+        if threaded:
+            from ..core.threaded import ThreadedSimulation
+
+            return ThreadedSimulation(
+                methods, decomp, fields, solid, tracer=tracer,
+                converters=converters, delay_fn=delay_fn,
+            )
+        from ..core.runner import Simulation
+
+        return Simulation(
+            methods, decomp, fields, solid, tracer=tracer,
+            converters=converters,
         )
 
     # ------------------------------------------------------------------

@@ -53,7 +53,7 @@ from .diagnostics import (
 )
 from .dumpfile import dump_path, load_dump, save_dump
 from .heartbeat import encode_heartbeat, open_heartbeat
-from .settings import WorkerKnobs
+from .settings import TRANSPORTS, WorkerKnobs
 from .spec import ProblemSpec
 from .sync import SaveTurns, SyncFiles
 
@@ -162,7 +162,7 @@ class Worker:
         neighbor_ranks = {
             op.neighbor_rank for op in self.plan.recv_ops()
         } - {self.rank}
-        if cfg.transport not in ("tcp", "udp"):
+        if cfg.transport not in TRANSPORTS:
             raise ValueError(f"unknown transport {cfg.transport!r}")
         self.registry = PortRegistry(
             self.workdir / f"ports_{cfg.transport}.txt"

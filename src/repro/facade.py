@@ -142,20 +142,6 @@ def _finish_trace(result: RunResult, trace_dir: Path) -> None:
 
 def _run_inprocess(spec, fields, settings, workdir, threaded: bool,
                    n_steps: int, persist_diag: bool = False) -> RunResult:
-    from .core.runner import Simulation
-    from .core.threaded import ThreadedSimulation
-
-    solid, _, _ = spec.build_geometry()
-    decomp = spec.build_decomposition()
-    converters = None
-    if spec.is_hybrid:
-        from .fluids.coupling import build_converters
-
-        methods = spec.build_methods()
-        converters = build_converters(decomp, methods)
-        method = list(methods)
-    else:
-        method = spec.build_method()
     tracer = NULL_TRACER
     trace_dir = None
     if settings.trace:
@@ -171,23 +157,15 @@ def _run_inprocess(spec, fields, settings, workdir, threaded: bool,
         from .distrib.diagnostics import DiagnosticsLog
 
         diag_log = DiagnosticsLog.for_workdir(workdir)
-    if threaded:
-        # settings.step_delays is the same per-rank synthetic-load knob
-        # the distributed workers honour.
-        delays = list(settings.step_delays)
-        sim = ThreadedSimulation(
-            method, decomp, fields, solid,
-            tracer=tracer,
-            converters=converters,
-            delay_fn=lambda rank, step: (
-                delays[rank] if rank < len(delays) else 0.0
-            ),
-        )
-    else:
-        sim = Simulation(
-            method, decomp, fields, solid, tracer=tracer,
-            converters=converters,
-        )
+    # settings.step_delays is the same per-rank synthetic-load knob the
+    # distributed workers honour (the serial runner ignores it).
+    delays = list(settings.step_delays)
+    sim = spec.build_simulation(
+        fields, threaded=threaded, tracer=tracer,
+        delay_fn=lambda rank, step: (
+            delays[rank] if rank < len(delays) else 0.0
+        ),
+    )
     diagnostics: list = []
     t0 = time.perf_counter()
     # a failing run (e.g. a NaN tripping the diagnostics) must not leave

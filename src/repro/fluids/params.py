@@ -10,7 +10,7 @@ of implicit methods buy nothing here and explicit, local methods win.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["FluidParams"]
 
@@ -122,7 +122,3 @@ class FluidParams:
         if len(g) != ndim:
             raise ValueError(f"gravity {g} must have {ndim} components")
         return cls(dx=1.0, dt=1.0, cs=LATTICE_CS, gravity=tuple(g), **kw)
-
-    def with_(self, **kw) -> "FluidParams":
-        """A copy with the given fields replaced."""
-        return replace(self, **kw)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.efficiency import EfficiencyModel
-from ..cluster.simulator import ClusterSimulation, NetworkParams
+from ..cluster.simulator import ClusterSimulation
 
 __all__ = [
     "SweepPoint",
@@ -62,16 +62,6 @@ class SweepPoint:
     time_per_step: float
     network_errors: int = 0
 
-    @property
-    def sqrt_nodes(self) -> float:
-        """The x-axis of figs. 5, 7, 12 (``N^{1/2}``)."""
-        return float(np.sqrt(self.nodes))
-
-    @property
-    def cbrt_nodes(self) -> float:
-        """The x-axis of fig. 10 (``N^{1/3}``)."""
-        return float(np.cbrt(self.nodes))
-
 
 def _run_point(
     method: str,
@@ -79,13 +69,8 @@ def _run_point(
     blocks: tuple[int, ...],
     side: int,
     steps: int,
-    network: NetworkParams,
-    sync_mode: str,
 ) -> SweepPoint:
-    sim = ClusterSimulation(
-        method, ndim, blocks, side, network=network, sync_mode=sync_mode
-    )
-    res = sim.run(steps=steps)
+    res = ClusterSimulation(method, ndim, blocks, side).run(steps=steps)
     return SweepPoint(
         processors=res.processors,
         side=side,
@@ -102,13 +87,11 @@ def sweep_2d_grain(
     decomps: tuple[tuple[int, int], ...] = DEFAULT_2D_DECOMPS,
     sides: tuple[int, ...] = DEFAULT_2D_SIDES,
     steps: int = 30,
-    network: NetworkParams = NetworkParams(),
-    sync_mode: str = "bsp",
 ) -> dict[tuple[int, int], list[SweepPoint]]:
     """Figures 5-6 (LB) and 7-8 (FD): efficiency/speedup vs grain."""
     return {
         blocks: [
-            _run_point(method, 2, blocks, side, steps, network, sync_mode)
+            _run_point(method, 2, blocks, side, steps)
             for side in sides
         ]
         for blocks in decomps
@@ -120,13 +103,11 @@ def sweep_3d_grain(
     decomps: tuple[tuple[int, int, int], ...] = DEFAULT_3D_DECOMPS,
     sides: tuple[int, ...] = DEFAULT_3D_SIDES,
     steps: int = 30,
-    network: NetworkParams = NetworkParams(),
-    sync_mode: str = "bsp",
 ) -> dict[tuple[int, int, int], list[SweepPoint]]:
     """Figures 10-11: 3D efficiency vs grain / speedup vs problem size."""
     return {
         blocks: [
-            _run_point(method, 3, blocks, side, steps, network, sync_mode)
+            _run_point(method, 3, blocks, side, steps)
             for side in sides
         ]
         for blocks in decomps
@@ -139,8 +120,6 @@ def sweep_processors(
     processors: tuple[int, ...] = (2, 4, 6, 8, 10, 12, 14, 16, 18, 20),
     method: str = "lb",
     steps: int = 30,
-    network: NetworkParams = NetworkParams(),
-    sync_mode: str = "bsp",
 ) -> dict[str, list[SweepPoint]]:
     """Figure 9: scaled problem, (P x 1) in 2D vs (P x 1 x 1) in 3D.
 
@@ -149,14 +128,8 @@ def sweep_processors(
     """
     out: dict[str, list[SweepPoint]] = {"2d": [], "3d": []}
     for p in processors:
-        out["2d"].append(
-            _run_point(method, 2, (p, 1), side_2d, steps, network, sync_mode)
-        )
-        out["3d"].append(
-            _run_point(
-                method, 3, (p, 1, 1), side_3d, steps, network, sync_mode
-            )
-        )
+        out["2d"].append(_run_point(method, 2, (p, 1), side_2d, steps))
+        out["3d"].append(_run_point(method, 3, (p, 1, 1), side_3d, steps))
     return out
 
 

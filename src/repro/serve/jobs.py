@@ -158,13 +158,6 @@ class JobHistory:
             table[rec.job_id] = rec
         return table
 
-    def next_seq(self) -> int:
-        """First unused submission sequence number after a replay."""
-        table = self.replay()
-        if not table:
-            return 0
-        return max(rec.seq for rec in table.values()) + 1
-
     def compact(self) -> dict:
         """Rewrite the log keeping only the last event per job.
 

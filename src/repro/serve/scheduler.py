@@ -12,7 +12,7 @@ Scheduling policy:
 * jobs drain in ``(-priority, seq)`` order (strict priority, FIFO
   within a priority level);
 * one job in flight per worker, sent the moment the worker is free;
-* **small** jobs — grid below ``batch_nodes`` — run on the serial
+* **small** jobs — grid below ``DEFAULT_BATCH_NODES`` — run on the serial
   backend in the worker's warm interpreter; **large** jobs fan out
   through the normal distributed path inside their worker;
 * a worker death (EOF on its socket) requeues its in-flight job
@@ -66,14 +66,12 @@ class Scheduler:
         pool: WorkerPool,
         cache: ResultCache,
         history: JobHistory,
-        batch_nodes: int = DEFAULT_BATCH_NODES,
         max_retries: int = 2,
     ) -> None:
         self.serve_dir = Path(serve_dir).resolve()
         self.pool = pool
         self.cache = cache
         self.history = history
-        self.batch_nodes = batch_nodes
         self.max_retries = max_retries
         self.jobs_dir = self.serve_dir / "jobs"
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
@@ -156,7 +154,7 @@ class Scheduler:
             for side in canon["spec"]["grid_shape"]:
                 nodes *= side
             backend = (
-                "serial" if nodes <= self.batch_nodes else "distributed"
+                "serial" if nodes <= DEFAULT_BATCH_NODES else "distributed"
             )
         seq = self._seq
         self._seq += 1

@@ -28,52 +28,40 @@ def _host_metadata() -> dict:
     }
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    from ..core import Decomposition, Simulation
-    from ..fluids import (
-        FDMethod,
-        FluidParams,
-        LBMethod,
-        channel_geometry,
-        cylinder_channel,
-        flue_pipe,
-    )
+def _simulate_spec(args: argparse.Namespace):
+    """The :class:`~repro.distrib.ProblemSpec` of ``repro simulate``."""
+    from ..distrib.spec import ProblemSpec
 
     shape = tuple(args.shape)
-    inlets, outlets = [], []
-    if args.problem == "channel":
-        solid = channel_geometry(shape)
-        periodic = (True,) + (False,) * (len(shape) - 1)
-        gravity = (args.force,) + (0.0,) * (len(shape) - 1)
-    elif args.problem == "cylinder":
-        solid = cylinder_channel(shape)
-        periodic = (True, False)
-        gravity = (args.force, 0.0)
-    else:  # flue_pipe
-        setup = flue_pipe(shape, jet_speed=args.jet)
-        solid = setup.solid
-        inlets, outlets = [setup.inlet], [setup.outlet]
-        periodic = (False, False)
-        gravity = (0.0, 0.0)
-
     ndim = len(shape)
-    params = FluidParams.lattice(
-        ndim, nu=args.nu, gravity=gravity, filter_eps=args.filter_eps
+    if args.problem == "flue_pipe":
+        # the jet drives the flow: no body force, no periodic axis
+        geometry = {"kind": "flue_pipe", "jet_speed": args.jet}
+        periodic = (False,) * ndim
+        gravity = (0.0,) * ndim
+    else:  # channel / cylinder: periodic along x, driven by a body force
+        geometry = {"kind": args.problem}
+        periodic = (True,) + (False,) * (ndim - 1)
+        gravity = (args.force,) + (0.0,) * (ndim - 1)
+    return ProblemSpec(
+        method=args.method,
+        grid_shape=shape,
+        blocks=tuple(args.blocks),
+        periodic=periodic,
+        params={"nu": args.nu, "gravity": gravity,
+                "filter_eps": args.filter_eps},
+        geometry=geometry,
     )
-    cls = LBMethod if args.method == "lb" else FDMethod
-    method = cls(params, ndim, inlets=inlets, outlets=outlets)
-    decomp = Decomposition(
-        shape, tuple(args.blocks), periodic=periodic, solid=solid
-    )
-    fields = {"rho": np.full(shape, 1.0)}
-    for name in ("u", "v", "w")[:ndim]:
-        fields[name] = np.zeros(shape)
 
-    sim = Simulation(method, decomp, fields, solid)
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    spec = _simulate_spec(args)
+    solid, _, _ = spec.build_geometry()
+    sim = spec.build_simulation()
     print(
-        f"{args.problem} {shape}, {args.method.upper()}, "
+        f"{args.problem} {spec.grid_shape}, {args.method.upper()}, "
         f"decomposition {'x'.join(map(str, args.blocks))} "
-        f"({decomp.n_active} active)"
+        f"({sim.decomp.n_active} active)"
     )
     chunk = max(args.steps // 10, 1)
     done = 0

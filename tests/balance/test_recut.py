@@ -33,23 +33,23 @@ def _workdir(tmp_path, spec, seed=11):
 
 class TestCheckRebalanceable:
     def test_chain_all_active_passes(self):
-        check_rebalanceable(_spec().build_decomposition())
+        assert check_rebalanceable(_spec()).n_active == 4
 
     def test_non_chain_rejected(self):
-        d = _spec(blocks=(2, 2)).build_decomposition()
         with pytest.raises(RecutError, match="chain"):
-            check_rebalanceable(d)
+            check_rebalanceable(_spec(blocks=(2, 2)))
 
     def test_inactive_blocks_rejected(self):
-        from repro.core import Decomposition
-
-        solid = np.zeros((48, 24), dtype=bool)
-        solid[:12] = True  # rank 0's whole slab is solid -> inactive
-        d = Decomposition((48, 24), (4, 1), periodic=(False, False),
-                          solid=solid)
+        # 12-node cavity walls fill the first and last slab -> inactive
+        spec = ProblemSpec(
+            method="lb", grid_shape=(48, 48), blocks=(4, 1),
+            periodic=(False, False),
+            geometry={"kind": "cavity", "wall_nodes": 12},
+        )
+        d = spec.build_decomposition()
         assert d.n_active < d.n_blocks
         with pytest.raises(RecutError, match="active"):
-            check_rebalanceable(d)
+            check_rebalanceable(spec)
 
 
 class TestRecutProblem:

@@ -56,14 +56,14 @@ class TestRecordAndLog:
     def test_roundtrip(self):
         rec = DiagRecord(step=40, total_mass=192.5, kinetic_energy=1e-4,
                          max_speed=0.03, n_nonfinite=0, wall_time=12.5)
-        assert DiagRecord.from_line(rec.to_line()) == rec
+        assert DiagRecord.from_dict(json.loads(rec.to_line())) == rec
 
     def test_roundtrip_nan(self):
         """A blown-up run serializes NaN diagnostics without crashing."""
         rec = DiagRecord(step=7, total_mass=float("nan"),
                          kinetic_energy=float("inf"), max_speed=float("nan"),
                          n_nonfinite=12)
-        back = DiagRecord.from_line(rec.to_line())
+        back = DiagRecord.from_dict(json.loads(rec.to_line()))
         assert np.isnan(back.total_mass)
         assert np.isinf(back.kinetic_energy)
         assert back.n_nonfinite == 12

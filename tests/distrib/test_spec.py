@@ -145,7 +145,6 @@ class TestMethodMap:
         spec = _spec(method=HYBRID, blocks=(2, 1))
         assert spec.spec_version == 2
         assert spec.is_hybrid
-        assert spec.default_method == "lb"
         assert spec.method_names == ("fd", "lb")
         assert spec.methods_by_rank() == ("lb", "fd")
 

@@ -76,12 +76,6 @@ class TestLatticeMapping:
         with pytest.raises(ValueError):
             FluidParams.lattice(3, gravity=(1e-5, 0.0))
 
-    def test_with_(self):
-        p = FluidParams.lattice(2, nu=0.1)
-        q = p.with_(nu=0.2)
-        assert q.nu == 0.2 and p.nu == 0.1
-        assert q.cs == p.cs
-
     def test_acoustic_resolution_eq4(self):
         """Eq. 4: dx ~ cs * dt — lattice units satisfy it by design."""
         p = FluidParams.lattice(2)

@@ -40,6 +40,56 @@ class TestSimulate:
         assert np.load(out)["solid"].any()
 
 
+#: ``repro simulate`` argument sets and the spec each must run, written
+#: out by hand (defaults: LB, nu 0.05, force 1e-5, jet 0.08, filter 0.02)
+SIMULATE_SPECS = {
+    "channel": (
+        ["channel", "--shape", "32", "24", "--blocks", "2", "1"],
+        dict(method="lb", grid_shape=(32, 24), blocks=(2, 1),
+             periodic=(True, False),
+             params={"nu": 0.05, "gravity": (1e-5, 0.0),
+                     "filter_eps": 0.02},
+             geometry={"kind": "channel"}),
+    ),
+    "cylinder_fd": (
+        ["cylinder", "--method", "fd", "--shape", "64", "32",
+         "--blocks", "2", "2"],
+        dict(method="fd", grid_shape=(64, 32), blocks=(2, 2),
+             periodic=(True, False),
+             params={"nu": 0.05, "gravity": (1e-5, 0.0),
+                     "filter_eps": 0.02},
+             geometry={"kind": "cylinder"}),
+    ),
+    "flue_pipe": (
+        ["flue_pipe", "--shape", "96", "64", "--blocks", "2", "2"],
+        dict(method="lb", grid_shape=(96, 64), blocks=(2, 2),
+             periodic=(False, False),
+             params={"nu": 0.05, "gravity": (0.0, 0.0),
+                     "filter_eps": 0.02},
+             geometry={"kind": "flue_pipe", "jet_speed": 0.08}),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATE_SPECS))
+def test_simulate_runs_the_equivalent_spec(case, tmp_path, capsys):
+    """The arguments map onto the spec: the written fields are bitwise
+    those of ``repro.run`` on it, and the solid mask is its geometry."""
+    import repro
+    from repro.distrib import ProblemSpec
+
+    argv, kw = SIMULATE_SPECS[case]
+    out = tmp_path / "run.npz"
+    assert main(["simulate", *argv, "--steps", "7", "--out", str(out)]) == 0
+    spec = ProblemSpec(**kw)
+    ref = repro.run(spec, "serial", steps=7).fields
+    data = np.load(out)
+    assert set(data.files) == set(ref) | {"solid"}
+    for name, want in ref.items():
+        assert np.array_equal(data[name], want), name
+    assert np.array_equal(data["solid"], spec.build_geometry()[0])
+
+
 class TestCluster:
     def test_basic_run(self, capsys):
         rc = main([

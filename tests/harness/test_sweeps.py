@@ -21,7 +21,7 @@ class TestGrainSweeps:
         pts = data[(2, 2)]
         assert [p.side for p in pts] == [40, 80]
         assert pts[0].processors == 4
-        assert pts[0].sqrt_nodes == pytest.approx(40.0)
+        assert pts[0].nodes == 1600
 
     def test_2d_efficiency_improves_with_grain(self):
         data = sweep_2d_grain(decomps=((3, 3),), sides=(30, 120), steps=10)
@@ -34,7 +34,6 @@ class TestGrainSweeps:
         )
         pts = data[(2, 2, 2)]
         assert pts[0].nodes == 1000
-        assert pts[0].cbrt_nodes == pytest.approx(10.0)
 
 
 class TestProcessorSweep:

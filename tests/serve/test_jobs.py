@@ -136,12 +136,6 @@ class TestHistory:
         with pytest.raises(LogDamaged, match="line 1"):
             hist.replay()
 
-    def test_next_seq(self, tmp_path):
-        hist = JobHistory.for_dir(tmp_path)
-        assert hist.next_seq() == 0
-        hist.append("submitted", _rec("j000004-cccccccc", seq=4))
-        assert hist.next_seq() == 5
-
     def test_missing_file_reads_empty(self, tmp_path):
         hist = JobHistory(tmp_path / "nope.jsonl")
         assert hist.read() == []

@@ -53,10 +53,18 @@ def test_import_repro_loads_no_subpackage():
     assert _new_modules("import repro") <= {"repro", "repro._lazy"}
 
 
+#: in-process runner modules, loaded only by ``ProblemSpec.build_simulation``
+#: and the facade, never by a rank that steps its own subregion
+IN_PROCESS_RUNNERS = (
+    "repro.core.runner", "repro.core.threaded", "repro.core.taskgraph",
+    "repro.facade",
+)
+
+
 def test_worker_loads_only_what_a_rank_runs():
     loaded = _new_modules("import repro.distrib.worker")
     assert "repro.distrib.worker" in loaded
-    assert not _under(loaded, NOT_IN_WORKER)
+    assert not _under(loaded, NOT_IN_WORKER + IN_PROCESS_RUNNERS)
 
 
 def test_spec_and_settings_skip_monitor_and_planner():

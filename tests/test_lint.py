@@ -132,3 +132,31 @@ def test_channel_sets_share_one_data_plane_signature():
         assert len(set(sigs.values())) == 1, (
             f"channel sets disagree on {name} parameters: {sigs}"
         )
+
+
+#: in-process runner construction: only ``ProblemSpec.build_simulation``
+RUNNER_CALLS = {"Simulation", "ThreadedSimulation", "build_converters"}
+#: the one exception: a rank worker converts its own seam edges
+RUNNER_CALL_EXCEPTIONS = {("distrib/worker.py", "build_converters")}
+
+
+def test_one_spec_to_runner_path():
+    """A spec becomes an in-process runner in one place: no module but
+    the builder constructs a runner or the hybrid seam converters, so a
+    new spec option reaches every in-process run through one path."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if rel == "distrib/spec.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _call_name(node)
+            if (name in RUNNER_CALLS
+                    and (rel, name) not in RUNNER_CALL_EXCEPTIONS):
+                offenders.append(f"{rel}:{node.lineno}: {name}()")
+    assert not offenders, (
+        "in-process runner built outside ProblemSpec.build_simulation:\n"
+        + "\n".join(offenders)
+    )

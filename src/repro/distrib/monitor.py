@@ -48,7 +48,6 @@ from .diagnostics import DiagnosticsLog
 from .dumpfile import DumpCorruption, dump_path, load_dump
 from .heartbeat import read_heartbeats
 from .hostdb import MIGRATE_LOAD_LIMIT, HostDB
-from .settings import POLICIES
 from .spec import ProblemSpec
 from .submit import spawn_worker
 from .sync import SaveTurns
@@ -99,8 +98,6 @@ class Monitor:
         policy: str = "migrate",
         balance: BalancePolicy | None = None,
     ) -> None:
-        if policy not in POLICIES:
-            raise ValueError(f"unknown policy {policy!r}")
         self.workdir = Path(workdir)
         self.hostdb = hostdb
         self.procs = dict(procs)
@@ -125,12 +122,9 @@ class Monitor:
         self.planner: RebalancePlanner | None = None
         self.estimator: LoadEstimator | None = None
         if policy == "rebalance":
-            # Imported lazily: repro.balance.recut imports this package
-            # at module load, so a top-level import would be circular.
-            from ..balance.recut import check_rebalanceable
-
+            # DistributedRun.start refused a spec it cannot re-cut
             spec = ProblemSpec.load(self.workdir / "spec.json")
-            decomp = check_rebalanceable(spec)
+            decomp = spec.build_decomposition()
             pol = balance or BalancePolicy()
             pad = spec.pad
             # The live planner works in axis-0 *rows* (slab thickness):

@@ -11,7 +11,7 @@ serial program — the integration tests assert bit-for-bit equality.
 from __future__ import annotations
 
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
@@ -21,7 +21,7 @@ from ..core.subregion import assemble_global
 from .decompose import decompose_problem
 from .dumpfile import dump_path, load_dump
 from .hostdb import HostDB, HostInfo, paper_cluster
-from .settings import POLICIES, TRANSPORTS, WorkerKnobs, worker_knob_names
+from .settings import WorkerKnobs, check_supported, worker_knob_names
 from .spec import ProblemSpec
 
 if TYPE_CHECKING:
@@ -53,6 +53,14 @@ class RunSettings(WorkerKnobs):
     balance_cooldown: float = 5.0
     balance_min_gain: float = 1.0
 
+    @classmethod
+    def from_knobs(cls, knobs: Mapping) -> RunSettings:
+        """The settings of a serve request's knob dict: ``steps`` is 0
+        when absent, a name that is no field is dropped."""
+        names = {f.name for f in fields(cls)}
+        return cls(**{"steps": 0, **{k: v for k, v in knobs.items()
+                                     if k in names}})
+
     def balance_policy(self) -> BalancePolicy:
         """The :class:`~repro.balance.BalancePolicy` these knobs select.
 
@@ -69,28 +77,6 @@ class RunSettings(WorkerKnobs):
             state_bytes_per_node=72.0,
             bandwidth=12.5e6,
         )
-
-    def check_runnable(self, spec: ProblemSpec) -> None:
-        """Refuse a run of ``spec`` these settings cannot drive.
-
-        Raises :class:`ValueError` for an unknown transport or policy
-        and :class:`~repro.balance.RecutError` for a rebalance the spec
-        cannot re-cut.  :meth:`DistributedRun.start` calls it before any
-        worker is configured or spawned.
-        """
-        if self.transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {self.transport!r}; "
-                f"expected one of {TRANSPORTS}"
-            )
-        if self.policy not in POLICIES:
-            raise ValueError(
-                f"unknown policy {self.policy!r}; expected one of {POLICIES}"
-            )
-        if self.policy == "rebalance":
-            from ..balance.recut import check_rebalanceable
-
-            check_rebalanceable(spec)
 
     def worker_base_cfg(self) -> dict:
         """The WorkerConfig fields shared by every rank.
@@ -131,12 +117,12 @@ class DistributedRun:
         """Submit the workers and return the live monitor.
 
         Settings the run cannot honour raise here, before anything is
-        spawned (:meth:`RunSettings.check_runnable`).
+        spawned (:func:`~repro.distrib.settings.check_supported`).
         """
         from .monitor import Monitor
         from .submit import submit_all
 
-        self.settings.check_runnable(self.spec)
+        check_supported(self.spec, "distributed", self.settings)
         procs = submit_all(
             self.workdir,
             self.hostdb,

@@ -1,32 +1,90 @@
-"""The knobs shared by the run settings and every worker's config.
+"""The knobs every rank shares, and the one table of what a run can do.
 
 :class:`~repro.distrib.orchestrator.RunSettings` (what the user sets on
 a run) and :class:`~repro.distrib.worker.WorkerConfig` (what the submit
-program hands each rank) used to duplicate fifteen field declarations,
-with ``RunSettings.worker_base_cfg()`` hand-copying each one across —
-so a knob added to one side could silently never reach the workers.
-Both now inherit :class:`WorkerKnobs`; the base config is *derived*
-from the dataclass fields (:func:`worker_knob_names`), making the
-omission impossible by construction.
-
-All knob fields are keyword-only so the subclasses keep their own
-positional signatures (``WorkerConfig(workdir, rank, host, ...)``,
-``RunSettings(steps, ...)``): Python places keyword-only dataclass
-fields after the subclass' positional ones regardless of inheritance
-order.
+program hands each rank) both inherit :class:`WorkerKnobs`, whose
+fields are keyword-only so the subclasses keep their own positional
+signatures.  :func:`check_supported` alone decides whether a run can go
+ahead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-__all__ = ["POLICIES", "TRANSPORTS", "WorkerKnobs", "worker_knob_names"]
+__all__ = ["BACKENDS", "POLICIES", "SERVED", "TRANSPORTS", "WorkerKnobs",
+           "check_supported", "uniform_side", "worker_knob_names"]
 
+#: the runtimes :func:`repro.run` can dispatch one problem to; the first
+#: four execute locally, ``"service"`` submits to a running
+#: :class:`repro.serve.Gateway` and waits
+BACKENDS = ("serial", "threaded", "distributed", "simulated", "service")
+#: the backends a serve pool worker runs a job on: ``"simulated"`` has
+#: no fields to return (or cache), ``"service"`` would submit back to a
+#: gateway
+SERVED = ("serial", "threaded", "distributed")
 #: the wire protocols a rank can exchange ghosts over
 TRANSPORTS = ("tcp", "udp")
 #: how the monitor answers an overloaded host: move the rank (§5.1)
 #: or resize every rank's slab
 POLICIES = ("migrate", "rebalance")
+
+
+def uniform_side(spec) -> int:
+    """The one subregion side of ``spec``'s cut axes, which the
+    simulated backend needs; :class:`ValueError` when they differ."""
+    sides = {
+        g // b for g, b in zip(spec.grid_shape, spec.blocks) if b > 1
+    } or {spec.grid_shape[0] // spec.blocks[0]}
+    if len(sides) != 1:
+        raise ValueError(
+            "the simulated backend needs a uniform subregion side; "
+            f"grid {spec.grid_shape} / blocks {spec.blocks} gives {sides}"
+        )
+    return sides.pop()
+
+
+def check_supported(
+    spec, backend: str, settings, *, fields=None, served: bool = False,
+) -> None:
+    """Refuse a run this build cannot perform: the one support table.
+
+    ``backend`` would march ``spec`` from the caller's ``fields``
+    (``None``: the spec's own) under ``settings`` (a
+    :class:`~repro.distrib.RunSettings`); ``served`` marks a job for a
+    serve pool worker.  Every method mix runs in 2D and 3D on every
+    backend.  Raises :class:`ValueError` for an unknown name, an
+    unservable backend, other dimensions, a simulated run given fields
+    or diagnostics or with uneven sides, and a service run given
+    fields; :class:`~repro.balance.RecutError` for a distributed
+    rebalance of a spec that is not a solid-free single-method chain.
+    """
+    for kind, name, known in (
+        ("backend", backend, SERVED if served else BACKENDS),
+        ("transport", settings.transport, TRANSPORTS),
+        ("policy", settings.policy, POLICIES),
+    ):
+        if name not in known:
+            what = (f"backend {name!r} cannot be served" if known is SERVED
+                    else f"unknown {kind} {name!r}")
+            raise ValueError(f"{what}; expected one of {known}")
+    if spec.ndim not in (2, 3):
+        raise ValueError(f"{spec.ndim}D problems are not supported")
+    if backend == "simulated":
+        if fields is not None or settings.diag_every > 0:
+            raise ValueError(
+                "the simulated backend models time, not field data: "
+                "it takes no fields= and samples no diagnostics"
+            )
+        uniform_side(spec)
+    if backend == "service" and fields is not None:
+        raise ValueError(
+            "the service backend initializes fields from the spec"
+        )
+    if backend == "distributed" and settings.policy == "rebalance":
+        from ..balance.recut import check_rebalanceable
+
+        check_rebalanceable(spec)
 
 
 @dataclass(kw_only=True)

@@ -53,7 +53,7 @@ from .diagnostics import (
 )
 from .dumpfile import dump_path, load_dump, save_dump
 from .heartbeat import encode_heartbeat, open_heartbeat
-from .settings import TRANSPORTS, WorkerKnobs
+from .settings import WorkerKnobs
 from .spec import ProblemSpec
 from .sync import SaveTurns, SyncFiles
 
@@ -162,8 +162,6 @@ class Worker:
         neighbor_ranks = {
             op.neighbor_rank for op in self.plan.recv_ops()
         } - {self.rank}
-        if cfg.transport not in TRANSPORTS:
-            raise ValueError(f"unknown transport {cfg.transport!r}")
         self.registry = PortRegistry(
             self.workdir / f"ports_{cfg.transport}.txt"
         )
@@ -171,11 +169,13 @@ class Worker:
             self.channels = ChannelSet(
                 self.rank, neighbor_ranks, self.registry
             )
-        else:
+        elif cfg.transport == "udp":
             self.channels = UdpChannelSet(
                 self.rank, neighbor_ranks, self.registry,
                 loss_rate=cfg.udp_loss,
             )
+        else:
+            raise ValueError(f"unknown transport {cfg.transport!r}")
         self.tracer = NULL_TRACER
         if cfg.trace:
             # A rank restarted after migrating away must not truncate

@@ -39,15 +39,11 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from .distrib.settings import BACKENDS, check_supported, uniform_side
 from .trace import NULL_TRACER, Tracer, TraceSummary, summarize, \
     write_chrome_trace
 
 __all__ = ["run", "RunResult", "BACKENDS"]
-
-#: The runtimes :func:`run` can dispatch one problem to.  The first
-#: four execute locally; ``"service"`` submits to a running
-#: :class:`repro.serve.Gateway` and waits (pass ``server=``).
-BACKENDS = ("serial", "threaded", "distributed", "simulated", "service")
 
 
 @dataclass
@@ -115,18 +111,6 @@ def _initial_fields(spec, fields):
 
     # kind=None resolves the spec's declarative init (rest by default)
     return initial_fields(spec, None)
-
-
-def _uniform_side(spec) -> int:
-    sides = {
-        g // b for g, b in zip(spec.grid_shape, spec.blocks) if b > 1
-    } or {spec.grid_shape[0] // spec.blocks[0]}
-    if len(sides) != 1:
-        raise ValueError(
-            "the simulated backend needs a uniform subregion side; "
-            f"grid {spec.grid_shape} / blocks {spec.blocks} gives {sides}"
-        )
-    return sides.pop()
 
 
 def _finish_trace(result: RunResult, trace_dir: Path) -> None:
@@ -240,7 +224,7 @@ def _run_simulated(spec, settings, workdir) -> RunResult:
         spec.methods_by_rank() if spec.is_hybrid else spec.method,
         spec.ndim,
         spec.blocks,
-        _uniform_side(spec),
+        uniform_side(spec),
         trace_dir=trace_dir,
     )
     res = sim.run(steps=settings.steps)
@@ -336,20 +320,13 @@ def run(
         Final fields, diagnostics records, and — with
         ``settings.trace`` — the merged Chrome trace and §7 breakdown.
     """
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
     settings = _settings(settings, steps)
+    check_supported(spec, backend, settings, fields=fields)
     if backend == "service":
         if server is None:
             raise ValueError(
                 'backend="service" needs server= (a "host:port" '
                 "gateway address or the serve directory)"
-            )
-        if fields is not None:
-            raise ValueError(
-                "the service backend initializes fields from the spec"
             )
         return _run_service(spec, settings, server)
     if workdir is None and (settings.trace or backend == "distributed"):
@@ -358,11 +335,6 @@ def run(
             # DistributedRun insists on an empty directory
             workdir = Path(workdir) / "run"
     if backend == "simulated":
-        if fields is not None or settings.diag_every > 0:
-            raise ValueError(
-                "the simulated backend models time, not field data: "
-                "it takes no fields= and samples no diagnostics"
-            )
         return _run_simulated(spec, settings, workdir or ".")
     init = _initial_fields(spec, fields)
     if backend == "distributed":

@@ -106,6 +106,14 @@ class SocketExchanger:
                 and (op.neighbor_rank in converters) == seam
             ]
             for op in edges:
+                if op.neighbor_rank == sub.block.rank:
+                    # a periodic axis this one block spans wraps onto
+                    # itself: a local copy, as in LocalExchanger
+                    for name in field_names:
+                        arr = sub.fields[name]
+                        self.stage.copy(arr[(...,) + op.recv_slices],
+                                        arr[(...,) + op.src_slices])
+                    continue
                 payload = self._pack(field_names, op.send_slices)
                 self.channels.send_data(
                     op.neighbor_rank,
@@ -121,7 +129,7 @@ class SocketExchanger:
             # neighbour's opposite face, so it carries -s.
             keys = {
                 (step, phase, tag, -op.side, op.neighbor_rank): op
-                for op in edges
+                for op in edges if op.neighbor_rank != sub.block.rank
             }
             if keys:
                 payloads = self.channels.recv_data(

@@ -68,20 +68,6 @@ def _heartbeat(path: Path, index: int, state: str, job: str | None,
     })
 
 
-def _build_settings(knobs: dict, job_id: str):
-    """A RunSettings from the submitted knob dict, tagged with the job."""
-    from dataclasses import fields
-
-    from ..distrib.orchestrator import RunSettings
-
-    known = {f.name for f in fields(RunSettings)}
-    kwargs = {k: v for k, v in knobs.items() if k in known}
-    kwargs.setdefault("steps", 0)
-    settings = RunSettings(**kwargs)
-    settings.job_id = job_id
-    return settings
-
-
 def run_job(serve_dir: Path, job_id: str, worker_index: int) -> None:
     """Execute one job from its ``job.json`` and commit the artifacts.
 
@@ -92,13 +78,15 @@ def run_job(serve_dir: Path, job_id: str, worker_index: int) -> None:
 
     import repro
 
+    from ..distrib.orchestrator import RunSettings
     from ..distrib.spec import ProblemSpec
 
     job_dir = serve_dir / "jobs" / job_id
     req = json.loads((job_dir / "job.json").read_text())
     try:
         spec = ProblemSpec.from_json(json.dumps(req["spec"]))
-        settings = _build_settings(req.get("settings", {}), job_id)
+        settings = RunSettings.from_knobs(req.get("settings", {}))
+        settings.job_id = job_id
         backend = req.get("backend", "serial")
         seed = int(req.get("seed", 0))
         # The seed is part of the cache fingerprint, so it must also be

@@ -28,7 +28,9 @@ from __future__ import annotations
 import heapq
 import json
 import logging
+import math
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from .cache import ResultCache
@@ -43,18 +45,31 @@ log = logging.getLogger("repro.serve")
 #: Grids with at most this many nodes count as "small" and run serially.
 DEFAULT_BATCH_NODES = 96 * 96
 
-#: The backends a pool worker can run a job on.  ``"simulated"`` has no
-#: fields to return (or cache), and ``"service"`` would submit back to a
-#: gateway.
-SERVED_BACKENDS = ("serial", "threaded", "distributed")
 
+def _intake(spec, settings, seed: int, backend: str | None):
+    """``(canonical request, backend, RunSettings)`` of a request a pool
+    worker can run, its ``backend=None`` resolved by grid size; checked
+    before any cache lookup, since the fingerprint omits the backend and
+    the operational knobs."""
+    from ..distrib.orchestrator import RunSettings
+    from ..distrib.settings import check_supported
+    from ..distrib.spec import ProblemSpec
 
-def _check_backend(backend: str | None) -> None:
-    if backend is not None and backend not in SERVED_BACKENDS:
-        raise ValueError(
-            f"backend {backend!r} cannot be served; "
-            f"expected one of {SERVED_BACKENDS}"
-        )
+    canon = canonical_request(spec, settings, seed)
+    steps = int(canon["settings"]["steps"])
+    if steps <= 0:
+        raise ValueError("settings.steps must be a positive integer")
+    if backend is None:
+        nodes = math.prod(canon["spec"]["grid_shape"])
+        backend = "serial" if nodes <= DEFAULT_BATCH_NODES else "distributed"
+    if not isinstance(settings, RunSettings):
+        settings = RunSettings.from_knobs({**(settings or {}), "steps": steps})
+    try:
+        spec = ProblemSpec.from_json(json.dumps(canon["spec"]))
+        check_supported(spec, backend, settings, served=True)
+    except RuntimeError as exc:  # a RecutError: a bad request, like the rest
+        raise ValueError(str(exc)) from exc
+    return canon, backend, settings
 
 
 class Scheduler:
@@ -126,10 +141,7 @@ class Scheduler:
         would, so a batch can be vetted all-or-nothing before its first
         job is accepted.  Returns the request fingerprint.
         """
-        _check_backend(backend)
-        canon = canonical_request(spec, settings, seed)
-        if int(canon["settings"]["steps"]) <= 0:
-            raise ValueError("settings.steps must be a positive integer")
+        _intake(spec, settings, seed, backend)
         return fingerprint(spec, settings, seed)
 
     def submit(
@@ -141,21 +153,8 @@ class Scheduler:
         backend: str | None = None,
     ) -> JobRecord:
         """Accept one request; answer from cache or enqueue a job."""
-        # before the cache lookup: the fingerprint omits the backend, so
-        # an unservable one must not be answered from (or fill) the cache
-        _check_backend(backend)
-        canon = canonical_request(spec, settings, seed)
+        canon, backend, knobs = _intake(spec, settings, seed, backend)
         fp = fingerprint(spec, settings, seed)
-        steps = int(canon["settings"]["steps"])
-        if steps <= 0:
-            raise ValueError("settings.steps must be a positive integer")
-        if backend is None:
-            nodes = 1
-            for side in canon["spec"]["grid_shape"]:
-                nodes *= side
-            backend = (
-                "serial" if nodes <= DEFAULT_BATCH_NODES else "distributed"
-            )
         seq = self._seq
         self._seq += 1
         job_id = f"j{seq:06d}-{fp[:8]}"
@@ -167,7 +166,7 @@ class Scheduler:
             seed=seed,
             backend=backend,
             submitted=time.time(),  # wall stamp
-            steps=steps,
+            steps=knobs.steps,
         )
         entry = self.cache.get(fp)
         if entry is not None:
@@ -182,15 +181,8 @@ class Scheduler:
             return rec
         job_dir = self.jobs_dir / job_id
         job_dir.mkdir(parents=True, exist_ok=True)
-        if settings is None:
-            settings_dict: dict = {"steps": steps}
-        elif isinstance(settings, dict):
-            settings_dict = dict(settings)
-        else:
-            from dataclasses import asdict
-
-            settings_dict = asdict(settings)
-            settings_dict.pop("hosts", None)  # HostInfo objects: not JSON
+        settings_dict = asdict(knobs)
+        settings_dict.pop("hosts", None)  # HostInfo objects: not JSON
         (job_dir / "job.json").write_text(json.dumps({
             "job_id": job_id,
             "fingerprint": fp,

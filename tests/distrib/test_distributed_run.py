@@ -163,20 +163,6 @@ def test_crash_restarts_from_checkpoint(tmp_path):
         assert np.array_equal(out[name], serial.global_field(name)), name
 
 
-def test_udp_transport_matches_serial(tmp_path):
-    """App. D: the datagram transport with explicit acknowledgment and
-    retransmission computes the identical answer."""
-    spec = _spec(blocks=(2, 2))
-    fields = initial_fields(spec, "rest")
-    serial = _serial(spec, fields, steps=20)
-    out = repro.run(
-        spec, "distributed", RunSettings(steps=20, transport="udp"),
-        fields=fields, workdir=tmp_path / "run",
-    ).fields
-    for name in serial.method.field_names:
-        assert np.array_equal(out[name], serial.global_field(name)), name
-
-
 def test_inactive_blocks_use_fewer_workers(tmp_path):
     """Fig. 2: all-solid subregions get no worker process."""
     spec = ProblemSpec(

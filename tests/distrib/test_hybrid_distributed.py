@@ -42,18 +42,6 @@ def _spec(blocks=(2, 1)):
     )
 
 
-def test_two_rank_hybrid_matches_serial(tmp_path):
-    spec = _spec(blocks=(2, 1))
-    fields = initial_fields(spec, "rest")
-    ref = serial_reference(spec, steps=25)
-    out = repro.run(
-        spec, "distributed", RunSettings(steps=25),
-        fields=fields, workdir=tmp_path / "run",
-    ).fields
-    for name in ("rho", "u", "v"):
-        assert np.array_equal(out[name], ref[name]), name
-
-
 def test_four_rank_hybrid_seam_inside_each_half(tmp_path):
     """blocks=(4,1): ranks 0-1 are LB, ranks 2-3 FD — the seam edge
     (1|2) coexists with same-method edges and the periodic 3|0 wrap."""
@@ -99,18 +87,3 @@ def test_hybrid_crash_restarts_from_checkpoint(tmp_path):
     assert mon.restarts >= 1
     for name in ("rho", "u", "v"):
         assert np.array_equal(out[name], ref[name]), name
-
-
-def test_hybrid_rejects_rebalance_policy(tmp_path):
-    """policy='rebalance' would re-cut slabs and move the seam off its
-    region boundary — refused loudly at startup."""
-    from repro.balance import RecutError
-
-    spec = _spec()
-    fields = initial_fields(spec, "rest")
-    run = DistributedRun(
-        spec, fields, tmp_path / "run",
-        RunSettings(steps=5, policy="rebalance"),
-    )
-    with pytest.raises(RecutError, match="hybrid"):
-        run.start()

@@ -102,3 +102,31 @@ def test_servable_backends_are_enqueued(gw, backend):
     assert status == 200
     assert reply["state"] == "queued"
     assert reply["backend"] == (backend or "serial")
+
+
+HYBRID_SPEC = dict(SPEC, blocks=[2, 1], method={
+    "default": "lb",
+    "regions": [{"box": [[8, 0], [16, 12]], "method": "fd"}],
+})
+#: requests a run would refuse: ``(spec, settings, backend)``
+UNRUNNABLE = {
+    "hybrid_rebalance": (
+        HYBRID_SPEC, dict(SETTINGS, policy="rebalance"), "distributed"),
+    "unknown_transport": (SPEC, dict(SETTINGS, transport="tpc"), None),
+    "unknown_policy": (SPEC, dict(SETTINGS, policy="migrat"), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNRUNNABLE))
+def test_intake_refuses_what_a_run_would_refuse(gw, case):
+    """The serve intake asks the same support check as ``repro.run``:
+    a request no pool worker could run is refused at ``validate`` and
+    at ``submit``, though its fingerprint may equal a runnable twin's
+    (the operational knobs are not hashed)."""
+    spec, settings, backend = UNRUNNABLE[case]
+    with pytest.raises(ValueError):
+        gw.scheduler.validate(spec, settings, backend=backend)
+    with pytest.raises(ValueError):
+        gw.scheduler.submit(spec, settings, backend=backend)
+    _assert_nothing_taken(gw)
+    assert not gw.scheduler.history.path.exists()

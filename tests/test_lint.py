@@ -160,3 +160,44 @@ def test_one_spec_to_runner_path():
         "in-process runner built outside ProblemSpec.build_simulation:\n"
         + "\n".join(offenders)
     )
+
+
+#: the modules that own the support table and the re-cut rule
+SUPPORT_OWNERS = {"distrib/settings.py", "balance/recut.py"}
+#: the table's columns: a membership test against one of them
+#: elsewhere is a second copy of the rule
+SUPPORT_TABLES = re.compile(r"BACKENDS|TRANSPORTS|POLICIES|SERVED")
+
+
+def _names(node: ast.AST) -> str:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return ""
+
+
+def test_one_support_check():
+    """Whether a run can go ahead is decided in one place,
+    ``distrib.settings.check_supported``: no other module tests a
+    backend, transport or policy for membership in the table or asks
+    ``check_rebalanceable`` itself."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if rel in SUPPORT_OWNERS:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.In, ast.NotIn))
+                and SUPPORT_TABLES.search(_names(right))
+                for op, right in zip(node.ops, node.comparators)
+            ):
+                offenders.append(f"{rel}:{node.lineno}: membership test")
+            elif (isinstance(node, ast.Call)
+                    and _call_name(node) == "check_rebalanceable"):
+                offenders.append(f"{rel}:{node.lineno}: check_rebalanceable()")
+    assert not offenders, (
+        "support rule outside distrib.settings.check_supported:\n"
+        + "\n".join(offenders)
+    )

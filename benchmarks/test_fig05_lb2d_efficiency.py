@@ -16,22 +16,15 @@ Shape claims asserted:
 import pytest
 
 from repro.core import EfficiencyModel, paper_m_table
-from repro.harness import (
-    DEFAULT_2D_DECOMPS,
-    DEFAULT_2D_SIDES,
-    format_table,
-    sweep_2d_grain,
-)
+from repro.harness import format_table
 
-from conftest import run_once
+from conftest import DECOMPS_2D, SIDES_2D, efficiency_sweep, run_once
 
 
 def test_fig05(benchmark, record_figure, record_svg):
     data = run_once(
         benchmark,
-        lambda: sweep_2d_grain(
-            "lb", DEFAULT_2D_DECOMPS, DEFAULT_2D_SIDES, steps=30
-        ),
+        lambda: efficiency_sweep("lb", DECOMPS_2D, SIDES_2D, steps=30),
     )
     model = EfficiencyModel()
     m_table = paper_m_table()
@@ -39,7 +32,7 @@ def test_fig05(benchmark, record_figure, record_svg):
         "fig05_lb2d_efficiency",
         {
             f"{b[0]}x{b[1]}": (
-                [p.side for p in pts], [p.efficiency for p in pts]
+                [p["side"] for p in pts], [p["f"] for p in pts]
             )
             for b, pts in data.items()
         },
@@ -52,11 +45,11 @@ def test_fig05(benchmark, record_figure, record_svg):
     rows = []
     for blocks, pts in data.items():
         m = m_table[blocks]
-        p = pts[0].processors
+        p = pts[0]["processors"]
         for pt in pts:
-            pred = float(model.efficiency(pt.nodes, m, p, 2))
+            pred = float(model.efficiency(pt["nodes"], m, p, 2))
             rows.append(
-                [f"{blocks[0]}x{blocks[1]}", pt.side, f"{pt.efficiency:.3f}",
+                [f"{blocks[0]}x{blocks[1]}", pt["side"], f"{pt['f']:.3f}",
                  f"{pred:.3f}"]
             )
     record_figure(
@@ -69,7 +62,7 @@ def test_fig05(benchmark, record_figure, record_svg):
     )
 
     for blocks, pts in data.items():
-        effs = [p.efficiency for p in pts]
+        effs = [p["f"] for p in pts]
         # monotone in grain
         assert all(b >= a - 1e-9 for a, b in zip(effs, effs[1:])), blocks
         # high efficiency at large grain (paper: ~80% typical)
@@ -78,7 +71,7 @@ def test_fig05(benchmark, record_figure, record_svg):
         assert effs[0] < effs[-1] - 0.2, blocks
 
     # good performance threshold near 100^2 (paper §7)
-    at_100 = {b: [p for p in pts if p.side == 100][0].efficiency
+    at_100 = {b: [p for p in pts if p["side"] == 100][0]["f"]
               for b, pts in data.items()}
     assert at_100[(2, 2)] > 0.8
     assert at_100[(5, 4)] > 0.45
@@ -88,10 +81,10 @@ def test_fig05(benchmark, record_figure, record_svg):
 
     # model vs measurement: agreement at 300^2, over-prediction at 25^2
     for blocks, pts in data.items():
-        m, p = m_table[blocks], pts[0].processors
+        m, p = m_table[blocks], pts[0]["processors"]
         big = pts[-1]
-        pred_big = float(model.efficiency(big.nodes, m, p, 2))
-        assert big.efficiency == pytest.approx(pred_big, abs=0.15)
+        pred_big = float(model.efficiency(big["nodes"], m, p, 2))
+        assert big["f"] == pytest.approx(pred_big, abs=0.15)
         small = pts[0]
-        pred_small = float(model.efficiency(small.nodes, m, p, 2))
-        assert small.efficiency < pred_small
+        pred_small = float(model.efficiency(small["nodes"], m, p, 2))
+        assert small["f"] < pred_small

@@ -7,25 +7,19 @@ paper's headline "typical simulations achieve 80% parallel efficiency
 using 20 workstations" (S >~ 15).
 """
 
-from repro.harness import (
-    DEFAULT_2D_DECOMPS,
-    DEFAULT_2D_SIDES,
-    format_table,
-    sweep_2d_grain,
-)
+from repro.harness import format_table
 
-from conftest import run_once
+from conftest import DECOMPS_2D, SIDES_2D, efficiency_sweep, run_once
 
 
 def test_fig06(benchmark, record_figure):
     data = run_once(
         benchmark,
-        lambda: sweep_2d_grain(
-            "lb", DEFAULT_2D_DECOMPS, DEFAULT_2D_SIDES, steps=30
-        ),
+        lambda: efficiency_sweep("lb", DECOMPS_2D, SIDES_2D, steps=30),
     )
     rows = [
-        [f"{b[0]}x{b[1]}", pt.side, pt.processors, f"{pt.speedup:.2f}"]
+        [f"{b[0]}x{b[1]}", pt["side"], pt["processors"],
+         f"{pt['speedup']:.2f}"]
         for b, pts in data.items()
         for pt in pts
     ]
@@ -39,20 +33,20 @@ def test_fig06(benchmark, record_figure):
     )
 
     for blocks, pts in data.items():
-        p = pts[0].processors
-        sp = [pt.speedup for pt in pts]
+        p = pts[0]["processors"]
+        sp = [pt["speedup"] for pt in pts]
         # monotone in grain and bounded by P
         assert all(b >= a - 1e-9 for a, b in zip(sp, sp[1:])), blocks
         assert sp[-1] <= p + 1e-6, blocks
 
     # the headline: ~80% of 20 workstations at production grain
     best_20 = data[(5, 4)][-1]
-    assert best_20.speedup > 0.72 * 20
+    assert best_20["speedup"] > 0.72 * 20
 
     # more processors must actually buy more speed at large grain
     assert (
-        data[(5, 4)][-1].speedup
-        > data[(4, 4)][-1].speedup
-        > data[(3, 3)][-1].speedup
-        > data[(2, 2)][-1].speedup
+        data[(5, 4)][-1]["speedup"]
+        > data[(4, 4)][-1]["speedup"]
+        > data[(3, 3)][-1]["speedup"]
+        > data[(2, 2)][-1]["speedup"]
     )

@@ -7,29 +7,22 @@ computes faster per step (T_calc smaller) and sends two messages per
 step instead of one (T_com larger at small messages, eq. 6).
 """
 
-from repro.harness import (
-    DEFAULT_2D_DECOMPS,
-    DEFAULT_2D_SIDES,
-    format_table,
-    sweep_2d_grain,
-)
+from repro.harness import format_table
 
-from conftest import run_once
+from conftest import DECOMPS_2D, SIDES_2D, efficiency_sweep, run_once
 
 
 def test_fig07(benchmark, record_figure):
     def build():
         return (
-            sweep_2d_grain("fd", DEFAULT_2D_DECOMPS, DEFAULT_2D_SIDES,
-                           steps=30),
-            sweep_2d_grain("lb", DEFAULT_2D_DECOMPS, DEFAULT_2D_SIDES,
-                           steps=30),
+            efficiency_sweep("fd", DECOMPS_2D, SIDES_2D, steps=30),
+            efficiency_sweep("lb", DECOMPS_2D, SIDES_2D, steps=30),
         )
 
     fd, lb = run_once(benchmark, build)
     rows = [
-        [f"{b[0]}x{b[1]}", pt.side, f"{pt.efficiency:.3f}",
-         f"{lb[b][i].efficiency:.3f}"]
+        [f"{b[0]}x{b[1]}", pt["side"], f"{pt['f']:.3f}",
+         f"{lb[b][i]['f']:.3f}"]
         for b, pts in fd.items()
         for i, pt in enumerate(pts)
     ]
@@ -44,18 +37,18 @@ def test_fig07(benchmark, record_figure):
     )
 
     for blocks, pts in fd.items():
-        effs = [p.efficiency for p in pts]
+        effs = [p["f"] for p in pts]
         assert all(b >= a - 1e-9 for a, b in zip(effs, effs[1:])), blocks
         assert effs[-1] > 0.6, blocks
 
     # FD decays faster than LB towards small subregions: the FD/LB
     # efficiency ratio collapses as the grain shrinks ...
     for blocks in fd:
-        small_ratio = fd[blocks][0].efficiency / lb[blocks][0].efficiency
-        large_ratio = fd[blocks][-1].efficiency / lb[blocks][-1].efficiency
+        small_ratio = fd[blocks][0]["f"] / lb[blocks][0]["f"]
+        large_ratio = fd[blocks][-1]["f"] / lb[blocks][-1]["f"]
         assert small_ratio < large_ratio - 0.15, blocks
         assert large_ratio > 0.85, blocks
     # ... and at every small-to-mid grain FD is below LB
     for blocks in fd:
-        for i, side in enumerate(DEFAULT_2D_SIDES[:4]):
-            assert fd[blocks][i].efficiency < lb[blocks][i].efficiency
+        for i, side in enumerate(SIDES_2D[:4]):
+            assert fd[blocks][i]["f"] < lb[blocks][i]["f"]

@@ -1,24 +1,18 @@
 """Figure 8: parallel speedup of 2D finite-difference simulations."""
 
-from repro.harness import (
-    DEFAULT_2D_DECOMPS,
-    DEFAULT_2D_SIDES,
-    format_table,
-    sweep_2d_grain,
-)
+from repro.harness import format_table
 
-from conftest import run_once
+from conftest import DECOMPS_2D, SIDES_2D, efficiency_sweep, run_once
 
 
 def test_fig08(benchmark, record_figure):
     data = run_once(
         benchmark,
-        lambda: sweep_2d_grain(
-            "fd", DEFAULT_2D_DECOMPS, DEFAULT_2D_SIDES, steps=30
-        ),
+        lambda: efficiency_sweep("fd", DECOMPS_2D, SIDES_2D, steps=30),
     )
     rows = [
-        [f"{b[0]}x{b[1]}", pt.side, pt.processors, f"{pt.speedup:.2f}"]
+        [f"{b[0]}x{b[1]}", pt["side"], pt["processors"],
+         f"{pt['speedup']:.2f}"]
         for b, pts in data.items()
         for pt in pts
     ]
@@ -32,13 +26,13 @@ def test_fig08(benchmark, record_figure):
     )
 
     for blocks, pts in data.items():
-        p = pts[0].processors
-        sp = [pt.speedup for pt in pts]
+        p = pts[0]["processors"]
+        sp = [pt["speedup"] for pt in pts]
         assert all(b >= a - 1e-9 for a, b in zip(sp, sp[1:])), blocks
         assert sp[-1] <= p + 1e-6
         # FD still parallelizes usefully at production grain
         assert sp[-1] > 0.6 * p, blocks
 
     # speedup ordering by processor count at the largest grain
-    finals = {b: pts[-1].speedup for b, pts in data.items()}
+    finals = {b: pts[-1]["speedup"] for b, pts in data.items()}
     assert finals[(5, 4)] > finals[(4, 4)] > finals[(3, 3)] > finals[(2, 2)]

@@ -15,25 +15,25 @@ import numpy as np
 import pytest
 
 from repro.core import EfficiencyModel
-from repro.harness import format_table, sweep_processors
+from repro.harness import format_table
 
-from conftest import run_once
+from conftest import processor_sweep, run_once
 
 PROCS = (2, 4, 6, 8, 10, 12, 14, 16, 18, 20)
 
 
 def test_fig09(benchmark, record_figure, record_svg):
     data = run_once(
-        benchmark, lambda: sweep_processors(processors=PROCS, steps=30)
+        benchmark, lambda: processor_sweep(PROCS, steps=30)
     )
     model = EfficiencyModel()
     record_svg(
         "fig09_2d_vs_3d",
         {
             "2D sim": (list(PROCS),
-                       [p.efficiency for p in data["2d"]]),
+                       [p["f"] for p in data["2d"]]),
             "3D sim": (list(PROCS),
-                       [p.efficiency for p in data["3d"]]),
+                       [p["f"] for p in data["3d"]]),
             "2D eq.20": (list(PROCS),
                          [float(model.efficiency(120.0**2, 2, p, 2))
                           for p in PROCS]),
@@ -53,11 +53,11 @@ def test_fig09(benchmark, record_figure, record_svg):
         rows.append(
             [
                 p,
-                f"{data['2d'][i].efficiency:.3f}",
+                f"{data['2d'][i]['f']:.3f}",
                 f"{pred2:.3f}",
-                f"{data['3d'][i].efficiency:.3f}",
+                f"{data['3d'][i]['f']:.3f}",
                 f"{pred3:.3f}",
-                data["3d"][i].network_errors,
+                data["3d"][i]["network_errors"],
             ]
         )
     record_figure(
@@ -71,8 +71,8 @@ def test_fig09(benchmark, record_figure, record_svg):
         ),
     )
 
-    e2 = [pt.efficiency for pt in data["2d"]]
-    e3 = [pt.efficiency for pt in data["3d"]]
+    e2 = [pt["f"] for pt in data["2d"]]
+    e3 = [pt["f"] for pt in data["3d"]]
 
     # both decline with P; 3D declines much faster
     assert all(b <= a + 1e-9 for a, b in zip(e2, e2[1:]))

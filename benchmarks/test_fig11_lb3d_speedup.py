@@ -10,33 +10,25 @@ bus saturates.
 
 import numpy as np
 
-from repro.cluster import ClusterSimulation
 from repro.harness import format_table
 
-from conftest import run_once
+from conftest import efficiency_sweep, run_once
 
 DECOMPS = ((2, 2, 2), (4, 2, 2), (5, 2, 2))
 TOTAL_NODES = (32_000, 64_000, 125_000, 216_000, 343_000, 512_000)
-
-
-def _speedup_at_total(blocks, total):
-    """Speedup for a given decomposition at a given total problem size."""
-    p = int(np.prod(blocks))
-    side = max(int(round((total / p) ** (1.0 / 3.0))), 4)
-    sim = ClusterSimulation("lb", 3, blocks, side)
-    res = sim.run(steps=25)
-    return res, side
 
 
 def test_fig11(benchmark, record_figure):
     def build():
         out = {}
         for blocks in DECOMPS:
-            pts = []
-            for total in TOTAL_NODES:
-                res, side = _speedup_at_total(blocks, total)
-                pts.append((total, side, res.speedup, res.efficiency))
-            out[blocks] = pts
+            # the subregion side that gives each total problem size
+            p = int(np.prod(blocks))
+            sides = [max(int(round((total / p) ** (1.0 / 3.0))), 4)
+                     for total in TOTAL_NODES]
+            pts = efficiency_sweep("lb", (blocks,), sides, steps=25)[blocks]
+            out[blocks] = [(total, pt["side"], pt["speedup"], pt["f"])
+                           for total, pt in zip(TOTAL_NODES, pts)]
         return out
 
     data = run_once(benchmark, build)

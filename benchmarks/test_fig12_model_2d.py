@@ -9,15 +9,20 @@ the comparison against the simulated fig. 5 measurements.
 import numpy as np
 import pytest
 
-from repro.harness import format_series, model_fig12, sweep_2d_grain
+from repro.core import EfficiencyModel
+from repro.harness import format_series
 
-from conftest import run_once
+from conftest import efficiency_sweep, run_once
 
 SIDES = np.array([25.0, 50.0, 75.0, 100.0, 150.0, 200.0, 250.0, 300.0])
 
 
 def test_fig12(benchmark, record_figure):
-    curves = run_once(benchmark, lambda: model_fig12(SIDES))
+    model = EfficiencyModel()
+    curves = run_once(benchmark, lambda: {
+        (p, m): model.efficiency(SIDES**2, m, p, ndim=2)
+        for p, m in ((4, 2.0), (9, 3.0), (16, 4.0), (20, 4.0))
+    })
     text = "\n".join(
         format_series(f"P={p} m={m:g}", SIDES.tolist(),
                       np.asarray(f).tolist())
@@ -45,11 +50,11 @@ def test_fig12(benchmark, record_figure):
 
     # model vs the fig. 5 "measurements": good agreement above 100^2,
     # over-prediction below (the paper's own observation)
-    sim = sweep_2d_grain("lb", ((5, 4),), tuple(int(s) for s in SIDES),
-                         steps=25)[(5, 4)]
-    model = np.asarray(curves[(20, 4.0)])
+    sim = efficiency_sweep("lb", ((5, 4),), tuple(int(s) for s in SIDES),
+                           steps=25)[(5, 4)]
+    f20 = np.asarray(curves[(20, 4.0)])
     for i, side in enumerate(SIDES):
         if side >= 150:
-            assert sim[i].efficiency == pytest.approx(model[i], abs=0.12)
+            assert sim[i]["f"] == pytest.approx(f20[i], abs=0.12)
         if side <= 50:
-            assert sim[i].efficiency < model[i] - 0.1
+            assert sim[i]["f"] < f20[i] - 0.1

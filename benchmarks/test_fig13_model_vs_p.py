@@ -8,15 +8,21 @@ against both the closed form and the fig. 9 simulation.
 import numpy as np
 import pytest
 
-from repro.harness import format_series, model_fig13, sweep_processors
+from repro.core import EfficiencyModel
+from repro.harness import format_series
 
-from conftest import run_once
+from conftest import processor_sweep, run_once
 
 PROCS = np.arange(2, 21)
 
 
 def test_fig13(benchmark, record_figure):
-    data = run_once(benchmark, lambda: model_fig13(PROCS))
+    model = EfficiencyModel()
+    data = run_once(benchmark, lambda: {
+        "P": PROCS.astype(float),
+        "2d": model.efficiency(125.0**2, 2.0, PROCS, ndim=2),
+        "3d": model.efficiency(25.0**3, 2.0, PROCS, ndim=3),
+    })
     text = "\n".join(
         [
             format_series("2D (125^2, m=2)", data["P"].tolist(),
@@ -46,12 +52,12 @@ def test_fig13(benchmark, record_figure):
     assert gap[-1] > gap[0]
 
     # "good agreement" with the fig. 9 measurement (paper §8)
-    sim = sweep_processors(processors=(4, 12, 20), steps=25)
+    sim = processor_sweep((4, 12, 20), steps=25)
     for i, p in enumerate((4, 12, 20)):
         j = int(np.where(PROCS == p)[0][0])
-        assert sim["2d"][i].efficiency == pytest.approx(
+        assert sim["2d"][i]["f"] == pytest.approx(
             float(data["2d"][j]), abs=0.18
         )
-        assert sim["3d"][i].efficiency == pytest.approx(
+        assert sim["3d"][i]["f"] == pytest.approx(
             float(data["3d"][j]), abs=0.18
         )

@@ -23,8 +23,7 @@ from repro.scenarios import diag_series, get, run_case
 def run_scored(scenario, **overrides):
     case = scenario.case(**overrides)
     result = run_case(case, backend="serial")
-    return result, scenario.score(result.fields, result.diagnostics,
-                                  **overrides)
+    return result, scenario.score(result, **overrides)
 
 
 def main() -> None:

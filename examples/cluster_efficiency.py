@@ -15,13 +15,19 @@ import tempfile
 
 import repro
 from repro.core import EfficiencyModel, paper_m_table
-from repro.distrib import ProblemSpec, RunSettings
-from repro.harness import (
-    format_table,
-    sweep_2d_grain,
-    sweep_processors,
-)
+from repro.distrib import RunSettings
+from repro.harness import format_table
+from repro.scenarios import get, run_sweep
 from repro.trace import format_breakdown_table
+
+
+def efficiency(**grid):
+    """The simulated-cluster ``efficiency`` scenario over ``grid``: one
+    flat dict per point (params, then f/speedup/time per step, then
+    processors/nodes/network errors)."""
+    points = run_sweep(get("efficiency"), grid, backend="simulated")
+    return [{**p.params, **p.score["residuals"], **p.score["details"]}
+            for p in points]
 
 
 def main() -> None:
@@ -33,19 +39,13 @@ def main() -> None:
     m_table = paper_m_table()
 
     print("sweeping grain (fig. 5)...")
-    data = sweep_2d_grain(
-        "lb", ((2, 2), (5, 4)), (50, 100, 150, 200, 300),
-        steps=args.steps,
-    )
     rows = []
-    for blocks, pts in data.items():
-        m, p = m_table[blocks], pts[0].processors
-        for pt in pts:
-            rows.append([
-                f"{blocks[0]}x{blocks[1]}", pt.side,
-                f"{pt.efficiency:.3f}",
-                f"{float(model.efficiency(pt.nodes, m, p, 2)):.3f}",
-            ])
+    for pt in efficiency(blocks=["2x2", "5x4"], side=[50, 100, 150, 200, 300],
+                         steps=[args.steps]):
+        m = m_table[tuple(int(b) for b in pt["blocks"].split("x"))]
+        pred = model.efficiency(pt["nodes"], m, pt["processors"], 2)
+        rows.append([pt["blocks"], pt["side"], f"{pt['f']:.3f}",
+                     f"{float(pred):.3f}"])
     print(format_table(
         ["decomp", "side", "f simulated", "f eq.20"], rows,
         title="\nLB 2D efficiency vs subregion grain (fig. 5 vs fig. 12)",
@@ -53,14 +53,18 @@ def main() -> None:
 
     print("\nsweeping processors (fig. 9)...")
     procs = (2, 4, 8, 12, 16, 20)
-    data9 = sweep_processors(processors=procs, steps=args.steps)
+    # the scaled problem: 120^2 (2D) and 25^3 (3D) nodes per processor
+    f2 = efficiency(blocks=[f"{p}x1" for p in procs], side=[120],
+                    steps=[args.steps])
+    f3 = efficiency(blocks=[f"{p}x1x1" for p in procs], side=[25],
+                    steps=[args.steps])
     rows = []
-    for i, p in enumerate(procs):
+    for p, pt2, pt3 in zip(procs, f2, f3):
         rows.append([
             p,
-            f"{data9['2d'][i].efficiency:.3f}",
+            f"{pt2['f']:.3f}",
             f"{float(model.efficiency(120.0**2, 2, p, 2)):.3f}",
-            f"{data9['3d'][i].efficiency:.3f}",
+            f"{pt3['f']:.3f}",
             f"{float(model.efficiency(25.0**3, 2, p, 3)):.3f}",
         ])
     print(format_table(
@@ -72,14 +76,7 @@ def main() -> None:
     # one sweep point in detail: the same simulated run through the
     # unified facade, with per-rank spans on the simulated clock
     print("\ntracing one point (LB 5x4, side 150) through repro.run...")
-    side, blocks = 150, (5, 4)
-    spec = ProblemSpec(
-        method="lb",
-        grid_shape=(blocks[0] * side, blocks[1] * side),
-        blocks=blocks,
-        periodic=(True, False),
-        geometry={"kind": "open"},
-    )
+    spec = get("efficiency").case(blocks="5x4", side=150).spec
     with tempfile.TemporaryDirectory() as td:
         point = repro.run(spec, backend="simulated",
                           settings=RunSettings(steps=args.steps,
@@ -88,7 +85,7 @@ def main() -> None:
         print(format_breakdown_table(point.trace_summary))
     print(f"trace utilization f = {point.utilization:.3f}  vs  "
           f"simulator's eq. 8 f = "
-          f"{point.sim.compute_time_total / (point.sim.processors * point.sim.elapsed):.3f}")
+          f"{point.sim.utilization:.3f}")
 
     n80 = model.grain_for_efficiency(0.80, m=4, p=20, ndim=2)
     n80_3d = model.grain_for_efficiency(0.80, m=2, p=20, ndim=3)

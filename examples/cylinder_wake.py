@@ -47,8 +47,7 @@ def main() -> None:
           f"nu = {nu:.4f} ({case.settings['steps']} steps)")
 
     result = run_case(case, backend="threaded")
-    score = scenario.score(result.fields, result.diagnostics,
-                           **overrides)
+    score = scenario.score(result, **overrides)
 
     d = score.details
     wavelength_d = d["street_wavelength_D"]

@@ -36,8 +36,7 @@ def main() -> None:
                      "g": args.force, "steps": args.steps}
         case = scenario.case(**overrides)
         result = run_case(case, backend="threaded")
-        score = scenario.score(result.fields, result.diagnostics,
-                               **overrides)
+        score = scenario.score(result, **overrides)
 
         shape = case.spec.grid_shape
         u = result.fields["u"][shape[0] // 2]

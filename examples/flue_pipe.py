@@ -59,8 +59,7 @@ def main() -> None:
           f"({case.settings['steps']} steps)")
 
     result = run_case(case, backend="threaded")
-    score = scenario.score(result.fields, result.diagnostics,
-                           **overrides)
+    score = scenario.score(result, **overrides)
     print(f"scenario score: {'pass' if score.passed else 'FAIL'} "
           f"{ {k: f'{v:.3g}' for k, v in score.residuals.items()} }")
     for failure in score.failures:

@@ -30,11 +30,22 @@ from ..core.subregion import assemble_global, make_subregions
 from ..distrib.dumpfile import dump_path, load_dumps, save_dump
 from ..distrib.spec import ProblemSpec
 
-__all__ = ["RecutError", "check_rebalanceable", "recut_problem"]
+__all__ = ["RecutError", "check_chain", "check_rebalanceable",
+           "recut_problem"]
 
 
 class RecutError(RuntimeError):
     """The dumped state could not be re-cut into the requested blocks."""
+
+
+def check_chain(blocks: tuple[int, ...]) -> None:
+    """Raise :class:`RecutError` unless ``blocks`` is a chain
+    ``(P, 1[, 1])``: rebalancing resizes slabs along axis 0 only."""
+    if any(b != 1 for b in blocks[1:]):
+        raise RecutError(
+            "rebalancing resizes slabs of a chain decomposition; "
+            f"use blocks=(P, 1[, 1]), got {blocks}"
+        )
 
 
 def check_rebalanceable(spec: ProblemSpec) -> Decomposition:
@@ -55,11 +66,7 @@ def check_rebalanceable(spec: ProblemSpec) -> Decomposition:
             "region boundaries; use policy='migrate'"
         )
     decomp = spec.build_decomposition()
-    if any(b != 1 for b in decomp.blocks[1:]):
-        raise RecutError(
-            "rebalancing resizes slabs of a chain decomposition; "
-            f"use blocks=(P, 1[, 1]), got {decomp.blocks}"
-        )
+    check_chain(decomp.blocks)
     if decomp.n_active != decomp.n_blocks:
         raise RecutError(
             "rebalancing needs every block active; "

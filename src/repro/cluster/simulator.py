@@ -32,6 +32,7 @@ import numpy as np
 
 from ..core.decomposition import Decomposition
 from ..distrib.hostdb import MIGRATE_LOAD_LIMIT, SUBMIT_LOAD_LIMIT
+from ..distrib.settings import POLICIES, check_known
 from ..core.stencil import star_stencil
 from ..trace import NULL_TRACER, Tracer
 from .calibration import (
@@ -414,15 +415,7 @@ class ClusterSimulation:
         """
         if steps <= 0:
             raise ValueError("steps must be positive")
-        if policy not in ("migrate", "rebalance"):
-            raise ValueError(f"unknown policy {policy!r}")
-        if policy == "rebalance" and any(
-            b != 1 for b in self.blocks[1:]
-        ):
-            raise ValueError(
-                "rebalancing resizes slabs of a chain decomposition; "
-                f"use blocks=(P, 1[, 1]), got {self.blocks}"
-            )
+        check_known("policy", policy, POLICIES)
         window = min(MEASURE_LAST, steps)
         self._steps_target = steps
         self._monitor_poll = monitor_poll
@@ -432,7 +425,12 @@ class ClusterSimulation:
             # Imported lazily: repro.balance imports this package at
             # module load, so a top-level import here would be circular.
             from ..balance.planner import BalancePolicy, RebalancePlanner
+            from ..balance.recut import RecutError, check_chain
 
+            try:
+                check_chain(self.blocks)
+            except RecutError as exc:
+                raise ValueError(str(exc)) from None
             self.planner = planner or RebalancePlanner(BalancePolicy(
                 cooldown=0.0, min_gain=0.0, bandwidth=self.bus.bandwidth,
             ))

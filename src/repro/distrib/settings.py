@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 __all__ = ["BACKENDS", "POLICIES", "SERVED", "TRANSPORTS", "WorkerKnobs",
-           "check_supported", "uniform_side", "worker_knob_names"]
+           "check_known", "check_supported", "uniform_side",
+           "worker_knob_names"]
 
 #: the runtimes :func:`repro.run` can dispatch one problem to; the first
 #: four execute locally, ``"service"`` submits to a running
@@ -44,6 +45,15 @@ def uniform_side(spec) -> int:
     return sides.pop()
 
 
+def check_known(kind: str, name: str, known: tuple[str, ...]) -> None:
+    """Raise :class:`ValueError` unless the table ``known`` (one of
+    this module's) lists ``name``, a ``kind`` such as ``"policy"``."""
+    if name not in known:
+        what = (f"backend {name!r} cannot be served" if known is SERVED
+                else f"unknown {kind} {name!r}")
+        raise ValueError(f"{what}; expected one of {known}")
+
+
 def check_supported(
     spec, backend: str, settings, *, fields=None, served: bool = False,
 ) -> None:
@@ -59,15 +69,9 @@ def check_supported(
     fields; :class:`~repro.balance.RecutError` for a distributed
     rebalance of a spec that is not a solid-free single-method chain.
     """
-    for kind, name, known in (
-        ("backend", backend, SERVED if served else BACKENDS),
-        ("transport", settings.transport, TRANSPORTS),
-        ("policy", settings.policy, POLICIES),
-    ):
-        if name not in known:
-            what = (f"backend {name!r} cannot be served" if known is SERVED
-                    else f"unknown {kind} {name!r}")
-            raise ValueError(f"{what}; expected one of {known}")
+    check_known("backend", backend, SERVED if served else BACKENDS)
+    check_known("transport", settings.transport, TRANSPORTS)
+    check_known("policy", settings.policy, POLICIES)
     if spec.ndim not in (2, 3):
         raise ValueError(f"{spec.ndim}D problems are not supported")
     if backend == "simulated":

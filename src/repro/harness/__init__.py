@@ -1,5 +1,5 @@
-"""Measurement utilities: §7 timing protocol, eq. 5 metrics, and the
-per-figure parameter sweeps used by the benchmark harness."""
+"""Measurement utilities: the §7 timing protocol, eq. 5 metrics and
+the table formatting the benchmark harness prints."""
 
 from .._lazy import lazy_exports
 
@@ -10,16 +10,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "format_series": "metrics",
     "format_table": "metrics",
     "speedup": "metrics",
-    "DEFAULT_2D_DECOMPS": "sweeps",
-    "DEFAULT_2D_SIDES": "sweeps",
-    "DEFAULT_3D_DECOMPS": "sweeps",
-    "DEFAULT_3D_SIDES": "sweeps",
-    "SweepPoint": "sweeps",
-    "model_fig12": "sweeps",
-    "model_fig13": "sweeps",
-    "sweep_2d_grain": "sweeps",
-    "sweep_3d_grain": "sweeps",
-    "sweep_processors": "sweeps",
     "StepTiming": "timing",
     "measure_node_speed": "timing",
     "time_stepper": "timing",
@@ -35,14 +25,4 @@ __all__ = [
     "StepTiming",
     "time_stepper",
     "measure_node_speed",
-    "SweepPoint",
-    "sweep_2d_grain",
-    "sweep_3d_grain",
-    "sweep_processors",
-    "model_fig12",
-    "model_fig13",
-    "DEFAULT_2D_DECOMPS",
-    "DEFAULT_3D_DECOMPS",
-    "DEFAULT_2D_SIDES",
-    "DEFAULT_3D_SIDES",
 ]

@@ -82,6 +82,7 @@ class UdpChannelSet:
         self.loss_rate = loss_rate
         self._loss_rng = np.random.default_rng(loss_seed + 7919 * rank)
         self.generation = -1
+        self._open_timeout = 30.0  # a re-handshake waits as long as open()
         self._sock: socket.socket | None = None
         self._addrs: dict[int, tuple[str, int]] = {}
         self._seq = 0
@@ -122,6 +123,7 @@ class UdpChannelSet:
         if self._sock is not None:
             raise RuntimeError("channels already open")
         self.generation = generation
+        self._open_timeout = timeout
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         sock.bind((self.host, 0))
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 21)
@@ -219,7 +221,7 @@ class UdpChannelSet:
         step: int, phase: int, axis: int, side: int,
     ) -> None:
         if to not in self._addrs:  # broken link: registry re-handshake
-            self.ensure_links((to,))
+            self.ensure_links((to,), timeout=self._open_timeout)
         addr = self._addrs[to]
         self.tracer.count(to, len(payload))
         nfrags = max(1, -(-len(payload) // _MTU_PAYLOAD))

@@ -6,10 +6,12 @@ versioned scenarios.  A :class:`Scenario` is a *declarative spec
 builder* — geometry, boundary conditions, forcing and initial state
 expressed as a :class:`~repro.distrib.ProblemSpec` plus run settings —
 paired with **scored expected observables**: :meth:`Scenario.score`
-compares a run's final fields and diagnostics time series against
-analytic or literature references (parabolic profiles, Hou et al.
-vortex centers, quarter-wave tones, conservation bounds) and returns a
-:class:`Score` of pass/fail plus numeric residuals.
+takes the run's :class:`~repro.facade.RunResult` and compares its final
+fields and diagnostics time series against analytic or literature
+references (parabolic profiles, Hou et al. vortex centers, quarter-wave
+tones, conservation bounds) — or, for the paper's efficiency figures,
+records the simulated cluster's f, speedup and time per step — and
+returns a :class:`Score` of pass/fail plus numeric residuals.
 
 Because a scenario case is *pure data* ``(spec, settings, seed)``, it
 routes through every backend — including the :mod:`repro.serve` job
@@ -21,11 +23,14 @@ fields and the diagnostics stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy as np
 
 from ..distrib import ProblemSpec
+
+if TYPE_CHECKING:
+    from ..facade import RunResult
 
 __all__ = [
     "Param",
@@ -199,14 +204,14 @@ class Scenario:
         """Build the runnable (spec, settings, seed) for these params."""
         return self._build(self.resolve(**overrides))
 
-    def score(
-        self,
-        fields: Mapping[str, np.ndarray],
-        diagnostics: Sequence[Any] = (),
-        **overrides: Any,
-    ) -> Score:
-        """Score a finished run of :meth:`case` with the same params."""
-        return self._score(self.resolve(**overrides), fields, diagnostics)
+    def score(self, result: RunResult, **overrides: Any) -> Score:
+        """Score a finished run of :meth:`case` with the same params.
+
+        ``result`` is the :class:`~repro.facade.RunResult` of any
+        backend: most scenarios read its ``fields`` and
+        ``diagnostics``, the ``efficiency`` scenario its ``sim``.
+        """
+        return self._score(self.resolve(**overrides), result)
 
     def describe(self) -> dict[str, Any]:
         """Registry metadata for ``repro scenarios list/show``."""
@@ -232,12 +237,7 @@ class Scenario:
     def _build(self, p: dict[str, Any]) -> Case:
         raise NotImplementedError
 
-    def _score(
-        self,
-        p: dict[str, Any],
-        fields: Mapping[str, np.ndarray],
-        diagnostics: Sequence[Any],
-    ) -> Score:
+    def _score(self, p: dict[str, Any], result: RunResult) -> Score:
         raise NotImplementedError
 
 

@@ -20,6 +20,7 @@ acoustic_wave             2 x standing-wave frequency    rel err 4e-3
 taylor_green              exact decay exp(-4 nu k^2 t)   see bounds
 hybrid_channel            exact parabola across a seam   ~2e-3 (tol 5e-3)
 conservation              exact mass invariance          drift ~1e-13 (lb)
+efficiency                paper figs. 5-11 (simulated)   f <= 1
 ========================  =============================  ==============
 """
 
@@ -131,8 +132,8 @@ class PoiseuilleScenario(Scenario):
             np.abs(u_slice[sl] - exact[sl]).max() / exact.max()
         )
 
-    def _score(self, p, fields, diagnostics) -> Score:
-        u = np.asarray(fields["u"])
+    def _score(self, p, result) -> Score:
+        u = np.asarray(result.fields["u"])
         # each method resolves the wall at its own offset (§7: compare
         # against the method's effective channel height)
         offset, span = (
@@ -143,7 +144,7 @@ class PoiseuilleScenario(Scenario):
         residuals = {"profile_err": err}
         bounds = {"profile_err": p["tol"]}
         _with_diag(residuals, bounds, "mass_drift",
-                   _mass_drift(diagnostics), 1e-6)
+                   _mass_drift(result.diagnostics), 1e-6)
         return Score.check(residuals, bounds)
 
 
@@ -176,9 +177,9 @@ class Duct3DScenario(Scenario):
         )
         return Case(spec, {"steps": p["steps"], "diag_every": 500})
 
-    def _score(self, p, fields, diagnostics) -> Score:
+    def _score(self, p, result) -> Score:
         n = p["n"]
-        u3 = np.asarray(fields["u"])
+        u3 = np.asarray(result.fields["u"])
         u = u3[u3.shape[0] // 2]
         offset = 0.0 if p["method"] == "fd" else 0.5
         span = (n - 1.0) if offset == 0.0 else (n - 2.0)
@@ -193,7 +194,7 @@ class Duct3DScenario(Scenario):
         residuals = {"profile_err": err}
         bounds = {"profile_err": tol}
         _with_diag(residuals, bounds, "mass_drift",
-                   _mass_drift(diagnostics), 1e-6)
+                   _mass_drift(result.diagnostics), 1e-6)
         return Score.check(residuals, bounds)
 
 
@@ -236,12 +237,12 @@ class CavityScenario(Scenario):
         return Case(spec, {"steps": steps, "diag_every": max(steps // 20,
                                                              1)})
 
-    def _score(self, p, fields, diagnostics) -> Score:
+    def _score(self, p, result) -> Score:
         n, _ = self._auto(p)
         case = self._build(p)
         solid, _, _ = case.spec.build_geometry()
-        u = np.asarray(fields["u"])
-        v = np.asarray(fields["v"])
+        u = np.asarray(result.fields["u"])
+        v = np.asarray(result.fields["v"])
         cx, cy = primary_vortex(u, v, mask=~solid)
         # wall surfaces sit half a node outside the first fluid node:
         # node j maps to fraction (j - 0.5) / n of the cavity side
@@ -252,7 +253,7 @@ class CavityScenario(Scenario):
         bounds = {"center_err": CAVITY_CENTER_TOL[p["Re"]]}
         details = {"center": (fx, fy), "reference": ref}
         _with_diag(residuals, bounds, "nonfinite",
-                   _n_nonfinite(diagnostics), 0.0)
+                   _n_nonfinite(result.diagnostics), 0.0)
         return Score.check(residuals, bounds, details)
 
 
@@ -306,12 +307,12 @@ class FluePipeScenario(Scenario):
         return Case(spec, {"steps": p["steps"],
                            "diag_every": p["diag_every"]})
 
-    def _score(self, p, fields, diagnostics) -> Score:
+    def _score(self, p, result) -> Score:
         nx, _ = self._grid(p)
         case = self._build(p)
         cs = case.spec.build_params().cs
         f_qw = _flue_quarter_wave(nx, cs)
-        mass = diag_series(diagnostics, "total_mass")
+        mass = diag_series(result.diagnostics, "total_mass")
         if mass.size < 64:
             return Score(
                 passed=False,
@@ -341,7 +342,7 @@ class FluePipeScenario(Scenario):
         bounds = {"tone_factor": 3.0, "inv_snr": 0.2}
         details = {"frequency": freq, "quarter_wave": f_qw, "snr": snr}
         _with_diag(residuals, bounds, "nonfinite",
-                   _n_nonfinite(diagnostics), 0.0)
+                   _n_nonfinite(result.diagnostics), 0.0)
         return Score.check(residuals, bounds, details)
 
 
@@ -370,15 +371,15 @@ class FluePipeChannelScenario(Scenario):
         )
         return Case(spec, {"steps": p["steps"], "diag_every": 100})
 
-    def _score(self, p, fields, diagnostics) -> Score:
+    def _score(self, p, result) -> Score:
         case = self._build(p)
         decomp = case.spec.build_decomposition()
         inactive = int(np.prod(case.spec.blocks)) - len(
             decomp.active_blocks()
         )
         solid, _, _ = case.spec.build_geometry()
-        speed = np.hypot(np.asarray(fields["u"]),
-                         np.asarray(fields["v"]))[~solid]
+        speed = np.hypot(np.asarray(result.fields["u"]),
+                         np.asarray(result.fields["v"]))[~solid]
         vmax = float(speed.max())
         cs = case.spec.build_params().cs
         residuals = {
@@ -392,7 +393,7 @@ class FluePipeChannelScenario(Scenario):
                   "mach": 0.9}
         details = {"inactive_blocks": inactive, "max_speed": vmax}
         _with_diag(residuals, bounds, "nonfinite",
-                   _n_nonfinite(diagnostics), 0.0)
+                   _n_nonfinite(result.diagnostics), 0.0)
         return Score.check(residuals, bounds, details)
 
 
@@ -441,12 +442,12 @@ class CylinderWakeScenario(Scenario):
         )
         return Case(spec, {"steps": p["steps"], "diag_every": 4})
 
-    def _score(self, p, fields, diagnostics) -> Score:
+    def _score(self, p, result) -> Score:
         nx, ny, diameter, _, _ = self._derived(p)
         case = self._build(p)
         solid, _, _ = case.spec.build_geometry()
-        u = np.asarray(fields["u"])
-        v = np.asarray(fields["v"])
+        u = np.asarray(result.fields["u"])
+        v = np.asarray(result.fields["v"])
         u_mean = float(u[~solid].mean())
         wake_ratio = float(np.abs(v[~solid]).max() / max(u_mean, 1e-12))
         # spatial wavelength of the street: dominant mode of v along
@@ -473,7 +474,7 @@ class CylinderWakeScenario(Scenario):
         details = {"u_mean": u_mean, "wake_ratio": wake_ratio,
                    "street_wavelength_D": wavelength}
         _with_diag(residuals, bounds, "mass_drift",
-                   _mass_drift(diagnostics), 1e-3)
+                   _mass_drift(result.diagnostics), 1e-3)
         return Score.check(residuals, bounds, details)
 
 
@@ -505,10 +506,10 @@ class AcousticWaveScenario(Scenario):
         )
         return Case(spec, {"steps": p["steps"], "diag_every": 1})
 
-    def _score(self, p, fields, diagnostics) -> Score:
+    def _score(self, p, result) -> Score:
         case = self._build(p)
         params = case.spec.build_params()
-        ke = diag_series(diagnostics, "kinetic_energy")
+        ke = diag_series(result.diagnostics, "kinetic_energy")
         if ke.size < 64:
             return Score(
                 passed=False,
@@ -525,7 +526,7 @@ class AcousticWaveScenario(Scenario):
         bounds = {"freq_rel_err": 2e-2}
         details = {"frequency": freq, "expected": 2.0 * f_wave}
         _with_diag(residuals, bounds, "mass_drift",
-                   _mass_drift(diagnostics), 1e-9)
+                   _mass_drift(result.diagnostics), 1e-9)
         return Score.check(residuals, bounds, details)
 
 
@@ -560,12 +561,12 @@ class TaylorGreenScenario(Scenario):
         )
         return Case(spec, {"steps": p["steps"], "diag_every": 50})
 
-    def _score(self, p, fields, diagnostics) -> Score:
+    def _score(self, p, result) -> Score:
         n = p["n"]
         case = self._build(p)
         params = case.spec.build_params()
-        ke = diag_series(diagnostics, "kinetic_energy")
-        step = diag_series(diagnostics, "step")
+        ke = diag_series(result.diagnostics, "kinetic_energy")
+        step = diag_series(result.diagnostics, "step")
         residuals: dict[str, float] = {}
         bounds: dict[str, float] = {}
         details: dict[str, Any] = {}
@@ -583,7 +584,7 @@ class TaylorGreenScenario(Scenario):
         # the vortex array must not wander: centers of the initial
         # condition sit at multiples of n/2 (psi extrema of cos kx cos ky)
         cx, cy = primary_vortex(
-            np.asarray(fields["u"]), np.asarray(fields["v"])
+            np.asarray(result.fields["u"]), np.asarray(result.fields["v"])
         )
         half = n / 2.0
         drift = float(
@@ -596,7 +597,7 @@ class TaylorGreenScenario(Scenario):
         bounds["center_drift"] = 0.01
         details["center"] = (cx, cy)
         _with_diag(residuals, bounds, "mass_drift",
-                   _mass_drift(diagnostics), 1e-11)
+                   _mass_drift(result.diagnostics), 1e-11)
         return Score.check(residuals, bounds, details)
 
 
@@ -634,9 +635,9 @@ class HybridChannelScenario(Scenario):
         )
         return Case(spec, {"steps": p["steps"], "diag_every": 1000})
 
-    def _score(self, p, fields, diagnostics) -> Score:
+    def _score(self, p, result) -> Score:
         ny = p["ny"]
-        u = np.asarray(fields["u"])
+        u = np.asarray(result.fields["u"])
         # mixed wall placements: LB's bottom wall sits at -0.5, FD's
         # top wall at ny-1 -> effective height ny - 1.5
         y = np.arange(ny, dtype=float) - 0.5
@@ -649,7 +650,7 @@ class HybridChannelScenario(Scenario):
         residuals = {"profile_err": err}
         bounds = {"profile_err": p["tol"]}
         _with_diag(residuals, bounds, "mass_drift",
-                   _mass_drift(diagnostics), 1e-6)
+                   _mass_drift(result.diagnostics), 1e-6)
         return Score.check(residuals, bounds)
 
 
@@ -681,16 +682,16 @@ class ConservationScenario(Scenario):
         )
         return Case(spec, {"steps": p["steps"], "diag_every": 50})
 
-    def _score(self, p, fields, diagnostics) -> Score:
+    def _score(self, p, result) -> Score:
         residuals: dict[str, float] = {}
         bounds: dict[str, float] = {}
         # both solvers conserve mass to roundoff on a periodic box
         # (measured <= 4e-14 over 500 steps)
         _with_diag(residuals, bounds, "mass_drift",
-                   _mass_drift(diagnostics), 1e-12)
+                   _mass_drift(result.diagnostics), 1e-12)
         _with_diag(residuals, bounds, "nonfinite",
-                   _n_nonfinite(diagnostics), 0.0)
-        speed = diag_series(diagnostics, "max_speed")
+                   _n_nonfinite(result.diagnostics), 0.0)
+        speed = diag_series(result.diagnostics, "max_speed")
         if speed.size:
             # a 1e-3 density perturbation must never accelerate the
             # fluid to more than a small fraction of sound speed
@@ -705,6 +706,54 @@ class ConservationScenario(Scenario):
         return Score.check(residuals, bounds)
 
 
+# ----------------------------------------------------------------------
+# 11. parallel efficiency on the simulated 1994 cluster (figs. 5-11)
+# ----------------------------------------------------------------------
+class EfficiencyScenario(Scenario):
+    name = "efficiency"
+    version = 1
+    title = "Parallel efficiency of one decomposition and grain (figs. 5-11)"
+    reference = "paper §7 on the simulated cluster; eqs. 17-21 alongside"
+    params = {
+        "method": Param("lb", "solver", choices=("lb", "fd")),
+        "blocks": Param("5x4", "decomposition, e.g. 5x4 or 2x2x2 "
+                               "(the number of axes sets the dimension)"),
+        "side": Param(100, "subregion side in nodes", lo=4, hi=1000),
+        "steps": Param(30, "time steps", lo=1),
+    }
+
+    def _build(self, p: dict[str, Any]) -> Case:
+        try:
+            blocks = tuple(int(b) for b in str(p["blocks"]).split("x"))
+        except ValueError:
+            raise ValueError(
+                f"param blocks={p['blocks']!r} must look like 5x4 or 2x2x2"
+            ) from None
+        spec = ProblemSpec(
+            method=p["method"],
+            grid_shape=tuple(b * p["side"] for b in blocks),
+            blocks=blocks,
+            periodic=(False,) * len(blocks),
+        )
+        return Case(spec, {"steps": p["steps"]})
+
+    def _score(self, p, result) -> Score:
+        sim = result.sim
+        if sim is None:
+            return Score(
+                passed=False,
+                failures=[f"the {result.backend} backend times no "
+                          "simulated cluster; run efficiency on the "
+                          "simulated backend"],
+            )
+        residuals = {"f": sim.efficiency, "speedup": sim.speedup,
+                     "time_per_step": sim.time_per_step}
+        details = {"processors": sim.processors,
+                   "nodes": sim.nodes_per_proc,
+                   "network_errors": sim.bus.network_errors}
+        return Score.check(residuals, {"f": 1.0}, details)
+
+
 def _register_all() -> None:
     for cls in (
         PoiseuilleScenario,
@@ -717,6 +766,7 @@ def _register_all() -> None:
         TaylorGreenScenario,
         HybridChannelScenario,
         ConservationScenario,
+        EfficiencyScenario,
     ):
         register(cls())
 

@@ -126,29 +126,37 @@ def run_case(case: Case, backend: str = "serial",
 
 
 def _fetch_service(client, job_id: str, timeout: float):
-    """(fields, diagnostics, record) of a finished service job.
+    """The RunResult of a finished service job.
 
     The diagnostics come off the job's stream endpoint, which replays
     the run's ``diagnostics.jsonl`` (cache-aware) before the end event.
     """
+    from ..facade import RunResult
+
     record = client.wait(job_id, timeout=timeout)
     if record["state"] != "done":
         raise RuntimeError(
             f"job {job_id} ended {record['state']}: "
             f"{record.get('error') or 'no error recorded'}"
         )
-    fields = client.fields(job_id)
-    diagnostics = [
-        event["record"]
-        for event in client.stream(job_id)
-        if event.get("event") == "diagnostics"
-    ]
-    return fields, diagnostics, record
+    return RunResult(
+        backend="service",
+        steps=int(record.get("steps") or 0),
+        elapsed=float(record.get("elapsed") or 0.0),
+        fields=client.fields(job_id),
+        diagnostics=[
+            event["record"]
+            for event in client.stream(job_id)
+            if event.get("event") == "diagnostics"
+        ],
+        job_id=job_id,
+        cached=bool(record.get("cached")),
+    )
 
 
-def _score_safely(scenario: Scenario, params, fields, diagnostics) -> Score:
+def _score_safely(scenario: Scenario, params, result) -> Score:
     try:
-        return scenario.score(fields, diagnostics, **params)
+        return scenario.score(result, **params)
     except Exception as exc:  # noqa: BLE001 - a score bug fails the point
         return Score(passed=False,
                      failures=[f"scoring raised {type(exc).__name__}: "
@@ -211,21 +219,25 @@ def run_sweep(
         else:
             pending.append(point)
 
+    # every case is built before any runs, so a bad point fails fast
+    cases = [scenario.case(**point.params) for point in pending]
     if pending:
         if server is not None:
-            _run_service_points(scenario, pending, server, timeout,
+            _run_service_points(scenario, pending, cases, server, timeout,
                                 record, emit)
         else:
-            _run_local_points(scenario, pending, backend, record, emit)
+            _run_local_points(scenario, pending, cases, backend, record,
+                              emit)
     return [settled.get(p.key, p) for p in points]
 
 
-def _finish(point: SweepPoint, scenario: Scenario, fields, diagnostics,
-            case: Case, elapsed: float, record, emit) -> None:
-    score = _score_safely(scenario, point.params, fields, diagnostics)
+def _finish(point: SweepPoint, scenario: Scenario, result, case: Case,
+            record, emit) -> None:
+    score = _score_safely(scenario, point.params, result)
     point.score = score.to_dict()
     point.state = "done"
-    point.elapsed = float(elapsed)
+    point.cached = result.cached
+    point.elapsed = elapsed = float(result.elapsed)
     steps = int(case.settings.get("steps", 0))
     if elapsed > 0 and steps:
         point.nodes_per_sec = _case_nodes(case) * steps / elapsed
@@ -242,25 +254,23 @@ def _fail(point: SweepPoint, exc: Exception, record, emit) -> None:
     emit(f"ERROR {point.params}: {point.error}")
 
 
-def _run_local_points(scenario, pending, backend, record, emit) -> None:
-    for point in pending:
-        case = scenario.case(**point.params)
+def _run_local_points(scenario, pending, cases, backend, record,
+                      emit) -> None:
+    for point, case in zip(pending, cases):
         try:
             result = run_case(case, backend=backend)
         except Exception as exc:  # noqa: BLE001 - isolate per point
             _fail(point, exc, record, emit)
             continue
-        _finish(point, scenario, result.fields, result.diagnostics,
-                case, result.elapsed, record, emit)
+        _finish(point, scenario, result, case, record, emit)
 
 
-def _run_service_points(scenario, pending, server, timeout, record,
-                        emit) -> None:
+def _run_service_points(scenario, pending, cases, server, timeout,
+                        record, emit) -> None:
     from ..serve.client import ServeClient
 
     client = server if isinstance(server, ServeClient) \
         else ServeClient(server)
-    cases = [scenario.case(**point.params) for point in pending]
     submitted = client.submit_batch([
         {"spec": case.spec, "settings": dict(case.settings),
          "seed": case.seed}
@@ -271,15 +281,11 @@ def _run_service_points(scenario, pending, server, timeout, record,
     for point, case, rec in zip(pending, cases, submitted):
         point.job_id = rec["job_id"]
         try:
-            fields, diagnostics, final = _fetch_service(
-                client, rec["job_id"], timeout
-            )
+            result = _fetch_service(client, rec["job_id"], timeout)
         except Exception as exc:  # noqa: BLE001 - isolate per point
             _fail(point, exc, record, emit)
             continue
-        point.cached = bool(final.get("cached"))
-        _finish(point, scenario, fields, diagnostics, case,
-                float(final.get("elapsed") or 0.0), record, emit)
+        _finish(point, scenario, result, case, record, emit)
 
 
 # ----------------------------------------------------------------------

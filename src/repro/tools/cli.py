@@ -290,8 +290,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
           f"({'x'.join(map(str, case.spec.grid_shape))}, "
           f"{case.settings.get('steps')} steps, {args.backend})")
     result = sc.run_case(case, backend=args.backend)
-    score = scenario.score(result.fields, result.diagnostics,
-                           **overrides)
+    score = scenario.score(result, **overrides)
     rows = [
         [name, f"{value:.4g}",
          f"<= {score.bounds[name]:g}" if name in score.bounds else "",
@@ -311,6 +310,10 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     if score.details:
         print(f"details: {json.dumps(score.details, default=str)}")
     if args.out:
+        if result.fields is None:
+            print(f"scenarios: the {result.backend} backend returns no "
+                  f"fields to write to {args.out}", file=sys.stderr)
+            return 2
         np.savez_compressed(args.out, **result.fields)
         print(f"fields written to {args.out}")
     return 0 if score.passed else 1
@@ -662,8 +665,8 @@ def main(argv: list[str] | None = None) -> int:
                    metavar="NAME=VALUE",
                    help="parameter override, repeatable (run only)")
     p.add_argument("--backend", default="serial",
-                   help="local executor: serial, threaded, or "
-                        "distributed (default: serial)")
+                   help="local executor: serial, threaded, "
+                        "distributed or simulated (default: serial)")
     p.add_argument("--out", default=None,
                    help="save the final fields as .npz here (run only)")
     p.set_defaults(func=_cmd_scenarios)
@@ -678,7 +681,8 @@ def main(argv: list[str] | None = None) -> int:
                    help="one grid axis, repeatable; omitted parameters "
                         "take their defaults")
     p.add_argument("--backend", default="serial",
-                   help="local executor backend (default: serial)")
+                   help="local executor: serial, threaded, "
+                        "distributed or simulated (default: serial)")
     p.add_argument("--address", default=None,
                    help="gateway host:port — fan the grid through the "
                         "cluster service instead of running locally")

@@ -19,14 +19,14 @@ from repro.chaos.plan import Fault
 from repro.net import PortRegistry, UdpChannelSet
 
 
-def _open_pair(tmp_path, **kw):
+def _open_pair(tmp_path, timeout=10.0, **kw):
     reg = PortRegistry(tmp_path / "udports.txt")
     sets = {r: UdpChannelSet(r, [1 - r], reg, **kw) for r in (0, 1)}
     errors = []
 
     def opener(cs):
         try:
-            cs.open(0, timeout=10.0)
+            cs.open(0, timeout=timeout)
         except Exception as exc:  # pragma: no cover
             errors.append(exc)
 
@@ -100,8 +100,9 @@ class TestUdpConnBreak:
 
     def test_break_on_unresolved_peer_times_out_cleanly(self, tmp_path):
         """A broken link to a peer that never re-registers is a clean
-        registry timeout, not a KeyError."""
-        sets = _open_pair(tmp_path, rto=0.02)
+        registry timeout, not a KeyError, and it waits out the timeout
+        the channels were opened with."""
+        sets = _open_pair(tmp_path, timeout=2.0, rto=0.02)
         sender = sets[0]
         sender.injector = _injector(
             tmp_path, [Fault(kind="conn_break", rank=0, step=0)]

@@ -155,6 +155,51 @@ class TestEfficiencyModel:
         assert n80 > 40**3
 
 
+class TestPaperFigures:
+    """The closed-form curves of figs. 12 (eq. 20 vs grain) and 13
+    (eqs. 20-21 vs processors), with U_calc/V_com = 2/3."""
+
+    #: fig. 12's four curves, (P, m)
+    FIG12 = ((4, 2.0), (9, 3.0), (16, 4.0), (20, 4.0))
+
+    def test_fig12_curves(self):
+        model = EfficiencyModel()
+        sides = np.array([50.0, 100.0, 200.0])
+        curves = {(p, m): model.efficiency(sides**2, m, p, ndim=2)
+                  for p, m in self.FIG12}
+        for f in curves.values():
+            assert f.shape == (3,)
+            assert np.all(np.diff(f) > 0)  # monotone in grain
+        # more processors => lower efficiency at fixed grain
+        assert curves[(20, 4.0)][1] < curves[(4, 2.0)][1]
+
+    def test_fig12_paper_values(self):
+        """At N = 100^2, P = 20, m = 4 eq. 20 gives
+        f = 1/(1 + 19*4*(2/3)/100) ~ 0.664."""
+        f = float(EfficiencyModel().efficiency(100.0**2, 4.0, 20, ndim=2))
+        assert f == pytest.approx(1.0 / (1.0 + 19 * 4 * (2 / 3) / 100.0))
+
+    def test_fig13_separation(self):
+        """2D at N = 125^2 and 3D at N = 25^3, both m = 2: both fall
+        with P and 3D stays below 2D."""
+        model = EfficiencyModel()
+        procs = np.arange(2, 21)
+        f2 = model.efficiency(125.0**2, 2.0, procs, ndim=2)
+        f3 = model.efficiency(25.0**3, 2.0, procs, ndim=3)
+        assert f2.shape == f3.shape == (19,)
+        assert np.all(f3 < f2)
+        assert np.all(np.diff(f2) < 0)
+        assert np.all(np.diff(f3) < 0)
+
+    def test_fig13_paper_endpoint(self):
+        """At P = 20 the 3D model sits near 0.54 (the fig. 13 curve)."""
+        model = EfficiencyModel()
+        assert float(model.efficiency(25.0**3, 2.0, 20, ndim=3)) \
+            == pytest.approx(0.542, abs=0.01)
+        assert float(model.efficiency(125.0**2, 2.0, 20, ndim=2)) \
+            == pytest.approx(0.826, abs=0.01)
+
+
 class TestOverheadModel:
     """The small-message extension §8 invites."""
 

@@ -116,6 +116,22 @@ class TestCluster:
         assert rc == 0
 
 
+class TestScenarios:
+    def test_efficiency_on_the_simulated_backend(self, tmp_path, capsys):
+        args = ["scenarios", "run", "efficiency", "--backend", "simulated",
+                "--set", "blocks=2x2", "--set", "side=20",
+                "--set", "steps=5"]
+        assert main(args) == 0
+        text = capsys.readouterr().out
+        assert "efficiency: pass" in text
+        assert '"processors": 4' in text
+        # a simulated run has no fields to save
+        out = tmp_path / "fields.npz"
+        assert main(args + ["--out", str(out)]) == 2
+        assert "no fields" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCalibrate:
     def test_prints_table_and_writes_json(self, tmp_path, capsys):
         import json

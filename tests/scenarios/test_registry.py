@@ -14,6 +14,7 @@ import pytest
 import repro.scenarios as sc
 from repro.distrib import ProblemSpec
 from repro.distrib.diagnostics import DiagRecord
+from repro.facade import RunResult, run
 from repro.fluids.analytic import poiseuille_profile
 from repro.scenarios import Case, Param, Scenario, Score
 from repro.scenarios.base import diag_series
@@ -118,6 +119,12 @@ class TestDiagSeries:
         assert diag_series(recs, "no_such_column").size == 0
 
 
+def _result(fields, diagnostics=(), backend="serial"):
+    """A finished run as :meth:`Scenario.score` receives it."""
+    return RunResult(backend=backend, steps=0, elapsed=0.0, fields=fields,
+                     diagnostics=list(diagnostics))
+
+
 def _diags(mass):
     return [
         {"step": 100 * i, "total_mass": m, "kinetic_energy": 1.0,
@@ -146,21 +153,22 @@ class TestPoiseuilleScore:
     @pytest.mark.parametrize("method", ["lb", "fd"])
     def test_exact_profile_passes(self, method):
         s = sc.get("poiseuille")
-        score = s.score(self._fields(s, method),
-                        _diags([100.0, 100.0]), method=method)
+        score = s.score(_result(self._fields(s, method),
+                                _diags([100.0, 100.0])), method=method)
         assert score.passed, score.failures
         assert score.residuals["profile_err"] < 1e-12
 
     def test_perturbed_profile_fails(self):
         s = sc.get("poiseuille")
-        score = s.score(self._fields(s, "lb", scale=1.05),
-                        _diags([100.0, 100.0]))
+        score = s.score(_result(self._fields(s, "lb", scale=1.05),
+                                _diags([100.0, 100.0])))
         assert not score.passed
         assert "profile_err" in score.failures[0]
 
     def test_mass_drift_gates_when_sampled(self):
         s = sc.get("poiseuille")
-        score = s.score(self._fields(s, "lb"), _diags([100.0, 101.0]))
+        score = s.score(_result(self._fields(s, "lb"),
+                                _diags([100.0, 101.0])))
         assert not score.passed
         assert any("mass_drift" in f for f in score.failures)
 
@@ -185,13 +193,13 @@ class TestCavityScore:
     def test_vortex_at_hou_center_passes(self, Re):
         s = sc.get("cavity")
         fields = self._vortex_fields(s, Re, HOU_CAVITY_CENTERS[Re])
-        score = s.score(fields, Re=Re)
+        score = s.score(_result(fields), Re=Re)
         assert score.passed, score.failures
 
     def test_vortex_far_from_reference_fails(self):
         s = sc.get("cavity")
         fields = self._vortex_fields(s, 100, (0.3, 0.3))
-        score = s.score(fields, Re=100)
+        score = s.score(_result(fields), Re=100)
         assert not score.passed
         assert any("center_err" in f for f in score.failures)
 
@@ -203,20 +211,20 @@ class TestStructuralScores:
         shape = case.spec.grid_shape
         fields = {name: np.zeros(shape) for name in ("u", "v")}
         fields["rho"] = np.ones(shape)
-        score = s.score(fields, [])
+        score = s.score(_result(fields))
         assert not score.passed
         assert "diagnostics" in score.failures[0]
 
     def test_conservation_needs_a_diagnostics_series(self):
         s = sc.get("conservation")
-        score = s.score({"rho": np.ones((8, 8))}, [])
+        score = s.score(_result({"rho": np.ones((8, 8))}))
         assert not score.passed
 
     def test_conservation_gates_drift(self):
         s = sc.get("conservation")
-        good = s.score({}, _diags([100.0, 100.0]))
+        good = s.score(_result({}, _diags([100.0, 100.0])))
         assert good.passed, good.failures
-        bad = s.score({}, _diags([100.0, 100.0 + 1e-3]))
+        bad = s.score(_result({}, _diags([100.0, 100.0 + 1e-3])))
         assert not bad.passed
 
     def test_flue_pipe_channel_counts_inactive_blocks(self):
@@ -248,3 +256,55 @@ class TestCaseSpecs:
     def test_duct3d_is_three_dimensional(self):
         spec = sc.get("duct3d").case().spec
         assert spec.ndim == 3
+
+
+class TestEfficiencyScore:
+    """The simulated-cluster grid behind figs. 5-13 (small sizes; the
+    full grids live in benchmarks/)."""
+
+    def _points(self, steps=10, **grid):
+        points = sc.run_sweep(sc.get("efficiency"),
+                              {"steps": [steps], **grid},
+                              backend="simulated")
+        assert all(p.passed for p in points), [p.score for p in points]
+        return [{**p.score["residuals"], **p.score["details"]}
+                for p in points]
+
+    def test_2d_structure(self):
+        pts = self._points(blocks=["2x2"], side=[40, 80])
+        assert [p["processors"] for p in pts] == [4, 4]
+        assert [p["nodes"] for p in pts] == [1600, 6400]
+
+    def test_3d_structure(self):
+        (pt,) = self._points(steps=8, blocks=["2x2x2"], side=[10])
+        assert pt["processors"] == 8
+        assert pt["nodes"] == 1000
+
+    def test_efficiency_rises_with_grain(self):
+        small, large = self._points(blocks=["3x3"], side=[30, 120])
+        assert large["f"] > small["f"]
+
+    def test_fig9_shape(self):
+        """2D stays high while 3D collapses (fig. 9's triangles vs
+        crosses) on the scaled problem: 120^2 / 25^3 per processor."""
+        f2 = [p["f"] for p in self._points(
+            blocks=["2x1", "8x1", "16x1"], side=[120])]
+        f3 = [p["f"] for p in self._points(
+            blocks=["2x1x1", "8x1x1", "16x1x1"], side=[25])]
+        assert f2[-1] > f3[-1]
+        assert f3[0] > f3[-1]
+
+    def test_serial_result_scores_failed(self):
+        s = sc.get("efficiency")
+        case = s.case(blocks="2x2", side=8, steps=2)
+        result = run(case.spec, "serial", steps=2)
+        score = s.score(result, blocks="2x2", side=8, steps=2)
+        assert not score.passed
+        assert "serial" in score.failures[0]
+
+    def test_bad_blocks_are_loud_before_any_run(self, tmp_path):
+        with pytest.raises(ValueError, match="5x4"):
+            sc.run_sweep(sc.get("efficiency"),
+                         {"blocks": ["2x2", "5x"], "side": [8]},
+                         backend="simulated", out_dir=tmp_path)
+        assert not (tmp_path / "sweep.jsonl").exists()

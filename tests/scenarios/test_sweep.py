@@ -23,6 +23,7 @@ from repro.scenarios import (
 from repro._jsonl import LogDamaged
 from repro.scenarios import sweep as sweep_mod
 from repro.distrib import ProblemSpec
+from repro.facade import RunResult
 
 
 class TestParseGrid:
@@ -76,15 +77,13 @@ class FakeScenario(Scenario):
         )
         return Case(spec, {"steps": 10, "diag_every": 5})
 
-    def _score(self, p, fields, diagnostics):
+    def _score(self, p, result):
         return Score.check({"nu": p["nu"]}, {"nu": 0.5})
 
 
-class _StubResult:
-    def __init__(self):
-        self.fields = {"rho": np.ones((4, 4))}
-        self.diagnostics = []
-        self.elapsed = 2.0
+def _stub_result():
+    return RunResult(backend="serial", steps=10, elapsed=2.0,
+                     fields={"rho": np.ones((4, 4))})
 
 
 @pytest.fixture
@@ -93,7 +92,7 @@ def stub_runs(monkeypatch):
 
     def fake_run_case(case, backend="serial", workdir=None):
         calls.append(case)
-        return _StubResult()
+        return _stub_result()
 
     monkeypatch.setattr(sweep_mod, "run_case", fake_run_case)
     return calls
@@ -181,7 +180,7 @@ class TestRunSweep:
         def exploding_run_case(case, backend="serial", workdir=None):
             if case.spec.params["nu"] == 0.2:
                 raise RuntimeError("boom")
-            return _StubResult()
+            return _stub_result()
 
         monkeypatch.setattr(sweep_mod, "run_case", exploding_run_case)
         points = run_sweep(FakeScenario(), {"nu": [0.1, 0.2, 0.3]},

@@ -15,6 +15,8 @@ import ast
 import re
 from pathlib import Path
 
+from repro.distrib.settings import BACKENDS, POLICIES, TRANSPORTS
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: packages whose hot paths and protocols must stay monotonic
@@ -167,6 +169,9 @@ SUPPORT_OWNERS = {"distrib/settings.py", "balance/recut.py"}
 #: the table's columns: a membership test against one of them
 #: elsewhere is a second copy of the rule
 SUPPORT_TABLES = re.compile(r"BACKENDS|TRANSPORTS|POLICIES|SERVED")
+#: ... and so is a literal tuple, list or set spelling two or more
+#: names of one column
+SUPPORT_NAMES = (BACKENDS, TRANSPORTS, POLICIES)
 
 
 def _names(node: ast.AST) -> str:
@@ -177,11 +182,19 @@ def _names(node: ast.AST) -> str:
     return ""
 
 
+def _names_a_column(node: ast.AST) -> bool:
+    if not isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return False
+    strings = {e.value for e in node.elts
+               if isinstance(e, ast.Constant) and isinstance(e.value, str)}
+    return any(len(strings & set(col)) >= 2 for col in SUPPORT_NAMES)
+
+
 def test_one_support_check():
     """Whether a run can go ahead is decided in one place,
     ``distrib.settings.check_supported``: no other module tests a
-    backend, transport or policy for membership in the table or asks
-    ``check_rebalanceable`` itself."""
+    backend, transport or policy for membership in the table, spells
+    out a column of it, or asks ``check_rebalanceable`` itself."""
     offenders = []
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
@@ -194,6 +207,8 @@ def test_one_support_check():
                 for op, right in zip(node.ops, node.comparators)
             ):
                 offenders.append(f"{rel}:{node.lineno}: membership test")
+            elif _names_a_column(node):
+                offenders.append(f"{rel}:{node.lineno}: literal table")
             elif (isinstance(node, ast.Call)
                     and _call_name(node) == "check_rebalanceable"):
                 offenders.append(f"{rel}:{node.lineno}: check_rebalanceable()")

@@ -247,28 +247,9 @@ def _run_service(spec, settings, server) -> RunResult:
     from .serve.client import ServeClient
 
     client = ServeClient(server)
-    submitted = client.submit(spec, settings=settings)
-    job_id = submitted["job_id"]
+    job_id = client.submit(spec, settings=settings)["job_id"]
     timeout = settings.run_timeout if settings.run_timeout > 0 else 600.0
-    record = client.wait(job_id, timeout=timeout)
-    if record["state"] != "done":
-        raise RuntimeError(
-            f"service job {job_id} ended {record['state']}: "
-            f"{record.get('error') or 'no error recorded'}"
-        )
-    payload = client.result(job_id)
-    fields = dict(client.fields(job_id))
-    result = payload.get("result", {})
-    return RunResult(
-        backend="service",
-        steps=int(record.get("steps") or settings.steps),
-        elapsed=float(record.get("elapsed") or 0.0),
-        fields=fields,
-        job_id=job_id,
-        cached=bool(record.get("cached")),
-        migrations=int(result.get("migrations") or 0),
-        rebalances=int(result.get("rebalances") or 0),
-    )
+    return client.run_result(job_id, timeout=timeout)
 
 
 def run(
@@ -311,8 +292,8 @@ def run(
         created when omitted but needed.
     server:
         For ``backend="service"``: the gateway to submit to — a
-        ``"host:port"`` address, or the serve directory (whose
-        ``gateway.json`` names the live address).
+        ``"host:port"`` address, or the serve directory of a running
+        gateway.
 
     Returns
     -------

@@ -15,11 +15,12 @@ that the failure problem is handled directly."
 The paper chose TCP for simplicity; this module builds the UDP path it
 describes so the trade-off can be exercised: per-datagram sequence
 numbers, positive acknowledgments, timer-driven retransmission,
-duplicate suppression, and fragmentation of boundary strips into
-MTU-sized datagrams.  A deterministic loss-injection knob emulates the
-overloaded-Ethernet packet loss of §7, and the test suite shows the
-exchange stays bit-exact under heavy loss — the robustness App. D
-advertises.
+duplicate suppression, fragmentation of boundary strips into
+MTU-sized datagrams, and a close announcement so a peer stops
+retransmitting to a socket that will never answer.  A deterministic
+loss-injection knob emulates the overloaded-Ethernet packet loss of §7,
+and the test suite shows the exchange stays bit-exact under heavy loss
+— the robustness App. D advertises.
 
 :class:`UdpChannelSet` is call-compatible with
 :class:`repro.net.channels.ChannelSet`, so the same
@@ -48,6 +49,11 @@ _MAGIC = b"SKRU"
 _VERSION = 1
 _PKT_DATA = 1
 _PKT_ACK = 2
+_PKT_FIN = 3   # "I closed": carries the closing side's generation as step
+
+#: copies of each close announcement; a lost announcement costs the
+#: peer no correctness, only a wait to its own flush timeout
+_FIN_COPIES = 3
 
 #: magic, version, ptype, sender, step, phase, axis, side, seq,
 #: frag_idx, nfrags, payload_len
@@ -87,7 +93,10 @@ class UdpChannelSet:
         self._addrs: dict[int, tuple[str, int]] = {}
         self._seq = 0
         # reliability state
-        self._unacked: dict[int, tuple[bytes, tuple[str, int], float]] = {}
+        # seq -> (packet, addr, last send, destination rank)
+        self._unacked: dict[
+            int, tuple[bytes, tuple[str, int], float, int]
+        ] = {}
         self._seen: set[tuple[int, int]] = set()  # (sender, seq)
         self._frags: dict[tuple, dict[int, bytes]] = {}
         self._nfrags: dict[tuple, int] = {}
@@ -135,12 +144,27 @@ class UdpChannelSet:
         )
 
     def close(self, flush_timeout: float = 10.0) -> None:
-        """Flush outstanding retransmissions, then close the socket."""
+        """Flush outstanding retransmissions, announce, close the socket.
+
+        A frame stays in the flush until its ACK arrives or its peer
+        announces that it has closed too: a closed peer reads nothing
+        more, so its missing ACK can only have been lost after delivery.
+        """
         if self._sock is None:
             return
         deadline = time.monotonic() + flush_timeout
         while self._unacked and time.monotonic() < deadline:
             self._pump(0.01)
+        fin = _HEADER.pack(
+            _MAGIC, _VERSION, _PKT_FIN, self.rank, self.generation, 0, 0,
+            0, 0, 0, 0, 0,
+        )
+        for addr in self._addrs.values():
+            for _ in range(_FIN_COPIES):
+                try:
+                    self._raw_send(fin, addr)
+                except OSError:
+                    break  # best effort: the peer falls back to its timeout
         self._sock.close()
         self._sock = None
         self._seen.clear()
@@ -235,7 +259,7 @@ class UdpChannelSet:
                 _MAGIC, _VERSION, _PKT_DATA, self.rank, step, phase,
                 axis, side, seq, idx, nfrags, len(chunk),
             ) + chunk
-            self._unacked[seq] = (packet, addr, time.monotonic())
+            self._unacked[seq] = (packet, addr, time.monotonic(), to)
             try:
                 self._raw_send(packet, addr)
             except OSError as exc:
@@ -247,9 +271,9 @@ class UdpChannelSet:
 
     def _retransmit_due(self) -> None:
         now = time.monotonic()
-        for seq, (packet, addr, last) in list(self._unacked.items()):
+        for seq, (packet, addr, last, to) in list(self._unacked.items()):
             if now - last >= self.rto:
-                self._unacked[seq] = (packet, addr, now)
+                self._unacked[seq] = (packet, addr, now, to)
                 self._raw_send(packet, addr)
                 self.retransmissions += 1
 
@@ -270,6 +294,12 @@ class UdpChannelSet:
                 self._ack_ignore -= 1
                 return
             self._unacked.pop(seq, None)
+            return
+        if ptype == _PKT_FIN:
+            if step == self.generation:  # not a late one from an old link
+                for s in [s for s, (*_, to) in self._unacked.items()
+                          if to == sender]:
+                    del self._unacked[s]
             return
         if ptype != _PKT_DATA:
             raise ProtocolError(f"unknown datagram type {ptype}")

@@ -13,7 +13,7 @@ tones, conservation bounds) — or, for the paper's efficiency figures,
 records the simulated cluster's f, speedup and time per step — and
 returns a :class:`Score` of pass/fail plus numeric residuals.
 
-Because a scenario case is *pure data* ``(spec, settings, seed)``, it
+Because a scenario case is *pure data* ``(spec, settings)``, it
 routes through every backend — including the :mod:`repro.serve` job
 layer, where identical cases hit the content-hash result cache — and
 scoring needs nothing beyond what the service returns: the final
@@ -83,14 +83,14 @@ class Case:
     """A fully resolved, runnable instance of a scenario.
 
     ``settings`` holds *physical* run knobs (``steps``, ``diag_every``)
-    destined for :class:`~repro.distrib.RunSettings`; with ``spec`` and
-    ``seed`` they form exactly the content-hash identity of the serve
-    layer, so two sweeps over the same grid share cached results.
+    destined for :class:`~repro.distrib.RunSettings`; with ``spec`` they
+    form exactly the content-hash identity of the serve layer, so two
+    sweeps over the same grid share cached results.  A seeded initial
+    state lives in ``spec.init``, where every executor reads it.
     """
 
     spec: ProblemSpec
     settings: dict[str, Any] = field(default_factory=dict)
-    seed: int = 0
 
 
 @dataclass
@@ -201,7 +201,7 @@ class Scenario:
         return resolved
 
     def case(self, **overrides: Any) -> Case:
-        """Build the runnable (spec, settings, seed) for these params."""
+        """Build the runnable (spec, settings) for these params."""
         return self._build(self.resolve(**overrides))
 
     def score(self, result: RunResult, **overrides: Any) -> Score:

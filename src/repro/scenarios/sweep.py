@@ -44,8 +44,8 @@ class SweepPoint:
     score: dict[str, Any] | None = None
     job_id: str = ""                # service executor only
     cached: bool = False            # answered from the gateway cache
-    elapsed: float = 0.0            # compute seconds (0 for cache hits)
-    nodes_per_sec: float = 0.0      # grid nodes x steps / elapsed
+    elapsed: float = 0.0            # run seconds (0 for cache hits)
+    nodes_per_sec: float = 0.0      # nodes x steps / elapsed (0: simulated)
     error: str = ""
 
     @property
@@ -123,35 +123,6 @@ def run_case(case: Case, backend: str = "serial",
     settings = RunSettings(**case.settings)
     return run(case.spec, backend=backend, settings=settings,
                workdir=workdir)
-
-
-def _fetch_service(client, job_id: str, timeout: float):
-    """The RunResult of a finished service job.
-
-    The diagnostics come off the job's stream endpoint, which replays
-    the run's ``diagnostics.jsonl`` (cache-aware) before the end event.
-    """
-    from ..facade import RunResult
-
-    record = client.wait(job_id, timeout=timeout)
-    if record["state"] != "done":
-        raise RuntimeError(
-            f"job {job_id} ended {record['state']}: "
-            f"{record.get('error') or 'no error recorded'}"
-        )
-    return RunResult(
-        backend="service",
-        steps=int(record.get("steps") or 0),
-        elapsed=float(record.get("elapsed") or 0.0),
-        fields=client.fields(job_id),
-        diagnostics=[
-            event["record"]
-            for event in client.stream(job_id)
-            if event.get("event") == "diagnostics"
-        ],
-        job_id=job_id,
-        cached=bool(record.get("cached")),
-    )
 
 
 def _score_safely(scenario: Scenario, params, result) -> Score:
@@ -239,12 +210,15 @@ def _finish(point: SweepPoint, scenario: Scenario, result, case: Case,
     point.cached = result.cached
     point.elapsed = elapsed = float(result.elapsed)
     steps = int(case.settings.get("steps", 0))
-    if elapsed > 0 and steps:
+    # a simulated run's elapsed is modelled cluster time, not compute
+    simulated = result.sim is not None
+    if elapsed > 0 and steps and not simulated:
         point.nodes_per_sec = _case_nodes(case) * steps / elapsed
     record(point)
     verdict = "pass" if point.passed else "FAIL"
-    emit(f"{verdict} {point.params} "
-         f"({'cached' if point.cached else f'{elapsed:.1f}s'})")
+    took = "cached" if point.cached else \
+        f"{elapsed:.1f} s{' simulated' if simulated else ''}"
+    emit(f"{verdict} {point.params} ({took})")
 
 
 def _fail(point: SweepPoint, exc: Exception, record, emit) -> None:
@@ -272,8 +246,7 @@ def _run_service_points(scenario, pending, cases, server, timeout,
     client = server if isinstance(server, ServeClient) \
         else ServeClient(server)
     submitted = client.submit_batch([
-        {"spec": case.spec, "settings": dict(case.settings),
-         "seed": case.seed}
+        {"spec": case.spec, "settings": dict(case.settings)}
         for case in cases
     ])
     emit(f"submitted {len(submitted)} jobs "
@@ -281,7 +254,7 @@ def _run_service_points(scenario, pending, cases, server, timeout,
     for point, case, rec in zip(pending, cases, submitted):
         point.job_id = rec["job_id"]
         try:
-            result = _fetch_service(client, rec["job_id"], timeout)
+            result = client.run_result(rec["job_id"], timeout=timeout)
         except Exception as exc:  # noqa: BLE001 - isolate per point
             _fail(point, exc, record, emit)
             continue
@@ -309,7 +282,7 @@ def write_report(
     Returns the markdown path.  The table carries one row per point:
     parameters, verdict, each scored residual against its bound, and
     throughput (grid nodes x steps per compute second; cache hits show
-    as "cached").
+    as "cached", simulated points, which compute nothing, as "-").
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,10 +1,12 @@
 """Blocking HTTP client for the serve gateway (stdlib ``http.client``).
 
 The client is what ``repro submit``/``repro jobs``/``repro result``/
-``repro top`` and the facade's ``backend="service"`` path speak; it is
-deliberately synchronous — one request per connection — because every
-caller is either a CLI invocation or a worker-side facade call that
-wants a result, not a socket to babysit.
+``repro top``, the sweep's service executor and the facade's
+``backend="service"`` path speak; :meth:`ServeClient.run_result` is the
+one place a finished job becomes a :class:`~repro.facade.RunResult`.
+It is deliberately synchronous — one request per connection — because
+every caller is either a CLI invocation or a worker-side facade call
+that wants a result, not a socket to babysit.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import http.client
 import io
 import json
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Iterator
 
@@ -34,6 +37,26 @@ def discover(serve_dir: str | Path) -> str:
             f"no running gateway found at {path} — start one with "
             f"'repro serve --dir {serve_dir}'"
         ) from exc
+
+
+def _encode(request: dict) -> dict:
+    """One job request as JSON-ready data.
+
+    A :class:`~repro.distrib.ProblemSpec` becomes its JSON form and a
+    :class:`~repro.distrib.RunSettings` its field dict minus ``hosts``
+    (``HostInfo`` objects are not JSON); key order is kept.
+    """
+    from ..distrib.spec import ProblemSpec
+
+    request = dict(request)
+    if isinstance(request["spec"], ProblemSpec):
+        request["spec"] = json.loads(request["spec"].to_json())
+    settings = request.get("settings")
+    if settings is not None and not isinstance(settings, dict):
+        settings = asdict(settings)
+        settings.pop("hosts", None)
+        request["settings"] = settings
+    return request
 
 
 class ServeClient:
@@ -103,23 +126,12 @@ class ServeClient:
         backend: str | None = None,
     ) -> dict:
         """Submit one request; returns the job record dict."""
-        from ..distrib.spec import ProblemSpec
-
-        if isinstance(spec, ProblemSpec):
-            spec = json.loads(spec.to_json())
-        if settings is not None and not isinstance(settings, dict):
-            from dataclasses import asdict
-
-            settings = asdict(settings)
-            settings.pop("hosts", None)  # HostInfo objects: not JSON
-        payload = {
-            "spec": spec, "seed": seed, "priority": priority,
-        }
+        payload = {"spec": spec, "seed": seed, "priority": priority}
         if settings is not None:
             payload["settings"] = settings
         if backend is not None:
             payload["backend"] = backend
-        return self._json("POST", "/jobs", payload)
+        return self._json("POST", "/jobs", _encode(payload))
 
     def submit_batch(self, requests: list[dict]) -> list[dict]:
         """Submit many requests in one round trip (the sweep fan-out).
@@ -130,23 +142,8 @@ class ServeClient:
         before accepting any job.  Returns one job record per entry, in
         order.
         """
-        from dataclasses import asdict
-
-        from ..distrib.spec import ProblemSpec
-
-        payload = []
-        for req in requests:
-            req = dict(req)
-            spec = req["spec"]
-            if isinstance(spec, ProblemSpec):
-                req["spec"] = json.loads(spec.to_json())
-            settings = req.get("settings")
-            if settings is not None and not isinstance(settings, dict):
-                settings = asdict(settings)
-                settings.pop("hosts", None)  # HostInfo objects: not JSON
-                req["settings"] = settings
-            payload.append(req)
-        return self._json("POST", "/jobs/batch", {"jobs": payload})["jobs"]
+        payload = {"jobs": [_encode(req) for req in requests]}
+        return self._json("POST", "/jobs/batch", payload)["jobs"]
 
     def jobs(self) -> list[dict]:
         """Every job record the gateway knows, newest first."""
@@ -197,6 +194,41 @@ class ServeClient:
                     f"{timeout:.0f}s"
                 )
             time.sleep(poll)
+
+    def run_result(self, job_id: str, timeout: float = 600.0):
+        """The :class:`~repro.facade.RunResult` of one job, once it ends.
+
+        Waits for the job, then fetches its final fields, its run
+        summary (``migrations``, ``rebalances``) and its diagnostics off
+        the stream, which replays the run's ``diagnostics.jsonl`` — a
+        cache hit's included.  Raises ``RuntimeError`` unless the job
+        ended ``done``.
+        """
+        from ..distrib.diagnostics import DiagRecord
+        from ..facade import RunResult
+
+        record = self.wait(job_id, timeout=timeout)
+        if record["state"] != "done":
+            raise RuntimeError(
+                f"service job {job_id} ended {record['state']}: "
+                f"{record.get('error') or 'no error recorded'}"
+            )
+        summary = self.result(job_id).get("result") or {}
+        return RunResult(
+            backend="service",
+            steps=int(record["steps"]),
+            elapsed=float(record.get("elapsed") or 0.0),
+            fields=self.fields(job_id),
+            diagnostics=[
+                DiagRecord.from_dict(event["record"])
+                for event in self.stream(job_id)
+                if event.get("event") == "diagnostics"
+            ],
+            job_id=job_id,
+            cached=bool(record.get("cached")),
+            migrations=int(summary.get("migrations") or 0),
+            rebalances=int(summary.get("rebalances") or 0),
+        )
 
     def stream(self, job_id: str) -> Iterator[dict]:
         """Follow the job's live NDJSON stream (chunked transfer).

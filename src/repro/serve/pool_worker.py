@@ -91,18 +91,14 @@ def run_job(serve_dir: Path, job_id: str, worker_index: int) -> None:
         seed = int(req.get("seed", 0))
         # The seed is part of the cache fingerprint, so it must also be
         # part of the computation: seed 0 is the canonical start (the
-        # spec's declarative init, rest by default), any other seed
-        # perturbs the initial density reproducibly (the "random" init
-        # program of paper §4.1).
+        # spec's declarative init, rest by default, which repro.run
+        # resolves itself), any other seed perturbs the initial density
+        # reproducibly (the "random" init program of paper §4.1).
         fields = None
         if seed:
             from ..distrib.initprog import initial_fields
 
             fields = initial_fields(spec, "random", seed=seed)
-        elif spec.init is not None:
-            from ..distrib.initprog import initial_fields
-
-            fields = initial_fields(spec, None)
         rundir = job_dir / "run"
         if rundir.exists():
             shutil.rmtree(rundir)  # retry after a worker death

@@ -4,7 +4,7 @@
   with either method, any decomposition, and save the fields;
 * ``cluster`` — one simulated distributed run on the 1994 cluster,
   printing the §7-style measurement;
-* ``figures`` — regenerate every figure's data table outside pytest.
+* ``--help`` lists the rest (scenarios, sweeps, the serve clients).
 """
 
 from .._lazy import lazy_exports

@@ -28,8 +28,14 @@ def _host_metadata() -> dict:
     }
 
 
+def _took(seconds: float, simulated: bool) -> str:
+    """A run's elapsed time; a simulated run's is modelled cluster time."""
+    return f"{seconds:.1f} s{' simulated' if simulated else ''}"
+
+
 def _simulate_spec(args: argparse.Namespace):
-    """The :class:`~repro.distrib.ProblemSpec` of ``repro simulate``."""
+    """The :class:`~repro.distrib.ProblemSpec` of ``repro simulate`` and
+    ``repro submit``."""
     from ..distrib.spec import ProblemSpec
 
     shape = tuple(args.shape)
@@ -303,7 +309,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         ["residual", "value", "bound", ""], rows,
         title=f"{scenario.name}: "
               f"{'pass' if score.passed else 'FAIL'} "
-              f"({result.elapsed:.1f} s)",
+              f"({_took(result.elapsed, result.sim is not None)})",
     ))
     for failure in score.failures:
         print(f"  failed: {failure}")
@@ -331,20 +337,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         msg = exc.args[0] if isinstance(exc, KeyError) else exc
         print(f"sweep: {msg}", file=sys.stderr)
         return 2
-    server = args.address
-    if server is None and args.serve_dir:
-        gateway_file = Path(args.serve_dir) / "gateway.json"
-        if gateway_file.exists():
-            import json
+    client = None
+    if args.address or args.serve_dir:
+        from ..serve import ServeClient
 
-            info = json.loads(gateway_file.read_text())
-            server = f"{info['host']}:{info['port']}"
+        try:
+            client = ServeClient(args.address or args.serve_dir)
+        except RuntimeError as exc:  # no running gateway to discover
+            print(f"sweep: {exc}", file=sys.stderr)
+            return 2
     out_dir = Path(args.out or Path("sweeps") / scenario.name)
     try:
         points = sc.run_sweep(
             scenario, grid,
             backend=args.backend,
-            server=server,
+            server=client,
             out_dir=out_dir,
             resume=not args.no_resume,
             timeout=args.timeout,
@@ -354,11 +361,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"sweep: {exc}", file=sys.stderr)
         return 2
     md = sc.write_report(points, out_dir, scenario)
+    # the service refuses simulated runs, so only a local sweep has them
+    simulated = client is None and args.backend == "simulated"
     rows = [
         [", ".join(f"{k}={v}" for k, v in p.params.items()) or "-",
          ("pass" if p.passed else "FAIL") if p.state == "done"
          else p.state,
-         "cached" if p.cached else f"{p.elapsed:.1f} s",
+         "cached" if p.cached else _took(p.elapsed, simulated),
          f"{p.nodes_per_sec:.3g}" if p.nodes_per_sec else "-"]
         for p in points
     ]
@@ -366,7 +375,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(format_table(
         ["params", "score", "elapsed", "nodes/s"], rows,
         title=f"sweep {scenario.name}: {n_pass}/{len(points)} passed"
-              f"{' (via ' + server + ')' if server else ''}",
+              f"{f' (via {client.host}:{client.port})' if client else ''}",
     ))
     print(f"report written to {md}")
     return 0 if n_pass == len(points) else 1
@@ -392,15 +401,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
              "nodes_per_second": speed}, indent=1) + "\n")
         print(f"calibration written to {args.out}")
     return 0
-
-
-def _serve_address(args: argparse.Namespace) -> str:
-    """Resolve the gateway address from --address or --dir."""
-    if getattr(args, "address", None):
-        return args.address
-    from ..serve import discover
-
-    return discover(args.dir)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -437,39 +437,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _submit_spec(args: argparse.Namespace):
-    """The ProblemSpec a ``repro submit`` invocation describes."""
-    from ..distrib.spec import ProblemSpec
-
-    if args.spec:
-        return ProblemSpec.load(args.spec)
-    shape = tuple(args.shape)
-    ndim = len(shape)
-    if args.problem == "channel":
-        geometry: dict = {"kind": "channel"}
-        periodic = (True,) + (False,) * (ndim - 1)
-        gravity = (args.force,) + (0.0,) * (ndim - 1)
-    else:  # flue_pipe
-        geometry = {"kind": "flue_pipe", "jet_speed": args.jet}
-        periodic = (False, False)
-        gravity = (0.0, 0.0)
-    return ProblemSpec(
-        method=args.method,
-        grid_shape=shape,
-        blocks=tuple(args.blocks),
-        periodic=periodic,
-        params={"nu": args.nu, "gravity": gravity,
-                "filter_eps": args.filter_eps},
-        geometry=geometry,
-    )
-
-
 def _cmd_submit(args: argparse.Namespace) -> int:
     """Submit one spec to a running gateway (optionally wait/stream)."""
+    from ..distrib.spec import ProblemSpec
     from ..serve import ServeClient
 
-    client = ServeClient(_serve_address(args), timeout=args.timeout)
-    spec = _submit_spec(args)
+    client = ServeClient(args.address or args.dir, timeout=args.timeout)
+    spec = ProblemSpec.load(args.spec) if args.spec else _simulate_spec(args)
     rec = client.submit(
         spec,
         settings={"steps": args.steps, "diag_every": args.diag_every},
@@ -506,7 +480,7 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
     from ..harness import format_table
     from ..serve import ServeClient
 
-    client = ServeClient(_serve_address(args))
+    client = ServeClient(args.address or args.dir)
     if args.gc:
         stats = client.gc()
         print(f"history compacted: {stats['events_before']} -> "
@@ -533,7 +507,7 @@ def _cmd_result(args: argparse.Namespace) -> int:
 
     from ..serve import ServeClient
 
-    client = ServeClient(_serve_address(args))
+    client = ServeClient(args.address or args.dir)
     payload = client.result(args.job_id)
     print(json.dumps(payload, indent=2, default=str))
     if args.fields_out:
@@ -547,21 +521,23 @@ def _cmd_top(args: argparse.Namespace) -> int:
     """The live cluster view (workers, queue, cache, recent jobs)."""
     from ..serve import ServeClient, watch
 
-    client = ServeClient(_serve_address(args))
+    client = ServeClient(args.address or args.dir)
     watch(client, interval=args.interval, iterations=args.iterations)
     return 0
 
 
-def _cmd_figures(args: argparse.Namespace) -> int:
-    import subprocess
-
-    cmd = [
-        sys.executable, "-m", "pytest",
-        str(Path(__file__).resolve().parents[3] / "benchmarks"),
-        "--benchmark-only", "-q",
-    ]
-    print("running:", " ".join(cmd))
-    return subprocess.call(cmd)
+def _problem_args(p: argparse.ArgumentParser, *, shape, blocks,
+                  steps) -> None:
+    """The problem options ``simulate`` and ``submit`` share; each
+    command keeps its own grid, decomposition and step defaults."""
+    p.add_argument("--method", choices=("lb", "fd"), default="lb")
+    p.add_argument("--shape", type=int, nargs="+", default=shape)
+    p.add_argument("--blocks", type=int, nargs="+", default=blocks)
+    p.add_argument("--steps", type=int, default=steps)
+    p.add_argument("--nu", type=float, default=0.05)
+    p.add_argument("--force", type=float, default=1e-5)
+    p.add_argument("--jet", type=float, default=0.08)
+    p.add_argument("--filter-eps", type=float, default=0.02)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -574,14 +550,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("simulate", help="run a named flow problem")
     p.add_argument("problem", choices=("channel", "flue_pipe", "cylinder"))
-    p.add_argument("--method", choices=("lb", "fd"), default="lb")
-    p.add_argument("--shape", type=int, nargs="+", default=(96, 64))
-    p.add_argument("--blocks", type=int, nargs="+", default=(2, 2))
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--nu", type=float, default=0.05)
-    p.add_argument("--force", type=float, default=1e-5)
-    p.add_argument("--jet", type=float, default=0.08)
-    p.add_argument("--filter-eps", type=float, default=0.02)
+    _problem_args(p, shape=(96, 64), blocks=(2, 2), steps=200)
     p.add_argument("--out", default="simulation.npz")
     p.set_defaults(func=_cmd_simulate)
 
@@ -688,8 +657,8 @@ def main(argv: list[str] | None = None) -> int:
                         "cluster service instead of running locally")
     p.add_argument("--serve-dir", default=None,
                    help="discover the gateway from this serve "
-                        "directory's gateway.json (overridden by "
-                        "--address)")
+                        "directory (overridden by --address); exits 2 "
+                        "if no gateway is running there")
     p.add_argument("--out", default=None,
                    help="sweep directory: manifest, summary.json, "
                         "summary.md (default: sweeps/<scenario>)")
@@ -720,8 +689,9 @@ def main(argv: list[str] | None = None) -> int:
                         "is unauthenticated — widen it only behind an "
                         "authenticating proxy)")
     p.add_argument("--port", type=int, default=0,
-                   help="TCP port (default: 0 = pick a free one; the "
-                        "bound address lands in <dir>/gateway.json)")
+                   help="TCP port (default: 0 = pick a free one; "
+                        "clients discover the bound address from "
+                        "--dir)")
     p.add_argument("--workers", type=int, default=2,
                    help="pool worker processes (default: 2)")
     p.set_defaults(func=_cmd_serve)
@@ -740,14 +710,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="ProblemSpec JSON file (overrides --problem)")
     p.add_argument("--problem", choices=("channel", "flue_pipe"),
                    default="channel")
-    p.add_argument("--method", choices=("lb", "fd"), default="lb")
-    p.add_argument("--shape", type=int, nargs="+", default=(64, 64))
-    p.add_argument("--blocks", type=int, nargs="+", default=(1, 1))
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--nu", type=float, default=0.05)
-    p.add_argument("--force", type=float, default=1e-5)
-    p.add_argument("--jet", type=float, default=0.08)
-    p.add_argument("--filter-eps", type=float, default=0.02)
+    _problem_args(p, shape=(64, 64), blocks=(1, 1), steps=100)
     p.add_argument("--diag-every", type=int, default=10,
                    help="diagnostics period (streamed live; default: 10)")
     p.add_argument("--seed", type=int, default=0,
@@ -790,10 +753,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="refresh this many times then exit "
                         "(default: until ^C)")
     p.set_defaults(func=_cmd_top)
-
-    p = sub.add_parser("figures",
-                       help="regenerate benchmarks/results/*.txt")
-    p.set_defaults(func=_cmd_figures)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -131,6 +131,89 @@ class TestScenarios:
         assert "no fields" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_simulated_time_is_labelled(self, capsys):
+        """A simulated run's elapsed is modelled cluster time: both the
+        scored case and a sweep say so, and a sweep leaves its nodes/s
+        unset."""
+        assert main(["scenarios", "run", "efficiency", "--backend",
+                     "simulated", "--set", "blocks=2x2", "--set", "side=20",
+                     "--set", "steps=5"]) == 0
+        assert " s simulated)" in capsys.readouterr().out
+
+    def test_simulated_sweep_is_labelled(self, tmp_path, capsys):
+        import json
+
+        from repro.scenarios import SweepPoint
+
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--scenario", "efficiency", "--backend",
+                     "simulated", "--grid", "blocks=2x2", "--grid",
+                     "side=20", "--grid", "steps=5",
+                     "--out", str(out)]) == 0
+        row = [line for line in capsys.readouterr().out.splitlines()
+               if line.lstrip().startswith("method=lb")][-1]
+        assert " s simulated " in row
+        assert row.split()[-1] == "-"  # no nodes/s from modelled time
+        point = SweepPoint(**json.loads(
+            (out / "sweep.jsonl").read_text().splitlines()[0]))
+        assert point.elapsed > 0 and point.nodes_per_sec == 0.0
+
+
+class TestSweepDiscovery:
+    def test_serve_dir_without_a_gateway_runs_nothing(self, tmp_path,
+                                                      monkeypatch, capsys):
+        import repro.scenarios.sweep as sweep_mod
+
+        ran = []
+        monkeypatch.setattr(sweep_mod, "run_case",
+                            lambda *a, **kw: ran.append(a))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--scenario", "poiseuille", "--grid",
+                     "method=lb", "--serve-dir", str(tmp_path / "serve"),
+                     "--out", str(out)]) == 2
+        assert "no running gateway" in capsys.readouterr().err
+        assert ran == []
+        assert not out.exists()
+
+
+@pytest.mark.slow
+class TestServeClients:
+    def test_submit_wait_then_result_fields(self, tmp_path, capsys):
+        """``repro submit --wait`` runs the spec ``repro simulate`` would
+        build (with submit's own defaults), and ``repro result
+        --fields-out`` downloads its final fields bit for bit."""
+        import repro
+        from repro.distrib import ProblemSpec
+        from repro.serve import Gateway
+
+        serve_dir = tmp_path / "serve"
+        gw = Gateway(serve_dir, workers=1)
+        gw.start_background()
+        try:
+            assert main(["submit", "--dir", str(serve_dir), "--shape",
+                         "16", "12", "--steps", "9", "--wait"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert "state=done" in lines[-1]
+            job_id = lines[-1].split()[1]
+            out = tmp_path / "fields.npz"
+            assert main(["result", "--dir", str(serve_dir), job_id,
+                         "--fields-out", str(out)]) == 0
+        finally:
+            gw.shutdown()
+        assert f"fields written to {out}" in capsys.readouterr().out
+        spec = ProblemSpec(
+            method="lb", grid_shape=(16, 12), blocks=(1, 1),
+            periodic=(True, False),
+            params={"nu": 0.05, "gravity": (1e-5, 0.0),
+                    "filter_eps": 0.02},
+            geometry={"kind": "channel"},
+        )
+        ref = repro.run(spec, "serial", steps=9).fields
+        data = np.load(out)
+        assert set(data.files) == set(ref)
+        for name, want in ref.items():
+            assert np.array_equal(data[name], want), name
+
 
 class TestCalibrate:
     def test_prints_table_and_writes_json(self, tmp_path, capsys):

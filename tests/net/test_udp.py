@@ -118,7 +118,9 @@ class TestReliability:
         lost = sets[0].datagrams_lost + sets[1].datagrams_lost
         assert lost > 0
         assert sets[0].retransmissions > 0
-        for cs in sets.values():
+        # the receiver first: its close announcement ends the sender's
+        # wait for ACKs the loss ate after delivery
+        for cs in reversed(sets.values()):
             cs.close()
 
     def test_duplicates_suppressed(self, tmp_path):
@@ -172,6 +174,46 @@ class TestReliability:
             t.join()
         assert sets[1].recv_data({(0, 0, 0, 1, 0)}, timeout=1.0)
         sets[1].close()
+
+
+class TestCloseAnnouncement:
+    """A closed peer reads nothing more, so its close ends the wait for
+    ACKs it can no longer send; a live peer is retransmitted to."""
+
+    def _delivered_but_unacked(self, tmp_path):
+        sets = _open_mesh(tmp_path, {0: [1], 1: [0]}, rto=0.01)
+        sets[0]._ack_ignore = 10**6  # every ACK to the sender is lost
+        sets[0].send_data(1, b"last one", step=0, phase=0, axis=0, side=1)
+        assert sets[1].recv_data({(0, 0, 0, 1, 0)}, timeout=5.0)
+        return sets
+
+    def test_peer_close_ends_the_flush(self, tmp_path):
+        import time
+
+        sets = self._delivered_but_unacked(tmp_path)
+        sets[1].close()
+        t0 = time.monotonic()
+        sets[0].close(flush_timeout=10.0)
+        assert time.monotonic() - t0 < 2.0
+
+    def test_live_peer_is_retransmitted_to(self, tmp_path):
+        import time
+
+        sets = self._delivered_but_unacked(tmp_path)
+        before = sets[0].retransmissions
+        t0 = time.monotonic()
+        sets[0].close(flush_timeout=0.3)
+        assert time.monotonic() - t0 >= 0.3
+        assert sets[0].retransmissions > before
+        sets[1].close()
+
+    def test_announcement_of_an_older_link_is_ignored(self, tmp_path):
+        sets = self._delivered_but_unacked(tmp_path)
+        sets[1].generation = -1  # an announcement from a stale incarnation
+        sets[1].close()
+        sets[0]._pump(0.2)
+        assert sets[0]._unacked
+        sets[0].close(flush_timeout=0.0)
 
 
 class TestExchangerIntegration:

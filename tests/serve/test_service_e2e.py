@@ -6,7 +6,8 @@ serial backend bit-for-bit, an identical resubmission is served from
 the cache with zero recompute, the cache survives a gateway restart,
 a worker death retries the in-flight job to completion, the workers
 die with a killed gateway, and both the live NDJSON stream and the
-facade's ``backend="service"`` path speak the same protocol.
+facade's ``backend="service"`` path speak the same protocol — the
+facade's result carries the job's diagnostics as well as its fields.
 """
 
 import json
@@ -176,6 +177,32 @@ class TestServiceEndToEnd:
         )
         assert again.cached is True
         assert again.elapsed == 0.0
+
+    def test_facade_service_backend_returns_diagnostics(self, gateway):
+        """A served run hands back the diagnostics the serial backend
+        samples, record for record (all but the wall-clock stamp)."""
+        from dataclasses import replace
+
+        from repro.distrib import DiagRecord, RunSettings
+
+        spec = ProblemSpec(
+            method="lb", grid_shape=(16, 16), blocks=(1, 1),
+            periodic=(True, False),
+            params={"nu": 0.05, "gravity": (1e-5, 0.0)},
+            geometry={"kind": "channel"},
+        )
+        settings = RunSettings(steps=20, diag_every=10)
+        served = repro.run(spec, "service", settings,
+                           server=gateway.address)
+        serial = repro.run(spec, "serial", settings)
+
+        def unstamped(records):
+            return [replace(r, wall_time=0.0) for r in records]
+
+        assert all(isinstance(r, DiagRecord) for r in served.diagnostics)
+        assert [r.step for r in serial.diagnostics] == [10, 20]
+        assert unstamped(served.diagnostics) == \
+            unstamped(serial.diagnostics)
 
 
 class TestRestartAndRetry:

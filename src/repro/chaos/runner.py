@@ -99,7 +99,6 @@ def chaos_settings(steps: int, save_every: int, plan: FaultPlan | None,
         sync_timeout=20.0,
         stall_timeout=6.0,
         run_timeout=120.0,
-        monitor_poll=0.02,
         # tracing is on so every injected fault and every recovery
         # action lands in the span ledger check_recovery_ledger audits
         trace=plan is not None,

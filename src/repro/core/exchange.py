@@ -21,6 +21,13 @@ Three exchange transports implement the same plan:
 * the cluster simulator, which never moves bytes but charges the plan's
   message sizes to the simulated Ethernet bus.
 
+The two transports that move bytes fill every face through one routine,
+:func:`fill_ghost`: hold, replicate the edge, copy the source strip, or
+hand a seam's source strips to its converter.  They differ only in
+where the source strips live — the neighbour's arrays in process, this
+subregion's own arrays for a periodic self-wrap, a decoded frame over a
+socket.
+
 At a physical (non-periodic) domain boundary the ghost strips are filled
 by replicating the edge values, in the same axis order, which keeps a
 decomposed run bit-for-bit identical to the serial one.  Ghost strips
@@ -48,6 +55,7 @@ __all__ = [
     "ExchangePlan",
     "build_plan",
     "sweep_axes",
+    "fill_ghost",
     "LocalExchanger",
 ]
 
@@ -239,6 +247,45 @@ def _replicate_edge(
     stage.copy(arr[(...,) + op.recv_slices], arr[(...,) + tuple(edge)])
 
 
+def fill_ghost(
+    sub: SubregionState,
+    op: EdgeOp,
+    field_names: Sequence[str],
+    src,
+    src_index,
+    stage: EdgeStage,
+    converter=None,
+) -> None:
+    """Fill one face's ghost strip: the one rule of every transport.
+
+    ``hold`` leaves the strip as decomposed; ``replicate`` copies the
+    edge plane outwards (``src`` is unused); ``recv`` copies
+    ``src[name][src_index]`` into each named field's ghost strip
+    through ``stage``.  On a seam edge (``converter`` given) the
+    source holds the neighbour's own representation instead, and the
+    converter translates its ``wire_fields`` into this subregion's
+    fields (``field_names`` is unused).  ``src`` maps field names to
+    arrays: the neighbour's fields with ``src_index`` its send strip,
+    this subregion's own fields for a periodic self-wrap, or a decoded
+    frame whose arrays already have the strip's shape.
+    """
+    if op.kind == "hold":
+        return
+    if op.kind == "replicate":
+        extent = sub.block.shape[op.axis]
+        for name in field_names:
+            _replicate_edge(sub.fields[name], op, sub.pad, extent, stage)
+        return
+    if converter is not None:
+        converter.convert(sub, op.recv_slices, src, src_index)
+        return
+    recv = (...,) + op.recv_slices
+    for name in field_names:
+        # staged when a periodic axis this one block spans wraps onto
+        # itself
+        stage.copy(sub.fields[name][recv], src[name][src_index])
+
+
 class LocalExchanger:
     """Exchange ghost strips between subregions living in one process.
 
@@ -260,7 +307,6 @@ class LocalExchanger:
         pad = self.subs[0].pad
         if any(s.pad != pad for s in self.subs):
             raise ValueError("all subregions must share the same pad width")
-        self.pad = pad
         self._by_rank = {s.block.rank: s for s in self.subs}
         self.plans = {
             s.block.rank: build_plan(decomp, s.block.rank, pad)
@@ -282,6 +328,10 @@ class LocalExchanger:
         #: here are *skipped* by :meth:`exchange` — their ghost strips
         #: are translated once per step by :meth:`exchange_seam` instead.
         self.converters = dict(converters or {})
+        self._seam_walk = tuple(
+            (sub.block.rank, op) for sub, op in self._walk
+            if (sub.block.rank, op.neighbor_rank) in self.converters
+        )
         self.stage = EdgeStage()
 
     def exchange(
@@ -308,7 +358,7 @@ class LocalExchanger:
                 else fields_by_rank[rank]
             )
             if fields and (rank, op.neighbor_rank) not in converters:
-                self._apply(sub, op, fields)
+                self.apply(rank, op, fields)
 
     def exchange_seam(self) -> None:
         """Translate every mixed-method ghost strip (once per step).
@@ -324,61 +374,30 @@ class LocalExchanger:
         later passes see earlier passes' translated corners exactly
         like the regular sweep.
         """
-        if not self.converters:
-            return
-        for sub, op in self._walk:
-            if (sub.block.rank, op.neighbor_rank) in self.converters:
-                self.apply_seam(sub.block.rank, op)
+        for rank, op in self._seam_walk:
+            self.apply(rank, op, ())
 
-    def apply_seam(self, rank: int, op: EdgeOp) -> None:
-        """Translate one seam edge's ghost strip (threaded runner entry).
-
-        ``op`` must be a ``recv`` operation of ``rank`` whose edge has
-        a converter installed; the neighbour's send strip of *its*
-        representation is handed to the converter exactly as one
-        iteration of :meth:`exchange_seam` would.
-        """
-        sub = self._by_rank[rank]
-        conv = self.converters[(rank, op.neighbor_rank)]
-        src = self._by_rank[op.neighbor_rank]
-        payload = {
-            name: src.fields[name][(...,) + op.src_slices]
-            for name in conv.wire_fields
-        }
-        conv.convert(sub, op.recv_slices, payload)
-
-    def apply_op(
+    def apply(
         self, rank: int, op: EdgeOp, field_names: Sequence[str]
     ) -> None:
-        """Apply one edge operation of one subregion's plan.
+        """Fill one face of one subregion (:func:`fill_ghost`).
 
-        The per-node entry point of the threaded runner
-        (:class:`~repro.core.threaded.ThreadedSimulation`): the
-        planner's dependency edges
-        guarantee the same read/write ordering the full axis sweep of
-        :meth:`exchange` enforces with its loop structure.
+        The per-face entry of both sweeps and of the threaded runner
+        (:class:`~repro.core.threaded.ThreadedSimulation`), whose
+        planner's dependency edges guarantee the read/write ordering
+        the sweeps enforce with their loop structure.  A ``recv`` face
+        with a converter installed is a seam: the converter translates
+        the neighbour's own fields and ``field_names`` is unused.
         """
-        self._apply(self._by_rank[rank], op, field_names)
-
-    def _apply(
-        self, sub: SubregionState, op: EdgeOp, field_names: Sequence[str]
-    ) -> None:
-        if op.kind == "hold":
+        sub = self._by_rank[rank]
+        if op.kind != "recv":
+            fill_ghost(sub, op, field_names, None, None, self.stage)
             return
-        if op.kind == "replicate":
-            extent = sub.block.shape[op.axis]
-            for name in field_names:
-                _replicate_edge(
-                    sub.fields[name], op, self.pad, extent, self.stage
-                )
-            return
-        src = self._by_rank[op.neighbor_rank]
-        recv = (...,) + op.recv_slices
-        send = (...,) + op.src_slices
-        for name in field_names:
-            # staged when a periodic axis this one block spans wraps
-            # onto itself
-            self.stage.copy(sub.fields[name][recv], src.fields[name][send])
+        fill_ghost(
+            sub, op, field_names,
+            self._by_rank[op.neighbor_rank].fields, (...,) + op.src_slices,
+            self.stage, self.converters.get((rank, op.neighbor_rank)),
+        )
 
     def message_bytes(
         self, rank: int, values_per_node: int, itemsize: int = 8

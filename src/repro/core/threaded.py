@@ -118,17 +118,15 @@ class ThreadedSimulation(Simulation):
                 methods[rank].finalize_step(sub)
                 tracer.end("finalize:0", t0, step=step_no, tid=tid)
                 sub.step += 1
-            else:
-                op = ops[(rank, node.axis, node.side)]
+            else:  # seam / exchange / replicate: one ghost fill
+                seam = kind == "seam"
                 t0 = tracer.begin()
-                if kind == "seam":
-                    exchanger.apply_seam(rank, op)
-                    tracer.end("seam:0", t0, step=step_no, tid=tid)
-                else:  # exchange / replicate
-                    exchanger.apply_op(rank, op,
-                                       phase_fields[node.phase][rank])
-                    tracer.end(exchange_names[node.phase], t0,
-                               step=step_no, tid=tid)
+                exchanger.apply(
+                    rank, ops[(rank, node.axis, node.side)],
+                    () if seam else phase_fields[node.phase][rank],
+                )
+                tracer.end("seam:0" if seam else exchange_names[node.phase],
+                           t0, step=step_no, tid=tid)
 
         indeg = [len(node.deps) for node in nodes]
         dependents: list[list[int]] = [[] for _ in nodes]

@@ -61,6 +61,10 @@ from .worker import (
 
 __all__ = ["Monitor", "MonitorError"]
 
+#: Seconds between two passes of the monitor loop (a worker's exit
+#: wakes it sooner, see ``Monitor._wait_for_exit``).
+MONITOR_POLL = 0.02
+
 
 class MonitorError(RuntimeError):
     """The distributed computation could not be driven to completion."""
@@ -91,8 +95,6 @@ class Monitor:
         hostdb: HostDB,
         procs: dict[int, subprocess.Popen],
         base_cfg: dict,
-        poll: float = 0.05,
-        load_limit: float = MIGRATE_LOAD_LIMIT,
         stall_timeout: float = 60.0,
         max_restarts: int = 2,
         policy: str = "migrate",
@@ -102,8 +104,6 @@ class Monitor:
         self.hostdb = hostdb
         self.procs = dict(procs)
         self.base_cfg = dict(base_cfg)
-        self.poll = poll
-        self.load_limit = load_limit
         self.stall_timeout = stall_timeout
         self.max_restarts = max_restarts
         self.policy = policy
@@ -268,7 +268,7 @@ class Monitor:
                 want.add(int(wish.name[len("wish_rank"):]))
                 wish.unlink()
             if self.policy == "migrate":
-                for host in self.hostdb.overloaded(self.load_limit):
+                for host in self.hostdb.overloaded(MIGRATE_LOAD_LIMIT):
                     if host.rank is not None:
                         want.add(host.rank)
             want -= self._done
@@ -309,9 +309,9 @@ class Monitor:
         try:
             for pid in pids:
                 fds.append(os.pidfd_open(pid))
-            select.select(fds, [], [], self.poll)
+            select.select(fds, [], [], MONITOR_POLL)
         except (AttributeError, OSError):
-            time.sleep(self.poll)
+            time.sleep(MONITOR_POLL)
         finally:
             for fd in fds:
                 os.close(fd)
@@ -424,7 +424,7 @@ class Monitor:
                     raise _EpochBroken(
                         f"rank {rank} never left during epoch {epoch}"
                     )
-                time.sleep(self.poll)
+                time.sleep(MONITOR_POLL)
             if proc.returncode != exit_code:
                 raise _EpochBroken(
                     f"rank {rank} exited {proc.returncode} instead of "
@@ -441,7 +441,7 @@ class Monitor:
                     raise _EpochBroken(
                         f"rank {rank} never paused during epoch {epoch}"
                     )
-                time.sleep(self.poll)
+                time.sleep(MONITOR_POLL)
         return running
 
     def _migrate(self, ranks: list[int]) -> None:

@@ -43,7 +43,6 @@ class RunSettings(WorkerKnobs):
     """
 
     steps: int
-    monitor_poll: float = 0.02
     stall_timeout: float = 60.0
     run_timeout: float = 300.0
     hosts: list[HostInfo] = field(default_factory=paper_cluster)
@@ -134,7 +133,6 @@ class DistributedRun:
             self.hostdb,
             procs,
             self.settings.worker_base_cfg(),
-            poll=self.settings.monitor_poll,
             stall_timeout=self.settings.stall_timeout,
             policy=self.settings.policy,
             balance=self.settings.balance_policy(),

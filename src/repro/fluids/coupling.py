@@ -180,25 +180,30 @@ def strip_velocity_gradients(
 # per-edge converters
 # ----------------------------------------------------------------------
 class SeamConverter(Protocol):
-    """Translate a neighbour's seam payload into my ghost strip.
+    """Translate a neighbour's seam strips into my ghost strip.
 
     ``wire_fields`` names the fields the *sender* ships (its own
-    representation); ``convert`` writes the receiver's ghost strip.
-    The payload arrays are read-only views or freshly unpacked buffers
-    shaped exactly like the receiver's ghost strip.
+    representation); ``wire_leading`` their leading (component) dims,
+    for receivers that do not hold a field themselves (a socket
+    transport decodes a frame by them); ``convert`` writes the
+    receiver's ghost strip.  Converters are invoked only through
+    :func:`repro.core.exchange.fill_ghost`.
     """
 
     wire_fields: tuple[str, ...]
+    wire_leading: Mapping[str, tuple[int, ...]]
 
     def convert(
         self,
         sub: SubregionState,
         recv_slices: Region,
-        payload: Mapping[str, np.ndarray],
+        src: Mapping[str, np.ndarray],
+        src_index,
     ) -> None:
-        """Translate the neighbour's ``payload`` strips (its own field
-        representation, see :func:`seam_wire_fields`) into this
-        subregion's fields over the ghost region ``recv_slices``."""
+        """Translate the neighbour's strips ``src[name][src_index]``
+        (its own field representation, see :func:`seam_wire_fields`)
+        into this subregion's fields over the ghost region
+        ``recv_slices``; each strip has the ghost strip's shape."""
         ...
 
 
@@ -208,14 +213,12 @@ class LBToFDConverter:
     def __init__(self, lb) -> None:
         self.lb = lb
         self.wire_fields: tuple[str, ...] = ("f",)
-        #: leading (component) dims per wire field, for receivers that
-        #: do not hold the field themselves (transport deserialization)
         self.wire_leading = {"f": (lb.lattice.q,)}
 
-    def convert(self, sub, recv_slices, payload) -> None:
+    def convert(self, sub, recv_slices, src, src_index) -> None:
         """Fill the FD ghost strip with the moments of the received
         LB populations."""
-        rho, vels = macro_from_populations(self.lb, payload["f"])
+        rho, vels = macro_from_populations(self.lb, src["f"][src_index])
         sub.fields["rho"][recv_slices] = rho
         for d, name in enumerate(self.lb.vel_names):
             sub.fields[name][recv_slices] = vels[d]
@@ -236,14 +239,13 @@ class FDToLBConverter:
         self.wire_fields: tuple[str, ...] = ("rho",) + lb.vel_names
         self.wire_leading: dict[str, tuple[int, ...]] = {}
 
-    def convert(self, sub, recv_slices, payload) -> None:
+    def convert(self, sub, recv_slices, src, src_index) -> None:
         """Adopt the received macro strips, then rebuild the LB ghost
         populations from them (equilibrium + half-force +
         non-equilibrium reconstruction)."""
         lb = self.lb
-        sub.fields["rho"][recv_slices] = payload["rho"]
-        for name in lb.vel_names:
-            sub.fields[name][recv_slices] = payload[name]
+        for name in self.wire_fields:
+            sub.fields[name][recv_slices] = src[name][src_index]
         vel_arrs = [sub.fields[n] for n in lb.vel_names]
         grads = strip_velocity_gradients(
             vel_arrs, recv_slices, dx=lb.params.dx

@@ -2,9 +2,13 @@
 
 Executes the same :class:`~repro.core.exchange.ExchangePlan` as the
 in-process :class:`~repro.core.exchange.LocalExchanger`, but each strip
-travels as one frame over a TCP channel.  Axis passes are sequential —
-axis-``d+1`` strips include the ghost columns freshly received in axis
-``d`` — which is what propagates corner data without diagonal messages.
+travels as one frame over a channel set (TCP or UDP).  Axis passes are
+sequential — axis-``d+1`` strips include the ghost columns freshly
+received in axis ``d`` — which is what propagates corner data without
+diagonal messages.  A received frame is decoded into strip arrays and
+then filled by the same :func:`~repro.core.exchange.fill_ghost` as the
+in-process exchanger uses, seam conversions included; the periodic
+self-wrap and the domain-boundary faces go through it too.
 
 With the numbers of the paper's methods this produces exactly the
 message pattern §6 counts: FD calls :meth:`SocketExchanger.exchange`
@@ -14,16 +18,12 @@ each neighbour pair sees 2 or 1 messages per step per axis direction.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
-from ..core.exchange import (
-    EdgeOp,
-    EdgeStage,
-    ExchangePlan,
-    _replicate_edge,
-)
+from ..core.exchange import EdgeOp, EdgeStage, ExchangePlan, fill_ghost
 from ..core.subregion import SubregionState
 from .channels import ChannelSet
 
@@ -36,7 +36,7 @@ SEAM_PHASE = 15
 
 
 class SocketExchanger:
-    """Exchange ghost strips of one subregion over TCP.
+    """Exchange ghost strips of one subregion over a channel set.
 
     Walks the plan's axis passes (:attr:`ExchangePlan.passes`); the wire
     frames of a pass carry ``pass * 4 + axis`` as their axis tag, so an
@@ -90,67 +90,50 @@ class SocketExchanger:
         self, field_names: Sequence[str], phase: int, seam: bool
     ) -> None:
         """Per pass: send every strip, receive from whichever neighbour
-        is ready, then fill the domain-boundary faces (regular exchange
-        only).  ``seam`` selects the converter edges instead of the
-        same-method ones."""
+        is ready, then fill the pass's faces.  ``seam`` selects the
+        converter edges instead of the same-method ones and the
+        domain-boundary faces."""
         sub = self.sub
+        rank = sub.block.rank
         step = sub.step
         converters = self.converters
         for pass_idx, ops in enumerate(self.plan.passes):
             # Distinct wire tag per pass so repeated axes cannot collide
             # in the receiver's out-of-order buffer.
             tag = pass_idx * 4 + ops[0].axis
-            edges = [
-                op for op in ops
-                if op.kind == "recv"
-                and (op.neighbor_rank in converters) == seam
-            ]
-            for op in edges:
-                if op.neighbor_rank == sub.block.rank:
-                    # a periodic axis this one block spans wraps onto
-                    # itself: a local copy, as in LocalExchanger
-                    for name in field_names:
-                        arr = sub.fields[name]
-                        self.stage.copy(arr[(...,) + op.recv_slices],
-                                        arr[(...,) + op.src_slices])
-                    continue
-                payload = self._pack(field_names, op.send_slices)
-                self.channels.send_data(
-                    op.neighbor_rank,
-                    payload,
-                    step=step,
-                    phase=phase,
-                    axis=tag,
-                    side=op.side,
-                )
-                self.bytes_sent += len(payload)
-                self.messages_sent += 1
             # The frame filling my side-s ghost was sent across the
             # neighbour's opposite face, so it carries -s.
-            keys = {
-                (step, phase, tag, -op.side, op.neighbor_rank): op
-                for op in edges if op.neighbor_rank != sub.block.rank
-            }
-            if keys:
-                payloads = self.channels.recv_data(
-                    set(keys), timeout=self.timeout
-                )
-                for key, op in keys.items():
-                    if seam:
-                        conv = converters[op.neighbor_rank]
-                        arrays = self._unpack_seam(conv, op, payloads[key])
-                        conv.convert(sub, op.recv_slices, arrays)
-                    else:
-                        self._unpack(field_names, op, payloads[key])
-            # "hold" faces (inactive solid blocks) need nothing.
+            keys = {}
             for op in ops:
-                if op.kind == "replicate" and not seam:
-                    extent = sub.block.shape[op.axis]
-                    for name in field_names:
-                        _replicate_edge(
-                            sub.fields[name], op, sub.pad, extent,
-                            self.stage,
-                        )
+                if (op.kind == "recv" and op.neighbor_rank != rank
+                        and (op.neighbor_rank in converters) == seam):
+                    payload = self._pack(field_names, op.send_slices)
+                    self.channels.send_data(
+                        op.neighbor_rank, payload,
+                        step=step, phase=phase, axis=tag, side=op.side,
+                    )
+                    self.bytes_sent += len(payload)
+                    self.messages_sent += 1
+                    keys[(step, phase, tag, -op.side, op.neighbor_rank)] = op
+            payloads = (
+                self.channels.recv_data(set(keys), timeout=self.timeout)
+                if keys else {}
+            )
+            for key, op in keys.items():
+                conv = converters.get(op.neighbor_rank)
+                strips = self._decode(op, field_names, payloads[key], conv)
+                fill_ghost(sub, op, field_names, strips, ..., self.stage,
+                           conv)
+            if seam:
+                continue
+            for op in ops:
+                if op.kind != "recv":  # replicate; hold needs nothing
+                    fill_ghost(sub, op, field_names, None, None, self.stage)
+                elif op.neighbor_rank == rank:
+                    # a periodic axis this one block spans wraps onto
+                    # itself
+                    fill_ghost(sub, op, field_names, sub.fields,
+                               (...,) + op.src_slices, self.stage)
 
     # ------------------------------------------------------------------
     # (de)serialization
@@ -166,71 +149,40 @@ class SocketExchanger:
             )
         return b"".join(parts)
 
-    def _unpack(
-        self,
-        field_names: Sequence[str],
-        op: EdgeOp,
-        payload: bytes,
-    ) -> None:
-        offset = 0
-        for name in field_names:
-            arr = self.sub.fields[name]
-            target = arr[(...,) + op.recv_slices]
-            nbytes = target.size * target.itemsize
-            chunk = payload[offset : offset + nbytes]
-            if len(chunk) != nbytes:
-                raise ValueError(
-                    f"strip for field {name!r} from rank "
-                    f"{op.neighbor_rank} at step {self.sub.step} "
-                    f"truncated: {len(chunk)}/{nbytes} bytes"
-                )
-            target[...] = np.frombuffer(chunk, dtype=arr.dtype).reshape(
-                target.shape
-            )
-            offset += nbytes
-        if offset != len(payload):
-            raise ValueError(
-                f"frame from rank {op.neighbor_rank} at step "
-                f"{self.sub.step} has {len(payload) - offset} "
-                f"unexpected trailing bytes"
-            )
+    def _decode(
+        self, op: EdgeOp, field_names: Sequence[str], payload: bytes,
+        converter=None,
+    ) -> dict[str, np.ndarray]:
+        """Decode one strip frame into read-only ``float64`` arrays.
 
-    def _unpack_seam(self, conv, op: EdgeOp, payload: bytes):
-        """Decode a seam frame into arrays of the neighbour's fields.
-
-        The receiver may not hold the shipped fields at all (an FD rank
-        has no populations), so shapes come from the strip geometry:
-        neighbouring blocks agree on every non-seam extent, making my
-        ghost strip exactly the shape of the neighbour's send strip.
-        Leading component dimensions (the ``(Q,)`` of a population
-        array) come from the converter's ``wire_leading`` map.
+        Every array has my ghost strip's shape: neighbouring blocks
+        agree on every extent but the exchanged axis, so my ghost strip
+        is exactly the shape of the neighbour's send strip.  Leading
+        component dims (the ``(Q,)`` of a population array) come from
+        my own field — or, on a seam, from the converter's
+        ``wire_leading``, since I may not hold the shipped field at all
+        (an FD rank has no populations).  A frame of any other length
+        raises ``ValueError`` before anything is written.
         """
-        strip_shape = tuple(
-            len(range(*sl.indices(self.sub.padded_shape[d])))
-            for d, sl in enumerate(op.recv_slices)
-        )
-        leading = getattr(conv, "wire_leading", {})
-        arrays = {}
-        offset = 0
-        for name in conv.wire_fields:
-            shape = tuple(leading.get(name, ())) + strip_shape
-            count = int(np.prod(shape))
-            nbytes = count * 8
-            chunk = payload[offset : offset + nbytes]
-            if len(chunk) != nbytes:
-                raise ValueError(
-                    f"seam strip for field {name!r} from rank "
-                    f"{op.neighbor_rank} at step {self.sub.step} "
-                    f"truncated: {len(chunk)}/{nbytes} bytes"
-                )
-            arrays[name] = np.frombuffer(chunk, dtype=np.float64).reshape(
-                shape
-            )
-            offset += nbytes
-        if offset != len(payload):
+        sub = self.sub
+        strip = tuple(len(range(*sl.indices(n)))
+                      for sl, n in zip(op.recv_slices, sub.padded_shape))
+        names = field_names if converter is None else converter.wire_fields
+        shapes = [
+            (sub.fields[name].shape[:-len(strip)] if converter is None
+             else converter.wire_leading.get(name, ())) + strip
+            for name in names
+        ]
+        counts = [math.prod(shape) for shape in shapes]
+        if len(payload) != 8 * sum(counts):
             raise ValueError(
-                f"seam frame from rank {op.neighbor_rank} at step "
-                f"{self.sub.step} has {len(payload) - offset} "
-                f"unexpected trailing bytes"
+                f"frame from rank {op.neighbor_rank} at step {sub.step} "
+                f"has {len(payload)} bytes, expected {8 * sum(counts)}"
             )
-        return arrays
+        strips = {}
+        offset = 0
+        for name, shape, count in zip(names, shapes, counts):
+            strips[name] = np.frombuffer(
+                payload, np.float64, count, offset).reshape(shape)
+            offset += 8 * count
+        return strips

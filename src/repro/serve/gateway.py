@@ -96,7 +96,6 @@ class Gateway:
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int = 2,
-        max_retries: int = 2,
         history_gc_bytes: int = HISTORY_GC_BYTES,
     ) -> None:
         self.serve_dir = Path(serve_dir).resolve()
@@ -118,8 +117,7 @@ class Gateway:
         except OSError:
             log.exception("job-history compaction failed (continuing)")
         self.scheduler = Scheduler(
-            self.serve_dir, self.pool, self.cache, self.history,
-            max_retries=max_retries,
+            self.serve_dir, self.pool, self.cache, self.history
         )
         self._tick_errors: set[str] = set()
         self._server: asyncio.base_events.Server | None = None

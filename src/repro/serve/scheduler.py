@@ -16,7 +16,7 @@ Scheduling policy:
   backend in the worker's warm interpreter; **large** jobs fan out
   through the normal distributed path inside their worker;
 * a worker death (EOF on its socket) requeues its in-flight job
-  (``running -> queued``, bounded by ``max_retries``) — the serve-layer
+  (``running -> queued``, bounded by ``MAX_RETRIES``) — the serve-layer
   mirror of the monitor's checkpoint-restart contract;
 * the first job to finish a fingerprint fills the result cache; every
   later identical submission is answered from the cache at submit time
@@ -44,6 +44,8 @@ log = logging.getLogger("repro.serve")
 
 #: Grids with at most this many nodes count as "small" and run serially.
 DEFAULT_BATCH_NODES = 96 * 96
+#: Times a job whose pool worker died is requeued before it fails.
+MAX_RETRIES = 2
 
 
 def _intake(spec, settings, seed: int, backend: str | None):
@@ -81,13 +83,11 @@ class Scheduler:
         pool: WorkerPool,
         cache: ResultCache,
         history: JobHistory,
-        max_retries: int = 2,
     ) -> None:
         self.serve_dir = Path(serve_dir).resolve()
         self.pool = pool
         self.cache = cache
         self.history = history
-        self.max_retries = max_retries
         self.jobs_dir = self.serve_dir / "jobs"
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
         #: job_id -> latest record (authoritative in-memory table)
@@ -272,7 +272,7 @@ class Scheduler:
             rec = self.records[job_id]
             if rec.terminal:
                 continue
-            if rec.retries < self.max_retries:
+            if rec.retries < MAX_RETRIES:
                 rec.retries += 1
                 rec.worker = -1
                 rec.advance("queued")
@@ -283,7 +283,7 @@ class Scheduler:
             else:
                 rec.error = (
                     f"worker {worker} died and the job exhausted "
-                    f"{self.max_retries} retries"
+                    f"{MAX_RETRIES} retries"
                 )
                 rec.advance("failed")
                 rec.finished = time.time()  # wall stamp

@@ -339,12 +339,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     client = None
     if args.address or args.serve_dir:
-        from ..serve import ServeClient
-
-        try:
-            client = ServeClient(args.address or args.serve_dir)
-        except RuntimeError as exc:  # no running gateway to discover
-            print(f"sweep: {exc}", file=sys.stderr)
+        client = _serve_client("sweep", args.address or args.serve_dir)
+        if client is None:
             return 2
     out_dir = Path(args.out or Path("sweeps") / scenario.name)
     try:
@@ -437,12 +433,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _serve_client(command: str, address: str, **kwargs):
+    """A client of the gateway at ``address`` (``host:port`` or a serve
+    directory), or ``None`` once the command has printed discover's
+    one-line message because no gateway is running there (exit 2)."""
+    from ..serve import ServeClient
+
+    try:
+        return ServeClient(address, **kwargs)
+    except RuntimeError as exc:  # no running gateway to discover
+        print(f"{command}: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_submit(args: argparse.Namespace) -> int:
     """Submit one spec to a running gateway (optionally wait/stream)."""
     from ..distrib.spec import ProblemSpec
-    from ..serve import ServeClient
 
-    client = ServeClient(args.address or args.dir, timeout=args.timeout)
+    client = _serve_client("submit", args.address or args.dir,
+                           timeout=args.timeout)
+    if client is None:
+        return 2
     spec = ProblemSpec.load(args.spec) if args.spec else _simulate_spec(args)
     rec = client.submit(
         spec,
@@ -478,9 +489,10 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 def _cmd_jobs(args: argparse.Namespace) -> int:
     """List every job the gateway knows, newest first."""
     from ..harness import format_table
-    from ..serve import ServeClient
 
-    client = ServeClient(args.address or args.dir)
+    client = _serve_client("jobs", args.address or args.dir)
+    if client is None:
+        return 2
     if args.gc:
         stats = client.gc()
         print(f"history compacted: {stats['events_before']} -> "
@@ -505,9 +517,9 @@ def _cmd_result(args: argparse.Namespace) -> int:
     """Print one job's result payload (and optionally save its fields)."""
     import json
 
-    from ..serve import ServeClient
-
-    client = ServeClient(args.address or args.dir)
+    client = _serve_client("result", args.address or args.dir)
+    if client is None:
+        return 2
     payload = client.result(args.job_id)
     print(json.dumps(payload, indent=2, default=str))
     if args.fields_out:
@@ -519,9 +531,11 @@ def _cmd_result(args: argparse.Namespace) -> int:
 
 def _cmd_top(args: argparse.Namespace) -> int:
     """The live cluster view (workers, queue, cache, recent jobs)."""
-    from ..serve import ServeClient, watch
+    from ..serve import watch
 
-    client = ServeClient(args.address or args.dir)
+    client = _serve_client("top", args.address or args.dir)
+    if client is None:
+        return 2
     watch(client, interval=args.interval, iterations=args.iterations)
     return 0
 

@@ -316,10 +316,11 @@ class TestSignalEpoch:
 
 
 @pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="needs pidfd")
-def test_wait_wakes_when_a_worker_exits(tmp_path):
+def test_wait_wakes_when_a_worker_exits(tmp_path, monkeypatch):
     """Between polls the monitor waits on the workers' pidfds, so a
     worker's exit ends the wait long before the poll period."""
-    mon = _monitor(tmp_path, poll=30.0)
+    monkeypatch.setattr(monitor_mod, "MONITOR_POLL", 30.0)
+    mon = _monitor(tmp_path)
     child = subprocess.Popen(
         [sys.executable, "-c", "import time; time.sleep(0.2)"])
     try:

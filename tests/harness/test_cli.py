@@ -175,6 +175,29 @@ class TestSweepDiscovery:
         assert ran == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["submit", "--steps", "1"], ["jobs"], ["result", "0"],
+        ["top", "--iterations", "1"],
+    ], ids=lambda c: c[0])
+    def test_client_without_a_gateway_exits_2(self, tmp_path, command):
+        """Every gateway client pointed at a serve directory with no
+        running gateway prints discover's one line and exits 2."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[2] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.tools", *command,
+             "--dir", str(tmp_path)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"{command[0]}: no running gateway")
+
 
 @pytest.mark.slow
 class TestServeClients:

@@ -1,13 +1,17 @@
 """Adversarial input handling: garbage on the wire must fail loudly,
 never hang or corrupt."""
 
+import functools
 import socket
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.net import ProtocolError, pack_frame, recv_frame
+from repro.core import ExchangePlan
+from repro.distrib import ProblemSpec
+from repro.fluids.coupling import seam_wire_fields
+from repro.net import ProtocolError, SocketExchanger, pack_frame, recv_frame
 from repro.net.protocol import HEADER_SIZE, MSG_DATA
 from repro.net.udp import UdpChannelSet, _HEADER, _MAGIC, _VERSION
 from repro.net.portfile import PortRegistry
@@ -99,3 +103,113 @@ class TestUdpDatagramFuzz:
                 cs._handle_packet(pkt, ("127.0.0.1", 9))
         finally:
             cs._sock.close()
+
+
+class _OneFrame:
+    """A channel set whose every receive delivers the frame under test."""
+
+    payload = b""
+
+    def send_data(self, *args, **kwargs) -> None:
+        pass
+
+    def recv_data(self, keys, timeout):
+        return dict.fromkeys(keys, self.payload)
+
+
+#: frame kind -> (method spec, receiving rank); the hybrid puts LB on
+#: rank 0 and FD on rank 1
+_HYBRID = {"default": "lb",
+           "regions": [{"box": [[8, 0], [16, 12]], "method": "fd"}]}
+_KINDS = {
+    "fd": ("fd", 0),
+    "lb": ("lb", 0),
+    "seam-fd-to-lb": (_HYBRID, 0),
+    "seam-lb-to-fd": (_HYBRID, 1),
+}
+
+
+@functools.cache
+def _strip_case(kind):
+    """One rank's exchanger over a one-face plan, the exchange that
+    receives its frame, the exact frame and the strips it packs: the
+    neighbour's send strips of a 16x12 channel one step in, plus 1/8 —
+    ``rho, u, v`` for FD, the populations for LB, each side's own
+    representation on a seam."""
+    method, rank = _KINDS[kind]
+    sim = ProblemSpec(
+        method=method, grid_shape=(16, 12), blocks=(2, 1),
+        periodic=(False, False),
+        params={"nu": 0.1, "gravity": (1e-5, 0.0), "filter_eps": 0.0},
+        geometry={"kind": "channel"},
+    ).build_simulation()
+    sim.step(1)
+    op = next(op for op in sim.exchanger.plans[rank].ops
+              if op.kind == "recv")
+    convs = {src: c for (dst, src), c in sim.exchanger.converters.items()
+             if dst == rank}
+    ex = SocketExchanger(
+        sim.subs[rank], ExchangePlan(rank, (op,), ((op,),)), _OneFrame(),
+        converters=convs, wire_fields=seam_wire_fields(sim.methods[rank]),
+    )
+    if convs:
+        names = convs[op.neighbor_rank].wire_fields
+        run = ex.exchange_seam
+    else:
+        names = ("f",) if kind == "lb" else ("rho", "u", "v")
+        run = functools.partial(ex.exchange, names, 0)
+    # offset, so a filled ghost byte differs from the one it replaces
+    peer = sim.subs[op.neighbor_rank].fields
+    strips = {n: peer[n][(...,) + op.src_slices] + 0.125 for n in names}
+    frame = b"".join(a.tobytes() for a in strips.values())
+    return ex, op, run, frame, strips
+
+
+class TestStripDecoderFuzz:
+    """A received strip frame is decoded whole before any ghost byte is
+    written: a frame of the wrong length changes nothing."""
+
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    @given(cut=st.integers(1, 8192), tail=st.binary(max_size=64))
+    @example(cut=1, tail=b"")  # one byte short: truncated in its last field
+    @settings(max_examples=40, deadline=None)
+    def test_wrong_length_raises_and_writes_nothing(self, kind, cut, tail):
+        """``cut`` bytes short of the exact frame, or ``tail`` past it."""
+        ex, op, run, frame, _ = _strip_case(kind)
+        ex.channels.payload = frame + tail if tail else frame[:-cut]
+        sub = ex.sub
+        before = {k: v.copy() for k, v in sub.fields.items()}
+        try:
+            with pytest.raises(
+                ValueError,
+                match=rf"rank {op.neighbor_rank} at step {sub.step}\b",
+            ):
+                run()
+            for k, v in sub.fields.items():
+                assert v.tobytes() == before[k].tobytes(), k
+        finally:
+            for k, v in before.items():
+                sub.fields[k][...] = v
+
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    def test_exact_length_fills_only_its_strip(self, kind):
+        ex, op, run, frame, strips = _strip_case(kind)
+        ex.channels.payload = frame
+        sub = ex.sub
+        before = {k: v.copy() for k, v in sub.fields.items()}
+        ghost = np.zeros(sub.padded_shape, dtype=bool)
+        ghost[op.recv_slices] = True
+        try:
+            run()
+            for k, v in sub.fields.items():
+                assert v[..., ~ghost].tobytes() == \
+                    before[k][..., ~ghost].tobytes(), k
+            if not ex.converters:
+                for k, strip in strips.items():
+                    np.testing.assert_array_equal(
+                        sub.fields[k][(...,) + op.recv_slices], strip)
+            assert any(v.tobytes() != before[k].tobytes()
+                       for k, v in sub.fields.items())
+        finally:
+            for k, v in before.items():
+                sub.fields[k][...] = v

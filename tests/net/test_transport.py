@@ -1,16 +1,36 @@
-"""SocketExchanger: ghost exchange over real TCP equals LocalExchanger."""
+"""SocketExchanger: ghost exchange over real sockets equals LocalExchanger."""
 
+import os
 import threading
 
 import numpy as np
 import pytest
 
 from repro.core import Decomposition, LocalExchanger, build_plan, make_subregions
-from repro.net import ChannelSet, PortRegistry, SocketExchanger
+from repro.distrib import ProblemSpec
+from repro.fluids.coupling import seam_wire_fields
+from repro.net import ChannelSet, PortRegistry, SocketExchanger, UdpChannelSet
+
+UDP_LOSS = float(os.environ.get("REPRO_UDP_LOSS", "0.05"))
+
+#: channel set per transport, ``(rank, neighbours, registry) -> set``
+CHANNELS = {
+    "tcp": ChannelSet,
+    "udp": lambda rank, nbrs, reg: UdpChannelSet(
+        rank, nbrs, reg, rto=0.02, loss_rate=UDP_LOSS, loss_seed=11),
+}
 
 
-def _socket_exchange(tmp_path, decomp, subs, field_names, pad):
-    """Run one socket exchange across threads (one per subregion)."""
+def _socket_exchange(tmp_path, decomp, subs, field_names, pad,
+                     channels=ChannelSet, exchange=None):
+    """Run one socket exchange across threads (one per subregion).
+
+    ``exchange(sub, plan, channel_set)`` does the exchange; by default
+    a plain one of ``field_names``.
+    """
+    if exchange is None:
+        def exchange(sub, plan, cs):
+            SocketExchanger(sub, plan, cs).exchange(field_names, phase=0)
     reg = PortRegistry(tmp_path / "ports.txt")
     plans = {s.block.rank: build_plan(decomp, s.block.rank, pad)
              for s in subs}
@@ -18,7 +38,7 @@ def _socket_exchange(tmp_path, decomp, subs, field_names, pad):
     for s in subs:
         nbrs = {op.neighbor_rank for op in plans[s.block.rank].recv_ops()}
         nbrs -= {s.block.rank}
-        sets[s.block.rank] = ChannelSet(s.block.rank, nbrs, reg)
+        sets[s.block.rank] = channels(s.block.rank, nbrs, reg)
     errors = []
 
     def run(sub):
@@ -26,8 +46,7 @@ def _socket_exchange(tmp_path, decomp, subs, field_names, pad):
         cs = sets[rank]
         try:
             cs.open(0, timeout=10.0)
-            ex = SocketExchanger(sub, plans[rank], cs)
-            ex.exchange(field_names, phase=0)
+            exchange(sub, plans[rank], cs)
         except Exception as exc:  # pragma: no cover
             errors.append(exc)
         finally:
@@ -41,39 +60,91 @@ def _socket_exchange(tmp_path, decomp, subs, field_names, pad):
     assert not errors, errors
 
 
-@pytest.mark.parametrize(
-    "blocks,periodic",
-    [
-        ((2, 1), (False, False)),
-        ((2, 2), (False, False)),
-        ((2, 2), (True, True)),
-        ((3, 2), (True, False)),
-    ],
-    ids=["2x1", "2x2", "2x2per", "3x2mixed"],
-)
-def test_socket_matches_local(tmp_path, blocks, periodic):
+def _field_case(blocks, periodic):
+    """Two copies of a two-field state with scrambled ghosts: the local
+    exchange, and the socket exchange of the same fields."""
     shape = (20, 16)
     rng = np.random.default_rng(5)
     a = rng.random(shape)
     b = rng.random((4,) + shape)  # component field, like LB populations
     d = Decomposition(shape, blocks, periodic=periodic)
-    pad = 3
-
-    subs_sock = make_subregions(d, pad, {"a": a, "b": b})
-    subs_local = make_subregions(d, pad, {"a": a, "b": b})
+    subs_sock = make_subregions(d, 3, {"a": a, "b": b})
+    subs_local = make_subregions(d, 3, {"a": a, "b": b})
     for group in (subs_sock, subs_local):
         for sub in group:
             mask = np.ones(sub.padded_shape, dtype=bool)
             mask[sub.interior] = False
             sub.fields["a"][mask] = -7.0
             sub.fields["b"][:, mask] = -7.0
+    local = LocalExchanger(d, subs_local)
+    return (d, subs_local, lambda: local.exchange(["a", "b"]),
+            subs_sock, ["a", "b"], None)
 
-    LocalExchanger(d, subs_local).exchange(["a", "b"])
-    _socket_exchange(tmp_path, d, subs_sock, ["a", "b"], pad)
 
+def _seam_case():
+    """Two copies of an LB|FD channel two steps in (an x-periodic seam
+    on both faces of each block): the local seam translation, and the
+    socket one."""
+    spec = ProblemSpec(
+        method={"default": "lb",
+                "regions": [{"box": [[16, 0], [32, 24]], "method": "fd"}]},
+        grid_shape=(32, 24), blocks=(2, 1), periodic=(True, False),
+        params={"nu": 0.1, "gravity": (1e-5, 0.0), "filter_eps": 0.0},
+        geometry={"kind": "channel"},
+    )
+    local, sock = spec.build_simulation(), spec.build_simulation()
+    local.step(2)
+    sock.step(2)
+    convs = sock.exchanger.converters
+
+    def exchange(sub, plan, cs):
+        rank = sub.block.rank
+        SocketExchanger(
+            sub, plan, cs,
+            converters={src: c for (dst, src), c in convs.items()
+                        if dst == rank},
+            wire_fields=seam_wire_fields(sock.methods[rank]),
+        ).exchange_seam()
+
+    return (sock.decomp, local.subs, local.exchanger.exchange_seam,
+            sock.subs, (), exchange)
+
+
+#: layout -> case builder; the TCP cases keep their bare names
+CASES = {
+    "2x1": lambda: _field_case((2, 1), (False, False)),
+    "2x2": lambda: _field_case((2, 2), (False, False)),
+    "2x2per": lambda: _field_case((2, 2), (True, True)),
+    "3x2mixed": lambda: _field_case((3, 2), (True, False)),
+    "1x2wrap": lambda: _field_case((1, 2), (True, False)),
+    "fd|lb": _seam_case,
+}
+
+
+@pytest.mark.parametrize(
+    "transport,layout",
+    [(t, c) for t in CHANNELS for c in CASES],
+    ids=[c if t == "tcp" else f"{t}-{c}" for t in CHANNELS for c in CASES],
+)
+def test_socket_matches_local(tmp_path, transport, layout):
+    """Each transport fills bitwise what the in-process exchanger fills
+    — the periodic self-wrap of ``1x2wrap`` and the seam conversions of
+    ``fd|lb`` included."""
+    d, subs_local, run_local, subs_sock, names, exchange = CASES[layout]()
+    before = [{k: v.copy() for k, v in s.fields.items()}
+              for s in subs_local]
+    run_local()
+    _socket_exchange(tmp_path, d, subs_sock, names, subs_sock[0].pad,
+                     CHANNELS[transport], exchange)
+
+    assert any(not np.array_equal(v, old[k])
+               for s, old in zip(subs_local, before)
+               for k, v in s.fields.items())
     for s_sock, s_loc in zip(subs_sock, subs_local):
-        np.testing.assert_array_equal(s_sock.fields["a"], s_loc.fields["a"])
-        np.testing.assert_array_equal(s_sock.fields["b"], s_loc.fields["b"])
+        assert s_sock.fields.keys() == s_loc.fields.keys()
+        for name in s_loc.fields:
+            np.testing.assert_array_equal(s_sock.fields[name],
+                                          s_loc.fields[name])
 
 
 def test_socket_extended_sweep_with_inactive_block(tmp_path):

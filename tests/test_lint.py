@@ -216,3 +216,28 @@ def test_one_support_check():
         "support rule outside distrib.settings.check_supported:\n"
         + "\n".join(offenders)
     )
+
+
+#: the ghost-fill primitives only ``core.exchange.fill_ghost`` calls
+GHOST_FILL_CALLS = {"_replicate_edge", "convert"}
+
+
+def test_one_ghost_fill():
+    """Every transport fills a face through ``fill_ghost``: no module
+    but ``core/exchange.py`` replicates an edge or runs a seam
+    converter itself, so the in-process and socket fills cannot drift
+    apart again."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if rel == "core/exchange.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and _call_name(node) in GHOST_FILL_CALLS):
+                offenders.append(f"{rel}:{node.lineno}: "
+                                 f"{_call_name(node)}()")
+    assert not offenders, (
+        "ghost strip filled outside core.exchange.fill_ghost:\n"
+        + "\n".join(offenders)
+    )

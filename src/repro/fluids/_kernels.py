@@ -13,7 +13,8 @@ slabs (:func:`slab_depth`, :func:`plane_slabs`): a neighbour along axis
 ``d`` is the flat offset ``±stride[d]``, a node-wise kernel is one long
 inner loop per operation, and values computed at ghost positions
 between the region's rows are never committed — each kernel writes
-back only ``field[region]`` from its slab buffer (:meth:`Slab.of`).
+back only ``field[region]`` from its slab buffer (:meth:`Slab.of`), or
+adds an increment that is ``±0`` off the region over the whole span.
 
 The stencils (:func:`central_diff`, :func:`second_diff`,
 :func:`laplacian`, :func:`fourth_diff_sum`) run on either form: a region
@@ -118,7 +119,11 @@ def second_diff(
     out: np.ndarray | None = None,
     step: int = 1,
 ) -> np.ndarray:
-    """Second-order centered second derivative on ``region``."""
+    """Second-order centered second derivative on ``region``.
+
+    The division by ``dx^2`` is skipped when it is exactly 1.0 (lattice
+    units): dividing by one changes no bit.
+    """
     plus = a[shift_region(region, axis, +step)]
     minus = a[shift_region(region, axis, -step)]
     mid = a[region]
@@ -127,7 +132,9 @@ def second_diff(
     np.multiply(mid, 2.0, out=out)
     np.subtract(plus, out, out=out)
     out += minus
-    out /= dx * dx
+    h2 = dx * dx
+    if h2 != 1.0:
+        out /= h2
     return out
 
 

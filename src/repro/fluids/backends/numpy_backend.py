@@ -9,11 +9,15 @@ and stencil neighbours are flat offsets (``±stride[axis]``).  Results
 land in slab-sized per-subregion scratch (the ``lb_*``/``fd_*``/
 ``filter_*`` names of :meth:`repro.core.subregion.SubregionState.scratch`)
 and only the region's nodes are committed, so values computed at ghost
-positions are thrown away and no field byte outside the region
-changes.  A kernel that rewrites a field its stencil reads (the pull
+positions are thrown away.  The collision is the one exception: its
+increment is masked to ``±0`` off the region and added over the whole
+contiguous span, which is cheaper than a strided commit and leaves
+those bytes as they were.  No kernel changes a field byte outside its
+region.  A kernel that rewrites a field its stencil reads (the pull
 stream, the density update, the filter) commits each slab only after
-the next one has been computed.  Nothing here allocates after the
-first step.
+the next one has been computed.  A product or quotient by a factor of
+exactly 1.0 (``dt``, ``dx^2`` in lattice units) is skipped: it changes
+no bit.  Nothing here allocates after the first step.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ def lb_init(method, sub) -> None:
     everything = tuple(slice(0, n) for n in shape)
     depth = slab_depth(shape, everything, q)
     n = depth * math.prod(shape[1:])
-    eu = np.empty((q, n))
+    eu = np.empty((q // 2, n))
     usq = np.empty(n)
     tmp = np.empty(n)
     f = np.empty((q,) + shape)
@@ -75,6 +79,17 @@ def lb_relax(method, sub) -> None:
     ``A1_i = 3 w + 9 pref (e_i . g)`` and ``A0_i = w + 3 pref (e_i . g)``.
     Expanding recovers the textbook ``w (f_eq_i - f_i) + S_i`` with the
     Guo source ``S_i = pref w_i [3 (e_i - u) + 9 eu e_i] . (rho g)``.
+
+    A slab costs at most eleven passes over its ``(Q, n)`` buffers:
+    ``e_i . u`` is formed for half the rows by signed sums
+    (:meth:`LBMethod.pair_eu`) and the polynomial shares it with the
+    opposite rows (:meth:`LBMethod.pair_polynomial`); the fluid-and-
+    interior mask ``keep`` is folded into ``rho`` and ``w`` as node-sized
+    products, so ``delta`` is ``±0`` at solid nodes and on the ghost
+    columns of the span, and the increment is added over the whole
+    contiguous span.  Adding ``±0`` changes no population that is not
+    ``-0.0``: no byte outside the region changes, and every population
+    inside gets the bits of the per-population Horner form.
     """
     region = sub.interior
     shape = sub.padded_shape
@@ -85,9 +100,14 @@ def lb_relax(method, sub) -> None:
     delta = sub.scratch("lb_delta", (q, n))
     s = sub.scratch("lb_usq", (n,))
     tmp = sub.scratch("lb_tmp", (n,))
+    keep = sub.scratch("lb_keep", (n,))
+    rho_keep = sub.scratch("lb_rho_keep", (n,))
+    # keep <- 1 on the region's columns of every slab plane, 0 on ghosts
+    keep.fill(0.0)
+    keep.reshape((depth,) + tuple(shape[1:]))[
+        (slice(None),) + tuple(region[1:])] = 1.0
     ndim = method.ndim
-    field = sub.fields["f"]
-    f = flat_nodes(field, ndim)
+    f = flat_nodes(sub.fields["f"], ndim)
     rho = flat_nodes(sub.fields["rho"], ndim)
     vels = [flat_nodes(sub.fields[v], ndim) for v in method.vel_names]
     fluid = flat_nodes(sub.aux["fluid_f"], ndim)
@@ -95,13 +115,9 @@ def lb_relax(method, sub) -> None:
     omega = method._omega
     for slab in plane_slabs(shape, region, depth):
         span, loc = slab.span, slab.local
-        e, dl, ss, t = eu[:, loc], delta[:, loc], s[loc], tmp[loc]
+        e, dl, ss, t, rk = (eu[:, loc], delta[:, loc], s[loc], tmp[loc],
+                            rho_keep[loc])
         u = [v[span] for v in vels]
-        # eu <- e_i . u (delta doubles as the per-axis scratch)
-        np.multiply(method._e_b[0], u[0], out=e)
-        for d in range(1, ndim):
-            np.multiply(method._e_b[d], u[d], out=dl)
-            e += dl
         # s <- 1.5 w |u|^2 + 3 pref (g . u)
         np.multiply(u[0], u[0], out=ss)
         for d in range(1, ndim):
@@ -112,20 +128,21 @@ def lb_relax(method, sub) -> None:
             if g[d] != 0.0:
                 np.multiply(u[d], 3.0 * method._pref * g[d], out=t)
                 ss += t
-        # delta <- w_i rho ((4.5 w eu + A1) eu + A0 - s)   (Horner form)
-        np.multiply(e, 4.5 * omega, out=dl)
-        dl += method._a1_b
-        dl *= e
-        dl += method._a0_b
-        dl -= ss
+        # rho_keep <- rho keep, t <- w keep  (keep = fluid and interior)
+        np.multiply(fluid[span], keep[loc], out=t)
+        np.multiply(rho[span], t, out=rk)
+        t *= omega
+        # delta <- w_i rho keep ((4.5 w eu + A1) eu + A0 - s)  (Horner form)
+        method.pair_polynomial(
+            method.pair_eu(u, e[: q // 2]), 4.5 * omega,
+            method._a1_b, method._a0_b, ss, dl,
+        )
         dl *= method._w_b
-        dl *= rho[span]
-        # delta -= w f  (eu is dead past the polynomial; reuse it)
-        np.multiply(f[:, span], omega, out=e)
+        dl *= rk
+        # delta -= w keep f  (eu is dead past the polynomial; reuse it)
+        np.multiply(f[:, span], t, out=e)
         dl -= e
-        # Solid nodes keep their populations (no collision).
-        dl *= fluid[span]
-        field[(slice(None),) + slab.target] += slab.of(delta)
+        f[:, span] += dl
 
 
 def lb_stream(method, sub, region: Region) -> None:
@@ -196,7 +213,8 @@ def fd_velocity(method, sub) -> None:
 
     All derivative kernels write into per-subregion slab scratch
     (allocation-free after the first step); the accumulation order
-    matches the classic form ``c + dt (-adv - press + visc + g)``.  The
+    matches the classic form ``c + dt (-adv - press + visc + g)``, with
+    ``c_s^2 / rho`` formed once per slab for every component.  The
     new velocities go to the ``new_*`` arrays over each slab's span and
     are committed to the fields, region only, once every slab has read
     the old ones.  The caller (:meth:`FDMethod.compute_phase`)
@@ -209,8 +227,8 @@ def fd_velocity(method, sub) -> None:
     steps = node_strides(shape)
     depth = slab_depth(shape, region)
     n = depth * steps[0]
-    acc, t1, t2 = (sub.scratch(name, (n,))
-                   for name in ("fd_acc", "fd_t1", "fd_t2"))
+    acc, t1, t2, t3 = (sub.scratch(name, (n,))
+                       for name in ("fd_acc", "fd_t1", "fd_t2", "fd_cs2_rho"))
     rho = flat_nodes(sub.fields["rho"], ndim)
     vels = [flat_nodes(sub.fields[v], ndim) for v in method.vel_names]
     news = [flat_nodes(sub.aux["new_" + v], ndim) for v in method.vel_names]
@@ -218,8 +236,9 @@ def fd_velocity(method, sub) -> None:
     for slab in plane_slabs(shape, region, depth):
         span, loc = slab.span, slab.local
         at = (span,)
-        a, b, c2 = acc[loc], t1[loc], t2[loc]
+        a, b, c2, cr = acc[loc], t1[loc], t2[loc], t3[loc]
         mids = [v[span] for v in vels]
+        np.divide(cs2, rho[span], out=cr)
         for d in range(ndim):
             c = vels[d]
             # advection: (V . grad) V_d
@@ -231,8 +250,7 @@ def fd_velocity(method, sub) -> None:
                 a += b
             # pressure: (cs^2 / rho) d rho / d x_d
             central_diff(rho, at, 0, p.dx, out=b, step=steps[d])
-            np.divide(cs2, rho[span], out=c2)
-            b *= c2
+            b *= cr
             a += b
             # viscosity: nu * laplacian(V_d)
             laplacian(c, at, p.dx, out=b, scratch=c2, steps=steps)
@@ -241,7 +259,8 @@ def fd_velocity(method, sub) -> None:
             b -= a
             if p.gravity[d] != 0.0:
                 b += p.gravity[d]
-            b *= p.dt
+            if p.dt != 1.0:
+                b *= p.dt
             np.add(mids[d], b, out=news[d][span])
     for name in method.vel_names:
         sub.fields[name][region] = sub.aux["new_" + name][region]
@@ -285,7 +304,8 @@ def fd_density(method, sub) -> None:
                 central_diff(flux, at, 0, p.dx, out=target, step=steps[d])
                 if d > 0:
                     out += target
-            out *= p.dt
+            if p.dt != 1.0:
+                out *= p.dt
         if done is not None:
             field[done.target] -= done.of(div[(k - 1) % 2])
 
@@ -295,7 +315,7 @@ class NumpyBackend:
 
     Regions are tuples of explicit slices into the padded arrays (see
     :mod:`repro.fluids._kernels`); a kernel computes on the whole padded
-    planes of its region's plane range and writes only inside the
+    planes of its region's plane range and changes no byte outside the
     region.
     """
 

@@ -106,6 +106,22 @@ class LBMethod:
         # population spans the kernels sweep, so each fused kernel is a
         # whole-lattice expression instead of a per-direction loop.
         lat = self.lattice
+        # Opposite directions are the adjacent rows 2k+1, 2k+2 (row 0 is
+        # rest), each pair led by the row whose first nonzero component
+        # is +1: the kernels form e_i . u of the leading rows only
+        # (pair_eu) and take the partner's as its exact negative.
+        q = lat.q
+        self._eu_terms = tuple(
+            tuple((d, int(c)) for d, c in enumerate(lat.e[i]) if c)
+            for i in range(1, q, 2)
+        )
+        if (q % 2 == 0 or lat.e[0].any()
+                or any(lat.opposite[i] != i + 1 for i in range(1, q, 2))
+                or any(terms[0][1] != 1 for terms in self._eu_terms)):
+            raise AssertionError(
+                f"{lat.name} must list rest first, then each opposite "
+                "pair as rows 2k+1, 2k+2 with row 2k+1 leading with +1"
+            )
         self._e_f = lat.e.astype(np.float64)
         self._e_b = tuple(self._e_f[:, d, None] for d in range(ndim))
         self._w_b = lat.w[:, None]
@@ -120,6 +136,9 @@ class LBMethod:
         self._pref = pref
         self._a1_b = (3.0 * omega + 9.0 * pref * g_i)[:, None]
         self._a0_b = (omega + 3.0 * pref * g_i)[:, None]
+        # The equilibrium is the same polynomial with w = 1, g = 0.
+        self._eq_a1_b = np.full((q, 1), 3.0)
+        self._eq_a0_b = np.ones((q, 1))
         # Momentum accumulation index lists: every e component is -1/0/+1,
         # so the d-momentum is a signed sum of population planes — no
         # multiplies, no intermediate (Q, ...) products.
@@ -145,13 +164,68 @@ class LBMethod:
         """``(e_b, w_b)``: the velocity components and the weights shaped
         ``(Q, 1, ..., 1)`` to broadcast against ``(Q,)`` + ``nodes``-axis
         population arrays."""
+        e_b = tuple(self._column(c, nodes) for c in self._e_b)
+        return e_b, self._column(self._w_b, nodes)
+
+    def _column(self, col: np.ndarray, nodes: int) -> np.ndarray:
+        """A ``(Q, 1)`` coefficient column shaped for ``nodes`` axes."""
         if nodes == 1:
-            return self._e_b, self._w_b
-        ones = (self.lattice.q,) + (1,) * nodes
-        return (
-            tuple(c.reshape(ones) for c in self._e_b),
-            self._w_b.reshape(ones),
-        )
+            return col
+        return col.reshape((self.lattice.q,) + (1,) * nodes)
+
+    def pair_eu(self, vels: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
+        """``out[k] <- e_i . u`` for the leading rows ``i = 2k+1``.
+
+        Every ``e`` component is -1, 0 or +1, so each row is a signed
+        sum of velocity components in axis order, with no multiply.
+        The partner row ``2k+2`` is the opposite direction: its
+        ``e_i . u`` is exactly ``-out[k]``, because round-to-nearest is
+        symmetric in sign, so it is never formed.  (Where a zero
+        component is dropped, ``e_i . u`` can differ from the product
+        form only in the sign of a zero, which no polynomial below
+        sees.)  ``out`` has shape ``(Q // 2,) + u.shape``.
+        """
+        for row, ((d0, _), *rest) in zip(out, self._eu_terms):
+            if not rest:
+                np.copyto(row, vels[d0])
+                continue
+            (d1, s1), *more = rest
+            (np.add if s1 > 0 else np.subtract)(vels[d0], vels[d1], out=row)
+            for d, s in more:
+                (np.add if s > 0 else np.subtract)(row, vels[d], out=row)
+        return out
+
+    @staticmethod
+    def pair_polynomial(
+        eu: np.ndarray,
+        scale: float,
+        a1: np.ndarray,
+        a0: np.ndarray,
+        s: np.ndarray,
+        out: np.ndarray,
+    ) -> np.ndarray:
+        """``out_i <- (scale eu_i + a1_i) eu_i + a0_i - s`` for every
+        population, from the leading rows' ``eu`` (:meth:`pair_eu`).
+
+        ``a1``/``a0`` are ``(Q, 1, ...)`` columns.  A partner row has
+        ``e_i . u = -eu``, so its Horner steps are the same products with
+        the signs moved into the operations: ``a1 - scale eu`` equals
+        ``scale (-eu) + a1``, its product with ``eu`` is the exact
+        negative of the one with ``-eu`` and is subtracted from ``a0``.
+        The rest row (``e = 0``) is the closed form ``a0 - s``.  Every
+        population thus gets the bits of the textbook Horner form.
+        """
+        lead, partner = out[1::2], out[2::2]
+        np.multiply(eu, scale, out=lead)
+        np.subtract(a1[2::2], lead, out=partner)
+        lead += a1[1::2]
+        lead *= eu
+        partner *= eu
+        lead += a0[1::2]
+        np.subtract(a0[2::2], partner, out=partner)
+        np.subtract(a0[0], s, out=out[0])
+        out[1:] -= s
+        return out
 
     def equilibrium(
         self,
@@ -165,42 +239,35 @@ class LBMethod:
         """BGK equilibrium ``f_eq_i = w_i rho (1 + 3 eu + 4.5 eu^2 - 1.5 u^2)``.
 
         Returns an array of shape ``(Q,) + rho.shape`` — ``out`` when
-        given.  The whole lattice is evaluated at once: ``eu`` is a
-        ``(Q,) + rho.shape`` work buffer holding ``e_i . u`` on exit
-        (the Guo forcing reuses it), ``usq``/``tmp`` are ``rho.shape``
-        work buffers whose contents are clobbered.  All buffers are
-        allocated when omitted; the results are identical either way.
+        given.  The whole lattice is evaluated at once, by the
+        collision's own routines (:meth:`pair_eu`,
+        :meth:`pair_polynomial`): ``eu`` is a ``(Q // 2,) + rho.shape``
+        work buffer, ``usq``/``tmp`` are ``rho.shape`` work buffers;
+        their contents are clobbered.  All buffers are allocated when
+        omitted; the results are identical either way.
         """
         q = self.lattice.q
-        qshape = (q,) + rho.shape
         if out is None:
-            out = np.empty(qshape, dtype=np.float64)
+            out = np.empty((q,) + rho.shape, dtype=np.float64)
         if eu is None:
-            eu = np.empty(qshape, dtype=np.float64)
+            eu = np.empty((q // 2,) + rho.shape, dtype=np.float64)
         if usq is None:
             usq = np.empty(rho.shape, dtype=np.float64)
         if tmp is None:
             tmp = np.empty(rho.shape, dtype=np.float64)
-        e_b, w_b = self.broadcast_columns(rho.ndim)
+        nodes = rho.ndim
         # usq <- 1.5 |u|^2
         np.multiply(vels[0], vels[0], out=usq)
         for d in range(1, self.ndim):
             np.multiply(vels[d], vels[d], out=tmp)
             usq += tmp
         usq *= 1.5
-        # eu <- e_i . u for every direction at once (out doubles as the
-        # per-axis accumulator scratch before the polynomial needs it).
-        np.multiply(e_b[0], vels[0], out=eu)
-        for d in range(1, self.ndim):
-            np.multiply(e_b[d], vels[d], out=out)
-            eu += out
         # out <- w_i rho ((4.5 eu + 3) eu + 1 - 1.5 u^2)   (Horner form)
-        np.multiply(eu, 4.5, out=out)
-        out += 3.0
-        out *= eu
-        out += 1.0
-        out -= usq
-        out *= w_b
+        self.pair_polynomial(
+            self.pair_eu(vels, eu), 4.5, self._column(self._eq_a1_b, nodes),
+            self._column(self._eq_a0_b, nodes), usq, out,
+        )
+        out *= self._column(self._w_b, nodes)
         out *= rho
         return out
 

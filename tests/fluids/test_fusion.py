@@ -738,22 +738,61 @@ def test_sweeps_match_region_kernels_hybrid(runner):
     _against_region_kernels(lambda: _hybrid(runner), 10)
 
 
+def _inactive_block_layout():
+    """Fig. 2's layout: one all-solid block (never exchanged with)."""
+    shape = (48, 32)
+    solid = np.zeros(shape, dtype=bool)
+    solid[:24, :16] = True
+    solid[:, 0] = solid[:, -1] = True
+    solid[0, :] = solid[-1, :] = True
+    return _build(LBMethod, shape, (2, 2), (False, False), solid,
+                  perturbed_fields(shape, seed=9), Simulation)
+
+
+def _duct_3d():
+    shape = (16, 12, 10)
+    inlets, outlets = _duct_openings(shape)
+    return _build(LBMethod, shape, (2, 1, 2), (False, False, False),
+                  channel_geometry(shape), perturbed_fields(shape, seed=5),
+                  Simulation, inlets=inlets, outlets=outlets)
+
+
+def _assert_relax_keeps_ghosts(sim, lb_blocks):
+    """Relax every LB block: no byte of ``f`` outside its interior
+    changes, and the interior does."""
+    checked = 0
+    for sub, method in zip(sim.subs, sim.methods):
+        if method.method_name != "lb":
+            continue
+        before = sub.fields["f"].copy()
+        method._relax(sub)
+        after = sub.fields["f"]
+        inside = np.zeros(sub.padded_shape, dtype=bool)
+        inside[sub.interior] = True
+        assert after[:, ~inside].tobytes() == before[:, ~inside].tobytes()
+        assert after[:, inside].tobytes() != before[:, inside].tobytes()
+        checked += 1
+    assert checked == lb_blocks
+
+
 def test_relax_keeps_seam_ghosts():
-    """The LB collision sweeps whole padded planes but leaves every byte
-    outside the interior — the fluid seam strip the converter just
-    wrote, inside the swept span, included — as it was."""
+    """The LB collision adds its increment over whole padded planes but
+    leaves every byte outside the interior — the fluid seam strip the
+    converter just wrote, inside the swept span, included — as it was."""
     sim = _hybrid(Simulation)
     sim.step(3)
     sim.exchanger.exchange_seam()
-    lb = next(i for i, m in enumerate(sim.methods) if m.method_name == "lb")
-    sub, method = sim.subs[lb], sim.methods[lb]
-    before = sub.fields["f"].copy()
-    method._relax(sub)
-    after = sub.fields["f"]
-    inside = np.zeros(sub.padded_shape, dtype=bool)
-    inside[sub.interior] = True
-    assert after[:, ~inside].tobytes() == before[:, ~inside].tobytes()
-    assert after[:, inside].tobytes() != before[:, inside].tobytes()
+    _assert_relax_keeps_ghosts(sim, 1)
+
+
+@pytest.mark.parametrize("build", [_duct_3d, _inactive_block_layout],
+                         ids=["duct_3d", "inactive_block"])
+def test_relax_keeps_ghosts(build):
+    """The same on the walls and cut ghosts of a 2x1x2 3D duct with
+    openings, and on the held ghosts facing fig. 2's inactive block."""
+    sim = build()
+    sim.step(3)
+    _assert_relax_keeps_ghosts(sim, len(sim.subs))
 
 
 # ----------------------------------------------------------------------
@@ -761,33 +800,47 @@ def test_relax_keeps_seam_ghosts():
 # ----------------------------------------------------------------------
 def _periodic_lb_sim(shape=(64, 64)):
     """A solid-free fully periodic LB domain (pure relax/stream/macro)."""
+    ndim = len(shape)
     params = FluidParams.lattice(
-        2, nu=0.05, gravity=(1e-5, 0.0), filter_eps=0.02
+        ndim, nu=0.05, gravity=(1e-5,) + (0.0,) * (ndim - 1),
+        filter_eps=0.02,
     )
-    decomp = Decomposition(shape, (1, 1), periodic=(True, True))
+    decomp = Decomposition(shape, (1,) * ndim, periodic=(True,) * ndim)
     return Simulation(
-        LBMethod(params, 2), decomp, perturbed_fields(shape)
+        LBMethod(params, ndim), decomp, perturbed_fields(shape)
     )
 
 
-def test_lb_relax_macro_allocation_free():
-    """Collision + moments reuse the scratch pool: no new arrays."""
-    sim = _periodic_lb_sim()
+def _assert_relax_macro_allocation_free(shape):
+    sim = _periodic_lb_sim(shape)
     sim.step(2)  # fills the scratch pool
     method = sim.method
     sub = sim.subs[0]
     region = sub.grown_interior(2)
+    # The default 16 KiB threshold is below every node-sized slab
+    # buffer of the collision, so re-allocating any one of them shows.
+    assert min(sub.aux[name].nbytes for name in
+               ("lb_usq", "lb_tmp", "lb_keep", "lb_rho_keep")) >= 16384
 
     def relax_macro():
         method._relax(sub)
         method._macro(sub, region)
 
     report = count_allocations(relax_macro, warmup=2, repeat=3)
-    # One interior field is 64*64*8 = 32 KiB; the default 16 KiB
-    # threshold catches any temporary of even half a field.
     assert not report.allocates_arrays(), (
         f"relax+macro transiently allocated {report.peak_bytes} bytes"
     )
+
+
+def test_lb_relax_macro_allocation_free():
+    """Collision + moments reuse the scratch pool: no new arrays (64^2:
+    52-plane slabs; one interior field is 32 KiB)."""
+    _assert_relax_macro_allocation_free((64, 64))
+
+
+def test_lb_relax_macro_allocation_free_3d():
+    """The same in 3D, one padded 50x50 plane per collision slab."""
+    _assert_relax_macro_allocation_free((12, 44, 44))
 
 
 def test_lb_full_step_allocates_less_than_one_field():

@@ -699,17 +699,20 @@ def test_sweeps_match_region_kernels_duct_3d(method_cls, blocks, runner):
 @by_runner
 def test_sweeps_match_region_kernels_inactive_block(method_cls, runner):
     """Fig. 2's layout: ghosts facing the all-solid block are held."""
+    sim = _against_region_kernels(
+        lambda: _inactive_block_layout(method_cls, runner), 12)
+    assert sim.decomp.n_active == 3
+
+
+def _inactive_block_layout(method_cls=LBMethod, runner=Simulation):
+    """Fig. 2's layout on 2x2 blocks: one block is all solid."""
     shape = (48, 32)
     solid = np.zeros(shape, dtype=bool)
     solid[:24, :16] = True
     solid[:, 0] = solid[:, -1] = True
     solid[0, :] = solid[-1, :] = True
-    sim = _against_region_kernels(lambda: _build(
-        method_cls=method_cls, shape=shape, blocks=(2, 2),
-        periodic=(False, False), solid=solid,
-        fields=perturbed_fields(shape, seed=9), runner=runner,
-    ), 12)
-    assert sim.decomp.n_active == 3
+    return _build(method_cls, shape, (2, 2), (False, False), solid,
+                  perturbed_fields(shape, seed=9), runner)
 
 
 #: LB below, FD above: the seam runs along axis 0, so the LB block's
@@ -736,17 +739,6 @@ def _hybrid(runner):
 def test_sweeps_match_region_kernels_hybrid(runner):
     """An LB/FD seam: converter-written ghost strips meet the sweeps."""
     _against_region_kernels(lambda: _hybrid(runner), 10)
-
-
-def _inactive_block_layout():
-    """Fig. 2's layout: one all-solid block (never exchanged with)."""
-    shape = (48, 32)
-    solid = np.zeros(shape, dtype=bool)
-    solid[:24, :16] = True
-    solid[:, 0] = solid[:, -1] = True
-    solid[0, :] = solid[-1, :] = True
-    return _build(LBMethod, shape, (2, 2), (False, False), solid,
-                  perturbed_fields(shape, seed=9), Simulation)
 
 
 def _duct_3d():

@@ -266,10 +266,10 @@ class Simulation:
     def global_diagnostics(self):
         """Globally reduced mass / kinetic energy / max |V| right now.
 
-        Folds the subregions' partials in rank order, as a distributed
-        run's allreduce does, so the returned
+        Folds the subregions' partials in rank order, as the monitor of
+        a distributed run does, so the returned
         :class:`~repro.distrib.diagnostics.DiagRecord` is bit-for-bit
-        what the workers of an equivalent distributed run would log.
+        what an equivalent distributed run logs.
         """
         from ..distrib.diagnostics import serial_diagnostics
 

@@ -1,16 +1,16 @@
-"""In-flight global diagnostics over the collective layer.
+"""In-flight global diagnostics, folded by the monitoring program.
 
 The paper's monitor "checks every few minutes whether the parallel
 processes are progressing correctly" (§4.1) — but a worker that starts
 spewing NaNs keeps stepping and heartbeating happily until the run ends
 or stalls.  This module gives the run a physical pulse: every ``every``
-steps the workers allreduce total mass, kinetic energy and max |V| (a
-CFL/Mach sentinel for the weakly-compressible methods), append the
-record to a per-run ``diagnostics.jsonl`` the monitor consumes as a
-progress heartbeat, and abort with
-:data:`~repro.distrib.worker.EXIT_DIAGNOSTIC` the moment a NaN or CFL
-violation goes global — a *diagnosed* failure instead of a stall
-timeout.
+steps each rank stores its partials of total mass, kinetic energy, max
+|V| (a CFL/Mach sentinel for the weakly-compressible methods) and the
+non-finite count in its diagnostics slots
+(:mod:`repro.distrib.heartbeat`).  The monitor folds each sample once
+every rank has written it (:func:`fold_sample`), appends the record to
+the run's ``diagnostics.jsonl`` and stops the run on a global NaN or
+CFL violation — a *diagnosed* failure instead of a stall timeout.
 
 In-process runs fold the same partials in the same rank order
 (:func:`serial_diagnostics`), so a distributed diagnostic stream can be
@@ -28,17 +28,17 @@ from pathlib import Path
 import numpy as np
 
 from .._jsonl import LogDamaged, locked_append, read_jsonl
-from ..net.collectives import Communicator
+from .heartbeat import read_partials
 
 __all__ = [
     "DEFAULT_VMAX",
     "DiagRecord",
     "DiagnosticsFailure",
     "DiagnosticsLog",
-    "GlobalDiagnostics",
     "check_record",
     "local_partials",
     "fold_partials",
+    "fold_sample",
     "serial_diagnostics",
 ]
 
@@ -47,12 +47,6 @@ __all__ = [
 #: Mach << 1; a velocity at c_s means the run is physically gone even if
 #: it has not overflowed yet.
 DEFAULT_VMAX = 1.0 / np.sqrt(3.0)
-
-#: Collective-sequence slots reserved per integration step.  The
-#: communicator's op counter is pinned to ``step * SEQ_PER_STEP`` before
-#: each check, so a rank restarted after migration (counter reset)
-#: stays in lockstep with the survivors.
-SEQ_PER_STEP = 8
 
 
 class DiagnosticsFailure(RuntimeError):
@@ -110,9 +104,9 @@ class DiagnosticsLog:
         """The canonical per-run log location."""
         return cls(Path(workdir) / cls.FILENAME)
 
-    def append(self, record: DiagRecord) -> None:
-        """Append one record (locked, fsync'd)."""
-        locked_append(self.path, record.to_line())
+    def append(self, *records: DiagRecord) -> None:
+        """Append records in one write (locked, fsync'd)."""
+        locked_append(self.path, "".join(r.to_line() for r in records))
 
     def read(self) -> list[DiagRecord]:
         """All complete records, oldest first."""
@@ -125,16 +119,6 @@ class DiagnosticsLog:
             except (KeyError, TypeError, ValueError) as exc:
                 raise LogDamaged(self.path, lineno, str(exc)) from None
         return out
-
-    def last(self) -> DiagRecord | None:
-        """The newest complete record, or ``None``."""
-        recs = self.read()
-        return recs[-1] if recs else None
-
-    def last_step(self) -> int | None:
-        """Step of the newest complete record (a progress signal)."""
-        rec = self.last()
-        return rec.step if rec is not None else None
 
 
 def local_partials(sub) -> np.ndarray:
@@ -163,10 +147,8 @@ def local_partials(sub) -> np.ndarray:
 
 
 def fold_partials(parts: list[np.ndarray]) -> np.ndarray:
-    """Rank-ordered serial fold of partials — the bit-for-bit reference.
-
-    Matches what the collective allreduce produces on any transport.
-    """
+    """Rank-ordered serial fold of partials — the bit-for-bit reference
+    for every runtime."""
     sums = parts[0][:2]
     maxs = parts[0][2:]
     for p in parts[1:]:
@@ -175,22 +157,43 @@ def fold_partials(parts: list[np.ndarray]) -> np.ndarray:
     return np.concatenate([sums, maxs])
 
 
-def serial_diagnostics(subs, step: int | None = None) -> DiagRecord:
-    """Global diagnostics of in-process subregions.
-
-    Folds every subregion's partials in rank order — exactly what the
-    distributed allreduce computes — so the record is bit-for-bit what
-    a distributed run of the same decomposition reports.
-    """
-    folded = fold_partials([local_partials(s) for s in subs])
+def _record(step: int, folded: np.ndarray) -> DiagRecord:
     return DiagRecord(
-        step=int(subs[0].step if step is None else step),
+        step=int(step),
         total_mass=float(folded[0]),
         kinetic_energy=float(folded[1]),
         max_speed=float(folded[2]),
         n_nonfinite=int(folded[3]),
         wall_time=time.time(),
     )
+
+
+def serial_diagnostics(subs, step: int | None = None) -> DiagRecord:
+    """Global diagnostics of in-process subregions.
+
+    Folds every subregion's partials in rank order — exactly what the
+    monitor folds from a distributed run's slots — so the record is
+    bit-for-bit what a distributed run of the same decomposition
+    reports.
+    """
+    folded = fold_partials([local_partials(s) for s in subs])
+    return _record(subs[0].step if step is None else step, folded)
+
+
+def fold_sample(
+    workdir: str | Path, n_ranks: int, every: int, index: int
+) -> DiagRecord | None:
+    """The record of diagnostics sample ``index`` (step
+    ``(index + 1) * every``) folded from every rank's slot in rank
+    order, or ``None`` until all ``n_ranks`` have written it."""
+    step = (index + 1) * every
+    parts = []
+    for rank in range(n_ranks):
+        sample = read_partials(workdir, rank, index)
+        if sample is None or sample[0] != step:
+            return None
+        parts.append(np.array(sample[1]))
+    return _record(step, fold_partials(parts))
 
 
 def check_record(record: DiagRecord) -> None:
@@ -209,52 +212,3 @@ def check_record(record: DiagRecord) -> None:
             f"max |V| = {record.max_speed:.4f} exceeds the "
             f"CFL/Mach sentinel {DEFAULT_VMAX:.4f}",
         )
-
-
-class GlobalDiagnostics:
-    """Periodic allreduced diagnostics with abort thresholds.
-
-    One instance per rank; ``check`` must be reached by every rank of
-    the communicator's group at the same integration step.  Rank 0
-    appends each record to ``log``.  A global NaN (or a max speed above
-    :data:`DEFAULT_VMAX`) raises :class:`DiagnosticsFailure` on *every*
-    rank — they all computed the same reduced record — so the whole run
-    aborts in one step, diagnosed.
-    """
-
-    def __init__(
-        self,
-        comm: Communicator,
-        every: int,
-        log: DiagnosticsLog | None = None,
-    ) -> None:
-        if every < 0:
-            raise ValueError("diagnostics period must be >= 0")
-        self.comm = comm
-        self.every = every
-        self.log = log
-
-    def maybe_check(self, sub) -> DiagRecord | None:
-        """Run :meth:`check` if the subregion's step is due."""
-        if self.every <= 0 or sub.step == 0 or sub.step % self.every:
-            return None
-        return self.check(sub)
-
-    def check(self, sub) -> DiagRecord:
-        """Allreduce this step's partials; abort on NaN/CFL violation."""
-        self.comm.seq = sub.step * SEQ_PER_STEP
-        partials = local_partials(sub)
-        sums = self.comm.allreduce(partials[:2], "sum")
-        maxs = self.comm.allreduce(partials[2:], "max")
-        record = DiagRecord(
-            step=int(sub.step),
-            total_mass=float(sums[0]),
-            kinetic_energy=float(sums[1]),
-            max_speed=float(maxs[0]),
-            n_nonfinite=int(maxs[1]),
-            wall_time=time.time(),
-        )
-        if self.log is not None and self.comm.rank == 0:
-            self.log.append(record)
-        check_record(record)
-        return record

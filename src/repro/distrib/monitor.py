@@ -10,6 +10,8 @@ process takes place."
 The monitor owns the control plane of a distributed run:
 
 * watches worker exit codes, heartbeats and the virtual host registry;
+* folds the ranks' diagnostics samples into ``diagnostics.jsonl`` and
+  stops the run, diagnosed, on a global NaN or CFL violation;
 * triggers migrations when a host's five-minute load exceeds 1.5
   (§5.1), when a worker asks to leave (a user's direct ``kill -USR2``
   leaves a wish file), or when a test calls :meth:`request_migration`;
@@ -36,7 +38,7 @@ import select
 import signal
 import subprocess
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from ..balance.estimator import LoadEstimator
@@ -44,7 +46,12 @@ from ..balance.planner import BalancePolicy, RebalancePlanner
 from ..chaos.plan import FaultPlan
 from ..net.portfile import PortRegistry
 from ..trace import NULL_TRACER, Tracer
-from .diagnostics import DiagnosticsLog
+from .diagnostics import (
+    DiagnosticsFailure,
+    DiagnosticsLog,
+    check_record,
+    fold_sample,
+)
 from .dumpfile import DumpCorruption, dump_path, load_dump
 from .heartbeat import read_heartbeats
 from .hostdb import MIGRATE_LOAD_LIMIT, HostDB
@@ -52,7 +59,6 @@ from .spec import ProblemSpec
 from .submit import spawn_worker
 from .sync import SaveTurns
 from .worker import (
-    EXIT_DIAGNOSTIC,
     EXIT_DONE,
     EXIT_MIGRATED,
     EXIT_REBALANCED,
@@ -149,6 +155,13 @@ class Monitor:
             ]
             self.estimator = LoadEstimator(self._rows)
         self._diag_log = DiagnosticsLog.for_workdir(self.workdir)
+        self._diag_every = int(base_cfg.get("diag_every", 0))
+        self._diag_slots = (
+            int(base_cfg.get("steps_total", 0)) // self._diag_every
+            if self._diag_every > 0 else 0
+        )
+        #: index of the next diagnostics sample to fold
+        self._diag_next = 0
         self._log_path = self.workdir / "logs" / "monitor.log"
         self._log_path.parent.mkdir(parents=True, exist_ok=True)
         # Host-level faults of the run's chaos plan (load spikes) are
@@ -224,6 +237,7 @@ class Monitor:
                 self._kill_all()
                 raise MonitorError("distributed run timed out")
             self._apply_host_faults(time.monotonic() - start)
+            self._fold_diagnostics()
 
             # 1. exit-code bookkeeping
             crashed = []
@@ -237,12 +251,6 @@ class Monitor:
                     continue
                 if code == EXIT_DONE:
                     self._done.add(rank)
-                elif code == EXIT_DIAGNOSTIC:
-                    # The workers aborted themselves on a globally
-                    # reduced NaN/CFL violation.  Restarting from the
-                    # last checkpoint would only replay the blow-up —
-                    # stop and report the diagnosed failure instead.
-                    self._diagnostic_failure(rank)
                 elif code == EXIT_MIGRATED:
                     # handled inside _migrate(); seeing it here means the
                     # worker left without us asking — treat as a crash.
@@ -283,13 +291,8 @@ class Monitor:
                 last_progress = time.monotonic()
                 continue
 
-            # 3. stall detection via heartbeats; the diagnostics log is
-            #    a second progress pulse (a run whose heartbeat files
-            #    are on a wedged filesystem still advances it).
+            # 3. stall detection via heartbeats
             steps = self._read_heartbeats()
-            diag_step = self._diag_log.last_step()
-            if diag_step is not None:
-                steps[-1] = diag_step
             if steps != last_steps:
                 last_steps = steps
                 last_progress = time.monotonic()
@@ -300,6 +303,8 @@ class Monitor:
                 continue
 
             self._wait_for_exit(running)
+        # every sample is judged before the run counts as a success
+        self._fold_diagnostics()
 
     def _wait_for_exit(self, pids: list[int]) -> None:
         """Sleep one poll period, or less: a worker's pidfd turns
@@ -571,43 +576,56 @@ class Monitor:
             f"{self.generation}, slab rows {self._rows}"
         )
 
-    def _diagnostic_failure(self, rank: int) -> None:
-        """Stop the run and raise the workers' own diagnosis.
-
-        Called when a worker exits with :data:`EXIT_DIAGNOSTIC`: the
-        computation detected a global NaN or CFL violation through the
-        in-flight diagnostics and aborted itself on every rank.  This
-        is a *diagnosed* physics/numerics failure, not an
-        infrastructure fault — no checkpoint restart.
-        """
-        self.log(f"rank {rank} reported a diagnostic abort")
-        # Every rank learns of the blow-up through the same diagnostic
-        # collective and exits on its own with EXIT_DIAGNOSTIC; give
-        # slow ranks a moment to finish their orderly teardown (log and
-        # trace flushes) before force-killing stragglers.
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            if all(p.poll() is not None for p in self.procs.values()):
+    def _fold_diagnostics(self) -> None:
+        """Fold, log and judge every diagnostics sample all ranks have
+        written, oldest first; the monitor is the only writer of
+        ``diagnostics.jsonl``, and each sample is folded once however
+        often a restart replays its step."""
+        records = []
+        failure = None
+        while failure is None and self._diag_next < self._diag_slots:
+            record = fold_sample(
+                self.workdir, len(self.procs), self._diag_every,
+                self._diag_next,
+            )
+            if record is None:
                 break
-            time.sleep(0.05)
-        self._kill_all()
-        msg = "run aborted on a diagnosed global blow-up"
-        failure = self.workdir / "diag_failure.json"
-        if failure.exists():
+            records.append(record)
+            self._diag_next += 1
             try:
-                info = json.loads(failure.read_text())
-                msg += f": {info.get('reason', '')}"
-                msg += f"\nrecord: {json.dumps(info.get('record'))}"
-            except ValueError:  # pragma: no cover - torn write
-                pass
-        last = self._diag_log.last()
-        if last is not None:
-            msg += (f"\nlast diagnostics: step {last.step}, "
-                    f"mass {last.total_mass:.6g}, "
-                    f"KE {last.kinetic_energy:.6g}, "
-                    f"max|V| {last.max_speed:.6g}, "
-                    f"{last.n_nonfinite} non-finite nodes")
-        raise MonitorError(msg)
+                check_record(record)
+            except DiagnosticsFailure as exc:
+                failure = exc
+        if records:
+            self._diag_log.append(*records)
+        if failure is not None:
+            self._diagnostic_failure(failure)
+
+    def _diagnostic_failure(self, failure: DiagnosticsFailure) -> None:
+        """Stop the run and raise the diagnosis.
+
+        A global NaN or CFL violation is a physics/numerics failure,
+        not an infrastructure fault: restarting from the last
+        checkpoint would only replay it.  The record goes to
+        ``diag_failure.json``, every running rank gets a SIGTERM (and
+        exits :data:`~repro.distrib.worker.EXIT_DIAGNOSTIC` after an
+        orderly teardown), and stragglers are killed.
+        """
+        self.log(f"diagnostics failed: {failure}")
+        info = {"reason": failure.reason, "record": asdict(failure.record)}
+        (self.workdir / "diag_failure.json").write_text(
+            json.dumps(info, indent=2) + "\n"
+        )
+        for proc in self._running().values():
+            proc.send_signal(signal.SIGTERM)
+        deadline = time.monotonic() + 5.0
+        while self._running() and time.monotonic() < deadline:
+            time.sleep(MONITOR_POLL)
+        self._kill_all()
+        raise MonitorError(
+            f"run aborted on a diagnosed global blow-up: {failure.reason}"
+            f"\ndiagnostics record: {json.dumps(info['record'])}"
+        )
 
     # ------------------------------------------------------------------
     # unrecoverable errors (§4.1)

@@ -20,7 +20,10 @@ users:
 * **Heartbeats**: the monitoring program checks every few minutes
   whether the parallel processes are progressing correctly; after each
   step a worker rewrites one checksummed record in its heartbeat file
-  (:mod:`repro.distrib.heartbeat`) so a stall is observable.
+  (:mod:`repro.distrib.heartbeat`) so a stall is observable, and every
+  ``diag_every`` steps it stores its diagnostics partials for the
+  monitor to fold.  A SIGTERM from the monitor (a failed diagnostics
+  check) ends the worker with :data:`EXIT_DIAGNOSTIC`.
 
 Run as ``python -m repro.distrib.worker <config.json>``.
 """
@@ -41,18 +44,19 @@ from ..chaos.plan import KINDS, MESSAGE_KINDS, FaultPlan
 from ..core.exchange import build_plan
 from ..fluids.coupling import build_converters, seam_wire_fields
 from ..net.channels import ChannelSet
-from ..net.collectives import Communicator
 from ..net.portfile import PortRegistry
 from ..net.transport import SocketExchanger
 from ..net.udp import UdpChannelSet
 from ..trace import NULL_TRACER, Tracer
-from .diagnostics import (
-    DiagnosticsFailure,
-    DiagnosticsLog,
-    GlobalDiagnostics,
-)
+from .diagnostics import local_partials
 from .dumpfile import dump_path, load_dump, save_dump
-from .heartbeat import encode_heartbeat, open_heartbeat
+from .heartbeat import (
+    SLOT_SIZE,
+    encode_heartbeat,
+    encode_partials,
+    open_heartbeat,
+    open_partials,
+)
 from .settings import WorkerKnobs
 from .spec import ProblemSpec
 from .sync import SaveTurns, SyncFiles
@@ -71,7 +75,7 @@ __all__ = [
 EXIT_DONE = 0
 #: EX_TEMPFAIL — the process left to be restarted on another host.
 EXIT_MIGRATED = 75
-#: EX_PROTOCOL — the run aborted itself on a diagnosed global
+#: EX_PROTOCOL — the monitor stopped the run on a diagnosed global
 #: NaN/CFL violation (see :mod:`repro.distrib.diagnostics`); there is
 #: no point restarting from the latest checkpoint without intervention.
 EXIT_DIAGNOSTIC = 76
@@ -84,12 +88,17 @@ EXIT_REBALANCED = 77
 #: interactive tasks "receive the full attention of the processor
 #: immediately"
 NICENESS = 10
-#: seconds to wait for neighbours (and collective peers) to connect
+#: seconds to wait for neighbours to connect
 OPEN_TIMEOUT = 30.0
 
 #: worker-side smoothing of the per-step compute seconds published in
 #: the heartbeat (the monitor's load estimator smooths again)
 _COMP_ALPHA = 0.2
+
+
+class _Stopped(BaseException):
+    """The monitor's SIGTERM: leave at once (a ``BaseException``, so no
+    ``except Exception`` on the way out swallows it)."""
 
 
 @dataclass
@@ -204,21 +213,8 @@ class Worker:
             converters=self.converters,
             wire_fields=seam_wire_fields(self.method),
         )
-        self.diag: GlobalDiagnostics | None = None
-        if cfg.diag_every > 0:
-            self.diag = GlobalDiagnostics(
-                Communicator(
-                    self.channels,
-                    self.rank,
-                    self.n_ranks,
-                    timeout=cfg.recv_timeout,
-                    link_timeout=OPEN_TIMEOUT,
-                    tracer=self.tracer,
-                ),
-                every=cfg.diag_every,
-                log=DiagnosticsLog.for_workdir(self.workdir)
-                if self.rank == 0 else None,
-            )
+        #: diagnostics slots, mapped in :meth:`run` when due
+        self._diag = None
         self.generation = cfg.generation
         self._sync_epoch: int | None = None
         # This rank's share of the per-rank synthetic-load knob.
@@ -294,9 +290,16 @@ class Worker:
             wish.parent.mkdir(parents=True, exist_ok=True)
             wish.touch()
 
+    def _term_handler(self, signum, frame) -> None:  # noqa: ARG002
+        """The monitor stops the run: unwind from wherever we are."""
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        raise _Stopped
+
     def install_signals(self) -> None:
-        """Install the SIGUSR2 migration-request handler."""
+        """Install the SIGUSR2 migration-request and SIGTERM stop
+        handlers."""
         signal.signal(signal.SIGUSR2, self._usr2_handler)
+        signal.signal(signal.SIGTERM, self._term_handler)
 
     # ------------------------------------------------------------------
     # main loop
@@ -305,6 +308,10 @@ class Worker:
         """Open channels and run the compute/communicate loop to completion."""
         self.install_signals()
         self._hb = open_heartbeat(self.workdir, self.rank)
+        if self.cfg.diag_every > 0:
+            slots = self.cfg.steps_total // self.cfg.diag_every
+            if slots:
+                self._diag = open_partials(self.workdir, self.rank, slots)
         self.channels.open(self.generation, timeout=OPEN_TIMEOUT)
         self.log(f"channels open, generation {self.generation}")
         if self.cfg.dump_in:
@@ -317,21 +324,18 @@ class Worker:
                     step=self.sub.step,
                 )
         try:
-            try:
-                while True:
-                    if self._sync_epoch is not None:
-                        rc = self._sync_protocol()
-                        if rc is not None:
-                            return rc
-                    if self.sub.step >= self.cfg.steps_total:
-                        break
-                    if self.faults is not None:
-                        self.faults.at_step(self.sub)
-                    self._step_once()
-                    self._heartbeat()
-                    self._maybe_checkpoint()
-            except DiagnosticsFailure as failure:
-                return self._diagnostic_abort(failure)
+            while True:
+                if self._sync_epoch is not None:
+                    rc = self._sync_protocol()
+                    if rc is not None:
+                        return rc
+                if self.sub.step >= self.cfg.steps_total:
+                    break
+                if self.faults is not None:
+                    self.faults.at_step(self.sub)
+                self._step_once()
+                self._heartbeat()
+                self._maybe_checkpoint()
             save_dump(
                 self.sub,
                 dump_path(self.workdir / "dumps", self.rank, tag="final"),
@@ -342,6 +346,8 @@ class Worker:
         finally:
             self.channels.close()
             self._hb.close()
+            if self._diag is not None:
+                self._diag.close()
             self.tracer.close()
 
     def _step_once(self) -> None:
@@ -380,11 +386,18 @@ class Worker:
         else:
             self._comp_ema += _COMP_ALPHA * (comp - self._comp_ema)
         sub.step += 1
-        # The diagnostics collective runs here, not in the outer loop,
-        # so catch-up stepping inside the migration sync protocol keeps
-        # every rank's collective sequence aligned.
-        if self.diag is not None:
-            self.diag.maybe_check(sub)
+        # Here, not in the outer loop, so the catch-up steps of a sync
+        # epoch store their samples too.
+        if self._diag is not None and sub.step % self.cfg.diag_every == 0:
+            self._write_partials()
+
+    def _write_partials(self) -> None:
+        """Store this step's diagnostics partials in their slot."""
+        step = self.sub.step
+        at = (step // self.cfg.diag_every - 1) * SLOT_SIZE
+        self._diag[at:at + SLOT_SIZE] = encode_partials(
+            step, local_partials(self.sub)
+        )
 
     def _heartbeat(self) -> None:
         t0 = self.tracer.begin()
@@ -413,26 +426,6 @@ class Worker:
         self.log(f"checkpoint at step {self.sub.step}")
         if self.faults is not None:
             self.faults.after_checkpoint(out, self.sub.step)
-
-    def _diagnostic_abort(self, failure: DiagnosticsFailure) -> int:
-        """Record a diagnosed global blow-up and exit cleanly.
-
-        Every rank of the group computed the same reduced record, so
-        every rank raises and exits with :data:`EXIT_DIAGNOSTIC`
-        together; rank 0 leaves ``diag_failure.json`` for the
-        monitoring program to chain into its error report.
-        """
-        self.log(f"DIAGNOSTIC ABORT: {failure}")
-        if self.rank == 0:
-            out = self.workdir / "diag_failure.json"
-            out.write_text(json.dumps(
-                {
-                    "reason": failure.reason,
-                    "record": asdict(failure.record),
-                },
-                indent=2,
-            ) + "\n")
-        return EXIT_DIAGNOSTIC
 
     # ------------------------------------------------------------------
     # migration (§5.1 / App. B) and rebalance epochs
@@ -541,6 +534,9 @@ def main(argv: list[str] | None = None) -> int:
         worker._usr2_handler(signal.SIGUSR2, None)
     try:
         return worker.run()
+    except _Stopped:
+        worker.log("stopped by the monitor")
+        return EXIT_DIAGNOSTIC
     except Exception:
         worker.log("FATAL:\n" + traceback.format_exc())
         return 1

@@ -2,9 +2,9 @@
 
 Length-prefixed socket frames, the shared-file port registry with flock
 (the paper's handshake), channel management with first-come-first-served
-``select`` receives, the socket-backed ghost exchanger, and the one
-collective — the small tree allreduce behind the in-flight diagnostics —
-that runs identically over TCP, UDP and the in-process fabric.
+``select`` receives over TCP or UDP, an in-process fabric with the same
+interface, and the socket-backed ghost exchanger.  A process only ever
+talks to its grid neighbours (§4.2).
 """
 
 from .._lazy import lazy_exports
@@ -12,9 +12,6 @@ from .._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(__name__, {
     "ChannelError": "channels",
     "ChannelSet": "channels",
-    "COLLECTIVE_PHASE": "collectives",
-    "REDUCE_OPS": "collectives",
-    "Communicator": "collectives",
     "LocalChannelSet": "local",
     "LocalFabric": "local",
     "PortRegistry": "portfile",
@@ -34,9 +31,6 @@ __all__ = [
     "UdpChannelSet",
     "LocalFabric",
     "LocalChannelSet",
-    "Communicator",
-    "COLLECTIVE_PHASE",
-    "REDUCE_OPS",
     "PortRegistry",
     "SocketExchanger",
     "Header",

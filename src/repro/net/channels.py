@@ -165,78 +165,12 @@ class ChannelSet:
                 raise ProtocolError(
                     f"expected HELLO, got type {header.msg_type}"
                 )
-            if header.sender not in pending and header.sender in self._socks:
+            if header.sender not in pending:
                 raise ProtocolError(
-                    f"duplicate connection from rank {header.sender}"
+                    f"unexpected connection from rank {header.sender}"
                 )
-            # A sender outside ``pending`` is a fast peer establishing a
-            # collective (non-axis) link early — keep it (see
-            # ``ensure_links``).
             pending.discard(header.sender)
             self._socks[header.sender] = s
-
-    # ------------------------------------------------------------------
-    # on-demand links (collective topology)
-    # ------------------------------------------------------------------
-    def has_link(self, rank: int) -> bool:
-        """Whether a channel to ``rank`` is currently open."""
-        return rank in self._socks
-
-    def ensure_links(self, peers: Iterable[int], timeout: float = 30.0) -> None:
-        """Open channels to non-neighbour peers on demand.
-
-        The collective allreduce talks along binomial-tree edges that
-        the grid decomposition never created.  The handshake is the
-        same as :meth:`open` — the higher rank connects, the lower rank
-        accepts on its (still listening) socket — against the *current*
-        registry generation, so links re-establish lazily after a
-        migration re-open.  Link sets are symmetric: both ends of an
-        edge call this at the same point of the same collective
-        schedule, so the pairing cannot deadlock.  While accepting, a
-        HELLO from any other early peer is kept, not rejected.
-        """
-        missing = [p for p in set(peers) if p not in self._socks]
-        if not missing:
-            return
-        if self._listener is None:
-            raise RuntimeError("channels are closed")
-        if any(p == self.rank for p in missing):
-            raise ValueError(f"rank {self.rank} cannot link to itself")
-        lower = [p for p in missing if p < self.rank]
-        if lower:
-            addrs = self.registry.wait_for(
-                self.generation, set(lower), timeout=timeout
-            )
-            for p in lower:
-                s = socket.create_connection(addrs[p], timeout=timeout)
-                self._setup(s)
-                send_all(s, pack_frame(MSG_HELLO, self.rank))
-                self._socks[p] = s
-        pending = {p for p in missing if p > self.rank}
-        deadline = time.monotonic() + timeout
-        while pending:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError(
-                    f"rank {self.rank}: peers {sorted(pending)} never "
-                    f"connected (generation {self.generation})"
-                )
-            ready, _, _ = select.select([self._listener], [], [], remaining)
-            if not ready:
-                continue
-            s, _ = self._listener.accept()
-            self._setup(s)
-            header, _ = recv_frame(s)
-            if header.msg_type != MSG_HELLO:
-                raise ProtocolError(
-                    f"expected HELLO, got type {header.msg_type}"
-                )
-            if header.sender in self._socks:
-                raise ProtocolError(
-                    f"duplicate connection from rank {header.sender}"
-                )
-            self._socks[header.sender] = s
-            pending.discard(header.sender)
 
     @staticmethod
     def _setup(s: socket.socket) -> None:

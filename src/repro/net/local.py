@@ -3,12 +3,9 @@
 :class:`LocalFabric` is a set of per-rank mailboxes behind one lock;
 :class:`LocalChannelSet` is one rank's blocking view of it,
 call-compatible with the TCP and UDP channel sets (``send_data`` /
-``recv_data`` / ``has_link`` / ``ensure_links``).  Threads holding one
-view each can drive a :class:`~repro.net.transport.SocketExchanger` or
-a :class:`~repro.net.collectives.Communicator` without sockets — the
-socket-free transport of the exchange micro-benchmarks and of the
-collective's tests.  The in-process runners do not use it: they reduce
-their diagnostics by folding every subregion's partials directly.
+``recv_data``).  Threads holding one view each can drive a
+:class:`~repro.net.transport.SocketExchanger` without sockets — the
+socket-free transport of the exchange micro-benchmarks.
 """
 
 from __future__ import annotations
@@ -24,8 +21,7 @@ class LocalFabric:
     """Shared mailboxes for a group of in-process ranks.
 
     Messages are keyed exactly like the socket transports key their
-    out-of-order buffers — ``(step, phase, axis, side, sender)`` — so
-    the same collective driver runs unchanged on top.
+    out-of-order buffers — ``(step, phase, axis, side, sender)``.
     """
 
     def __init__(self, n_ranks: int) -> None:
@@ -62,12 +58,7 @@ class LocalFabric:
 
 
 class LocalChannelSet:
-    """One rank's blocking channel-set view of a :class:`LocalFabric`.
-
-    Every rank is always linked to every other — ``ensure_links`` is a
-    no-op — which is exactly the property the collective layer has to
-    *build* on the socket transports.
-    """
+    """One rank's blocking channel-set view of a :class:`LocalFabric`."""
 
     def __init__(self, fabric: LocalFabric, rank: int) -> None:
         if not 0 <= rank < fabric.n_ranks:
@@ -78,16 +69,6 @@ class LocalChannelSet:
         #: per-peer byte/message accounting (assign a live
         #: :class:`repro.trace.Tracer` to record fabric traffic)
         self.tracer = NULL_TRACER
-
-    def has_link(self, rank: int) -> bool:
-        """All in-process ranks are reachable."""
-        return 0 <= rank < self.fabric.n_ranks
-
-    def ensure_links(self, peers, timeout: float = 0.0) -> None:
-        """No-op: the fabric is fully connected by construction."""
-        for p in peers:
-            if not self.has_link(p):
-                raise ValueError(f"rank {p} outside fabric")
 
     def send_data(self, to: int, payload: bytes, step: int, phase: int,
                   axis: int, side: int) -> None:

@@ -172,28 +172,9 @@ class UdpChannelSet:
         self._nfrags.clear()
         self._unacked.clear()
 
-    # ------------------------------------------------------------------
-    # on-demand links (collective topology)
-    # ------------------------------------------------------------------
     def has_link(self, rank: int) -> bool:
-        """Whether ``rank``'s datagram address is already resolved."""
+        """Whether ``rank``'s datagram address is resolved."""
         return rank in self._addrs
-
-    def ensure_links(self, peers: Iterable[int], timeout: float = 30.0) -> None:
-        """Resolve non-neighbour peers' addresses from the registry.
-
-        Datagrams are connectionless, so a "link" is just a registry
-        lookup under the current generation — after a migration re-open
-        the stale address is simply re-resolved.
-        """
-        missing = {p for p in set(peers) if p not in self._addrs}
-        if not missing:
-            return
-        if self._sock is None:
-            raise RuntimeError("channels are closed")
-        self._addrs.update(
-            self.registry.wait_for(self.generation, missing, timeout=timeout)
-        )
 
     # ------------------------------------------------------------------
     # send side
@@ -245,7 +226,9 @@ class UdpChannelSet:
         step: int, phase: int, axis: int, side: int,
     ) -> None:
         if to not in self._addrs:  # broken link: registry re-handshake
-            self.ensure_links((to,), timeout=self._open_timeout)
+            self._addrs.update(self.registry.wait_for(
+                self.generation, {to}, timeout=self._open_timeout
+            ))
         addr = self._addrs[to]
         self.tracer.count(to, len(payload))
         nfrags = max(1, -(-len(payload) // _MTU_PAYLOAD))

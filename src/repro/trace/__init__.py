@@ -8,7 +8,7 @@ step went.  This package threads a low-overhead span/counter tracer
 through all four runtimes (serial, threaded, socket-distributed,
 cluster-simulated):
 
-* every compute phase, ghost exchange, collective, checkpoint write and
+* every compute phase, ghost exchange, seam, checkpoint write and
   migration pause becomes a **span** (name, start, duration, step);
 * every channel send/recv increments per-peer **byte/message counters**;
 * each rank streams a bounded ``trace-<rank>.jsonl``

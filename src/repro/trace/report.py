@@ -4,7 +4,7 @@ The paper measures "the time per integration step" from the outside and
 attributes the gap between measured and ideal speed to communication
 (eqs. 5-8).  A trace makes that attribution direct: summing each rank's
 spans by category yields the per-rank computation time ``T_comp``,
-communication time ``T_comm`` (ghost exchanges, collectives, barriers)
+communication time ``T_comm`` (ghost exchanges, seams, barriers)
 and everything else (checkpoints, migration pauses), from which the
 utilization ``T_comp / (T_comp + T_comm + T_other)`` — eq. 8's ``f``
 measured from the inside — falls out per rank and for the whole run.

@@ -59,7 +59,7 @@ __all__ = [
 #: Span categories of the §7 decomposition: time spent integrating
 #: fluid nodes ...
 CAT_COMPUTE = "compute"
-#: ... time spent exchanging boundary data / in collectives ...
+#: ... time spent exchanging boundary data or waiting on peers ...
 CAT_COMM = "comm"
 #: ... and everything else (checkpoints, migration and rebalance
 #: pauses, heartbeats).
@@ -70,7 +70,6 @@ _PREFIX_CATEGORY = {
     "compute": CAT_COMPUTE,
     "finalize": CAT_COMPUTE,
     "exchange": CAT_COMM,
-    "collective": CAT_COMM,
     "barrier": CAT_COMM,
     "token": CAT_COMM,
     "checkpoint": CAT_OTHER,

@@ -1,14 +1,13 @@
 """In-flight global diagnostics: records, log, abort semantics, parity.
 
-Fast tests exercise the partials/fold/collective machinery in-process;
-the ``slow``-marked ones spawn real distributed runs and assert the
-ISSUE acceptance bar — a NaN injected into one rank aborts the whole
-run with :data:`EXIT_DIAGNOSTIC` within ``2 * N`` steps, diagnosed, not
-stalled out.
+Fast tests exercise the partials, the diagnostics slots and the
+monitor's fold in-process; the ``slow``-marked ones spawn real
+distributed runs: a NaN injected into one rank stops the whole run
+diagnosed, with :data:`EXIT_DIAGNOSTIC`, not stalled out.
 """
 
 import json
-import threading
+import signal
 
 import numpy as np
 import pytest
@@ -18,12 +17,10 @@ from repro._jsonl import LogDamaged
 from repro.chaos import Fault, FaultPlan
 from repro.core import Decomposition, Simulation, ThreadedSimulation
 from repro.distrib import (
-    DiagnosticsFailure,
     DiagnosticsLog,
     DiagRecord,
     DistributedRun,
     EXIT_DIAGNOSTIC,
-    GlobalDiagnostics,
     MonitorError,
     ProblemSpec,
     RunSettings,
@@ -32,8 +29,16 @@ from repro.distrib import (
     local_partials,
     serial_diagnostics,
 )
+from repro.distrib.heartbeat import (
+    SLOT_SIZE,
+    decode_partials,
+    encode_partials,
+    open_partials,
+    read_partials,
+)
+from repro.distrib.hostdb import HostDB
+from repro.distrib.monitor import Monitor
 from repro.fluids import FluidParams, LBMethod
-from repro.net import Communicator, LocalFabric
 
 
 def _small_sim(blocks=(2, 2), shape=(16, 12), seed=3):
@@ -74,7 +79,6 @@ class TestRecordAndLog:
             log.append(DiagRecord(step=s, total_mass=1.0, kinetic_energy=0.0,
                                   max_speed=0.0, n_nonfinite=0))
         assert [r.step for r in log.read()] == [10, 20, 30]
-        assert log.last_step() == 30
 
     def test_log_tolerates_torn_tail(self, tmp_path):
         log = DiagnosticsLog.for_workdir(tmp_path)
@@ -83,7 +87,6 @@ class TestRecordAndLog:
         with open(log.path, "a") as f:
             f.write('{"step": 20, "total_ma')  # crash mid-append
         assert [r.step for r in log.read()] == [10]
-        assert log.last_step() == 10
 
     @pytest.mark.parametrize("damage", ["{not json", '{"step": 20}'])
     def test_log_refuses_a_damaged_middle_line(self, tmp_path, damage):
@@ -95,14 +98,10 @@ class TestRecordAndLog:
         log.path.write_text(f"{first}\n{damage}\n{last}\n")
         with pytest.raises(LogDamaged, match="diagnostics.jsonl, line 2"):
             log.read()
-        with pytest.raises(LogDamaged):
-            log.last_step()
 
     def test_empty_log(self, tmp_path):
         log = DiagnosticsLog.for_workdir(tmp_path)
         assert log.read() == []
-        assert log.last() is None
-        assert log.last_step() is None
 
 
 # ----------------------------------------------------------------------
@@ -164,91 +163,149 @@ class TestPartials:
 
 
 # ----------------------------------------------------------------------
-# GlobalDiagnostics over the in-process backend (threads)
+# the diagnostics slots and the monitor's fold
 # ----------------------------------------------------------------------
-def _run_diags(subs, every=1, log=None):
-    """One GlobalDiagnostics.check per sub, threaded; returns results
-    (DiagRecord or the raised DiagnosticsFailure) by rank."""
-    n = len(subs)
-    fabric = LocalFabric(n)
-    out = [None] * n
+class TestSlots:
+    def test_roundtrip_is_bit_exact(self):
+        parts = (0.1 + 0.2, 1e-300, float("inf"), 3.0)
+        slot = encode_partials(40, parts)
+        assert len(slot) == SLOT_SIZE
+        step, got = decode_partials(slot)
+        assert step == 40
+        assert np.array(got).tobytes() == np.array(parts).tobytes()
 
-    def run(r):
-        comm = Communicator(fabric.channel_set(r), r, n)
-        diag = GlobalDiagnostics(comm, every=every,
-                                 log=log if r == 0 else None)
-        try:
-            out[r] = diag.check(subs[r])
-        except DiagnosticsFailure as exc:
-            out[r] = exc
+    def test_unwritten_slot_reads_none(self, tmp_path):
+        open_partials(tmp_path, 0, 3).close()
+        assert [read_partials(tmp_path, 0, k) for k in range(3)] == [None] * 3
+        assert read_partials(tmp_path, 1, 0) is None  # no file yet
 
-    threads = [threading.Thread(target=run, args=(r,)) for r in range(n)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    return out
+    def test_slots_survive_a_reopen(self, tmp_path):
+        """A restarted incarnation keeps the samples already written;
+        a file of the wrong size is resized."""
+        slots = open_partials(tmp_path, 0, 2)
+        slots[SLOT_SIZE:] = encode_partials(10, (1.0, 2.0, 3.0, 0.0))
+        slots.close()
+        open_partials(tmp_path, 0, 2).close()
+        assert read_partials(tmp_path, 0, 1) == (10, (1.0, 2.0, 3.0, 0.0))
+        open_partials(tmp_path, 0, 4).close()
+        assert (tmp_path / "hb" / "diag0000.bin").stat().st_size \
+            == 4 * SLOT_SIZE
 
 
-class TestGlobalDiagnostics:
+class _RunningProc:
+    """A live worker that exits ``EXIT_DIAGNOSTIC`` on SIGTERM."""
+
+    pid = 99997
+
+    def __init__(self):
+        self.returncode = None
+        self.signals = []
+
+    def poll(self):
+        return self.returncode
+
+    def send_signal(self, sig):
+        self.signals.append(sig)
+        if sig == signal.SIGTERM:
+            self.returncode = EXIT_DIAGNOSTIC
+
+    def wait(self, timeout=None):
+        return self.returncode
+
+    def kill(self):  # pragma: no cover - exits on SIGTERM
+        self.returncode = -9
+
+
+def _fold_monitor(tmp_path, n_ranks, every, steps_total=40):
+    return Monitor(
+        tmp_path, HostDB(tmp_path / "hosts.json"),
+        {rank: _RunningProc() for rank in range(n_ranks)},
+        {"steps_total": steps_total, "diag_every": every},
+    )
+
+
+def _write_sample(workdir, subs, every, steps_total=40):
+    """Every rank stores its partials of the subs' current step."""
+    step = subs[0].step
+    at = (step // every - 1) * SLOT_SIZE
+    for sub in subs:
+        slots = open_partials(workdir, sub.block.rank, steps_total // every)
+        slots[at:at + SLOT_SIZE] = encode_partials(step, local_partials(sub))
+        slots.close()
+
+
+class TestMonitorFold:
     def test_matches_serial_bitwise(self, tmp_path):
         sim, _, _ = _small_sim(blocks=(2, 2))
-        sim.step(3)
-        ref = serial_diagnostics(sim.subs)
-        log = DiagnosticsLog.for_workdir(tmp_path)
-        results = _run_diags(sim.subs, log=log)
-        for rec in results:
-            assert isinstance(rec, DiagRecord)
+        mon = _fold_monitor(tmp_path, 4, every=3)
+        refs = []
+        for _ in range(2):
+            sim.step(3)
+            _write_sample(tmp_path, sim.subs, 3)
+            refs.append(serial_diagnostics(sim.subs))
+        mon._fold_diagnostics()
+        recs = DiagnosticsLog.for_workdir(tmp_path).read()
+        assert [r.step for r in recs] == [3, 6]
+        for rec, ref in zip(recs, refs):
             assert rec.total_mass == ref.total_mass
             assert rec.kinetic_energy == ref.kinetic_energy
             assert rec.max_speed == ref.max_speed
-        # rank 0 appended the record
-        assert log.last_step() == sim.subs[0].step
+            assert rec.n_nonfinite == ref.n_nonfinite == 0
 
-    def test_nan_raises_on_every_rank(self):
+    def test_folds_each_sample_once_in_step_order(self, tmp_path):
+        """A sample waits until every rank has written it, and a sample
+        rewritten by a replay after a restart is not folded again."""
         sim, _, _ = _small_sim(blocks=(2, 2))
+        mon = _fold_monitor(tmp_path, 4, every=5)
+        log = DiagnosticsLog.for_workdir(tmp_path)
+        sim.step(5)
+        _write_sample(tmp_path, sim.subs[:3], 5)
+        mon._fold_diagnostics()
+        assert log.read() == []
+        _write_sample(tmp_path, sim.subs[3:], 5)
+        sim.step(5)
+        _write_sample(tmp_path, sim.subs, 5)
+        mon._fold_diagnostics()
+        _write_sample(tmp_path, sim.subs, 5)  # the replay
+        mon._fold_diagnostics()
+        assert [r.step for r in log.read()] == [5, 10]
+
+    def test_nan_stops_the_run(self, tmp_path):
+        """A NaN on one rank stops every running rank, diagnosed."""
+        sim, _, _ = _small_sim(blocks=(2, 2))
+        mon = _fold_monitor(tmp_path, 4, every=2)
+        sim.step(2)
         sim.subs[2].interior_view("rho")[1, 1] = np.nan
-        results = _run_diags(sim.subs)
-        assert all(isinstance(r, DiagnosticsFailure) for r in results)
-        assert all("non-finite" in r.reason for r in results)
-        # every rank computed the same reduced record
-        steps = {r.record.n_nonfinite for r in results}
-        assert steps == {1}
+        _write_sample(tmp_path, sim.subs, 2)
+        with pytest.raises(MonitorError, match="non-finite"):
+            mon._fold_diagnostics()
+        failure = json.loads((tmp_path / "diag_failure.json").read_text())
+        assert failure["record"]["step"] == 2
+        assert failure["record"]["n_nonfinite"] == 1
+        assert all(p.signals == [signal.SIGTERM]
+                   for p in mon.procs.values())
+        assert {p.poll() for p in mon.procs.values()} == {EXIT_DIAGNOSTIC}
+        assert [r.step for r in DiagnosticsLog.for_workdir(tmp_path)
+                .read()] == [2]
 
-    def test_cfl_sentinel(self):
+    def test_cfl_sentinel(self, tmp_path):
         sim, _, _ = _small_sim(blocks=(2, 2))
-        sim.subs[1].interior_view("u")[0, 0] = 0.9  # > c_s
-        results = _run_diags(sim.subs)
-        assert all(isinstance(r, DiagnosticsFailure) for r in results)
-        assert all("CFL" in r.reason for r in results)
-
-    def test_maybe_check_cadence(self):
-        sim, _, _ = _small_sim(blocks=(1, 1))
-        fabric = LocalFabric(1)
-        diag = GlobalDiagnostics(
-            Communicator(fabric.channel_set(0), 0, 1), every=5)
-        sub = sim.subs[0]
-        checked = []
-        for _ in range(11):
-            sim.step(1)
-            rec = diag.maybe_check(sub)
-            if rec is not None:
-                checked.append(rec.step)
-        assert checked == [5, 10]
-
-    def test_disabled_period(self):
-        sim, _, _ = _small_sim(blocks=(1, 1))
-        fabric = LocalFabric(1)
-        diag = GlobalDiagnostics(
-            Communicator(fabric.channel_set(0), 0, 1), every=0)
+        mon = _fold_monitor(tmp_path, 4, every=1)
         sim.step(1)
-        assert diag.maybe_check(sim.subs[0]) is None
+        sim.subs[1].interior_view("u")[0, 0] = 0.9  # > c_s
+        _write_sample(tmp_path, sim.subs, 1)
+        with pytest.raises(MonitorError, match="CFL"):
+            mon._fold_diagnostics()
 
-    def test_negative_period_rejected(self):
-        fabric = LocalFabric(1)
-        with pytest.raises(ValueError):
-            GlobalDiagnostics(
-                Communicator(fabric.channel_set(0), 0, 1), every=-1)
+    def test_disabled_period(self, tmp_path):
+        mon = _fold_monitor(tmp_path, 1, every=0)
+        mon._fold_diagnostics()
+        assert not (tmp_path / DiagnosticsLog.FILENAME).exists()
+
+    def test_negative_period_is_off(self, tmp_path):
+        mon = _fold_monitor(tmp_path, 1, every=-1)
+        mon._fold_diagnostics()
+        assert not (tmp_path / DiagnosticsLog.FILENAME).exists()
 
 
 class TestThreadedRunnerDiagnostics:
@@ -326,16 +383,18 @@ class TestDistributedDiagnostics:
         _assert_serial_stream(spec, fields, recs, 10)
 
     def test_nan_aborts_diagnosed_within_2n(self, tmp_path):
-        """The acceptance criterion: a NaN injected at step 12 on rank 1
-        aborts every worker with EXIT_DIAGNOSTIC by step 12 + 2*5, with
-        the failure diagnosed in diag_failure.json — no stall timeout."""
+        """A NaN injected at step 12 on rank 1 stops every worker with
+        EXIT_DIAGNOSTIC, the failure diagnosed in diag_failure.json at
+        a step by 12 + 2*5 — no stall timeout.  The ranks stop within
+        one monitor poll of the failing sample, so the run is long
+        enough that none can finish first."""
         every, nan_step = 5, 12
         spec = _spec()
         fields = initial_fields(spec, "rest")
         plan = FaultPlan(faults=(Fault("nan", rank=1, step=nan_step),))
         run = DistributedRun(
             spec, fields, tmp_path / "run",
-            RunSettings(steps=60, diag_every=every,
+            RunSettings(steps=200, diag_every=every,
                         fault_plan=plan.to_json(),
                         stall_timeout=120, run_timeout=240),
         )
@@ -356,8 +415,9 @@ class TestDistributedDiagnostics:
         assert failure["record"]["step"] <= nan_step + 2 * every
 
     def test_diagnostics_over_udp_with_loss(self, tmp_path):
-        """The diagnostic collective survives the lossy datagram
-        transport (acks + retransmission underneath), bit for bit."""
+        """The diagnostics stream of a run over the lossy datagram
+        transport (acks + retransmission underneath) is the serial
+        one, bit for bit."""
         spec = _spec()
         fields = initial_fields(spec, "rest")
         out = repro.run(
@@ -370,3 +430,55 @@ class TestDistributedDiagnostics:
         recs = DiagnosticsLog.for_workdir(tmp_path / "run").read()
         assert [r.step for r in recs] == [10, 20]
         _assert_serial_stream(spec, fields, recs, 10)
+
+    def test_nan_in_the_last_period_is_diagnosed(self, tmp_path):
+        """The ranks may finish before the monitor folds the last
+        sample; the run still ends in the diagnosis, not a success."""
+        spec = _spec()
+        plan = FaultPlan(faults=(Fault("nan", rank=1, step=17),))
+        run = DistributedRun(
+            spec, initial_fields(spec, "rest"), tmp_path / "run",
+            RunSettings(steps=20, diag_every=5, fault_plan=plan.to_json(),
+                        stall_timeout=120, run_timeout=240),
+        )
+        run.start()
+        with pytest.raises(MonitorError, match="non-finite"):
+            run.wait()
+        failure = json.loads((tmp_path / "run" / "diag_failure.json")
+                             .read_text())
+        assert failure["record"]["step"] == 20
+
+    def test_checkpoint_restart_logs_each_step_once(self, tmp_path):
+        """A rank killed at step 17 restarts everyone from the step-10
+        checkpoint; the replayed step 15 is folded once."""
+        spec = _spec()
+        fields = initial_fields(spec, "rest")
+        plan = FaultPlan(faults=(Fault("kill", rank=1, step=17),))
+        result = repro.run(
+            spec, "distributed",
+            RunSettings(steps=30, diag_every=5, save_every=10,
+                        fault_plan=plan.to_json(), run_timeout=240),
+            fields=fields, workdir=tmp_path / "run",
+        )
+        recs = DiagnosticsLog.for_workdir(tmp_path / "run").read()
+        assert [r.step for r in recs] == [5, 10, 15, 20, 25, 30]
+        assert [r.step for r in result.diagnostics] == [5, 10, 15, 20, 25, 30]
+        _assert_serial_stream(spec, fields, recs, 5)
+
+    def test_migration_keeps_the_stream(self, tmp_path):
+        """A rank that migrates mid-run keeps writing its slots: the
+        stream lists each step once and stays the serial one."""
+        spec = _spec()
+        fields = initial_fields(spec, "rest")
+        run = DistributedRun(
+            spec, fields, tmp_path / "run",
+            RunSettings(steps=60, diag_every=5, step_delays=[0.005] * 4,
+                        run_timeout=240),
+        )
+        mon = run.start()
+        mon.request_migration(1)
+        run.wait()
+        assert mon.migrations == 1
+        recs = DiagnosticsLog.for_workdir(tmp_path / "run").read()
+        assert [r.step for r in recs] == list(range(5, 61, 5))
+        _assert_serial_stream(spec, fields, recs, 5)

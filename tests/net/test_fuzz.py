@@ -10,6 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.core import ExchangePlan
 from repro.distrib import ProblemSpec
+from repro.distrib.heartbeat import (
+    RECORD_SIZE,
+    SLOT_SIZE,
+    decode_heartbeat,
+    decode_partials,
+    encode_heartbeat,
+    encode_partials,
+)
 from repro.fluids.coupling import seam_wire_fields
 from repro.net import ProtocolError, SocketExchanger, pack_frame, recv_frame
 from repro.net.protocol import HEADER_SIZE, MSG_DATA
@@ -213,3 +221,71 @@ class TestStripDecoderFuzz:
         finally:
             for k, v in before.items():
                 sub.fields[k][...] = v
+
+
+def _damaged(record: bytes, cut: int, bit: int) -> tuple[bytes, bytes]:
+    """``record`` cut to ``cut`` bytes, and with bit ``bit`` flipped."""
+    flipped = bytearray(record)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    return record[:cut], bytes(flipped)
+
+
+class TestHeartbeatRecordFuzz:
+    """A heartbeat record read from its memory map, torn or damaged,
+    decodes to the values that were encoded or to ``None``."""
+
+    @given(st.binary(min_size=RECORD_SIZE, max_size=RECORD_SIZE))
+    @example(bytes(RECORD_SIZE))  # a freshly resized file
+    @settings(max_examples=60, deadline=None)
+    def test_any_record_sized_bytes(self, blob):
+        got = decode_heartbeat(blob)
+        assert got is None or encode_heartbeat(*got) == blob
+
+    @given(step=st.integers(0, 10**11), wall_ms=st.integers(0, 10**16),
+           comp_ns=st.integers(0, 10**11), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_truncated_or_flipped_record(self, step, wall_ms, comp_ns,
+                                         data):
+        record = encode_heartbeat(step, wall_ms / 1e3, comp_ns / 1e9)
+        want = decode_heartbeat(record)
+        assert want is not None and want[0] == step
+        cut, flipped = _damaged(
+            record,
+            data.draw(st.integers(0, RECORD_SIZE - 1)),
+            data.draw(st.integers(0, 8 * RECORD_SIZE - 1)),
+        )
+        assert decode_heartbeat(cut) is None
+        # a flipped case bit of a CRC hex digit still spells the CRC
+        assert decode_heartbeat(flipped) in (None, want)
+
+
+class TestPartialsSlotFuzz:
+    """A diagnostics slot read while its rank rewrites it, or damaged,
+    decodes to the encoded step and partials, bit for bit, or to
+    ``None``."""
+
+    @given(st.binary(min_size=SLOT_SIZE, max_size=SLOT_SIZE))
+    @example(bytes(SLOT_SIZE))  # an unwritten slot
+    @settings(max_examples=60, deadline=None)
+    def test_any_slot_sized_bytes(self, blob):
+        got = decode_partials(blob)
+        assert got is None or encode_partials(*got) == blob
+        if not any(blob):
+            assert got is None
+
+    @given(step=st.integers(-2**63, 2**63 - 1),
+           partials=st.lists(st.floats(), min_size=4, max_size=4),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_truncated_or_flipped_slot(self, step, partials, data):
+        slot = encode_partials(step, partials)
+        got = decode_partials(slot)
+        assert got[0] == step
+        assert np.array(got[1]).tobytes() == np.array(partials).tobytes()
+        cut, flipped = _damaged(
+            slot,
+            data.draw(st.integers(0, SLOT_SIZE - 1)),
+            data.draw(st.integers(0, 8 * SLOT_SIZE - 1)),
+        )
+        assert decode_partials(cut) is None
+        assert decode_partials(flipped) is None

@@ -61,6 +61,7 @@ def test_no_datetime_now_in_runtimes():
 STEP_PATH = (
     ("distrib/worker.py", "Worker", "_step_once"),
     ("distrib/worker.py", "Worker", "_heartbeat"),
+    ("distrib/worker.py", "Worker", "_write_partials"),
     ("net/transport.py", "SocketExchanger", "_sweep"),
 )
 #: calls that create, open or re-read files
@@ -103,7 +104,7 @@ def test_no_file_system_work_on_the_step_path():
     )
 
 
-#: the channel sets a rank's exchanger and collectives drive
+#: the channel sets a rank's ghost exchanger drives
 CHANNEL_SETS = (
     ("net/channels.py", "ChannelSet"),
     ("net/udp.py", "UdpChannelSet"),
@@ -122,10 +123,10 @@ def _param_names(fn: ast.FunctionDef) -> tuple[str, ...]:
 
 
 def test_channel_sets_share_one_data_plane_signature():
-    """The channel sets are interchangeable under the exchangers and the
-    collectives: ``send_data``/``recv_data`` take the same parameter
-    names everywhere, so no transport-only knob can hide behind a
-    parameter the others lack or a ``**kwargs`` that swallows it."""
+    """The channel sets are interchangeable under the exchangers:
+    ``send_data``/``recv_data`` take the same parameter names
+    everywhere, so no transport-only knob can hide behind a parameter
+    the others lack or a ``**kwargs`` that swallows it."""
     for name in ("send_data", "recv_data"):
         sigs = {
             cls: _param_names(_method(SRC / rel, cls, name))

@@ -34,7 +34,6 @@ class FakeClock:
     ("compute:0", CAT_COMPUTE),
     ("finalize:0", CAT_COMPUTE),
     ("exchange:1", CAT_COMM),
-    ("collective:allreduce", CAT_COMM),
     ("barrier:step", CAT_COMM),
     ("token:send", CAT_COMM),
     ("wait:0", CAT_COMM),

@@ -26,8 +26,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from ..core.decomposition import Decomposition
-from ..core.subregion import assemble_global, make_subregions
-from ..distrib.dumpfile import dump_path, load_dumps, save_dump
+from ..distrib.decompose import (
+    DumpStepMismatch,
+    assemble_dumps,
+    decompose_problem,
+)
 from ..distrib.spec import ProblemSpec
 
 __all__ = ["RecutError", "check_chain", "check_rebalanceable",
@@ -104,20 +107,6 @@ def recut_problem(
             f"{old.grid_shape[0]}"
         )
 
-    subs = load_dumps(workdir / "dumps", old.n_active, tag=in_tag)
-    steps = {sub.step for sub in subs}
-    if len(steps) != 1:
-        raise RecutError(f"dumps '{in_tag}' at different steps: {steps}")
-    step = steps.pop()
-
-    method = spec.build_method()
-    solid, _, _ = spec.build_geometry()
-    fields = {
-        name: assemble_global(old, subs, name)
-        for name in subs[0].field_names()
-    }
-    extra = dict(subs[0].extra)
-
     weights = (tuple(int(s) for s in shares),) + (None,) * (old.ndim - 1)
     new_spec = replace(spec, weights=weights)
     new = new_spec.build_decomposition()
@@ -129,13 +118,10 @@ def recut_problem(
     if new.n_active_nodes != old.n_active_nodes:  # pragma: no cover
         raise RecutError("re-cut changed the active node count")
 
-    for sub in make_subregions(new, method.pad, fields, solid):
-        sub.step = step
-        sub.extra.update(extra)
-        method.init_subregion(sub)
-        save_dump(
-            sub,
-            dump_path(workdir / "dumps", sub.block.rank, tag=out_tag),
-        )
-    new_spec.save(workdir / "spec.json")
+    try:
+        step, fields, extra = assemble_dumps(workdir, in_tag)
+    except DumpStepMismatch as exc:
+        raise RecutError(str(exc)) from exc
+    decompose_problem(new_spec, fields, workdir, tag=out_tag, step=step,
+                      extra=extra)
     return new

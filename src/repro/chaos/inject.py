@@ -13,7 +13,7 @@ Three injection points mirror the three layers a real cluster fails at:
   dumps right after they are written (a failing disk or NFS server,
   §4.1).
 * Host-load spikes are applied by the monitor to the virtual host
-  registry — see :meth:`FaultPlan.host_faults`.
+  table — see :meth:`FaultPlan.host_faults`.
 
 The hot path follows the null-tracer convention: workers without a
 fault plan hold :data:`NULL_INJECTOR` (``enabled`` is False) and the

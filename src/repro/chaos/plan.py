@@ -38,7 +38,7 @@ MESSAGE_KINDS = frozenset(
 STATE_KINDS = frozenset({"nan"})
 #: Faults applied to a checkpoint dump right after it is written.
 DUMP_KINDS = frozenset({"dump_corrupt", "dump_truncate"})
-#: Faults applied by the monitor to the virtual host registry.
+#: Faults applied by the monitor to the virtual host table.
 HOST_KINDS = frozenset({"load_spike"})
 
 KINDS = PROCESS_KINDS | MESSAGE_KINDS | STATE_KINDS | DUMP_KINDS | HOST_KINDS

@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
+from ..distrib.hostdb import paper_cluster
 from .calibration import node_speed
 
 __all__ = ["LoadTrace", "SimHost", "paper_sim_cluster"]
@@ -76,16 +77,7 @@ def paper_sim_cluster(
     the paper's "choose 715 models first" strategy.
     """
     traces = traces or {}
-    hosts = []
-    for i in range(16):
-        name = f"hp715-{i:02d}"
-        hosts.append(
-            SimHost(name, "715/50", traces.get(name, LoadTrace()))
-        )
-    for i in range(6):
-        name = f"hp720-{i:02d}"
-        hosts.append(SimHost(name, "720", traces.get(name, LoadTrace())))
-    for i in range(3):
-        name = f"hp710-{i:02d}"
-        hosts.append(SimHost(name, "710", traces.get(name, LoadTrace())))
-    return hosts
+    return [
+        SimHost(h.name, h.model, traces.get(h.name, LoadTrace()))
+        for h in paper_cluster()
+    ]

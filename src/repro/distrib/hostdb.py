@@ -7,20 +7,19 @@ first, 715/50 models before the slightly slower 710 and 720 models.
 The monitoring program later watches the five-minute average and
 requests a migration when it exceeds 1.5 (a second full-time process).
 
-We reproduce the whole decision logic against a *virtual* registry: a
-flock-guarded JSON file on the shared filesystem records, per host, the
-machine model, emulated load averages and user idle time, plus the rank
-currently assigned to it.  Tests and the load generator perturb the
-emulated loads exactly the way real users would perturb ``uptime``.
+We reproduce the whole decision logic against a *virtual* table held by
+the one process that submits and monitors (the paper's designated
+workstation): per host, the machine model, emulated load averages and
+user idle time, plus the rank currently assigned to it.  Tests and the
+load generator perturb the emulated loads exactly the way real users
+would perturb ``uptime``.
 """
 
 from __future__ import annotations
 
-import fcntl
-import json
-import os
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+import threading
+from dataclasses import dataclass, replace
+from typing import Iterable
 
 __all__ = ["HostInfo", "HostDB", "paper_cluster"]
 
@@ -53,63 +52,33 @@ class HostInfo:
 
 
 class HostDB:
-    """flock-guarded JSON host registry."""
+    """The in-memory host table, in host-name order.
 
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
+    Built from a copy of the caller's entries, so no mutation reaches
+    them, and every query returns copies.  One lock makes each mutation
+    atomic with respect to the queries: a load generator may call
+    :meth:`set_load` from another thread while the monitor polls.
+    """
 
-    # ------------------------------------------------------------------
-    # storage
-    # ------------------------------------------------------------------
-    def initialize(self, hosts: list[HostInfo]) -> None:
-        """Create the registry with the given workstations."""
-        names = [h.name for h in hosts]
-        if len(set(names)) != len(names):
+    def __init__(self, hosts: Iterable[HostInfo] = ()):
+        hosts = sorted(hosts, key=lambda h: h.name)
+        self._hosts = {h.name: replace(h) for h in hosts}
+        if len(self._hosts) != len(hosts):
             raise ValueError("host names must be unique")
-        self._write({h.name: asdict(h) for h in hosts})
-
-    def _write(self, raw: dict) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(".tmp")
-        with open(tmp, "w") as fh:
-            json.dump(raw, fh, indent=1, sort_keys=True)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-
-    def _read(self) -> dict:
-        if not self.path.exists():
-            return {}
-        with open(self.path, "r") as fh:
-            fcntl.flock(fh.fileno(), fcntl.LOCK_SH)
-            try:
-                return json.load(fh)
-            finally:
-                fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
-
-    def _update(self, mutate) -> None:
-        """Read-modify-write under an exclusive lock on a sidecar file."""
-        lock = self.path.with_suffix(".lock")
-        lock.parent.mkdir(parents=True, exist_ok=True)
-        with open(lock, "a") as lk:
-            fcntl.flock(lk.fileno(), fcntl.LOCK_EX)
-            try:
-                raw = self._read()
-                mutate(raw)
-                self._write(raw)
-            finally:
-                fcntl.flock(lk.fileno(), fcntl.LOCK_UN)
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def hosts(self) -> list[HostInfo]:
         """All registered workstations."""
-        return [HostInfo(**h) for h in self._read().values()]
+        with self._lock:
+            return [replace(h) for h in self._hosts.values()]
 
     def get(self, name: str) -> HostInfo:
         """One workstation's entry by name."""
-        return HostInfo(**self._read()[name])
+        with self._lock:
+            return replace(self._hosts[name])
 
     def host_of_rank(self, rank: int) -> HostInfo | None:
         """The workstation currently running ``rank``, if any."""
@@ -164,10 +133,8 @@ class HostDB:
     # ------------------------------------------------------------------
     def assign(self, name: str, rank: int | None) -> None:
         """Record (or clear, with None) a rank's placement on a host."""
-        def mutate(raw: dict) -> None:
-            raw[name]["rank"] = rank
-
-        self._update(mutate)
+        with self._lock:
+            self._hosts[name].rank = rank
 
     def set_load(
         self,
@@ -177,17 +144,14 @@ class HostDB:
         idle_minutes: float | None = None,
     ) -> None:
         """Perturb a host's emulated ``uptime`` numbers."""
-
-        def mutate(raw: dict) -> None:
-            h = raw[name]
+        with self._lock:
+            h = self._hosts[name]
             if load5 is not None:
-                h["load5"] = load5
+                h.load5 = load5
             if load15 is not None:
-                h["load15"] = load15
+                h.load15 = load15
             if idle_minutes is not None:
-                h["idle_minutes"] = idle_minutes
-
-        self._update(mutate)
+                h.idle_minutes = idle_minutes
 
 
 def paper_cluster(prefix: str = "hp") -> list[HostInfo]:

@@ -9,7 +9,7 @@ process takes place."
 
 The monitor owns the control plane of a distributed run:
 
-* watches worker exit codes, heartbeats and the virtual host registry;
+* watches worker exit codes, heartbeats and the virtual host table;
 * folds the ranks' diagnostics samples into ``diagnostics.jsonl`` and
   stops the run, diagnosed, on a global NaN or CFL violation;
 * triggers migrations when a host's five-minute load exceeds 1.5

@@ -17,9 +17,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from ..core.subregion import assemble_global
-from .decompose import decompose_problem
-from .dumpfile import dump_path, load_dump
+from .decompose import assemble_dumps, decompose_problem
 from .hostdb import HostDB, HostInfo, paper_cluster
 from .settings import WorkerKnobs, check_supported, worker_knob_names
 from .spec import ProblemSpec
@@ -108,8 +106,7 @@ class DistributedRun:
         self.workdir.mkdir(parents=True, exist_ok=True)
         self.decomp = spec.build_decomposition()
         decompose_problem(spec, global_fields, self.workdir)
-        self.hostdb = HostDB(self.workdir / "hosts.json")
-        self.hostdb.initialize(settings.hosts)
+        self.hostdb = HostDB(settings.hosts)
         self.monitor: Monitor | None = None
 
     def start(self) -> Monitor:
@@ -145,36 +142,8 @@ class DistributedRun:
         self.monitor.run(timeout=self.settings.run_timeout)
 
     def collect(self, fill: float = 0.0) -> dict[str, np.ndarray]:
-        """Reassemble the final dumps into global field arrays.
-
-        The decomposition is reloaded from the workdir's ``spec.json``
-        rather than taken from construction time: a rebalance epoch
-        rewrites the spec with the adopted slab weights, and assembling
-        the re-cut dumps against the stale uniform blocks would
-        misplace every interior.
-        """
-        decomp = ProblemSpec.load(
-            self.workdir / "spec.json"
-        ).build_decomposition()
-        subs = [
-            load_dump(dump_path(self.workdir / "dumps", rank, tag="final"))
-            for rank in range(decomp.n_active)
-        ]
-        steps = {s.step for s in subs}
-        if len(steps) != 1:
-            raise RuntimeError(f"final dumps at different steps: {steps}")
-        # On a hybrid run only the fields every rank holds reassemble
-        # globally (method-private fields like the LB populations live
-        # on their own subregions only).
-        names = [
-            name
-            for name in subs[0].field_names()
-            if all(name in s.fields for s in subs)
-        ]
-        return {
-            name: assemble_global(decomp, subs, name, fill)
-            for name in names
-        }
+        """Reassemble the final dumps into global field arrays."""
+        return assemble_dumps(self.workdir, "final", fill)[1]
 
     def cleanup(self) -> None:
         """Delete the working directory."""

@@ -85,7 +85,7 @@ def submit_all(
     Submission is all-or-nothing: if spawning any rank fails, the
     already-started workers are killed and every host assignment made
     here is rolled back before the error propagates, so the host
-    database never records ranks of a run that does not exist.
+    table never records ranks of a run that does not exist.
     """
     from .worker import WorkerConfig
 

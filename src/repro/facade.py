@@ -25,7 +25,7 @@ fields (``None`` for the purely-temporal simulated backend), the
 in-flight diagnostics records, and — when tracing was requested — the
 merged Chrome trace path plus the §7 per-rank T_comp/T_comm breakdown.
 The per-backend classes remain public for fine-grained control (live
-monitors, custom host databases, mid-run migration); for everything
+monitors, custom host tables, mid-run migration); for everything
 else, prefer this function.
 """
 

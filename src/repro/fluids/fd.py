@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.subregion import SubregionState
-from .backends.numpy_backend import NumpyBackend
+from . import fused
 from .boundary import (
     PressureOutlet,
     VelocityInlet,
@@ -65,6 +65,8 @@ class FDMethod:
     pad = 4
     #: canonical spec name (``ProblemSpec.method``)
     method_name = "fd"
+    #: the kernel module the hot paths run
+    backend = fused
 
     def __init__(
         self,
@@ -98,7 +100,6 @@ class FDMethod:
         self.inlets = tuple(inlets)
         self.outlets = tuple(outlets)
         self.filter = FourthOrderFilter(params.filter_eps)
-        self.backend = NumpyBackend(self)
 
     # ------------------------------------------------------------------
     # ExplicitMethod protocol
@@ -141,16 +142,16 @@ class FDMethod:
         # no-slip values the serial program holds there.
         enforce_noslip(sub, self.vel_names, g3)
         self._apply_openings(sub, g3)
-        self.backend.filter_fields(self.filter, sub, self.field_names, g1)
+        self.filter.apply(sub, self.field_names, g1)
 
     # ------------------------------------------------------------------
     # kernels — hot paths run the fused NumPy kernels of
-    # repro.fluids.backends.numpy_backend.  No-slip enforcement stays
+    # repro.fluids.fused.  No-slip enforcement stays
     # here, on the wall-node sets of repro.fluids.boundary.
     # ------------------------------------------------------------------
     def _update_velocity(self, sub: SubregionState) -> None:
         """Forward-Euler momentum update (eqs. 2-3) on the interior."""
-        self.backend.fd_velocity(sub)
+        fused.fd_velocity(self, sub)
         enforce_noslip(sub, self.vel_names, sub.interior)
 
     def _update_density(self, sub: SubregionState) -> None:
@@ -160,7 +161,7 @@ class FDMethod:
         # step 0, the raw initial condition): enforce over one ring so
         # the mass fluxes read clean wall velocities.
         enforce_noslip(sub, self.vel_names, sub.grown_interior(1))
-        self.backend.fd_density(sub)
+        fused.fd_density(self, sub)
 
     def _apply_openings(self, sub: SubregionState, region) -> None:
         """Force inlet velocities and outlet densities (node-wise)."""

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .._kernels import (
+from ._kernels import (
     Region,
     central_diff,
     flat_nodes,
@@ -37,7 +37,12 @@ from .._kernels import (
     slab_depth,
 )
 
-__all__ = ["NumpyBackend"]
+__all__ = ["lb_init", "lb_relax", "lb_stream", "lb_moments",
+           "fd_velocity", "fd_density"]
+
+#: The kernel set's name: a method's ``backend`` is this module, and the
+#: bench manifest records ``backend.name`` per workload.
+name = "numpy"
 
 
 def lb_init(method, sub) -> None:
@@ -309,38 +314,3 @@ def fd_density(method, sub) -> None:
         if done is not None:
             field[done.target] -= done.of(div[(k - 1) % 2])
 
-
-class NumpyBackend:
-    """The kernels one method instance runs.
-
-    Regions are tuples of explicit slices into the padded arrays (see
-    :mod:`repro.fluids._kernels`); a kernel computes on the whole padded
-    planes of its region's plane range and changes no byte outside the
-    region.
-    """
-
-    name = "numpy"
-
-    def __init__(self, method) -> None:
-        self.method = method
-
-    def lb_init(self, sub) -> None:
-        lb_init(self.method, sub)
-
-    def lb_relax(self, sub) -> None:
-        lb_relax(self.method, sub)
-
-    def lb_stream(self, sub, region) -> None:
-        lb_stream(self.method, sub, region)
-
-    def lb_moments(self, sub, region) -> None:
-        lb_moments(self.method, sub, region)
-
-    def fd_velocity(self, sub) -> None:
-        fd_velocity(self.method, sub)
-
-    def fd_density(self, sub) -> None:
-        fd_density(self.method, sub)
-
-    def filter_fields(self, flt, sub, names, region) -> None:
-        flt.apply(sub, names, region)

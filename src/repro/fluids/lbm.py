@@ -40,7 +40,7 @@ import numpy as np
 
 from ..core.subregion import SubregionState
 from ._kernels import Region, flat_nodes
-from .backends.numpy_backend import NumpyBackend
+from . import fused
 from .boundary import (
     PressureOutlet,
     VelocityInlet,
@@ -67,6 +67,8 @@ class LBMethod:
     pad = 3
     #: canonical spec name (``ProblemSpec.method``)
     method_name = "lb"
+    #: the kernel module the hot paths run
+    backend = fused
 
     def __init__(
         self,
@@ -126,7 +128,7 @@ class LBMethod:
         self._e_b = tuple(self._e_f[:, d, None] for d in range(ndim))
         self._w_b = lat.w[:, None]
         # Collision + Guo forcing collapse into one polynomial per
-        # population (see numpy_backend.lb_relax):
+        # population (see fused.lb_relax):
         #   delta_i = w_i rho [4.5 w eu^2 + A1_i eu + A0_i - s] - w f_i
         # with w = 1/tau, pref = 1 - 1/(2 tau), G_i = e_i . g:
         omega = 1.0 / self.tau
@@ -155,7 +157,6 @@ class LBMethod:
         self._pairs = tuple(
             (i, int(opp[i])) for i in range(lat.q) if i < opp[i]
         )
-        self.backend = NumpyBackend(self)
 
     # ------------------------------------------------------------------
     # equilibrium and forcing
@@ -293,7 +294,7 @@ class LBMethod:
             # Populations start at equilibrium with the decomposed
             # macroscopic state, evaluated over the whole padded array so
             # ghosts are exact from step zero.
-            self.backend.lb_init(sub)
+            fused.lb_init(self, sub)
 
     def compute_phase(self, sub: SubregionState, phase: int) -> None:
         """BGK collision on the interior (the single compute phase)."""
@@ -308,22 +309,20 @@ class LBMethod:
         self._bounce_back(sub, g2)
         self._macro(sub, g2)
         self._apply_openings(sub, g2)
-        self.backend.filter_fields(
-            self.filter, sub, ("rho",) + self.vel_names, sub.interior
-        )
+        self.filter.apply(sub, ("rho",) + self.vel_names, sub.interior)
 
     # ------------------------------------------------------------------
     # kernels — hot paths run the fused NumPy kernels of
-    # repro.fluids.backends.numpy_backend.  Bounce-back and openings
+    # repro.fluids.fused.  Bounce-back and openings
     # stay here, on the wall-node sets of repro.fluids.boundary.
     # ------------------------------------------------------------------
     def _relax(self, sub: SubregionState) -> None:
         """BGK collision + Guo forcing; solid nodes do not collide."""
-        self.backend.lb_relax(sub)
+        fused.lb_relax(self, sub)
 
     def _shift(self, sub: SubregionState, region: Region) -> None:
         """Streaming in pull form: ``F_i(x) <- F_i(x - e_i)``."""
-        self.backend.lb_stream(sub, region)
+        fused.lb_stream(self, sub, region)
 
     def _bounce_back(self, sub: SubregionState, region: Region) -> None:
         """Reflect all populations at solid nodes (full bounce-back).
@@ -347,7 +346,7 @@ class LBMethod:
 
     def _macro(self, sub: SubregionState, region: Region) -> None:
         """Fluid variables from populations (plus Guo half-force shift)."""
-        self.backend.lb_moments(sub, region)
+        fused.lb_moments(self, sub, region)
 
     def _apply_openings(self, sub: SubregionState, region: Region) -> None:
         """Inlets force equilibrium at the jet velocity; outlets rescale

@@ -553,13 +553,6 @@ class Gateway:
             "address": self.address,
             "workers": self.pool.status(),
             "worker_deaths": self.pool.deaths,
-            "hosts": [
-                {
-                    "name": h.name, "model": h.model, "rank": h.rank,
-                    "load5": h.load5, "load15": h.load15,
-                }
-                for h in self.pool.hostdb.hosts()
-            ],
             "queue_depth": self.scheduler.queue_depth,
             "jobs_by_state": by_state,
             "jobs": [r.to_dict() for r in records[:50]],

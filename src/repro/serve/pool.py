@@ -2,11 +2,9 @@
 
 Spawning reuses the distributed runtime's submit machinery verbatim:
 the same absolutized-``PYTHONPATH`` environment
-(:func:`repro.distrib.submit._worker_env`), the same append-mode log
-files, and the same :class:`~repro.distrib.hostdb.HostDB` registry —
-each pool worker occupies a virtual ``pool-<i>`` host, so the existing
-host-level ops surface (`repro top`, load queries) sees service workers
-exactly as it sees distributed ranks.
+(:func:`repro.distrib.submit._worker_env`) and the same append-mode log
+files.  Each pool worker is named as a virtual ``pool-<i>`` host in its
+status (the HOST column of `repro top`).
 
 Each worker is connected to the gateway by one ``socketpair``: job ids
 go out a line each (:meth:`WorkerPool.send`), ``done <job_id>`` lines
@@ -24,7 +22,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-from ..distrib.hostdb import HostDB, HostInfo
 from ..distrib.submit import _worker_env
 
 __all__ = ["WorkerPool"]
@@ -39,7 +36,6 @@ class WorkerPool:
         self.serve_dir = Path(serve_dir).resolve()
         self.n_workers = n_workers
         self.pool_dir = self.serve_dir / "pool"
-        self.hostdb = HostDB(self.serve_dir / "hosts.json")
         self.procs: dict[int, subprocess.Popen] = {}
         #: the gateway's end of each worker's socket (non-blocking)
         self.channels: dict[int, socket.socket] = {}
@@ -50,13 +46,9 @@ class WorkerPool:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Register the virtual hosts and spawn every worker."""
+        """Spawn every worker."""
         (self.pool_dir / "hb").mkdir(parents=True, exist_ok=True)
         (self.pool_dir / "logs").mkdir(parents=True, exist_ok=True)
-        self.hostdb.initialize([
-            HostInfo(name=self._host_name(i), model="715/50", rank=i)
-            for i in range(self.n_workers)
-        ])
         for i in range(self.n_workers):
             self.spawn(i)
 
@@ -165,9 +157,6 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # status surfaces
     # ------------------------------------------------------------------
-    def _host_name(self, index: int) -> str:
-        return f"pool-{index:02d}"
-
     def heartbeat(self, index: int) -> dict | None:
         """Worker ``index``'s last heartbeat, or None (torn/missing)."""
         path = self.pool_dir / "hb" / f"pool{index:04d}.json"
@@ -183,7 +172,7 @@ class WorkerPool:
             proc = self.procs.get(i)
             out.append({
                 "index": i,
-                "host": self._host_name(i),
+                "host": f"pool-{i:02d}",
                 "alive": self.alive(i),
                 "pid": proc.pid if proc is not None else None,
                 "heartbeat": self.heartbeat(i),

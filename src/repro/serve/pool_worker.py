@@ -46,7 +46,7 @@ WARM_MODULES = (
     "repro.distrib.spec",
     "repro.distrib.orchestrator",
     "repro.distrib.initprog",
-    "repro.fluids.backends.numpy_backend",
+    "repro.fluids.fused",
 )
 
 

@@ -71,7 +71,6 @@ _PREFIX_CATEGORY = {
     "finalize": CAT_COMPUTE,
     "exchange": CAT_COMM,
     "barrier": CAT_COMM,
-    "token": CAT_COMM,
     "checkpoint": CAT_OTHER,
     "migration": CAT_OTHER,
     "balance": CAT_OTHER,

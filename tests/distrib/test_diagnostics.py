@@ -218,7 +218,7 @@ class _RunningProc:
 
 def _fold_monitor(tmp_path, n_ranks, every, steps_total=40):
     return Monitor(
-        tmp_path, HostDB(tmp_path / "hosts.json"),
+        tmp_path, HostDB(),
         {rank: _RunningProc() for rank in range(n_ranks)},
         {"steps_total": steps_total, "diag_every": every},
     )

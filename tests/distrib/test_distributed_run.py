@@ -111,6 +111,10 @@ def test_load_triggered_migration(tmp_path):
     # the overloaded host no longer runs rank 2
     host = run.hostdb.host_of_rank(2)
     assert host.load5 < 1.5
+    # the host table lives in the monitoring process: no registry file,
+    # and the settings' host list is copied, never perturbed
+    assert not (tmp_path / "run" / "hosts.json").exists()
+    assert all(h.load5 == 0.0 for h in run.settings.hosts)
     for name in serial.method.field_names:
         assert np.array_equal(out[name], serial.global_field(name)), name
 

@@ -1,4 +1,8 @@
-"""Virtual host registry and the §4.1 / §5.1 selection policies."""
+"""Virtual host table and the §4.1 / §5.1 selection policies."""
+
+import sys
+import threading
+import time
 
 import pytest
 
@@ -13,10 +17,8 @@ from repro.distrib import (
 
 
 @pytest.fixture
-def db(tmp_path):
-    d = HostDB(tmp_path / "hosts.json")
-    d.initialize(paper_cluster())
-    return d
+def db():
+    return HostDB(paper_cluster())
 
 
 class TestPaperCluster:
@@ -111,11 +113,52 @@ class TestBookkeeping:
         db.assign(h.name, None)
         assert db.host_of_rank(7) is None
 
-    def test_duplicate_names_rejected(self, tmp_path):
-        db = HostDB(tmp_path / "h.json")
+    def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
-            db.initialize([HostInfo("a"), HostInfo("a")])
+            HostDB([HostInfo("a"), HostInfo("a")])
 
     def test_get(self, db):
         h = db.hosts()[3]
         assert db.get(h.name).name == h.name
+
+    def test_entries_are_copies(self):
+        hosts = paper_cluster()
+        db = HostDB(hosts)
+        db.set_load(hosts[0].name, load5=3.0)
+        assert hosts[0].load5 == 0.0
+        db.get(hosts[0].name).load5 = 9.0
+        assert db.get(hosts[0].name).load5 == 3.0
+
+
+def test_readers_never_see_half_a_set_load(db):
+    """A load generator thread and the monitor's poll share the table:
+    no snapshot holds one half of a two-field ``set_load``."""
+    names = [h.name for h in db.hosts()][:4]
+    stop = threading.Event()
+    torn = []
+
+    def write(name):
+        i = 0
+        while not stop.is_set():
+            i += 1
+            db.set_load(name, load5=float(i), load15=float(i))
+
+    def read():
+        while not stop.is_set():
+            torn.extend(h for h in db.hosts() if h.load5 != h.load15)
+
+    threads = ([threading.Thread(target=write, args=(n,)) for n in names]
+               + [threading.Thread(target=read) for _ in range(2)])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        time.sleep(0.3)
+    finally:
+        stop.set()
+        for t in threads:
+            t.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not torn

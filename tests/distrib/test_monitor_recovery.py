@@ -101,7 +101,7 @@ def _write_checkpoint(workdir, step, ranks=RANKS):
 def _monitor(tmp_path, **kw):
     return Monitor(
         tmp_path,
-        HostDB(tmp_path / "hosts.json"),
+        HostDB(),
         {rank: _DeadProc() for rank in RANKS},
         {"steps_total": 40},
         **kw,

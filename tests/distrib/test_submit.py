@@ -15,10 +15,8 @@ def _open_fds():
 
 
 @pytest.fixture
-def db(tmp_path):
-    d = HostDB(tmp_path / "hosts.json")
-    d.initialize(paper_cluster())
-    return d
+def db():
+    return HostDB(paper_cluster())
 
 
 class TestSpawnWorker:

@@ -193,9 +193,8 @@ class TestMonitorHeartbeats:
     def _monitor(self, tmp_path):
         from repro.distrib import HostDB, Monitor, paper_cluster
 
-        db = HostDB(tmp_path / "hosts.json")
-        db.initialize(paper_cluster())
-        return Monitor(tmp_path, db, procs={}, base_cfg={})
+        return Monitor(tmp_path, HostDB(paper_cluster()), procs={},
+                       base_cfg={})
 
     def test_reads_heartbeats(self, tmp_path):
         mon = self._monitor(tmp_path)

@@ -45,7 +45,7 @@ from repro.fluids._kernels import (
     shift_region,
     slab_depth,
 )
-from repro.fluids.backends.numpy_backend import NumpyBackend
+from repro.fluids import fused
 from repro.fluids.coupling import build_converters
 from repro.fluids.filters import FourthOrderFilter
 from repro.harness import count_allocations
@@ -381,29 +381,17 @@ def _region_filter(flt, sub, names, region):
         a[region] -= corr
 
 
-class RegionBackend(NumpyBackend):
-    """The kernels on strided region views, one region at a time."""
-
-    def lb_init(self, sub):
-        _region_lb_init(self.method, sub)
-
-    def lb_relax(self, sub):
-        _region_lb_relax(self.method, sub)
-
-    def lb_stream(self, sub, region):
-        _region_lb_stream(self.method, sub, region)
-
-    def lb_moments(self, sub, region):
-        _region_lb_moments(self.method, sub, region)
-
-    def fd_velocity(self, sub):
-        _region_fd_velocity(self.method, sub)
-
-    def fd_density(self, sub):
-        _region_fd_density(self.method, sub)
-
-    def filter_fields(self, flt, sub, names, region):
-        _region_filter(flt, sub, names, region)
+#: (owner, kernel name) -> the kernel on strided region views, one
+#: region at a time
+REGION_KERNELS = {
+    (fused, "lb_init"): _region_lb_init,
+    (fused, "lb_relax"): _region_lb_relax,
+    (fused, "lb_stream"): _region_lb_stream,
+    (fused, "lb_moments"): _region_lb_moments,
+    (fused, "fd_velocity"): _region_fd_velocity,
+    (fused, "fd_density"): _region_fd_density,
+    (FourthOrderFilter, "apply"): _region_filter,
+}
 
 
 # ----------------------------------------------------------------------
@@ -602,15 +590,15 @@ SWEPT = {
         sub, sub.grown_interior(2)), lambda sub: sub.grown_interior(2)),
     "moments": (LBMethod, False, lambda m, sub: m._macro(
         sub, sub.grown_interior(2)), lambda sub: sub.grown_interior(2)),
-    "equilibrium": (LBMethod, True, lambda m, sub: m.backend.lb_init(sub),
+    "equilibrium": (LBMethod, True, lambda m, sub: fused.lb_init(m, sub),
                     lambda sub: tuple(slice(0, n)
                                       for n in sub.padded_shape)),
-    "filter": (FDMethod, False, lambda m, sub: m.backend.filter_fields(
-        m.filter, sub, m.field_names, sub.grown_interior(1)),
+    "filter": (FDMethod, False, lambda m, sub: m.filter.apply(
+        sub, m.field_names, sub.grown_interior(1)),
         lambda sub: sub.grown_interior(1)),
-    "fd_velocity": (FDMethod, False, lambda m, sub: m.backend.fd_velocity(sub),
+    "fd_velocity": (FDMethod, False, lambda m, sub: fused.fd_velocity(m, sub),
                     lambda sub: sub.interior),
-    "fd_density": (FDMethod, False, lambda m, sub: m.backend.fd_density(sub),
+    "fd_density": (FDMethod, False, lambda m, sub: fused.fd_density(m, sub),
                    lambda sub: sub.interior),
 }
 
@@ -650,29 +638,32 @@ def test_slabs_match_one_slab(monkeypatch, kernel, ndim):
     _assert_same_bytes(*sims)
 
 
-def _with_region_kernels(build):
-    """``build()`` run with every method on the region-form kernels."""
-    real = NumpyBackend.__init__
+#: the kernels each method's step must reach through REGION_KERNELS
+STEP_KERNELS = {
+    "lb": {"lb_relax", "lb_stream", "lb_moments", "apply"},
+    "fd": {"fd_velocity", "fd_density", "apply"},
+}
 
-    def install(self, method):
-        real(self, method)
-        self.__class__ = RegionBackend
 
-    NumpyBackend.__init__ = install
-    try:
-        return build()
-    finally:
-        NumpyBackend.__init__ = real
+def _tallied(name, kernel, ran):
+    def run(*args):
+        ran.add(name)
+        kernel(*args)
+    return run
 
 
 def _against_region_kernels(build, steps):
     """Every padded array after ``steps`` equals the region-form run."""
     swept = build()
-    ref = _with_region_kernels(build)
-    assert all(type(m.backend) is RegionBackend for m in ref.methods)
-    assert all(type(m.backend) is NumpyBackend for m in swept.methods)
     swept.step(steps)
-    ref.step(steps)
+    ran = set()
+    with pytest.MonkeyPatch.context() as m:
+        for (owner, name), kernel in REGION_KERNELS.items():
+            m.setattr(owner, name, _tallied(name, kernel, ran))
+        ref = build()
+        ref.step(steps)
+    assert set().union(*(STEP_KERNELS[method.method_name]
+                         for method in ref.methods)) <= ran
     _assert_same_bytes(swept, ref)
     return swept
 

@@ -160,6 +160,8 @@ class TestServiceEndToEnd:
         text = render(snap)
         assert gateway.address in text
         assert "pool-00" in text
+        assert "hosts" not in snap
+        assert not (gateway.serve_dir / "hosts.json").exists()
 
     def test_facade_service_backend(self, gateway):
         result = repro.run(

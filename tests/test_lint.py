@@ -12,12 +12,14 @@ or re-read there costs a syscall round trip on each step.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
 from repro.distrib.settings import BACKENDS, POLICIES, TRANSPORTS
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
 
 #: packages whose hot paths and protocols must stay monotonic
 MONOTONIC_PACKAGES = ("core", "net", "distrib", "serve")
@@ -242,3 +244,57 @@ def test_one_ghost_fill():
         "ghost strip filled outside core.exchange.fill_ghost:\n"
         + "\n".join(offenders)
     )
+
+
+#: the prose docs the doc-truth lint reads (``bench/README.md`` is the
+#: benchmark's own)
+DOCS = ("DESIGN.md", "README.md", "EXPERIMENTS.md", "docs/*.md")
+#: inline code spans and fenced blocks
+CODE_SPAN = re.compile(r"```.*?```|`[^`\n]+`", re.S)
+#: ``path.py`` with an optional ``:line`` or ``:first-last``
+PY_REF = re.compile(r"([\w./-]*\w\.py)(?::(\d+)(?:-(\d+))?)?\b")
+DOTTED = re.compile(r"\brepro(?:\.\w+)+")
+
+
+def _resolves(dotted: str) -> bool:
+    """Import the longest module prefix of ``dotted``, then getattr the
+    rest."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        for attr in parts[i:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def test_docs_name_live_code():
+    """Every ``*.py`` path a doc names in code resolves to a repo file
+    by suffix, every ``path.py:N`` has an N-th line, and every dotted
+    ``repro.`` name imports: a rename or deletion fails here until the
+    docs follow it."""
+    files = [p.relative_to(ROOT).as_posix() for p in ROOT.rglob("*.py")
+             if not any(part.startswith(".")
+                        for part in p.relative_to(ROOT).parts)]
+    dead = []
+    for doc in sorted(d for pattern in DOCS for d in ROOT.glob(pattern)):
+        for span in CODE_SPAN.finditer(doc.read_text()):
+            for ref in PY_REF.finditer(span.group()):
+                path, first, last = ref.groups()
+                path = path.lstrip("./")
+                hits = [f for f in files
+                        if f == path or f.endswith("/" + path)]
+                line = int(last or first or 0)
+                if not any(line <= len((ROOT / f).read_text().splitlines())
+                           for f in hits):
+                    dead.append(f"{doc.name}: {ref.group()}")
+            dead += [f"{doc.name}: {name.group()}"
+                     for name in DOTTED.finditer(span.group())
+                     if not _resolves(name.group())]
+    assert not dead, "docs name code that does not exist:\n" + "\n".join(
+        dead)

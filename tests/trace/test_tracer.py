@@ -35,7 +35,6 @@ class FakeClock:
     ("finalize:0", CAT_COMPUTE),
     ("exchange:1", CAT_COMM),
     ("barrier:step", CAT_COMM),
-    ("token:send", CAT_COMM),
     ("wait:0", CAT_COMM),
     ("checkpoint:write", CAT_OTHER),
     ("migration:pause", CAT_OTHER),

@@ -73,7 +73,7 @@ def read_jsonl(path: str | Path, text: str) -> Iterator[tuple[int, str, Any]]:
     for lineno, line in enumerate(lines, 1):
         try:
             record = json.loads(line)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # or nested too deep
             if lineno == len(lines):
                 return  # torn final line from a crashed writer
             raise LogDamaged(path, lineno, f"unparsable line: {exc}") from None

@@ -547,7 +547,7 @@ class Monitor:
             EXIT_REBALANCED,
         )
 
-        from ..balance.recut import recut_problem  # lazy: import cycle
+        from ..balance.recut import RecutError, recut_problem  # lazy: cycle
 
         try:
             new = recut_problem(
@@ -556,7 +556,7 @@ class Monitor:
                 in_tag=f"balance{epoch:04d}",
                 out_tag=f"recut{epoch:04d}",
             )
-        except (DumpCorruption, OSError, ValueError) as exc:
+        except (DumpCorruption, OSError, ValueError, RecutError) as exc:
             raise _EpochBroken(f"re-cut failed: {exc}") from exc
         self.generation = epoch + 1
         for rank in ranks:
@@ -746,8 +746,6 @@ class Monitor:
         # must come back, because the ranks re-running from the
         # checkpoint need their boundary data for the replayed steps.
         self._done.clear()
-        for marker in self.workdir.glob("done_rank*"):
-            marker.unlink()
         # Fresh generation: every process re-registers its ports.
         self.generation += 1
         for rank in list(self.procs):

@@ -340,7 +340,6 @@ class Worker:
                 self.sub,
                 dump_path(self.workdir / "dumps", self.rank, tag="final"),
             )
-            (self.workdir / f"done_rank{self.rank:04d}").touch()
             self.log("done")
             return EXIT_DONE
         finally:

@@ -8,9 +8,6 @@ ROADMAP's north star asks for:
   accepting specs, streaming diagnostics live over chunked HTTP;
 * :mod:`~repro.serve.hashing` — canonical content hashing of
   ``(spec, settings, seed)``, the result-cache key;
-* :mod:`~repro.serve.cache` — the content-addressed result cache
-  (identical submission → cached fields, zero recompute, survives
-  restarts);
 * :mod:`~repro.serve.jobs` — job records, the queued → running →
   done/failed/cancelled state machine, and the append-only JSONL
   history store every restart replays;
@@ -18,7 +15,9 @@ ROADMAP's north star asks for:
   :mod:`~repro.serve.pool_worker` — the priority queue draining into a
   persistent pool of worker processes (one job in flight per worker,
   sent over its socket; large jobs through the distributed path;
-  retry-on-worker-death);
+  retry-on-worker-death), and the result cache: an index from request
+  fingerprint to the job that computed it, rebuilt from the history on
+  restart (identical submission → that job's fields, zero recompute);
 * :mod:`~repro.serve.client` / :mod:`~repro.serve.top` — the blocking
   client the CLI and ``backend="service"`` use, and the live cluster
   view.
@@ -27,7 +26,6 @@ ROADMAP's north star asks for:
 from .._lazy import lazy_exports
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "ResultCache": "cache",
     "ServeClient": "client",
     "discover": "client",
     "Gateway": "gateway",
@@ -48,7 +46,6 @@ __all__ = [
     "Gateway",
     "JobHistory",
     "JobRecord",
-    "ResultCache",
     "Scheduler",
     "ServeClient",
     "STATES",

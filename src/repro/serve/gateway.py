@@ -51,7 +51,6 @@ import threading
 import time
 from pathlib import Path
 
-from .cache import ResultCache
 from .jobs import JobHistory
 from .pool import WorkerPool
 from .scheduler import Scheduler
@@ -103,7 +102,6 @@ class Gateway:
         self.host = host
         self.port = port
         self.pool = WorkerPool(self.serve_dir, n_workers=workers)
-        self.cache = ResultCache(self.serve_dir / "cache")
         self.history = JobHistory.for_dir(self.serve_dir)
         # GC an overgrown history before the scheduler replays it: at
         # boot no appender is live yet, so the rewrite is race-free
@@ -116,9 +114,7 @@ class Gateway:
                 log.info("compacted job history: %s", stats)
         except OSError:
             log.exception("job-history compaction failed (continuing)")
-        self.scheduler = Scheduler(
-            self.serve_dir, self.pool, self.cache, self.history
-        )
+        self.scheduler = Scheduler(self.serve_dir, self.pool, self.history)
         self._tick_errors: set[str] = set()
         self._server: asyncio.base_events.Server | None = None
         self._tick_task: asyncio.Task | None = None
@@ -557,8 +553,8 @@ class Gateway:
             "jobs_by_state": by_state,
             "jobs": [r.to_dict() for r in records[:50]],
             "cache": {
-                "hits": self.cache.hits,
-                "misses": self.cache.misses,
-                "entries": len(self.cache),
+                "hits": self.scheduler.hits,
+                "misses": self.scheduler.misses,
+                "entries": len(self.scheduler.computed),
             },
         }

@@ -15,7 +15,10 @@ loses at most a torn final line (which the next append cuts off), and
 :meth:`JobHistory.replay` rebuilds the full job table (last event wins)
 on restart.  The same file is what
 ``repro top`` and the ``/cluster`` endpoint read their per-job
-timelines from.
+timelines from, and the only durable record of the result cache.
+Replay refuses a record with a state outside :data:`STATES` or a field
+of the wrong type; there is no per-line checksum, so a flipped bit
+inside a string value still goes undetected.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import fcntl
 import json
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .._jsonl import LogDamaged, locked_append, read_jsonl
@@ -98,8 +101,22 @@ class JobRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "JobRecord":
-        """Rebuild a record from :meth:`to_dict` output."""
-        return cls(**d)
+        """Rebuild a record from :meth:`to_dict` output.
+
+        Raises ``TypeError`` for a missing, unknown or wrongly typed
+        field and ``ValueError`` for a state outside :data:`STATES`.
+        """
+        rec = cls(**d)
+        kinds = {"str": str, "int": int, "float": (int, float), "bool": bool}
+        for f in fields(cls):
+            value = getattr(rec, f.name)
+            # a JSON bool is an int to isinstance, but not a number here
+            if (not isinstance(value, kinds[f.type])
+                    or isinstance(value, bool) != (f.type == "bool")):
+                raise TypeError(f"{f.name} {value!r} is not {f.type}")
+        if rec.state not in STATES:
+            raise ValueError(f"unknown job state {rec.state!r}")
+        return rec
 
 
 class JobHistory:
@@ -134,10 +151,10 @@ class JobHistory:
         """Every complete event line, oldest first."""
         if not self.path.exists():
             return []
-        return [
-            event
-            for _, _, event in read_jsonl(self.path, self.path.read_text())
-        ]
+        # the appender writes ASCII; a byte that is not UTF-8 is damage,
+        # read as U+FFFD so the line fails to parse instead of the file
+        text = self.path.read_bytes().decode(errors="replace")
+        return [event for _, _, event in read_jsonl(self.path, text)]
 
     def replay(self) -> dict[str, JobRecord]:
         """Rebuild the job table: job_id -> latest record state.
@@ -151,7 +168,7 @@ class JobHistory:
         for lineno, event in enumerate(self.read(), 1):
             try:
                 rec = JobRecord.from_dict(event["job"])
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise LogDamaged(
                     self.path, lineno, f"not a job event: {exc!r}"
                 ) from None

@@ -7,19 +7,21 @@ files.  Each pool worker is named as a virtual ``pool-<i>`` host in its
 status (the HOST column of `repro top`).
 
 Each worker is connected to the gateway by one ``socketpair``: job ids
-go out a line each (:meth:`WorkerPool.send`), ``done <job_id>`` lines
-come back (:meth:`WorkerPool.finished`).  Each end is held by one
-process only, so either side's death, however it happens, is EOF on
-the other: the gateway respawns the worker (:meth:`ensure_alive`), a
-worker exits.
+go out a line each (:meth:`WorkerPool.send`), one ``ready`` line (the
+worker is warm) and then ``done <job_id>`` lines come back
+(:meth:`WorkerPool.finished`).  Each end is held by one process only,
+so either side's death, however it happens, is EOF on the other: the
+gateway respawns the worker (:meth:`ensure_alive`), a worker exits.
+What crosses the socket is all the pool knows of a worker's state, and
+all it needs: :meth:`WorkerPool.heartbeat` reads it from memory.
 """
 
 from __future__ import annotations
 
-import json
 import socket
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from ..distrib.submit import _worker_env
@@ -40,6 +42,8 @@ class WorkerPool:
         #: the gateway's end of each worker's socket (non-blocking)
         self.channels: dict[int, socket.socket] = {}
         self._partial: dict[int, bytes] = {}
+        #: per worker: {state, job, jobs_done, wall}, fed by the channel
+        self._state: dict[int, dict] = {}
         self.deaths = 0
 
     # ------------------------------------------------------------------
@@ -47,7 +51,6 @@ class WorkerPool:
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Spawn every worker."""
-        (self.pool_dir / "hb").mkdir(parents=True, exist_ok=True)
         (self.pool_dir / "logs").mkdir(parents=True, exist_ok=True)
         for i in range(self.n_workers):
             self.spawn(i)
@@ -79,6 +82,8 @@ class WorkerPool:
             old.close()
         self.channels[index] = parent
         self._partial[index] = b""
+        self._state[index] = {"state": "starting", "job": None,
+                              "jobs_done": 0, "wall": time.time()}
         self.procs[index] = proc
         return proc
 
@@ -98,8 +103,17 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # the channel
     # ------------------------------------------------------------------
+    def _note(self, index: int, **change) -> None:
+        """Update worker ``index``'s state; ``wall`` is when it began."""
+        self._state[index] = {**self._state[index], **change,
+                              "wall": time.time()}  # wall stamp
+
     def send(self, index: int, job_id: str) -> None:
         """Hand worker ``index`` one job."""
+        if self._state[index]["state"] == "starting":
+            self._note(index, job=job_id)  # it runs once the worker is warm
+        else:
+            self._note(index, state="running", job=job_id)
         try:
             self.channels[index].sendall(f"{job_id}\n".encode())
         except (BrokenPipeError, ConnectionResetError):
@@ -109,7 +123,8 @@ class WorkerPool:
         """``(index, job_id)`` per ``done`` line received since the last
         call, ``(index, None)`` for a worker whose channel is at EOF.
 
-        Never blocks.  A worker's lines come before its EOF.
+        Never blocks.  A worker's lines come before its EOF.  A
+        ``ready`` line only marks the worker warm.
         """
         out: list[tuple[int, str | None]] = []
         for index, chan in self.channels.items():
@@ -125,10 +140,15 @@ class WorkerPool:
             *lines, self._partial[index] = (
                 self._partial[index] + data
             ).split(b"\n")
-            out.extend(
-                (index, line.decode().removeprefix("done "))
-                for line in lines
-            )
+            for line in lines:
+                if line == b"ready":
+                    job = self._state[index]["job"]
+                    self._note(index, state="running" if job else "idle")
+                    continue
+                job_id = line.decode().removeprefix("done ")
+                done = self._state[index]["jobs_done"] + 1
+                self._note(index, state="idle", job=None, jobs_done=done)
+                out.append((index, job_id))
         return out
 
     # ------------------------------------------------------------------
@@ -158,12 +178,12 @@ class WorkerPool:
     # status surfaces
     # ------------------------------------------------------------------
     def heartbeat(self, index: int) -> dict | None:
-        """Worker ``index``'s last heartbeat, or None (torn/missing)."""
-        path = self.pool_dir / "hb" / f"pool{index:04d}.json"
-        try:
-            return json.loads(path.read_text())
-        except (OSError, ValueError):
+        """Worker ``index``'s ``{state, job, jobs_done, wall}``, or None
+        until it is warm."""
+        state = self._state.get(index)
+        if state is None or state["state"] == "starting":
             return None
+        return state
 
     def status(self) -> list[dict]:
         """One status dict per worker (for ``/cluster`` and top)."""

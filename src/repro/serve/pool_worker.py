@@ -3,14 +3,13 @@
 The gateway sends job ids, one per line, over a socket whose fd number
 is the last argument; the worker runs each through :func:`repro.run`
 inside its own long-lived interpreter — so a stream of small 2D jobs
-pays interpreter/import startup once — and answers ``done <job_id>``
-once the job's commit file is written.  Large jobs fan out through the
-normal distributed path (the worker plays the paper's designated
-submit workstation).  Everything else goes through the filesystem:
+pays interpreter/import startup once.  It answers one ``ready`` line
+once its imports are done (the warm-pool signal), then ``done <job_id>``
+once each job's commit file is written; the gateway knows the worker's
+state from these lines alone.  Large jobs fan out through the normal
+distributed path (the worker plays the paper's designated submit
+workstation).  Results go through the filesystem:
 
-* ``pool/hb/pool<index>.json`` — heartbeat (state, current job, jobs
-  done), rewritten atomically on each change of state, so its ``wall``
-  is when the state began; the first write is the warm-pool signal;
 * ``jobs/<id>/result.json`` + ``fields.npz`` — success artifacts,
   written atomically, result last (the commit point);
 * ``jobs/<id>/error.json`` — a deterministic failure (no retry).
@@ -37,7 +36,7 @@ from pathlib import Path
 __all__ = ["main", "run_job", "WARM_MODULES"]
 
 #: Every module :func:`run_job` executes for a local (serial or
-#: threaded) job, imported before the first heartbeat.
+#: threaded) job, imported before the ``ready`` line.
 WARM_MODULES = (
     "numpy",
     "repro.facade",
@@ -56,16 +55,13 @@ def _atomic_write(path: Path, payload: dict) -> None:
     os.replace(tmp, path)
 
 
-def _heartbeat(path: Path, index: int, state: str, job: str | None,
-               jobs_done: int) -> None:
-    _atomic_write(path, {
-        "index": index,
-        "pid": os.getpid(),
-        "state": state,                # idle | running | stopped
-        "job": job,
-        "jobs_done": jobs_done,
-        "wall": time.time(),           # wall stamp: the state began
-    })
+def _reply(chan: socket.socket, line: str) -> bool:
+    """Send the gateway one line; False once it is gone."""
+    try:
+        chan.sendall(f"{line}\n".encode())
+    except (BrokenPipeError, ConnectionResetError):
+        return False
+    return True
 
 
 def run_job(serve_dir: Path, job_id: str, worker_index: int) -> None:
@@ -142,27 +138,19 @@ def main(argv: list[str] | None = None) -> int:
     serve_dir = Path(argv[0]).resolve()
     index = int(argv[1])
     chan = socket.socket(fileno=int(argv[2]))
-    hb = serve_dir / "pool" / "hb" / f"pool{index:04d}.json"
-    hb.parent.mkdir(parents=True, exist_ok=True)
-    jobs_done = 0
-    # The first "idle" heartbeat below is the warm-pool signal, so
-    # the imports a job runs are paid here, at spawn, not by the
-    # first job (``import repro`` alone loads nothing: it is lazy).
+    # The "ready" line below is the warm-pool signal, so the imports a
+    # job runs are paid here, at spawn, not by the first job
+    # (``import repro`` alone loads nothing: it is lazy).
     for name in WARM_MODULES:
         importlib.import_module(name)
-    _heartbeat(hb, index, "idle", None, jobs_done)
     with chan, chan.makefile("rb") as lines:
+        if not _reply(chan, "ready"):
+            return 0  # the gateway is gone
         for line in lines:
             job_id = line.decode().strip()
-            _heartbeat(hb, index, "running", job_id, jobs_done)
             run_job(serve_dir, job_id, index)
-            jobs_done += 1
-            try:
-                chan.sendall(f"done {job_id}\n".encode())
-            except (BrokenPipeError, ConnectionResetError):
+            if not _reply(chan, f"done {job_id}"):
                 break  # the gateway is gone
-            _heartbeat(hb, index, "idle", None, jobs_done)
-    _heartbeat(hb, index, "stopped", None, jobs_done)
     return 0
 
 

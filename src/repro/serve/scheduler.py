@@ -18,9 +18,11 @@ Scheduling policy:
 * a worker death (EOF on its socket) requeues its in-flight job
   (``running -> queued``, bounded by ``MAX_RETRIES``) — the serve-layer
   mirror of the monitor's checkpoint-restart contract;
-* the first job to finish a fingerprint fills the result cache; every
-  later identical submission is answered from the cache at submit time
-  with zero compute.
+* the result cache is an index over the job table: fingerprint -> the
+  first job that finished it with a ``fields.npz``.  Every later
+  identical submission is answered at submit time with zero compute and
+  served from that job's own artifacts; the index is rebuilt from the
+  replayed history, so it survives restarts with no file of its own.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
-from .cache import ResultCache
 from .hashing import canonical_request, fingerprint
 from .jobs import JobHistory, JobRecord
 from .pool import WorkerPool
@@ -81,12 +82,10 @@ class Scheduler:
         self,
         serve_dir: str | Path,
         pool: WorkerPool,
-        cache: ResultCache,
         history: JobHistory,
     ) -> None:
         self.serve_dir = Path(serve_dir).resolve()
         self.pool = pool
-        self.cache = cache
         self.history = history
         self.jobs_dir = self.serve_dir / "jobs"
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
@@ -95,6 +94,10 @@ class Scheduler:
         self._heap: list[tuple[int, int, str]] = []
         #: worker -> the one job in flight on it
         self._running: dict[int, str] = {}
+        #: fingerprint -> the job whose artifacts answer it (the cache)
+        self.computed: dict[str, str] = {}
+        self.hits = 0
+        self.misses = 0
         self._logged: set[str] = set()
         self._seq = 0
         self.recovered = 0
@@ -109,6 +112,8 @@ class Scheduler:
         if self.records:
             self._seq = max(r.seq for r in self.records.values()) + 1
         for rec in self.records.values():
+            if rec.state == "done" and not rec.cached:
+                self._index(rec)
             if rec.terminal:
                 continue
             # A job left queued/running by a dead gateway: requeue it if
@@ -168,8 +173,10 @@ class Scheduler:
             submitted=time.time(),  # wall stamp
             steps=knobs.steps,
         )
-        entry = self.cache.get(fp)
-        if entry is not None:
+        source = self.computed.get(fp)
+        if source is not None and (
+                self.jobs_dir / source / "fields.npz").exists():
+            self.hits += 1
             rec.cached = True
             rec.worker = -1
             rec.elapsed = 0.0
@@ -179,6 +186,8 @@ class Scheduler:
             self.records[job_id] = rec
             self.history.append("cached", rec)
             return rec
+        self.computed.pop(fp, None)  # an entry whose fields.npz is gone
+        self.misses += 1
         job_dir = self.jobs_dir / job_id
         job_dir.mkdir(parents=True, exist_ok=True)
         settings_dict = asdict(knobs)
@@ -248,14 +257,7 @@ class Scheduler:
             rec.elapsed = float(result.get("elapsed", 0.0))
             rec.advance("done")
             rec.finished = time.time()  # wall stamp
-            try:
-                self.cache.put(rec.fingerprint, rec, job_dir, result)
-            except Exception:  # noqa: BLE001 - cache is best-effort
-                # A failed fill costs a later recompute, not the job.
-                self._log_once(
-                    f"cache:{rec.fingerprint}",
-                    f"cache fill for job {job_id} failed",
-                )
+            self._index(rec)
             self.history.append("done", rec)
         else:
             err = json.loads((job_dir / "error.json").read_text())
@@ -263,6 +265,11 @@ class Scheduler:
             rec.advance("failed")
             rec.finished = time.time()  # wall stamp
             self.history.append("failed", rec)
+
+    def _index(self, rec: JobRecord) -> None:
+        """Let a computed job answer its fingerprint; first one wins."""
+        if (self.jobs_dir / rec.job_id / "fields.npz").exists():
+            self.computed.setdefault(rec.fingerprint, rec.job_id)
 
     def _handle_deaths(self, dead: list[int]) -> None:
         for worker in dead:
@@ -333,19 +340,23 @@ class Scheduler:
         """A job's artifact directory."""
         return self.jobs_dir / job_id
 
+    def _artifacts(self, rec: JobRecord) -> Path | None:
+        """The job dir holding ``rec``'s artifacts: its own, or for a
+        cache hit the computing job's (None once that is unknown)."""
+        if not rec.cached:
+            return self.job_dir(rec.job_id)
+        source = self.computed.get(rec.fingerprint)
+        return None if source is None else self.job_dir(source)
+
     def result_payload(self, job_id: str) -> dict:
         """Record + run summary + artifact paths for a finished job."""
         rec = self.records[job_id]
         payload: dict = {"record": rec.to_dict()}
-        if rec.cached:
-            entry = self.cache.get(rec.fingerprint)
-            if entry is not None:
-                payload["result"] = entry.get("result")
-                payload["fields"] = entry["fields"]
-                payload["workdir"] = entry.get("workdir")
-                payload["computed_by"] = entry["record"].get("job_id")
+        job_dir = self._artifacts(rec)
+        if job_dir is None:
             return payload
-        job_dir = self.job_dir(job_id)
+        if rec.cached:
+            payload["computed_by"] = job_dir.name
         result_path = job_dir / "result.json"
         if result_path.exists():
             try:
@@ -361,18 +372,12 @@ class Scheduler:
 
     def fields_file(self, job_id: str) -> Path | None:
         """Path of the job's final-fields npz (cache-aware)."""
-        rec = self.records[job_id]
-        if rec.cached:
-            path = self.cache.fields_path(rec.fingerprint)
-            return path if path.exists() else None
-        path = self.job_dir(job_id) / "fields.npz"
-        return path if path.exists() else None
+        job_dir = self._artifacts(self.records[job_id])
+        if job_dir is None or not (job_dir / "fields.npz").exists():
+            return None
+        return job_dir / "fields.npz"
 
     def diagnostics_file(self, job_id: str) -> Path:
         """The diagnostics.jsonl a live stream of this job tails."""
-        rec = self.records[job_id]
-        if rec.cached:
-            entry = self.cache.get(rec.fingerprint)
-            if entry is not None and entry.get("workdir"):
-                return Path(entry["workdir"]) / "diagnostics.jsonl"
-        return self.job_dir(job_id) / "run" / "diagnostics.jsonl"
+        job_dir = self._artifacts(self.records[job_id])
+        return (job_dir or self.job_dir(job_id)) / "run" / "diagnostics.jsonl"

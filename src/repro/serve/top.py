@@ -49,7 +49,7 @@ def render(snap: dict, max_jobs: int = 12) -> str:
             f"{w.get('index', '?'):<10}"
             f"{w.get('host', '?'):<10}"
             f"{str(w.get('pid', '-')):<8}"
-            f"{(hb.get('state') if w.get('alive') else 'dead'):<9}"
+            f"{(hb.get('state', 'starting') if w.get('alive') else 'dead'):<9}"
             f"{str(hb.get('job') or '-'):<20}"
             f"{hb.get('jobs_done', 0):<6}"
             f"{_age(now, hb.get('wall')):<9}"

@@ -554,8 +554,8 @@ def _problem_args(p: argparse.ArgumentParser, *, shape, blocks,
     p.add_argument("--filter-eps", type=float, default=0.02)
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Parse arguments and dispatch to a subcommand; returns the exit code."""
+def _parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser, one subparser per command."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.tools",
         description=__doc__,
@@ -767,6 +767,10 @@ def main(argv: list[str] | None = None) -> int:
                    help="refresh this many times then exit "
                         "(default: until ^C)")
     p.set_defaults(func=_cmd_top)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    """Parse arguments and dispatch to a subcommand; returns the exit code."""
+    args = _parser().parse_args(argv)
     return args.func(args)

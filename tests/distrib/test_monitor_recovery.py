@@ -197,7 +197,6 @@ class TestRestartFromCheckpoint:
     def test_restart_bumps_generation_and_clears_done(self, tmp_path,
                                                       monkeypatch):
         _write_checkpoint(tmp_path, 10)
-        (tmp_path / "done_rank0001").touch()
         monkeypatch.setattr(monitor_mod, "spawn_worker",
                             lambda cfg: _DeadProc())
         mon = _monitor(tmp_path)
@@ -205,7 +204,6 @@ class TestRestartFromCheckpoint:
         mon._restart_from_checkpoint()
         assert mon.generation == 1
         assert mon._done == set()
-        assert not (tmp_path / "done_rank0001").exists()
 
 
 class TestMigrationEpochFailure:
@@ -272,6 +270,33 @@ class TestRebalanceEpochFailure:
             (tmp_path / "sync" / "epoch0000_request.json").read_text())
         assert request == {"action": "rebalance", "ranks": [0, 1],
                            "shares": [12, 8]}
+
+    def test_refused_recut_degrades_to_checkpoint_restart(self, tmp_path,
+                                                          monkeypatch):
+        """A re-cut that refuses the dumps (here: saved at different
+        steps) breaks the epoch instead of escaping the monitor."""
+        import repro.balance.recut as recut_mod
+
+        mon = _monitor(tmp_path, stall_timeout=5.0)
+        _leaving_group(mon, tmp_path, EXIT_REBALANCED)
+        ledger, restarted = [], []
+        monkeypatch.setattr(mon, "_ledger", ledger.append)
+        monkeypatch.setattr(
+            mon, "_restart_from_checkpoint",
+            lambda crashed=None: restarted.append(True),
+        )
+
+        def refuse(*args, **kwargs):
+            raise recut_mod.RecutError("dumps saved at different steps")
+
+        monkeypatch.setattr(recut_mod, "recut_problem", refuse)
+        mon._rebalance(self.PLAN)
+        assert restarted == [True]
+        assert ledger == ["recover:rebalance_failed"]
+        assert mon.rebalances == 0
+        assert mon.generation == 0
+        log = (tmp_path / "logs" / "monitor.log").read_text()
+        assert "re-cut failed: dumps saved at different steps" in log
 
 
 class TestSignalEpoch:

@@ -2,12 +2,15 @@
 never hang or corrupt."""
 
 import functools
+import json
 import socket
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro._jsonl import LogDamaged
 from repro.core import ExchangePlan
 from repro.distrib import ProblemSpec
 from repro.distrib.heartbeat import (
@@ -23,6 +26,7 @@ from repro.net import ProtocolError, SocketExchanger, pack_frame, recv_frame
 from repro.net.protocol import HEADER_SIZE, MSG_DATA
 from repro.net.udp import UdpChannelSet, _HEADER, _MAGIC, _VERSION
 from repro.net.portfile import PortRegistry
+from repro.serve import STATES, JobHistory, JobRecord
 
 
 class TestTcpFrameFuzz:
@@ -289,3 +293,93 @@ class TestPartialsSlotFuzz:
         )
         assert decode_partials(cut) is None
         assert decode_partials(flipped) is None
+
+
+def _history_events() -> list[tuple[str, JobRecord]]:
+    """A short job history: two jobs through submit, assign and finish,
+    one of them answered from the cache."""
+    a = JobRecord(job_id="j000000-aaaaaaaa", fingerprint="a" * 64,
+                  seq=0, steps=30, submitted=1.5)
+    b = JobRecord(job_id="j000001-bbbbbbbb", fingerprint="b" * 64,
+                  seq=1, priority=2, seed=7, submitted=2.0)
+    events = [("submitted", JobRecord(**a.to_dict())),
+              ("submitted", JobRecord(**b.to_dict()))]
+    for rec, worker in ((a, 0), (b, 1)):
+        rec.advance("running")
+        rec.worker = worker
+        events.append(("assigned", JobRecord(**rec.to_dict())))
+    a.advance("done")
+    a.elapsed = 0.25
+    b.error = "worker 1 died"
+    b.advance("failed")
+    events += [("done", a), ("failed", b)]
+    hit = JobRecord(job_id="j000002-aaaaaaaa", fingerprint="a" * 64,
+                    seq=2, cached=True, state="done")
+    events.append(("cached", hit))
+    return events
+
+
+def _replayed(raw: bytes) -> dict[str, JobRecord]:
+    with tempfile.TemporaryDirectory() as tmp:
+        hist = JobHistory.for_dir(tmp)
+        hist.path.write_bytes(raw)
+        return hist.replay()
+
+
+@functools.cache
+def _written_log() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        hist = JobHistory.for_dir(tmp)
+        for event, rec in _history_events():
+            hist.append(event, rec)
+        return hist.path.read_bytes()
+
+
+class TestJobHistoryFuzz:
+    """``jobs.jsonl`` is the job table's and the result cache's only
+    durable record: replay turns any bytes into valid records or a
+    ``LogDamaged`` naming the line — never another exception.  (With
+    no per-line checksum, a flip inside a string value still passes.)"""
+
+    @given(st.one_of(
+        st.binary(max_size=512),
+        st.tuples(st.integers(0, 4096), st.binary(min_size=1, max_size=8)),
+    ))
+    @example(b"[" * 5000 + b"\n\n")  # nested past the parser's depth
+    @example(json.dumps({"event": "submitted", "job": {
+        **JobRecord("j0", "f" * 64).to_dict(), "state": "bogus"}}).encode())
+    @example(json.dumps({"event": "submitted", "job": {
+        **JobRecord("j0", "f" * 64).to_dict(), "seq": "x"}}).encode())
+    @example((0, b"x"))
+    @settings(max_examples=80, deadline=None)
+    def test_any_bytes_replay_or_raise_log_damaged(self, blob):
+        """Random bytes, or a written log with a few bytes overwritten."""
+        if isinstance(blob, tuple):
+            log = bytearray(_written_log())
+            at, junk = blob
+            at %= len(log)
+            log[at:at + len(junk)] = junk
+            blob = bytes(log)
+        try:
+            table = _replayed(blob)
+        except LogDamaged:
+            return
+        for job_id, rec in table.items():
+            assert rec.job_id == job_id and rec.state in STATES
+            assert JobRecord.from_dict(rec.to_dict()) == rec
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_cut_log_replays_a_prefix(self, data):
+        """A log cut at any byte (a crash mid-append) replays to the
+        table of a prefix of the written events."""
+        raw = _written_log()
+        cut = data.draw(st.integers(0, len(raw)))
+        got = {j: r.to_dict() for j, r in _replayed(raw[:cut]).items()}
+        prefixes, table = [{}], {}
+        for _, rec in _history_events():
+            table = {**table, rec.job_id: rec.to_dict()}
+            prefixes.append(table)
+        # every whole line, and the cut one only if it came out whole
+        whole = raw[:cut].count(b"\n")
+        assert got in prefixes[whole:whole + 2]

@@ -13,7 +13,6 @@ import json
 import pytest
 
 from repro.serve import Gateway
-from repro.serve.hashing import fingerprint
 
 SPEC = {
     "method": "lb", "grid_shape": [16, 12], "blocks": [1, 1],
@@ -68,7 +67,8 @@ def gw(tmp_path):
 def _assert_nothing_taken(gw: Gateway) -> None:
     assert gw.scheduler.records == {}
     assert not any(gw.scheduler.jobs_dir.iterdir())
-    assert gw.cache.get(fingerprint(SPEC, SETTINGS, 0)) is None
+    assert (gw.scheduler.hits, gw.scheduler.misses) == (0, 0)
+    assert gw.scheduler.computed == {}
 
 
 @pytest.mark.parametrize("backend", UNSERVABLE)

@@ -1,98 +1,98 @@
-"""The filesystem result cache: atomic entries that survive restarts."""
+"""The result cache: an index over the job table that survives restarts.
 
-import json
+A job that finished with a ``fields.npz`` answers every later identical
+submission from its own artifacts; nothing is copied, and a new
+scheduler over the same serve dir rebuilds the index from the history.
+"""
 
-import numpy as np
-import pytest
+from tests.serve.test_scheduler import _finish, _scheduler, _spec
 
-from repro.serve import JobRecord, ResultCache
+STEPS = {"steps": 5}
 
 
-def _finished_job(tmp_path, job_id="j000000-aaaaaaaa"):
-    """A fake finished job dir with a fields.npz artifact."""
-    job_dir = tmp_path / "jobs" / job_id
-    (job_dir / "run").mkdir(parents=True)
-    np.savez(job_dir / "fields.npz",
-             rho=np.full((4, 4), 1.25), u=np.zeros((4, 4)))
-    rec = JobRecord(job_id=job_id, fingerprint="f" * 64, steps=10)
-    rec.advance("running")
-    rec.advance("done")
-    rec.elapsed = 2.5
-    return rec, job_dir
+def _computed(tmp_path):
+    """A scheduler whose first job finished with its fields."""
+    sched, pool = _scheduler(tmp_path)
+    rec = sched.submit(_spec(), settings=STEPS)
+    sched.tick()
+    _finish(sched, pool, rec, fields=True)
+    sched.tick()
+    assert rec.state == "done"
+    return sched, pool, rec
 
 
 class TestResultCache:
     def test_put_get_roundtrip(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        rec, job_dir = _finished_job(tmp_path)
-        assert cache.put(rec.fingerprint, rec, job_dir,
-                         {"elapsed": 2.5}) is True
-        assert len(cache) == 1
-        entry = cache.get(rec.fingerprint)
-        assert entry["record"]["job_id"] == rec.job_id
-        assert entry["result"] == {"elapsed": 2.5}
-        assert entry["workdir"] == str(job_dir / "run")
-        with np.load(entry["fields"]) as npz:
-            assert npz["rho"][0, 0] == 1.25
+        """A hit is answered at submit and serves the computing job's
+        own result, fields, workdir and diagnostics."""
+        sched, pool, first = _computed(tmp_path)
+        hit = sched.submit(_spec(), settings=STEPS)
+        assert hit.cached and hit.state == "done" and hit.elapsed == 0.0
+        assert not sched.job_dir(hit.job_id).exists()
+        source = sched.job_dir(first.job_id)
+        payload = sched.result_payload(hit.job_id)
+        assert payload["computed_by"] == first.job_id
+        assert payload["result"]["job_id"] == first.job_id
+        assert payload["fields"] == str(source / "fields.npz")
+        assert payload["workdir"] == str(source / "run")
+        assert sched.fields_file(hit.job_id) == source / "fields.npz"
+        assert sched.diagnostics_file(hit.job_id) == \
+            sched.diagnostics_file(first.job_id)
+        assert len(pool.sent) == 1
 
     def test_miss_and_hit_counters(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        assert cache.get("0" * 64) is None
-        assert (cache.hits, cache.misses) == (0, 1)
-        rec, job_dir = _finished_job(tmp_path)
-        cache.put(rec.fingerprint, rec, job_dir, {})
-        cache.get(rec.fingerprint)
-        assert (cache.hits, cache.misses) == (1, 1)
+        """Counted at submit only: reading a hit's artifacts is no hit."""
+        sched, _, _ = _computed(tmp_path)
+        assert (sched.hits, sched.misses) == (0, 1)
+        hit = sched.submit(_spec(), settings=STEPS)
+        sched.result_payload(hit.job_id)
+        sched.fields_file(hit.job_id)
+        sched.diagnostics_file(hit.job_id)
+        assert (sched.hits, sched.misses) == (1, 1)
 
     def test_first_writer_wins(self, tmp_path):
-        """Two identical jobs in flight: the second finish is a no-op."""
-        cache = ResultCache(tmp_path / "cache")
-        rec, job_dir = _finished_job(tmp_path)
-        assert cache.put(rec.fingerprint, rec, job_dir, {"n": 1})
-        rec2, job_dir2 = _finished_job(tmp_path, "j000001-bbbbbbbb")
-        assert cache.put(rec.fingerprint, rec2, job_dir2,
-                         {"n": 2}) is False
-        assert cache.get(rec.fingerprint)["result"] == {"n": 1}
+        """Two identical jobs in flight: the first to finish answers."""
+        sched, pool = _scheduler(tmp_path, n_workers=2)
+        a = sched.submit(_spec(), settings=STEPS)
+        b = sched.submit(_spec(), settings=STEPS)
+        assert not a.cached and not b.cached
+        sched.tick()
+        _finish(sched, pool, b, fields=True)
+        sched.tick()
+        _finish(sched, pool, a, fields=True)
+        sched.tick()
+        assert sched.computed == {a.fingerprint: b.job_id}
+        hit = sched.submit(_spec(), settings=STEPS)
+        assert sched.result_payload(hit.job_id)["computed_by"] == b.job_id
 
     def test_survives_reinstantiation(self, tmp_path):
-        """A new ResultCache over the same root (a gateway restart)
-        serves the old entries — no index to rebuild."""
-        rec, job_dir = _finished_job(tmp_path)
-        ResultCache(tmp_path / "cache").put(
-            rec.fingerprint, rec, job_dir, {"elapsed": 2.5}
-        )
-        fresh = ResultCache(tmp_path / "cache")
-        assert len(fresh) == 1
-        assert fresh.get(rec.fingerprint)["result"]["elapsed"] == 2.5
-
-    def test_half_written_entry_is_a_miss(self, tmp_path):
-        """entry.json is the commit point; a crash before the rename
-        leaves fields.npz orphaned but never a servable entry."""
-        cache = ResultCache(tmp_path / "cache")
-        stale = cache.root / ("e" * 64)
-        stale.mkdir()
-        (stale / "fields.npz").write_bytes(b"not finished")
-        assert cache.get("e" * 64) is None
-        assert len(cache) == 0
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        bad = cache.root / ("d" * 64)
-        bad.mkdir()
-        (bad / "entry.json").write_text("{torn")
-        assert cache.get("d" * 64) is None
+        """A new scheduler over the same serve dir (a gateway restart)
+        rebuilds the index from the job history."""
+        _, _, first = _computed(tmp_path)
+        fresh, pool = _scheduler(tmp_path)
+        assert fresh.computed == {first.fingerprint: first.job_id}
+        hit = fresh.submit(_spec(), settings=STEPS)
+        assert hit.cached
+        assert fresh.result_payload(hit.job_id)["computed_by"] == \
+            first.job_id
+        assert pool.sent == []
+        # a replayed hit still serves the computing job's artifacts
+        again, _ = _scheduler(tmp_path)
+        assert again.fields_file(hit.job_id) == \
+            again.job_dir(first.job_id) / "fields.npz"
 
     def test_put_without_fields_refuses(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        rec, job_dir = _finished_job(tmp_path)
-        (job_dir / "fields.npz").unlink()
-        with pytest.raises(FileNotFoundError):
-            cache.put(rec.fingerprint, rec, job_dir, {})
-
-    def test_entry_json_is_valid_sorted_json(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        rec, job_dir = _finished_job(tmp_path)
-        cache.put(rec.fingerprint, rec, job_dir, {})
-        raw = (cache.root / rec.fingerprint / "entry.json").read_text()
-        entry = json.loads(raw)
-        assert entry["fingerprint"] == rec.fingerprint
+        """A job whose fields.npz is gone answers nothing: the next
+        identical submission is a miss that recomputes, and the
+        recompute answers from then on, across a restart too."""
+        sched, pool, first = _computed(tmp_path)
+        (sched.job_dir(first.job_id) / "fields.npz").unlink()
+        again = sched.submit(_spec(), settings=STEPS)
+        assert not again.cached and again.state == "queued"
+        assert (sched.hits, sched.misses) == (0, 2)
+        sched.tick()
+        _finish(sched, pool, again, fields=True)
+        sched.tick()
+        assert sched.computed == {first.fingerprint: again.job_id}
+        fresh, _ = _scheduler(tmp_path)
+        assert fresh.computed == {first.fingerprint: again.job_id}

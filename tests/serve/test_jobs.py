@@ -136,6 +136,26 @@ class TestHistory:
         with pytest.raises(LogDamaged, match="line 1"):
             hist.replay()
 
+    @pytest.mark.parametrize("damage", [
+        {"state": "bogus"}, {"seq": "x"}, {"job_id": 7}, {"cached": 1},
+        {"retries": True},
+    ])
+    def test_replay_refuses_a_mistyped_or_unknown_state(self, tmp_path,
+                                                        damage):
+        """A bogus state would leave a job queued forever and a string
+        ``seq`` would crash the scheduler's replay: both are damage."""
+        hist = JobHistory.for_dir(tmp_path)
+        hist.append("submitted", _rec())
+        with open(hist.path, "a") as fh:
+            fh.write(json.dumps({
+                "event": "submitted",
+                "job": {**_rec("j000001-bbbbbbbb").to_dict(), **damage},
+            }) + "\n")
+        hist.append("submitted", _rec("j000002-cccccccc"))
+        with pytest.raises(LogDamaged, match="line 2") as err:
+            hist.replay()
+        assert err.value.lineno == 2
+
     def test_missing_file_reads_empty(self, tmp_path):
         hist = JobHistory(tmp_path / "nope.jsonl")
         assert hist.read() == []

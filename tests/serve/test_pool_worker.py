@@ -70,6 +70,7 @@ class TestChannelLoop:
         try:
             gateway.sendall(b"j0-good\nj1-bad\n")
             with gateway.makefile("rb") as replies:
+                assert replies.readline() == b"ready\n"
                 assert replies.readline() == b"done j0-good\n"
                 assert replies.readline() == b"done j1-bad\n"
             # each reply comes after the job's commit file
@@ -81,7 +82,4 @@ class TestChannelLoop:
             thread.join(timeout=60)
         assert not thread.is_alive()
         assert rc == [0]
-        hb = json.loads(
-            (tmp_path / "pool" / "hb" / "pool0000.json").read_text()
-        )
-        assert hb["state"] == "stopped" and hb["jobs_done"] == 2
+        assert not (tmp_path / "pool").exists()

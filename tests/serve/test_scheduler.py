@@ -9,7 +9,7 @@ and a per-job failure inside collection must not wedge the tick.
 import json
 
 from repro.distrib import ProblemSpec
-from repro.serve import JobHistory, ResultCache, Scheduler
+from repro.serve import JobHistory, Scheduler
 
 
 class StubPool:
@@ -49,16 +49,18 @@ def _spec() -> ProblemSpec:
 
 def _scheduler(tmp_path, n_workers=1, **kw):
     pool = StubPool(n_workers)
-    return Scheduler(
-        tmp_path, pool, ResultCache(tmp_path / "cache"),
-        JobHistory.for_dir(tmp_path), **kw,
-    ), pool
+    return Scheduler(tmp_path, pool, JobHistory.for_dir(tmp_path), **kw), pool
 
 
-def _finish(sched, pool, rec) -> None:
-    """The worker commits ``rec`` and replies ``done``."""
-    (sched.job_dir(rec.job_id) / "result.json").write_text(
-        json.dumps({"elapsed": 1.0})
+def _finish(sched, pool, rec, fields: bool = False) -> None:
+    """The worker commits ``rec`` (with a ``fields.npz`` if ``fields``)
+    and replies ``done``."""
+    job_dir = sched.job_dir(rec.job_id)
+    if fields:
+        (job_dir / "fields.npz").write_bytes(b"fields of " +
+                                             rec.job_id.encode())
+    (job_dir / "result.json").write_text(
+        json.dumps({"elapsed": 1.0, "job_id": rec.job_id})
     )
     pool.replies.append((rec.worker, rec.job_id))
 
@@ -126,13 +128,15 @@ class TestCollectIsolation:
         a = sched.submit(_spec(), settings={"steps": 5})
         b = sched.submit(_spec(), settings={"steps": 6})
         sched.tick()
-        # both "finish" but commit no fields.npz, so cache.put raises
+        # both "finish" but commit no fields.npz: nothing to cache
         for rec in (a, b):
             _finish(sched, pool, rec)
         sched.tick()
         assert a.state == "done" and b.state == "done"
         assert not sched._running
-        assert sched.cache.get(a.fingerprint) is None
+        assert sched.computed == {}
+        again = sched.submit(_spec(), settings={"steps": 5})
+        assert not again.cached and again.state == "queued"
 
     def test_one_bad_record_does_not_block_the_rest(self, tmp_path):
         sched, pool = _scheduler(tmp_path, n_workers=2)

@@ -10,7 +10,6 @@ facade's ``backend="service"`` path speak the same protocol — the
 facade's result carries the job's diagnostics as well as its fields.
 """
 
-import json
 import os
 import signal
 import subprocess
@@ -104,7 +103,7 @@ class TestServiceEndToEnd:
 
         # --- identical resubmission: answered at submit time, zero
         # compute, bit-identical artifact ---
-        hits_before = gateway.cache.hits
+        hits_before = client.cluster()["cache"]["hits"]
         jobs_before = sorted(
             p.name for p in gateway.scheduler.jobs_dir.iterdir()
         )
@@ -123,7 +122,7 @@ class TestServiceEndToEnd:
             assert all(
                 np.array_equal(fields[k], first[k]) for k in fields
             )
-        assert gateway.cache.hits >= hits_before + n
+        assert client.cluster()["cache"]["hits"] == hits_before + n
         # zero recompute: no new job directories were ever created
         jobs_after = sorted(
             p.name for p in gateway.scheduler.jobs_dir.iterdir()
@@ -239,6 +238,33 @@ class TestRestartAndRetry:
         finally:
             second.shutdown()
 
+    def test_a_hit_is_counted_once_and_copies_nothing(self, tmp_path):
+        """Reading a hit's result, fields and RunResult counts no further
+        hits, and the serve dir keeps one copy of each result and no
+        worker-state files."""
+        serve_dir = tmp_path / "serve"
+        gw = Gateway(serve_dir, workers=1)
+        gw.start_background()
+        try:
+            client = ServeClient(gw.address)
+            rec = client.submit(_spec(2), settings={"steps": STEPS})
+            assert client.wait(rec["job_id"], timeout=180.0)["state"] == \
+                "done"
+            hit = client.submit(_spec(2), settings={"steps": STEPS})
+            assert hit["cached"] is True
+            assert client.result(hit["job_id"])["computed_by"] == \
+                rec["job_id"]
+            assert client.fields(hit["job_id"])
+            assert client.run_result(hit["job_id"]).cached is True
+            assert client.cluster()["cache"] == \
+                {"hits": 1, "misses": 1, "entries": 1}
+        finally:
+            gw.shutdown()
+        assert not (serve_dir / "cache").exists()
+        assert not (serve_dir / "pool" / "hb").exists()
+        assert sorted(p.name for p in (serve_dir / "jobs").iterdir()) == \
+            [rec["job_id"]]
+
     def test_worker_death_retries_the_job(self, tmp_path):
         gw = Gateway(tmp_path / "serve", workers=1)
         gw.start_background()
@@ -286,15 +312,17 @@ class TestGatewayCrash:
         pids: list[int] = []
         try:
             deadline = time.monotonic() + 60.0
-            for i in range(2):
-                hb = serve_dir / "pool" / "hb" / f"pool{i:04d}.json"
-                while True:
-                    assert time.monotonic() < deadline, "pool never ready"
-                    try:
-                        pids.append(json.loads(hb.read_text())["pid"])
-                        break
-                    except (OSError, ValueError):
-                        time.sleep(0.02)
+            while True:
+                assert time.monotonic() < deadline, "pool never ready"
+                try:
+                    workers = ServeClient(serve_dir).cluster()["workers"]
+                except (RuntimeError, OSError):
+                    workers = []  # the gateway is not up yet
+                if len(workers) == 2 and all(w["heartbeat"]
+                                             for w in workers):
+                    pids = [w["pid"] for w in workers]
+                    break
+                time.sleep(0.02)
             gateway.kill()
             gateway.wait(timeout=10)
             deadline = time.monotonic() + 5.0

@@ -50,6 +50,15 @@ class TestRender:
         dead = next(l for l in lines if "pool-01" in l)
         assert "dead" in dead
 
+    def test_live_worker_not_yet_warm(self):
+        """A respawned worker has no state until its ``ready`` line."""
+        snap = dict(SNAPSHOT, workers=[{
+            "index": 1, "host": "pool-01", "pid": 222, "alive": True,
+            "heartbeat": None,
+        }])
+        row = next(l for l in render(snap).splitlines() if "pool-01" in l)
+        assert "starting" in row and "222" in row
+
     def test_job_rows(self):
         text = render(SNAPSHOT)
         assert "j000007-beefbeef" in text

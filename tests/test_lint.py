@@ -254,6 +254,10 @@ CODE_SPAN = re.compile(r"```.*?```|`[^`\n]+`", re.S)
 #: ``path.py`` with an optional ``:line`` or ``:first-last``
 PY_REF = re.compile(r"([\w./-]*\w\.py)(?::(\d+)(?:-(\d+))?)?\b")
 DOTTED = re.compile(r"\brepro(?:\.\w+)+")
+#: ``repro <command> ...`` up to the end of its shell command
+CLI_CALL = re.compile(
+    r"(?:\brepro|-m repro\.tools)[ \t]+([a-z][\w-]*)([^|;&#\n]*)")
+CLI_FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
 
 
 def _resolves(dotted: str) -> bool:
@@ -275,15 +279,28 @@ def _resolves(dotted: str) -> bool:
 
 def test_docs_name_live_code():
     """Every ``*.py`` path a doc names in code resolves to a repo file
-    by suffix, every ``path.py:N`` has an N-th line, and every dotted
-    ``repro.`` name imports: a rename or deletion fails here until the
-    docs follow it."""
+    by suffix, every ``path.py:N`` has an N-th line, every dotted
+    ``repro.`` name imports, and every ``--flag`` after ``repro
+    <command>`` is an option of that command: a rename or deletion
+    fails here until the docs follow it."""
+    from repro.tools.cli import _parser
+
+    commands = next(a.choices for a in _parser()._actions
+                    if a.dest == "command")
     files = [p.relative_to(ROOT).as_posix() for p in ROOT.rglob("*.py")
              if not any(part.startswith(".")
                         for part in p.relative_to(ROOT).parts)]
     dead = []
     for doc in sorted(d for pattern in DOCS for d in ROOT.glob(pattern)):
         for span in CODE_SPAN.finditer(doc.read_text()):
+            joined = span.group().replace("\\\n", " ")  # continued lines
+            for call in CLI_CALL.finditer(joined):
+                name, rest = call.groups()
+                options = getattr(commands.get(name),
+                                  "_option_string_actions", {})
+                dead += [f"{doc.name}: repro {name} {flag}"
+                         for flag in CLI_FLAG.findall(rest)
+                         if flag not in options]
             for ref in PY_REF.finditer(span.group()):
                 path, first, last = ref.groups()
                 path = path.lstrip("./")

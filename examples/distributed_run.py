@@ -27,6 +27,7 @@ from repro.distrib import (
     ProblemSpec,
     RunSettings,
     initial_fields,
+    read_journal,
 )
 from repro.trace import format_breakdown_table, summarize
 
@@ -93,8 +94,8 @@ def main() -> None:
         for name in serial.fields
     )
     print(f"distributed result == serial result, bit for bit: {ok}")
-    for line in (run_dir / "logs" / "monitor.log").read_text().splitlines():
-        print("  monitor:", line)
+    for rec in read_journal(run_dir):
+        print(f"  {rec['who']:>7} {rec['kind']:<16} {rec['msg']}")
 
     print("\nwhere each rank spent its time (migration pause included):")
     print(format_breakdown_table(summarize(run_dir)))

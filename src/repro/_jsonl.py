@@ -66,10 +66,16 @@ class LogDamaged(ValueError):
         super().__init__(f"{self.path}, line {lineno}: {detail}")
 
 
-def read_jsonl(path: str | Path, text: str) -> Iterator[tuple[int, str, Any]]:
-    """``(lineno, line, record)`` for each line of ``text``, the
-    contents of the log at ``path``; a torn final line is skipped."""
-    lines = text.splitlines()
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, str, Any]]:
+    """``(lineno, line, record)`` for each line of the log at ``path``
+    (none if it does not exist); a torn final line is skipped.  A byte
+    that is not UTF-8 (the appenders write ASCII) reads as U+FFFD: a
+    damaged line, never a codec error for the whole file."""
+    try:
+        raw = Path(path).read_bytes()
+    except FileNotFoundError:
+        return
+    lines = raw.decode(errors="replace").splitlines()
     for lineno, line in enumerate(lines, 1):
         try:
             record = json.loads(line)

@@ -54,6 +54,14 @@ __all__ = [
 #: ``(to, payload, step, phase, axis, side)`` — one frame about to go out.
 Frame = tuple
 
+#: ``log(msg, kind)``: one record in the firing worker's journal
+Log = Callable[[str, str], None]
+
+
+def _record(log: Log, fault: Fault) -> None:
+    """The recovery-ledger record of a fault about to fire."""
+    log(f"chaos: firing {fault.fault_id}", f"chaos:{fault.kind}")
+
 
 class NullInjector:
     """Inert injector: the channel hot path checks one attribute."""
@@ -86,9 +94,6 @@ class FiredMarkers:
         os.close(fd)
         return True
 
-    def already_fired(self, fault: Fault) -> bool:
-        return (self.directory / f"fired_{fault.fault_id}").exists()
-
 
 class ChannelFaultInjector:
     """Message-level faults applied where frames leave a channel set.
@@ -110,16 +115,15 @@ class ChannelFaultInjector:
         self,
         faults: Iterable[Fault],
         markers: FiredMarkers,
-        ledger: Callable[[Fault], None] | None = None,
+        log: Log | None = None,
     ):
         self._pending = [
             f for f in faults if f.kind in MESSAGE_KINDS
         ]
         self._markers = markers
-        self._ledger = ledger or (lambda fault: None)
+        self._log = log or (lambda msg, kind: None)
         self._delayed: list[Frame] = []
         self._live: dict[str, int] = {}   # fault_id -> frames remaining
-        self.fired: list[Fault] = []
 
     def _match(self, step: int) -> Fault | None:
         for fault in self._pending:
@@ -132,8 +136,7 @@ class ChannelFaultInjector:
                     self._pending.remove(fault)
                     return self._match(step)
                 live = max(fault.count, 1)
-                self.fired.append(fault)
-                self._ledger(fault)
+                _record(self._log, fault)
             live -= 1
             if live <= 0:
                 self._pending.remove(fault)
@@ -174,8 +177,7 @@ class WorkerFaults:
         self,
         faults: Iterable[Fault],
         markers: FiredMarkers,
-        log: Callable[[str], None] | None = None,
-        tracer=None,
+        log: Log | None = None,
     ):
         faults = list(faults)
         self._step_faults = [
@@ -183,17 +185,7 @@ class WorkerFaults:
         ]
         self._dump_faults = [f for f in faults if f.kind in DUMP_KINDS]
         self._markers = markers
-        self._log = log or (lambda msg: None)
-        self._tracer = tracer
-
-    def _record(self, fault: Fault, step: int) -> None:
-        self._log(f"chaos: firing {fault.fault_id}")
-        if self._tracer is not None:
-            self._tracer.add_span(
-                f"chaos:{fault.kind}", self._tracer.clock(), 0.0, step=step
-            )
-            # The process is about to die or freeze — persist the span.
-            self._tracer.flush()
+        self._log = log or (lambda msg, kind: None)
 
     def at_step(self, sub) -> None:
         """Fire any fault scheduled for the subregion's current step.
@@ -206,7 +198,8 @@ class WorkerFaults:
         for fault in self._step_faults:
             if fault.step != step or not self._markers.claim(fault):
                 continue
-            self._record(fault, step)
+            # written before the process dies or freezes
+            _record(self._log, fault)
             if fault.kind == "nan":
                 view = sub.interior_view("rho")
                 view.flat[view.size // 2] = float("nan")
@@ -222,9 +215,9 @@ class WorkerFaults:
         for fault in self._dump_faults:
             if step < fault.step or not self._markers.claim(fault):
                 continue
-            self._record(fault, step)
+            _record(self._log, fault)
             corrupt_dump(path, truncate=fault.kind == "dump_truncate")
-            self._log(f"chaos: corrupted {Path(path).name}")
+            self._log(f"chaos: corrupted {Path(path).name}", "note")
 
 
 def corrupt_dump(path: str | Path, truncate: bool = False) -> None:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..trace.merge import load_trace
+from ..distrib.journal import read_journal
 from .plan import DUMP_KINDS, PROCESS_KINDS, FaultPlan
 
 __all__ = [
@@ -99,39 +99,22 @@ def chaos_settings(steps: int, save_every: int, plan: FaultPlan | None,
         sync_timeout=20.0,
         stall_timeout=6.0,
         run_timeout=120.0,
-        # tracing is on so every injected fault and every recovery
-        # action lands in the span ledger check_recovery_ledger audits
-        trace=plan is not None,
         fault_plan=plan.to_json() if plan is not None else "",
     )
-
-
-def _ledger_spans(workdir: str | Path) -> list[tuple[str, str]]:
-    """All ``chaos:``/``recover:`` spans of a traced run, as
-    ``(prefix, kind)`` pairs, in file order across every rank stream
-    (workers, restarted incarnations, and the monitor's own lane)."""
-    out: list[tuple[str, str]] = []
-    for path in sorted(Path(workdir).glob("trace/trace-*.jsonl")):
-        for span in load_trace(path)["spans"]:
-            name = span.get("name", "")
-            if name.startswith(("chaos:", "recover:")):
-                prefix, _, kind = name.partition(":")
-                out.append((prefix, kind))
-    return out
 
 
 def check_recovery_ledger(
     workdir: str | Path, restarts: int = 0
 ) -> list[str]:
-    """Shape-check the recovery ledger of one traced chaos run.
+    """Shape-check the recovery ledger of one chaos run.
 
-    The hardening contract is auditable from the trace alone: every
+    The hardening contract is auditable from the journal alone: every
     injected fault that takes a process down (``chaos:kill``,
-    ``chaos:stop``) must be answered by a recovery span
+    ``chaos:stop``) must be answered by a recovery record
     (``recover:restart`` from the restored incarnation, plus the
     monitor's ``recover:ckpt_restart``/``recover:migrate``).  Corrupted
     checkpoints (``dump_*`` kinds) only matter once a restart tries to
-    restore one, so they require a recovery span only when the run
+    restore one, so they require a recovery record only when the run
     restarted.  Message and host faults are self-healing by design —
     retransmission and load shedding leave no ledger obligation.
 
@@ -139,22 +122,22 @@ def check_recovery_ledger(
     well-formed.  Runs that ended in a classified clean abort are not
     audited — an abort is the recovery action.
     """
-    spans = _ledger_spans(workdir)
-    chaos = [kind for prefix, kind in spans if prefix == "chaos"]
-    recovers = [kind for prefix, kind in spans if prefix == "recover"]
+    kinds = [rec["kind"].partition(":") for rec in read_journal(workdir)]
+    chaos = [kind for prefix, _, kind in kinds if prefix == "chaos"]
+    recovers = [kind for prefix, _, kind in kinds if prefix == "recover"]
     violations: list[str] = []
     n_proc = sum(1 for kind in chaos if kind in PROCESS_KINDS)
     if n_proc and len(recovers) < n_proc:
         violations.append(
-            f"{n_proc} process fault span(s) "
+            f"{n_proc} process fault record(s) "
             f"({[k for k in chaos if k in PROCESS_KINDS]}) but only "
-            f"{len(recovers)} recover: span(s) {recovers}"
+            f"{len(recovers)} recover: record(s) {recovers}"
         )
     n_dump = sum(1 for kind in chaos if kind in DUMP_KINDS)
     if n_dump and restarts and not recovers:
         violations.append(
-            f"{n_dump} checkpoint fault span(s) and {restarts} "
-            f"restart(s) but no recover: span at all"
+            f"{n_dump} checkpoint fault record(s) and {restarts} "
+            f"restart(s) but no recover: record at all"
         )
     return violations
 
@@ -264,10 +247,10 @@ def run_scenario(
     out.migrations = mon.migrations
     out.rebalances = mon.rebalances
     if out.outcome == "match" and plan is not None:
-        # bit-stable output is necessary but not sufficient: the span
-        # ledger must also show every process fault was answered by a
-        # recovery action (a clean abort *is* the recovery, so only
-        # matches are audited).
+        # bit-stable output is necessary but not sufficient: the
+        # journal's ledger must also show every process fault was
+        # answered by a recovery action (a clean abort *is* the
+        # recovery, so only matches are audited).
         gaps = check_recovery_ledger(workdir, restarts=out.restarts)
         if gaps:
             out.outcome = "ledger_gap"

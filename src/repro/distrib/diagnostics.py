@@ -110,10 +110,8 @@ class DiagnosticsLog:
 
     def read(self) -> list[DiagRecord]:
         """All complete records, oldest first."""
-        if not self.path.exists():
-            return []
         out = []
-        for lineno, _, rec in read_jsonl(self.path, self.path.read_text()):
+        for lineno, _, rec in read_jsonl(self.path):
             try:
                 out.append(DiagRecord.from_dict(rec))
             except (KeyError, TypeError, ValueError) as exc:

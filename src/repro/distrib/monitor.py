@@ -45,7 +45,6 @@ from ..balance.estimator import LoadEstimator
 from ..balance.planner import BalancePolicy, RebalancePlanner
 from ..chaos.plan import FaultPlan
 from ..net.portfile import PortRegistry
-from ..trace import NULL_TRACER, Tracer
 from .diagnostics import (
     DiagnosticsFailure,
     DiagnosticsLog,
@@ -55,6 +54,7 @@ from .diagnostics import (
 from .dumpfile import DumpCorruption, dump_path, load_dump
 from .heartbeat import read_heartbeats
 from .hostdb import MIGRATE_LOAD_LIMIT, HostDB
+from .journal import MONITOR, Journal, read_journal
 from .spec import ProblemSpec
 from .submit import spawn_worker
 from .sync import SaveTurns
@@ -162,36 +162,19 @@ class Monitor:
         )
         #: index of the next diagnostics sample to fold
         self._diag_next = 0
-        self._log_path = self.workdir / "logs" / "monitor.log"
-        self._log_path.parent.mkdir(parents=True, exist_ok=True)
+        self.journal = Journal(self.workdir, MONITOR)
         # Host-level faults of the run's chaos plan (load spikes) are
         # the monitor's to apply: host load is control-plane state the
-        # workers never touch.  On a *traced chaos run* the monitor's
-        # recovery ledger streams to its own trace lane (one past the
-        # last rank); ordinary traced runs keep exactly one lane per
-        # worker rank.
+        # workers never touch.
         self._host_faults = []
         self._applied_faults: set[str] = set()
         if base_cfg.get("fault_plan"):
             plan = FaultPlan.from_json(base_cfg["fault_plan"])
             self._host_faults = list(plan.host_faults())
-        self.tracer = NULL_TRACER
-        if base_cfg.get("trace") and base_cfg.get("fault_plan"):
-            self.tracer = Tracer(
-                self.workdir / "trace" / "trace-mon.jsonl",
-                rank=len(self.procs),
-            )
 
-    def _ledger(self, name: str) -> None:
-        """One recovery-ledger span (``chaos:``/``recover:`` prefix)."""
-        if self.tracer.enabled:
-            self.tracer.add_span(name, self.tracer.clock(), 0.0)
-            self.tracer.flush()
-
-    def log(self, msg: str) -> None:
-        """Append a line to the monitor log."""
-        with open(self._log_path, "a") as fh:
-            fh.write(f"{time.time():.3f} {msg}\n")  # wall stamp
+    def log(self, msg: str, kind: str = "note") -> None:
+        """Append a record to the monitor's journal."""
+        self.journal.write(kind, msg)
 
     # ------------------------------------------------------------------
     # public controls
@@ -218,20 +201,6 @@ class Monitor:
         deadline = start + timeout
         last_progress = time.monotonic()
         last_steps: dict[int, int] = {}
-        try:
-            self._run_loop(start, deadline, last_progress, last_steps)
-        finally:
-            self.tracer.close()
-        self.log("all workers done")
-        self._merge_traces()
-
-    def _run_loop(
-        self,
-        start: float,
-        deadline: float,
-        last_progress: float,
-        last_steps: dict[int, int],
-    ) -> None:
         while len(self._done) < len(self.procs):
             if time.monotonic() > deadline:
                 self._kill_all()
@@ -305,6 +274,8 @@ class Monitor:
             self._wait_for_exit(running)
         # every sample is judged before the run counts as a success
         self._fold_diagnostics()
+        self.log("all workers done")
+        self._merge_traces()
 
     def _wait_for_exit(self, pids: list[int]) -> None:
         """Sleep one poll period, or less: a worker's pidfd turns
@@ -339,9 +310,9 @@ class Monitor:
             self.hostdb.set_load(host.name, load5=fault.load)
             self.log(
                 f"chaos: load spike on {host.name} "
-                f"(load5={fault.load:.2f}, rank {fault.rank})"
+                f"(load5={fault.load:.2f}, rank {fault.rank})",
+                "chaos:load_spike",
             )
-            self._ledger("chaos:load_spike")
 
     def _merge_traces(self) -> None:
         """Merge the ranks' trace streams into one Chrome trace JSON.
@@ -381,8 +352,8 @@ class Monitor:
         try:
             body(epoch, arg)
         except _EpochBroken as exc:
-            self.log(f"{kind} epoch {epoch} broken: {exc}")
-            self._ledger(f"recover:{kind}_failed")
+            self.log(f"{kind} epoch {epoch} broken: {exc}",
+                     f"recover:{kind}_failed")
             self._restart_from_checkpoint()
 
     def _signal_epoch(
@@ -474,12 +445,12 @@ class Monitor:
         for rank, host in zip(ranks, new_hosts):
             self.hostdb.assign(host.name, rank)
             self._spawn(rank, f"migrate{epoch:04d}", host.name)
-            self.log(f"rank {rank} restarted on {host.name}")
+            self.log(f"rank {rank} restarted on {host.name}",
+                     "recover:migrate")
 
         for rank in [r for r in running if r not in ranks]:
             self.procs[rank].send_signal(signal.SIGCONT)
         self.migrations += 1
-        self._ledger("recover:migrate")
 
     # ------------------------------------------------------------------
     # rebalance epochs (adaptive load balancing)
@@ -606,16 +577,13 @@ class Monitor:
 
         A global NaN or CFL violation is a physics/numerics failure,
         not an infrastructure fault: restarting from the last
-        checkpoint would only replay it.  The record goes to
-        ``diag_failure.json``, every running rank gets a SIGTERM (and
+        checkpoint would only replay it.  The journal gets a ``stop``
+        record (the failing sample itself is the last line of
+        ``diagnostics.jsonl``), every running rank gets a SIGTERM (and
         exits :data:`~repro.distrib.worker.EXIT_DIAGNOSTIC` after an
         orderly teardown), and stragglers are killed.
         """
-        self.log(f"diagnostics failed: {failure}")
-        info = {"reason": failure.reason, "record": asdict(failure.record)}
-        (self.workdir / "diag_failure.json").write_text(
-            json.dumps(info, indent=2) + "\n"
-        )
+        self.journal.write("stop", failure.reason, failure.record.step)
         for proc in self._running().values():
             proc.send_signal(signal.SIGTERM)
         deadline = time.monotonic() + 5.0
@@ -624,35 +592,33 @@ class Monitor:
         self._kill_all()
         raise MonitorError(
             f"run aborted on a diagnosed global blow-up: {failure.reason}"
-            f"\ndiagnostics record: {json.dumps(info['record'])}"
+            f"\ndiagnostics record: {json.dumps(asdict(failure.record))}"
         )
 
     # ------------------------------------------------------------------
     # unrecoverable errors (§4.1)
     # ------------------------------------------------------------------
     def _worker_diagnostics(self, ranks: list[int] | None) -> str:
-        """Root-failure evidence from the crashed workers' log files.
+        """Root-failure evidence of the crashed workers.
 
-        Workers leave their reason for dying in three places: a
-        ``rank*.err`` file when construction failed before logging was
-        up, a ``FATAL:`` traceback in ``rank*.log`` when the run loop
-        raised, and captured stdout/stderr in ``rank*.stdout`` for
-        everything earlier (import errors, interpreter aborts).  Collect
-        the most specific one available per rank so the MonitorError
-        reports *why* the run kept dying, not just that it did.
+        A worker whose construction or run loop raised leaves its
+        traceback as a ``fatal`` journal record; anything earlier
+        (import errors, interpreter aborts) only reaches the captured
+        stdout/stderr in ``rank*.stdout``.  Collect the most specific
+        one available per rank so the MonitorError reports *why* the
+        run kept dying, not just that it did.
         """
-        log_dir = self.workdir / "logs"
+        fatal = {
+            rec["who"]: rec["msg"].strip()
+            for rec in read_journal(self.workdir) if rec["kind"] == "fatal"
+        }
         parts: list[str] = []
         for rank in sorted(ranks or []):
-            evidence = None
-            err = log_dir / f"rank{rank:04d}.err"
-            log = log_dir / f"rank{rank:04d}.log"
-            out = log_dir / f"rank{rank:04d}.stdout"
-            if err.exists():
-                evidence = err.read_text().strip()
-            elif log.exists() and "FATAL:" in (text := log.read_text()):
-                evidence = text[text.rindex("FATAL:"):].strip()
-            elif out.exists() and (text := out.read_text().strip()):
+            evidence = fatal.get(rank)
+            out = self.workdir / "logs" / f"rank{rank:04d}.stdout"
+            if evidence is None and out.exists() and (
+                text := out.read_text().strip()
+            ):
                 tail = text.splitlines()[-15:]
                 evidence = "\n".join(tail)
             if evidence:
@@ -713,19 +679,21 @@ class Monitor:
                         )
             except (DumpCorruption, OSError) as exc:
                 self.log(
-                    f"checkpoint {tag} rejected, falling back one: {exc}"
+                    f"checkpoint {tag} rejected, falling back one: {exc}",
+                    "recover:ckpt_fallback",
                 )
-                self._ledger("recover:ckpt_fallback")
                 continue
             return tag
         return floor  # nothing verified; the floor is the best guess
 
     def _restart_from_checkpoint(self, crashed: list[int] | None = None) -> None:
+        # first: the journals are then final, and a damaged one (which
+        # read_journal refuses) cannot leave a worker running
+        self._kill_all()
         diagnostics = self._worker_diagnostics(crashed)
         if diagnostics:
             self.log(f"worker diagnostics:\n{diagnostics}")
         if self.restarts >= self.max_restarts:
-            self._kill_all()
             msg = f"giving up after {self.restarts} restarts"
             if crashed:
                 msg += f"; ranks {sorted(crashed)} crashed"
@@ -733,10 +701,9 @@ class Monitor:
                 msg += f"\nworker diagnostics:\n{diagnostics}"
             raise MonitorError(msg)
         self.restarts += 1
-        self._kill_all()
         tag = self._select_checkpoint()
-        self.log(f"restarting everything from '{tag}' dumps")
-        self._ledger("recover:ckpt_restart")
+        self.log(f"restarting everything from '{tag}' dumps",
+                 "recover:ckpt_restart")
         # The replay re-saves every checkpoint after the restart point;
         # stale save-turn tokens from the previous incarnation would
         # make those saves abort.

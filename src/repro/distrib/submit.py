@@ -90,7 +90,6 @@ def submit_all(
     from .worker import WorkerConfig
 
     workdir = Path(workdir)
-    (workdir / "logs").mkdir(parents=True, exist_ok=True)
     hosts = hostdb.select_free(n_ranks)
     procs: dict[int, subprocess.Popen] = {}
     assigned: list[str] = []

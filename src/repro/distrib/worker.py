@@ -57,6 +57,7 @@ from .heartbeat import (
     open_heartbeat,
     open_partials,
 )
+from .journal import Journal
 from .settings import WorkerKnobs
 from .spec import ProblemSpec
 from .sync import SaveTurns, SyncFiles
@@ -227,8 +228,7 @@ class Worker:
         #: monitor's load estimator can see per-rank speed even though
         #: the BSP lockstep equalizes every rank's step counter.
         self._comp_ema: float | None = None
-        self._log_path = self.workdir / "logs" / f"rank{self.rank:04d}.log"
-        self._log_path.parent.mkdir(parents=True, exist_ok=True)
+        self.journal = Journal(self.workdir, self.rank)
         # Deterministic fault injection (repro.chaos): process, nan and
         # dump faults fire from the step loop, message faults hook the
         # channel send path.  Fired-once markers live in the workdir so
@@ -242,31 +242,19 @@ class Worker:
                 plan.for_rank(self.rank, KINDS),
                 markers,
                 log=self.log,
-                tracer=self.tracer if cfg.trace else None,
             )
             msg_faults = plan.for_rank(self.rank, MESSAGE_KINDS)
             if msg_faults:
                 self.channels.injector = ChannelFaultInjector(
-                    msg_faults, markers, ledger=self._chaos_ledger
+                    msg_faults, markers, log=self.log
                 )
 
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
-    def log(self, msg: str) -> None:
-        """Append a line to this worker's log file."""
-        with open(self._log_path, "a") as fh:
-            fh.write(f"{time.time():.3f} step={self.sub.step} {msg}\n")  # wall stamp
-
-    def _chaos_ledger(self, fault) -> None:
-        """Record an injected message fault (log + recovery ledger)."""
-        self.log(f"chaos: firing {fault.fault_id}")
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.add_span(
-                f"chaos:{fault.kind}", tracer.clock(), 0.0,
-                step=self.sub.step,
-            )
+    def log(self, msg: str, kind: str = "note") -> None:
+        """Append a record at the current step to this rank's journal."""
+        self.journal.write(kind, msg, self.sub.step)
 
     def _request_path(self, epoch: int) -> Path:
         return self.workdir / "sync" / f"epoch{epoch:04d}_request.json"
@@ -317,12 +305,8 @@ class Worker:
         if self.cfg.dump_in:
             # This incarnation was restored from a dump (checkpoint
             # restart, migration or rebalance) — ledger the recovery.
-            self.log(f"recovered from {Path(self.cfg.dump_in).name}")
-            if self.tracer.enabled:
-                self.tracer.add_span(
-                    "recover:restart", self.tracer.clock(), 0.0,
-                    step=self.sub.step,
-                )
+            self.log(f"recovered from {Path(self.cfg.dump_in).name}",
+                     "recover:restart")
         try:
             while True:
                 if self._sync_epoch is not None:
@@ -523,10 +507,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         worker = Worker(cfg)
     except Exception:
-        # Construction failed before logging was available.
-        err = Path(cfg.workdir) / "logs" / f"rank{cfg.rank:04d}.err"
-        err.parent.mkdir(parents=True, exist_ok=True)
-        err.write_text(traceback.format_exc())
+        # no worker, no step: the construction failure has none
+        Journal(cfg.workdir, cfg.rank).write("fatal", traceback.format_exc())
         return 1
     worker.install_signals()
     if pending:
@@ -537,7 +519,7 @@ def main(argv: list[str] | None = None) -> int:
         worker.log("stopped by the monitor")
         return EXIT_DIAGNOSTIC
     except Exception:
-        worker.log("FATAL:\n" + traceback.format_exc())
+        worker.log(traceback.format_exc(), "fatal")
         return 1
 
 

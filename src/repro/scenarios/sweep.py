@@ -171,7 +171,7 @@ def run_sweep(
         out_dir.mkdir(parents=True, exist_ok=True)
         manifest = out_dir / "sweep.jsonl"
         if resume and manifest.exists():
-            for lineno, _, rec in read_jsonl(manifest, manifest.read_text()):
+            for lineno, _, rec in read_jsonl(manifest):
                 try:
                     prev = SweepPoint(**rec)
                 except TypeError as exc:

@@ -104,7 +104,8 @@ class JobRecord:
         """Rebuild a record from :meth:`to_dict` output.
 
         Raises ``TypeError`` for a missing, unknown or wrongly typed
-        field and ``ValueError`` for a state outside :data:`STATES`.
+        field and ``ValueError`` for a state outside :data:`STATES` or
+        a ``job_id`` that is not a file name (it names the job's dir).
         """
         rec = cls(**d)
         kinds = {"str": str, "int": int, "float": (int, float), "bool": bool}
@@ -116,6 +117,8 @@ class JobRecord:
                 raise TypeError(f"{f.name} {value!r} is not {f.type}")
         if rec.state not in STATES:
             raise ValueError(f"unknown job state {rec.state!r}")
+        if rec.job_id in ("", "..") or Path(rec.job_id).name != rec.job_id:
+            raise ValueError(f"job_id {rec.job_id!r} is not a file name")
         return rec
 
 
@@ -149,12 +152,7 @@ class JobHistory:
 
     def read(self) -> list[dict]:
         """Every complete event line, oldest first."""
-        if not self.path.exists():
-            return []
-        # the appender writes ASCII; a byte that is not UTF-8 is damage,
-        # read as U+FFFD so the line fails to parse instead of the file
-        text = self.path.read_bytes().decode(errors="replace")
-        return [event for _, _, event in read_jsonl(self.path, text)]
+        return [event for _, _, event in read_jsonl(self.path)]
 
     def replay(self) -> dict[str, JobRecord]:
         """Rebuild the job table: job_id -> latest record state.
@@ -166,14 +164,18 @@ class JobHistory:
         table: dict[str, JobRecord] = {}
         # read() drops only a torn *last* line, so position is line number
         for lineno, event in enumerate(self.read(), 1):
-            try:
-                rec = JobRecord.from_dict(event["job"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise LogDamaged(
-                    self.path, lineno, f"not a job event: {exc!r}"
-                ) from None
+            rec = self._job(lineno, event)
             table[rec.job_id] = rec
         return table
+
+    def _job(self, lineno: int, event) -> JobRecord:
+        """The record of one event, or :class:`LogDamaged`."""
+        try:
+            return JobRecord.from_dict(event["job"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise LogDamaged(
+                self.path, lineno, f"not a job event: {exc!r}"
+            ) from None
 
     def compact(self) -> dict:
         """Rewrite the log keeping only the last event per job.
@@ -182,7 +184,8 @@ class JobHistory:
         ``jobs.jsonl`` grows by one line per state transition forever;
         compaction garbage-collects the superseded transitions.  The
         surviving line per job is exactly what :meth:`replay` would
-        have produced, so the rebuilt job table is unchanged.
+        have produced, so the rebuilt job table is unchanged (and a line
+        it would refuse raises the same ``LogDamaged``, log untouched).
 
         The rewrite happens under the same exclusive flock the
         appenders take, into a temp file atomically ``os.replace``'d
@@ -197,22 +200,19 @@ class JobHistory:
         if not self.path.exists():
             return {"events_before": 0, "events_after": 0,
                     "bytes_before": 0, "bytes_after": 0}
-        with open(self.path, "a+") as fh:
+        with open(self.path, "a+b") as fh:
             fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
             try:
-                fh.seek(0)
-                text = fh.read()
+                bytes_before = os.fstat(fh.fileno()).st_size
                 events_before = 0
                 last: dict[str, str] = {}
-                for _, line, event in read_jsonl(self.path, text):
+                for lineno, line, event in read_jsonl(self.path):
                     events_before += 1
-                    job = event.get("job")
-                    if not isinstance(job, dict) or "job_id" not in job:
-                        continue
+                    job_id = self._job(lineno, event).job_id
                     # dict insertion order keeps survivors chronological
                     # (by last event) for the timeline readers
-                    last.pop(job["job_id"], None)
-                    last[job["job_id"]] = line
+                    last.pop(job_id, None)
+                    last[job_id] = line
                 tmp = self.path.with_name(self.path.name + ".tmp")
                 with open(tmp, "w") as out:
                     for line in last.values():
@@ -224,7 +224,7 @@ class JobHistory:
                 return {
                     "events_before": events_before,
                     "events_after": len(last),
-                    "bytes_before": len(text),
+                    "bytes_before": bytes_before,
                     "bytes_after": bytes_after,
                 }
             finally:

@@ -58,7 +58,7 @@ def load_trace(path: str | Path) -> dict:
     spans: list[dict] = []
     counters: list[dict] = []
     end: dict | None = None
-    for _, _, rec in read_jsonl(path, Path(path).read_text()):
+    for _, _, rec in read_jsonl(path):
         kind = rec.get("type")
         if kind == "span":
             spans.append(rec)

@@ -79,10 +79,6 @@ _PREFIX_CATEGORY = {
     # seam conversions translate boundary data between methods — the
     # hybrid run's communication
     "seam": CAT_COMM,
-    # the per-rank recovery ledger: injected faults and the recoveries
-    # they triggered (repro.chaos)
-    "chaos": CAT_OTHER,
-    "recover": CAT_OTHER,
 }
 
 

@@ -35,7 +35,7 @@ class TestFiredMarkers:
         fault = Fault("kill", rank=0, step=5)
         assert markers.claim(fault) is True
         assert markers.claim(fault) is False
-        assert markers.already_fired(fault)
+        assert (tmp_path / f"fired_{fault.fault_id}").exists()
 
     def test_markers_survive_a_new_incarnation(self, tmp_path):
         fault = Fault("msg_drop", rank=1, step=3)
@@ -98,12 +98,18 @@ class TestFilterSend:
 
     def test_fired_marker_retires_fault_across_incarnations(self, tmp_path):
         fault = Fault("msg_drop", rank=0, step=10)
-        first = _injector(tmp_path, fault)
+        journal = []
+        first = ChannelFaultInjector(
+            [fault], FiredMarkers(tmp_path / "chaos"),
+            log=lambda msg, kind: journal.append(kind))
         assert first.filter_send(_frame(step=10))[0] == []
+        assert journal == ["chaos:msg_drop"]
         # the replayed incarnation sees the marker and never re-fires
-        second = _injector(tmp_path, fault)
+        second = ChannelFaultInjector(
+            [fault], FiredMarkers(tmp_path / "chaos"),
+            log=lambda msg, kind: journal.append(kind))
         assert second.filter_send(_frame(step=10))[0] == [_frame(step=10)]
-        assert second.fired == []
+        assert journal == ["chaos:msg_drop"]
 
 
 def _dump(tmp_path, seed=0):

@@ -8,7 +8,8 @@ landing anywhere around that window used to be able to abort the run
 with a ``MonitorError`` (mid-epoch death) or crash-loop it (restart
 into decomposition-incompatible dumps).  Both paths now degrade to a
 checkpoint restart, and the recovery ledger must close: every
-``chaos:`` process-fault span answered by a ``recover:`` span.
+``chaos:`` process-fault record of the run journal answered by a
+``recover:`` record.
 """
 
 import pytest
@@ -29,7 +30,8 @@ def test_rebalance_kill_plan_shape():
 @pytest.mark.slow
 def test_rebalance_kill_recovers_with_closed_ledger(tmp_path):
     """The kill races a live rebalance epoch and the run still ends in
-    a bit-for-bit match with every fault span answered in the ledger."""
+    a bit-for-bit match with every fault record answered in the
+    ledger."""
     out = run_scenario(
         "rebalance_kill", 0, tmp_path / "run", steps=40, save_every=10
     )
@@ -39,7 +41,7 @@ def test_rebalance_kill_recovers_with_closed_ledger(tmp_path):
     # the skewed synthetic load really drove the planner: the run
     # executed at least one rebalance epoch around the fault
     assert out.rebalances >= 1, "no rebalance epoch ever ran"
-    # ledger closure, asserted directly on the trace streams (the
+    # ledger closure, asserted directly on the run journal (the
     # classifier already audits this for "match", but the satellite's
     # contract is the ledger itself)
     assert check_recovery_ledger(tmp_path / "run", out.restarts) == []

@@ -27,6 +27,7 @@ from repro.distrib import (
     fold_partials,
     initial_fields,
     local_partials,
+    read_journal,
     serial_diagnostics,
 )
 from repro.distrib.heartbeat import (
@@ -234,6 +235,15 @@ def _write_sample(workdir, subs, every, steps_total=40):
         slots.close()
 
 
+def _stop_record(workdir) -> tuple[dict, DiagRecord]:
+    """The journal's one ``stop`` record and the ``diagnostics.jsonl``
+    sample of the step it names."""
+    (stop,) = [r for r in read_journal(workdir) if r["kind"] == "stop"]
+    (sample,) = [r for r in DiagnosticsLog.for_workdir(workdir).read()
+                 if r.step == stop["step"]]
+    return stop, sample
+
+
 class TestMonitorFold:
     def test_matches_serial_bitwise(self, tmp_path):
         sim, _, _ = _small_sim(blocks=(2, 2))
@@ -279,9 +289,9 @@ class TestMonitorFold:
         _write_sample(tmp_path, sim.subs, 2)
         with pytest.raises(MonitorError, match="non-finite"):
             mon._fold_diagnostics()
-        failure = json.loads((tmp_path / "diag_failure.json").read_text())
-        assert failure["record"]["step"] == 2
-        assert failure["record"]["n_nonfinite"] == 1
+        stop, sample = _stop_record(tmp_path)
+        assert stop["step"] == 2
+        assert sample.n_nonfinite == 1
         assert all(p.signals == [signal.SIGTERM]
                    for p in mon.procs.values())
         assert {p.poll() for p in mon.procs.values()} == {EXIT_DIAGNOSTIC}
@@ -384,7 +394,7 @@ class TestDistributedDiagnostics:
 
     def test_nan_aborts_diagnosed_within_2n(self, tmp_path):
         """A NaN injected at step 12 on rank 1 stops every worker with
-        EXIT_DIAGNOSTIC, the failure diagnosed in diag_failure.json at
+        EXIT_DIAGNOSTIC, the failure diagnosed in the journal at
         a step by 12 + 2*5 — no stall timeout.  The ranks stop within
         one monitor poll of the failing sample, so the run is long
         enough that none can finish first."""
@@ -408,11 +418,10 @@ class TestDistributedDiagnostics:
         codes = {p.poll() for p in mon.procs.values()}
         assert codes == {EXIT_DIAGNOSTIC}
 
-        failure = json.loads((tmp_path / "run" / "diag_failure.json")
-                             .read_text())
-        assert failure["reason"].startswith("non-finite")
-        assert failure["record"]["n_nonfinite"] >= 1
-        assert failure["record"]["step"] <= nan_step + 2 * every
+        stop, sample = _stop_record(tmp_path / "run")
+        assert stop["msg"].startswith("non-finite")
+        assert sample.n_nonfinite >= 1
+        assert stop["step"] <= nan_step + 2 * every
 
     def test_diagnostics_over_udp_with_loss(self, tmp_path):
         """The diagnostics stream of a run over the lossy datagram
@@ -444,9 +453,8 @@ class TestDistributedDiagnostics:
         run.start()
         with pytest.raises(MonitorError, match="non-finite"):
             run.wait()
-        failure = json.loads((tmp_path / "run" / "diag_failure.json")
-                             .read_text())
-        assert failure["record"]["step"] == 20
+        stop, _ = _stop_record(tmp_path / "run")
+        assert stop["step"] == 20
 
     def test_checkpoint_restart_logs_each_step_once(self, tmp_path):
         """A rank killed at step 17 restarts everyone from the step-10

@@ -24,6 +24,7 @@ from repro.chaos import corrupt_dump
 from repro.core import Decomposition, make_subregions
 from repro.distrib import MonitorError, dump_path, save_dump
 from repro.distrib.hostdb import HostDB
+from repro.distrib.journal import Journal, read_journal
 from repro.distrib.monitor import Monitor, _EpochBroken
 from repro.distrib.sync import SaveTurns
 from repro.distrib.worker import EXIT_MIGRATED, EXIT_REBALANCED
@@ -31,6 +32,13 @@ from repro.net import PortRegistry
 from tests.distrib.test_dumpfile import drop_checksums
 
 RANKS = (0, 1)
+
+
+def _messages(workdir, kind_prefix: str = "") -> str:
+    """The journal's ``msg`` fields whose kind starts with
+    ``kind_prefix``, one per line."""
+    return "\n".join(rec["msg"] for rec in read_journal(workdir)
+                     if rec["kind"].startswith(kind_prefix))
 
 
 class _DeadProc:
@@ -120,7 +128,7 @@ class TestSelectCheckpoint:
         corrupt_dump(dump_path(tmp_path / "dumps", 1, tag=bad))
         mon = _monitor(tmp_path)
         assert mon._select_checkpoint() == old
-        log = (tmp_path / "logs" / "monitor.log").read_text()
+        log = _messages(tmp_path, "recover:ckpt_fallback")
         assert f"checkpoint {bad} rejected" in log
 
     def test_missing_dump_falls_back_one(self, tmp_path):
@@ -135,7 +143,7 @@ class TestSelectCheckpoint:
         drop_checksums(dump_path(tmp_path / "dumps", 1, tag=bad))
         mon = _monitor(tmp_path)
         assert mon._select_checkpoint() == old
-        log = (tmp_path / "logs" / "monitor.log").read_text()
+        log = _messages(tmp_path, "recover:ckpt_fallback")
         assert f"checkpoint {bad} rejected" in log
         assert "has no CRC32" in log
 
@@ -158,10 +166,9 @@ class TestRestartFromCheckpoint:
             mon._restart_from_checkpoint(crashed=[1])
 
     def test_exhaustion_reports_worker_diagnostics(self, tmp_path):
-        log_dir = tmp_path / "logs"
-        log_dir.mkdir(parents=True)
-        (log_dir / "rank0001.log").write_text(
-            "12.0 step=7 FATAL:\nRuntimeError: boom\n"
+        Journal(tmp_path, 1).write(
+            "fatal", "Traceback (most recent call last):\n"
+            "RuntimeError: boom\n", 7,
         )
         mon = _monitor(tmp_path, max_restarts=0)
         with pytest.raises(MonitorError, match="RuntimeError: boom"):
@@ -227,7 +234,7 @@ class TestMigrationEpochFailure:
         mon._migrate([1])
         assert restarted == [True]
         assert mon.migrations == 0
-        log = (tmp_path / "logs" / "monitor.log").read_text()
+        log = _messages(tmp_path, "recover:migration_failed")
         assert "migration epoch 0 broken: registry: timed out" in log
 
     def test_intact_epoch_does_not_restart(self, tmp_path, monkeypatch):
@@ -252,18 +259,19 @@ class TestRebalanceEpochFailure:
         restart and commits no rebalance."""
         mon = _monitor(tmp_path, stall_timeout=5.0)
         _leaving_group(mon, tmp_path, EXIT_MIGRATED)
-        ledger, restarted = [], []
-        monkeypatch.setattr(mon, "_ledger", ledger.append)
+        restarted = []
         monkeypatch.setattr(
             mon, "_restart_from_checkpoint",
             lambda crashed=None: restarted.append(True),
         )
         mon._rebalance(self.PLAN)
         assert restarted == [True]
-        assert ledger == ["recover:rebalance_failed"]
+        assert [rec["kind"] for rec in read_journal(tmp_path)
+                if rec["kind"].startswith("recover:")] == [
+            "recover:rebalance_failed"]
         assert mon.rebalances == 0
         assert mon.generation == 0
-        log = (tmp_path / "logs" / "monitor.log").read_text()
+        log = _messages(tmp_path, "recover:rebalance_failed")
         assert (f"rebalance epoch 0 broken: rank 0 exited {EXIT_MIGRATED} "
                 f"instead of {EXIT_REBALANCED}") in log
         request = json.loads(
@@ -279,8 +287,7 @@ class TestRebalanceEpochFailure:
 
         mon = _monitor(tmp_path, stall_timeout=5.0)
         _leaving_group(mon, tmp_path, EXIT_REBALANCED)
-        ledger, restarted = [], []
-        monkeypatch.setattr(mon, "_ledger", ledger.append)
+        restarted = []
         monkeypatch.setattr(
             mon, "_restart_from_checkpoint",
             lambda crashed=None: restarted.append(True),
@@ -292,10 +299,12 @@ class TestRebalanceEpochFailure:
         monkeypatch.setattr(recut_mod, "recut_problem", refuse)
         mon._rebalance(self.PLAN)
         assert restarted == [True]
-        assert ledger == ["recover:rebalance_failed"]
+        assert [rec["kind"] for rec in read_journal(tmp_path)
+                if rec["kind"].startswith("recover:")] == [
+            "recover:rebalance_failed"]
         assert mon.rebalances == 0
         assert mon.generation == 0
-        log = (tmp_path / "logs" / "monitor.log").read_text()
+        log = _messages(tmp_path, "recover:rebalance_failed")
         assert "re-cut failed: dumps saved at different steps" in log
 
 

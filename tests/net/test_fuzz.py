@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro._jsonl import LogDamaged
 from repro.core import ExchangePlan
 from repro.distrib import ProblemSpec
+from repro.distrib.journal import Journal, read_journal
 from repro.distrib.heartbeat import (
     RECORD_SIZE,
     SLOT_SIZE,
@@ -351,6 +352,9 @@ class TestJobHistoryFuzz:
     @example(json.dumps({"event": "submitted", "job": {
         **JobRecord("j0", "f" * 64).to_dict(), "seq": "x"}}).encode())
     @example((0, b"x"))
+    @example(json.dumps({"event": "submitted", "job": {
+        **JobRecord("j0", "f" * 64).to_dict(),
+        "job_id": "../outside"}}).encode())
     @settings(max_examples=80, deadline=None)
     def test_any_bytes_replay_or_raise_log_damaged(self, blob):
         """Random bytes, or a written log with a few bytes overwritten."""
@@ -366,6 +370,7 @@ class TestJobHistoryFuzz:
             return
         for job_id, rec in table.items():
             assert rec.job_id == job_id and rec.state in STATES
+            assert job_id not in ("", ".", "..") and "/" not in job_id
             assert JobRecord.from_dict(rec.to_dict()) == rec
 
     @given(data=st.data())
@@ -383,3 +388,103 @@ class TestJobHistoryFuzz:
         # every whole line, and the cut one only if it came out whole
         whole = raw[:cut].count(b"\n")
         assert got in prefixes[whole:whole + 2]
+
+
+#: ``(kind, msg, step)`` — one rank's short life: a fault, the
+#: recovery, a fatal error
+_JOURNAL = (
+    ("note", "channels open, generation 0", 0),
+    ("chaos:kill", "chaos: firing kill_r0_s7_a-1", 7),
+    ("recover:restart", "recovered from ckpt000000005_rank0000.npz", 5),
+    ("fatal", "Traceback (most recent call last):\n  ...\n", 9),
+)
+
+
+def _journal_bytes(entries, workdir) -> bytes:
+    """Append ``entries`` to rank 0's journal; its bytes."""
+    journal = Journal(workdir, 0)
+    for kind, msg, step in entries:
+        journal.write(kind, msg, step)
+    return journal.path.read_bytes()
+
+
+@functools.cache
+def _written_journal() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        return _journal_bytes(_JOURNAL, tmp)
+
+
+def _journal_read(raw: bytes) -> list[dict]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Journal(tmp, 0).path
+        path.parent.mkdir()
+        path.write_bytes(raw)
+        return read_journal(tmp)
+
+
+class TestJournalFuzz:
+    """The run journal is what a failed run leaves behind to read:
+    any bytes read as well-formed records or raise ``LogDamaged``
+    naming the line, and a crash mid-append loses only that line."""
+
+    @given(st.one_of(
+        st.binary(max_size=512),
+        st.tuples(st.integers(0, 4096), st.binary(min_size=1, max_size=8)),
+    ))
+    @example(b"[" * 5000 + b"\n\n")  # nested past the parser's depth
+    @example(b'{"t": 1, "who": 0, "step": 0, "kind": "note", "msg": ""}\n'
+             b'{"t": 1, "who": 0, "step": 0, "kind": "note"}\n{}')
+    @example(b'{"t": 1, "who": 0, "step": true, "kind": "", "msg": ""}\n')
+    @example((0, b"\xff"))
+    @settings(max_examples=80, deadline=None)
+    def test_any_bytes_read_or_raise_log_damaged(self, blob):
+        """Random bytes, or a written journal with a few bytes
+        overwritten."""
+        if isinstance(blob, tuple):
+            raw = bytearray(_written_journal())
+            at, junk = blob
+            at %= len(raw)
+            raw[at:at + len(junk)] = junk
+            blob = bytes(raw)
+        try:
+            records = _journal_read(blob)
+        except LogDamaged:
+            return
+        for rec in records:
+            assert set(rec) == {"t", "who", "step", "kind", "msg"}
+            assert isinstance(rec["step"], int)
+            assert not isinstance(rec["step"], bool)
+            assert isinstance(rec["kind"], str)
+            assert isinstance(rec["msg"], str)
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_cut_journal_reads_a_prefix(self, data):
+        """A journal cut at any byte (a writer killed mid-append) reads
+        as a prefix of its records: every whole line, and the cut one
+        only if it came out whole."""
+        raw = _written_journal()
+        cut = data.draw(st.integers(0, len(raw)))
+        written = [json.loads(line) for line in raw.splitlines()]
+        whole = raw[:cut].count(b"\n")
+        got = _journal_read(raw[:cut])
+        assert got in (written[:whole], written[:whole + 1])
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_next_incarnation_keeps_every_complete_record(self, data):
+        """A rank killed mid-line, then restarted: its next incarnation
+        cuts the torn line off before appending, so the journal reads
+        as every complete record of both incarnations."""
+        first = _written_journal()
+        cut = data.draw(st.integers(0, len(first)))
+        whole = first[:cut].count(b"\n")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Journal(tmp, 0).path
+            path.parent.mkdir()
+            path.write_bytes(first[:cut])
+            _journal_bytes(_JOURNAL[:2], tmp)
+            got = read_journal(tmp)
+        assert [(r["kind"], r["msg"], r["step"]) for r in got] == list(
+            _JOURNAL[:whole] + _JOURNAL[:2]
+        )

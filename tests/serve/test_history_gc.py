@@ -27,6 +27,15 @@ def _fill(history: JobHistory, n_jobs: int, events_per_job: int = 4):
         history.append("done", rec)
 
 
+def _fill_three_lines_with_a_bad_byte_in_line_2(history: JobHistory):
+    for i in range(3):
+        history.append("submitted", JobRecord(
+            job_id=f"j{i:06d}-deadbeef", fingerprint="f" * 64, seq=i))
+    lines = history.path.read_bytes().splitlines(keepends=True)
+    lines[1] = b"\xff" + lines[1]
+    history.path.write_bytes(b"".join(lines))
+
+
 class TestCompact:
     def test_replay_is_unchanged(self, tmp_path):
         history = JobHistory(tmp_path / "jobs.jsonl")
@@ -72,6 +81,16 @@ class TestCompact:
             history.compact()
         assert history.path.read_text() == text
 
+    def test_non_utf8_byte_is_damage_and_kept(self, tmp_path):
+        """A byte that is not UTF-8 is refused like any damaged line,
+        not as a codec error."""
+        history = JobHistory(tmp_path / "jobs.jsonl")
+        _fill_three_lines_with_a_bad_byte_in_line_2(history)
+        raw = history.path.read_bytes()
+        with pytest.raises(LogDamaged, match="jobs.jsonl, line 2"):
+            history.compact()
+        assert history.path.read_bytes() == raw
+
     def test_missing_file_is_a_noop(self, tmp_path):
         history = JobHistory(tmp_path / "jobs.jsonl")
         stats = history.compact()
@@ -113,6 +132,17 @@ class TestGatewayBootGC:
         lines = history.path.read_text().splitlines()
         # compaction + one possible recovery event per job
         assert len(lines) <= 10
+
+    def test_damaged_history_stops_the_boot_like_a_replay(self, tmp_path):
+        from repro.serve import Gateway
+
+        history = JobHistory.for_dir(tmp_path)
+        _fill_three_lines_with_a_bad_byte_in_line_2(history)
+        with pytest.raises(LogDamaged, match="line 2") as replayed:
+            history.replay()
+        with pytest.raises(LogDamaged) as booted:
+            Gateway(tmp_path, workers=1, history_gc_bytes=1)
+        assert str(booted.value) == str(replayed.value)
 
     def test_small_history_is_left_alone(self, tmp_path):
         from repro.serve import Gateway

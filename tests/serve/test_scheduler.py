@@ -8,8 +8,11 @@ and a per-job failure inside collection must not wedge the tick.
 
 import json
 
+import pytest
+
+from repro._jsonl import LogDamaged
 from repro.distrib import ProblemSpec
-from repro.serve import JobHistory, Scheduler
+from repro.serve import JobHistory, JobRecord, Scheduler
 
 
 class StubPool:
@@ -149,3 +152,25 @@ class TestCollectIsolation:
         a.state = "bogus"
         sched.tick()
         assert b.state == "done"
+
+
+class TestReplayedJobIds:
+    def test_a_job_id_that_is_a_path_is_damage(self, tmp_path):
+        """A replayed ``job_id`` names the job's directory: one that
+        climbs out of ``jobs/`` is refused before anything is sent or
+        touched there."""
+        serve = tmp_path / "serve"
+        outside = serve / "outside"
+        outside.mkdir(parents=True)
+        (outside / "job.json").write_text("{}")
+        history = JobHistory.for_dir(serve)
+        with open(history.path, "w") as fh:
+            fh.write(json.dumps({"event": "submitted", "wall": 0.0, "job": {
+                **JobRecord("j0", "f" * 64).to_dict(),
+                "job_id": "../outside"}}) + "\n")
+        pool = StubPool()
+        with pytest.raises(LogDamaged, match="line 1"):
+            Scheduler(serve, pool, history)
+        assert pool.sent == []
+        assert sorted(p.name for p in outside.iterdir()) == ["job.json"]
+        assert (outside / "job.json").read_text() == "{}"

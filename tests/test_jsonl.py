@@ -26,7 +26,9 @@ def test_append_after_a_file_that_is_one_torn_line(tmp_path):
 
 def test_reader_drops_only_a_torn_final_line(tmp_path):
     path = tmp_path / "log.jsonl"
-    records = [r for _, _, r in read_jsonl(path, '{"a": 1}\n{"a"')]
+    path.write_text('{"a": 1}\n{"a"')
+    records = [r for _, _, r in read_jsonl(path)]
     assert records == [{"a": 1}]
+    path.write_text('{"a"\n{"a": 1}\n')
     with pytest.raises(LogDamaged, match="log.jsonl, line 1"):
-        list(read_jsonl(path, '{"a"\n{"a": 1}\n'))
+        list(read_jsonl(path))

@@ -218,33 +218,78 @@ class EdgeStage(threading.local):
     buf = np.empty(0)
 
     def copy(self, dst: np.ndarray, src: np.ndarray) -> None:
-        """``dst[...] = src`` (``src`` broadcasts), through the buffer
-        whenever NumPy would otherwise copy through a temporary."""
-        if np.may_share_memory(dst, src):
-            n = math.prod(src.shape)
-            if self.buf.size < n or self.buf.dtype != src.dtype:
-                self.buf = np.empty(n, dtype=src.dtype)
-            staged = self.buf[:n].reshape(src.shape)
-            np.copyto(staged, src)
-            src = staged
-        dst[...] = src
+        """``dst[...] = src`` (``src`` broadcasts) through the buffer,
+        for a ``src`` that shares memory with ``dst`` (a fill plan
+        checks that once, when it binds)."""
+        n = math.prod(src.shape)
+        if self.buf.size < n or self.buf.dtype != src.dtype:
+            self.buf = np.empty(n, dtype=src.dtype)
+        staged = self.buf[:n].reshape(src.shape)
+        staged[...] = src
+        dst[...] = staged
 
 
 def _replicate_edge(
     arr: np.ndarray, op: EdgeOp, pad: int, interior_extent: int,
-    stage: EdgeStage,
-) -> None:
-    """Fill a domain-boundary ghost strip by edge replication.
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(ghost strip, edge plane)`` views of a domain-boundary face:
+    the edge plane broadcast onto the strip fills it by replication.
 
     Matches ``np.pad(..., mode='edge')`` applied axis by axis in
     ascending-axis order (the convention of
-    :func:`repro.core.subregion.make_subregions`).  The edge plane goes
-    through ``stage`` (a copy, so the result is bitwise the same).
+    :func:`repro.core.subregion.make_subregions`).
     """
     edge = list(op.recv_slices)
     idx = pad if op.side == -1 else pad + interior_extent - 1
     edge[op.axis] = slice(idx, idx + 1)
-    stage.copy(arr[(...,) + op.recv_slices], arr[(...,) + tuple(edge)])
+    return arr[(...,) + op.recv_slices], arr[(...,) + tuple(edge)]
+
+
+def _bind_fill(
+    sub: SubregionState, op: EdgeOp, field_names: Sequence[str], src,
+    stage: EdgeStage,
+):
+    """The copies that fill one face from arrays that stay put: the
+    edge plane (``replicate``) or the source fields' send strip
+    (``recv``).  A copy whose two sides share memory goes through
+    ``stage`` (bitwise the same as a direct copy)."""
+    if op.kind == "replicate":
+        extent = sub.block.shape[op.axis]
+        pairs = [_replicate_edge(sub.fields[name], op, sub.pad, extent)
+                 for name in field_names]
+        held = []
+    else:
+        recv, index = (...,) + op.recv_slices, (...,) + op.src_slices
+        pairs = [(sub.fields[name][recv], src[name][index])
+                 for name in field_names]
+        held = [(src, name, src[name]) for name in field_names]
+    ops = []
+    for dst, strip in pairs:
+        ops += _copy_ops(dst, strip, dst.ndim - sub.ndim, stage)
+    held += [(sub.fields, name, sub.fields[name]) for name in field_names]
+    return ops, held
+
+
+def _copy_ops(dst: np.ndarray, src: np.ndarray, lead: int,
+              stage: EdgeStage):
+    """The bound copies of ``dst[...] = src`` for arrays with ``lead``
+    leading component axes.
+
+    Copies between arrays that share no memory are direct.  NumPy
+    copies an overlapping source through a fresh temporary unless the
+    target is one-dimensional, so a strip whose every component is one
+    contiguous run (the far strip of a periodic axis-0 wrap) is copied
+    run by run; any other overlapping copy goes through ``stage``.
+    """
+    if not np.may_share_memory(dst, src):
+        return [(dst.__setitem__, (Ellipsis, src))]
+    first = (0,) * lead
+    if (dst.shape == src.shape and dst[first].flags.c_contiguous
+            and src[first].flags.c_contiguous):
+        return [(dst[i].reshape(-1).__setitem__,
+                 (Ellipsis, src[i].reshape(-1)))
+                for i in np.ndindex(dst.shape[:lead])]
+    return [(stage.copy, (dst, src))]
 
 
 def fill_ghost(
@@ -252,38 +297,41 @@ def fill_ghost(
     op: EdgeOp,
     field_names: Sequence[str],
     src,
-    src_index,
     stage: EdgeStage,
     converter=None,
+    framed: bool = False,
 ) -> None:
     """Fill one face's ghost strip: the one rule of every transport.
 
     ``hold`` leaves the strip as decomposed; ``replicate`` copies the
-    edge plane outwards (``src`` is unused); ``recv`` copies
-    ``src[name][src_index]`` into each named field's ghost strip
-    through ``stage``.  On a seam edge (``converter`` given) the
-    source holds the neighbour's own representation instead, and the
-    converter translates its ``wire_fields`` into this subregion's
-    fields (``field_names`` is unused).  ``src`` maps field names to
-    arrays: the neighbour's fields with ``src_index`` its send strip,
-    this subregion's own fields for a periodic self-wrap, or a decoded
-    frame whose arrays already have the strip's shape.
+    edge plane outwards (``src`` is unused); ``recv`` copies each named
+    field's source strip into its ghost strip.  ``src`` maps field
+    names to arrays: the neighbour's fields (the strip is its send
+    strip, ``op.src_slices``), this subregion's own fields for a
+    periodic self-wrap, or — ``framed`` — a decoded frame whose arrays
+    already have the strip's shape.  On a seam edge (``converter``
+    given) the source holds the neighbour's own representation instead,
+    and the converter translates its ``wire_fields`` into this
+    subregion's fields (``field_names`` is unused).
+
+    Fills from arrays that stay put are bound once per face and field
+    set (:meth:`SubregionState.plan`): a warmed fill is only the copies.
     """
     if op.kind == "hold":
         return
-    if op.kind == "replicate":
-        extent = sub.block.shape[op.axis]
-        for name in field_names:
-            _replicate_edge(sub.fields[name], op, sub.pad, extent, stage)
-        return
     if converter is not None:
-        converter.convert(sub, op.recv_slices, src, src_index)
+        converter.convert(sub, op, src,
+                          ... if framed else (...,) + op.src_slices)
         return
-    recv = (...,) + op.recv_slices
-    for name in field_names:
-        # staged when a periodic axis this one block spans wraps onto
-        # itself
-        stage.copy(sub.fields[name][recv], src[name][src_index])
+    if framed:
+        recv = (...,) + op.recv_slices
+        for name in field_names:
+            sub.fields[name][recv] = src[name]
+        return
+    key = ("fill", op.axis, op.side, tuple(field_names))
+    for fn, args in sub.plan(key, _bind_fill, op, field_names, src,
+                             stage).ops:
+        fn(*args)
 
 
 class LocalExchanger:
@@ -391,11 +439,10 @@ class LocalExchanger:
         """
         sub = self._by_rank[rank]
         if op.kind != "recv":
-            fill_ghost(sub, op, field_names, None, None, self.stage)
+            fill_ghost(sub, op, field_names, None, self.stage)
             return
         fill_ghost(
-            sub, op, field_names,
-            self._by_rank[op.neighbor_rank].fields, (...,) + op.src_slices,
+            sub, op, field_names, self._by_rank[op.neighbor_rank].fields,
             self.stage, self.converters.get((rank, op.neighbor_rank)),
         )
 

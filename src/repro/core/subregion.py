@@ -11,14 +11,34 @@ TCP/IP-distributed runtime and the cluster simulator.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Any, Callable, Hashable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .decomposition import Block, Decomposition
 
-__all__ = ["SubregionState", "make_subregions", "assemble_global"]
+__all__ = ["Plan", "SubregionState", "make_subregions", "assemble_global"]
+
+
+class Plan(NamedTuple):
+    """A kernel's operations bound to one subregion's arrays.
+
+    ``ops`` are ``(callable, args)`` pairs over prebuilt views, run in
+    order as ``fn(*args)``; ``held`` lists the ``(mapping, name,
+    array)`` of every field or mask the views point into, each checked
+    with ``is`` before a run (:meth:`SubregionState.plan`) — a mapping
+    of ``None`` is the subregion's own ``aux``, which a plan must not
+    reference: the plan lives in it, and the cycle would keep every
+    array of a discarded subregion alive until a full garbage
+    collection; ``args`` are the builder arguments the plan was bound
+    for.
+    """
+
+    ops: tuple[tuple[Callable, tuple], ...]
+    held: tuple[tuple[Mapping[str, Any] | None, str, np.ndarray], ...]
+    args: tuple
 
 
 @dataclass
@@ -57,24 +77,30 @@ class SubregionState:
     solid: np.ndarray
     step: int = 0
     extra: dict[str, float] = field(default_factory=dict)
-    aux: dict[str, np.ndarray] = field(default_factory=dict)
+    aux: dict[Hashable, Any] = field(default_factory=dict)
     # ``extra`` holds scalar method/runtime state that must survive a dump
-    # and restore (migration); ``aux`` holds derived per-node arrays
-    # (masks, scratch) that are *not* exchanged and are rebuilt by
-    # ``init_subregion`` after a restore.
+    # and restore (migration); ``aux`` holds derived state (masks,
+    # scratch, bound kernel plans) that is *not* exchanged and is rebuilt
+    # by ``init_subregion`` and the first step after a restore.
+    #: padded array shape of every node axis (fixed with the block)
+    padded_shape: tuple[int, ...] = field(init=False, repr=False,
+                                          compare=False)
+    #: slices selecting the owned (non-ghost) nodes of a padded array
+    interior: tuple[slice, ...] = field(init=False, repr=False,
+                                        compare=False)
+
+    def __post_init__(self) -> None:
+        shape, pad = self.block.shape, self.pad
+        self.padded_shape = tuple(n + 2 * pad for n in shape)
+        self._rings = tuple(
+            tuple(slice(pad - by, pad + n + by) for n in shape)
+            for by in range(pad + 1)
+        )
+        self.interior = self._rings[0]
 
     @property
     def ndim(self) -> int:
-        return len(self.block.shape)
-
-    @property
-    def padded_shape(self) -> tuple[int, ...]:
-        return tuple(n + 2 * self.pad for n in self.block.shape)
-
-    @property
-    def interior(self) -> tuple[slice, ...]:
-        """Slices selecting the owned (non-ghost) nodes of a padded array."""
-        return tuple(slice(self.pad, self.pad + n) for n in self.block.shape)
+        return len(self.padded_shape)
 
     def grown_interior(self, by: int) -> tuple[slice, ...]:
         """Interior grown by ``by`` ghost rings on every side.
@@ -83,11 +109,10 @@ class SubregionState:
         filter re-filters ring 1 locally instead of paying a third
         message per step).
         """
-        if by > self.pad:
-            raise ValueError(f"cannot grow interior by {by} > pad {self.pad}")
-        return tuple(
-            slice(self.pad - by, self.pad + n + by) for n in self.block.shape
-        )
+        if not 0 <= by <= self.pad:
+            raise ValueError(
+                f"cannot grow interior by {by}: rings are 0..{self.pad}")
+        return self._rings[by]
 
     def interior_view(self, name: str) -> np.ndarray:
         """View of the owned nodes of field ``name`` (no copy)."""
@@ -136,6 +161,30 @@ class SubregionState:
             arr = np.empty(shape, dtype=dtype)
             self.aux[name] = arr
         return arr
+
+    def plan(self, key: Hashable, build: Callable, *args) -> Plan:
+        """The :class:`Plan` bound under ``key`` in ``aux``.
+
+        ``build(self, *args)`` returns ``(ops, held)``; it runs on the
+        first request, whenever ``args`` are not the objects the plan
+        was bound for, and whenever a ``held`` array is no longer the
+        one its mapping holds (both checked with ``is``): a field
+        swapped in by ``lb_init``, a dump load or a test is never read
+        through a stale view.  Like scratch, plans are never exchanged
+        or dumped; a restored subregion binds its own on first use.
+        """
+        plan = self.aux.get(key)
+        if (plan is not None and len(plan.args) == len(args)
+                and all(map(operator.is_, plan.args, args))):
+            aux = self.aux
+            for source, name, arr in plan.held:
+                if (aux if source is None else source)[name] is not arr:
+                    break
+            else:
+                return plan
+        ops, held = build(self, *args)
+        plan = self.aux[key] = Plan(tuple(ops), tuple(held), args)
+        return plan
 
 
 def make_subregions(

@@ -42,7 +42,6 @@ from pathlib import Path
 from ..chaos.inject import ChannelFaultInjector, FiredMarkers, WorkerFaults
 from ..chaos.plan import KINDS, MESSAGE_KINDS, FaultPlan
 from ..core.exchange import build_plan
-from ..fluids.coupling import build_converters, seam_wire_fields
 from ..net.channels import ChannelSet
 from ..net.portfile import PortRegistry
 from ..net.transport import SocketExchanger
@@ -147,14 +146,22 @@ class Worker:
         self.decomp = self.spec.build_decomposition()
         self.n_ranks = self.decomp.n_active
         # Seam converters for *this* rank's mixed-method edges, keyed by
-        # neighbour rank (empty on uniform runs — the historical path).
-        self.converters = {
-            src: conv
-            for (dst, src), conv in build_converters(
-                self.decomp, methods
-            ).items()
-            if dst == self.rank
-        }
+        # neighbour rank, and the fields this rank ships across a seam;
+        # a uniform run has neither and never imports the coupling
+        # module.
+        self.converters = {}
+        self._wire_fields = ()
+        if self.spec.is_hybrid:
+            from ..fluids.coupling import build_converters, seam_wire_fields
+
+            self.converters = {
+                src: conv
+                for (dst, src), conv in build_converters(
+                    self.decomp, methods
+                ).items()
+                if dst == self.rank
+            }
+            self._wire_fields = seam_wire_fields(self.method)
 
         dump_in = cfg.dump_in or str(
             dump_path(self.workdir / "dumps", self.rank)
@@ -212,7 +219,7 @@ class Worker:
             self.channels,
             timeout=cfg.recv_timeout,
             converters=self.converters,
-            wire_fields=seam_wire_fields(self.method),
+            wire_fields=self._wire_fields,
         )
         #: diagnostics slots, mapped in :meth:`run` when due
         self._diag = None

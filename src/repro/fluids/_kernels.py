@@ -1,4 +1,4 @@
-"""Shared array kernels: stencils and plane-slab sweeps on padded arrays.
+"""Shared array kernels: stencils and plane-slab plan builders.
 
 Every field carries ``pad`` ghost layers, so a centered difference at a
 node reads neighbours that never leave the array, and the very same
@@ -16,42 +16,57 @@ between the region's rows are never committed — each kernel writes
 back only ``field[region]`` from its slab buffer (:meth:`Slab.of`), or
 adds an increment that is ``±0`` off the region over the whole span.
 
-The stencils (:func:`central_diff`, :func:`second_diff`,
-:func:`laplacian`, :func:`fourth_diff_sum`) run on either form: a region
-of an N-d array with unit shifts, or a one-slice span of a flat array
-with ``step``/``steps`` set to the axis strides.  Each takes optional
-``out=`` (and, where an intermediate is unavoidable, ``scratch=``)
-buffers; when omitted they are allocated on the spot by the same
-implementation, so buffered and allocating calls are bitwise identical.
-The hot paths pass per-subregion scratch registered in ``sub.aux`` (see
-:meth:`repro.core.subregion.SubregionState.scratch`), which keeps a
-warmed-up integration step allocation-free.
+Nothing here computes on its own: the helpers *bind*.  A kernel's plan
+builder walks the slabs once and collects every operation of the sweep
+as a ``(ufunc, args)`` pair over prebuilt views — the flat field spans
+shifted by ``±stride``, the scratch slices, the commit targets — into a
+:class:`~repro.core.subregion.Plan` kept in ``sub.aux``; every later
+step runs those pairs as they stand (:meth:`SubregionState.plan
+<repro.core.subregion.SubregionState.plan>`).  The stencil builders
+(:func:`central_diff_ops`, :func:`second_diff_ops`,
+:func:`laplacian_ops`, :func:`fourth_diff_sum_ops`) bind on either
+form: a region of an N-d array with unit shifts, or a one-slice span of
+a flat array with ``step``/``steps`` set to the axis strides.  The
+region-form stencils (:func:`central_diff` and the rest) run the same
+operations once, on buffers allocated when omitted, so buffered and
+allocating calls and the bound plans are bitwise identical.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 Region = tuple[slice, ...]
+#: one bound operation: ``fn(*args)``
+Op = tuple[Callable, tuple]
 
 __all__ = [
+    "Op",
     "Region",
     "SLAB_BYTES",
     "Slab",
     "flat_nodes",
     "held_back",
+    "holding",
     "node_strides",
     "plane_slabs",
+    "run_ops",
+    "slab_buffers",
     "slab_depth",
     "shift_region",
     "region_shape",
     "central_diff",
+    "central_diff_ops",
+    "copy_op",
     "second_diff",
+    "second_diff_ops",
     "laplacian",
+    "laplacian_ops",
     "fourth_diff_sum",
+    "fourth_diff_sum_ops",
     "dilate_star",
 ]
 
@@ -80,6 +95,18 @@ def region_shape(region: Region) -> tuple[int, ...]:
     return tuple(shape)
 
 
+def copy_op(dst: np.ndarray, src: np.ndarray) -> Op:
+    """``dst[...] = src`` as a bound operation: a slot call, which
+    (unlike ``np.copyto``) runs no Python-level dispatcher."""
+    return (dst.__setitem__, (Ellipsis, src))
+
+
+def run_ops(ops: Sequence[Op]) -> None:
+    """Run bound operations in order."""
+    for fn, args in ops:
+        fn(*args)
+
+
 def _axis_steps(region: Region, steps: Sequence[int] | None):
     """``(axis, step)`` per stencil axis: unit shifts along each axis of
     an N-d region, or the given strides along the one axis of a span."""
@@ -88,87 +115,68 @@ def _axis_steps(region: Region, steps: Sequence[int] | None):
     return [(0, step) for step in steps]
 
 
-def central_diff(
-    a: np.ndarray,
-    region: Region,
-    axis: int,
-    dx: float,
-    out: np.ndarray | None = None,
+# ----------------------------------------------------------------------
+# stencils: operation builders and their region-form runs
+# ----------------------------------------------------------------------
+def central_diff_ops(
+    a: np.ndarray, at: Region, axis: int, dx: float, out: np.ndarray,
     step: int = 1,
-) -> np.ndarray:
-    """Second-order centered first derivative on ``region``.
+) -> list[Op]:
+    """Second-order centered first derivative of ``a`` on ``at`` into
+    ``out``: ``(a[+step] - a[-step]) / 2 dx``.
 
     ``step`` is the index distance of one node along ``axis`` (the axis
-    stride on a flat span).  Writes into ``out`` (allocated when
-    omitted) and returns it.
+    stride on a flat span).
     """
-    plus = a[shift_region(region, axis, +step)]
-    minus = a[shift_region(region, axis, -step)]
-    if out is None:
-        out = np.empty(region_shape(region), dtype=a.dtype)
-    np.subtract(plus, minus, out=out)
-    out /= 2.0 * dx
-    return out
+    return [
+        (np.subtract, (a[shift_region(at, axis, +step)],
+                       a[shift_region(at, axis, -step)], out)),
+        (np.true_divide, (out, 2.0 * dx, out)),
+    ]
 
 
-def second_diff(
-    a: np.ndarray,
-    region: Region,
-    axis: int,
-    dx: float,
-    out: np.ndarray | None = None,
+def second_diff_ops(
+    a: np.ndarray, at: Region, axis: int, dx: float, out: np.ndarray,
     step: int = 1,
-) -> np.ndarray:
-    """Second-order centered second derivative on ``region``.
+) -> list[Op]:
+    """Second-order centered second derivative of ``a`` on ``at`` into
+    ``out``.
 
     The division by ``dx^2`` is skipped when it is exactly 1.0 (lattice
     units): dividing by one changes no bit.
     """
-    plus = a[shift_region(region, axis, +step)]
-    minus = a[shift_region(region, axis, -step)]
-    mid = a[region]
-    if out is None:
-        out = np.empty(region_shape(region), dtype=a.dtype)
-    np.multiply(mid, 2.0, out=out)
-    np.subtract(plus, out, out=out)
-    out += minus
+    ops = [
+        (np.multiply, (a[at], 2.0, out)),
+        (np.subtract, (a[shift_region(at, axis, +step)], out, out)),
+        (np.add, (out, a[shift_region(at, axis, -step)], out)),
+    ]
     h2 = dx * dx
     if h2 != 1.0:
-        out /= h2
-    return out
+        ops.append((np.true_divide, (out, h2, out)))
+    return ops
 
 
-def laplacian(
-    a: np.ndarray,
-    region: Region,
-    dx: float,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
-    steps: Sequence[int] | None = None,
-) -> np.ndarray:
-    """Centered Laplacian (sum of per-axis second differences).
-
-    ``scratch`` holds one per-axis second difference while it is added
-    to the accumulating ``out``; both are allocated when omitted.
-    ``steps`` (the axis strides) selects the flat-span form.
+def laplacian_ops(
+    a: np.ndarray, at: Region, dx: float, out: np.ndarray,
+    scratch: np.ndarray, steps: Sequence[int] | None = None,
+) -> list[Op]:
+    """Centered Laplacian (sum of per-axis second differences) into
+    ``out``; ``scratch`` holds one per-axis second difference while it
+    is added.  ``steps`` (the axis strides) selects the flat-span form.
     """
-    (axis, step), *rest = _axis_steps(region, steps)
-    out = second_diff(a, region, axis, dx, out=out, step=step)
-    if rest and scratch is None:
-        scratch = np.empty_like(out)
+    (axis, step), *rest = _axis_steps(at, steps)
+    ops = second_diff_ops(a, at, axis, dx, out, step)
     for axis, step in rest:
-        out += second_diff(a, region, axis, dx, out=scratch, step=step)
-    return out
+        ops += second_diff_ops(a, at, axis, dx, scratch, step)
+        ops.append((np.add, (out, scratch, out)))
+    return ops
 
 
-def fourth_diff_sum(
-    a: np.ndarray,
-    region: Region,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
+def fourth_diff_sum_ops(
+    a: np.ndarray, at: Region, out: np.ndarray, scratch: np.ndarray,
     steps: Sequence[int] | None = None,
-) -> np.ndarray:
-    """Sum over axes of the undivided fourth difference.
+) -> list[Op]:
+    """Sum over axes of the undivided fourth difference, into ``out``.
 
     Per axis: ``a[i-2] - 4 a[i-1] + 6 a[i] - 4 a[i+1] + a[i+2]`` — the
     stencil of the fourth-order numerical-viscosity filter
@@ -180,22 +188,55 @@ def fourth_diff_sum(
     shifted read plus a single ``scratch`` buffer for the odd neighbours.
     ``steps`` (the axis strides) selects the flat-span form.
     """
-    axes = _axis_steps(region, steps)
-    if out is None:
-        out = np.empty(region_shape(region), dtype=a.dtype)
-    if scratch is None:
-        scratch = np.empty_like(out)
-    np.multiply(a[region], 6.0 * len(axes), out=out)
+    axes = _axis_steps(at, steps)
+    ops = [(np.multiply, (a[at], 6.0 * len(axes), out))]
     for axis, step in axes:
-        out += a[shift_region(region, axis, -2 * step)]
-        out += a[shift_region(region, axis, +2 * step)]
-        np.add(
-            a[shift_region(region, axis, -step)],
-            a[shift_region(region, axis, +step)],
-            out=scratch,
-        )
-        scratch *= 4.0
-        out -= scratch
+        ops += [
+            (np.add, (out, a[shift_region(at, axis, -2 * step)], out)),
+            (np.add, (out, a[shift_region(at, axis, +2 * step)], out)),
+            (np.add, (a[shift_region(at, axis, -step)],
+                      a[shift_region(at, axis, +step)], scratch)),
+            (np.multiply, (scratch, 4.0, scratch)),
+            (np.subtract, (out, scratch, out)),
+        ]
+    return ops
+
+
+def _buffer(a: np.ndarray, region: Region, out: np.ndarray | None):
+    return np.empty(region_shape(region), dtype=a.dtype) if out is None \
+        else out
+
+
+def central_diff(a, region, axis, dx, out=None):
+    """:func:`central_diff_ops` run once on ``region``; returns ``out``
+    (allocated when omitted)."""
+    out = _buffer(a, region, out)
+    run_ops(central_diff_ops(a, region, axis, dx, out))
+    return out
+
+
+def second_diff(a, region, axis, dx, out=None):
+    """:func:`second_diff_ops` run once on ``region``; returns ``out``."""
+    out = _buffer(a, region, out)
+    run_ops(second_diff_ops(a, region, axis, dx, out))
+    return out
+
+
+def laplacian(a, region, dx, out=None, scratch=None):
+    """:func:`laplacian_ops` run once on ``region``; returns ``out``
+    (``out`` and ``scratch`` allocated when omitted)."""
+    out = _buffer(a, region, out)
+    scratch = np.empty_like(out) if scratch is None else scratch
+    run_ops(laplacian_ops(a, region, dx, out, scratch))
+    return out
+
+
+def fourth_diff_sum(a, region, out=None, scratch=None):
+    """:func:`fourth_diff_sum_ops` run once on ``region``; returns
+    ``out`` (``out`` and ``scratch`` allocated when omitted)."""
+    out = _buffer(a, region, out)
+    scratch = np.empty_like(out) if scratch is None else scratch
+    run_ops(fourth_diff_sum_ops(a, region, out, scratch))
     return out
 
 
@@ -222,6 +263,15 @@ def flat_nodes(arr: np.ndarray, ndim: int) -> np.ndarray:
     if not arr.flags.c_contiguous:
         raise ValueError("flat kernels need C-contiguous fields")
     return arr.reshape(arr.shape[: arr.ndim - ndim] + (-1,))
+
+
+def holding(sub, fields: Sequence[str] = (), aux: Sequence[str] = ()):
+    """The ``held`` entries of a plan whose views point into the named
+    fields and ``aux`` arrays of ``sub`` (its own ``aux`` is named by
+    ``None``, see :class:`~repro.core.subregion.Plan`)."""
+    return [(sub.fields, name, sub.fields[name]) for name in fields] + [
+        (None, name, sub.aux[name]) for name in aux
+    ]
 
 
 def node_strides(shape: Sequence[int]) -> tuple[int, ...]:
@@ -253,6 +303,11 @@ class Slab(NamedTuple):
         lead = buf.shape[:-1]
         whole = buf[..., :n].reshape(lead + self.planes)
         return whole[(Ellipsis, slice(None)) + self.target[1:]]
+
+    def at(self, flat: np.ndarray, by: int = 0) -> np.ndarray:
+        """The view of a flat field (last axis flat) over ``span``
+        shifted by ``by`` nodes."""
+        return flat[..., self.span.start + by:self.span.stop + by]
 
 
 def slab_depth(
@@ -311,6 +366,13 @@ def held_back(
         yield k, slab, done
         done = slab
     yield k + 1, None, done
+
+
+def slab_buffers(sub, names: tuple[str, str], shape: Sequence[int]):
+    """``buf(k)``: the scratch buffer of slab ``k`` of a held-back sweep,
+    ``names[k % 2]``; the second is allocated only once a sweep has a
+    second slab."""
+    return lambda k: sub.scratch(names[k % 2], shape)
 
 
 def dilate_star(mask: np.ndarray, reach: int) -> np.ndarray:

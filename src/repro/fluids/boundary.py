@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..core.subregion import SubregionState
-from ._kernels import Region, flat_nodes, region_shape, shift_region
+from ._kernels import Region, flat_nodes, holding, node_strides
 
 __all__ = [
     "GlobalBox",
@@ -135,29 +135,31 @@ def build_wall_aux(
     """
     fluid = (~sub.solid).astype(np.float64)
     sub.aux["fluid_f"] = fluid
+    flat_fluid = fluid.reshape(-1)
     flat_index = np.arange(sub.solid.size).reshape(sub.padded_shape)
     for by in solid_rings:
         region = sub.grown_interior(by)
         sub.aux[f"wall_solid{by}"] = flat_index[region][sub.solid[region]]
-    strides = [int(np.prod(sub.padded_shape[d + 1:])) for d in range(sub.ndim)]
+    strides = node_strides(sub.padded_shape)
     for by in density_rings:
         region = sub.grown_interior(by)
-        # den exactly as the dense rule sums it, so the division below
-        # sees the same bits.
-        den = np.zeros(region_shape(region))
-        for axis in range(sub.ndim):
-            for side in (-1, +1):
-                den += fluid[shift_region(region, axis, side)]
-        sel = sub.solid[region] & (den > 0.0)
-        target = flat_index[region][sel]
+        nodes = flat_index[region][sub.solid[region]]
         nbr = np.stack([
-            target + side * strides[axis]
+            nodes + side * strides[axis]
             for axis in range(sub.ndim)
             for side in (-1, +1)
         ])
-        sub.aux[f"wall_rho{by}"] = target
-        sub.aux[f"wall_rho{by}_nbr"] = nbr
-        sub.aux[f"wall_rho{by}_nf"] = fluid.reshape(-1)[nbr]
+        nf = flat_fluid[nbr]
+        # den exactly as the dense rule sums it, so the division below
+        # sees the same bits.
+        den = np.zeros(nodes.shape)
+        for row in nf:
+            den += row
+        sel = den > 0.0
+        sub.aux[f"wall_rho{by}"] = nodes[sel]
+        # row-contiguous: a strided index row makes take() copy it
+        sub.aux[f"wall_rho{by}_nbr"] = np.ascontiguousarray(nbr[:, sel])
+        sub.aux[f"wall_rho{by}_nf"] = np.ascontiguousarray(nf[:, sel])
         sub.aux[f"wall_rho{by}_den"] = den[sel]
 
 
@@ -182,16 +184,29 @@ def enforce_noslip(
     Multiplies by ``0.0`` rather than storing ``0``: signed zeros and
     NaNs come out as the dense ``field *= fluid_f`` rule leaves them.
     """
+    for fn, args in sub.plan(("noslip", region[0].start), _bind_noslip,
+                             names, region).ops:
+        fn(*args)
+
+
+def _bind_noslip(sub: SubregionState, names: Sequence[str], region: Region):
     key = wall_key(sub, "solid", region)
     idx = sub.aux[key]
+    held = holding(sub, names, aux=(key,))
+    if not idx.size:
+        return [], held
     buf = sub.scratch(key + "_buf", idx.shape)
+    ops = []
     for name in names:
         flat = flat_nodes(sub.fields[name], sub.ndim)
         # mode="clip" (the indices are in range): "raise" would buffer
         # the output through a fresh temporary.
-        np.take(flat, idx, out=buf, mode="clip")
-        buf *= 0.0
-        flat[idx] = buf
+        ops += [
+            (flat.take, (idx, None, buf, "clip")),
+            (np.multiply, (buf, 0.0, buf)),
+            (flat.__setitem__, (idx, buf)),
+        ]
+    return ops, held
 
 
 def enforce_wall_density(
@@ -206,20 +221,35 @@ def enforce_wall_density(
     reads one ring beyond ``region``, which the callers' padding
     guarantees is valid.
     """
+    for fn, args in sub.plan(("wall_rho", region[0].start),
+                             _bind_wall_density, region, rho_name).ops:
+        fn(*args)
+
+
+def _bind_wall_density(sub: SubregionState, region: Region, rho_name: str):
     key = wall_key(sub, "rho", region)
     target = sub.aux[key]
     nbr = sub.aux[key + "_nbr"]
     nf = sub.aux[key + "_nf"]
+    held = holding(sub, (rho_name,),
+                   aux=(key, key + "_nbr", key + "_nf", key + "_den"))
+    if not target.size:
+        return [], held
     flat = flat_nodes(sub.fields[rho_name], sub.ndim)
     num = sub.scratch(key + "_num", target.shape)
     tmp = sub.scratch(key + "_tmp", target.shape)
     # Accumulate from zero in the dense rule's axis/side order; all
     # reads land before the one write, so no solid node reads another
     # solid node's fresh value.
-    num.fill(0.0)
+    ops = [(num.fill, (0.0,))]
     for k in range(len(nbr)):
-        np.take(flat, nbr[k], out=tmp, mode="clip")
-        tmp *= nf[k]
-        num += tmp
-    num /= sub.aux[key + "_den"]   # den > 0 on every target
-    flat[target] = num
+        ops += [
+            (flat.take, (nbr[k], None, tmp, "clip")),
+            (np.multiply, (tmp, nf[k], tmp)),
+            (np.add, (num, tmp, num)),
+        ]
+    ops += [
+        (np.true_divide, (num, sub.aux[key + "_den"], num)),  # den > 0
+        (flat.__setitem__, (target, num)),
+    ]
+    return ops, held

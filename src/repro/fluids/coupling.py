@@ -41,12 +41,19 @@ exact at steady state — the regime the Poiseuille validation checks).
 
 from __future__ import annotations
 
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
 from ..core.decomposition import Decomposition
 from ..core.subregion import SubregionState
+from ._kernels import (
+    copy_op,
+    holding,
+    region_shape,
+    run_ops,
+    shift_region,
+)
 
 __all__ = [
     "SeamConverter",
@@ -54,6 +61,8 @@ __all__ = [
     "FDToLBConverter",
     "macro_from_populations",
     "populations_from_macro",
+    "populations_from_macro_ops",
+    "strip_gradient_ops",
     "strip_velocity_gradients",
     "seam_wire_fields",
     "build_converters",
@@ -66,7 +75,8 @@ Region = tuple  # tuple[slice, ...]
 # conversions
 # ----------------------------------------------------------------------
 def macro_from_populations(
-    lb, f: np.ndarray
+    lb, f: np.ndarray, rho: np.ndarray | None = None,
+    vels: Sequence[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """``(rho, [u, v(, w)])`` from a ``(Q,) + shape`` population array.
 
@@ -74,14 +84,16 @@ def macro_from_populations(
     Guo half-force shift ``u_d += g_d / 2``) so seam moments agree with
     the macroscopic fields the LB region itself maintains.  No solid
     masking: seam strips through walls keep the no-slip values the
-    methods enforce locally.
+    methods enforce locally.  ``rho``/``vels`` are ``shape`` outputs
+    (a ghost strip's views), allocated when omitted.
     """
-    rho = f.sum(axis=0)
+    rho = np.add.reduce(f, 0, None, rho)
     g = lb.params.gravity
-    vels = []
+    out = []
     for d in range(lb.ndim):
         plus, minus = lb._mom_idx[d]
-        vel = np.subtract(f[plus[0]], f[minus[0]])
+        vel = np.subtract(f[plus[0]], f[minus[0]],
+                          None if vels is None else vels[d])
         for i in plus[1:]:
             vel += f[i]
         for i in minus[1:]:
@@ -89,8 +101,8 @@ def macro_from_populations(
         vel /= rho
         if g[d] != 0.0:
             vel += 0.5 * g[d]
-        vels.append(vel)
-    return rho, vels
+        out.append(vel)
+    return rho, out
 
 
 def populations_from_macro(
@@ -113,8 +125,44 @@ def populations_from_macro(
     forcing just deposited ``rho g`` of momentum, so the first moment
     is ``rho (u + g/2)`` (half-force shift flips sign) and the
     non-equilibrium part carries the BGK factor ``(1 - 1/tau)``.
+
+    Runs :func:`populations_from_macro_ops` once on fresh buffers.
     """
-    f = lb.equilibrium(rho, list(vels))
+    q, shape = lb.lattice.q, rho.shape
+    out = np.empty((q,) + shape)
+    work = _PopulationWork(np.empty((q // 2,) + shape), np.empty(shape),
+                           np.empty(shape), np.empty((q,) + shape),
+                           np.empty((q,) + shape), np.empty(shape))
+    run_ops(populations_from_macro_ops(lb, rho, vels, grads, post_collision,
+                                       out, work))
+    return out
+
+
+class _PopulationWork(NamedTuple):
+    """Work buffers of :func:`populations_from_macro_ops`: the
+    equilibrium's ``eu``/``usq``/``tmp``, two ``(Q,) + shape`` buffers
+    and the strain trace."""
+
+    eu: np.ndarray
+    usq: np.ndarray
+    tmp: np.ndarray
+    term: np.ndarray
+    acc: np.ndarray
+    trace: np.ndarray
+
+
+def populations_from_macro_ops(
+    lb, rho, vels, grads, post_collision: bool, out: np.ndarray,
+    work: _PopulationWork,
+):
+    """The operations of :func:`populations_from_macro` into ``out``.
+
+    The ``(Q, 1, ...)`` coefficient columns are formed here, by the
+    products the allocating form evaluated (``1.5 w_i (e_i . g)``,
+    ``e_ia e_ib``, ``scale w_i``), so every population keeps its bits.
+    """
+    ops = lb.equilibrium_ops(rho, list(vels), out, work.eu, work.usq,
+                             work.tmp)
     ndim = lb.ndim
     e_b, w_b = lb.broadcast_columns(rho.ndim)
     # Half-force shift: zeroth moment 0, first moment -+ rho g / 2
@@ -124,24 +172,32 @@ def populations_from_macro(
         eg = e_b[0] * g[0]
         for d in range(1, ndim):
             eg = eg + e_b[d] * g[d]
-        if post_collision:
-            f += 1.5 * w_b * eg * rho
-        else:
-            f -= 1.5 * w_b * eg * rho
+        ops += [(np.multiply, (1.5 * w_b * eg, rho, work.term)),
+                (np.add if post_collision else np.subtract,
+                 (out, work.term, out))]
     if grads is not None:
         # Q_iab d_a u_b = (e_ia e_ib - delta_ab / 3) d_a u_b
-        trace = grads[0][0].copy()
-        for d in range(1, ndim):
-            trace += grads[d][d]
-        acc = None
+        trace, acc, term = work.trace, work.acc, work.term
+        ops.append(copy_op(trace, grads[0][0]))
+        ops += [(np.add, (trace, grads[d][d], trace))
+                for d in range(1, ndim)]
         for a in range(ndim):
             for b in range(ndim):
-                term = e_b[a] * e_b[b] * grads[a][b]
-                acc = term if acc is None else acc + term
-        acc -= trace / 3.0
+                eab = e_b[a] * e_b[b]
+                if a == b == 0:
+                    ops.append((np.multiply, (eab, grads[a][b], acc)))
+                else:
+                    ops += [(np.multiply, (eab, grads[a][b], term)),
+                            (np.add, (acc, term, acc))]
         scale = 3.0 * (lb.tau - 1.0) if post_collision else 3.0 * lb.tau
-        f -= scale * w_b * rho * acc
-    return f
+        ops += [
+            (np.true_divide, (trace, 3.0, trace)),
+            (np.subtract, (acc, trace, acc)),
+            (np.multiply, (scale * w_b, rho, term)),
+            (np.multiply, (term, acc, term)),
+            (np.subtract, (out, term, out)),
+        ]
+    return ops
 
 
 def strip_velocity_gradients(
@@ -149,31 +205,66 @@ def strip_velocity_gradients(
 ) -> list[list[np.ndarray]]:
     """``grads[a][b] = d arrs[b] / d x_a`` over ``region`` of padded arrays.
 
-    Grow the region by one cell per axis (clipped at the array bounds),
-    take :func:`numpy.gradient` on the grown block, trim back: interior
-    cells get centered differences that read one cell *outside* the
-    strip when available; cells on the physical array edge fall back to
-    the one-sided difference — deterministic and identical wherever the
-    strip lives (serial, threaded, or a distributed receiver).
+    Runs :func:`strip_gradient_ops` once on fresh buffers.
+    """
+    shape = region_shape(_explicit(region, arrs[0].shape))
+    ndim = len(shape)
+    out = [[np.empty(shape) for _ in range(ndim)] for _ in range(ndim)]
+    run_ops(strip_gradient_ops(arrs, region, dx, out))
+    return out
+
+
+def _explicit(region: Region, shape) -> Region:
+    """``region`` with every slice resolved against ``shape``."""
+    return tuple(slice(*sl.indices(n)[:2]) for sl, n in zip(region, shape))
+
+
+def strip_gradient_ops(
+    arrs: Sequence[np.ndarray], region: Region, dx: float,
+    out: Sequence[Sequence[np.ndarray]],
+):
+    """The operations of ``out[a][b] <- d arrs[b] / d x_a`` over
+    ``region`` (each ``out[a][b]`` has the region's shape).
+
+    :func:`numpy.gradient` on the region grown by one cell per axis
+    (clipped at the array bounds), trimmed back, node by node: cells
+    with both axis neighbours inside the grown block get the centered
+    ``(a[i+1] - a[i-1]) / (2 dx)``, reading one cell *outside* the
+    strip when available; a cell on the physical array edge falls back
+    to the one-sided ``(a[1] - a[0]) / dx`` or ``(a[-1] - a[-2]) / dx``
+    — deterministic and identical wherever the strip lives (serial,
+    threaded, or a distributed receiver).
     """
     shape = arrs[0].shape
-    grown: list[slice] = []
-    trim: list[slice] = []
-    for d, sl in enumerate(region):
-        start, stop, _ = sl.indices(shape[d])
-        gs, ge = max(start - 1, 0), min(stop + 1, shape[d])
-        grown.append(slice(gs, ge))
-        trim.append(slice(start - gs, (start - gs) + (stop - start)))
-    grown_t, trim_t = tuple(grown), tuple(trim)
+    region = _explicit(region, shape)
     ndim = len(shape)
-    out: list[list[np.ndarray]] = []
+    ops = []
     for a in range(ndim):
-        row = []
+        lo, hi = region[a].start, region[a].stop
+        n = shape[a]
+        # per part: the cells (first, stop), the shifts of the upper and
+        # the lower read, the divisor
+        parts = [(max(lo, 1), min(hi, n - 1), 1, -1, 2.0 * dx)]
+        if lo == 0:
+            parts.append((0, 1, 1, 0, dx))
+        if hi == n:
+            parts.append((n - 1, n, 0, -1, dx))
         for b in range(ndim):
-            g = np.gradient(arrs[b][grown_t], dx, axis=a)
-            row.append(np.ascontiguousarray(g[trim_t]))
-        out.append(row)
-    return out
+            for first, stop, up, down, div in parts:
+                if stop <= first:
+                    continue
+                cells = list(region)
+                cells[a] = slice(first, stop)
+                dst = list(slice(None) for _ in range(ndim))
+                dst[a] = slice(first - lo, stop - lo)
+                o = out[a][b][tuple(dst)]
+                ops += [
+                    (np.subtract, (arrs[b][shift_region(tuple(cells), a, up)],
+                                   arrs[b][shift_region(tuple(cells), a,
+                                                        down)], o)),
+                    (np.true_divide, (o, div, o)),
+                ]
+    return ops
 
 
 # ----------------------------------------------------------------------
@@ -196,14 +287,15 @@ class SeamConverter(Protocol):
     def convert(
         self,
         sub: SubregionState,
-        recv_slices: Region,
+        op,
         src: Mapping[str, np.ndarray],
         src_index,
     ) -> None:
         """Translate the neighbour's strips ``src[name][src_index]``
         (its own field representation, see :func:`seam_wire_fields`)
-        into this subregion's fields over the ghost region
-        ``recv_slices``; each strip has the ghost strip's shape."""
+        into this subregion's fields over the ghost region of the face
+        ``op`` (an :class:`~repro.core.exchange.EdgeOp`); each strip
+        has the ghost strip's shape."""
         ...
 
 
@@ -215,13 +307,14 @@ class LBToFDConverter:
         self.wire_fields: tuple[str, ...] = ("f",)
         self.wire_leading = {"f": (lb.lattice.q,)}
 
-    def convert(self, sub, recv_slices, src, src_index) -> None:
+    def convert(self, sub, op, src, src_index) -> None:
         """Fill the FD ghost strip with the moments of the received
-        LB populations."""
-        rho, vels = macro_from_populations(self.lb, src["f"][src_index])
-        sub.fields["rho"][recv_slices] = rho
-        for d, name in enumerate(self.lb.vel_names):
-            sub.fields[name][recv_slices] = vels[d]
+        LB populations, written straight into it."""
+        recv = op.recv_slices
+        macro_from_populations(
+            self.lb, src["f"][src_index], sub.fields["rho"][recv],
+            [sub.fields[name][recv] for name in self.lb.vel_names],
+        )
 
 
 class FDToLBConverter:
@@ -231,7 +324,11 @@ class FDToLBConverter:
     gradients for the non-equilibrium correction are then taken on the
     receiver's own padded arrays (strip plus one adjacent ring), so the
     reconstruction is local, deterministic, and identical across the
-    serial, threaded and distributed transports.
+    serial, threaded and distributed transports.  The gradients and the
+    reconstruction are bound once per face (:meth:`SubregionState.plan
+    <repro.core.subregion.SubregionState.plan>`), with their work
+    buffers in the subregion's scratch and the populations written
+    straight into the ghost strip of ``f``.
     """
 
     def __init__(self, lb) -> None:
@@ -239,22 +336,40 @@ class FDToLBConverter:
         self.wire_fields: tuple[str, ...] = ("rho",) + lb.vel_names
         self.wire_leading: dict[str, tuple[int, ...]] = {}
 
-    def convert(self, sub, recv_slices, src, src_index) -> None:
+    def convert(self, sub, op, src, src_index) -> None:
         """Adopt the received macro strips, then rebuild the LB ghost
         populations from them (equilibrium + half-force +
         non-equilibrium reconstruction)."""
-        lb = self.lb
+        recv = op.recv_slices
         for name in self.wire_fields:
-            sub.fields[name][recv_slices] = src[name][src_index]
-        vel_arrs = [sub.fields[n] for n in lb.vel_names]
-        grads = strip_velocity_gradients(
-            vel_arrs, recv_slices, dx=lb.params.dx
+            sub.fields[name][recv] = src[name][src_index]
+        for fn, args in sub.plan(("seam", op.axis, op.side), self._bind,
+                                 op).ops:
+            fn(*args)
+
+    def _bind(self, sub: SubregionState, op):
+        lb = self.lb
+        recv = op.recv_slices
+        shape = region_shape(_explicit(recv, sub.padded_shape))
+        q, ndim = lb.lattice.q, lb.ndim
+        key = f"seam{op.axis}{op.side:+d}_"
+        grads = [[sub.scratch(f"{key}grad{a}{b}", shape)
+                  for b in range(ndim)] for a in range(ndim)]
+        vel_arrs = [sub.fields[name] for name in lb.vel_names]
+        work = _PopulationWork(
+            sub.scratch(key + "eu", (q // 2,) + shape),
+            sub.scratch(key + "usq", shape),
+            sub.scratch(key + "tmp", shape),
+            sub.scratch(key + "term", (q,) + shape),
+            sub.scratch(key + "acc", (q,) + shape),
+            sub.scratch(key + "trace", shape),
         )
-        rho = sub.fields["rho"][recv_slices]
-        vels = [a[recv_slices] for a in vel_arrs]
-        sub.fields["f"][(slice(None),) + recv_slices] = (
-            populations_from_macro(lb, rho, vels, grads)
+        ops = strip_gradient_ops(vel_arrs, recv, lb.params.dx, grads)
+        ops += populations_from_macro_ops(
+            lb, sub.fields["rho"][recv], [a[recv] for a in vel_arrs], grads,
+            True, sub.fields["f"][(slice(None),) + recv], work,
         )
+        return ops, holding(sub, ("rho", "f") + lb.vel_names)
 
 
 def seam_wire_fields(method) -> tuple[str, ...]:

@@ -28,8 +28,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from ..core.subregion import SubregionState
 from . import fused
 from .boundary import (
@@ -105,7 +103,8 @@ class FDMethod:
     # ExplicitMethod protocol
     # ------------------------------------------------------------------
     def init_subregion(self, sub: SubregionState) -> None:
-        """Allocate masks and scratch on a fresh subregion."""
+        """Build the wall sets and masks of a fresh subregion (the
+        kernels bind their scratch and plans on the first step)."""
         if sub.ndim != self.ndim:
             raise ValueError(
                 f"subregion is {sub.ndim}D but method is {self.ndim}D"
@@ -120,8 +119,6 @@ class FDMethod:
             sub.aux[f"inlet{i}"] = inlet.box.local_mask(sub)
         for i, outlet in enumerate(self.outlets):
             sub.aux[f"outlet{i}"] = outlet.box.local_mask(sub)
-        for name in self.vel_names:
-            sub.aux["new_" + name] = np.zeros(sub.padded_shape)
 
     def compute_phase(self, sub: SubregionState, phase: int) -> None:
         """Velocity update (phase 0) or density update (phase 1)."""

@@ -26,10 +26,12 @@ from ._kernels import (
     Region,
     dilate_star,
     flat_nodes,
-    fourth_diff_sum,
+    fourth_diff_sum_ops,
     held_back,
+    holding,
     node_strides,
     plane_slabs,
+    slab_buffers,
     slab_depth,
 )
 
@@ -56,13 +58,17 @@ class FourthOrderFilter:
         return self.eps > 0.0
 
     def build_mask(self, sub: SubregionState) -> None:
-        """Precompute the keep-mask: 1 where filtering is allowed.
+        """Precompute the filter strength per node: ``eps`` where
+        filtering is allowed, 0 near walls.
 
         Stored in ``sub.aux['filter_keep']`` as float64 so it multiplies
-        straight into the vectorized correction.
+        straight into the vectorized correction.  Folding ``eps`` into
+        the mask changes no bit: ``(x k) eps == x (k eps)`` for
+        ``k`` in ``{0, 1}`` and ``eps > 0``, signed zeros and NaN
+        included.
         """
         near_wall = dilate_star(sub.solid, self.reach)
-        sub.aux["filter_keep"] = (~near_wall).astype(np.float64)
+        sub.aux["filter_keep"] = np.where(near_wall, 0.0, self.eps)
 
     def apply(
         self,
@@ -79,27 +85,36 @@ class FourthOrderFilter:
         (:func:`~repro.fluids._kernels.plane_slabs`) of at least the
         stencil reach, and each slab is subtracted only after the next
         slab's correction has read the planes it rewrites
-        (:func:`~repro.fluids._kernels.held_back`).
+        (:func:`~repro.fluids._kernels.held_back`); the sweep is bound
+        once per subregion (:meth:`SubregionState.plan
+        <repro.core.subregion.SubregionState.plan>`).
         """
-        if not self.enabled:
+        if self.eps == 0.0:   # disabled
             return
+        for fn, args in sub.plan("filter", self._bind, names, region).ops:
+            fn(*args)
+
+    def _bind(self, sub: SubregionState, names: Sequence[str],
+              region: Region):
         shape = sub.padded_shape
         steps = node_strides(shape)
         depth = slab_depth(shape, region, reach=self.reach)
         n = depth * steps[0]
-        corr = (sub.scratch("filter_corr", (n,)),
-                sub.scratch("filter_corr_next", (n,)))
+        corr = slab_buffers(sub, ("filter_corr", "filter_corr_next"), (n,))
         tmp = sub.scratch("filter_tmp", (n,))
         keep = flat_nodes(sub.aux["filter_keep"], sub.ndim)
+        ops = []
         for name in names:
             field = sub.fields[name]
             a = flat_nodes(field, sub.ndim)
             for k, slab, done in held_back(plane_slabs(shape, region, depth)):
                 if slab is not None:
-                    out = corr[k % 2][slab.local]
-                    fourth_diff_sum(a, (slab.span,), out=out,
-                                    scratch=tmp[slab.local], steps=steps)
-                    out *= keep[slab.span]
-                    out *= self.eps
+                    out = corr(k)[slab.local]
+                    ops += fourth_diff_sum_ops(a, (slab.span,), out,
+                                               tmp[slab.local], steps)
+                    ops.append((np.multiply, (out, slab.at(keep), out)))
                 if done is not None:
-                    field[done.target] -= done.of(corr[(k - 1) % 2])
+                    view = field[done.target]
+                    ops.append((np.subtract,
+                                (view, done.of(corr(k - 1)), view)))
+        return ops, holding(sub, names, aux=("filter_keep",))

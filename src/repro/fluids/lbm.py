@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.subregion import SubregionState
-from ._kernels import Region, flat_nodes
+from ._kernels import Region, copy_op, flat_nodes, holding
 from . import fused
 from .boundary import (
     PressureOutlet,
@@ -99,6 +99,7 @@ class LBMethod:
             raise ValueError(f"tau {self.tau} must exceed 1/2")
         self.vel_names: tuple[str, ...] = _VEL_NAMES[:ndim]
         self.field_names: tuple[str, ...] = ("rho",) + self.vel_names + ("f",)
+        self._filtered = ("rho",) + self.vel_names
         self.exchange_phases: tuple[tuple[str, ...], ...] = (("f",),)
         self.inlets = tuple(inlets)
         self.outlets = tuple(outlets)
@@ -111,7 +112,7 @@ class LBMethod:
         # Opposite directions are the adjacent rows 2k+1, 2k+2 (row 0 is
         # rest), each pair led by the row whose first nonzero component
         # is +1: the kernels form e_i . u of the leading rows only
-        # (pair_eu) and take the partner's as its exact negative.
+        # (pair_eu_ops) and take the partner's as its exact negative.
         q = lat.q
         self._eu_terms = tuple(
             tuple((d, int(c)) for d, c in enumerate(lat.e[i]) if c)
@@ -174,8 +175,9 @@ class LBMethod:
             return col
         return col.reshape((self.lattice.q,) + (1,) * nodes)
 
-    def pair_eu(self, vels: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
-        """``out[k] <- e_i . u`` for the leading rows ``i = 2k+1``.
+    def pair_eu_ops(self, vels: Sequence[np.ndarray], out: np.ndarray):
+        """The operations of ``out[k] <- e_i . u`` for the leading rows
+        ``i = 2k+1``.
 
         Every ``e`` component is -1, 0 or +1, so each row is a signed
         sum of velocity components in axis order, with no multiply.
@@ -186,27 +188,30 @@ class LBMethod:
         form only in the sign of a zero, which no polynomial below
         sees.)  ``out`` has shape ``(Q // 2,) + u.shape``.
         """
+        ops = []
         for row, ((d0, _), *rest) in zip(out, self._eu_terms):
             if not rest:
-                np.copyto(row, vels[d0])
+                ops.append(copy_op(row, vels[d0]))
                 continue
             (d1, s1), *more = rest
-            (np.add if s1 > 0 else np.subtract)(vels[d0], vels[d1], out=row)
-            for d, s in more:
-                (np.add if s > 0 else np.subtract)(row, vels[d], out=row)
-        return out
+            ops.append((np.add if s1 > 0 else np.subtract,
+                        (vels[d0], vels[d1], row)))
+            ops += [(np.add if s > 0 else np.subtract, (row, vels[d], row))
+                    for d, s in more]
+        return ops
 
     @staticmethod
-    def pair_polynomial(
+    def pair_polynomial_ops(
         eu: np.ndarray,
         scale: float,
         a1: np.ndarray,
         a0: np.ndarray,
         s: np.ndarray,
         out: np.ndarray,
-    ) -> np.ndarray:
-        """``out_i <- (scale eu_i + a1_i) eu_i + a0_i - s`` for every
-        population, from the leading rows' ``eu`` (:meth:`pair_eu`).
+    ):
+        """The operations of ``out_i <- (scale eu_i + a1_i) eu_i + a0_i
+        - s`` for every population, from the leading rows' ``eu``
+        (:meth:`pair_eu_ops`).
 
         ``a1``/``a0`` are ``(Q, 1, ...)`` columns.  A partner row has
         ``e_i . u = -eu``, so its Horner steps are the same products with
@@ -217,16 +222,17 @@ class LBMethod:
         population thus gets the bits of the textbook Horner form.
         """
         lead, partner = out[1::2], out[2::2]
-        np.multiply(eu, scale, out=lead)
-        np.subtract(a1[2::2], lead, out=partner)
-        lead += a1[1::2]
-        lead *= eu
-        partner *= eu
-        lead += a0[1::2]
-        np.subtract(a0[2::2], partner, out=partner)
-        np.subtract(a0[0], s, out=out[0])
-        out[1:] -= s
-        return out
+        return [
+            (np.multiply, (eu, scale, lead)),
+            (np.subtract, (a1[2::2], lead, partner)),
+            (np.add, (lead, a1[1::2], lead)),
+            (np.multiply, (lead, eu, lead)),
+            (np.multiply, (partner, eu, partner)),
+            (np.add, (lead, a0[1::2], lead)),
+            (np.subtract, (a0[2::2], partner, partner)),
+            (np.subtract, (a0[0], s, out[0])),
+            (np.subtract, (out[1:], s, out[1:])),
+        ]
 
     def equilibrium(
         self,
@@ -241,11 +247,11 @@ class LBMethod:
 
         Returns an array of shape ``(Q,) + rho.shape`` — ``out`` when
         given.  The whole lattice is evaluated at once, by the
-        collision's own routines (:meth:`pair_eu`,
-        :meth:`pair_polynomial`): ``eu`` is a ``(Q // 2,) + rho.shape``
-        work buffer, ``usq``/``tmp`` are ``rho.shape`` work buffers;
-        their contents are clobbered.  All buffers are allocated when
-        omitted; the results are identical either way.
+        collision's own operations (:meth:`pair_eu_ops`,
+        :meth:`pair_polynomial_ops`): ``eu`` is a ``(Q // 2,) +
+        rho.shape`` work buffer, ``usq``/``tmp`` are ``rho.shape`` work
+        buffers; their contents are clobbered.  All buffers are
+        allocated when omitted; the results are identical either way.
         """
         q = self.lattice.q
         if out is None:
@@ -256,21 +262,28 @@ class LBMethod:
             usq = np.empty(rho.shape, dtype=np.float64)
         if tmp is None:
             tmp = np.empty(rho.shape, dtype=np.float64)
+        for fn, args in self.equilibrium_ops(rho, vels, out, eu, usq, tmp):
+            fn(*args)
+        return out
+
+    def equilibrium_ops(self, rho, vels, out, eu, usq, tmp):
+        """The operations of :meth:`equilibrium` on the given buffers."""
         nodes = rho.ndim
         # usq <- 1.5 |u|^2
-        np.multiply(vels[0], vels[0], out=usq)
+        ops = [(np.multiply, (vels[0], vels[0], usq))]
         for d in range(1, self.ndim):
-            np.multiply(vels[d], vels[d], out=tmp)
-            usq += tmp
-        usq *= 1.5
+            ops += [(np.multiply, (vels[d], vels[d], tmp)),
+                    (np.add, (usq, tmp, usq))]
+        ops.append((np.multiply, (usq, 1.5, usq)))
         # out <- w_i rho ((4.5 eu + 3) eu + 1 - 1.5 u^2)   (Horner form)
-        self.pair_polynomial(
-            self.pair_eu(vels, eu), 4.5, self._column(self._eq_a1_b, nodes),
+        ops += self.pair_eu_ops(vels, eu)
+        ops += self.pair_polynomial_ops(
+            eu, 4.5, self._column(self._eq_a1_b, nodes),
             self._column(self._eq_a0_b, nodes), usq, out,
         )
-        out *= self._column(self._w_b, nodes)
-        out *= rho
-        return out
+        ops += [(np.multiply, (out, self._column(self._w_b, nodes), out)),
+                (np.multiply, (out, rho, out))]
+        return ops
 
     # ------------------------------------------------------------------
     # ExplicitMethod protocol
@@ -309,7 +322,7 @@ class LBMethod:
         self._bounce_back(sub, g2)
         self._macro(sub, g2)
         self._apply_openings(sub, g2)
-        self.filter.apply(sub, ("rho",) + self.vel_names, sub.interior)
+        self.filter.apply(sub, self._filtered, sub.interior)
 
     # ------------------------------------------------------------------
     # kernels — hot paths run the fused NumPy kernels of
@@ -331,18 +344,30 @@ class LBMethod:
         precomputed solid-node set: two node-sized buffers instead of a
         ``(Q, n_solid)`` gather and its permuted copy.
         """
+        for fn, args in sub.plan("bounce_back", self._bind_bounce_back,
+                                 region).ops:
+            fn(*args)
+
+    def _bind_bounce_back(self, sub: SubregionState, region: Region):
         key = wall_key(sub, "solid", region)
         idx = sub.aux[key]
+        held = holding(sub, ("f",), aux=(key,))
         if not idx.size:
-            return
+            return [], held
         pops = flat_nodes(sub.fields["f"], self.ndim)
         a = sub.scratch(key + "_buf", idx.shape)
         b = sub.scratch(key + "_swap", idx.shape)
+        ops = []
         for i, j in self._pairs:
-            np.take(pops[i], idx, out=a, mode="clip")
-            np.take(pops[j], idx, out=b, mode="clip")
-            pops[i][idx] = b
-            pops[j][idx] = a
+            # mode="clip" (the indices are in range): "raise" would
+            # buffer the output through a fresh temporary.
+            ops += [
+                (pops[i].take, (idx, None, a, "clip")),
+                (pops[j].take, (idx, None, b, "clip")),
+                (pops[i].__setitem__, (idx, b)),
+                (pops[j].__setitem__, (idx, a)),
+            ]
+        return ops, held
 
     def _macro(self, sub: SubregionState, region: Region) -> None:
         """Fluid variables from populations (plus Guo half-force shift)."""

@@ -122,18 +122,18 @@ class SocketExchanger:
             for key, op in keys.items():
                 conv = converters.get(op.neighbor_rank)
                 strips = self._decode(op, field_names, payloads[key], conv)
-                fill_ghost(sub, op, field_names, strips, ..., self.stage,
-                           conv)
+                fill_ghost(sub, op, field_names, strips, self.stage, conv,
+                           framed=True)
             if seam:
                 continue
             for op in ops:
                 if op.kind != "recv":  # replicate; hold needs nothing
-                    fill_ghost(sub, op, field_names, None, None, self.stage)
+                    fill_ghost(sub, op, field_names, None, self.stage)
                 elif op.neighbor_rank == rank:
                     # a periodic axis this one block spans wraps onto
                     # itself
                     fill_ghost(sub, op, field_names, sub.fields,
-                               (...,) + op.src_slices, self.stage)
+                               self.stage)
 
     # ------------------------------------------------------------------
     # (de)serialization

@@ -36,8 +36,10 @@ from repro.fluids import (
 )
 from repro.fluids import _kernels
 from repro.fluids import fd as fd_module
+from repro.core.subregion import Plan
 from repro.fluids._kernels import (
     central_diff,
+    dilate_star,
     fourth_diff_sum,
     laplacian,
     plane_slabs,
@@ -106,11 +108,25 @@ def _ref_bounce_back(self, sub, region):
     view[:, solid] = arrived[self.lattice.opposite]
 
 
+def _ref_keep(sub, reach=FourthOrderFilter.reach):
+    """The filter's 0/1 keep-mask (the kernels fold ``eps`` into theirs)."""
+    if "ref_filter_keep" not in sub.aux:
+        near_wall = dilate_star(sub.solid, reach)
+        sub.aux["ref_filter_keep"] = (~near_wall).astype(np.float64)
+    return sub.aux["ref_filter_keep"]
+
+
+def _ref_new(sub, name):
+    """A padded array the reference velocity update writes into (the
+    kernels commit from slab scratch instead)."""
+    return sub.aux.setdefault("ref_new_" + name, np.zeros(sub.padded_shape))
+
+
 class ReferenceFilter(FourthOrderFilter):
     def apply(self, sub, names, region):
         if not self.enabled:
             return
-        keep = sub.aux["filter_keep"][region]
+        keep = _ref_keep(sub, self.reach)[region]
         for name in names:
             a = sub.fields[name]
             corr = _ref_fourth_diff_sum(a, region)
@@ -214,12 +230,12 @@ class ReferenceFDMethod(FDMethod):
                 adv += vel_mid[ax] * central_diff(c, region, ax, p.dx)
             press = (cs2 / rho[region]) * central_diff(rho, region, d, p.dx)
             visc = p.nu * laplacian(c, region, p.dx)
-            new = sub.aux["new_" + name]
+            new = _ref_new(sub, name)
             new[region] = c[region] + p.dt * (
                 -adv - press + visc + p.gravity[d]
             )
         for name in self.vel_names:
-            sub.fields[name][region] = sub.aux["new_" + name][region]
+            sub.fields[name][region] = _ref_new(sub, name)[region]
         _ref_enforce_noslip(sub, self.vel_names, region)
 
     def _update_density(self, sub):
@@ -345,9 +361,9 @@ def _region_fd_velocity(method, sub):
         if p.gravity[d] != 0.0:
             t1 += p.gravity[d]
         t1 *= p.dt
-        np.add(c[region], t1, out=sub.aux["new_" + name][region])
+        np.add(c[region], t1, out=_ref_new(sub, name)[region])
     for name in method.vel_names:
-        sub.fields[name][region] = sub.aux["new_" + name][region]
+        sub.fields[name][region] = _ref_new(sub, name)[region]
 
 
 def _region_fd_density(method, sub):
@@ -371,7 +387,7 @@ def _region_fd_density(method, sub):
 def _region_filter(flt, sub, names, region):
     if not flt.enabled:
         return
-    keep = sub.aux["filter_keep"][region]
+    keep = _ref_keep(sub, flt.reach)[region]
     corr, tmp = np.empty(region_shape(region)), np.empty(region_shape(region))
     for name in names:
         a = sub.fields[name]
@@ -621,6 +637,9 @@ def test_slabs_match_one_slab(monkeypatch, kernel, ndim):
         planes = region[0].stop - region[0].start
         width = sim.method.lattice.q if wide else 1
         plane = 8 * width * int(np.prod(sub.padded_shape[1:]))
+        # the step bound every kernel at the default slab size: unbind
+        for key in [k for k, v in sub.aux.items() if isinstance(v, Plan)]:
+            del sub.aux[key]
         with monkeypatch.context() as m:
             m.setattr(_kernels, "SLAB_BYTES", (depth or planes) * plane)
             got = slab_depth(sub.padded_shape, region, width)

@@ -315,3 +315,41 @@ def test_docs_name_live_code():
                      if not _resolves(name.group())]
     assert not dead, "docs name code that does not exist:\n" + "\n".join(
         dead)
+
+
+#: the slab and stencil helpers a kernel runs only while binding its plan
+BIND_ONLY_CALLS = {"plane_slabs", "held_back", "shift_region"}
+
+
+def _is_plan_builder(name: str) -> bool:
+    """A kernel's plan builder (``_bind_*``) or a stencil's operation
+    builder (``*_ops``)."""
+    return name.lstrip("_").startswith("bind") or name.endswith("_ops")
+
+
+def test_slabs_are_walked_only_while_binding():
+    """``plane_slabs``, ``held_back`` and ``shift_region`` are called only
+    from the plan builders: a kernel walks its slabs and shifts its
+    regions once, when it binds, so a warmed step is only the bound
+    ufunc calls."""
+    offenders = []
+
+    def visit(node, rel, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            elif (isinstance(child, ast.Call)
+                    and _call_name(child) in BIND_ONLY_CALLS
+                    and not _is_plan_builder(owner)):
+                offenders.append(f"{rel}:{child.lineno}: {owner} calls "
+                                 f"{_call_name(child)}()")
+            visit(child, rel, inner)
+
+    for path in sorted(SRC.rglob("*.py")):
+        visit(ast.parse(path.read_text()), path.relative_to(SRC).as_posix(),
+              "<module>")
+    assert not offenders, (
+        "slab or region walked outside a plan builder:\n"
+        + "\n".join(offenders)
+    )

@@ -25,6 +25,10 @@ from .jobs import TERMINAL
 
 __all__ = ["ServeClient", "discover"]
 
+#: Longest one status request of :meth:`ServeClient.wait` is held at the
+#: gateway (``GET /jobs/<id>?wait=S``) before the client asks again.
+WAIT_HOLD = 5.0
+
 
 def discover(serve_dir: str | Path) -> str:
     """The ``host:port`` a serve directory's gateway bound (or raise)."""
@@ -182,10 +186,20 @@ class ServeClient:
     def wait(
         self, job_id: str, timeout: float = 300.0, poll: float = 0.01
     ) -> dict:
-        """Block until the job reaches a terminal state."""
+        """Block until the job reaches a terminal state.
+
+        Each status request is held at the gateway until the job ends,
+        up to :data:`WAIT_HOLD` seconds, so the record comes back as the
+        job ends rather than at the next of a train of polls; ``poll``
+        is the pause before asking again after a hold ran out.
+        """
         deadline = time.monotonic() + timeout
         while True:
-            rec = self.job(job_id)
+            hold = min(deadline - time.monotonic(), WAIT_HOLD,
+                       self.timeout / 2)
+            rec = self._json(
+                "GET", f"/jobs/{job_id}?wait={max(hold, 0.0):.3f}"
+            )
             if rec["state"] in TERMINAL:
                 return rec
             if time.monotonic() > deadline:

@@ -21,7 +21,9 @@ Routes (all JSON unless noted)::
     POST   /admin/gc             compact jobs.jsonl to the last event
                                  per job -> compaction stats
     GET    /jobs                 every job record, newest first
-    GET    /jobs/<id>            one job record
+    GET    /jobs/<id>            one job record; with ``?wait=S`` the
+                                 answer waits until the job is terminal,
+                                 at most S seconds (``ServeClient.wait``)
     DELETE /jobs/<id>            cancel (queued or running)
     GET    /jobs/<id>/result     record + run summary + artifact paths
     GET    /jobs/<id>/fields     the final global fields (npz bytes)
@@ -47,6 +49,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import math
 import threading
 import time
 from pathlib import Path
@@ -70,6 +73,9 @@ MAX_BODY = 8 * 1024 * 1024
 #: history down to the last event per job before replaying it.
 HISTORY_GC_BYTES = 4 * 1024 * 1024
 
+#: Longest one ``GET /jobs/<id>?wait=S`` is held, whatever S asks.
+MAX_HOLD = 60.0
+
 
 class _HttpError(Exception):
     """An error with a status code, rendered as a JSON body."""
@@ -84,6 +90,22 @@ _REASONS = {
     405: "Method Not Allowed", 413: "Payload Too Large",
     500: "Internal Server Error",
 }
+
+
+def _hold_seconds(query: str) -> float:
+    """The ``wait=S`` of a query string, clamped to ``[0, MAX_HOLD]``;
+    0 without one."""
+    for item in query.split("&"):
+        name, _, value = item.partition("=")
+        if name == "wait":
+            try:
+                hold = float(value)
+            except ValueError:
+                hold = math.nan
+            if math.isnan(hold):
+                raise _HttpError(400, f"bad wait={value!r}")
+            return min(max(hold, 0.0), MAX_HOLD)
+    return 0.0
 
 
 class Gateway:
@@ -119,6 +141,9 @@ class Gateway:
         self._server: asyncio.base_events.Server | None = None
         self._tick_task: asyncio.Task | None = None
         self._wake = asyncio.Event()
+        #: set after each scheduler tick, then replaced by a fresh one:
+        #: what a held ``GET /jobs/<id>?wait=S`` waits on
+        self._ticked = asyncio.Event()
         #: worker index -> (socket, fd) the loop has a reader on
         self._watched: dict[int, tuple] = {}
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -153,6 +178,7 @@ class Gateway:
             except asyncio.CancelledError:
                 pass
             self._tick_task = None
+        self._ticked.set()  # no record changes now: release held waits
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -177,6 +203,8 @@ class Gateway:
                     self._tick_errors.add(key)
                     log.exception("scheduler tick failed (loop continues)")
             self._watch_channels()
+            self._ticked.set()
+            self._ticked = asyncio.Event()
             await self._wake.wait()
 
     def _watch_channels(self) -> None:
@@ -319,7 +347,7 @@ class Gateway:
             )
         if length:
             body = await reader.readexactly(length)
-        return method.upper(), target.split("?", 1)[0], headers, body
+        return method.upper(), target, headers, body
 
     async def _send_response(
         self,
@@ -348,6 +376,7 @@ class Gateway:
     # routing
     # ------------------------------------------------------------------
     async def _dispatch(self, writer, method, target, headers, body):
+        target, _, query = target.partition("?")
         parts = [p for p in target.split("/") if p]
         if target == "/healthz" and method == "GET":
             await self._send_json(writer, 200, {"ok": True})
@@ -370,7 +399,7 @@ class Gateway:
         elif target == "/cluster" and method == "GET":
             await self._send_json(writer, 200, self._cluster_payload())
         elif len(parts) >= 2 and parts[0] == "jobs":
-            await self._job_route(writer, method, parts)
+            await self._job_route(writer, method, parts, query)
         else:
             raise _HttpError(404, f"no route for {method} {target}")
 
@@ -439,7 +468,7 @@ class Gateway:
             raise _HttpError(404, f"unknown job {job_id!r}")
         return rec
 
-    async def _job_route(self, writer, method, parts) -> None:
+    async def _job_route(self, writer, method, parts, query) -> None:
         job_id = parts[1]
         sub = parts[2] if len(parts) > 2 else ""
         rec = self._record(job_id)
@@ -450,6 +479,9 @@ class Gateway:
         elif method != "GET":
             raise _HttpError(405, f"{method} not allowed here")
         elif not sub:
+            hold = _hold_seconds(query)
+            if hold > 0:
+                rec = await self._until_terminal(job_id, hold)
             await self._send_json(writer, 200, rec.to_dict())
         elif sub == "result":
             await self._send_json(
@@ -470,6 +502,23 @@ class Gateway:
             await self._stream_job(writer, job_id)
         else:
             raise _HttpError(404, f"unknown job endpoint {sub!r}")
+
+    async def _until_terminal(self, job_id: str, hold: float):
+        """The job's record once it is terminal, or after ``hold``
+        seconds, or once the gateway stops, whichever comes first."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + hold
+        rec = self._record(job_id)
+        while not rec.terminal and self._tick_task is not None:
+            left = deadline - loop.time()
+            if left <= 0:
+                break
+            try:
+                await asyncio.wait_for(self._ticked.wait(), left)
+            except asyncio.TimeoutError:
+                break
+            rec = self._record(job_id)
+        return rec
 
     # ------------------------------------------------------------------
     # live streaming (chunked transfer)

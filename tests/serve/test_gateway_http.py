@@ -4,7 +4,9 @@ import asyncio
 
 import pytest
 
-from repro.serve.gateway import MAX_BODY, Gateway, _HttpError
+from repro.serve.gateway import (
+    MAX_BODY, MAX_HOLD, Gateway, _hold_seconds, _HttpError,
+)
 
 
 def _parse(gw: Gateway, raw: bytes):
@@ -48,4 +50,18 @@ class TestRequestParsing:
             )
             with pytest.raises(_HttpError) as err:
                 _parse(gw, raw)
+            assert err.value.status == 400
+
+
+class TestHoldQuery:
+    def test_wait_is_read_and_clamped(self):
+        assert _hold_seconds("") == 0.0
+        assert _hold_seconds("x=1&wait=2.5") == 2.5
+        assert _hold_seconds("wait=-3") == 0.0
+        assert _hold_seconds("wait=1e9") == MAX_HOLD
+
+    def test_a_bad_wait_is_a_400(self):
+        for value in ("banana", "nan", ""):
+            with pytest.raises(_HttpError) as err:
+                _hold_seconds(f"wait={value}")
             assert err.value.status == 400

@@ -149,6 +149,23 @@ class TestServiceEndToEnd:
         final = client.wait(rec["job_id"], timeout=30.0)
         assert final["state"] == "cancelled"
 
+    def test_a_held_status_request_answers_as_the_job_ends(self, gateway):
+        client = ServeClient(gateway.address)
+        job_id = client.submit(_spec(22), settings={"steps": 5000})["job_id"]
+        # still running when the hold runs out: the record as it stands
+        t0 = time.monotonic()
+        held = client._json("GET", f"/jobs/{job_id}?wait=0.2")
+        assert held["state"] in ("queued", "running")
+        assert time.monotonic() - t0 >= 0.2
+        # ended during the hold: answered then, not when the hold ends
+        timer = threading.Timer(0.3, client.cancel, (job_id,))
+        timer.start()
+        t0 = time.monotonic()
+        held = client._json("GET", f"/jobs/{job_id}?wait=30")
+        timer.join()
+        assert held["state"] == "cancelled"
+        assert time.monotonic() - t0 < 10.0
+
     def test_cluster_snapshot_and_render(self, gateway):
         from repro.serve import render
 

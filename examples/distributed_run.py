@@ -3,8 +3,8 @@
 
 Runs a channel-flow problem across real worker *processes* communicating
 over real TCP sockets (the paper's UNIX + TCP/IP substrate), on a
-virtual registry of 25 non-dedicated workstations.  Mid-run, one
-workstation's emulated five-minute load average jumps above 1.5 — the
+virtual registry of 25 non-dedicated workstations.  As the run begins,
+one workstation's emulated five-minute load average jumps above 1.5 — the
 monitoring program detects it, interrupts every worker with SIGUSR2,
 drives the App. B synchronization, migrates the affected subprocess to
 a freshly selected free host, and resumes.  The final state is compared
@@ -15,8 +15,6 @@ Run:  python examples/distributed_run.py [--steps 60] [--blocks 2 2]
 
 import argparse
 import tempfile
-import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -75,15 +73,13 @@ def main() -> None:
           f"(job-submit program selected free hosts: "
           f"{[h.name for h in run.hostdb.hosts() if h.rank is not None]})")
 
-    def user_shows_up():
-        time.sleep(0.8)
-        host = run.hostdb.host_of_rank(1)
-        if host is not None:
-            print(f"\n*** regular user starts a full-time job on "
-                  f"{host.name} (load 2.2 > 1.5) ***\n")
-            run.hostdb.set_load(host.name, load5=2.2)
-
-    threading.Thread(target=user_shows_up).start()
+    # A regular user starts a full-time job on rank 1's workstation as
+    # the run begins: ranks start in milliseconds (forked from the rank
+    # host), so a later moment could find a short run already finished.
+    host = run.hostdb.host_of_rank(1)
+    print(f"\n*** regular user starts a full-time job on "
+          f"{host.name} (load 2.2 > 1.5) ***\n")
+    run.hostdb.set_load(host.name, load5=2.2)
     run.wait()
     out = run.collect()
 

@@ -123,10 +123,15 @@ class HostDB:
         return candidates[:n]
 
     def overloaded(self, limit: float = MIGRATE_LOAD_LIMIT) -> list[HostInfo]:
-        """Hosts whose five-minute load demands a migration (§5.1)."""
-        return [
-            h for h in self.hosts() if h.rank is not None and h.load5 > limit
-        ]
+        """Hosts whose five-minute load demands a migration (§5.1).
+
+        The monitor asks on every poll, so only the matches are copied.
+        """
+        with self._lock:
+            return [
+                replace(h) for h in self._hosts.values()
+                if h.rank is not None and h.load5 > limit
+            ]
 
     # ------------------------------------------------------------------
     # mutations

@@ -55,6 +55,7 @@ from .dumpfile import DumpCorruption, dump_path, load_dump
 from .heartbeat import read_heartbeats
 from .hostdb import MIGRATE_LOAD_LIMIT, HostDB
 from .journal import MONITOR, Journal, read_journal
+from .rankhost import RankProcess
 from .spec import ProblemSpec
 from .submit import spawn_worker
 from .sync import SaveTurns
@@ -99,7 +100,7 @@ class Monitor:
         self,
         workdir: str | Path,
         hostdb: HostDB,
-        procs: dict[int, subprocess.Popen],
+        procs: dict[int, RankProcess],
         base_cfg: dict,
         stall_timeout: float = 60.0,
         max_restarts: int = 2,
@@ -108,7 +109,7 @@ class Monitor:
     ) -> None:
         self.workdir = Path(workdir)
         self.hostdb = hostdb
-        self.procs = dict(procs)
+        self.procs: dict[int, RankProcess] = dict(procs)
         self.base_cfg = dict(base_cfg)
         self.stall_timeout = stall_timeout
         self.max_restarts = max_restarts
@@ -118,6 +119,8 @@ class Monitor:
         self.rebalances = 0
         self.restarts = 0
         self._done: set[int] = set()
+        #: handles whose exit the journal already has
+        self._noted: set[RankProcess] = set()
         self._forced: list[int] = []
         self._forced_rebalance = False
         # Restart floor after a successful rebalance: the re-cut dumps.
@@ -218,6 +221,7 @@ class Monitor:
                 if code is None:
                     running.append(proc.pid)
                     continue
+                self._note_exit(rank, proc)
                 if code == EXIT_DONE:
                     self._done.add(rank)
                 elif code == EXIT_MIGRATED:
@@ -279,13 +283,17 @@ class Monitor:
 
     def _wait_for_exit(self, pids: list[int]) -> None:
         """Sleep one poll period, or less: a worker's pidfd turns
-        readable when it exits, which wakes the loop at once.  Where
-        ``os.pidfd_open`` is missing (non-Linux hosts), just sleep."""
+        readable when it exits, which wakes the loop at once.  A worker
+        already gone ends the wait at once: its host's exit report is
+        due.  Where ``os.pidfd_open`` is missing (non-Linux hosts), just
+        sleep."""
         fds: list[int] = []
         try:
             for pid in pids:
                 fds.append(os.pidfd_open(pid))
             select.select(fds, [], [], MONITOR_POLL)
+        except ProcessLookupError:
+            pass
         except (AttributeError, OSError):
             time.sleep(MONITOR_POLL)
         finally:
@@ -332,7 +340,20 @@ class Monitor:
     # ------------------------------------------------------------------
     # epochs: migration (§5.1) and rebalance share the App. B sequence
     # ------------------------------------------------------------------
-    def _running(self) -> dict[int, subprocess.Popen]:
+    def _note_exit(self, rank: int, proc: RankProcess) -> None:
+        """Journal ``rank``'s exit code and peak resident set, once per
+        process.  The peak comes from the rank host's ``wait4``: ranks
+        are not the submitter's children, so its ``RUSAGE_CHILDREN``
+        never counts them."""
+        if proc in self._noted or proc.returncode is None:
+            return
+        self._noted.add(proc)
+        rss = (f"{proc.maxrss_kb / 1024:.1f} MB" if proc.maxrss_kb
+               else "unknown (its rank host died)")
+        self.log(f"rank {rank} (pid {proc.pid}) exited {proc.returncode}, "
+                 f"peak RSS {rss}")
+
+    def _running(self) -> dict[int, RankProcess]:
         return {
             r: p for r, p in self.procs.items()
             if r not in self._done and p.poll() is None
@@ -358,7 +379,7 @@ class Monitor:
 
     def _signal_epoch(
         self, epoch: int, request: dict, exit_code: int
-    ) -> dict[int, subprocess.Popen]:
+    ) -> dict[int, RankProcess]:
         """Publish ``request`` and run the App. B sync to its end.
 
         SIGUSR2 every running worker; they synchronize to a common
@@ -724,6 +745,8 @@ class Monitor:
         if host is None:
             owner = self.hostdb.host_of_rank(rank)
             host = owner.name if owner else f"host{rank}"
+        if rank in self.procs:
+            self._note_exit(rank, self.procs[rank])
         self.procs[rank] = spawn_worker(WorkerConfig(
             workdir=str(self.workdir),
             rank=rank,
@@ -743,11 +766,12 @@ class Monitor:
                 except OSError:  # pragma: no cover
                     pass
                 proc.kill()
-        for proc in self.procs.values():
+        for rank, proc in self.procs.items():
             try:
                 proc.wait(timeout=10)
             except subprocess.TimeoutExpired:  # pragma: no cover
-                pass
+                continue
+            self._note_exit(rank, proc)
 
     # ------------------------------------------------------------------
     # heartbeats

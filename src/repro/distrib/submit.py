@@ -6,30 +6,32 @@ process with a dump file that specifies one subregion of the problem.
 The processes execute the same program on different data."
 
 Host selection implements the paper's two-group strategy via
-:meth:`repro.distrib.hostdb.HostDB.select_free`; the "remote start" is a
-local subprocess tagged with the virtual host name (the substitution
+:meth:`repro.distrib.hostdb.HostDB.select_free`.  The "remote start" is
+a local process tagged with the virtual host name (the substitution
 documented in DESIGN.md — every control-plane mechanism is real, only
-the machine boundary is virtual).
+the machine boundary is virtual): a fork of the submitter's preloaded
+rank host (:mod:`repro.distrib.rankhost`), not a fresh interpreter, so a
+start, migration or restart does not pay the imports again.
 """
 
 from __future__ import annotations
 
 import os
 import subprocess
-import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .hostdb import HostDB
 
 if TYPE_CHECKING:
+    from .rankhost import RankProcess
     from .worker import WorkerConfig
 
 __all__ = ["spawn_worker", "submit_all"]
 
 
 def _worker_env() -> dict[str, str]:
-    """Environment for a worker subprocess.
+    """Environment for a worker process.
 
     Workers run with their working directory as ``cwd``, so relative
     ``PYTHONPATH`` entries inherited from the submitting process (for
@@ -51,24 +53,20 @@ def _worker_env() -> dict[str, str]:
     return env
 
 
-def spawn_worker(cfg: WorkerConfig) -> subprocess.Popen:
+def spawn_worker(cfg: WorkerConfig) -> RankProcess:
     """Start one parallel subprocess from its config file."""
+    from . import rankhost
+
     cfg_path = cfg.path(cfg.workdir, cfg.rank)
     cfg_path.write_text(cfg.to_json())
     log_dir = Path(cfg.workdir) / "logs"
     log_dir.mkdir(parents=True, exist_ok=True)
-    # Popen duplicates the descriptor for the child; closing the
-    # parent's handle here keeps long monitored runs (every migration,
-    # rebalance and restart respawns workers) from accumulating open
-    # files in the submitting process.
-    with open(log_dir / f"rank{cfg.rank:04d}.stdout", "ab") as log:
-        return subprocess.Popen(
-            [sys.executable, "-m", "repro.distrib.worker", str(cfg_path)],
-            stdout=log,
-            stderr=subprocess.STDOUT,
-            cwd=cfg.workdir,
-            env=_worker_env(),
-        )
+    return rankhost.fork_rank({
+        "cfg": str(cfg_path),
+        "cwd": str(cfg.workdir),
+        "log": str(log_dir / f"rank{cfg.rank:04d}.stdout"),
+        "env": _worker_env(),
+    })
 
 
 def submit_all(
@@ -76,7 +74,7 @@ def submit_all(
     hostdb: HostDB,
     n_ranks: int,
     base_cfg: dict,
-) -> dict[int, subprocess.Popen]:
+) -> dict[int, RankProcess]:
     """Select free hosts for every rank and start the workers.
 
     ``base_cfg`` carries the common :class:`WorkerConfig` fields
@@ -91,7 +89,7 @@ def submit_all(
 
     workdir = Path(workdir)
     hosts = hostdb.select_free(n_ranks)
-    procs: dict[int, subprocess.Popen] = {}
+    procs: dict[int, RankProcess] = {}
     assigned: list[str] = []
     try:
         for rank, host in enumerate(hosts):

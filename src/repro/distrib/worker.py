@@ -25,7 +25,9 @@ users:
   monitor to fold.  A SIGTERM from the monitor (a failed diagnostics
   check) ends the worker with :data:`EXIT_DIAGNOSTIC`.
 
-Run as ``python -m repro.distrib.worker <config.json>``.
+A rank is forked from the submitter's rank host
+(:mod:`repro.distrib.rankhost`), which calls :func:`main`;
+``python -m repro.distrib.worker <config.json>`` runs one by hand.
 """
 
 from __future__ import annotations
@@ -504,6 +506,10 @@ def main(argv: list[str] | None = None) -> int:
     # and replay it once the real handler is installed.
     pending: list[int] = []
     signal.signal(signal.SIGUSR2, lambda s, f: pending.append(s))
+    # A rank forked by the rank host starts with SIGUSR2 blocked, so a
+    # request sent before this catcher existed waits here instead of
+    # killing it.
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGUSR2})
     cfg = WorkerConfig.from_json(Path(argv[0]).read_text())
     # §5.1: run at low priority so the computation is transparent to
     # the workstation's regular user.

@@ -197,6 +197,7 @@ class _RunningProc:
     """A live worker that exits ``EXIT_DIAGNOSTIC`` on SIGTERM."""
 
     pid = 99997
+    maxrss_kb = 0
 
     def __init__(self):
         self.returncode = None

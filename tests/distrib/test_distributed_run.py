@@ -57,8 +57,7 @@ def test_distributed_matches_serial(tmp_path, method):
     ).fields
     for name in serial.method.field_names:
         assert np.array_equal(out[name], serial.global_field(name)), name
-    # `python -m repro.distrib.worker` must not find the worker module
-    # already imported by its package (runpy's RuntimeWarning)
+    # every active rank has its log, and no rank warned into it
     logs = sorted((tmp_path / "run" / "logs").glob("rank*.stdout"))
     assert len(logs) == spec.build_decomposition().n_active
     for log in logs:

@@ -45,6 +45,8 @@ class _DeadProc:
     """A worker process that has already exited."""
 
     pid = 99999
+    returncode = 0
+    maxrss_kb = 0
 
     def poll(self):
         return 0
@@ -63,6 +65,7 @@ class _LeavingProc:
     """A running worker that exits with ``code`` once SIGUSR2 lands."""
 
     pid = 99998
+    maxrss_kb = 0
 
     def __init__(self, code):
         self.code = code

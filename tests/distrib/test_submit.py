@@ -22,10 +22,12 @@ def db():
 class TestSpawnWorker:
     def test_no_fd_leak(self, tmp_path):
         """Respawn-heavy runs (migrations, rebalances) must not
-        accumulate log-file descriptors in the submitting process."""
+        accumulate descriptors in the submitting process.  The first
+        spawn starts the rank host, whose two pipe ends stay open."""
         cfg = WorkerConfig(
             workdir=str(tmp_path), rank=0, host="h0", steps_total=1
         )
+        spawn_worker(cfg).wait(timeout=30)
         before = _open_fds()
         procs = [spawn_worker(cfg) for _ in range(5)]
         for p in procs:

@@ -26,7 +26,6 @@ one block (the rank is its own neighbour there).
 import itertools
 import math
 import re
-import subprocess
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -45,6 +44,7 @@ from repro.distrib import (
     RunSettings,
     initial_fields,
 )
+from repro.distrib import rankhost
 from repro.distrib.settings import (
     BACKENDS,
     POLICIES,
@@ -155,11 +155,13 @@ def _active_nodes(spec):
 
 def _assert_refused(spec, backend, rs, fields, exc, workdir):
     """``repro.run`` raises the table's error and leaves no trace; a
-    refused :class:`DistributedRun` configures and spawns no worker."""
+    refused :class:`DistributedRun` configures and spawns no worker.
+    Every rank starts as one request to the rank host, so that request
+    is the one launch entry to watch."""
     refused = pytest.raises(type(exc), match=re.escape(str(exc)))
     with mock.patch.object(
-        subprocess, "Popen", side_effect=AssertionError("spawned"),
-    ) as popen, mock.patch.object(
+        rankhost, "fork_rank", side_effect=AssertionError("spawned"),
+    ) as fork_rank, mock.patch.object(
         tempfile, "mkdtemp", side_effect=AssertionError("made a dir"),
     ):
         with refused:
@@ -170,7 +172,7 @@ def _assert_refused(spec, backend, rs, fields, exc, workdir):
             with refused:
                 run.start()
             assert not list(workdir.glob("cfg_rank*.json"))
-    assert not popen.called
+    assert not fork_rank.called
 
 
 HYBRID = {"default": "lb",

@@ -67,6 +67,17 @@ def test_worker_loads_only_what_a_rank_runs():
     assert not _under(loaded, NOT_IN_WORKER + IN_PROCESS_RUNNERS)
 
 
+def test_rank_host_preloads_exactly_the_worker_closure():
+    """The host imports once what every forked rank runs, and nothing
+    else: its own module adds no import, its preload is the worker's."""
+    assert _new_modules("import repro.distrib.rankhost") == {
+        "repro", "repro._lazy", "repro.distrib", "repro.distrib.rankhost"}
+    preloaded = _new_modules("rankhost.preload()",
+                             "from repro.distrib import rankhost")
+    assert preloaded == _new_modules("import repro.distrib.worker",
+                                     "import repro.distrib")
+
+
 def test_spec_and_settings_skip_monitor_and_planner():
     loaded = _new_modules("from repro.distrib import ProblemSpec, RunSettings")
     assert {"repro.distrib.spec", "repro.distrib.orchestrator"} <= loaded
